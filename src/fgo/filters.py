@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import i0
 
 from .grid import correlate2d
 
@@ -138,19 +139,6 @@ def make_center_surround(params: DoGParams, polarity: str = "on") -> np.ndarray:
     return on if polarity == "on" else -on
 
 
-def bessel_i0(z) -> np.ndarray:
-    """Modified Bessel function I0 by its power series (even in z)."""
-    q = np.square(np.asarray(z, dtype=np.float64)) / 4.0
-    term = np.ones_like(q)
-    total = np.ones_like(q)
-    for k in range(1, 200):
-        term = term * q / (k * k)
-        total = total + term
-        if term.max() < 1e-17 * total.max():
-            break
-    return total
-
-
 @dataclass(frozen=True)
 class VonMisesParams:
     bo_direction: float
@@ -187,5 +175,5 @@ def make_von_mises(params: VonMisesParams) -> np.ndarray:
     radial = rho - params.r0
     rel = phi - params.bo_direction
     angular = np.cos(rel) if params.form == "cosine" else np.sin(rel)
-    kernel = np.exp(radial * angular) / bessel_i0(np.abs(radial))
+    kernel = np.exp(radial * angular) / i0(np.abs(radial))
     return kernel / kernel.max()

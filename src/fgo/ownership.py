@@ -16,6 +16,7 @@ is a list of stacks, index 0 the finest (native) level.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -41,7 +42,7 @@ from .grid import (
     build_pyramid,
     correlate2d,
     cross_scale_sum,
-    resample,
+    pool_resampled,
 )
 
 N_SIDES = 2
@@ -257,31 +258,32 @@ def _carrier_stack(carriers, k: int) -> np.ndarray:
     return np.stack([c[k] for c in carriers])
 
 
-def _ring_kernel(direction: float, shape, params: ContextParams) -> np.ndarray:
-    nominal = VonMisesParams(
-        bo_direction=direction, r0=params.ring_radius, form=params.ring_form
-    )
+def _ring_bank(shape, params: ContextParams) -> np.ndarray:
+    """The 16 ring kernels fitted to ``shape``, a read-only (8, 2, s, s) array."""
+    nominal = VonMisesParams(bo_direction=0.0, r0=params.ring_radius, form=params.ring_form)
     size = clamp_kernel_size(nominal.resolved_size(), shape)
-    return make_von_mises(replace(nominal, size=size))
+    return _ring_kernels(size, params.ring_radius, params.ring_form)
 
 
-def _ring_responses(norm_maps, params: ContextParams) -> np.ndarray:
-    """Project 8 per-orientation evidence maps onto all 16 directions."""
-    shape = norm_maps[0].shape
+@functools.lru_cache(maxsize=64)
+def _ring_kernels(size: int, ring_radius: float, ring_form: str) -> np.ndarray:
+    bank = np.array([
+        [make_von_mises(VonMisesParams(bo_direction(ti, si), ring_radius, size, ring_form))
+         for si in range(N_SIDES)]
+        for ti in range(N_ORIENTATIONS)
+    ])
+    bank.flags.writeable = False
+    return bank
+
+
+def _ring_responses(evidence, params: ContextParams) -> np.ndarray:
+    """Project ``evidence[ti][si]`` through the ring kernel toward (ti, si)."""
+    shape = evidence[0][0].shape
+    bank = _ring_bank(shape, params)
     out = np.empty((N_ORIENTATIONS, N_SIDES) + shape)
     for ti in range(N_ORIENTATIONS):
         for si in range(N_SIDES):
-            kernel = _ring_kernel(bo_direction(ti, si), shape, params)
-            out[ti, si] = correlate2d(norm_maps[ti], kernel)
-    return out
-
-
-def _resample_stack(stack: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    if stack.shape[-2:] == (rows, cols):
-        return stack
-    out = np.empty(stack.shape[:-2] + (rows, cols))
-    for idx in np.ndindex(stack.shape[:-2]):
-        out[idx] = resample(stack[idx], rows, cols)
+            out[ti, si] = correlate2d(evidence[ti][si], bank[ti, si])
     return out
 
 
@@ -291,15 +293,18 @@ def scale_contexts(responses: Sequence[np.ndarray]) -> list:
     ``ctx[k] = sum_{j >= k} 2^{-(j+1)} * resample(responses[j] -> dims_k)``
     with the level index weighted 1-based, so coarser levels contribute
     geometrically less; every term is brought to level k in one hop.
+    Each level is one :func:`pool_resampled` call over the whole stack,
+    which reassociates the sum (exact to about 1e-15 relative).
     """
-    out = []
-    for k in range(len(responses)):
-        rows, cols = responses[k].shape[-2:]
-        acc = np.zeros_like(responses[k])
-        for j in range(k, len(responses)):
-            acc += (2.0 ** -(j + 1)) * _resample_stack(responses[j], rows, cols)
-        out.append(acc)
-    return out
+    n = len(responses)
+    return [
+        pool_resampled(
+            responses[k:],
+            *responses[k].shape[-2:],
+            [2.0 ** -(j + 1) for j in range(k, n)],
+        )
+        for k in range(n)
+    ]
 
 
 def _unmodulated(carriers, k: int) -> np.ndarray:
@@ -330,39 +335,24 @@ def compute_bo_light_dark(
     """
     carriers = _check_carriers(carriers)
     n = len(carriers[0])
-    if isinstance(cs_pairs, CSPyramidPair):
-        pairs = (cs_pairs,) * N_ORIENTATIONS
-        shared = True
-    else:
-        pairs = tuple(cs_pairs)
-        shared = False
-        if len(pairs) != N_ORIENTATIONS:
-            raise ValueError(
-                f"need one CS pair or {N_ORIENTATIONS}, got {len(pairs)}"
-            )
+    shared = isinstance(cs_pairs, CSPyramidPair)
+    pairs = (cs_pairs,) if shared else tuple(cs_pairs)
+    if not shared and len(pairs) != N_ORIENTATIONS:
+        raise ValueError(f"need one CS pair or {N_ORIENTATIONS}, got {len(pairs)}")
     for pair in pairs:
         if pair.light.dims != carriers[0].dims:
             raise ValueError("CS pyramids must align with the carriers level by level")
 
     resp_light, resp_dark = [], []
     for j in range(n):
+        normed = [
+            normalize_evidence_pair(p.light[j], p.dark[j], context.normalization) for p in pairs
+        ]
         if shared:
-            nl, nd = normalize_evidence_pair(
-                pairs[0].light[j], pairs[0].dark[j], context.normalization
-            )
-            norm_light = [nl] * N_ORIENTATIONS
-            norm_dark = [nd] * N_ORIENTATIONS
-        else:
-            normed = [
-                normalize_evidence_pair(
-                    pairs[ti].light[j], pairs[ti].dark[j], context.normalization
-                )
-                for ti in range(N_ORIENTATIONS)
-            ]
-            norm_light = [pair[0] for pair in normed]
-            norm_dark = [pair[1] for pair in normed]
-        resp_light.append(_ring_responses(norm_light, context))
-        resp_dark.append(_ring_responses(norm_dark, context))
+            normed *= N_ORIENTATIONS
+        # both sides of an orientation project the same evidence map
+        resp_light.append(_ring_responses([(nl, nl) for nl, _ in normed], context))
+        resp_dark.append(_ring_responses([(nd, nd) for _, nd in normed], context))
     ctx_light = scale_contexts(resp_light)
     ctx_dark = scale_contexts(resp_dark)
 
@@ -405,23 +395,16 @@ def compute_bo_local_cue(
         # an absent cue modulates nothing anywhere
         return [_unmodulated(carriers, k) for k in range(n)]
 
-    factor = carriers[0].factor
-    pyramids = [
-        [build_pyramid(cue_maps[ti, si], n, factor) for si in range(N_SIDES)]
-        for ti in range(N_ORIENTATIONS)
+    responses = [
+        _ring_responses(
+            [
+                normalize_evidence_pair(level[ti, 0], level[ti, 1], context.normalization)
+                for ti in range(N_ORIENTATIONS)
+            ],
+            context,
+        )
+        for level in build_pyramid(cue_maps, n, carriers[0].factor)
     ]
-    responses = []
-    for j in range(n):
-        shape = carriers[0][j].shape
-        stack = np.empty((N_ORIENTATIONS, N_SIDES) + shape)
-        for ti in range(N_ORIENTATIONS):
-            normed = normalize_evidence_pair(
-                pyramids[ti][0][j], pyramids[ti][1][j], context.normalization
-            )
-            for si in range(N_SIDES):
-                kernel = _ring_kernel(bo_direction(ti, si), shape, context)
-                stack[ti, si] = correlate2d(normed[si], kernel)
-        responses.append(stack)
     ctx = scale_contexts(responses)
 
     out = []
@@ -519,7 +502,9 @@ def final_bo_maps(winning_per_feature, weights: ModelWeights = ModelWeights()) -
     ``weights.feature_weights``; passing fewer sets uses the leading
     weights. Every level of the weighted feature sum is up-sampled to
     the native (level 0) dimensions and added, giving one
-    (8, 2, rows, cols) stack.
+    (8, 2, rows, cols) stack: one :func:`cross_scale_sum` (the pooled
+    sparse operator) over whole stacks, which reassociates the sum of
+    per-level resamples (exact to about 1e-15 relative).
     """
     sets = [list(s) for s in winning_per_feature]
     if not sets:
@@ -530,18 +515,8 @@ def final_bo_maps(winning_per_feature, weights: ModelWeights = ModelWeights()) -
         )
     for other in sets[1:]:
         _require_aligned(sets[0], other, "first feature", "another feature")
-    n = len(sets[0])
-    weighted = []
-    for k in range(n):
-        level = np.zeros_like(sets[0][k])
-        for weight, feature_set in zip(weights.feature_weights, sets):
-            level += weight * feature_set[k]
-        weighted.append(level)
-    rows, cols = weighted[0].shape[-2:]
-    out = np.zeros((N_ORIENTATIONS, N_SIDES, rows, cols))
-    for ti in range(N_ORIENTATIONS):
-        for si in range(N_SIDES):
-            out[ti, si] = cross_scale_sum(
-                [level[ti, si] for level in weighted], rows, cols
-            )
-    return out
+    weighted = [
+        sum(w * feature_set[k] for w, feature_set in zip(weights.feature_weights, sets))
+        for k in range(len(sets[0]))
+    ]
+    return cross_scale_sum(weighted, *weighted[0].shape[-2:])

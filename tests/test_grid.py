@@ -10,9 +10,8 @@ from fgo.grid import (
     correlate2d,
     cross_scale_sum,
     next_level_dims,
-    normalize_map,
+    pool_resampled,
     resample,
-    rescale_to_range,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -38,28 +37,37 @@ def oracle_correlate(arr, kernel):
     return out
 
 
-def oracle_local_maxima(arr, window):
-    """Window-scan for strict positive local maxima (clipped windows)."""
-    rows, cols = arr.shape
-    h = window // 2
-    vals = []
-    for r in range(rows):
-        for c in range(cols):
-            v = arr[r, c]
-            if v <= 0:
-                continue
-            neigh = [
-                arr[rr, cc]
-                for rr in range(max(0, r - h), min(rows, r + h + 1))
-                for cc in range(max(0, c - h), min(cols, c + h + 1))
-                if (rr, cc) != (r, c)
-            ]
-            if all(v > n for n in neigh):
-                vals.append(v)
-    return vals
+def oracle_resample(arr, rows, cols):
+    """Corner-aligned bilinear resample of one 2D map by direct gathers."""
+    h, w = arr.shape
+    ry = np.array([(h - 1) / 2.0]) if rows == 1 else np.linspace(0, h - 1, rows)
+    cx = np.array([(w - 1) / 2.0]) if cols == 1 else np.linspace(0, w - 1, cols)
+    r0 = np.minimum(np.floor(ry).astype(int), h - 1)
+    c0 = np.minimum(np.floor(cx).astype(int), w - 1)
+    r1 = np.minimum(r0 + 1, h - 1)
+    c1 = np.minimum(c0 + 1, w - 1)
+    fy = (ry - r0)[:, None]
+    fx = (cx - c0)[None, :]
+    top = arr[np.ix_(r0, c0)] * (1 - fx) + arr[np.ix_(r0, c1)] * fx
+    bot = arr[np.ix_(r1, c0)] * (1 - fx) + arr[np.ix_(r1, c1)] * fx
+    return top * (1 - fy) + bot * fy
 
 
-# ------------------------------------------------------------ correlate2d
+def oracle_pool(levels, rows, cols, weights):
+    """Per-map loop: resample every level of every map, scale and add."""
+    lead = levels[0].shape[:-2]
+    out = np.zeros(lead + (rows, cols))
+    for idx in np.ndindex(lead):
+        for level, weight in zip(levels, weights):
+            out[idx] += weight * oracle_resample(level[idx], rows, cols)
+    return out
+
+
+def assert_rel_close(got, want, rel=1e-12):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * max(np.abs(want).max(), 1e-300)
+
+
 
 def test_correlate_identity_kernel():
     rng = np.random.default_rng(0)
@@ -169,64 +177,65 @@ def test_resample_rejects_bad_dims():
         resample(np.ones((4, 4)), 0, 3)
 
 
-# ------------------------------------------------------- rescale_to_range
-
-def test_rescale_range_and_flat():
-    rng = np.random.default_rng(5)
-    arr = rng.standard_normal((12, 12))
-    out = rescale_to_range(arr, 1.0)
-    assert out.min() == 0.0
-    assert out.max() == 1.0
-    assert np.allclose(rescale_to_range(np.full((4, 4), 7.0)), 0.0)
-
-
-def test_rescale_is_affine():
-    arr = np.array([[0.0, 1.0], [3.0, 4.0]])
-    out = rescale_to_range(arr, 2.0)
-    assert np.allclose(out, (arr - 0.0) * (2.0 / 4.0), atol=1e-12)
-
-
-# ----------------------------------------------------------- normalize_map
-
-def test_normalize_flat_map_is_zero():
-    assert np.allclose(normalize_map(np.full((8, 8), 4.0)), 0.0)
-
-
-def test_normalize_single_peak_unchanged():
-    arr = np.zeros((9, 9))
-    arr[4, 4] = 2.0
-    out = normalize_map(arr)
-    expected = np.zeros((9, 9))
-    expected[4, 4] = 1.0
-    assert np.allclose(out, expected, atol=1e-12)
-
-
-def test_normalize_secondary_peak_frozen():
-    # peaks 1.0 and 0.6 -> factor (1 - 0.6)^2 = 0.16
-    arr = np.zeros((9, 9))
-    arr[2, 2] = 1.0
-    arr[6, 6] = 0.6
-    out = normalize_map(arr)
-    assert out[2, 2] == pytest.approx(0.16)
-    assert out[6, 6] == pytest.approx(0.6 * 0.16)
-
-
-def test_normalize_against_window_scan_oracle():
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        arr = np.round(rng.random((10, 10)), 2)
-        scaled = rescale_to_range(arr, 1.0)
-        peaks = oracle_local_maxima(scaled, 3)
-        rivals = [p for p in peaks if p < 1.0]
-        factor = (1.0 - (np.mean(rivals) if rivals else 0.0)) ** 2
-        assert np.abs(normalize_map(arr) - scaled * factor).max() < 1e-12
-
+# ------------------------------------------------------ NormalizationParams
 
 def test_normalize_params_validation():
     with pytest.raises(ValueError):
         NormalizationParams(upper=0.0)
     with pytest.raises(ValueError):
         NormalizationParams(local_max_window=4)
+
+
+# --------------------------------------------------------- pool_resampled
+
+def pyramid_dims(rows, cols, n, factor):
+    dims = [(rows, cols)]
+    for _ in range(n - 1):
+        dims.append(next_level_dims(*dims[-1], factor))
+    return dims
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (8, 2)])
+@pytest.mark.parametrize("factor", [SQRT2, 2.0])
+def test_pool_matches_per_map_oracle(lead, factor):
+    rng = np.random.default_rng(len(lead) + int(factor * 10))
+    # pyramids reaching 1x1 / 1xn levels, then odd extra level shapes
+    cases = [pyramid_dims(23, 37, 8, factor), pyramid_dims(9, 2, 5, factor),
+             [(1, 1), (4, 6)], [(1, 7), (3, 1), (5, 5)]]
+    for dims in cases:
+        levels = [rng.standard_normal(lead + d) for d in dims]
+        weights = rng.random(len(dims))
+        for rows, cols in [dims[0], (1, 1), (1, 9), (13, 4)]:
+            assert_rel_close(
+                pool_resampled(levels, rows, cols, weights),
+                oracle_pool(levels, rows, cols, weights),
+            )
+            assert_rel_close(
+                cross_scale_sum(levels, rows, cols),
+                oracle_pool(levels, rows, cols, np.ones(len(dims))),
+            )
+
+
+def test_pool_single_level_is_resample():
+    rng = np.random.default_rng(8)
+    stack = rng.standard_normal((3, 7, 10))
+    got = resample(stack, 5, 12)
+    for i in range(3):
+        assert_rel_close(got[i], oracle_resample(stack[i], 5, 12))
+
+
+def test_pool_rejects_nonfinite_and_mismatched_leading_shapes():
+    good = np.ones((8, 2, 4, 4))
+    bad = good.copy()
+    bad[3, 1, 2, 2] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        pool_resampled([good, bad], 4, 4, (1.0, 1.0))
+    with pytest.raises(ValueError, match="leading shape"):
+        pool_resampled([good, np.ones((8, 4, 4))], 4, 4, (1.0, 1.0))
+    with pytest.raises(ValueError, match="positive"):
+        pool_resampled([good], 4, 0, (1.0,))
+    with pytest.raises(ValueError):
+        pool_resampled([good], 4, 4, (1.0, 1.0))
 
 
 # -------------------------------------------------------- cross_scale_sum

@@ -3,19 +3,26 @@ import pytest
 
 from fgo.channels import compute_orientation_channels
 from fgo.grid import SQRT2, Pyramid, build_pyramid, resample
+from fgo.filters import VonMisesParams, make_von_mises
 from fgo.ownership import (
     CSPyramidPair,
+    ContextParams,
     ModelWeights,
     OrientedCSParams,
+    _ring_bank,
+    bo_direction,
     combine_bo,
     compute_bo_light_dark,
     compute_bo_local_cue,
     cs_pyramids_oriented,
     cs_pyramids_symmetric,
     final_bo_maps,
+    scale_contexts,
     sum_bo_sets,
     winning_bo,
 )
+from fgo.pipeline import finalize_components, prepare_components
+from fgo.stimuli import annulus, overlapping_squares
 
 
 # ------------------------------------------------------------- oracles
@@ -49,6 +56,25 @@ def oracle_final(sets, feature_weights):
                 level = sum(w * s[k][ti, si] for w, s in zip(feature_weights, sets))
                 out[ti, si] += resample(level, rows, cols)
     return out
+
+
+def oracle_scale_contexts(responses):
+    """The scale_contexts docstring formula, evaluated map by map."""
+    out = []
+    for k, target in enumerate(responses):
+        rows, cols = target.shape[-2:]
+        ctx = np.zeros_like(target)
+        for ti in range(8):
+            for si in range(2):
+                for j in range(k, len(responses)):
+                    ctx[ti, si] += 2.0 ** -(j + 1) * resample(responses[j][ti, si], rows, cols)
+        out.append(ctx)
+    return out
+
+
+def assert_rel_close(got, want, rel=1e-12):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * max(np.abs(want).max(), 1e-300)
 
 
 # ------------------------------------------------------------ fixtures
@@ -417,6 +443,45 @@ def test_final_matches_sequential_oracle():
     w = ModelWeights(feature_weights=(0.3, 1.0, 2.0))
     got = final_bo_maps(sets, w)
     assert np.abs(got - oracle_final(sets, (0.3, 1.0, 2.0))).max() < 1e-9
+
+
+@pytest.mark.parametrize("factor", [SQRT2, 2.0])
+def test_scale_contexts_matches_docstring_formula(factor):
+    rng = np.random.default_rng(18)
+    dims = [(21, 30)]
+    for _ in range(4):
+        r, c = dims[-1]
+        dims.append((int(np.ceil(r / factor)), int(np.ceil(c / factor))))
+    responses = [rng.standard_normal((8, 2) + d) for d in dims]
+    for got, want in zip(scale_contexts(responses), oracle_scale_contexts(responses)):
+        assert_rel_close(got, want)
+
+
+def test_ring_bank_is_cached_read_only_von_mises():
+    context = ContextParams()
+    bank = _ring_bank((40, 40), context)
+    assert _ring_bank((60, 33), context) is bank
+    assert not bank.flags.writeable
+    for ti in range(8):
+        for si in range(2):
+            want = make_von_mises(VonMisesParams(bo_direction(ti, si)))
+            assert np.array_equal(bank[ti, si], want)
+    # clamped at a coarse level, still the von Mises kernel of that size
+    assert _ring_bank((6, 9), context).shape == (8, 2, 5, 5)
+
+
+@pytest.mark.parametrize("stimulus", [overlapping_squares, annulus])
+def test_final_battery_matches_sequential_oracle(stimulus):
+    stim = stimulus()
+    prepared = prepare_components(stim.image, need_sa=True)
+    for weights in (ModelWeights(), ModelWeights(alpha_ref=0.5, alpha_sa=0.5)):
+        winning_orientation = winning_bo(
+            combine_bo(prepared.bo_light, prepared.bo_dark, weights, bo_sa=prepared.bo_sa)
+        )
+        sets = [prepared.winning_color, prepared.winning_intensity, winning_orientation]
+        got = finalize_components(prepared, weights).final
+        assert got.any()
+        assert_rel_close(got, oracle_final(sets, weights.feature_weights))
 
 
 def test_final_rejects_too_many_sets():
