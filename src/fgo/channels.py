@@ -131,14 +131,6 @@ class ChannelPyramids:
     opponency: tuple  # four Pyramids, RG GR BY YB order
     orientation: tuple  # eight Pyramids
 
-    @property
-    def n_scales(self) -> int:
-        return len(self.intensity)
-
-    @property
-    def native_shape(self):
-        return self.intensity[0].shape
-
 
 def build_channel_pyramids(
     channels: ChannelSet, n_scales: int, factor: float

@@ -11,7 +11,7 @@ import argparse
 import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -169,17 +169,15 @@ def cmd_run(args) -> int:
 # eval / tune dataset plumbing
 # ----------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class ManifestEntry:
     """One dataset row: id, image and ground truths, optional labels."""
 
-    __slots__ = ("image_id", "image", "gts", "contours", "segments")
-
-    def __init__(self, image_id, image, gts, contours, segments):
-        self.image_id = image_id
-        self.image = image
-        self.gts = gts
-        self.contours = contours
-        self.segments = segments
+    image_id: str
+    image: str | None
+    gts: list
+    contours: str | None
+    segments: str | None
 
 
 def parse_manifest(path) -> list:
@@ -249,54 +247,35 @@ def _score_entry(entry: ManifestEntry, config: RunConfig, weight_sets):
     return results
 
 
-def _eval_worker(task):
+def _eval_task(task):
+    """``(image_id, per-preset scores)``, or ``(image_id, error message)``."""
     entry, config, weight_sets = task
-    return entry.image_id, _score_entry(entry, config, weight_sets)
+    try:
+        return entry.image_id, _score_entry(entry, config, weight_sets)
+    except Exception as exc:
+        return entry.image_id, str(exc)
 
 
 def _score_dataset(entries, config: RunConfig, weight_sets, jobs: int):
     """Scores per preset, skipping failed images with a message."""
     tasks = [(entry, config, weight_sets) for entry in entries]
-    outcomes = {}
-    failures = []
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for entry, result in zip(entries, pool.map(_eval_worker_safe, tasks)):
-                if isinstance(result, str):
-                    failures.append((entry.image_id, result))
-                else:
-                    outcomes[entry.image_id] = result[1]
+            results = list(pool.map(_eval_task, tasks))
     else:
-        for task in tasks:
-            entry = task[0]
-            try:
-                outcomes[entry.image_id] = _score_entry(*task)
-            except Exception as exc:
-                failures.append((entry.image_id, str(exc)))
+        results = list(map(_eval_task, tasks))
+    failures = [(i, r) for i, r in results if isinstance(r, str)]
     for image_id, message in failures:
         print(f"skipped {image_id}: {message}", file=sys.stderr)
-    scored = [e for e in entries if e.image_id in outcomes]
+    scored = [(i, r) for i, r in results if not isinstance(r, str)]
     per_preset = []
-    for w_index in range(len(weight_sets)):
+    for w in range(len(weight_sets)):
         scores = [
-            ImageScore(
-                image_id=e.image_id,
-                accuracy=outcomes[e.image_id][w_index][0],
-                pixels=outcomes[e.image_id][w_index][2],
-                ties=outcomes[e.image_id][w_index][3],
-            )
-            for e in scored
+            ImageScore(image_id=i, accuracy=r[w][0], pixels=r[w][2], ties=r[w][3])
+            for i, r in scored
         ]
-        correct = sum(outcomes[e.image_id][w_index][1] for e in scored)
-        per_preset.append((scores, correct))
+        per_preset.append((scores, sum(r[w][1] for _, r in scored)))
     return per_preset, failures
-
-
-def _eval_worker_safe(task):
-    try:
-        return _eval_worker(task)
-    except Exception as exc:
-        return str(exc)
 
 
 def cmd_eval(args) -> int:
@@ -392,7 +371,8 @@ def cmd_tune(args) -> int:
             continue
         if need_tj and contours is None:
             log.warning(
-                "%s: tuning alphaTJ without label maps; the cue is inert here",
+                "%s: tuning alphaTJ without label maps; "
+                "its mass moves to the contrast route",
                 entry.image_id,
             )
         prepared_list.append(

@@ -185,10 +185,9 @@ class EvalReport:
     aggregate: float
     per_image_mean: float
     std_dev: float
-    p_value: float | None = None
 
 
-def build_report(scores, correct_total: float, p_value: float | None = None) -> EvalReport:
+def build_report(scores, correct_total: float) -> EvalReport:
     scores = tuple(scores)
     if not scores:
         raise ValueError("cannot build a report from zero scored images")
@@ -200,7 +199,6 @@ def build_report(scores, correct_total: float, p_value: float | None = None) -> 
         aggregate=correct_total / pixels,
         per_image_mean=float(np.mean(accuracies)),
         std_dev=std,
-        p_value=p_value,
     )
 
 
@@ -211,8 +209,6 @@ def format_report_text(report: EvalReport) -> str:
     lines.append(f"aggregate {report.aggregate:.6f}")
     lines.append(f"perImageMean {report.per_image_mean:.6f}")
     lines.append(f"stdDev {report.std_dev:.6f}")
-    if report.p_value is not None:
-        lines.append(f"pValue {report.p_value:.6g}")
     return "\n".join(lines) + "\n"
 
 
@@ -224,8 +220,6 @@ def format_report_keyvalues(report: EvalReport) -> str:
         ("perImageMeanFGCA", f"{report.per_image_mean:.6f}"),
         ("stdDev", f"{report.std_dev:.6f}"),
     ]
-    if report.p_value is not None:
-        pairs.append(("pValue", f"{report.p_value:.6g}"))
     return "".join(f"{k}={v}\n" for k, v in pairs)
 
 

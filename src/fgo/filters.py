@@ -69,7 +69,7 @@ class GaborParams:
         return odd_size_for(6 * self.sigma + 1)
 
 
-def make_gabor(params: GaborParams, parity: str = "even", dc_correct: bool = True) -> np.ndarray:
+def make_gabor(params: GaborParams, parity: str = "even") -> np.ndarray:
     """Gabor kernel elongated along ``theta`` with the carrier across it.
 
     ``exp(-(X^2 + gamma^2 Y^2) / (2 sigma^2)) * cos(omega X)`` (or ``sin``
@@ -87,9 +87,7 @@ def make_gabor(params: GaborParams, parity: str = "even", dc_correct: bool = Tru
     )
     if parity == "even":
         kernel = envelope * np.cos(params.omega * across)
-        if dc_correct:
-            kernel = kernel - kernel.mean()
-        return kernel
+        return kernel - kernel.mean()
     return envelope * np.sin(params.omega * across)
 
 
@@ -120,23 +118,20 @@ class DoGParams:
         return odd_size_for(6 * self.sigma_out + 1)
 
 
-def make_center_surround(params: DoGParams, polarity: str = "on") -> np.ndarray:
-    """Isotropic difference-of-Gaussians center-surround kernel.
+def make_center_surround(params: DoGParams) -> np.ndarray:
+    """Isotropic on-center difference-of-Gaussians kernel.
 
-    The on-center kernel is the normalized inner Gaussian minus the
-    normalized outer one, mean-subtracted so that truncation leaves the
-    kernel exactly zero-sum (a flat region then drives neither polarity).
-    The off-center kernel is its negation.
+    The normalized inner Gaussian minus the normalized outer one,
+    mean-subtracted so that truncation leaves the kernel exactly
+    zero-sum (a flat region then drives neither polarity). Off-center
+    evidence is the rectified negation of this kernel's response.
     """
-    if polarity not in ("on", "off"):
-        raise ValueError(f"polarity must be 'on' or 'off', got {polarity!r}")
     x, y = _lattice(params.resolved_size())
     rho2 = x**2 + y**2
     inner = np.exp(-rho2 / (2 * params.sigma_in**2)) / (2 * math.pi * params.sigma_in**2)
     outer = np.exp(-rho2 / (2 * params.sigma_out**2)) / (2 * math.pi * params.sigma_out**2)
     on = inner - outer
-    on = on - on.mean()
-    return on if polarity == "on" else -on
+    return on - on.mean()
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,16 @@ kernel pointing in the ownership direction, pooled across scales with
 geometrically decaying weights, and finally gates the oriented carrier
 response multiplicatively.
 
+Every route takes one path. Its evidence is a level list of
+``(..., 2, rows, cols)`` stacks — center-surround light (side index 0)
+and dark (1) for the contrast route, the two sides of a directed cue
+for the others — whose ``[t, 0]``/``[t, 1]`` pairs are normalized
+together, then projected, pooled and used as the gate
+``max(0, C_t * (1 + excite[t, s] - w_opp * inhibit[t, 1 - s]))``. The
+contrast route gates with light exciting and dark inhibiting and with
+the roles swapped, and keeps only the sum of the two: nothing
+downstream reads the polarities apart.
+
 Directed data travels as "stacks": arrays of shape ``(8, 2, rows,
 cols)`` indexed ``[orientation, side, row, col]``. A multiscale result
 is a list of stacks, index 0 the finest (native) level.
@@ -27,18 +37,9 @@ from scipy import ndimage
 
 from .channels import N_ORIENTATIONS, ORIENTATIONS
 from .cues import SIDE_SIGNS
-from .filters import (
-    DoGParams,
-    GaborParams,
-    VonMisesParams,
-    clamp_kernel_size,
-    make_center_surround,
-    make_gabor,
-    make_von_mises,
-)
+from .filters import VonMisesParams, clamp_kernel_size, make_von_mises
 from .grid import (
     NormalizationParams,
-    Pyramid,
     build_pyramid,
     correlate2d,
     cross_scale_sum,
@@ -94,22 +95,6 @@ class ModelWeights:
                 f"top_layers_only must be None or >= 1, got {self.top_layers_only}"
             )
 
-    def contrast_only(self) -> "ModelWeights":
-        """The same configuration with both local cues switched off."""
-        return replace(self, alpha_ref=1.0, alpha_sa=0.0, alpha_tj=0.0)
-
-
-@dataclass(frozen=True)
-class CSPyramidPair:
-    """Rectified on-center (light) and off-center (dark) pyramids."""
-
-    light: Pyramid
-    dark: Pyramid
-
-    def __post_init__(self):
-        if len(self.light) != len(self.dark) or self.light.dims != self.dark.dims:
-            raise ValueError("light and dark pyramids must align level by level")
-
 
 @dataclass(frozen=True)
 class OrientedCSParams:
@@ -138,51 +123,35 @@ class ContextParams:
     normalization: NormalizationParams = NormalizationParams()
 
 
-def cs_pyramids_symmetric(
-    feature: Pyramid, params: DoGParams = DoGParams()
-) -> CSPyramidPair:
-    """Center-surround pair of a feature pyramid (isotropic kernel).
+def cs_pyramids(features, kernel_params, make_kernel) -> list:
+    """Rectified center-surround evidence of aligned feature pyramids.
 
-    Each level is correlated with the on-center kernel (clamped to fit
-    the level) and half-wave rectified; the off-center response is the
-    rectified negation, so a light blob excites ``light`` inside and
-    ``dark`` just outside.
+    ``features`` holds one pyramid per kernel setting in
+    ``kernel_params``: a single isotropic feature with its difference of
+    Gaussians (``make_center_surround``), or the eight orientation
+    pyramids with an even Gabor at each one's own orientation
+    (``make_gabor``), since feature contrast along an edge is not
+    isotropic. Each level is correlated with ``make_kernel(setting)``,
+    its size clamped to fit the level. Level k comes back as one
+    (n, 2, rows, cols) stack, n the number of pyramids: side index 0 is
+    the light evidence ``max(0, response)`` (bright structure on a dark
+    ground), index 1 the dark evidence ``max(0, -response)``. A single
+    shared (1, 2, rows, cols) stack broadcasts to every orientation.
     """
-    light, dark = [], []
-    for level in feature:
-        size = clamp_kernel_size(params.resolved_size(), level.shape)
-        response = correlate2d(level, make_center_surround(replace(params, size=size)))
-        light.append(np.maximum(0.0, response))
-        dark.append(np.maximum(0.0, -response))
-    return CSPyramidPair(
-        light=Pyramid(tuple(light), feature.factor),
-        dark=Pyramid(tuple(dark), feature.factor),
-    )
-
-
-def cs_pyramids_oriented(
-    feature: Pyramid, theta: float, params: OrientedCSParams = OrientedCSParams()
-) -> CSPyramidPair:
-    """Center-surround pair for an oriented feature pyramid.
-
-    Feature contrast along an edge is not isotropic, so the kernel is an
-    even Gabor at the feature's own orientation: its positive response
-    marks bright oriented structure on a dark ground (light), the
-    negative response the opposite polarity (dark).
-    """
-    base = GaborParams(
-        theta=theta, sigma=params.sigma1, gamma=params.gamma1, omega=params.omega1
-    )
-    light, dark = [], []
-    for level in feature:
-        size = clamp_kernel_size(base.resolved_size(), level.shape)
-        response = correlate2d(level, make_gabor(replace(base, size=size), "even"))
-        light.append(np.maximum(0.0, response))
-        dark.append(np.maximum(0.0, -response))
-    return CSPyramidPair(
-        light=Pyramid(tuple(light), feature.factor),
-        dark=Pyramid(tuple(dark), feature.factor),
-    )
+    features = tuple(features)
+    dims = features[0].dims
+    if any(f.dims != dims for f in features[1:]):
+        raise ValueError("feature pyramids must align level by level")
+    out = []
+    for k, shape in enumerate(dims):
+        stack = np.empty((len(features), N_SIDES) + shape)
+        for feature, setting, cell in zip(features, kernel_params, stack, strict=True):
+            size = clamp_kernel_size(setting.resolved_size(), shape)
+            response = correlate2d(feature[k], make_kernel(replace(setting, size=size)))
+            np.maximum(0.0, response, out=cell[0])
+            np.maximum(0.0, -response, out=cell[1])
+        out.append(stack)
+    return out
 
 
 def _peak_competition(scaled: np.ndarray, params: NormalizationParams) -> np.ndarray:
@@ -244,18 +213,15 @@ def as_directed_stack(values, name: str = "stack") -> np.ndarray:
     return arr
 
 
-def _check_carriers(carriers) -> tuple:
+def _carrier_levels(carriers) -> list:
+    """Check the eight carrier pyramids; per level, their (8, 1, r, c) stack."""
     carriers = tuple(carriers)
     if len(carriers) != N_ORIENTATIONS:
         raise ValueError(f"need {N_ORIENTATIONS} carrier pyramids, got {len(carriers)}")
     for c in carriers[1:]:
         if c.dims != carriers[0].dims:
             raise ValueError("carrier pyramids must align level by level")
-    return carriers
-
-
-def _carrier_stack(carriers, k: int) -> np.ndarray:
-    return np.stack([c[k] for c in carriers])
+    return [np.stack(level)[:, None] for level in zip(*carriers)]
 
 
 def _ring_bank(shape, params: ContextParams) -> np.ndarray:
@@ -307,63 +273,77 @@ def scale_contexts(responses: Sequence[np.ndarray]) -> list:
     ]
 
 
-def _unmodulated(carriers, k: int) -> np.ndarray:
-    c = _carrier_stack(carriers, k)[:, None]
-    return np.repeat(np.maximum(0.0, c), N_SIDES, axis=1)
+def _normalized(level, params: NormalizationParams) -> np.ndarray:
+    """Normalize every ``[t, 0]``/``[t, 1]`` pair of a ``(..., 2, r, c)`` level.
+
+    A level shared by every orientation ((2, r, c) or (1, 2, r, c)) is
+    normalized once and broadcast; the result is a read-only
+    (8, 2, r, c) view.
+    """
+    shape = level.shape[-2:]
+    normed = np.array([
+        normalize_evidence_pair(a, b, params)
+        for a, b in level.reshape((-1, N_SIDES) + shape)
+    ])
+    return np.broadcast_to(normed, (N_ORIENTATIONS, N_SIDES) + shape)
 
 
-def compute_bo_light_dark(
+def _pooled_contexts(evidence, params: ContextParams) -> list:
+    """Project each level's (8, 2, r, c) evidence through the ring kernels,
+    then pool the projections across scales (:func:`scale_contexts`).
+
+    ``evidence`` may be a generator, so that only one level of it is
+    alive at a time."""
+    return scale_contexts([_ring_responses(level, params) for level in evidence])
+
+
+def _gate(carrier, excite, inhibit, w_opp: float) -> np.ndarray:
+    """``max(0, C_t * (1 + excite[t, s] - w_opp * inhibit[t, 1 - s]))``."""
+    return np.maximum(0.0, carrier * (1.0 + excite - w_opp * inhibit[:, ::-1]))
+
+
+def _unmodulated(carrier) -> np.ndarray:
+    return np.repeat(np.maximum(0.0, carrier), N_SIDES, axis=1)
+
+
+def compute_bo_contrast(
     carriers,
-    cs_pairs,
+    cs_levels,
     weights: ModelWeights = ModelWeights(),
     context: ContextParams = ContextParams(),
-):
-    """Contrast-route ownership stacks, one per polarity.
+) -> list:
+    """Contrast-route ownership stacks, light and dark polarity summed.
 
-    ``carriers`` are the eight oriented-energy pyramids. ``cs_pairs`` is
-    a single :class:`CSPyramidPair` shared by every orientation
-    (symmetric features) or a sequence of eight orientation-specific
-    pairs (the oriented feature). Returns ``(light, dark)`` level lists
-    of (8, 2, rows, cols) stacks where, per level k::
+    ``carriers`` are the eight oriented-energy pyramids. ``cs_levels`` is
+    the :func:`cs_pyramids` output: per level a (2, rows, cols) or
+    (1, 2, rows, cols) stack shared by every orientation (symmetric
+    features) or an (8, 2, rows, cols) stack (the oriented feature),
+    side index 0 light and 1 dark. Both sides of an orientation project
+    the same polarity map, so per level k::
 
-        light[k][t, s] = max(0, C_t * (1 + ctx_light[t, s]
-                                         - w_opp * ctx_dark[t, 1 - s]))
+        gate(e, i)[t, s] = max(0, C_t * (1 + e[t, s] - w_opp * i[t, 1 - s]))
+        contrast[k] = gate(ctx_light, ctx_dark) + gate(ctx_dark, ctx_light)
 
-    and ``dark`` swaps the two context roles: same-polarity evidence on
-    the owned side excites, opposite polarity on the opposite side
-    inhibits.
+    Same-polarity evidence on the owned side excites, opposite polarity
+    on the opposite side inhibits.
     """
-    carriers = _check_carriers(carriers)
-    n = len(carriers[0])
-    shared = isinstance(cs_pairs, CSPyramidPair)
-    pairs = (cs_pairs,) if shared else tuple(cs_pairs)
-    if not shared and len(pairs) != N_ORIENTATIONS:
-        raise ValueError(f"need one CS pair or {N_ORIENTATIONS}, got {len(pairs)}")
-    for pair in pairs:
-        if pair.light.dims != carriers[0].dims:
-            raise ValueError("CS pyramids must align with the carriers level by level")
+    carrier_levels = _carrier_levels(carriers)
+    dims = [c.shape[-2:] for c in carrier_levels]
+    cs_levels = list(cs_levels)
+    leads = ((), (1,), (N_ORIENTATIONS,))
+    for k, (level, shape) in enumerate(zip(cs_levels, dims, strict=True)):
+        if level.shape not in [lead + (N_SIDES,) + shape for lead in leads]:
+            raise ValueError(
+                f"CS level {k} must be (2,), (1, 2) or (8, 2) + {shape}, got {level.shape}"
+            )
 
-    resp_light, resp_dark = [], []
-    for j in range(n):
-        normed = [
-            normalize_evidence_pair(p.light[j], p.dark[j], context.normalization) for p in pairs
-        ]
-        if shared:
-            normed *= N_ORIENTATIONS
-        # both sides of an orientation project the same evidence map
-        resp_light.append(_ring_responses([(nl, nl) for nl, _ in normed], context))
-        resp_dark.append(_ring_responses([(nd, nd) for _, nd in normed], context))
-    ctx_light = scale_contexts(resp_light)
-    ctx_dark = scale_contexts(resp_dark)
-
-    bo_light, bo_dark = [], []
-    for k in range(n):
-        c = _carrier_stack(carriers, k)[:, None]
-        gain_l = 1.0 + ctx_light[k] - weights.w_opp * ctx_dark[k][:, ::-1]
-        gain_d = 1.0 + ctx_dark[k] - weights.w_opp * ctx_light[k][:, ::-1]
-        bo_light.append(np.maximum(0.0, c * gain_l))
-        bo_dark.append(np.maximum(0.0, c * gain_d))
-    return bo_light, bo_dark
+    normed = [_normalized(level, context.normalization) for level in cs_levels]
+    ctx_light = _pooled_contexts((np.broadcast_to(n[:, :1], n.shape) for n in normed), context)
+    ctx_dark = _pooled_contexts((np.broadcast_to(n[:, 1:], n.shape) for n in normed), context)
+    return [
+        _gate(c, light, dark, weights.w_opp) + _gate(c, dark, light, weights.w_opp)
+        for c, light, dark in zip(carrier_levels, ctx_light, ctx_dark)
+    ]
 
 
 def compute_bo_local_cue(
@@ -375,17 +355,17 @@ def compute_bo_local_cue(
     """Ownership stacks modulated by one directed local-cue stack.
 
     The native (8, 2, rows, cols) cue stack is pyramided by successive
-    downsampling, normalized per level and side, projected through the
-    ring kernel of its own direction, and pooled across scales exactly
-    like the contrast route; the cue on a cell's own side excites it and
-    the opposite side inhibits. With ``weights.top_layers_only = m``
-    only the ``m`` finest levels are modulated and the rest pass the
-    carrier through unchanged.
+    downsampling, then takes the contrast route's path: normalized per
+    level and orientation, projected through the ring kernel of its own
+    direction, and pooled across scales; the cue on a cell's own side
+    excites it and the opposite side inhibits (``gate(ctx, ctx)``).
+    With ``weights.top_layers_only = m`` only the ``m`` finest levels
+    are modulated and the rest pass the carrier through unchanged.
     """
-    carriers = _check_carriers(carriers)
-    n = len(carriers[0])
+    carrier_levels = _carrier_levels(carriers)
+    n = len(carrier_levels)
     cue_maps = as_directed_stack(cue_maps, "cue stack")
-    expected = (N_ORIENTATIONS, N_SIDES) + carriers[0][0].shape
+    expected = (N_ORIENTATIONS, N_SIDES) + carrier_levels[0].shape[-2:]
     if cue_maps.shape != expected:
         raise ValueError(
             f"cue stack must have shape {expected}, got {cue_maps.shape}"
@@ -393,29 +373,19 @@ def compute_bo_local_cue(
     limit = n if weights.top_layers_only is None else min(weights.top_layers_only, n)
     if not cue_maps.any():
         # an absent cue modulates nothing anywhere
-        return [_unmodulated(carriers, k) for k in range(n)]
+        return [_unmodulated(c) for c in carrier_levels]
 
-    responses = [
-        _ring_responses(
-            [
-                normalize_evidence_pair(level[ti, 0], level[ti, 1], context.normalization)
-                for ti in range(N_ORIENTATIONS)
-            ],
-            context,
-        )
-        for level in build_pyramid(cue_maps, n, carriers[0].factor)
+    ctx = _pooled_contexts(
+        (
+            _normalized(level, context.normalization)
+            for level in build_pyramid(cue_maps, n, carriers[0].factor)
+        ),
+        context,
+    )
+    return [
+        _gate(c, ctx[k], ctx[k], weights.w_opp) if k < limit else _unmodulated(c)
+        for k, c in enumerate(carrier_levels)
     ]
-    ctx = scale_contexts(responses)
-
-    out = []
-    for k in range(n):
-        if k >= limit:
-            out.append(_unmodulated(carriers, k))
-            continue
-        c = _carrier_stack(carriers, k)[:, None]
-        gain = 1.0 + ctx[k] - weights.w_opp * ctx[k][:, ::-1]
-        out.append(np.maximum(0.0, c * gain))
-    return out
 
 
 def _require_aligned(a, b, name_a: str, name_b: str):
@@ -432,30 +402,29 @@ def _require_aligned(a, b, name_a: str, name_b: str):
 
 
 def combine_bo(
-    bo_light,
-    bo_dark,
+    bo_contrast,
     weights: ModelWeights,
     bo_sa=None,
     bo_tj=None,
 ) -> list:
     """Blend the contrast and local-cue routes level by level.
 
-    ``combined[k] = alpha_ref * (light[k] + dark[k]) + alpha_sa * sa[k]
-    + alpha_tj * tj[k]``. A route whose alpha is zero is never touched,
-    so its stacks (present or not) cannot influence the result.
+    ``combined[k] = alpha_ref * contrast[k] + alpha_sa * sa[k]
+    + alpha_tj * tj[k]``, with ``contrast`` the light + dark sum of
+    :func:`compute_bo_contrast`. A route whose alpha is zero is never
+    touched, so its stacks (present or not) cannot influence the result.
     """
-    _require_aligned(bo_light, bo_dark, "light", "dark")
     if weights.alpha_sa > 0:
         if bo_sa is None:
             raise ValueError("alpha_sa > 0 requires the spectral-anisotropy route")
-        _require_aligned(bo_light, bo_sa, "light", "sa")
+        _require_aligned(bo_contrast, bo_sa, "contrast", "sa")
     if weights.alpha_tj > 0:
         if bo_tj is None:
             raise ValueError("alpha_tj > 0 requires the T-junction route")
-        _require_aligned(bo_light, bo_tj, "light", "tj")
+        _require_aligned(bo_contrast, bo_tj, "contrast", "tj")
     out = []
-    for k in range(len(bo_light)):
-        level = weights.alpha_ref * (bo_light[k] + bo_dark[k])
+    for k in range(len(bo_contrast)):
+        level = weights.alpha_ref * bo_contrast[k]
         if weights.alpha_sa > 0:
             level = level + weights.alpha_sa * bo_sa[k]
         if weights.alpha_tj > 0:

@@ -25,17 +25,16 @@ from .channels import (
     compute_channels,
 )
 from .cues import SAParams, TJParams, build_tj_maps, compute_sa_maps, detect_t_junctions
-from .filters import DoGParams, GaborParams
+from .filters import DoGParams, GaborParams, make_center_surround, make_gabor
 from .grid import SQRT2
 from .ownership import (
     ContextParams,
     ModelWeights,
     OrientedCSParams,
     combine_bo,
-    compute_bo_light_dark,
+    compute_bo_contrast,
     compute_bo_local_cue,
-    cs_pyramids_oriented,
-    cs_pyramids_symmetric,
+    cs_pyramids,
     final_bo_maps,
     sum_bo_sets,
     winning_bo,
@@ -98,9 +97,10 @@ def _zero_levels(dims) -> list:
     return [np.zeros((N_ORIENTATIONS, 2) + d) for d in dims]
 
 
-def _contrast_winning(carriers, cs_pairs, weights, context) -> list:
-    light, dark = compute_bo_light_dark(carriers, cs_pairs, weights, context)
-    return winning_bo(combine_bo(light, dark, weights))
+def _contrast_winning(carriers, feature, params: PipelineParams, base) -> list:
+    """Winners of a symmetric feature, which takes the contrast route alone."""
+    cs = cs_pyramids([feature], [params.dog], make_center_surround)
+    return winning_bo(compute_bo_contrast(carriers, cs, base, params.context))
 
 
 @dataclass(frozen=True)
@@ -110,16 +110,15 @@ class PreparedImage:
     ``base`` records the weights the preparation assumed for everything
     outside the alpha triple (antagonism strength, feature mix, layer
     restriction); :func:`finalize_components` only accepts weights that
-    agree with it there. ``bo_sa``/``bo_tj`` are None when the cue was
-    not prepared.
+    agree with it there. ``bo_contrast`` (light and dark summed) and
+    ``bo_sa``/``bo_tj`` are None when the route was not prepared.
     """
 
     base: ModelWeights
     level_dims: tuple
     winning_color: list
     winning_intensity: list
-    bo_light: list | None
-    bo_dark: list | None
+    bo_contrast: list | None
     bo_sa: list | None
     bo_tj: list | None
     junctions: tuple = ()
@@ -153,7 +152,6 @@ def prepare_components(
     pyramids = build_channel_pyramids(channels, params.n_scales, params.pyramid_factor)
     carriers = pyramids.orientation
     level_dims = tuple(carriers[0].dims)
-    contrast = base.contrast_only()
 
     # color: each opponency sub-channel gets its own contrast pair and
     # winner-take-all pass; the four winners add up into one feature set
@@ -161,12 +159,7 @@ def prepare_components(
     if color_weight > 0 and any(m.any() for m in channels.opponency):
         winning_color = sum_bo_sets(
             [
-                _contrast_winning(
-                    carriers,
-                    cs_pyramids_symmetric(pyr, params.dog),
-                    contrast,
-                    params.context,
-                )
+                _contrast_winning(carriers, pyr, params, base)
                 for pyr, native in zip(pyramids.opponency, channels.opponency)
                 if native.any()
             ]
@@ -175,12 +168,7 @@ def prepare_components(
         winning_color = _zero_levels(level_dims)
 
     if intensity_weight > 0:
-        winning_intensity = _contrast_winning(
-            carriers,
-            cs_pyramids_symmetric(pyramids.intensity, params.dog),
-            contrast,
-            params.context,
-        )
+        winning_intensity = _contrast_winning(carriers, pyramids.intensity, params, base)
     else:
         winning_intensity = _zero_levels(level_dims)
 
@@ -188,14 +176,15 @@ def prepare_components(
     if have_labels:
         junctions = tuple(detect_t_junctions(contours, segments, params.tj))
 
-    bo_light = bo_dark = bo_sa = bo_tj = None
+    bo_contrast = bo_sa = bo_tj = None
     if orientation_weight > 0:
-        oriented_pairs = [
-            cs_pyramids_oriented(carriers[ti], ORIENTATIONS[ti], params.oriented_cs)
-            for ti in range(N_ORIENTATIONS)
+        oc = params.oriented_cs
+        gabors = [
+            GaborParams(theta=theta, sigma=oc.sigma1, gamma=oc.gamma1, omega=oc.omega1)
+            for theta in ORIENTATIONS
         ]
-        bo_light, bo_dark = compute_bo_light_dark(
-            carriers, oriented_pairs, base, params.context
+        bo_contrast = compute_bo_contrast(
+            carriers, cs_pyramids(carriers, gabors, make_gabor), base, params.context
         )
         if need_sa:
             sa_maps = compute_sa_maps(channels.intensity, params.sa)
@@ -209,8 +198,7 @@ def prepare_components(
         level_dims=level_dims,
         winning_color=winning_color,
         winning_intensity=winning_intensity,
-        bo_light=bo_light,
-        bo_dark=bo_dark,
+        bo_contrast=bo_contrast,
         bo_sa=bo_sa,
         bo_tj=bo_tj,
         junctions=junctions,
@@ -228,10 +216,9 @@ def finalize_components(prepared: PreparedImage, weights: ModelWeights) -> RunRe
         raise ValueError(
             "only the alpha triple may differ from the prepared base weights"
         )
-    if prepared.bo_light is not None:
+    if prepared.bo_contrast is not None:
         combined = combine_bo(
-            prepared.bo_light,
-            prepared.bo_dark,
+            prepared.bo_contrast,
             weights,
             bo_sa=prepared.bo_sa if weights.alpha_sa > 0 else None,
             bo_tj=prepared.bo_tj if weights.alpha_tj > 0 else None,

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -247,12 +249,15 @@ class TestEval:
             ) == 0
         assert (serial / "report.txt").read_text() == (parallel / "report.txt").read_text()
 
-    def test_broken_row_skipped(self, dataset, tmp_path, capsys):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_broken_row_skipped(self, dataset, tmp_path, capsys, jobs):
         rows = dataset.read_text().splitlines()
         rows.append("ghost missing.ppm missing.lm1 -")
         manifest = write_manifest(tmp_path / "broken.txt", rows)
         out = tmp_path / "eval"
-        code = main(["eval", "--manifest", str(manifest), "--out", str(out), *FAST])
+        code = main(
+            ["eval", "--manifest", str(manifest), "--out", str(out), "--jobs", jobs, *FAST]
+        )
         assert code == 0
         captured = capsys.readouterr()
         assert "skipped ghost" in captured.err
@@ -306,6 +311,22 @@ class TestTune:
         )
         assert code == 0
         assert "seed=5" in (out / "weights.kv").read_text()
+
+    def test_tj_without_labels_warns_of_the_fold(self, dataset, tmp_path, caplog):
+        # both rows lack label maps, so the training image does too
+        manifest = write_manifest(
+            tmp_path / "unlabelled.txt",
+            ["one a/image.ppm a/gt.lm1 -", "two a/image.ppm a/gt.lm1 -"],
+        )
+        with caplog.at_level(logging.WARNING, logger="fgo"):
+            code = main(
+                ["tune", "--manifest", str(manifest), "--out", str(tmp_path / "t"),
+                 "--weights", "alphaRef,alphaTJ", "--coarse-step", "0.5", *FAST]
+            )
+        assert code == 0
+        warnings = [r.getMessage() for r in caplog.records if "alphaTJ" in r.getMessage()]
+        assert len(warnings) == 1
+        assert "moves to the contrast route" in warnings[0]
 
     def test_unknown_weight_name_fails(self, dataset, tmp_path, capsys):
         code = main(

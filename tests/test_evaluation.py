@@ -173,14 +173,13 @@ class TestReports:
         from fgo.evaluation import ImageScore
 
         report = build_report(
-            [ImageScore("img1", 0.75, 100, 2)], correct_total=75.0, p_value=0.25
+            [ImageScore("img1", 0.75, 100, 2)], correct_total=75.0
         )
         text = format_report_text(report)
         assert "img1 0.750000 100 2" in text
         assert "aggregate 0.750000" in text
         kv = format_report_keyvalues(report)
         assert "aggregateFGCA=0.750000" in kv
-        assert "pValue=0.25" in kv
 
     def test_empty_report_rejected(self):
         with pytest.raises(ValueError):

@@ -2,21 +2,28 @@ import numpy as np
 import pytest
 
 from fgo.channels import compute_orientation_channels
-from fgo.grid import SQRT2, Pyramid, build_pyramid, resample
-from fgo.filters import VonMisesParams, make_von_mises
+from fgo.grid import SQRT2, build_pyramid, correlate2d, resample
+from fgo.filters import (
+    DoGParams,
+    GaborParams,
+    VonMisesParams,
+    clamp_kernel_size,
+    make_center_surround,
+    make_gabor,
+    make_von_mises,
+)
 from fgo.ownership import (
-    CSPyramidPair,
     ContextParams,
     ModelWeights,
     OrientedCSParams,
     _ring_bank,
     bo_direction,
     combine_bo,
-    compute_bo_light_dark,
+    compute_bo_contrast,
     compute_bo_local_cue,
-    cs_pyramids_oriented,
-    cs_pyramids_symmetric,
+    cs_pyramids,
     final_bo_maps,
+    normalize_evidence_pair,
     scale_contexts,
     sum_bo_sets,
     winning_bo,
@@ -72,6 +79,74 @@ def oracle_scale_contexts(responses):
     return out
 
 
+def oracle_ring_responses(evidence, shape):
+    """``evidence(t, s)`` correlated with a freshly built ring kernel."""
+    size = clamp_kernel_size(VonMisesParams(0.0).resolved_size(), shape)
+    out = np.empty((8, 2) + shape)
+    for t in range(8):
+        for s in range(2):
+            kernel = make_von_mises(VonMisesParams(bo_direction(t, s), size=size))
+            out[t, s] = correlate2d(evidence(t, s), kernel)
+    return out
+
+
+def oracle_gate(c, excite, inhibit, s, w_opp):
+    return np.maximum(0.0, c * (1.0 + excite[s] - w_opp * inhibit[1 - s]))
+
+
+def oracle_contrast(carriers, cs_levels, w_opp):
+    """Normalize each orientation's light/dark pair, project the light
+    and the dark map toward both sides, pool, gate both ways and add."""
+    resp_light, resp_dark = [], []
+    for level in cs_levels:
+        shape = level.shape[-2:]
+        tiled = np.broadcast_to(level, (8, 2) + shape)
+        pairs = [normalize_evidence_pair(tiled[t, 0], tiled[t, 1]) for t in range(8)]
+        resp_light.append(oracle_ring_responses(lambda t, s: pairs[t][0], shape))
+        resp_dark.append(oracle_ring_responses(lambda t, s: pairs[t][1], shape))
+    ctx_light = oracle_scale_contexts(resp_light)
+    ctx_dark = oracle_scale_contexts(resp_dark)
+    out = []
+    for k in range(len(cs_levels)):
+        level = np.empty_like(ctx_light[k])
+        for t in range(8):
+            c = carriers[t][k]
+            for s in range(2):
+                level[t, s] = oracle_gate(
+                    c, ctx_light[k][t], ctx_dark[k][t], s, w_opp
+                ) + oracle_gate(c, ctx_dark[k][t], ctx_light[k][t], s, w_opp)
+        out.append(level)
+    return out
+
+
+def oracle_local_cue(carriers, cue, weights):
+    """Pyramid every cue map on its own, normalize each orientation's
+    side pair, project toward its own side, pool and gate."""
+    n, factor = len(carriers[0]), carriers[0].factor
+    pyramids = [[build_pyramid(cue[t, s], n, factor) for s in range(2)] for t in range(8)]
+    responses = []
+    for k in range(n):
+        pairs = [normalize_evidence_pair(pyramids[t][0][k], pyramids[t][1][k]) for t in range(8)]
+        responses.append(
+            oracle_ring_responses(lambda t, s: pairs[t][s], carriers[0][k].shape)
+        )
+    ctx = oracle_scale_contexts(responses)
+    limit = n if weights.top_layers_only is None else weights.top_layers_only
+    out = []
+    for k in range(n):
+        level = np.empty_like(ctx[k])
+        for t in range(8):
+            c = carriers[t][k]
+            for s in range(2):
+                level[t, s] = (
+                    oracle_gate(c, ctx[k][t], ctx[k][t], s, weights.w_opp)
+                    if k < limit
+                    else np.maximum(0.0, c)
+                )
+        out.append(level)
+    return out
+
+
 def assert_rel_close(got, want, rel=1e-12):
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= rel * max(np.abs(want).max(), 1e-300)
@@ -90,8 +165,19 @@ def make_carriers(image, n_scales=4, factor=SQRT2):
 
 
 def zero_cs(shape, n_scales=4, factor=SQRT2):
-    pyr = build_pyramid(np.zeros(shape), n_scales, factor)
-    return CSPyramidPair(light=pyr, dark=pyr)
+    return [np.zeros((2,) + d) for d in build_pyramid(np.zeros(shape), n_scales, factor).dims]
+
+
+def symmetric_cs(pyr):
+    return cs_pyramids([pyr], [DoGParams()], make_center_surround)
+
+
+def oriented_gabor(theta, params=OrientedCSParams()):
+    return GaborParams(theta=theta, sigma=params.sigma1, gamma=params.gamma1, omega=params.omega1)
+
+
+def oriented_cs(pyr, theta):
+    return cs_pyramids([pyr], [oriented_gabor(theta)], make_gabor)
 
 
 # --------------------------------------------------------- ModelWeights
@@ -113,22 +199,13 @@ def test_weights_other_fields_validated():
         ModelWeights(top_layers_only=0)
 
 
-def test_weights_contrast_only_keeps_the_rest():
-    w = ModelWeights(alpha_ref=0.05, alpha_sa=0.15, alpha_tj=0.80,
-                     w_opp=0.7, top_layers_only=2)
-    ref = w.contrast_only()
-    assert (ref.alpha_ref, ref.alpha_sa, ref.alpha_tj) == (1.0, 0.0, 0.0)
-    assert ref.w_opp == 0.7 and ref.top_layers_only == 2
-
-
 # ------------------------------------------------------- center-surround
 
 def test_cs_symmetric_constant_silent():
     pyr = build_pyramid(np.full((40, 40), 0.7), 4)
-    pair = cs_pyramids_symmetric(pyr)
-    for light, dark in zip(pair.light, pair.dark):
-        assert np.abs(light).max() < 1e-12
-        assert np.abs(dark).max() < 1e-12
+    for level in symmetric_cs(pyr):
+        assert level.shape[:2] == (1, 2)
+        assert np.abs(level).max() < 1e-12
 
 
 def test_cs_symmetric_disk_geometry():
@@ -136,8 +213,7 @@ def test_cs_symmetric_disk_geometry():
     rr, cc = np.mgrid[0:64, 0:64]
     radius = np.hypot(rr - 32.0, cc - 32.0)
     img[radius <= 15] = 1.0
-    pair = cs_pyramids_symmetric(build_pyramid(img, 1))
-    light, dark = pair.light[0], pair.dark[0]
+    light, dark = symmetric_cs(build_pyramid(img, 1))[0][0]
     lr, lc = np.unravel_index(light.argmax(), light.shape)
     assert radius[lr, lc] < 15  # light peaks inside the disk
     dr, dc = np.unravel_index(dark.argmax(), dark.shape)
@@ -151,26 +227,25 @@ def test_cs_symmetric_disk_geometry():
 def test_cs_symmetric_inversion_swaps_polarities():
     rng = np.random.default_rng(7)
     img = rng.random((32, 32))
-    a = cs_pyramids_symmetric(build_pyramid(img, 3))
-    b = cs_pyramids_symmetric(build_pyramid(1.0 - img, 3))
+    a = symmetric_cs(build_pyramid(img, 3))
+    b = symmetric_cs(build_pyramid(1.0 - img, 3))
     for k in range(3):
-        assert np.abs(a.light[k] - b.dark[k]).max() < 1e-10
-        assert np.abs(a.dark[k] - b.light[k]).max() < 1e-10
+        assert np.abs(a[k][0, 0] - b[k][0, 1]).max() < 1e-10
+        assert np.abs(a[k][0, 1] - b[k][0, 0]).max() < 1e-10
 
 
 def test_cs_oriented_constant_silent():
     pyr = build_pyramid(np.full((40, 40), 0.3), 3)
-    pair = cs_pyramids_oriented(pyr, 0.0)
-    for light in pair.light:
-        assert np.abs(light).max() < 1e-12
+    for level in oriented_cs(pyr, 0.0):
+        assert np.abs(level[0, 0]).max() < 1e-12
 
 
 def test_cs_oriented_prefers_its_own_orientation():
     img = np.zeros((64, 64))
     img[:, 30:35] = 1.0  # vertical bright bar
     pyr = build_pyramid(img, 1)
-    at_bar = cs_pyramids_oriented(pyr, np.pi / 2).light[0][32, 32]
-    across = cs_pyramids_oriented(pyr, 0.0).light[0][32, 32]
+    at_bar = oriented_cs(pyr, np.pi / 2)[0][0, 0, 32, 32]
+    across = oriented_cs(pyr, 0.0)[0][0, 0, 32, 32]
     assert at_bar > 0
     assert at_bar > across
 
@@ -178,20 +253,34 @@ def test_cs_oriented_prefers_its_own_orientation():
 def test_cs_oriented_inversion_swaps_polarities():
     rng = np.random.default_rng(8)
     img = rng.random((32, 32))
-    a = cs_pyramids_oriented(build_pyramid(img, 2), np.pi / 4)
-    b = cs_pyramids_oriented(build_pyramid(1.0 - img, 2), np.pi / 4)
+    a = oriented_cs(build_pyramid(img, 2), np.pi / 4)
+    b = oriented_cs(build_pyramid(1.0 - img, 2), np.pi / 4)
     for k in range(2):
-        assert np.abs(a.light[k] - b.dark[k]).max() < 1e-10
+        assert np.abs(a[k][0, 0] - b[k][0, 1]).max() < 1e-10
 
 
 def test_cs_pair_alignment_validated():
     with pytest.raises(ValueError):
-        CSPyramidPair(
-            light=build_pyramid(np.zeros((16, 16)), 2),
-            dark=build_pyramid(np.zeros((16, 16)), 3),
+        cs_pyramids(
+            [build_pyramid(np.zeros((16, 16)), 2), build_pyramid(np.zeros((16, 16)), 3)],
+            [DoGParams()] * 2,
+            make_center_surround,
+        )
+    with pytest.raises(ValueError):
+        cs_pyramids(
+            [build_pyramid(np.zeros((16, 16)), 2)], [DoGParams()] * 2, make_center_surround
         )
     with pytest.raises(ValueError):
         OrientedCSParams(sigma1=0.0)
+
+
+def test_cs_stack_holds_each_pyramid_with_its_own_kernel():
+    carriers = make_carriers(square_image(32, first=10, last=21), 3)
+    thetas = [ti * np.pi / 8 for ti in range(8)]
+    stacked = cs_pyramids(carriers, [oriented_gabor(t) for t in thetas], make_gabor)
+    for ti, theta in enumerate(thetas):
+        for k, level in enumerate(oriented_cs(carriers[ti], theta)):
+            assert np.array_equal(stacked[k][ti], level[0])
 
 
 # ------------------------------------------------------- contrast route
@@ -199,63 +288,88 @@ def test_cs_pair_alignment_validated():
 def test_bo_zero_cs_passes_carrier_through():
     rng = np.random.default_rng(5)
     carriers = make_carriers(rng.random((32, 32)), n_scales=3)
-    bo_light, bo_dark = compute_bo_light_dark(carriers, zero_cs((32, 32), 3))
+    contrast = compute_bo_contrast(carriers, zero_cs((32, 32), 3))
     for k in range(3):
         for ti in range(8):
             for si in range(2):
-                assert np.array_equal(bo_light[k][ti, si], carriers[ti][k])
-                assert np.array_equal(bo_dark[k][ti, si], carriers[ti][k])
+                # light and dark each pass the carrier, and they are summed
+                assert np.array_equal(contrast[k][ti, si], 2.0 * carriers[ti][k])
 
 
 def test_bo_inversion_swaps_light_and_dark():
+    # inversion swaps the two polarities, which leaves their sum alone
     rng = np.random.default_rng(6)
     img = rng.random((32, 32))
     n = 3
-    a_l, a_d = compute_bo_light_dark(
-        make_carriers(img, n), cs_pyramids_symmetric(build_pyramid(img, n))
-    )
-    b_l, b_d = compute_bo_light_dark(
-        make_carriers(1.0 - img, n),
-        cs_pyramids_symmetric(build_pyramid(1.0 - img, n)),
+    a = compute_bo_contrast(make_carriers(img, n), symmetric_cs(build_pyramid(img, n)))
+    b = compute_bo_contrast(
+        make_carriers(1.0 - img, n), symmetric_cs(build_pyramid(1.0 - img, n))
     )
     for k in range(n):
-        assert np.abs(a_l[k] - b_d[k]).max() < 1e-10
-        assert np.abs(a_d[k] - b_l[k]).max() < 1e-10
+        assert np.abs(a[k] - b[k]).max() < 1e-10
 
 
 def test_bo_square_owned_from_inside():
     img = square_image()
     n = 5
-    bo_light, _ = compute_bo_light_dark(
-        make_carriers(img, n), cs_pyramids_symmetric(build_pyramid(img, n))
-    )
+    contrast = compute_bo_contrast(make_carriers(img, n), symmetric_cs(build_pyramid(img, n)))
     # top edge of the bright square: theta = 0, inside is downward (side 0)
-    into = bo_light[0][0, 0, 20, 24:40]
-    away = bo_light[0][0, 1, 20, 24:40]
+    into = contrast[0][0, 0, 20, 24:40]
+    away = contrast[0][0, 1, 20, 24:40]
     assert (into > away).mean() >= 0.9
-    for k in range(n):
-        assert bo_light[0][k].min() >= 0.0
+    for level in contrast:
+        assert level.min() >= 0.0
 
 
 def test_bo_cs_shape_and_count_validated():
     carriers = make_carriers(np.random.default_rng(0).random((32, 32)), 3)
+    zero = zero_cs((32, 32), 3)
     with pytest.raises(ValueError):
-        compute_bo_light_dark(carriers, zero_cs((16, 16), 3))
+        compute_bo_contrast(carriers, zero_cs((16, 16), 3))
     with pytest.raises(ValueError):
-        compute_bo_light_dark(carriers, [zero_cs((32, 32), 3)] * 5)
+        compute_bo_contrast(carriers, [np.stack([z] * 5) for z in zero])
     with pytest.raises(ValueError):
-        compute_bo_light_dark(carriers[:4], zero_cs((32, 32), 3))
+        compute_bo_contrast(carriers, zero[:2])
+    with pytest.raises(ValueError):
+        compute_bo_contrast(carriers, [z[0] for z in zero])
+    with pytest.raises(ValueError):
+        compute_bo_contrast(carriers[:4], zero)
 
 
 def test_bo_per_orientation_cs_accepted():
     img = square_image(32, first=10, last=21)
     n = 2
     carriers = make_carriers(img, n)
-    pairs = [cs_pyramids_oriented(carriers[ti], ti * np.pi / 8) for ti in range(8)]
-    bo_light, bo_dark = compute_bo_light_dark(carriers, pairs)
-    assert len(bo_light) == n
-    assert bo_light[0].shape == (8, 2, 32, 32)
-    assert bo_light[0].min() >= 0.0 and bo_dark[0].min() >= 0.0
+    cs = cs_pyramids(carriers, [oriented_gabor(ti * np.pi / 8) for ti in range(8)], make_gabor)
+    contrast = compute_bo_contrast(carriers, cs)
+    assert len(contrast) == n
+    assert contrast[0].shape == (8, 2, 32, 32)
+    assert contrast[0].min() >= 0.0
+
+
+@pytest.mark.parametrize("w_opp", [1.0, 0.7])
+def test_bo_contrast_matches_route_oracle(w_opp):
+    img = square_image(32, first=9, last=20)
+    n = 4
+    carriers = make_carriers(img, n)
+    weights = ModelWeights(w_opp=w_opp)
+    shared = symmetric_cs(build_pyramid(img, n))
+    tiled = [np.repeat(level, 8, axis=0) for level in shared]
+    got_shared = compute_bo_contrast(carriers, shared, weights)
+    got_bare = compute_bo_contrast(carriers, [level[0] for level in shared], weights)
+    got_tiled = compute_bo_contrast(carriers, tiled, weights)
+    for got, want in zip(got_shared, oracle_contrast(carriers, shared, w_opp)):
+        assert want.any()
+        assert_rel_close(got, want)
+    for a, b, c in zip(got_shared, got_bare, got_tiled):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
+
+    oriented = cs_pyramids(
+        carriers, [oriented_gabor(ti * np.pi / 8) for ti in range(8)], make_gabor
+    )
+    got = compute_bo_contrast(carriers, oriented, weights)
+    for got_k, want_k in zip(got, oracle_contrast(carriers, oriented, w_opp)):
+        assert_rel_close(got_k, want_k)
 
 
 # ------------------------------------------------------ local-cue route
@@ -303,6 +417,23 @@ def test_local_cue_shape_validated():
         compute_bo_local_cue(carriers, np.zeros((4, 2, 32, 32)))
 
 
+@pytest.mark.parametrize(
+    "weights, factor",
+    [
+        (ModelWeights(), SQRT2),
+        (ModelWeights(w_opp=0.7, top_layers_only=2), SQRT2),
+        (ModelWeights(w_opp=0.7), 2.0),
+    ],
+)
+def test_local_cue_matches_route_oracle(weights, factor):
+    rng = np.random.default_rng(19)
+    carriers = make_carriers(square_image(32, first=9, last=20), 4, factor)
+    cue = rng.random((8, 2, 32, 32)) * (rng.random((8, 2, 32, 32)) < 0.1)
+    got = compute_bo_local_cue(carriers, cue, weights)
+    for got_k, want_k in zip(got, oracle_local_cue(carriers, cue, weights)):
+        assert_rel_close(got_k, want_k)
+
+
 # -------------------------------------------------------------- combine
 
 def random_stacks(rng, n_levels=3, dims=((8, 8), (6, 6), (4, 4))):
@@ -312,7 +443,8 @@ def random_stacks(rng, n_levels=3, dims=((8, 8), (6, 6), (4, 4))):
 def test_combine_reference_is_light_plus_dark():
     rng = np.random.default_rng(1)
     light, dark = random_stacks(rng), random_stacks(rng)
-    combined = combine_bo(light, dark, ModelWeights())
+    contrast = [l + d for l, d in zip(light, dark)]
+    combined = combine_bo(contrast, ModelWeights())
     for k in range(3):
         assert np.array_equal(combined[k], light[k] + dark[k])
 
@@ -321,7 +453,8 @@ def test_combine_blend_matches_scalar_arithmetic():
     rng = np.random.default_rng(2)
     light, dark, sa, tj = (random_stacks(rng) for _ in range(4))
     w = ModelWeights(alpha_ref=0.05, alpha_sa=0.15, alpha_tj=0.80)
-    combined = combine_bo(light, dark, w, bo_sa=sa, bo_tj=tj)
+    contrast = [l + d for l, d in zip(light, dark)]
+    combined = combine_bo(contrast, w, bo_sa=sa, bo_tj=tj)
     for k in range(3):
         expect = 0.05 * (light[k] + dark[k]) + 0.15 * sa[k] + 0.80 * tj[k]
         assert np.abs(combined[k] - expect).max() < 1e-15
@@ -329,26 +462,28 @@ def test_combine_blend_matches_scalar_arithmetic():
 
 def test_combine_requires_routes_it_weights():
     rng = np.random.default_rng(3)
-    light, dark = random_stacks(rng), random_stacks(rng)
+    contrast = random_stacks(rng)
     w = ModelWeights(alpha_ref=0.35, alpha_sa=0.65)
     with pytest.raises(ValueError):
-        combine_bo(light, dark, w)
+        combine_bo(contrast, w)
 
 
 def test_combine_ignores_unweighted_routes_bit_identically():
     rng = np.random.default_rng(4)
-    light, dark, sa = random_stacks(rng), random_stacks(rng), random_stacks(rng)
-    with_sa = combine_bo(light, dark, ModelWeights(), bo_sa=sa)
-    without = combine_bo(light, dark, ModelWeights())
+    contrast, sa = random_stacks(rng), random_stacks(rng)
+    with_sa = combine_bo(contrast, ModelWeights(), bo_sa=sa)
+    without = combine_bo(contrast, ModelWeights())
     for k in range(3):
         assert np.array_equal(with_sa[k], without[k])
 
 
 def test_combine_alignment_validated():
     rng = np.random.default_rng(5)
-    light = random_stacks(rng)
+    contrast = random_stacks(rng)
     with pytest.raises(ValueError):
-        combine_bo(light, light[:2], ModelWeights())
+        combine_bo(contrast, ModelWeights(alpha_ref=0.5, alpha_sa=0.5), bo_sa=contrast[:2])
+    with pytest.raises(ValueError):
+        combine_bo(contrast, ModelWeights(alpha_ref=0.5, alpha_tj=0.5), bo_tj=contrast[:2])
 
 
 # -------------------------------------------------------------- winning
@@ -476,7 +611,7 @@ def test_final_battery_matches_sequential_oracle(stimulus):
     prepared = prepare_components(stim.image, need_sa=True)
     for weights in (ModelWeights(), ModelWeights(alpha_ref=0.5, alpha_sa=0.5)):
         winning_orientation = winning_bo(
-            combine_bo(prepared.bo_light, prepared.bo_dark, weights, bo_sa=prepared.bo_sa)
+            combine_bo(prepared.bo_contrast, weights, bo_sa=prepared.bo_sa)
         )
         sets = [prepared.winning_color, prepared.winning_intensity, winning_orientation]
         got = finalize_components(prepared, weights).final

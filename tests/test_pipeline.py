@@ -168,7 +168,7 @@ class TestPrepareFinalize:
         stim = isolated_square(size=48, first=16, last=31)
         base = ModelWeights(feature_weights=(0.0, 1.0, 0.0))
         prep = prepare_components(stim.image, base, FAST, need_sa=True)
-        assert prep.bo_light is None and prep.bo_sa is None
+        assert prep.bo_contrast is None and prep.bo_sa is None
         with pytest.raises(ValueError):
             finalize_components(
                 prep,
