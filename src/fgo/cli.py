@@ -11,7 +11,7 @@ import argparse
 import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,6 @@ from .channels import RGBImage
 from .config import PRESETS, RunConfig, apply_assignment, apply_preset, load_config
 from .cues import format_junction
 from .evaluation import (
-    ImageScore,
     build_report,
     compute_fgca,
     decisions_for,
@@ -33,10 +32,8 @@ from .evaluation import (
     right_tailed_t_test,
     score_directions,
 )
-from .ownership import N_SIDES, ModelWeights
+from .ownership import N_SIDES
 from .pipeline import finalize_components, prepare_components, run_model
-
-log = logging.getLogger("fgo")
 
 DIRECTION_GRAY_STEP = 15  # winning map index i shown as (i + 1) * 15
 CORRECT_GRAY = 255
@@ -88,15 +85,6 @@ def _config_from_args(args) -> RunConfig:
     return config
 
 
-def _fold_tj(weights: ModelWeights) -> ModelWeights:
-    """The run-command label fallback, without the per-call warning."""
-    if weights.alpha_tj == 0:
-        return weights
-    return replace(
-        weights, alpha_ref=weights.alpha_ref + weights.alpha_tj, alpha_tj=0.0
-    )
-
-
 def _direction_image(final: np.ndarray) -> np.ndarray:
     """Gray-encode the winning map index; 0 where nothing responds."""
     n_maps = final.shape[0] * final.shape[1]
@@ -106,17 +94,11 @@ def _direction_image(final: np.ndarray) -> np.ndarray:
     return np.where(flat.max(axis=0) > 0, gray, 0).astype(np.uint8)
 
 
-def _correctness_image(final: np.ndarray, gts) -> np.ndarray:
+def _correctness_image(final: np.ndarray, gt) -> np.ndarray:
+    dirs, ties = decisions_for(final, gt)
+    correct = score_directions(gt, dirs, ties) == 1.0
     canvas = np.full(final.shape[2:], BACKGROUND_GRAY, dtype=np.uint8)
-    for gt in gts:
-        dirs, ties = decisions_for(final, gt)
-        scores = score_directions(gt, dirs, ties)
-        for i in range(len(gt)):
-            if ties[i]:
-                value = TIE_GRAY
-            else:
-                value = CORRECT_GRAY if scores[i] == 1.0 else WRONG_GRAY
-            canvas[int(gt.y[i]), int(gt.x[i])] = value
+    canvas[gt.y, gt.x] = np.where(ties, TIE_GRAY, np.where(correct, CORRECT_GRAY, WRONG_GRAY))
     return canvas
 
 
@@ -155,7 +137,7 @@ def cmd_run(args) -> int:
 
     if args.gt:
         gt = load_ground_truth(io.read_signed_map(args.gt))
-        io.write_pgm(out_dir / "correctness.pgm", _correctness_image(result.final, [gt]))
+        io.write_pgm(out_dir / "correctness.pgm", _correctness_image(result.final, gt))
         written.append(out_dir / "correctness.pgm")
         fgca = compute_fgca(result.final, gt)
         print(f"fgca={fgca.accuracy:.6f} pixels={fgca.pixels} ties={fgca.ties}")
@@ -174,7 +156,7 @@ class ManifestEntry:
     """One dataset row: id, image and ground truths, optional labels."""
 
     image_id: str
-    image: str | None
+    image: str
     gts: list
     contours: str | None
     segments: str | None
@@ -195,6 +177,8 @@ def parse_manifest(path) -> list:
                     f"{path}:{lineno}: expected 'id image gt1 gt2 [contours "
                     f"segments]', got {len(parts)} fields"
                 )
+            if parts[1] == "-":
+                raise ValueError(f"{path}:{lineno}: no image given")
             resolve = lambda token: None if token == "-" else str(base / token)
             gts = [p for p in (resolve(parts[2]), resolve(parts[3])) if p]
             if not gts:
@@ -210,41 +194,39 @@ def parse_manifest(path) -> list:
     return entries
 
 
-def _score_entry(entry: ManifestEntry, config: RunConfig, weight_sets):
-    """Per-preset (accuracy, correct, pixels, ties) for one image."""
+def _prepare_entry(entry: ManifestEntry, config: RunConfig, need_sa: bool, need_tj: bool):
+    """Read one row's image, label maps and non-empty ground truths and
+    prepare the image: ``(prepared, truths)``, or None without truths."""
     image = _read_image(Path(entry.image))
     contours, segments = _load_labels(entry.contours, entry.segments)
     gts = [load_ground_truth(io.read_signed_map(p)) for p in entry.gts]
     gts = [gt for gt in gts if len(gt)]
     if not gts:
-        raise ValueError("no usable ground truth records")
-    have_labels = contours is not None
-    base = config.weights()
-    need_sa = any(w.alpha_sa > 0 for w in weight_sets)
-    need_tj = any(w.alpha_tj > 0 for w in weight_sets)
-    if need_tj and not have_labels:
-        log.warning(
-            "%s: T-junction weight requested without label maps; "
-            "its mass moves to the contrast route",
-            entry.image_id,
-        )
+        return None
     prepared = prepare_components(
         image,
-        base,
+        config.weights(),
         config.pipeline_params(),
         contours=contours,
         segments=segments,
         need_sa=need_sa,
-        need_tj=need_tj and have_labels,
+        need_tj=need_tj,
     )
-    results = []
-    for weights in weight_sets:
-        if not have_labels:
-            weights = _fold_tj(weights)
-        final = finalize_components(prepared, weights).final
-        fgca = compute_fgca(final, gts)
-        results.append((fgca.accuracy, fgca.correct, fgca.pixels, fgca.ties))
-    return results
+    return prepared, gts
+
+
+def _score_entry(entry: ManifestEntry, config: RunConfig, weight_sets) -> list:
+    """One :class:`FGCAResult` per weight set for one image."""
+    loaded = _prepare_entry(
+        entry,
+        config,
+        need_sa=any(w.alpha_sa > 0 for w in weight_sets),
+        need_tj=any(w.alpha_tj > 0 for w in weight_sets),
+    )
+    if loaded is None:
+        raise ValueError("no usable ground truth records")
+    prepared, gts = loaded
+    return [compute_fgca(finalize_components(prepared, w).final, gts) for w in weight_sets]
 
 
 def _eval_task(task):
@@ -257,7 +239,8 @@ def _eval_task(task):
 
 
 def _score_dataset(entries, config: RunConfig, weight_sets, jobs: int):
-    """Scores per preset, skipping failed images with a message."""
+    """Per weight set ``{image_id: FGCAResult}``, skipping failed images
+    with a message; also returns the ``(image_id, message)`` failures."""
     tasks = [(entry, config, weight_sets) for entry in entries]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -268,13 +251,7 @@ def _score_dataset(entries, config: RunConfig, weight_sets, jobs: int):
     for image_id, message in failures:
         print(f"skipped {image_id}: {message}", file=sys.stderr)
     scored = [(i, r) for i, r in results if not isinstance(r, str)]
-    per_preset = []
-    for w in range(len(weight_sets)):
-        scores = [
-            ImageScore(image_id=i, accuracy=r[w][0], pixels=r[w][2], ties=r[w][3])
-            for i, r in scored
-        ]
-        per_preset.append((scores, sum(r[w][1] for _, r in scored)))
+    per_preset = [{i: r[w] for i, r in scored} for w in range(len(weight_sets))]
     return per_preset, failures
 
 
@@ -296,14 +273,14 @@ def cmd_eval(args) -> int:
         labels = [args.preset or "model"]
 
     per_preset, failures = _score_dataset(entries, config, weight_sets, args.jobs)
-    if not per_preset[0][0]:
+    if not per_preset[0]:
         print("all images failed", file=sys.stderr)
         return 1
 
     written = []
     reports = []
-    for label, (scores, correct) in zip(labels, per_preset):
-        report = build_report(scores, correct)
+    for label, scores in zip(labels, per_preset):
+        report = build_report(scores)
         reports.append(report)
         stem = f"report_{label}" if len(labels) > 1 else "report"
         (out_dir / f"{stem}.txt").write_text(format_report_text(report))
@@ -315,8 +292,8 @@ def cmd_eval(args) -> int:
         )
 
     if args.compare:
-        sample_a = [s.accuracy for s in per_preset[0][0]]
-        sample_b = [s.accuracy for s in per_preset[1][0]]
+        sample_a = [s.accuracy for s in per_preset[0].values()]
+        sample_b = [s.accuracy for s in per_preset[1].values()]
         p_value = right_tailed_t_test(sample_a, sample_b)
         lines = (
             f"presetA={labels[0]}\n"
@@ -330,7 +307,7 @@ def cmd_eval(args) -> int:
         print(f"pValue={p_value:.6g}")
 
     missing = [p for p in written if not p.exists()]
-    return 1 if missing or not per_preset[0][0] else 0
+    return 1 if missing else 0
 
 
 # ----------------------------------------------------------------------
@@ -356,49 +333,26 @@ def cmd_tune(args) -> int:
     by_id = {e.image_id: e for e in entries}
     train = [by_id[i] for i in split.train_ids]
 
-    need_sa = "alpha_sa" in names
-    need_tj = "alpha_tj" in names
-    base = config.weights()
-    prepared_list = []
-    gts_list = []
+    loaded = {}
     for entry in train:
-        image = _read_image(Path(entry.image))
-        contours, segments = _load_labels(entry.contours, entry.segments)
-        gts = [load_ground_truth(io.read_signed_map(p)) for p in entry.gts]
-        gts = [gt for gt in gts if len(gt)]
-        if not gts:
-            print(f"skipped {entry.image_id}: no ground truth records", file=sys.stderr)
-            continue
-        if need_tj and contours is None:
-            log.warning(
-                "%s: tuning alphaTJ without label maps; "
-                "its mass moves to the contrast route",
-                entry.image_id,
-            )
-        prepared_list.append(
-            prepare_components(
-                image,
-                base,
-                config.pipeline_params(),
-                contours=contours,
-                segments=segments,
-                need_sa=need_sa,
-                need_tj=need_tj and contours is not None,
-            )
+        row = _prepare_entry(
+            entry, config, need_sa="alpha_sa" in names, need_tj="alpha_tj" in names
         )
-        gts_list.append(gts)
-    if not prepared_list:
+        if row is None:
+            print(f"skipped {entry.image_id}: no ground truth records", file=sys.stderr)
+        else:
+            loaded[entry.image_id] = row
+    if not loaded:
         print("no usable training images", file=sys.stderr)
         return 1
 
-    def objective(weights: ModelWeights) -> float:
-        correct, pixels = 0.0, 0
-        for prepared, gts in zip(prepared_list, gts_list):
-            applied = weights if prepared.bo_tj is not None else _fold_tj(weights)
-            fgca = compute_fgca(finalize_components(prepared, applied).final, gts)
-            correct += fgca.correct
-            pixels += fgca.pixels
-        return correct / pixels
+    def objective(weights) -> float:
+        """Pixel-weighted FGCA over the train half, as ``eval`` reports it."""
+        scores = {
+            image_id: compute_fgca(finalize_components(prepared, weights).final, gts)
+            for image_id, (prepared, gts) in loaded.items()
+        }
+        return build_report(scores).aggregate
 
     tuned, best, trace = grid_search_weights(
         objective, names=tuple(names), coarse_step=args.coarse_step

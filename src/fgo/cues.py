@@ -536,8 +536,7 @@ def quantize_orientation(theta: float) -> int:
 
 
 def build_tj_maps(contours, segments, junctions,
-                  params: TJParams = TJParams(),
-                  orientation_map: np.ndarray | None = None) -> np.ndarray:
+                  params: TJParams = TJParams()) -> np.ndarray:
     """Directed T-junction stack of shape (8, 2, rows, cols).
 
     Every matched junction paints +1 along its hat contours (within the
@@ -548,10 +547,9 @@ def build_tj_maps(contours, segments, junctions,
     """
     contours = as_labels(contours, "contours")
     segments = as_labels(segments, "segments")
-    if orientation_map is None:
-        orientation_map = local_orientation_of_contours(
-            contours, params.orientation_fit_radius
-        )
+    orientation_map = local_orientation_of_contours(
+        contours, params.orientation_fit_radius
+    )
     out = np.zeros((N_ORIENTATIONS, 2) + contours.shape)
     dr, dc = _disk_offsets(params.influence_radius)
     for junction in junctions:

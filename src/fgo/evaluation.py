@@ -16,10 +16,22 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .channels import N_ORIENTATIONS
 from .ownership import N_SIDES, ModelWeights, bo_direction
 
 _NEIGHBOR_OFFSETS = tuple(
     (dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if (dr, dc) != (0, 0)
+)
+# (row, col) offsets of the 3x3 window a decision reads
+_WINDOW = np.array([(0, 0), *_NEIGHBOR_OFFSETS])
+# unit ownership direction of every (orientation, side) map, in map order
+_DIRECTIONS = np.array(
+    [
+        [math.cos(angle), math.sin(angle)]
+        for angle in (
+            bo_direction(ti, si) for ti in range(N_ORIENTATIONS) for si in range(N_SIDES)
+        )
+    ]
 )
 
 
@@ -89,35 +101,26 @@ def load_ground_truth(signed) -> FGGroundTruth:
     )
 
 
-def decide_figure(final: np.ndarray, x: int, y: int, radius: int = 1):
-    """Figure direction at one boundary pixel from the 16 final maps.
+def decisions_for(final: np.ndarray, gt: FGGroundTruth):
+    """Per-record decision directions and tie flags.
 
-    The strongest response within the window wins and its ownership
-    direction is the decision. No positive response at all, or an exact
-    tie between the two sides of one orientation, is a tie.
-    Returns ``(direction (dx, dy), tie_flag)``.
+    At each record the strongest final response within the 3x3 window
+    (clipped at the image border) wins, and its ownership direction is
+    the decision; equal maxima of two orientations go to the first map
+    index. No positive response at all, or an exact tie between the two
+    sides of one orientation, is a tie with a zero direction.
     """
     rows, cols = final.shape[-2:]
-    r0, r1 = max(0, y - radius), min(rows, y + radius + 1)
-    c0, c1 = max(0, x - radius), min(cols, x + radius + 1)
-    strongest = final[:, :, r0:r1, c0:c1].max(axis=(2, 3))
-    best = strongest.max()
-    if best <= 0:
-        return np.zeros(2), True
-    winners = strongest == best
-    if (winners.sum(axis=1) == N_SIDES).any():
-        return np.zeros(2), True
-    ti, si = np.argwhere(winners)[0]
-    angle = bo_direction(int(ti), int(si))
-    return np.array([math.cos(angle), math.sin(angle)]), False
-
-
-def decisions_for(final: np.ndarray, gt: FGGroundTruth, radius: int = 1):
-    """Per-record decision directions and tie flags."""
-    dirs = np.zeros((len(gt), 2))
-    ties = np.zeros(len(gt), dtype=bool)
-    for i in range(len(gt)):
-        dirs[i], ties[i] = decide_figure(final, int(gt.x[i]), int(gt.y[i]), radius)
+    # clipping an index to the border repeats a cell of the clipped
+    # window, so the window maxima are exact
+    rr = np.clip(gt.y[:, None] + _WINDOW[:, 0], 0, rows - 1)
+    cc = np.clip(gt.x[:, None] + _WINDOW[:, 1], 0, cols - 1)
+    strongest = np.moveaxis(final[:, :, rr, cc].max(axis=3), 2, 0)
+    best = strongest.max(axis=(1, 2))
+    winners = strongest == best[:, None, None]
+    ties = (best <= 0) | winners.all(axis=2).any(axis=1)
+    first = winners.reshape(len(gt), len(_DIRECTIONS)).argmax(axis=1)
+    dirs = np.where(ties[:, None], 0.0, _DIRECTIONS[first])
     return dirs, ties
 
 
@@ -139,7 +142,7 @@ class FGCAResult:
     ties: int
 
 
-def compute_fgca(final: np.ndarray, gts, radius: int = 1) -> FGCAResult:
+def compute_fgca(final: np.ndarray, gts) -> FGCAResult:
     """Figure-ground classification accuracy of one image.
 
     ``gts`` is one ground truth or a sequence of them (two annotators);
@@ -154,7 +157,7 @@ def compute_fgca(final: np.ndarray, gts, radius: int = 1) -> FGCAResult:
         raise ValueError("cannot score an empty ground truth")
     accuracies, correct, pixels, ties = [], 0.0, 0, 0
     for gt in gts:
-        dirs, tie_flags = decisions_for(final, gt, radius)
+        dirs, tie_flags = decisions_for(final, gt)
         scores = score_directions(gt, dirs, tie_flags)
         accuracies.append(float(scores.mean()))
         correct += float(scores.sum())
@@ -166,37 +169,30 @@ def compute_fgca(final: np.ndarray, gts, radius: int = 1) -> FGCAResult:
 
 
 @dataclass(frozen=True)
-class ImageScore:
-    image_id: str
-    accuracy: float
-    pixels: int
-    ties: int
-
-
-@dataclass(frozen=True)
 class EvalReport:
     """Per-image scores plus the two dataset-level averages.
 
+    ``per_image`` maps each image id to its :class:`FGCAResult`.
     ``aggregate`` weights every boundary pixel equally across the whole
     dataset; ``per_image_mean``/``std_dev`` treat images equally.
     """
 
-    per_image: tuple
+    per_image: dict
     aggregate: float
     per_image_mean: float
     std_dev: float
 
 
-def build_report(scores, correct_total: float) -> EvalReport:
-    scores = tuple(scores)
+def build_report(scores: dict) -> EvalReport:
+    """Report over ``{image_id: FGCAResult}``, in the dict's order."""
     if not scores:
         raise ValueError("cannot build a report from zero scored images")
-    pixels = sum(s.pixels for s in scores)
-    accuracies = [s.accuracy for s in scores]
+    results = scores.values()
+    accuracies = [s.accuracy for s in results]
     std = float(np.std(accuracies, ddof=1)) if len(accuracies) > 1 else 0.0
     return EvalReport(
         per_image=scores,
-        aggregate=correct_total / pixels,
+        aggregate=sum(s.correct for s in results) / sum(s.pixels for s in results),
         per_image_mean=float(np.mean(accuracies)),
         std_dev=std,
     )
@@ -204,8 +200,8 @@ def build_report(scores, correct_total: float) -> EvalReport:
 
 def format_report_text(report: EvalReport) -> str:
     lines = ["image accuracy pixels ties"]
-    for s in report.per_image:
-        lines.append(f"{s.image_id} {s.accuracy:.6f} {s.pixels} {s.ties}")
+    for image_id, s in report.per_image.items():
+        lines.append(f"{image_id} {s.accuracy:.6f} {s.pixels} {s.ties}")
     lines.append(f"aggregate {report.aggregate:.6f}")
     lines.append(f"perImageMean {report.per_image_mean:.6f}")
     lines.append(f"stdDev {report.std_dev:.6f}")
@@ -215,7 +211,7 @@ def format_report_text(report: EvalReport) -> str:
 def format_report_keyvalues(report: EvalReport) -> str:
     pairs = [
         ("images", len(report.per_image)),
-        ("pixels", sum(s.pixels for s in report.per_image)),
+        ("pixels", sum(s.pixels for s in report.per_image.values())),
         ("aggregateFGCA", f"{report.aggregate:.6f}"),
         ("perImageMeanFGCA", f"{report.per_image_mean:.6f}"),
         ("stdDev", f"{report.std_dev:.6f}"),

@@ -17,9 +17,7 @@ def write_fm1(path, values) -> None:
         raise ValueError(f"FM1 maps must be 2D, got shape {arr.shape}")
     with open(path, "w") as fh:
         fh.write(f"FM1 {arr.shape[0]} {arr.shape[1]}\n")
-        for row in arr:
-            fh.write(" ".join(f"{v:.17g}" for v in row))
-            fh.write("\n")
+        np.savetxt(fh, arr, fmt="%.17g", delimiter=" ")
 
 
 def read_fm1(path) -> np.ndarray:

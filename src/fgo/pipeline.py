@@ -78,13 +78,8 @@ class RunResult:
 
 
 def effective_weights(weights: ModelWeights, have_labels: bool) -> ModelWeights:
-    """Fold the T-junction weight into the contrast route if unusable."""
+    """The T-junction fold: without label maps alpha_tj moves to alpha_ref."""
     if weights.alpha_tj > 0 and not have_labels:
-        log.warning(
-            "T-junction cue weight %.3g requested without contour/segment maps; "
-            "reassigning it to the contrast route",
-            weights.alpha_tj,
-        )
         return replace(
             weights,
             alpha_ref=weights.alpha_ref + weights.alpha_tj,
@@ -112,9 +107,13 @@ class PreparedImage:
     restriction); :func:`finalize_components` only accepts weights that
     agree with it there. ``bo_contrast`` (light and dark summed) and
     ``bo_sa``/``bo_tj`` are None when the route was not prepared.
+    ``have_labels`` records whether contour and segment maps were
+    given; without them :func:`finalize_components` folds the T-junction
+    weight into the contrast route.
     """
 
     base: ModelWeights
+    have_labels: bool
     level_dims: tuple
     winning_color: list
     winning_intensity: list
@@ -138,7 +137,9 @@ def prepare_components(
     ``need_sa``/``need_tj`` force the local-cue stacks to be built even
     if ``base`` currently gives them zero weight (a weight sweep may
     need them later); by default each follows its base alpha. The
-    T-junction stack additionally requires both label maps.
+    T-junction stack additionally requires both label maps; an image
+    that needs it without them is warned about once here, and every
+    finalize of it folds the T-junction weight into the contrast route.
     """
     if not isinstance(image, RGBImage):
         image = RGBImage.from_gray(image)
@@ -147,6 +148,14 @@ def prepare_components(
         need_sa = base.alpha_sa > 0
     if need_tj is None:
         need_tj = base.alpha_tj > 0
+
+    if need_tj and not have_labels:
+        log.warning(
+            "T-junction weight alphaTJ given without contour/segment maps for a "
+            "%dx%d image; reassigning it to alphaRef, so its mass moves to the "
+            "contrast route",
+            *image.shape,
+        )
 
     channels = compute_channels(image, params.gabor)
     pyramids = build_channel_pyramids(channels, params.n_scales, params.pyramid_factor)
@@ -195,6 +204,7 @@ def prepare_components(
 
     return PreparedImage(
         base=base,
+        have_labels=have_labels,
         level_dims=level_dims,
         winning_color=winning_color,
         winning_intensity=winning_intensity,
@@ -206,7 +216,13 @@ def prepare_components(
 
 
 def finalize_components(prepared: PreparedImage, weights: ModelWeights) -> RunResult:
-    """Apply one alpha triple to prepared building blocks."""
+    """Apply one alpha triple to prepared building blocks.
+
+    The T-junction weight is folded into the contrast route when the
+    image was prepared without label maps; ``RunResult.weights`` holds
+    the weights applied.
+    """
+    weights = effective_weights(weights, prepared.have_labels)
     base = prepared.base
     if (
         weights.w_opp != base.w_opp
@@ -249,8 +265,6 @@ def run_model(
     T-junction cue; without both of them any T-junction weight falls
     back to the contrast route with a warning.
     """
-    have_labels = contours is not None and segments is not None
-    weights = effective_weights(weights, have_labels)
     prepared = prepare_components(
         image, weights, params, contours=contours, segments=segments
     )

@@ -36,10 +36,10 @@ from fgo.pipeline import (
 from fgo.stimuli import (
     annulus,
     isolated_square,
-    junction_label_maps,
     overlapping_squares,
     shaded_edge,
 )
+from helpers import junction_label_maps
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -303,8 +303,7 @@ def test_06_cue_benefit_ordering():
         )
         gt = load_ground_truth(stim.signed)
         for name, (ref, sa, tj) in PRESETS.items():
-            if not have_labels:
-                ref, tj = ref + tj, 0.0
+            # without label maps, finalize_components folds alpha_tj into alpha_ref
             weights = ModelWeights(alpha_ref=ref, alpha_sa=sa, alpha_tj=tj)
             fgca = compute_fgca(finalize_components(prepared, weights).final, gt)
             totals[name][0] += fgca.correct
@@ -458,8 +457,7 @@ def test_10_dataset_regression():
 
     def aggregate(config: RunConfig) -> float:
         per_preset, _ = _score_dataset(entries, config, [config.weights()], jobs=1)
-        scores, correct = per_preset[0]
-        return build_report(scores, correct).aggregate
+        return build_report(per_preset[0]).aggregate
 
     scores = {
         name: aggregate(apply_preset(RunConfig(), name))

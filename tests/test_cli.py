@@ -3,8 +3,13 @@ import logging
 import numpy as np
 import pytest
 
+from fgo.channels import RGBImage
 from fgo.cli import main, parse_manifest
-from fgo.io import read_pgm, read_ppm
+from fgo.config import RunConfig, apply_assignment
+from fgo.evaluation import compute_fgca, load_ground_truth
+from fgo.io import read_pgm, read_ppm, read_signed_map
+from fgo.ownership import ModelWeights
+from fgo.pipeline import finalize_components, prepare_components
 
 FAST = ["--set", "nScales=4"]
 
@@ -210,6 +215,11 @@ class TestManifest:
         with pytest.raises(ValueError):
             parse_manifest(manifest)
 
+    def test_image_required(self, tmp_path):
+        manifest = write_manifest(tmp_path / "m.txt", ["# header", "x - g.lm1 -"])
+        with pytest.raises(ValueError, match=r"m\.txt:2: no image given"):
+            parse_manifest(manifest)
+
 
 class TestEval:
     def test_single_preset_report(self, dataset, tmp_path, capsys):
@@ -272,6 +282,39 @@ class TestEval:
         )
         assert code == 1
         assert "all images failed" in capsys.readouterr().err
+
+    def test_unlabelled_row_folds_tj_with_one_warning(self, tmp_path, caplog):
+        plain = synth(tmp_path, "isolated-square", "plain", ("--size", "56"))
+        synth(tmp_path, "shaded-edge", "lab", ("--size", "48"))
+        manifest = write_manifest(
+            tmp_path / "m.txt",
+            [
+                "lab lab/image.ppm lab/gt.lm1 - lab/contours.lm1 lab/segments.lm1",
+                "plain plain/image.ppm plain/gt.lm1 -",
+            ],
+        )
+        out = tmp_path / "eval"
+        with caplog.at_level(logging.WARNING, logger="fgo"):
+            code = main(
+                ["eval", "--manifest", str(manifest), "--out", str(out),
+                 "--compare", "reference,with-both", *FAST]
+            )
+        assert code == 0
+        folds = [r.getMessage() for r in caplog.records if "alphaTJ" in r.getMessage()]
+        assert len(folds) == 1
+        assert "56x56 image" in folds[0]  # the unlabelled row's size
+
+        # with-both (0.05, 0.15, 0.80) scores the unlabelled row as (0.85, 0.15, 0)
+        params = apply_assignment(RunConfig(), "nScales", "4").pipeline_params()
+        prepared = prepare_components(
+            RGBImage(*read_ppm(plain / "image.ppm")), ModelWeights(0.85, 0.15, 0), params
+        )
+        gt = load_ground_truth(read_signed_map(plain / "gt.lm1"))
+        fgca = compute_fgca(
+            finalize_components(prepared, ModelWeights(0.85, 0.15, 0)).final, gt
+        )
+        rows = (out / "report_with-both.txt").read_text().splitlines()
+        assert f"plain {fgca.accuracy:.6f} {fgca.pixels} {fgca.ties}" in rows
 
     def test_bad_compare_spec_fails(self, dataset, tmp_path, capsys):
         code = main(

@@ -6,8 +6,8 @@ import pytest
 from fgo.evaluation import (
     FGGroundTruth,
     build_report,
+    FGCAResult,
     compute_fgca,
-    decide_figure,
     decisions_for,
     format_report_keyvalues,
     format_report_text,
@@ -17,14 +17,47 @@ from fgo.evaluation import (
     right_tailed_t_test,
     score_directions,
 )
-from fgo.ownership import ModelWeights, bo_direction
-from fgo.stimuli import isolated_square
+from fgo.ownership import N_SIDES, ModelWeights, bo_direction
+from fgo.pipeline import PipelineParams, run_model
+from fgo.stimuli import annulus, isolated_square, overlapping_squares, shaded_edge
 
 
 def single_peak_final(rows=9, cols=9, ti=0, si=0, y=4, x=4, value=2.0):
     final = np.zeros((8, 2, rows, cols))
     final[ti, si, y, x] = value
     return final
+
+
+def decide(final, x, y):
+    """``decisions_for`` on a one-record truth: (direction, tie flag)."""
+    dirs, ties = decisions_for(final, FGGroundTruth(x=[x], y=[y], nx=[1.0], ny=[0.0]))
+    return dirs[0], ties[0]
+
+
+def oracle_decide_figure(final, x, y):
+    """One record's decision, window by window: the 3x3 window clipped at
+    the border, its strongest response, a tie on no positive response or
+    on both sides of one orientation, else the first winning map."""
+    rows, cols = final.shape[-2:]
+    window = final[:, :, max(0, y - 1) : min(rows, y + 2), max(0, x - 1) : min(cols, x + 2)]
+    strongest = window.max(axis=(2, 3))
+    best = strongest.max()
+    if best <= 0:
+        return np.zeros(2), True
+    winners = strongest == best
+    if (winners.sum(axis=1) == N_SIDES).any():
+        return np.zeros(2), True
+    ti, si = np.argwhere(winners)[0]
+    angle = bo_direction(int(ti), int(si))
+    return np.array([math.cos(angle), math.sin(angle)]), False
+
+
+def assert_matches_oracle(final, gt):
+    dirs, ties = decisions_for(final, gt)
+    for i in range(len(gt)):
+        direction, tie = oracle_decide_figure(final, int(gt.x[i]), int(gt.y[i]))
+        assert ties[i] == tie
+        assert np.array_equal(dirs[i], direction)
 
 
 class TestLoadGroundTruth:
@@ -79,7 +112,7 @@ class TestDecideFigure:
         for ti in range(8):
             for si in range(2):
                 final = single_peak_final(ti=ti, si=si)
-                direction, tie = decide_figure(final, x=4, y=4)
+                direction, tie = decide(final, x=4, y=4)
                 assert not tie
                 angle = bo_direction(ti, si)
                 assert direction == pytest.approx(
@@ -88,35 +121,67 @@ class TestDecideFigure:
 
     def test_window_reaches_neighbors(self):
         final = single_peak_final(y=5, x=3)
-        _, tie = decide_figure(final, x=4, y=4, radius=1)
+        _, tie = decide(final, x=4, y=4)
         assert not tie
-        _, tie = decide_figure(final, x=6, y=6, radius=1)
+        _, tie = decide(final, x=6, y=6)
         assert tie  # peak two cells away is out of the window
 
     def test_all_zero_is_tie(self):
-        direction, tie = decide_figure(np.zeros((8, 2, 5, 5)), x=2, y=2)
+        direction, tie = decide(np.zeros((8, 2, 5, 5)), x=2, y=2)
         assert tie and (direction == 0).all()
 
     def test_opposing_sides_tie(self):
         final = np.zeros((8, 2, 5, 5))
         final[3, 0, 2, 2] = 1.5
         final[3, 1, 2, 1] = 1.5
-        _, tie = decide_figure(final, x=2, y=2)
+        _, tie = decide(final, x=2, y=2)
         assert tie
 
     def test_cross_orientation_tie_resolved_by_first_index(self):
         final = np.zeros((8, 2, 5, 5))
         final[2, 0, 2, 2] = 1.5
         final[5, 1, 2, 2] = 1.5
-        direction, tie = decide_figure(final, x=2, y=2)
+        direction, tie = decide(final, x=2, y=2)
         assert not tie
         angle = bo_direction(2, 0)
         assert direction == pytest.approx([math.cos(angle), math.sin(angle)])
 
     def test_window_clipped_at_borders(self):
         final = single_peak_final(y=0, x=0)
-        _, tie = decide_figure(final, x=0, y=0)
+        _, tie = decide(final, x=0, y=0)
         assert not tie
+
+
+class TestDecisionsMatchOracle:
+    def test_random_finals_with_ties_zeros_and_borders(self):
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            rows, cols = rng.integers(1, 8, size=2)
+            # few distinct integer values make ties of every kind common
+            final = rng.integers(-1, 3, size=(8, 2, rows, cols)).astype(np.float64)
+            final[:, :, : rows // 2, : cols // 2] = 0.0  # all-zero windows
+            yy, xx = np.mgrid[0:rows, 0:cols]  # every cell, the borders included
+            gt = FGGroundTruth(
+                x=xx.ravel(), y=yy.ravel(), nx=np.ones(xx.size), ny=np.zeros(xx.size)
+            )
+            assert_matches_oracle(final, gt)
+        # a zero maximum is no positive response, whatever the other side holds
+        final = np.zeros((8, 2, 3, 3))
+        final[:, 1] = -1.0
+        assert_matches_oracle(final, FGGroundTruth(x=[1], y=[1], nx=[1.0], ny=[0.0]))
+
+    def test_battery_finals(self):
+        params = PipelineParams(n_scales=4)
+        for stim in (isolated_square(), overlapping_squares(), annulus(), shaded_edge()):
+            final = run_model(stim.image, params=params).final
+            assert_matches_oracle(final, load_ground_truth(stim.signed))
+
+    def test_empty_truth_gives_no_decisions(self):
+        empty = np.empty(0)
+        dirs, ties = decisions_for(
+            single_peak_final(), FGGroundTruth(x=empty, y=empty, nx=empty, ny=empty)
+        )
+        assert dirs.shape == (0, 2) and ties.shape == (0,)
 
 
 class TestScoring:
@@ -158,23 +223,17 @@ class TestScoring:
 
 class TestReports:
     def test_aggregate_is_pixel_weighted(self):
-        from fgo.evaluation import ImageScore
-
-        scores = [
-            ImageScore("a", accuracy=1.0, pixels=90, ties=0),
-            ImageScore("b", accuracy=0.0, pixels=10, ties=1),
-        ]
-        report = build_report(scores, correct_total=90.0)
+        scores = {
+            "a": FGCAResult(accuracy=1.0, correct=90.0, pixels=90, ties=0),
+            "b": FGCAResult(accuracy=0.0, correct=0.0, pixels=10, ties=1),
+        }
+        report = build_report(scores)
         assert report.aggregate == pytest.approx(0.9)
         assert report.per_image_mean == pytest.approx(0.5)
         assert report.std_dev == pytest.approx(np.std([1.0, 0.0], ddof=1))
 
     def test_formats_round_trip_fields(self):
-        from fgo.evaluation import ImageScore
-
-        report = build_report(
-            [ImageScore("img1", 0.75, 100, 2)], correct_total=75.0
-        )
+        report = build_report({"img1": FGCAResult(0.75, 75.0, 100, 2)})
         text = format_report_text(report)
         assert "img1 0.750000 100 2" in text
         assert "aggregate 0.750000" in text
@@ -183,7 +242,7 @@ class TestReports:
 
     def test_empty_report_rejected(self):
         with pytest.raises(ValueError):
-            build_report([], 0.0)
+            build_report({})
 
 
 class TestGridSearch:

@@ -22,6 +22,14 @@ class TestFM1:
         write_fm1(path, arr)
         np.testing.assert_array_equal(read_fm1(path), arr)
 
+    def test_exact_bytes(self, tmp_path):
+        # shortest round-trip digits, signed zero, subnormal, exponent form
+        path = tmp_path / "map.fm1"
+        write_fm1(path, [[-0.0, 5e-324], [1e20, 0.1]])
+        assert path.read_bytes() == (
+            b"FM1 2 2\n-0 4.9406564584124654e-324\n1e+20 0.10000000000000001\n"
+        )
+
     def test_rejects_non_2d(self, tmp_path):
         with pytest.raises(ValueError):
             write_fm1(tmp_path / "bad.fm1", np.zeros(4))

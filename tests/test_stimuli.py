@@ -6,10 +6,10 @@ from fgo.stimuli import (
     generate,
     GENERATORS,
     isolated_square,
-    junction_label_maps,
     overlapping_squares,
     shaded_edge,
 )
+from helpers import junction_label_maps
 
 
 class TestIsolatedSquare:
