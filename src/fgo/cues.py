@@ -18,7 +18,7 @@ from scipy import ndimage
 
 from .channels import N_ORIENTATIONS, ORIENTATIONS
 from .filters import GaborParams, make_gabor
-from .grid import as_map, correlate2d
+from .grid import as_map, correlate_stack
 
 log = logging.getLogger(__name__)
 
@@ -113,25 +113,19 @@ def compute_sa_maps(intensity, params: SAParams = SAParams()) -> np.ndarray:
     for size in params.sizes:
         radius = size / 2.0
         sigma = params.sigma_factor * radius
-        omega_even, omega_odd = params.frequencies(size)
+        # one (8, 2) bank per size, [orientation, even/odd]: the
+        # intensity map is transformed once for all sixteen filters
+        bank = np.array([
+            [
+                make_gabor(GaborParams(theta=theta, sigma=sigma, gamma=params.gamma,
+                                       omega=omega, size=size), parity)
+                for omega, parity in zip(params.frequencies(size), ("even", "odd"))
+            ]
+            for theta in ORIENTATIONS
+        ])
+        responses = correlate_stack(intensity, bank)
         for ti, theta in enumerate(ORIENTATIONS):
-            even = correlate2d(
-                intensity,
-                make_gabor(
-                    GaborParams(theta=theta, sigma=sigma, gamma=params.gamma,
-                                omega=omega_even, size=size),
-                    "even",
-                ),
-            )
-            odd = correlate2d(
-                intensity,
-                make_gabor(
-                    GaborParams(theta=theta, sigma=sigma, gamma=params.gamma,
-                                omega=omega_odd, size=size),
-                    "odd",
-                ),
-            )
-            magnitude = np.hypot(even, odd)
+            magnitude = np.hypot(responses[ti, 0], responses[ti, 1])
             for si in range(2):
                 dx, dy = side_direction(theta, si)
                 out[ti, si] += sample_shifted(magnitude, radius * dy, radius * dx)

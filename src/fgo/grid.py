@@ -5,6 +5,12 @@ convention is used throughout the package: ``x`` is the column axis
 (rightward), ``y`` is the row axis (downward), and an angle ``a`` denotes
 the unit direction ``(dx, dy) = (cos a, sin a)``. So ``a = 0`` points
 right and ``a = pi/2`` points down the rows.
+
+Correlation and pooling take ``(..., rows, cols)`` stacks of maps.
+:func:`correlate_stack` pairs maps and kernels by broadcasting their
+leading axes, so a map shared by a whole kernel bank (one evidence map
+per polarity against the 16 ring kernels, say) is passed once, not
+tiled to the bank's shape, and is transformed once.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal, sparse
+from scipy import fft, signal, sparse
 
 SQRT2 = math.sqrt(2.0)
 
@@ -42,25 +48,74 @@ def _as_stack(values, name: str) -> np.ndarray:
 
 
 def correlate2d(input_map, kernel) -> np.ndarray:
-    """Correlate a map with an odd-sized kernel, replicating edge values.
+    """Correlate one 2D map with one odd-sized 2D kernel, replicating edge values.
 
     Output matches the input dimensions. The kernel is anchored at its
     center cell, so ``out[r, c] = sum_{u,v} kernel[u, v] *
     padded[r + u, c + v]`` with the pad width equal to the kernel
-    half-size on every border.
+    half-size on every border. This is the single-pair case of
+    :func:`correlate_stack`.
     """
-    arr = as_map(input_map, "input")
-    k = as_map(kernel, "kernel")
-    kh, kw = k.shape
+    return correlate_stack(as_map(input_map, "input"), as_map(kernel, "kernel"))
+
+
+def correlate_stack(maps, kernels) -> np.ndarray:
+    """Correlate a ``(..., rows, cols)`` map stack with a ``(..., kh, kw)``
+    kernel stack whose leading axes broadcast.
+
+    Output ``[i]`` equals that of the broadcast pair ``[i]`` bit for
+    bit: scipy's ``signal.convolve(method="auto")`` of the edge-padded
+    map and the flipped kernel. When scipy picks the FFT, each distinct
+    map is padded and transformed once at scipy's transform length, and
+    each output takes one kernel transform and one inverse, with one map
+    and one kernel spectrum alive at a time. The product is map spectrum
+    times kernel spectrum, both named: an unnamed kernel spectrum lets
+    numpy reuse the temporary and multiply in the other order, which
+    moves the last bits.
+    """
+    maps = _as_stack(maps, "input")
+    kernels = _as_stack(kernels, "kernel")
+    rows, cols = maps.shape[-2:]
+    kh, kw = kernels.shape[-2:]
     if kh % 2 == 0 or kw % 2 == 0:
-        raise ValueError(f"kernel dimensions must be odd, got {k.shape}")
-    if kh >= arr.shape[0] or kw >= arr.shape[1]:
+        raise ValueError(f"kernel dimensions must be odd, got {(kh, kw)}")
+    if kh >= rows or kw >= cols:
         raise ValueError(
-            f"kernel {k.shape} must be smaller than input {arr.shape} in both axes"
+            f"kernel {(kh, kw)} must be smaller than input {(rows, cols)} in both axes"
         )
-    padded = np.pad(arr, ((kh // 2, kh // 2), (kw // 2, kw // 2)), mode="edge")
+    try:
+        lead = np.broadcast_shapes(maps.shape[:-2], kernels.shape[:-2])
+    except ValueError:
+        raise ValueError(
+            f"leading axes of maps {maps.shape} and kernels {kernels.shape} "
+            f"do not broadcast"
+        ) from None
+    maps = maps.reshape((1,) * (len(lead) + 2 - maps.ndim) + maps.shape)
     # correlation == convolution with the kernel flipped in both axes
-    return signal.convolve(padded, k[::-1, ::-1], mode="valid", method="auto")
+    flipped = np.broadcast_to(kernels, lead + (kh, kw))[..., ::-1, ::-1]
+    pad = ((kh // 2, kh // 2), (kw // 2, kw // 2))
+    fshape = [fft.next_fast_len(n + 2 * (k - 1), True) for n, k in ((rows, kh), (cols, kw))]
+    # scipy's choice for a padded map and a flipped kernel depends on
+    # their shapes alone; it skips the transform along a length-1 axis
+    method = signal.choose_conv_method(
+        np.zeros((rows + kh - 1, cols + kw - 1)), flipped[(0,) * len(lead)], mode="valid"
+    )
+    out = np.empty(lead + (rows, cols))
+    for index in np.ndindex(maps.shape[:-2]):
+        padded = np.pad(maps[index], pad, mode="edge")
+        # the outputs (and kernels) that share this map
+        share = tuple(i if n > 1 else slice(None) for i, n in zip(index, maps.shape))
+        targets, bank = out[share], flipped[share]
+        if method == "direct" or 1 in (kh, kw):
+            for pair in np.ndindex(targets.shape[:-2]):
+                targets[pair] = signal.convolve(padded, bank[pair], mode="valid", method=method)
+            continue
+        spectrum = fft.rfftn(padded, fshape, axes=(0, 1))
+        for pair in np.ndindex(targets.shape[:-2]):
+            k_spectrum = fft.rfftn(bank[pair], fshape, axes=(0, 1))
+            full = fft.irfftn(spectrum * k_spectrum, fshape, axes=(0, 1))
+            targets[pair] = full[kh - 1 : kh - 1 + rows, kw - 1 : kw - 1 + cols]
+    return out
 
 
 def _sample_coords(n_out: int, n_in: int) -> np.ndarray:

@@ -21,7 +21,9 @@ downstream reads the polarities apart.
 
 Directed data travels as "stacks": arrays of shape ``(8, 2, rows,
 cols)`` indexed ``[orientation, side, row, col]``. A multiscale result
-is a list of stacks, index 0 the finest (native) level.
+is a list of stacks, index 0 the finest (native) level. Evidence shared
+by every orientation stays (1, 2, rows, cols) up to the ring projection,
+which broadcasts it against the (8, 2) kernel bank.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .grid import (
     NormalizationParams,
     build_pyramid,
     correlate2d,
+    correlate_stack,
     cross_scale_sum,
     pool_resampled,
 )
@@ -175,7 +178,11 @@ def _peak_competition(scaled: np.ndarray, params: NormalizationParams) -> np.nda
     labels, count = ndimage.label(
         (scaled >= window_max - tol) & (scaled > tol), structure=np.ones((3, 3))
     )
-    peaks = np.sort(ndimage.maximum(scaled, labels, np.arange(1, count + 1)))[:-1]
+    # per-peak maxima over the labelled cells alone
+    cells = labels > 0
+    peaks = np.full(count, -np.inf)
+    np.maximum.at(peaks, labels[cells] - 1, scaled[cells])
+    peaks = np.sort(peaks)[:-1]
     mean_rival = peaks.mean() if peaks.size else 0.0
     return scaled * (top - mean_rival) ** 2
 
@@ -243,14 +250,14 @@ def _ring_kernels(size: int, ring_radius: float, ring_form: str) -> np.ndarray:
 
 
 def _ring_responses(evidence, params: ContextParams) -> np.ndarray:
-    """Project ``evidence[ti][si]`` through the ring kernel toward (ti, si)."""
-    shape = evidence[0][0].shape
-    bank = _ring_bank(shape, params)
-    out = np.empty((N_ORIENTATIONS, N_SIDES) + shape)
-    for ti in range(N_ORIENTATIONS):
-        for si in range(N_SIDES):
-            out[ti, si] = correlate2d(evidence[ti][si], bank[ti, si])
-    return out
+    """Project ``evidence[t, s]`` through the ring kernel toward (t, s).
+
+    ``evidence`` is a (1 or 8, 1 or 2, r, c) stack that broadcasts
+    against the (8, 2) ring bank, so a map shared by several kernels is
+    transformed once (:func:`correlate_stack`); the result is
+    (8, 2, r, c).
+    """
+    return correlate_stack(evidence, _ring_bank(evidence.shape[-2:], params))
 
 
 def scale_contexts(responses: Sequence[np.ndarray]) -> list:
@@ -276,21 +283,22 @@ def scale_contexts(responses: Sequence[np.ndarray]) -> list:
 def _normalized(level, params: NormalizationParams) -> np.ndarray:
     """Normalize every ``[t, 0]``/``[t, 1]`` pair of a ``(..., 2, r, c)`` level.
 
-    A level shared by every orientation ((2, r, c) or (1, 2, r, c)) is
-    normalized once and broadcast; the result is a read-only
-    (8, 2, r, c) view.
+    The result is an (m, 2, r, c) stack, m the number of pairs: a level
+    shared by every orientation ((2, r, c) or (1, 2, r, c)) is
+    normalized once and stays (1, 2, r, c), not tiled to eight
+    orientations.
     """
     shape = level.shape[-2:]
-    normed = np.array([
+    return np.array([
         normalize_evidence_pair(a, b, params)
         for a, b in level.reshape((-1, N_SIDES) + shape)
     ])
-    return np.broadcast_to(normed, (N_ORIENTATIONS, N_SIDES) + shape)
 
 
 def _pooled_contexts(evidence, params: ContextParams) -> list:
-    """Project each level's (8, 2, r, c) evidence through the ring kernels,
-    then pool the projections across scales (:func:`scale_contexts`).
+    """Project each level's evidence through the ring kernels
+    (:func:`_ring_responses`), then pool the (8, 2, r, c) projections
+    across scales (:func:`scale_contexts`).
 
     ``evidence`` may be a generator, so that only one level of it is
     alive at a time."""
@@ -318,8 +326,10 @@ def compute_bo_contrast(
     the :func:`cs_pyramids` output: per level a (2, rows, cols) or
     (1, 2, rows, cols) stack shared by every orientation (symmetric
     features) or an (8, 2, rows, cols) stack (the oriented feature),
-    side index 0 light and 1 dark. Both sides of an orientation project
-    the same polarity map, so per level k::
+    side index 0 light and 1 dark. A shared level is normalized once and
+    projected as one map per polarity, not tiled to eight orientations.
+    Both sides of an orientation project the same polarity map, so per
+    level k::
 
         gate(e, i)[t, s] = max(0, C_t * (1 + e[t, s] - w_opp * i[t, 1 - s]))
         contrast[k] = gate(ctx_light, ctx_dark) + gate(ctx_dark, ctx_light)
@@ -338,8 +348,8 @@ def compute_bo_contrast(
             )
 
     normed = [_normalized(level, context.normalization) for level in cs_levels]
-    ctx_light = _pooled_contexts((np.broadcast_to(n[:, :1], n.shape) for n in normed), context)
-    ctx_dark = _pooled_contexts((np.broadcast_to(n[:, 1:], n.shape) for n in normed), context)
+    ctx_light = _pooled_contexts((n[:, :1] for n in normed), context)
+    ctx_dark = _pooled_contexts((n[:, 1:] for n in normed), context)
     return [
         _gate(c, light, dark, weights.w_opp) + _gate(c, dark, light, weights.w_opp)
         for c, light, dark in zip(carrier_levels, ctx_light, ctx_dark)

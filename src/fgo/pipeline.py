@@ -26,7 +26,7 @@ from .channels import (
 )
 from .cues import SAParams, TJParams, build_tj_maps, compute_sa_maps, detect_t_junctions
 from .filters import DoGParams, GaborParams, make_center_surround, make_gabor
-from .grid import SQRT2
+from .grid import SQRT2, next_level_dims
 from .ownership import (
     ContextParams,
     ModelWeights,
@@ -98,6 +98,36 @@ def _contrast_winning(carriers, feature, params: PipelineParams, base) -> list:
     return winning_bo(compute_bo_contrast(carriers, cs, base, params.context))
 
 
+def _check_image_fits(shape, params: PipelineParams, sa_route: bool) -> None:
+    """Refuse an image that a native-size filter bank or the pyramid does
+    not fit, naming the limit.
+
+    The carrier Gabor and, on the SA route, the spectral-anisotropy bank
+    run at native size and must be smaller than the image in both axes.
+    Every pyramid level must keep at least 2x2 cells, the least any
+    clamped kernel fits.
+    """
+    rows, cols = shape
+    banks = [("the carrier Gabor", params.gabor.resolved_size())]
+    if sa_route:
+        banks.append(("the spectral-anisotropy bank's largest filter", params.sa.sizes[-1]))
+    for name, size in banks:
+        if min(shape) <= size:
+            raise ValueError(
+                f"a {rows}x{cols} image is too small for {name} ({size} px): "
+                f"both sides must be at least {size + 1} px"
+            )
+    dims = shape
+    for level in range(1, params.n_scales):
+        dims = next_level_dims(*dims, params.pyramid_factor)
+        if min(dims) < 2:
+            raise ValueError(
+                f"n_scales={params.n_scales} with pyramid_factor={params.pyramid_factor:g} "
+                f"shrinks a {rows}x{cols} image to {dims[0]}x{dims[1]} at level {level}; "
+                f"at most {level} levels fit (every level needs 2x2 cells)"
+            )
+
+
 @dataclass(frozen=True)
 class PreparedImage:
     """Weight-independent building blocks of one image's run.
@@ -140,6 +170,8 @@ def prepare_components(
     T-junction stack additionally requires both label maps; an image
     that needs it without them is warned about once here, and every
     finalize of it folds the T-junction weight into the contrast route.
+    An image too small for the native filter banks or for ``n_scales``
+    pyramid levels is refused with a ValueError that names the limit.
     """
     if not isinstance(image, RGBImage):
         image = RGBImage.from_gray(image)
@@ -148,6 +180,8 @@ def prepare_components(
         need_sa = base.alpha_sa > 0
     if need_tj is None:
         need_tj = base.alpha_tj > 0
+    color_weight, intensity_weight, orientation_weight = base.feature_weights
+    _check_image_fits(image.shape, params, need_sa and orientation_weight > 0)
 
     if need_tj and not have_labels:
         log.warning(
@@ -164,7 +198,6 @@ def prepare_components(
 
     # color: each opponency sub-channel gets its own contrast pair and
     # winner-take-all pass; the four winners add up into one feature set
-    color_weight, intensity_weight, orientation_weight = base.feature_weights
     if color_weight > 0 and any(m.any() for m in channels.opponency):
         winning_color = sum_bo_sets(
             [

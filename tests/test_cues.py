@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fgo.channels import ORIENTATIONS
 from fgo.cues import (
     Candidate,
     SAParams,
@@ -21,6 +22,8 @@ from fgo.cues import (
     side_direction,
     trace_contour,
 )
+from fgo.filters import GaborParams, make_gabor
+from fgo.grid import correlate2d
 
 
 # ----------------------------------------------------------- fixtures
@@ -65,6 +68,27 @@ def ray_maps(angles_deg, size=41, ray_len=14):
     for rid in range(len(bounds) - 1):
         segments[(ang >= bounds[rid]) & (ang < bounds[rid + 1])] = rid + 1
     return contours, segments
+
+
+def oracle_sa_maps(intensity, params=SAParams()):
+    """The per-orientation loop: one even and one odd correlation each."""
+    out = np.zeros((8, 2) + intensity.shape)
+    for size in params.sizes:
+        radius = size / 2.0
+        sigma = params.sigma_factor * radius
+        omega_even, omega_odd = params.frequencies(size)
+        for ti, theta in enumerate(ORIENTATIONS):
+            even = correlate2d(intensity, make_gabor(
+                GaborParams(theta=theta, sigma=sigma, gamma=params.gamma,
+                            omega=omega_even, size=size), "even"))
+            odd = correlate2d(intensity, make_gabor(
+                GaborParams(theta=theta, sigma=sigma, gamma=params.gamma,
+                            omega=omega_odd, size=size), "odd"))
+            magnitude = np.hypot(even, odd)
+            for si in range(2):
+                dx, dy = side_direction(theta, si)
+                out[ti, si] += sample_shifted(magnitude, radius * dy, radius * dx)
+    return out
 
 
 # ------------------------------------------------------ shifted sampling
@@ -145,6 +169,15 @@ def test_sa_shifts_with_the_image():
     assert np.abs(
         np.roll(a, (2, 3), axis=(2, 3))[:, :, m:-m, m:-m] - b[:, :, m:-m, m:-m]
     ).max() < 1e-9
+
+
+@pytest.mark.parametrize("shape, params", [
+    ((56, 61), SAParams()),
+    ((30, 34), SAParams(max_size=13)),
+])
+def test_sa_equals_the_per_orientation_loop(shape, params):
+    img = np.random.default_rng(4).random(shape)
+    assert np.array_equal(compute_sa_maps(img, params), oracle_sa_maps(img, params))
 
 
 def test_side_direction_frame():

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import signal
 
 from fgo.grid import (
     NormalizationParams,
     Pyramid,
     build_pyramid,
     correlate2d,
+    correlate_stack,
     cross_scale_sum,
     next_level_dims,
     pool_resampled,
@@ -125,6 +127,74 @@ def test_correlate_rejects_nonfinite():
     arr[2, 2] = np.nan
     with pytest.raises(ValueError):
         correlate2d(arr, np.ones((3, 3)))
+
+
+def test_correlate2d_refuses_a_stack():
+    with pytest.raises(ValueError, match="2D"):
+        correlate2d(np.zeros((2, 8, 8)), np.ones((3, 3)))
+    with pytest.raises(ValueError, match="2D"):
+        correlate2d(np.zeros((8, 8)), np.ones((2, 3, 3)))
+
+
+def scipy_correlate(arr, kernel):
+    """One edge-padded pair through ``signal.convolve(method="auto")``."""
+    padded = np.pad(arr, [(n // 2, n // 2) for n in kernel.shape], mode="edge")
+    return signal.convolve(padded, kernel[::-1, ::-1], mode="valid", method="auto")
+
+
+# (map shape, kernel size, the method scipy picks for the padded pair)
+CORRELATE_SIZES = [((5, 6), 3, "direct"), ((40, 52), 9, "fft")]
+
+
+@pytest.mark.parametrize("map_lead, kernel_lead", [
+    ((), (8, 2)),
+    ((8, 1), (8, 2)),
+    ((8, 2), (8, 2)),
+    ((1, 2), (8, 1)),
+])
+@pytest.mark.parametrize("shape, ksize, method", CORRELATE_SIZES)
+def test_correlate_stack_equals_each_pair(map_lead, kernel_lead, shape, ksize, method):
+    rng = np.random.default_rng(11)
+    maps = rng.standard_normal(map_lead + shape)
+    kernels = rng.standard_normal(kernel_lead + (ksize, ksize))
+    half = ksize // 2
+    padded = np.pad(maps[(0,) * len(map_lead)], half, mode="edge")
+    assert signal.choose_conv_method(padded, kernels[(0,) * len(kernel_lead)],
+                                     mode="valid") == method
+    lead = np.broadcast_shapes(map_lead, kernel_lead)
+    got = correlate_stack(maps, kernels)
+    assert got.shape == lead + shape
+    wide_maps = np.broadcast_to(maps, lead + shape)
+    wide_kernels = np.broadcast_to(kernels, lead + (ksize, ksize))
+    for idx in np.ndindex(lead):
+        want = scipy_correlate(wide_maps[idx], wide_kernels[idx])
+        assert np.array_equal(got[idx], want)
+        assert np.array_equal(correlate2d(wide_maps[idx], wide_kernels[idx]), want)
+
+
+def test_correlate_stack_equals_scipy_at_bsds_size():
+    rng = np.random.default_rng(12)
+    arr = rng.random((321, 481))
+    kernels = rng.standard_normal((3, 13, 13))
+    got = correlate_stack(arr, kernels)
+    for k, out in zip(kernels, got):
+        assert np.array_equal(out, scipy_correlate(arr, k))
+
+
+def test_correlate_stack_refusals():
+    maps = np.zeros((8, 1, 9, 9))
+    with pytest.raises(ValueError, match="odd"):
+        correlate_stack(maps, np.zeros((8, 2, 2, 3)))
+    with pytest.raises(ValueError, match="smaller than input"):
+        correlate_stack(maps, np.zeros((8, 2, 9, 9)))
+    kernels = np.ones((8, 2, 3, 3))
+    kernels[3, 1, 1, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        correlate_stack(maps, kernels)
+    with pytest.raises(ValueError, match="do not broadcast"):
+        correlate_stack(np.zeros((3, 9, 9)), np.ones((8, 2, 3, 3)))
+    with pytest.raises(ValueError, match="non-empty"):
+        correlate_stack(np.zeros(9), np.ones((3, 3)))
 
 
 # --------------------------------------------------------------- resample

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from fgo.channels import compute_orientation_channels
-from fgo.grid import SQRT2, build_pyramid, correlate2d, resample
+from fgo.grid import SQRT2, NormalizationParams, build_pyramid, correlate2d, resample
 from fgo.filters import (
     DoGParams,
     GaborParams,
@@ -16,6 +17,7 @@ from fgo.ownership import (
     ContextParams,
     ModelWeights,
     OrientedCSParams,
+    _peak_competition,
     _ring_bank,
     bo_direction,
     combine_bo,
@@ -88,6 +90,23 @@ def oracle_ring_responses(evidence, shape):
             kernel = make_von_mises(VonMisesParams(bo_direction(t, s), size=size))
             out[t, s] = correlate2d(evidence(t, s), kernel)
     return out
+
+
+def oracle_peak_competition(scaled, params):
+    """The peak factor with each plateau's maximum from ``ndimage.maximum``."""
+    top = scaled.max()
+    if top <= 0:
+        return np.zeros_like(scaled)
+    window_max = ndimage.maximum_filter(
+        scaled, size=params.local_max_window, mode="constant", cval=-np.inf
+    )
+    tol = params.plateau_tolerance * top
+    labels, count = ndimage.label(
+        (scaled >= window_max - tol) & (scaled > tol), structure=np.ones((3, 3))
+    )
+    peaks = np.sort(ndimage.maximum(scaled, labels, np.arange(1, count + 1)))[:-1]
+    mean_rival = peaks.mean() if peaks.size else 0.0
+    return scaled * (top - mean_rival) ** 2
 
 
 def oracle_gate(c, excite, inhibit, s, w_opp):
@@ -281,6 +300,39 @@ def test_cs_stack_holds_each_pyramid_with_its_own_kernel():
     for ti, theta in enumerate(thetas):
         for k, level in enumerate(oriented_cs(carriers[ti], theta)):
             assert np.array_equal(stacked[k][ti], level[0])
+
+
+# --------------------------------------------------------- normalization
+
+def _competition_maps():
+    rng = np.random.default_rng(8)
+    maps = {}
+    for k in range(3):
+        # coarse random levels give plateaus of equal peaks
+        maps[f"plateaus{k}"] = np.round(rng.random((23, 31)) * 4) / 4
+        maps[f"smooth{k}"] = ndimage.uniform_filter(rng.random((23, 31)), 5)
+    single = np.zeros((17, 19))
+    single[8, 9] = 0.7
+    maps["single_peak"] = single
+    maps["no_peak"] = np.zeros((17, 19))
+    maps["negative"] = -rng.random((9, 9))
+    return maps
+
+
+COMPETITION_MAPS = _competition_maps()
+
+
+@pytest.mark.parametrize("name", sorted(COMPETITION_MAPS))
+@pytest.mark.parametrize(
+    "params",
+    [NormalizationParams(), NormalizationParams(local_max_window=5, plateau_tolerance=0.1)],
+    ids=["default", "wide"],
+)
+def test_peak_competition_matches_label_maximum_oracle(name, params):
+    scaled = COMPETITION_MAPS[name]
+    assert np.array_equal(
+        _peak_competition(scaled, params), oracle_peak_competition(scaled, params)
+    )
 
 
 # ------------------------------------------------------- contrast route

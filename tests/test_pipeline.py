@@ -180,3 +180,30 @@ class TestPrepareFinalize:
     def test_params_validation(self):
         with pytest.raises(ValueError):
             PipelineParams(n_scales=0)
+
+
+class TestInputContract:
+    """Images the native filter banks or the pyramid do not fit are
+    refused up front, with the limit in the message."""
+
+    def test_sa_bank_needs_more_than_25_px(self):
+        image = np.full((24, 24), 0.5)
+        with pytest.raises(ValueError, match=r"24x24 .*largest filter \(25 px\).*26 px"):
+            prepare_components(image, ModelWeights(0.35, 0.65, 0.0))
+        # the contrast route alone fits, and so does SA one pixel past the limit
+        assert prepare_components(image, ModelWeights()).bo_sa is None
+        prep = prepare_components(np.full((26, 26), 0.5), ModelWeights(0.35, 0.65, 0.0))
+        assert prep.bo_sa is not None
+
+    def test_carrier_gabor_needs_more_than_15_px(self):
+        with pytest.raises(ValueError, match=r"8x300 .*carrier Gabor \(15 px\).*16 px"):
+            prepare_components(np.full((8, 300), 0.5))
+        prep = prepare_components(np.full((16, 16), 0.5))
+        assert len(prep.level_dims) == 10
+
+    def test_pyramid_levels_need_2x2_cells(self):
+        image = np.full((128, 128), 0.5)
+        with pytest.raises(ValueError, match=r"n_scales=10 .*1x1 at level 7; at most 7 levels"):
+            prepare_components(image, params=PipelineParams(pyramid_factor=2.0))
+        prep = prepare_components(image, params=PipelineParams(n_scales=7, pyramid_factor=2.0))
+        assert prep.level_dims[-1] == (2, 2)
