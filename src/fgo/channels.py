@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .filters import GaborParams, complex_response
-from .grid import Pyramid, build_pyramid, as_map
+from .filters import GaborParams, make_gabor
+from .grid import Pyramid, as_map, build_pyramid, correlate_stack
 
 N_ORIENTATIONS = 8
 ORIENTATIONS = tuple(i * math.pi / N_ORIENTATIONS for i in range(N_ORIENTATIONS))
@@ -90,12 +90,19 @@ def compute_color_opponency(image: RGBImage) -> Opponency:
 
 
 def compute_orientation_channels(intensity, base: GaborParams | None = None):
-    """Complex-cell energy of the intensity map at the eight orientations."""
+    """Complex-cell energy of the intensity map at the eight orientations.
+
+    The energy is the magnitude of the quadrature pair: the map is
+    correlated with one (8, 2) bank of even and odd Gabors
+    (:func:`correlate_stack`), so it is transformed once.
+    """
     if base is None:
         base = GaborParams(theta=0.0)
-    return tuple(
-        complex_response(intensity, replace(base, theta=theta)) for theta in ORIENTATIONS
-    )
+    bank = np.array([
+        [make_gabor(replace(base, theta=theta), parity) for parity in ("even", "odd")]
+        for theta in ORIENTATIONS
+    ])
+    return tuple(np.hypot(even, odd) for even, odd in correlate_stack(intensity, bank))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Filter kernel factories and the oriented complex response.
+"""Filter kernel factories.
 
 Kernels are built on a centered odd-sized lattice where the cell at
 offset ``(row, col)`` has coordinates ``x = col`` and ``y = row``, matching
@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import i0
-
-from .grid import correlate2d
 
 
 def odd_size_for(extent: float, minimum: int = 3) -> int:
@@ -89,13 +87,6 @@ def make_gabor(params: GaborParams, parity: str = "even") -> np.ndarray:
         kernel = envelope * np.cos(params.omega * across)
         return kernel - kernel.mean()
     return envelope * np.sin(params.omega * across)
-
-
-def complex_response(image, params: GaborParams) -> np.ndarray:
-    """Orientation energy: magnitude of the even/odd quadrature pair."""
-    even = correlate2d(image, make_gabor(params, "even"))
-    odd = correlate2d(image, make_gabor(params, "odd"))
-    return np.hypot(even, odd)
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,14 @@ the unit direction ``(dx, dy) = (cos a, sin a)``. So ``a = 0`` points
 right and ``a = pi/2`` points down the rows.
 
 Correlation and pooling take ``(..., rows, cols)`` stacks of maps.
-:func:`correlate_stack` pairs maps and kernels by broadcasting their
-leading axes, so a map shared by a whole kernel bank (one evidence map
-per polarity against the 16 ring kernels, say) is passed once, not
-tiled to the bank's shape, and is transformed once.
+Every filter bank of the model (the quadrature carriers, the
+center-surround kernels, the ring kernels and the spectral-anisotropy
+bank) goes through :func:`correlate_stack`, which always uses the FFT
+and stays within about 1e-12 relative of a direct sum. It pairs maps
+and kernels by broadcasting their leading axes, so a map shared by a
+whole kernel bank (one evidence map per polarity against the 16 ring
+kernels, say) is passed once, not tiled to the bank's shape, and is
+transformed once.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft, signal, sparse
+from scipy import fft, sparse
 
 SQRT2 = math.sqrt(2.0)
 
@@ -47,31 +51,22 @@ def _as_stack(values, name: str) -> np.ndarray:
     return arr
 
 
-def correlate2d(input_map, kernel) -> np.ndarray:
-    """Correlate one 2D map with one odd-sized 2D kernel, replicating edge values.
-
-    Output matches the input dimensions. The kernel is anchored at its
-    center cell, so ``out[r, c] = sum_{u,v} kernel[u, v] *
-    padded[r + u, c + v]`` with the pad width equal to the kernel
-    half-size on every border. This is the single-pair case of
-    :func:`correlate_stack`.
-    """
-    return correlate_stack(as_map(input_map, "input"), as_map(kernel, "kernel"))
-
-
 def correlate_stack(maps, kernels) -> np.ndarray:
     """Correlate a ``(..., rows, cols)`` map stack with a ``(..., kh, kw)``
-    kernel stack whose leading axes broadcast.
+    stack of odd-sized kernels whose leading axes broadcast, replicating
+    edge values.
 
-    Output ``[i]`` equals that of the broadcast pair ``[i]`` bit for
-    bit: scipy's ``signal.convolve(method="auto")`` of the edge-padded
-    map and the flipped kernel. When scipy picks the FFT, each distinct
-    map is padded and transformed once at scipy's transform length, and
-    each output takes one kernel transform and one inverse, with one map
-    and one kernel spectrum alive at a time. The product is map spectrum
-    times kernel spectrum, both named: an unnamed kernel spectrum lets
-    numpy reuse the temporary and multiply in the other order, which
-    moves the last bits.
+    Output ``[i]`` matches its map's dimensions: the kernel is anchored
+    at its center cell, so ``out[i][r, c] = sum_{u,v} kernel[u, v] *
+    padded[r + u, c + v]`` with the pad width equal to the kernel
+    half-size on every border. The method is always the FFT, within
+    about 1e-12 relative of that direct sum; a 1x1 kernel is an exact
+    scale. Each distinct map is padded and transformed once at scipy's
+    ``next_fast_len`` length, and each output takes one kernel transform
+    and one inverse, with one map and one kernel spectrum alive at a
+    time. The product is map spectrum times kernel spectrum, both named:
+    an unnamed kernel spectrum lets numpy reuse the temporary and
+    multiply in the other order, which moves the last bits.
     """
     maps = _as_stack(maps, "input")
     kernels = _as_stack(kernels, "kernel")
@@ -90,27 +85,19 @@ def correlate_stack(maps, kernels) -> np.ndarray:
             f"leading axes of maps {maps.shape} and kernels {kernels.shape} "
             f"do not broadcast"
         ) from None
+    if (kh, kw) == (1, 1):
+        return maps * kernels
     maps = maps.reshape((1,) * (len(lead) + 2 - maps.ndim) + maps.shape)
     # correlation == convolution with the kernel flipped in both axes
     flipped = np.broadcast_to(kernels, lead + (kh, kw))[..., ::-1, ::-1]
     pad = ((kh // 2, kh // 2), (kw // 2, kw // 2))
     fshape = [fft.next_fast_len(n + 2 * (k - 1), True) for n, k in ((rows, kh), (cols, kw))]
-    # scipy's choice for a padded map and a flipped kernel depends on
-    # their shapes alone; it skips the transform along a length-1 axis
-    method = signal.choose_conv_method(
-        np.zeros((rows + kh - 1, cols + kw - 1)), flipped[(0,) * len(lead)], mode="valid"
-    )
     out = np.empty(lead + (rows, cols))
     for index in np.ndindex(maps.shape[:-2]):
-        padded = np.pad(maps[index], pad, mode="edge")
+        spectrum = fft.rfftn(np.pad(maps[index], pad, mode="edge"), fshape, axes=(0, 1))
         # the outputs (and kernels) that share this map
         share = tuple(i if n > 1 else slice(None) for i, n in zip(index, maps.shape))
         targets, bank = out[share], flipped[share]
-        if method == "direct" or 1 in (kh, kw):
-            for pair in np.ndindex(targets.shape[:-2]):
-                targets[pair] = signal.convolve(padded, bank[pair], mode="valid", method=method)
-            continue
-        spectrum = fft.rfftn(padded, fshape, axes=(0, 1))
         for pair in np.ndindex(targets.shape[:-2]):
             k_spectrum = fft.rfftn(bank[pair], fshape, axes=(0, 1))
             full = fft.irfftn(spectrum * k_spectrum, fshape, axes=(0, 1))
@@ -154,7 +141,8 @@ def _row_operator(level_rows: tuple, rows: int, weights: tuple) -> sparse.csr_ar
 
 
 def pool_resampled(levels, rows: int, cols: int, weights) -> np.ndarray:
-    """``sum_j weights[j] * resample(levels[j] -> rows x cols)``.
+    """``sum_j weights[j] * resample(levels[j] -> rows x cols)``, the
+    resample bilinear and corner-aligned.
 
     Every level is a ``(..., r_j, c_j)`` array with the same leading
     shape, and the sum is taken over the last two axes of each map. Per
@@ -187,11 +175,6 @@ def pool_resampled(levels, rows: int, cols: int, weights) -> np.ndarray:
     return out
 
 
-def resample(input_map, rows: int, cols: int) -> np.ndarray:
-    """Bilinearly resample the last two axes to ``rows x cols`` (corner-aligned)."""
-    return pool_resampled([input_map], rows, cols, (1.0,))
-
-
 @dataclass(frozen=True)
 class NormalizationParams:
     """Controls the within-map competition normalization."""
@@ -210,17 +193,6 @@ class NormalizationParams:
             raise ValueError(
                 f"plateau_tolerance must be in [0, 1), got {self.plateau_tolerance}"
             )
-
-
-def cross_scale_sum(levels, rows: int, cols: int) -> np.ndarray:
-    """Resample every ``(..., r, c)`` level to ``rows x cols`` and add them.
-
-    One :func:`pool_resampled` call with unit weights: the levels are
-    pooled in one sparse product per map rather than resampled and
-    accumulated one by one, which reassociates the sum (exact to about
-    1e-15 relative).
-    """
-    return pool_resampled(levels, rows, cols, (1.0,) * len(levels))
 
 
 @dataclass(frozen=True)
@@ -270,5 +242,5 @@ def build_pyramid(base, n_scales: int, factor: float = SQRT2) -> Pyramid:
             raise ValueError(
                 f"pyramid level would collapse below 1x1 (n_scales={n_scales})"
             )
-        levels.append(resample(levels[-1], rows, cols))
+        levels.append(pool_resampled([levels[-1]], rows, cols, (1.0,)))
     return Pyramid(levels=tuple(levels), factor=factor)

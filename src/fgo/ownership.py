@@ -40,14 +40,7 @@ from scipy import ndimage
 from .channels import N_ORIENTATIONS, ORIENTATIONS
 from .cues import SIDE_SIGNS
 from .filters import VonMisesParams, clamp_kernel_size, make_von_mises
-from .grid import (
-    NormalizationParams,
-    build_pyramid,
-    correlate2d,
-    correlate_stack,
-    cross_scale_sum,
-    pool_resampled,
-)
+from .grid import NormalizationParams, build_pyramid, correlate_stack, pool_resampled
 
 N_SIDES = 2
 
@@ -134,26 +127,31 @@ def cs_pyramids(features, kernel_params, make_kernel) -> list:
     Gaussians (``make_center_surround``), or the eight orientation
     pyramids with an even Gabor at each one's own orientation
     (``make_gabor``), since feature contrast along an edge is not
-    isotropic. Each level is correlated with ``make_kernel(setting)``,
-    its size clamped to fit the level. Level k comes back as one
+    isotropic. Each level is one :func:`correlate_stack` call over the
+    stacked pyramids and their kernels ``make_kernel(setting)``, each
+    clamped to fit the level. Level k comes back as one
     (n, 2, rows, cols) stack, n the number of pyramids: side index 0 is
     the light evidence ``max(0, response)`` (bright structure on a dark
     ground), index 1 the dark evidence ``max(0, -response)``. A single
     shared (1, 2, rows, cols) stack broadcasts to every orientation.
     """
     features = tuple(features)
+    kernel_params = tuple(kernel_params)
+    if len(kernel_params) != len(features):
+        raise ValueError(
+            f"got {len(kernel_params)} kernel settings for {len(features)} feature pyramids"
+        )
     dims = features[0].dims
     if any(f.dims != dims for f in features[1:]):
         raise ValueError("feature pyramids must align level by level")
     out = []
     for k, shape in enumerate(dims):
-        stack = np.empty((len(features), N_SIDES) + shape)
-        for feature, setting, cell in zip(features, kernel_params, stack, strict=True):
-            size = clamp_kernel_size(setting.resolved_size(), shape)
-            response = correlate2d(feature[k], make_kernel(replace(setting, size=size)))
-            np.maximum(0.0, response, out=cell[0])
-            np.maximum(0.0, -response, out=cell[1])
-        out.append(stack)
+        kernels = np.array([
+            make_kernel(replace(s, size=clamp_kernel_size(s.resolved_size(), shape)))
+            for s in kernel_params
+        ])
+        response = correlate_stack(np.array([f[k] for f in features]), kernels)
+        out.append(np.stack([np.maximum(0.0, response), np.maximum(0.0, -response)], axis=1))
     return out
 
 
@@ -481,9 +479,10 @@ def final_bo_maps(winning_per_feature, weights: ModelWeights = ModelWeights()) -
     ``weights.feature_weights``; passing fewer sets uses the leading
     weights. Every level of the weighted feature sum is up-sampled to
     the native (level 0) dimensions and added, giving one
-    (8, 2, rows, cols) stack: one :func:`cross_scale_sum` (the pooled
-    sparse operator) over whole stacks, which reassociates the sum of
-    per-level resamples (exact to about 1e-15 relative).
+    (8, 2, rows, cols) stack: one unit-weight :func:`pool_resampled`
+    call (the pooled sparse operator) over whole stacks, which
+    reassociates the sum of per-level resamples (exact to about 1e-15
+    relative).
     """
     sets = [list(s) for s in winning_per_feature]
     if not sets:
@@ -498,4 +497,4 @@ def final_bo_maps(winning_per_feature, weights: ModelWeights = ModelWeights()) -
         sum(w * feature_set[k] for w, feature_set in zip(weights.feature_weights, sets))
         for k in range(len(sets[0]))
     ]
-    return cross_scale_sum(weighted, *weighted[0].shape[-2:])
+    return pool_resampled(weighted, *weighted[0].shape[-2:], (1.0,) * len(weighted))

@@ -25,7 +25,7 @@ from fgo.evaluation import (
     right_tailed_t_test,
     score_directions,
 )
-from fgo.grid import correlate2d, cross_scale_sum
+from fgo.grid import correlate_stack, pool_resampled
 from fgo.ownership import ModelWeights, winning_bo
 from fgo.pipeline import (
     PipelineParams,
@@ -126,7 +126,7 @@ def test_01_oracle_equivalence():
         k = int(rng.choice([1, 3, 5]))
         kernel = rng.normal(size=(k, k))
         delta = np.abs(
-            correlate2d(arr, kernel) - _oracle_correlate2d(arr, kernel)
+            correlate_stack(arr, kernel) - _oracle_correlate2d(arr, kernel)
         ).max()
         worst = max(worst, delta)
 
@@ -138,7 +138,7 @@ def test_01_oracle_equivalence():
         rows = int(rng.integers(1, 13))
         cols = int(rng.integers(1, 13))
         delta = np.abs(
-            cross_scale_sum(levels, rows, cols)
+            pool_resampled(levels, rows, cols, (1.0,) * len(levels))
             - _oracle_bilinear_sum(levels, rows, cols)
         ).max()
         worst = max(worst, delta)

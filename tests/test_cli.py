@@ -1,8 +1,13 @@
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fgo
 from fgo.channels import RGBImage
 from fgo.cli import main, parse_manifest
 from fgo.config import RunConfig, apply_assignment
@@ -12,6 +17,16 @@ from fgo.ownership import ModelWeights
 from fgo.pipeline import finalize_components, prepare_components
 
 FAST = ["--set", "nScales=4"]
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    # scipy.signal pulls in scipy.stats, about a second of every start
+    env = dict(os.environ, PYTHONPATH=str(Path(fgo.__file__).parents[1]))
+    code = "import sys, fgo.cli; print('scipy.signal' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 def synth(tmp_path, kind, name, extra=()):

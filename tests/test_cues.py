@@ -23,7 +23,7 @@ from fgo.cues import (
     trace_contour,
 )
 from fgo.filters import GaborParams, make_gabor
-from fgo.grid import correlate2d
+from fgo.grid import correlate_stack
 
 
 # ----------------------------------------------------------- fixtures
@@ -78,10 +78,10 @@ def oracle_sa_maps(intensity, params=SAParams()):
         sigma = params.sigma_factor * radius
         omega_even, omega_odd = params.frequencies(size)
         for ti, theta in enumerate(ORIENTATIONS):
-            even = correlate2d(intensity, make_gabor(
+            even = correlate_stack(intensity, make_gabor(
                 GaborParams(theta=theta, sigma=sigma, gamma=params.gamma,
                             omega=omega_even, size=size), "even"))
-            odd = correlate2d(intensity, make_gabor(
+            odd = correlate_stack(intensity, make_gabor(
                 GaborParams(theta=theta, sigma=sigma, gamma=params.gamma,
                             omega=omega_odd, size=size), "odd"))
             magnitude = np.hypot(even, odd)

@@ -8,12 +8,9 @@ from fgo.grid import (
     NormalizationParams,
     Pyramid,
     build_pyramid,
-    correlate2d,
     correlate_stack,
-    cross_scale_sum,
     next_level_dims,
     pool_resampled,
-    resample,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -22,20 +19,15 @@ SQRT2 = math.sqrt(2.0)
 # ---------------------------------------------------------------- oracles
 
 def oracle_correlate(arr, kernel):
-    """Quadruple-loop correlation with explicit edge replication."""
+    """Direct sum over the kernel cells with explicit edge replication."""
     rows, cols = arr.shape
     kh, kw = kernel.shape
-    cu, cv = kh // 2, kw // 2
     out = np.zeros((rows, cols))
-    for r in range(rows):
-        for c in range(cols):
-            acc = 0.0
-            for u in range(kh):
-                for v in range(kw):
-                    rr = min(max(r + u - cu, 0), rows - 1)
-                    cc = min(max(c + v - cv, 0), cols - 1)
-                    acc += kernel[u, v] * arr[rr, cc]
-            out[r, c] = acc
+    for u in range(kh):
+        rr = np.clip(np.arange(rows) + u - kh // 2, 0, rows - 1)
+        for v in range(kw):
+            cc = np.clip(np.arange(cols) + v - kw // 2, 0, cols - 1)
+            out += kernel[u, v] * arr[np.ix_(rr, cc)]
     return out
 
 
@@ -74,13 +66,13 @@ def assert_rel_close(got, want, rel=1e-12):
 def test_correlate_identity_kernel():
     rng = np.random.default_rng(0)
     arr = rng.random((6, 7))
-    out = correlate2d(arr, np.ones((1, 1)))
+    out = correlate_stack(arr, np.ones((1, 1)))
     assert np.array_equal(out, arr)
 
 
 def test_correlate_constant_input_gives_kernel_sum():
     kernel = np.arange(9, dtype=float).reshape(3, 3)
-    out = correlate2d(np.full((5, 5), 2.0), kernel)
+    out = correlate_stack(np.full((5, 5), 2.0), kernel)
     assert np.allclose(out, 2.0 * kernel.sum(), atol=1e-12)
 
 
@@ -89,14 +81,14 @@ def test_correlate_matches_bruteforce_oracle():
     for _ in range(20):
         arr = rng.standard_normal((8, 8))
         kernel = rng.standard_normal((3, 3))
-        assert np.abs(correlate2d(arr, kernel) - oracle_correlate(arr, kernel)).max() < 1e-9
+        assert np.abs(correlate_stack(arr, kernel) - oracle_correlate(arr, kernel)).max() < 1e-9
 
 
 def test_correlate_bruteforce_asymmetric_kernel_sizes():
     rng = np.random.default_rng(7)
     arr = rng.standard_normal((9, 12))
     kernel = rng.standard_normal((5, 3))
-    assert np.abs(correlate2d(arr, kernel) - oracle_correlate(arr, kernel)).max() < 1e-9
+    assert np.abs(correlate_stack(arr, kernel) - oracle_correlate(arr, kernel)).max() < 1e-9
 
 
 def test_correlate_linearity():
@@ -105,71 +97,61 @@ def test_correlate_linearity():
         a = rng.standard_normal((16, 16))
         b = rng.standard_normal((16, 16))
         k = rng.standard_normal((5, 5))
-        lhs = correlate2d(2.5 * a + b, k)
-        rhs = 2.5 * correlate2d(a, k) + correlate2d(b, k)
+        lhs = correlate_stack(2.5 * a + b, k)
+        rhs = 2.5 * correlate_stack(a, k) + correlate_stack(b, k)
         assert np.abs(lhs - rhs).max() < 1e-10
 
 
 def test_correlate_rejects_even_kernel():
     with pytest.raises(ValueError):
-        correlate2d(np.zeros((8, 8)), np.zeros((2, 3)))
+        correlate_stack(np.zeros((8, 8)), np.zeros((2, 3)))
 
 
 def test_correlate_rejects_oversized_kernel():
     with pytest.raises(ValueError):
-        correlate2d(np.zeros((5, 5)), np.zeros((7, 7)))
+        correlate_stack(np.zeros((5, 5)), np.zeros((7, 7)))
     with pytest.raises(ValueError):
-        correlate2d(np.zeros((5, 5)), np.zeros((5, 5)))
+        correlate_stack(np.zeros((5, 5)), np.zeros((5, 5)))
 
 
 def test_correlate_rejects_nonfinite():
     arr = np.zeros((5, 5))
     arr[2, 2] = np.nan
     with pytest.raises(ValueError):
-        correlate2d(arr, np.ones((3, 3)))
+        correlate_stack(arr, np.ones((3, 3)))
 
 
-def test_correlate2d_refuses_a_stack():
-    with pytest.raises(ValueError, match="2D"):
-        correlate2d(np.zeros((2, 8, 8)), np.ones((3, 3)))
-    with pytest.raises(ValueError, match="2D"):
-        correlate2d(np.zeros((8, 8)), np.ones((2, 3, 3)))
-
-
-def scipy_correlate(arr, kernel):
-    """One edge-padded pair through ``signal.convolve(method="auto")``."""
+def scipy_fft_correlate(arr, kernel):
+    """One edge-padded pair through ``signal.convolve(method="fft")``."""
     padded = np.pad(arr, [(n // 2, n // 2) for n in kernel.shape], mode="edge")
-    return signal.convolve(padded, kernel[::-1, ::-1], mode="valid", method="auto")
+    return signal.convolve(padded, kernel[::-1, ::-1], mode="valid", method="fft")
 
 
-# (map shape, kernel size, the method scipy picks for the padded pair)
-CORRELATE_SIZES = [((5, 6), 3, "direct"), ((40, 52), 9, "fft")]
-
-
+# (map shape, kernel size); each id names the method scipy's automatic
+# choice takes for the padded pair, direct summation for the small one
 @pytest.mark.parametrize("map_lead, kernel_lead", [
     ((), (8, 2)),
     ((8, 1), (8, 2)),
     ((8, 2), (8, 2)),
     ((1, 2), (8, 1)),
 ])
-@pytest.mark.parametrize("shape, ksize, method", CORRELATE_SIZES)
-def test_correlate_stack_equals_each_pair(map_lead, kernel_lead, shape, ksize, method):
+@pytest.mark.parametrize("shape, ksize", [
+    pytest.param((5, 6), 3, id="shape0-3-direct"),
+    pytest.param((40, 52), 9, id="shape1-9-fft"),
+])
+def test_correlate_stack_equals_each_pair(map_lead, kernel_lead, shape, ksize):
     rng = np.random.default_rng(11)
     maps = rng.standard_normal(map_lead + shape)
     kernels = rng.standard_normal(kernel_lead + (ksize, ksize))
-    half = ksize // 2
-    padded = np.pad(maps[(0,) * len(map_lead)], half, mode="edge")
-    assert signal.choose_conv_method(padded, kernels[(0,) * len(kernel_lead)],
-                                     mode="valid") == method
     lead = np.broadcast_shapes(map_lead, kernel_lead)
     got = correlate_stack(maps, kernels)
     assert got.shape == lead + shape
     wide_maps = np.broadcast_to(maps, lead + shape)
     wide_kernels = np.broadcast_to(kernels, lead + (ksize, ksize))
     for idx in np.ndindex(lead):
-        want = scipy_correlate(wide_maps[idx], wide_kernels[idx])
-        assert np.array_equal(got[idx], want)
-        assert np.array_equal(correlate2d(wide_maps[idx], wide_kernels[idx]), want)
+        alone = correlate_stack(wide_maps[idx], wide_kernels[idx])
+        assert np.array_equal(got[idx], alone)
+        assert_rel_close(got[idx], oracle_correlate(wide_maps[idx], wide_kernels[idx]))
 
 
 def test_correlate_stack_equals_scipy_at_bsds_size():
@@ -178,7 +160,7 @@ def test_correlate_stack_equals_scipy_at_bsds_size():
     kernels = rng.standard_normal((3, 13, 13))
     got = correlate_stack(arr, kernels)
     for k, out in zip(kernels, got):
-        assert np.array_equal(out, scipy_correlate(arr, k))
+        assert np.array_equal(out, scipy_fft_correlate(arr, k))
 
 
 def test_correlate_stack_refusals():
@@ -197,16 +179,16 @@ def test_correlate_stack_refusals():
         correlate_stack(np.zeros(9), np.ones((3, 3)))
 
 
-# --------------------------------------------------------------- resample
+# ----------------------------------------- resample: one level, weight 1
 
 def test_resample_identity_when_dims_match():
     rng = np.random.default_rng(1)
     arr = rng.random((9, 5))
-    assert np.array_equal(resample(arr, 9, 5), arr)
+    assert np.array_equal(pool_resampled([arr], 9, 5, (1.0,)), arr)
 
 
 def test_resample_preserves_constant():
-    out = resample(np.full((7, 11), 3.25), 4, 6)
+    out = pool_resampled([np.full((7, 11), 3.25)], 4, 6, (1.0,))
     assert np.allclose(out, 3.25, atol=1e-12)
 
 
@@ -214,13 +196,13 @@ def test_resample_ramp_downsample_frozen():
     # v(r, c) = r + c on a 4x4 grid; corner-aligned 2x2 picks the corners.
     arr = np.add.outer(np.arange(4.0), np.arange(4.0))
     expected = np.array([[0.0, 3.0], [3.0, 6.0]])
-    assert np.allclose(resample(arr, 2, 2), expected, atol=1e-12)
+    assert np.allclose(pool_resampled([arr], 2, 2, (1.0,)), expected, atol=1e-12)
 
 
 def test_resample_upsample_frozen():
     arr = np.array([[0.0, 1.0], [10.0, 11.0]])
     expected = np.array([[0.0, 0.5, 1.0], [5.0, 5.5, 6.0], [10.0, 10.5, 11.0]])
-    assert np.allclose(resample(arr, 3, 3), expected, atol=1e-12)
+    assert np.allclose(pool_resampled([arr], 3, 3, (1.0,)), expected, atol=1e-12)
 
 
 def test_resample_exact_on_bilinear_functions():
@@ -231,7 +213,7 @@ def test_resample_exact_on_bilinear_functions():
     for _ in range(5):
         a, b, cc, d = rng.standard_normal(4)
         arr = a + b * r + cc * c + d * r * c
-        out = resample(arr, 11, 17)
+        out = pool_resampled([arr], 11, 17, (1.0,))
         rr = np.linspace(0, 5, 11)[:, None]
         ccs = np.linspace(0, 8, 17)[None, :]
         assert np.abs(out - (a + b * rr + cc * ccs + d * rr * ccs)).max() < 1e-9
@@ -239,12 +221,12 @@ def test_resample_exact_on_bilinear_functions():
 
 def test_resample_single_cell_takes_center():
     arr = np.add.outer(np.arange(5.0), np.arange(5.0))
-    assert resample(arr, 1, 1)[0, 0] == pytest.approx(4.0)
+    assert pool_resampled([arr], 1, 1, (1.0,))[0, 0] == pytest.approx(4.0)
 
 
 def test_resample_rejects_bad_dims():
     with pytest.raises(ValueError):
-        resample(np.ones((4, 4)), 0, 3)
+        pool_resampled([np.ones((4, 4))], 0, 3, (1.0,))
 
 
 # ------------------------------------------------------ NormalizationParams
@@ -281,7 +263,7 @@ def test_pool_matches_per_map_oracle(lead, factor):
                 oracle_pool(levels, rows, cols, weights),
             )
             assert_rel_close(
-                cross_scale_sum(levels, rows, cols),
+                pool_resampled(levels, rows, cols, np.ones(len(dims))),
                 oracle_pool(levels, rows, cols, np.ones(len(dims))),
             )
 
@@ -289,7 +271,7 @@ def test_pool_matches_per_map_oracle(lead, factor):
 def test_pool_single_level_is_resample():
     rng = np.random.default_rng(8)
     stack = rng.standard_normal((3, 7, 10))
-    got = resample(stack, 5, 12)
+    got = pool_resampled([stack], 5, 12, (1.0,))
     for i in range(3):
         assert_rel_close(got[i], oracle_resample(stack[i], 5, 12))
 
@@ -308,12 +290,12 @@ def test_pool_rejects_nonfinite_and_mismatched_leading_shapes():
         pool_resampled([good], 4, 4, (1.0, 1.0))
 
 
-# -------------------------------------------------------- cross_scale_sum
+# ------------------------------------------ cross-scale sum, unit weights
 
 def test_cross_scale_single_level_identity():
     rng = np.random.default_rng(2)
     arr = rng.random((6, 6))
-    assert np.allclose(cross_scale_sum([arr], 6, 6), arr, atol=1e-12)
+    assert np.allclose(pool_resampled([arr], 6, 6, (1.0,)), arr, atol=1e-12)
 
 
 def test_cross_scale_matches_sequential_oracle():
@@ -321,13 +303,13 @@ def test_cross_scale_matches_sequential_oracle():
     levels = [rng.random((8, 8)), rng.random((6, 6)), rng.random((3, 4))]
     expected = np.zeros((8, 8))
     for lvl in levels:
-        expected = expected + resample(lvl, 8, 8)
-    assert np.abs(cross_scale_sum(levels, 8, 8) - expected).max() < 1e-12
+        expected = expected + pool_resampled([lvl], 8, 8, (1.0,))
+    assert np.abs(pool_resampled(levels, 8, 8, (1.0, 1.0, 1.0)) - expected).max() < 1e-12
 
 
 def test_cross_scale_rejects_empty():
     with pytest.raises(ValueError):
-        cross_scale_sum([], 4, 4)
+        pool_resampled([], 4, 4, ())
 
 
 # ---------------------------------------------------------------- pyramid
