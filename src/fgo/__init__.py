@@ -16,7 +16,9 @@ from .evaluation import (
     grid_search_weights,
     load_ground_truth,
     make_split,
+    prepare_scoring,
     right_tailed_t_test,
+    score_weights,
 )
 from .ownership import ModelWeights
 from .pipeline import (
@@ -40,7 +42,9 @@ __all__ = [
     "grid_search_weights",
     "load_ground_truth",
     "make_split",
+    "prepare_scoring",
     "right_tailed_t_test",
+    "score_weights",
     "ModelWeights",
     "PipelineParams",
     "RunResult",

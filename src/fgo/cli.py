@@ -2,7 +2,9 @@
 
 Outputs are plain text (FM1/LM1 maps, key=value reports) and binary
 PGM/PPM images; identical configuration, inputs and seed give
-bit-identical files.
+bit-identical files. ``run`` computes and writes the full final maps;
+``eval`` and ``tune`` prepare each image once and score every weight
+point from its boundary windows (``evaluation.score_weights``).
 """
 
 from __future__ import annotations
@@ -29,11 +31,13 @@ from .evaluation import (
     grid_search_weights,
     load_ground_truth,
     make_split,
+    prepare_scoring,
     right_tailed_t_test,
     score_directions,
+    score_weights,
 )
 from .ownership import N_SIDES
-from .pipeline import finalize_components, prepare_components, run_model
+from .pipeline import prepare_components, run_model
 
 DIRECTION_GRAY_STEP = 15  # winning map index i shown as (i + 1) * 15
 CORRECT_GRAY = 255
@@ -194,9 +198,10 @@ def parse_manifest(path) -> list:
     return entries
 
 
-def _prepare_entry(entry: ManifestEntry, config: RunConfig, need_sa: bool, need_tj: bool):
-    """Read one row's image, label maps and non-empty ground truths and
-    prepare the image: ``(prepared, truths)``, or None without truths."""
+def _scoring_state(entry: ManifestEntry, config: RunConfig, need_sa: bool, need_tj: bool):
+    """Read one row's image, label maps and non-empty ground truths,
+    prepare the image and keep what scoring a weight point reads (a
+    :class:`ScoringState`), or None without truths."""
     image = _read_image(Path(entry.image))
     contours, segments = _load_labels(entry.contours, entry.segments)
     gts = [load_ground_truth(io.read_signed_map(p)) for p in entry.gts]
@@ -212,21 +217,20 @@ def _prepare_entry(entry: ManifestEntry, config: RunConfig, need_sa: bool, need_
         need_sa=need_sa,
         need_tj=need_tj,
     )
-    return prepared, gts
+    return prepare_scoring(prepared, gts)
 
 
 def _score_entry(entry: ManifestEntry, config: RunConfig, weight_sets) -> list:
     """One :class:`FGCAResult` per weight set for one image."""
-    loaded = _prepare_entry(
+    state = _scoring_state(
         entry,
         config,
         need_sa=any(w.alpha_sa > 0 for w in weight_sets),
         need_tj=any(w.alpha_tj > 0 for w in weight_sets),
     )
-    if loaded is None:
+    if state is None:
         raise ValueError("no usable ground truth records")
-    prepared, gts = loaded
-    return [compute_fgca(finalize_components(prepared, w).final, gts) for w in weight_sets]
+    return [score_weights(state, w) for w in weight_sets]
 
 
 def _eval_task(task):
@@ -335,13 +339,13 @@ def cmd_tune(args) -> int:
 
     loaded = {}
     for entry in train:
-        row = _prepare_entry(
+        state = _scoring_state(
             entry, config, need_sa="alpha_sa" in names, need_tj="alpha_tj" in names
         )
-        if row is None:
+        if state is None:
             print(f"skipped {entry.image_id}: no ground truth records", file=sys.stderr)
         else:
-            loaded[entry.image_id] = row
+            loaded[entry.image_id] = state
     if not loaded:
         print("no usable training images", file=sys.stderr)
         return 1
@@ -349,8 +353,7 @@ def cmd_tune(args) -> int:
     def objective(weights) -> float:
         """Pixel-weighted FGCA over the train half, as ``eval`` reports it."""
         scores = {
-            image_id: compute_fgca(finalize_components(prepared, weights).final, gts)
-            for image_id, (prepared, gts) in loaded.items()
+            image_id: score_weights(state, weights) for image_id, state in loaded.items()
         }
         return build_report(scores).aggregate
 

@@ -5,6 +5,12 @@ boundary, -1 cells the boundary pixels to score. A decision at a scored
 pixel is the direction of the strongest final ownership response
 nearby; it counts as correct when it points into the annotated figure
 half-plane, and an undecidable pixel counts half.
+
+:func:`compute_fgca` scores full final maps (``fgo run``). A weight
+sweep (``fgo eval``, ``fgo tune``) scores each weight point with
+:func:`score_weights` instead, from a :class:`ScoringState` that holds
+only the pyramid cells feeding the boundary windows; both decide
+through :func:`decide_windows` and agree bit for bit.
 """
 
 from __future__ import annotations
@@ -14,10 +20,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+from scipy import sparse, special
 
 from .channels import N_ORIENTATIONS
-from .ownership import N_SIDES, ModelWeights, bo_direction
+from .grid import pool_operators_at
+from .ownership import N_SIDES, ModelWeights, bo_direction, combine_bo, winning_bo
+from .pipeline import PreparedImage, applied_weights
 
 _NEIGHBOR_OFFSETS = tuple(
     (dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if (dr, dc) != (0, 0)
@@ -101,27 +109,45 @@ def load_ground_truth(signed) -> FGGroundTruth:
     )
 
 
-def decisions_for(final: np.ndarray, gt: FGGroundTruth):
-    """Per-record decision directions and tie flags.
+def _window_cells(gt: FGGroundTruth, rows: int, cols: int):
+    """``(rr, cc)``, each ``(records, 9)``: the 3x3 window of every record.
 
-    At each record the strongest final response within the 3x3 window
-    (clipped at the image border) wins, and its ownership direction is
-    the decision; equal maxima of two orientations go to the first map
-    index. No positive response at all, or an exact tie between the two
-    sides of one orientation, is a tie with a zero direction.
+    Clipping an index to the border repeats a cell of the clipped
+    window, so window maxima over the clipped window are exact.
     """
-    rows, cols = final.shape[-2:]
-    # clipping an index to the border repeats a cell of the clipped
-    # window, so the window maxima are exact
     rr = np.clip(gt.y[:, None] + _WINDOW[:, 0], 0, rows - 1)
     cc = np.clip(gt.x[:, None] + _WINDOW[:, 1], 0, cols - 1)
-    strongest = np.moveaxis(final[:, :, rr, cc].max(axis=3), 2, 0)
-    best = strongest.max(axis=(1, 2))
-    winners = strongest == best[:, None, None]
-    ties = (best <= 0) | winners.all(axis=2).any(axis=1)
-    first = winners.reshape(len(gt), len(_DIRECTIONS)).argmax(axis=1)
+    return rr, cc
+
+
+def decide_windows(windows: np.ndarray):
+    """Per-record decision directions and tie flags from window values.
+
+    ``windows`` is ``(records, 9, 16)``: the final responses of the 16
+    (orientation, side) maps, in map order, at the cells of each
+    record's 3x3 window. The strongest response in the window wins, and
+    its ownership direction is the decision; equal maxima of two
+    orientations go to the first map index. No positive response at
+    all, or an exact tie between the two sides of one orientation, is a
+    tie with a zero direction.
+    """
+    strongest = windows.max(axis=1)
+    best = strongest.max(axis=1)
+    winners = strongest == best[:, None]
+    ties = (best <= 0) | winners.reshape(-1, N_ORIENTATIONS, N_SIDES).all(axis=2).any(axis=1)
+    first = winners.argmax(axis=1)
     dirs = np.where(ties[:, None], 0.0, _DIRECTIONS[first])
     return dirs, ties
+
+
+def decisions_for(final: np.ndarray, gt: FGGroundTruth):
+    """Per-record decision directions and tie flags of an (8, 2, rows,
+    cols) final stack: :func:`decide_windows` on each record's 3x3
+    window, clipped at the image border."""
+    rows, cols = final.shape[-2:]
+    rr, cc = _window_cells(gt, rows, cols)
+    maps = final.reshape(len(_DIRECTIONS), rows, cols)
+    return decide_windows(np.moveaxis(maps[:, rr, cc], 0, -1))
 
 
 def score_directions(gt: FGGroundTruth, dirs, ties) -> np.ndarray:
@@ -142,22 +168,21 @@ class FGCAResult:
     ties: int
 
 
-def compute_fgca(final: np.ndarray, gts) -> FGCAResult:
-    """Figure-ground classification accuracy of one image.
-
-    ``gts`` is one ground truth or a sequence of them (two annotators);
-    the reported accuracy is the mean of the per-truth accuracies while
-    the correctness/pixel sums pool every record for pixel-weighted
-    aggregation.
-    """
+def _truths(gts) -> tuple:
+    """One ground truth or a sequence of them, as a non-empty tuple of
+    non-empty truths."""
     if isinstance(gts, FGGroundTruth):
         gts = (gts,)
     gts = tuple(gts)
     if not gts or any(len(gt) == 0 for gt in gts):
         raise ValueError("cannot score an empty ground truth")
+    return gts
+
+
+def _fgca(gts, decisions) -> FGCAResult:
+    """Pool ``(dirs, ties)`` decisions, one pair per truth, into FGCA."""
     accuracies, correct, pixels, ties = [], 0.0, 0, 0
-    for gt in gts:
-        dirs, tie_flags = decisions_for(final, gt)
+    for gt, (dirs, tie_flags) in zip(gts, decisions, strict=True):
         scores = score_directions(gt, dirs, tie_flags)
         accuracies.append(float(scores.mean()))
         correct += float(scores.sum())
@@ -166,6 +191,124 @@ def compute_fgca(final: np.ndarray, gts) -> FGCAResult:
     return FGCAResult(
         accuracy=float(np.mean(accuracies)), correct=correct, pixels=pixels, ties=ties
     )
+
+
+def compute_fgca(final: np.ndarray, gts) -> FGCAResult:
+    """Figure-ground classification accuracy of one image.
+
+    ``gts`` is one ground truth or a sequence of them (two annotators);
+    the reported accuracy is the mean of the per-truth accuracies while
+    the correctness/pixel sums pool every record for pixel-weighted
+    aggregation.
+    """
+    gts = _truths(gts)
+    return _fgca(gts, [decisions_for(final, gt) for gt in gts])
+
+
+# ----------------------------------------------------------------------
+# scoring weight points near the ground truth
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ScoringState:
+    """What scoring one image under any alpha triple needs, and no more.
+
+    A decision reads the final maps only in the 3x3 windows of the
+    boundary records, and the final maps pool the level stacks
+    bilinearly, so a weight point needs the level cells that feed those
+    windows alone. Built by :func:`prepare_scoring`; it keeps no
+    reference to the :class:`PreparedImage`.
+
+    ``windows`` holds, per truth, the ``(records, 9)`` indexes of each
+    window's cells among the pooled target cells; ``r1`` and ``r2`` are
+    the restricted pool (:func:`grid.pool_operators_at`). The ownership
+    stacks are gathered at the level cells, all levels side by side, as
+    one (8, 2, 1, M) stack: ``fixed`` is the weighted colour plus
+    intensity winners, and ``bo_contrast``/``bo_sa``/``bo_tj`` hold the
+    orientation routes as one-level lists, the form
+    :func:`ownership.combine_bo` takes (None when not prepared).
+    """
+
+    base: ModelWeights
+    have_labels: bool
+    gts: tuple
+    windows: tuple
+    r1: sparse.csr_array
+    r2: sparse.csr_array
+    fixed: np.ndarray
+    bo_contrast: list | None
+    bo_sa: list | None
+    bo_tj: list | None
+
+
+def prepare_scoring(prepared: PreparedImage, gts) -> ScoringState:
+    """Gather from a prepared image what :func:`score_weights` reads for
+    the given ground truths (one or a sequence, none empty)."""
+    gts = _truths(gts)
+    rows, cols = prepared.level_dims[0]
+    flat = np.concatenate(
+        [np.ravel_multi_index(_window_cells(gt, rows, cols), (rows, cols)) for gt in gts]
+    )
+    targets, where = np.unique(flat.ravel(), return_inverse=True)
+    windows = tuple(
+        np.split(where.reshape(flat.shape), np.cumsum([len(gt) for gt in gts])[:-1])
+    )
+    level_cells, r1, r2 = pool_operators_at(
+        prepared.level_dims,
+        rows,
+        cols,
+        (1.0,) * len(prepared.level_dims),
+        np.stack(np.unravel_index(targets, (rows, cols)), axis=1),
+    )
+
+    def gather(levels):
+        """The level stacks at the level cells, as a one-level list."""
+        if levels is None:
+            return None
+        cells = [
+            level.reshape(N_ORIENTATIONS, N_SIDES, -1)[:, :, index]
+            for level, index in zip(levels, level_cells, strict=True)
+        ]
+        return [np.concatenate(cells, axis=-1)[:, :, None, :]]
+
+    # summed in the order of final_bo_maps: (0 + w_c * C) + w_i * I
+    fixed = sum(
+        w * gather(levels)[0]
+        for w, levels in zip(
+            prepared.base.feature_weights,
+            (prepared.winning_color, prepared.winning_intensity),
+        )
+    )
+    return ScoringState(
+        base=prepared.base,
+        have_labels=prepared.have_labels,
+        gts=gts,
+        windows=windows,
+        r1=r1,
+        r2=r2,
+        fixed=fixed,
+        bo_contrast=gather(prepared.bo_contrast),
+        bo_sa=gather(prepared.bo_sa),
+        bo_tj=gather(prepared.bo_tj),
+    )
+
+
+def score_weights(state: ScoringState, weights: ModelWeights) -> FGCAResult:
+    """FGCA of one alpha triple, equal to ``compute_fgca(finalize_components(
+    prepared, weights).final, gts)`` bit for bit, and refusing what they
+    refuse."""
+    weights = applied_weights(
+        weights, state.base, state.have_labels, state.bo_contrast is not None
+    )
+    if state.bo_contrast is not None:
+        (orientation,) = winning_bo(
+            combine_bo(state.bo_contrast, weights, bo_sa=state.bo_sa, bo_tj=state.bo_tj)
+        )
+    else:
+        orientation = np.zeros_like(state.fixed)
+    final = state.fixed + weights.feature_weights[2] * orientation
+    pooled = state.r2 @ (state.r1 @ final.reshape(len(_DIRECTIONS), -1).T)
+    return _fgca(state.gts, [decide_windows(pooled[w]) for w in state.windows])
 
 
 @dataclass(frozen=True)

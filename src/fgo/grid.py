@@ -175,6 +175,87 @@ def pool_resampled(levels, rows: int, cols: int, weights) -> np.ndarray:
     return out
 
 
+def _row_entries(matrix: sparse.csr_array, rows: np.ndarray):
+    """The stored entries of the given csr rows, in stored order:
+    ``(owner, column, value)``, ``owner`` the position in ``rows``."""
+    start = matrix.indptr[rows]
+    count = matrix.indptr[rows + 1] - start
+    owner = np.repeat(np.arange(len(rows)), count)
+    offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    pos = np.repeat(start, count) + offset
+    return owner, matrix.indices[pos], matrix.data[pos]
+
+
+def pool_operators_at(level_dims, rows: int, cols: int, weights, cells):
+    """:func:`pool_resampled` restricted to some target cells.
+
+    ``level_dims`` are the ``(r_j, c_j)`` of the levels and ``cells`` a
+    ``(T, 2)`` array of target ``(row, col)``. Returns ``(level_cells,
+    r1, r2)``: per level the sorted flat indices ``row * c_j + col`` of
+    the level cells the bilinear pool reads, and two csr operators. With
+    ``gathered`` the values at those cells, level by level and
+    cells-major (``(M, n)`` for ``n`` maps), ``r2 @ (r1 @ gathered)``
+    equals ``pool_resampled`` at the target cells bit for bit.
+
+    ``r1`` holds the column taps, one row per (level, level row, target
+    column), and ``r2`` the weighted row taps. Both products run on the
+    same csr kernel as :func:`pool_resampled`, with the coefficients of
+    the same cached matrices in their stored order, so each output sums
+    the same terms in the same order.
+    """
+    level_dims = [tuple(int(n) for n in d) for d in level_dims]
+    weights = tuple(float(w) for w in weights)
+    if not level_dims:
+        raise ValueError("pooling needs at least one level")
+    if len(weights) != len(level_dims):
+        raise ValueError(f"got {len(weights)} weights for {len(level_dims)} levels")
+    if rows < 1 or cols < 1:
+        raise ValueError(f"target dimensions must be positive, got {rows}x{cols}")
+    cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
+    if cells.size and (
+        cells.min() < 0 or cells[:, 0].max() >= rows or cells[:, 1].max() >= cols
+    ):
+        raise ValueError(f"target cells must lie inside {rows}x{cols}")
+    level_rows = tuple(r for r, _ in level_dims)
+    offsets = np.cumsum((0,) + level_rows)
+
+    # r2: target t sums row_op[row_t, g] * block[g, col_t] over the row
+    # taps g (level and level row, stacked) in row_op's stored order
+    row_op = _row_operator(level_rows, rows, weights)
+    owner, taps, coef = _row_entries(row_op, cells[:, 0])
+    # intermediates sorted by (level, level row, target column)
+    keys, inter = np.unique(taps * cols + cells[owner, 1], return_inverse=True)
+    r2 = sparse.csr_array(
+        (coef, inter, np.searchsorted(owner, np.arange(len(cells) + 1))),
+        shape=(len(cells), len(keys)),
+    )
+
+    # r1: intermediate (j, row, col) sums the column taps of level j
+    inter_rows, inter_cols = keys // cols, keys % cols
+    bounds = np.searchsorted(inter_rows, offsets)
+    level_cells, data, indices, counts = [], [], [], []
+    seen = 0
+    for j, (_, level_cols) in enumerate(level_dims):
+        part = slice(bounds[j], bounds[j + 1])
+        owner, col_taps, coef = _row_entries(_axis_matrix(cols, level_cols), inter_cols[part])
+        flat = (inter_rows[part][owner] - offsets[j]) * level_cols + col_taps
+        unique, where = np.unique(flat, return_inverse=True)
+        level_cells.append(unique)
+        data.append(coef)
+        indices.append(seen + where)
+        counts.append(np.bincount(owner, minlength=bounds[j + 1] - bounds[j]))
+        seen += len(unique)
+    r1 = sparse.csr_array(
+        (
+            np.concatenate(data),
+            np.concatenate(indices),
+            np.concatenate([[0], np.cumsum(np.concatenate(counts))]),
+        ),
+        shape=(len(keys), seen),
+    )
+    return level_cells, r1, r2
+
+
 @dataclass(frozen=True)
 class NormalizationParams:
     """Controls the within-map competition normalization."""

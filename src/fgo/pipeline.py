@@ -7,7 +7,9 @@ the model's alpha triple.
 
 The run splits into a heavy, weight-independent preparation step and a
 cheap combination step, so weight sweeps (tuning, preset comparison)
-pay the filter bank once per image.
+pay the filter bank once per image. The sweeps score each weight point
+with ``evaluation.score_weights``, which repeats
+:func:`finalize_components` at the boundary windows only.
 """
 
 from __future__ import annotations
@@ -248,15 +250,18 @@ def prepare_components(
     )
 
 
-def finalize_components(prepared: PreparedImage, weights: ModelWeights) -> RunResult:
-    """Apply one alpha triple to prepared building blocks.
+def applied_weights(
+    weights: ModelWeights, base: ModelWeights, have_labels: bool, orientation: bool
+) -> ModelWeights:
+    """The weights a finalize of a prepared image applies.
 
     The T-junction weight is folded into the contrast route when the
-    image was prepared without label maps; ``RunResult.weights`` holds
-    the weights applied.
+    image was prepared without label maps (:func:`effective_weights`).
+    Only the alpha triple may then differ from the prepared ``base``,
+    and local-cue weights need the ``orientation`` route to have been
+    prepared; anything else is refused.
     """
-    weights = effective_weights(weights, prepared.have_labels)
-    base = prepared.base
+    weights = effective_weights(weights, have_labels)
     if (
         weights.w_opp != base.w_opp
         or weights.feature_weights != base.feature_weights
@@ -265,6 +270,22 @@ def finalize_components(prepared: PreparedImage, weights: ModelWeights) -> RunRe
         raise ValueError(
             "only the alpha triple may differ from the prepared base weights"
         )
+    if not orientation and (weights.alpha_sa > 0 or weights.alpha_tj > 0):
+        raise ValueError("local-cue weights need the orientation feature")
+    return weights
+
+
+def finalize_components(prepared: PreparedImage, weights: ModelWeights) -> RunResult:
+    """Apply one alpha triple to prepared building blocks.
+
+    The weights pass through :func:`applied_weights` first;
+    ``RunResult.weights`` holds the weights applied. This is the
+    full-map path of ``fgo run``; ``evaluation.score_weights`` scores a
+    weight point from the boundary windows alone and must agree with it.
+    """
+    weights = applied_weights(
+        weights, prepared.base, prepared.have_labels, prepared.bo_contrast is not None
+    )
     if prepared.bo_contrast is not None:
         combined = combine_bo(
             prepared.bo_contrast,
@@ -274,8 +295,6 @@ def finalize_components(prepared: PreparedImage, weights: ModelWeights) -> RunRe
         )
         winning_orientation = winning_bo(combined)
     else:
-        if weights.alpha_sa > 0 or weights.alpha_tj > 0:
-            raise ValueError("local-cue weights need the orientation feature")
         winning_orientation = _zero_levels(prepared.level_dims)
     final = final_bo_maps(
         [prepared.winning_color, prepared.winning_intensity, winning_orientation],

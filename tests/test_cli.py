@@ -10,9 +10,16 @@ import pytest
 import fgo
 from fgo.channels import RGBImage
 from fgo.cli import main, parse_manifest
-from fgo.config import RunConfig, apply_assignment
-from fgo.evaluation import compute_fgca, load_ground_truth
-from fgo.io import read_pgm, read_ppm, read_signed_map
+from fgo.config import RunConfig, apply_assignment, apply_preset
+from fgo.evaluation import (
+    build_report,
+    compute_fgca,
+    format_report_keyvalues,
+    format_report_text,
+    grid_search_weights,
+    load_ground_truth,
+)
+from fgo.io import read_lm1, read_pgm, read_ppm, read_signed_map
 from fgo.ownership import ModelWeights
 from fgo.pipeline import finalize_components, prepare_components
 
@@ -393,3 +400,80 @@ class TestTune:
         )
         assert code == 1
         assert "unknown weight name" in capsys.readouterr().err
+
+
+class TestScoresMatchFullPath:
+    """``tune`` and ``eval`` score weight points from the boundary windows
+    alone; their outputs must equal scores of the full final maps."""
+
+    @pytest.fixture()
+    def labelled(self, tmp_path):
+        synth(tmp_path, "isolated-square", "a", ("--size", "48"))
+        synth(tmp_path, "shaded-edge", "b", ("--size", "48"))
+        synth(tmp_path, "shaded-edge", "c", ("--size", "56", "--gradient", "0.2"))
+        synth(tmp_path, "annulus", "d")
+        return write_manifest(
+            tmp_path / "data.txt",
+            [
+                "sq a/image.ppm a/gt.lm1 b/gt.lm1",  # two annotators
+                "sh b/image.ppm b/gt.lm1 - b/contours.lm1 b/segments.lm1",
+                "sg c/image.ppm c/gt.lm1 - c/contours.lm1 c/segments.lm1",
+                "an d/image.ppm d/gt.lm1 -",
+            ],
+        )
+
+    @staticmethod
+    def prepared_rows(manifest, ids):
+        """``(id, prepared image, truths)`` of the named manifest rows."""
+        config = apply_assignment(RunConfig(), "nScales", "4")
+        rows = []
+        for entry in parse_manifest(manifest):
+            if entry.image_id in ids:
+                labels = [read_lm1(p) for p in (entry.contours, entry.segments) if p]
+                prepared = prepare_components(
+                    RGBImage(*read_ppm(entry.image)), config.weights(),
+                    config.pipeline_params(), *(labels or (None, None)),
+                    need_sa=True, need_tj=True,
+                )
+                gts = [load_ground_truth(read_signed_map(p)) for p in entry.gts]
+                rows.append((entry.image_id, prepared, gts))
+        return rows
+
+    @staticmethod
+    def full_report(rows, weights):
+        """The report of the full final maps under one weight set."""
+        return build_report({
+            image_id: compute_fgca(finalize_components(prepared, weights).final, gts)
+            for image_id, prepared, gts in rows
+        })
+
+    def test_tune_trace_objectives(self, labelled, tmp_path):
+        out = tmp_path / "tune"
+        assert main(
+            ["tune", "--manifest", str(labelled), "--out", str(out),
+             "--weights", "alphaRef,alphaSA,alphaTJ", "--coarse-step", "0.25", *FAST]
+        ) == 0
+        kv = dict(line.split("=", 1) for line in (out / "weights.kv").read_text().splitlines())
+        rows = self.prepared_rows(labelled, kv["trainIds"].split(","))
+        _, best, trace = grid_search_weights(
+            lambda weights: self.full_report(rows, weights).aggregate,
+            names=("alpha_ref", "alpha_sa", "alpha_tj"),
+            coarse_step=0.25,
+        )
+        want = [f"{r} {' '.join(f'{v:.6f}' for v in point)} {value:.6f}"
+                for r, point, value in trace]
+        assert (out / "trace.txt").read_text().splitlines()[1:] == want
+        assert kv["objective"] == f"{best:.6f}"
+
+    def test_eval_compare_reports(self, labelled, tmp_path):
+        out = tmp_path / "eval"
+        presets = ("reference", "with-both")
+        assert main(
+            ["eval", "--manifest", str(labelled), "--out", str(out),
+             "--compare", ",".join(presets), *FAST]
+        ) == 0
+        rows = self.prepared_rows(labelled, [e.image_id for e in parse_manifest(labelled)])
+        for name in presets:
+            report = self.full_report(rows, apply_preset(RunConfig(), name).weights())
+            assert (out / f"report_{name}.kv").read_text() == format_report_keyvalues(report)
+            assert (out / f"report_{name}.txt").read_text() == format_report_text(report)

@@ -14,11 +14,14 @@ from fgo.evaluation import (
     grid_search_weights,
     load_ground_truth,
     make_split,
+    prepare_scoring,
     right_tailed_t_test,
     score_directions,
+    score_weights,
 )
+from fgo.channels import RGBImage
 from fgo.ownership import N_SIDES, ModelWeights, bo_direction
-from fgo.pipeline import PipelineParams, run_model
+from fgo.pipeline import PipelineParams, finalize_components, prepare_components, run_model
 from fgo.stimuli import annulus, isolated_square, overlapping_squares, shaded_edge
 
 
@@ -219,6 +222,143 @@ class TestScoring:
         gt = FGGroundTruth(x=[4, 0], y=[4, 0], nx=[0.0, 1.0], ny=[-1.0, 0.0])
         dirs, ties = decisions_for(final, gt)
         assert not ties[0] and ties[1]
+
+
+
+# ------------------------------------------------- boundary-only scoring
+
+def scoring_battery():
+    """``(name, image, signed, contours, segments)`` of the fixtures."""
+    over = overlapping_squares()
+    square = isolated_square(size=48, first=16, last=31)
+    shaded = shaded_edge()
+    rng = np.random.default_rng(11)
+    wide = np.pad(square.signed, ((0, 0), (0, 8)))
+    return [
+        # colour, so every feature route carries signal, with labels
+        ("overlap", RGBImage(over.image, over.image**2, 1.0 - over.image),
+         over.signed, over.contours, over.segments),
+        ("annulus", annulus().image, annulus().signed, None, None),  # mirror ties
+        ("square", isolated_square().image, isolated_square().signed, None, None),
+        ("shaded", shaded.image, shaded.signed, shaded.contours, shaded.segments),
+        ("random", RGBImage(*rng.random((3, 48, 56))), wide, None, None),
+        # a flat image: its final responses are FFT round-off (about
+        # 1e-14), so the decisions hang on the last bits
+        ("flat", np.full((48, 48), 0.5), square.signed, None, None),
+    ]
+
+
+PYRAMIDS = {"sqrt2": PipelineParams(), "two": PipelineParams(n_scales=5, pyramid_factor=2.0)}
+
+
+def weight_triples(count=20, seed=3):
+    """The simplex corners, then seeded points inside it."""
+    rng = np.random.default_rng(seed)
+    triples = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+    for a, b in rng.dirichlet((1.0, 1.0, 1.0), size=count - len(triples))[:, :2]:
+        triples.append((float(a), float(b), 1.0 - float(a) - float(b)))
+    return [ModelWeights(*t) for t in triples]
+
+
+def two_annotators(signed):
+    gt = load_ground_truth(signed)
+    other = FGGroundTruth(x=gt.x[::3], y=gt.y[::3], nx=gt.nx[::3], ny=gt.ny[::3])
+    return gt, other
+
+
+def full_path(prepared, weights, gts):
+    return compute_fgca(finalize_components(prepared, weights).final, gts)
+
+
+class TestBoundaryScorer:
+    @pytest.mark.parametrize("pyramid", sorted(PYRAMIDS))
+    @pytest.mark.parametrize("index", range(6))
+    def test_equals_full_path(self, index, pyramid):
+        name, image, signed, contours, segments = scoring_battery()[index]
+        prepared = prepare_components(
+            image, ModelWeights(), PYRAMIDS[pyramid], contours=contours,
+            segments=segments, need_sa=True, need_tj=True,
+        )
+        gts = two_annotators(signed)
+        state = prepare_scoring(prepared, gts)
+        results = []
+        for weights in weight_triples():
+            want = full_path(prepared, weights, gts)
+            assert score_weights(state, weights) == want, (name, weights)
+            results.append(want)
+        # without labels the T-junction corner is folded onto the contrast route
+        if contours is None:
+            assert results[2] == results[0]
+
+    @pytest.mark.parametrize(
+        "feature_weights", [(0.0, 1.0, 1.0), (1.0, 0.5, 0.0), (0.0, 0.0, 0.0)]
+    )
+    def test_feature_weights_with_a_zero(self, feature_weights):
+        stim = overlapping_squares()
+        image = RGBImage(stim.image, stim.image**2, 1.0 - stim.image)
+        base = ModelWeights(feature_weights=feature_weights)
+        prepared = prepare_components(
+            image, base, PYRAMIDS["two"], contours=stim.contours,
+            segments=stim.segments, need_sa=True, need_tj=True,
+        )
+        gts = two_annotators(stim.signed)
+        state = prepare_scoring(prepared, gts)
+        triples = weight_triples() if feature_weights[2] else [ModelWeights()]
+        for w in triples:
+            weights = ModelWeights(w.alpha_ref, w.alpha_sa, w.alpha_tj,
+                                   feature_weights=feature_weights)
+            result = score_weights(state, weights)
+            assert result == full_path(prepared, weights, gts)
+        if not any(feature_weights):
+            assert result.ties == result.pixels  # nothing responds: all ties
+
+    def test_single_truth_equals_full_path(self):
+        stim = isolated_square(size=48, first=16, last=31)
+        prepared = prepare_components(stim.image, ModelWeights(), PYRAMIDS["two"])
+        gt = load_ground_truth(stim.signed)
+        assert score_weights(prepare_scoring(prepared, gt), ModelWeights()) == full_path(
+            prepared, ModelWeights(), gt
+        )
+
+    def test_refuses_what_the_full_path_refuses(self):
+        stim = isolated_square(size=48, first=16, last=31)
+        gt = load_ground_truth(stim.signed)
+        prepared = prepare_components(stim.image, ModelWeights(), PYRAMIDS["two"])
+        state = prepare_scoring(prepared, gt)
+        no_orientation = ModelWeights(feature_weights=(1.0, 1.0, 0.0))
+        blind = prepare_components(stim.image, no_orientation, PYRAMIDS["two"])
+        blind_state = prepare_scoring(blind, gt)
+        cases = [
+            (prepared, state, ModelWeights(alpha_ref=0.5, alpha_sa=0.5)),
+            (prepared, state, ModelWeights(w_opp=0.5)),
+            (blind, blind_state, ModelWeights(0.5, 0.5, 0.0, feature_weights=(1, 1, 0))),
+        ]
+        for prep, st, weights in cases:
+            with pytest.raises(ValueError) as full:
+                finalize_components(prep, weights)
+            with pytest.raises(ValueError) as scored:
+                score_weights(st, weights)
+            assert str(scored.value) == str(full.value)
+        empty = FGGroundTruth(x=[], y=[], nx=[], ny=[])
+        for gts in ((), (gt, empty)):
+            with pytest.raises(ValueError) as full:
+                compute_fgca(finalize_components(prepared, ModelWeights()).final, gts)
+            with pytest.raises(ValueError) as scored:
+                prepare_scoring(prepared, gts)
+            assert str(scored.value) == str(full.value)
+
+    def test_state_holds_a_fraction_of_the_prepared_bytes(self):
+        stim = isolated_square(size=48, first=16, last=31)
+        prepared = prepare_components(stim.image, ModelWeights(), PYRAMIDS["two"])
+        state = prepare_scoring(prepared, load_ground_truth(stim.signed))
+        prepared_bytes = sum(
+            a.nbytes for stacks in (prepared.winning_color, prepared.winning_intensity,
+                                    prepared.bo_contrast) for a in stacks
+        )
+        state_bytes = sum(
+            a.nbytes for a in (state.fixed, *state.bo_contrast, *state.windows)
+        )
+        assert state_bytes < prepared_bytes / 4
 
 
 class TestReports:

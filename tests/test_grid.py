@@ -10,6 +10,7 @@ from fgo.grid import (
     build_pyramid,
     correlate_stack,
     next_level_dims,
+    pool_operators_at,
     pool_resampled,
 )
 
@@ -288,6 +289,54 @@ def test_pool_rejects_nonfinite_and_mismatched_leading_shapes():
         pool_resampled([good], 4, 0, (1.0,))
     with pytest.raises(ValueError):
         pool_resampled([good], 4, 4, (1.0, 1.0))
+
+
+def border_cells(rows, cols, rng):
+    """Every border cell, each corner twice, and a few random cells."""
+    ring = {(r, c) for r in range(rows) for c in range(cols)
+            if r in (0, rows - 1) or c in (0, cols - 1)}
+    corners = [(0, 0), (0, cols - 1), (rows - 1, 0), (rows - 1, cols - 1)]
+    inner = np.stack([rng.integers(0, rows, 12), rng.integers(0, cols, 12)], axis=1)
+    return np.concatenate([sorted(ring), corners, corners[::-1], inner]).astype(int)
+
+
+@pytest.mark.parametrize("lead", [(), (8, 2)])
+@pytest.mark.parametrize("n_levels", [1, 10])
+@pytest.mark.parametrize("factor", [SQRT2, 2.0])
+@pytest.mark.parametrize("halving", [False, True])
+def test_pool_operators_at_reproduce_pool_bit_for_bit(lead, n_levels, factor, halving):
+    """r2 @ (r1 @ gathered) is pool_resampled at the cells, to the bit."""
+    rng = np.random.default_rng(n_levels + len(lead) + 10 * halving)
+    dims = pyramid_dims(37, 29, n_levels, factor)
+    levels = [rng.standard_normal(lead + d) for d in dims]
+    weights = [2.0 ** -(j + 1) if halving else 1.0 for j in range(n_levels)]
+    maps = int(np.prod(lead))
+    for rows, cols in [dims[0], (1, 23), (17, 1)]:
+        cells = border_cells(rows, cols, rng)
+        level_cells, r1, r2 = pool_operators_at(dims, rows, cols, weights, cells)
+        assert [c.tolist() for c in level_cells] == [sorted(set(c.tolist())) for c in level_cells]
+        gathered = np.concatenate(
+            [level.reshape(maps, -1)[:, c] for level, c in zip(levels, level_cells)], axis=1
+        ).T
+        got = r2 @ (r1 @ gathered)
+        want = pool_resampled(levels, rows, cols, weights).reshape(maps, rows, cols)
+        want = want[:, cells[:, 0], cells[:, 1]].T
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_pool_operators_at_refusals():
+    dims = [(6, 6), (3, 3)]
+    with pytest.raises(ValueError, match="inside"):
+        pool_operators_at(dims, 6, 6, (1.0, 1.0), [[6, 0]])
+    with pytest.raises(ValueError, match="inside"):
+        pool_operators_at(dims, 6, 6, (1.0, 1.0), [[0, -1]])
+    with pytest.raises(ValueError, match="weights"):
+        pool_operators_at(dims, 6, 6, (1.0,), [[0, 0]])
+    with pytest.raises(ValueError, match="positive"):
+        pool_operators_at(dims, 0, 6, (1.0, 1.0), [[0, 0]])
+    with pytest.raises(ValueError, match="at least one level"):
+        pool_operators_at([], 6, 6, (), [[0, 0]])
 
 
 # ------------------------------------------ cross-scale sum, unit weights
