@@ -246,8 +246,9 @@ def _score_dataset(entries, config: RunConfig, weight_sets, jobs: int):
     """Per weight set ``{image_id: FGCAResult}``, skipping failed images
     with a message; also returns the ``(image_id, message)`` failures."""
     tasks = [(entry, config, weight_sets) for entry in entries]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))  # a fork pool starts every worker at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_eval_task, tasks))
     else:
         results = list(map(_eval_task, tasks))
@@ -260,6 +261,8 @@ def _score_dataset(entries, config: RunConfig, weight_sets, jobs: int):
 
 
 def cmd_eval(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     config = _config_from_args(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -9,23 +9,25 @@ half-plane, and an undecidable pixel counts half.
 :func:`compute_fgca` scores full final maps (``fgo run``). A weight
 sweep (``fgo eval``, ``fgo tune``) scores each weight point with
 :func:`score_weights` instead, from a :class:`ScoringState` that holds
-only the pyramid cells feeding the boundary windows; both decide
-through :func:`decide_windows` and agree bit for bit.
+the prepared image at the pyramid cells feeding the boundary windows
+alone. It runs the finalize core (``pipeline.final_levels``) there;
+both paths decide through :func:`decide_windows` and agree bit for
+bit.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse, special
 
 from .channels import N_ORIENTATIONS
 from .grid import pool_operators_at
-from .ownership import N_SIDES, ModelWeights, bo_direction, combine_bo, winning_bo
-from .pipeline import PreparedImage, applied_weights
+from .ownership import N_SIDES, ModelWeights, bo_direction
+from .pipeline import PreparedImage, final_levels
 
 _NEIGHBOR_OFFSETS = tuple(
     (dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if (dr, dc) != (0, 0)
@@ -216,29 +218,22 @@ class ScoringState:
     A decision reads the final maps only in the 3x3 windows of the
     boundary records, and the final maps pool the level stacks
     bilinearly, so a weight point needs the level cells that feed those
-    windows alone. Built by :func:`prepare_scoring`; it keeps no
-    reference to the :class:`PreparedImage`.
+    windows alone. Built by :func:`prepare_scoring`; it keeps no array
+    of the full :class:`PreparedImage`.
 
     ``windows`` holds, per truth, the ``(records, 9)`` indexes of each
     window's cells among the pooled target cells; ``r1`` and ``r2`` are
-    the restricted pool (:func:`grid.pool_operators_at`). The ownership
-    stacks are gathered at the level cells, all levels side by side, as
-    one (8, 2, 1, M) stack: ``fixed`` is the weighted colour plus
-    intensity winners, and ``bo_contrast``/``bo_sa``/``bo_tj`` hold the
-    orientation routes as one-level lists, the form
-    :func:`ownership.combine_bo` takes (None when not prepared).
+    the restricted pool (:func:`grid.pool_operators_at`). ``prepared``
+    is the prepared image with every level list gathered at the level
+    cells, all levels side by side, as one (8, 2, 1, M) level, so
+    :func:`pipeline.final_levels` runs on it unchanged.
     """
 
-    base: ModelWeights
-    have_labels: bool
     gts: tuple
     windows: tuple
     r1: sparse.csr_array
     r2: sparse.csr_array
-    fixed: np.ndarray
-    bo_contrast: list | None
-    bo_sa: list | None
-    bo_tj: list | None
+    prepared: PreparedImage
 
 
 def prepare_scoring(prepared: PreparedImage, gts) -> ScoringState:
@@ -271,42 +266,22 @@ def prepare_scoring(prepared: PreparedImage, gts) -> ScoringState:
         ]
         return [np.concatenate(cells, axis=-1)[:, :, None, :]]
 
-    # summed in the order of final_bo_maps: (0 + w_c * C) + w_i * I
-    fixed = sum(
-        w * gather(levels)[0]
-        for w, levels in zip(
-            prepared.base.feature_weights,
-            (prepared.winning_color, prepared.winning_intensity),
-        )
-    )
-    return ScoringState(
-        base=prepared.base,
-        have_labels=prepared.have_labels,
-        gts=gts,
-        windows=windows,
-        r1=r1,
-        r2=r2,
-        fixed=fixed,
+    restricted = replace(
+        prepared,
+        fixed=gather(prepared.fixed),
         bo_contrast=gather(prepared.bo_contrast),
         bo_sa=gather(prepared.bo_sa),
         bo_tj=gather(prepared.bo_tj),
     )
+    return ScoringState(gts=gts, windows=windows, r1=r1, r2=r2, prepared=restricted)
 
 
 def score_weights(state: ScoringState, weights: ModelWeights) -> FGCAResult:
     """FGCA of one alpha triple, equal to ``compute_fgca(finalize_components(
     prepared, weights).final, gts)`` bit for bit, and refusing what they
-    refuse."""
-    weights = applied_weights(
-        weights, state.base, state.have_labels, state.bo_contrast is not None
-    )
-    if state.bo_contrast is not None:
-        (orientation,) = winning_bo(
-            combine_bo(state.bo_contrast, weights, bo_sa=state.bo_sa, bo_tj=state.bo_tj)
-        )
-    else:
-        orientation = np.zeros_like(state.fixed)
-    final = state.fixed + weights.feature_weights[2] * orientation
+    refuse: :func:`pipeline.final_levels` at the level cells, then the
+    restricted pool."""
+    (final,), _ = final_levels(state.prepared, weights)
     pooled = state.r2 @ (state.r1 @ final.reshape(len(_DIRECTIONS), -1).T)
     return _fgca(state.gts, [decide_windows(pooled[w]) for w in state.windows])
 
@@ -406,7 +381,8 @@ def grid_search_weights(
 
     ``objective`` maps a :class:`ModelWeights` to a score to maximize.
     The named weights (any subset of alpha_ref/alpha_sa/alpha_tj, the
-    rest pinned to zero) are scanned on a coarse grid, then re-scanned
+    rest pinned to zero) are scanned on a coarse grid of step
+    ``coarse_step`` in (0, 1], then re-scanned
     around the incumbent with the step halved each round until a round
     improves the best score by less than ``stop_threshold``.
     Returns ``(weights, best_objective, trace)`` where trace rows are
@@ -415,6 +391,8 @@ def grid_search_weights(
     names = tuple(names)
     if not names or any(n not in ALPHA_NAMES for n in names) or len(set(names)) != len(names):
         raise ValueError(f"names must be a distinct subset of {ALPHA_NAMES}, got {names}")
+    if not 0 < coarse_step <= 1:
+        raise ValueError(f"coarse_step must lie in (0, 1], got {coarse_step}")
 
     def as_weights(point) -> ModelWeights:
         values = dict.fromkeys(ALPHA_NAMES, 0.0)

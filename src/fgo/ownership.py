@@ -24,6 +24,10 @@ cols)`` indexed ``[orientation, side, row, col]``. A multiscale result
 is a list of stacks, index 0 the finest (native) level. Evidence shared
 by every orientation stays (1, 2, rows, cols) up to the ring projection,
 which broadcasts it against the (8, 2) kernel bank.
+
+The module ends at the per-level winners (:func:`winning_bo`);
+``pipeline`` sums them across features and pools them to native
+resolution.
 """
 
 from __future__ import annotations
@@ -460,41 +464,3 @@ def winning_bo(combined: Sequence[np.ndarray]) -> list:
         level[:, 1] = np.where(onehot, np.maximum(-delta, 0.0), 0.0)
         out.append(level)
     return out
-
-
-def sum_bo_sets(sets: Sequence) -> list:
-    """Element-wise sum of aligned level lists (e.g. the opponency four)."""
-    sets = [list(s) for s in sets]
-    if not sets:
-        raise ValueError("need at least one set to sum")
-    for other in sets[1:]:
-        _require_aligned(sets[0], other, "first set", "another set")
-    return [np.sum([s[k] for s in sets], axis=0) for k in range(len(sets[0]))]
-
-
-def final_bo_maps(winning_per_feature, weights: ModelWeights = ModelWeights()) -> np.ndarray:
-    """Native-resolution ownership maps summed across scales and features.
-
-    Feature sets are ordered (color, intensity, orientation) to match
-    ``weights.feature_weights``; passing fewer sets uses the leading
-    weights. Every level of the weighted feature sum is up-sampled to
-    the native (level 0) dimensions and added, giving one
-    (8, 2, rows, cols) stack: one unit-weight :func:`pool_resampled`
-    call (the pooled sparse operator) over whole stacks, which
-    reassociates the sum of per-level resamples (exact to about 1e-15
-    relative).
-    """
-    sets = [list(s) for s in winning_per_feature]
-    if not sets:
-        raise ValueError("need at least one winning set")
-    if len(sets) > len(weights.feature_weights):
-        raise ValueError(
-            f"got {len(sets)} winning sets for {len(weights.feature_weights)} weights"
-        )
-    for other in sets[1:]:
-        _require_aligned(sets[0], other, "first feature", "another feature")
-    weighted = [
-        sum(w * feature_set[k] for w, feature_set in zip(weights.feature_weights, sets))
-        for k in range(len(sets[0]))
-    ]
-    return pool_resampled(weighted, *weighted[0].shape[-2:], (1.0,) * len(weighted))

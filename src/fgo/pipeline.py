@@ -7,9 +7,13 @@ the model's alpha triple.
 
 The run splits into a heavy, weight-independent preparation step and a
 cheap combination step, so weight sweeps (tuning, preset comparison)
-pay the filter bank once per image. The sweeps score each weight point
-with ``evaluation.score_weights``, which repeats
-:func:`finalize_components` at the boundary windows only.
+pay the filter bank once per image. No alpha touches colour or
+intensity, so preparation sums their winners into one ``fixed`` level
+list; a weight point then only combines and selects the orientation
+routes (:func:`final_levels`). :func:`finalize_components` pools those
+levels to native resolution, and ``evaluation.score_weights`` runs the
+same core on a :class:`PreparedImage` restricted to the level cells
+that feed the boundary windows.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ from .channels import (
 )
 from .cues import SAParams, TJParams, build_tj_maps, compute_sa_maps, detect_t_junctions
 from .filters import DoGParams, GaborParams, make_center_surround, make_gabor
-from .grid import SQRT2, next_level_dims
+from .grid import SQRT2, next_level_dims, pool_resampled
 from .ownership import (
+    N_SIDES,
     ContextParams,
     ModelWeights,
     OrientedCSParams,
@@ -37,8 +42,6 @@ from .ownership import (
     compute_bo_contrast,
     compute_bo_local_cue,
     cs_pyramids,
-    final_bo_maps,
-    sum_bo_sets,
     winning_bo,
 )
 
@@ -90,14 +93,40 @@ def effective_weights(weights: ModelWeights, have_labels: bool) -> ModelWeights:
     return weights
 
 
-def _zero_levels(dims) -> list:
-    return [np.zeros((N_ORIENTATIONS, 2) + d) for d in dims]
-
-
 def _contrast_winning(carriers, feature, params: PipelineParams, base) -> list:
     """Winners of a symmetric feature, which takes the contrast route alone."""
     cs = cs_pyramids([feature], [params.dog], make_center_surround)
     return winning_bo(compute_bo_contrast(carriers, cs, base, params.context))
+
+
+def _summed_winners(carriers, features, params: PipelineParams, base) -> list:
+    """The winners of several symmetric features summed in order, in
+    place, so that one feature's winners are alive beside the sum; []
+    for no feature."""
+    total = []
+    for feature in features:
+        winners = _contrast_winning(carriers, feature, params, base)
+        if not total:
+            total = winners
+            continue
+        for level, more in zip(total, winners):
+            level += more
+    return total
+
+
+def _fixed_levels(channels, pyramids, params: PipelineParams, base) -> list:
+    """``(0 + w_c * C) + w_i * I`` per level: ``C`` the winners of the
+    non-empty opponency sub-channels summed in channel order, ``I`` the
+    intensity winners. One feature is computed at a time."""
+    color_weight, intensity_weight, _ = base.feature_weights
+    carriers = pyramids.orientation
+    opponency = [p for p, native in zip(pyramids.opponency, channels.opponency) if native.any()]
+    fixed = [np.zeros((N_ORIENTATIONS, N_SIDES) + d) for d in carriers[0].dims]
+    for weight, features in ((color_weight, opponency), (intensity_weight, [pyramids.intensity])):
+        if weight > 0:
+            for level, term in zip(fixed, _summed_winners(carriers, features, params, base)):
+                level += weight * term
+    return fixed
 
 
 def _check_image_fits(shape, params: PipelineParams, sa_route: bool) -> None:
@@ -137,22 +166,25 @@ class PreparedImage:
     ``base`` records the weights the preparation assumed for everything
     outside the alpha triple (antagonism strength, feature mix, layer
     restriction); :func:`finalize_components` only accepts weights that
-    agree with it there. ``bo_contrast`` (light and dark summed) and
-    ``bo_sa``/``bo_tj`` are None when the route was not prepared.
-    ``have_labels`` records whether contour and segment maps were
-    given; without them :func:`finalize_components` folds the T-junction
-    weight into the contrast route.
+    agree with it there. ``fixed`` is the weighted colour plus intensity
+    term of every level, which no alpha changes. ``bo_contrast`` (light
+    and dark summed) and ``bo_sa``/``bo_tj`` are the orientation routes,
+    None when not prepared. ``have_labels`` records whether contour and
+    segment maps were given; without them :func:`finalize_components`
+    folds the T-junction weight into the contrast route.
     """
 
     base: ModelWeights
     have_labels: bool
-    level_dims: tuple
-    winning_color: list
-    winning_intensity: list
+    fixed: list
     bo_contrast: list | None
     bo_sa: list | None
     bo_tj: list | None
     junctions: tuple = ()
+
+    @property
+    def level_dims(self) -> tuple:
+        return tuple(level.shape[-2:] for level in self.fixed)
 
 
 def prepare_components(
@@ -182,7 +214,7 @@ def prepare_components(
         need_sa = base.alpha_sa > 0
     if need_tj is None:
         need_tj = base.alpha_tj > 0
-    color_weight, intensity_weight, orientation_weight = base.feature_weights
+    orientation_weight = base.feature_weights[2]
     _check_image_fits(image.shape, params, need_sa and orientation_weight > 0)
 
     if need_tj and not have_labels:
@@ -196,25 +228,7 @@ def prepare_components(
     channels = compute_channels(image, params.gabor)
     pyramids = build_channel_pyramids(channels, params.n_scales, params.pyramid_factor)
     carriers = pyramids.orientation
-    level_dims = tuple(carriers[0].dims)
-
-    # color: each opponency sub-channel gets its own contrast pair and
-    # winner-take-all pass; the four winners add up into one feature set
-    if color_weight > 0 and any(m.any() for m in channels.opponency):
-        winning_color = sum_bo_sets(
-            [
-                _contrast_winning(carriers, pyr, params, base)
-                for pyr, native in zip(pyramids.opponency, channels.opponency)
-                if native.any()
-            ]
-        )
-    else:
-        winning_color = _zero_levels(level_dims)
-
-    if intensity_weight > 0:
-        winning_intensity = _contrast_winning(carriers, pyramids.intensity, params, base)
-    else:
-        winning_intensity = _zero_levels(level_dims)
+    fixed = _fixed_levels(channels, pyramids, params, base)
 
     junctions: tuple = ()
     if have_labels:
@@ -240,9 +254,7 @@ def prepare_components(
     return PreparedImage(
         base=base,
         have_labels=have_labels,
-        level_dims=level_dims,
-        winning_color=winning_color,
-        winning_intensity=winning_intensity,
+        fixed=fixed,
         bo_contrast=bo_contrast,
         bo_sa=bo_sa,
         bo_tj=bo_tj,
@@ -275,31 +287,40 @@ def applied_weights(
     return weights
 
 
-def finalize_components(prepared: PreparedImage, weights: ModelWeights) -> RunResult:
-    """Apply one alpha triple to prepared building blocks.
+def final_levels(prepared: PreparedImage, weights: ModelWeights) -> tuple:
+    """``(levels, applied)``: the feature sum of every level under one
+    alpha triple, and the weights applied.
 
-    The weights pass through :func:`applied_weights` first;
-    ``RunResult.weights`` holds the weights applied. This is the
-    full-map path of ``fgo run``; ``evaluation.score_weights`` scores a
-    weight point from the boundary windows alone and must agree with it.
+    The weights pass through :func:`applied_weights`; the orientation
+    routes are blended (:func:`ownership.combine_bo`), the winning
+    orientation kept (:func:`ownership.winning_bo`), and each level is
+    ``fixed + w_o * winners``. Without an orientation route the levels
+    are ``fixed`` itself.
     """
     weights = applied_weights(
         weights, prepared.base, prepared.have_labels, prepared.bo_contrast is not None
     )
-    if prepared.bo_contrast is not None:
-        combined = combine_bo(
-            prepared.bo_contrast,
-            weights,
-            bo_sa=prepared.bo_sa if weights.alpha_sa > 0 else None,
-            bo_tj=prepared.bo_tj if weights.alpha_tj > 0 else None,
-        )
-        winning_orientation = winning_bo(combined)
-    else:
-        winning_orientation = _zero_levels(prepared.level_dims)
-    final = final_bo_maps(
-        [prepared.winning_color, prepared.winning_intensity, winning_orientation],
-        weights,
+    if prepared.bo_contrast is None:
+        return prepared.fixed, weights
+    winners = winning_bo(
+        combine_bo(prepared.bo_contrast, weights, bo_sa=prepared.bo_sa, bo_tj=prepared.bo_tj)
     )
+    w_orientation = weights.feature_weights[2]
+    return [f + w_orientation * o for f, o in zip(prepared.fixed, winners)], weights
+
+
+def finalize_components(prepared: PreparedImage, weights: ModelWeights) -> RunResult:
+    """Apply one alpha triple to prepared building blocks.
+
+    :func:`final_levels`, then every level up-sampled to the native
+    (level 0) dimensions and added: one unit-weight
+    :func:`grid.pool_resampled` call over whole stacks, which
+    reassociates the sum of per-level resamples (exact to about 1e-15
+    relative). ``RunResult.weights`` holds the weights applied. This is
+    the full-map path of ``fgo run``.
+    """
+    levels, weights = final_levels(prepared, weights)
+    final = pool_resampled(levels, *levels[0].shape[-2:], (1.0,) * len(levels))
     return RunResult(final=final, weights=weights, junctions=prepared.junctions)
 
 

@@ -9,6 +9,7 @@ import pytest
 
 import fgo
 from fgo.channels import RGBImage
+from fgo import cli
 from fgo.cli import main, parse_manifest
 from fgo.config import RunConfig, apply_assignment, apply_preset
 from fgo.evaluation import (
@@ -281,6 +282,41 @@ class TestEval:
             ) == 0
         assert (serial / "report.txt").read_text() == (parallel / "report.txt").read_text()
 
+    @pytest.mark.parametrize("jobs, workers", [("1", []), ("2", [2]), ("64", [2])])
+    def test_pool_never_outnumbers_the_rows(self, dataset, tmp_path, monkeypatch, jobs, workers):
+        started = []
+
+        class RecordingPool:
+            """Records its size and maps in this process: no worker starts."""
+
+            def __init__(self, max_workers=None):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        out = tmp_path / "eval"
+        assert main(
+            ["eval", "--manifest", str(dataset), "--out", str(out), "--jobs", jobs, *FAST]
+        ) == 0
+        assert started == workers  # the manifest has two rows
+        assert "images=2" in (out / "report.kv").read_text()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_refused(self, dataset, tmp_path, capsys, jobs):
+        out = tmp_path / "eval"
+        code = main(["eval", "--manifest", str(dataset), "--out", str(out), "--jobs", jobs])
+        assert code == 1
+        assert f"error: --jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_broken_row_skipped(self, dataset, tmp_path, capsys, jobs):
         rows = dataset.read_text().splitlines()
@@ -392,6 +428,17 @@ class TestTune:
         warnings = [r.getMessage() for r in caplog.records if "alphaTJ" in r.getMessage()]
         assert len(warnings) == 1
         assert "moves to the contrast route" in warnings[0]
+
+    @pytest.mark.parametrize("step", ["0", "-0.1", "nan"])
+    def test_coarse_step_outside_unit_interval_fails(self, dataset, tmp_path, capsys, step):
+        code = main(
+            ["tune", "--manifest", str(dataset), "--out", str(tmp_path / "t"),
+             "--coarse-step", step, *FAST]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: coarse_step must lie in (0, 1]")
+        assert "Traceback" not in err
 
     def test_unknown_weight_name_fails(self, dataset, tmp_path, capsys):
         code = main(

@@ -351,12 +351,10 @@ class TestBoundaryScorer:
         stim = isolated_square(size=48, first=16, last=31)
         prepared = prepare_components(stim.image, ModelWeights(), PYRAMIDS["two"])
         state = prepare_scoring(prepared, load_ground_truth(stim.signed))
-        prepared_bytes = sum(
-            a.nbytes for stacks in (prepared.winning_color, prepared.winning_intensity,
-                                    prepared.bo_contrast) for a in stacks
-        )
+        prepared_bytes = sum(a.nbytes for a in (*prepared.fixed, *prepared.bo_contrast))
+        kept = state.prepared
         state_bytes = sum(
-            a.nbytes for a in (state.fixed, *state.bo_contrast, *state.windows)
+            a.nbytes for a in (*kept.fixed, *kept.bo_contrast, *state.windows)
         )
         assert state_bytes < prepared_bytes / 4
 
@@ -442,6 +440,17 @@ class TestGridSearch:
             grid_search_weights(lambda w: 0.0, names=("w_opp",))
         with pytest.raises(ValueError):
             grid_search_weights(lambda w: 0.0, names=("alpha_ref", "alpha_ref"))
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, 1.5, math.nan, math.inf])
+    def test_coarse_step_outside_unit_interval_rejected(self, step):
+        calls = []
+        with pytest.raises(ValueError, match=r"coarse_step must lie in \(0, 1\]"):
+            grid_search_weights(lambda w: calls.append(w) or 0.0, coarse_step=step)
+        assert not calls
+
+    def test_coarse_step_of_one_scans_the_corners(self):
+        _, _, trace = grid_search_weights(lambda w: w.alpha_sa, coarse_step=1.0)
+        assert [point for _, point, _ in trace[:2]] == [(0.0, 1.0), (1.0, 0.0)]
 
 
 def mpmath_right_tail_p(a, b) -> float:

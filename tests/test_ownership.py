@@ -24,13 +24,11 @@ from fgo.ownership import (
     compute_bo_contrast,
     compute_bo_local_cue,
     cs_pyramids,
-    final_bo_maps,
     normalize_evidence_pair,
     scale_contexts,
-    sum_bo_sets,
     winning_bo,
 )
-from fgo.pipeline import finalize_components, prepare_components
+from fgo.pipeline import PreparedImage, finalize_components, prepare_components
 from fgo.stimuli import annulus, overlapping_squares
 
 
@@ -594,28 +592,28 @@ def test_winning_at_most_one_active_cell():
 
 # ---------------------------------------------------------- final maps
 
-def test_sum_bo_sets_elementwise():
-    rng = np.random.default_rng(14)
-    a, b = random_stacks(rng), random_stacks(rng)
-    total = sum_bo_sets([a, b])
-    for k in range(3):
-        assert np.array_equal(total[k], a[k] + b[k])
-    with pytest.raises(ValueError):
-        sum_bo_sets([a, b[:1]])
+def prepared_levels(fixed, bo_contrast=None, bo_sa=None, feature_weights=(1.0, 1.0, 1.0)):
+    """A :class:`PreparedImage` built from given level lists."""
+    return PreparedImage(
+        base=ModelWeights(feature_weights=feature_weights),
+        have_labels=False,
+        fixed=fixed,
+        bo_contrast=bo_contrast,
+        bo_sa=bo_sa,
+        bo_tj=None,
+    )
 
 
 def test_final_single_native_level_identity():
     rng = np.random.default_rng(15)
     stack = rng.random((8, 2, 9, 9))
-    out = final_bo_maps([[stack]])
+    # no orientation route: the final maps are the fixed features
+    out = finalize_components(prepared_levels([stack]), ModelWeights()).final
     assert np.array_equal(out, stack)
-
-
-def test_final_two_identical_features_double():
-    rng = np.random.default_rng(16)
-    stack = rng.random((8, 2, 9, 9))
-    out = final_bo_maps([[stack], [stack]])
-    assert np.allclose(out, 2.0 * stack, rtol=0, atol=1e-15)
+    # an orientation route with no imbalance adds nothing
+    zeros = [np.zeros_like(stack)]
+    out = finalize_components(prepared_levels([stack], zeros), ModelWeights()).final
+    assert np.array_equal(out, stack)
 
 
 def test_final_matches_sequential_oracle():
@@ -624,14 +622,12 @@ def test_final_matches_sequential_oracle():
     for _ in range(4):
         r, c = dims[-1]
         dims.append((int(np.ceil(r / SQRT2)), int(np.ceil(c / SQRT2))))
-    sets = [
-        [rng.random((8, 2) + d) for d in dims],
-        [rng.random((8, 2) + d) for d in dims],
-        [rng.random((8, 2) + d) for d in dims],
-    ]
-    w = ModelWeights(feature_weights=(0.3, 1.0, 2.0))
-    got = final_bo_maps(sets, w)
-    assert np.abs(got - oracle_final(sets, (0.3, 1.0, 2.0))).max() < 1e-9
+    fixed, contrast, sa = ([rng.random((8, 2) + d) for d in dims] for _ in range(3))
+    w = ModelWeights(alpha_ref=0.4, alpha_sa=0.6, feature_weights=(0.3, 1.0, 2.0))
+    prepared = prepared_levels(fixed, contrast, sa, w.feature_weights)
+    got = finalize_components(prepared, w).final
+    orientation = [oracle_winning(0.4 * c + 0.6 * s) for c, s in zip(contrast, sa)]
+    assert np.abs(got - oracle_final([fixed, orientation], (1.0, 2.0))).max() < 1e-9
 
 
 @pytest.mark.parametrize("factor", [SQRT2, 2.0])
@@ -667,15 +663,7 @@ def test_final_battery_matches_sequential_oracle(stimulus):
         winning_orientation = winning_bo(
             combine_bo(prepared.bo_contrast, weights, bo_sa=prepared.bo_sa)
         )
-        sets = [prepared.winning_color, prepared.winning_intensity, winning_orientation]
+        sets = [prepared.fixed, winning_orientation]
         got = finalize_components(prepared, weights).final
         assert got.any()
-        assert_rel_close(got, oracle_final(sets, weights.feature_weights))
-
-
-def test_final_rejects_too_many_sets():
-    stack = np.zeros((8, 2, 4, 4))
-    with pytest.raises(ValueError):
-        final_bo_maps([[stack]] * 4)
-    with pytest.raises(ValueError):
-        final_bo_maps([])
+        assert_rel_close(got, oracle_final(sets, (1.0, weights.feature_weights[2])))

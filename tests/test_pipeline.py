@@ -3,12 +3,13 @@ import logging
 import numpy as np
 import pytest
 
-from fgo.channels import RGBImage
+from fgo.channels import RGBImage, build_channel_pyramids, compute_channels
 from fgo.evaluation import compute_fgca, load_ground_truth
 from fgo.filters import GaborParams
 from fgo.ownership import ModelWeights
 from fgo.pipeline import (
     PipelineParams,
+    _contrast_winning,
     effective_weights,
     finalize_components,
     prepare_components,
@@ -180,6 +181,53 @@ class TestPrepareFinalize:
     def test_params_validation(self):
         with pytest.raises(ValueError):
             PipelineParams(n_scales=0)
+
+
+def colour_squares():
+    stim = overlapping_squares()
+    return RGBImage(stim.image, stim.image**2, 1.0 - stim.image)
+
+
+class TestFixedFeatures:
+    """``PreparedImage.fixed`` is the colour plus intensity term of the
+    final feature sum, bit for bit, sign bits included."""
+
+    @pytest.mark.parametrize("kind", ["colour", "gray", "black"])
+    def test_fixed_is_weighted_colour_plus_intensity(self, kind):
+        # a black image: every winner is zero, and the sum must stay +0.0
+        image = {
+            "colour": colour_squares(),
+            "gray": overlapping_squares().image,
+            "black": np.zeros((48, 48)),
+        }[kind]
+
+        def fixed(feature_weights):
+            base = ModelWeights(feature_weights=feature_weights)
+            return prepare_components(image, base, FAST).fixed
+
+        w_c, w_i = 0.3, 1.7
+        color, intensity = fixed((1.0, 0.0, 0.0)), fixed((0.0, 1.0, 0.0))
+        assert any(level.any() for level in color) == (kind == "colour")
+        got = fixed((w_c, w_i, 0.9))
+        assert len(got) == FAST.n_scales
+        for g, c, i in zip(got, color, intensity, strict=True):
+            assert g.tobytes() == ((0 + w_c * c) + w_i * i).tobytes()
+            assert not np.signbit(g).any()
+
+    def test_colour_sums_the_opponency_winners_in_channel_order(self):
+        image = colour_squares()
+        base = ModelWeights(feature_weights=(1.0, 0.0, 0.0))
+        channels = compute_channels(image, FAST.gabor)
+        pyramids = build_channel_pyramids(channels, FAST.n_scales, FAST.pyramid_factor)
+        winners = [
+            _contrast_winning(pyramids.orientation, pyr, FAST, base)
+            for pyr, native in zip(pyramids.opponency, channels.opponency)
+            if native.any()
+        ]
+        assert len(winners) > 1
+        got = prepare_components(image, base, FAST).fixed
+        for k, level in enumerate(got):
+            assert level.tobytes() == sum(w[k] for w in winners).tobytes()
 
 
 class TestInputContract:
