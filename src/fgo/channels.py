@@ -2,7 +2,9 @@
 
 The thirteen sub-channel maps (intensity, four opponency pairs, eight
 orientation energies) are what the ownership stage consumes, each
-decomposed into a pyramid.
+decomposed into a pyramid. The eight orientation energies are the
+carriers of every route and travel as one (8, 1, rows, cols) stack, so
+they are pyramided once and read level by level without restacking.
 """
 
 from __future__ import annotations
@@ -90,7 +92,8 @@ def compute_color_opponency(image: RGBImage) -> Opponency:
 
 
 def compute_orientation_channels(intensity, base: GaborParams | None = None):
-    """Complex-cell energy of the intensity map at the eight orientations.
+    """Complex-cell energy of the intensity map at the eight
+    orientations, an (8, rows, cols) array.
 
     The energy is the magnitude of the quadrature pair: the map is
     correlated with one (8, 2) bank of even and odd Gabors
@@ -102,14 +105,15 @@ def compute_orientation_channels(intensity, base: GaborParams | None = None):
         [make_gabor(replace(base, theta=theta), parity) for parity in ("even", "odd")]
         for theta in ORIENTATIONS
     ])
-    return tuple(np.hypot(even, odd) for even, odd in correlate_stack(intensity, bank))
+    responses = correlate_stack(intensity, bank)
+    return np.hypot(responses[:, 0], responses[:, 1])
 
 
 @dataclass(frozen=True)
 class ChannelSet:
     intensity: np.ndarray
     opponency: Opponency
-    orientation: tuple
+    orientation: np.ndarray  # (8, rows, cols)
 
     def __post_init__(self):
         maps = [self.intensity, *self.opponency, *self.orientation]
@@ -136,16 +140,15 @@ def compute_channels(image: RGBImage, gabor: GaborParams | None = None) -> Chann
 class ChannelPyramids:
     intensity: Pyramid
     opponency: tuple  # four Pyramids, RG GR BY YB order
-    orientation: tuple  # eight Pyramids
+    orientation: Pyramid  # the carriers: levels are (8, 1, rows, cols) stacks
 
 
 def build_channel_pyramids(
     channels: ChannelSet, n_scales: int, factor: float
 ) -> ChannelPyramids:
+    """Every channel's pyramid; the eight orientation energies as one."""
     return ChannelPyramids(
         intensity=build_pyramid(channels.intensity, n_scales, factor),
         opponency=tuple(build_pyramid(m, n_scales, factor) for m in channels.opponency),
-        orientation=tuple(
-            build_pyramid(m, n_scales, factor) for m in channels.orientation
-        ),
+        orientation=build_pyramid(channels.orientation[:, None], n_scales, factor),
     )

@@ -18,7 +18,7 @@ from scipy import ndimage
 
 from .channels import N_ORIENTATIONS, ORIENTATIONS
 from .filters import GaborParams, make_gabor
-from .grid import as_map, correlate_stack
+from .grid import correlate_stack
 
 log = logging.getLogger(__name__)
 
@@ -83,7 +83,7 @@ def sample_shifted(arr: np.ndarray, drow: float, dcol: float) -> np.ndarray:
 
     Sample points outside the map contribute zero.
     """
-    arr = as_map(arr, "input")
+    arr = np.asarray(arr, dtype=np.float64)
     ir, fr = math.floor(drow), drow - math.floor(drow)
     ic, fc = math.floor(dcol), dcol - math.floor(dcol)
     out = (1 - fr) * (1 - fc) * integer_shift(arr, ir, ic)
@@ -108,7 +108,7 @@ def compute_sa_maps(intensity, params: SAParams = SAParams()) -> np.ndarray:
     orientation and accumulated. A shading gradient beside an edge makes
     the two sides differ, which is the figure-direction signal.
     """
-    intensity = as_map(intensity, "intensity")
+    intensity = np.asarray(intensity, dtype=np.float64)
     out = np.zeros((N_ORIENTATIONS, 2) + intensity.shape)
     for size in params.sizes:
         radius = size / 2.0

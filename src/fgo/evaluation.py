@@ -114,9 +114,18 @@ def load_ground_truth(signed) -> FGGroundTruth:
 def _window_cells(gt: FGGroundTruth, rows: int, cols: int):
     """``(rr, cc)``, each ``(records, 9)``: the 3x3 window of every record.
 
-    Clipping an index to the border repeats a cell of the clipped
-    window, so window maxima over the clipped window are exact.
+    A record outside the ``rows x cols`` map is refused: its truth
+    belongs to another image. Clipping a window index to the border
+    repeats a cell of the clipped window, so window maxima over the
+    clipped window are exact.
     """
+    if len(gt) and (
+        min(gt.x.min(), gt.y.min()) < 0 or gt.x.max() >= cols or gt.y.max() >= rows
+    ):
+        raise ValueError(
+            f"ground truth records span x {gt.x.min()}..{gt.x.max()} and "
+            f"y {gt.y.min()}..{gt.y.max()}, outside the {rows}x{cols} map"
+        )
     rr = np.clip(gt.y[:, None] + _WINDOW[:, 0], 0, rows - 1)
     cc = np.clip(gt.x[:, None] + _WINDOW[:, 1], 0, cols - 1)
     return rr, cc
@@ -201,7 +210,8 @@ def compute_fgca(final: np.ndarray, gts) -> FGCAResult:
     ``gts`` is one ground truth or a sequence of them (two annotators);
     the reported accuracy is the mean of the per-truth accuracies while
     the correctness/pixel sums pool every record for pixel-weighted
-    aggregation.
+    aggregation. A truth with a record outside the map is refused with
+    a ValueError that names the map's ``rows x cols``.
     """
     gts = _truths(gts)
     return _fgca(gts, [decisions_for(final, gt) for gt in gts])
@@ -238,7 +248,8 @@ class ScoringState:
 
 def prepare_scoring(prepared: PreparedImage, gts) -> ScoringState:
     """Gather from a prepared image what :func:`score_weights` reads for
-    the given ground truths (one or a sequence, none empty)."""
+    the given ground truths (one or a sequence, none empty, every record
+    inside the image, as :func:`compute_fgca` requires)."""
     gts = _truths(gts)
     rows, cols = prepared.level_dims[0]
     flat = np.concatenate(
@@ -347,13 +358,20 @@ ALPHA_NAMES = ("alpha_ref", "alpha_sa", "alpha_tj")
 def _simplex_points(n_free: int, step: float, anchor=None):
     """Grid points with the given step on the (n_free)-simplex.
 
-    Coordinates are multiples of ``step`` offsets around ``anchor`` (the
-    origin-cornered full grid when anchor is None), kept when they are
-    non-negative and sum to at most 1; the last weight is the implied
-    remainder. Scan order is lexicographic, so deterministic.
+    Without ``anchor`` the coordinates are the multiples of ``step`` in
+    [0, 1], and 1 itself when ``1 / step`` is not an integer, kept when
+    they sum to at most 1. With an anchor they are the anchor's
+    coordinates offset by -2 to 2 steps, each clamped to
+    [0, 1 - the sum of the coordinates before it], so a step past the
+    simplex lands on its face instead of being dropped. The last weight
+    is the implied remainder. Scan order is lexicographic, so
+    deterministic; a clamped point may repeat.
     """
-    offsets = range(-2, 3) if anchor is not None else range(int(round(1 / step)) + 1)
-    base = anchor if anchor is not None else [0.0] * n_free
+    if anchor is None:
+        ticks = [round(k * step, 12) for k in range(int(1 / step + 1e-9) + 1)]
+        axes = [ticks + [1.0] if ticks[-1] < 1 else ticks] * n_free
+    else:
+        axes = [[round(a + k * step, 12) for k in range(-2, 3)] for a in anchor]
     points = []
     def rec(prefix):
         i = len(prefix)
@@ -362,10 +380,10 @@ def _simplex_points(n_free: int, step: float, anchor=None):
             if total <= 1 + 1e-9:
                 points.append(tuple(prefix) + (max(0.0, 1.0 - total),))
             return
-        for k in offsets:
-            value = round(base[i] + k * step, 12)
-            if -1e-9 <= value <= 1 + 1e-9:
-                rec(prefix + [min(1.0, max(0.0, value))])
+        for value in axes[i]:
+            if anchor is not None:
+                value = max(0.0, min(value, 1.0 - sum(prefix)))
+            rec(prefix + [value])
     rec([])
     return points
 

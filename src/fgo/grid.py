@@ -40,14 +40,13 @@ def as_map(values, name: str = "map") -> np.ndarray:
 
 
 def _as_stack(values, name: str) -> np.ndarray:
-    """Coerce to a finite, non-empty ``(..., rows, cols)`` float64 array."""
+    """Coerce to a non-empty ``(..., rows, cols)`` float64 array. Finiteness
+    is checked where data enters: :func:`as_map` and the file readers."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim < 2 or arr.size == 0:
         raise ValueError(
             f"{name} must be a non-empty (..., rows, cols) array, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
     return arr
 
 
@@ -278,7 +277,8 @@ class NormalizationParams:
 
 @dataclass(frozen=True)
 class Pyramid:
-    """An image pyramid, level index 0 finest (the native map)."""
+    """A pyramid of maps or of ``(..., rows, cols)`` stacks, level index 0
+    finest (native)."""
 
     levels: tuple
     factor: float
@@ -303,7 +303,8 @@ class Pyramid:
 
     @property
     def dims(self):
-        return [lvl.shape for lvl in self.levels]
+        """The ``(rows, cols)`` of every level."""
+        return [lvl.shape[-2:] for lvl in self.levels]
 
 
 def next_level_dims(rows: int, cols: int, factor: float):

@@ -9,21 +9,24 @@ kernel pointing in the ownership direction, pooled across scales with
 geometrically decaying weights, and finally gates the oriented carrier
 response multiplicatively.
 
-Every route takes one path. Its evidence is a level list of
-``(..., 2, rows, cols)`` stacks — center-surround light (side index 0)
-and dark (1) for the contrast route, the two sides of a directed cue
-for the others — whose ``[t, 0]``/``[t, 1]`` pairs are normalized
-together, then projected, pooled and used as the gate
-``max(0, C_t * (1 + excite[t, s] - w_opp * inhibit[t, 1 - s]))``. The
-contrast route gates with light exciting and dark inhibiting and with
-the roles swapped, and keeps only the sum of the two: nothing
+Every route takes one path, :func:`compute_bo`. Its evidence is a
+level list of stacks with a leading polarity axis: light and dark
+center-surround contrast for the contrast route (:func:`cs_pyramids`),
+shared by both sides, and one polarity with a map per side for a
+directed local cue (SA, TJ). Each level's competing pairs are
+normalized together, projected in one call against the (8, 2) ring
+bank, pooled across scales, and then gate the carrier:
+``sum_p max(0, C_t * (1 + ctx[p, t, s] - w_opp * ctx[P-1-p, t, 1 - s]))``.
+The contrast route thus gates with light exciting and dark inhibiting
+and with the roles swapped, and keeps only the sum of the two: nothing
 downstream reads the polarities apart.
 
 Directed data travels as "stacks": arrays of shape ``(8, 2, rows,
 cols)`` indexed ``[orientation, side, row, col]``. A multiscale result
-is a list of stacks, index 0 the finest (native) level. Evidence shared
-by every orientation stays (1, 2, rows, cols) up to the ring projection,
-which broadcasts it against the (8, 2) kernel bank.
+is a list of stacks, index 0 the finest (native) level. The carriers
+are one pyramid of (8, 1, rows, cols) stacks. Evidence shared by every
+orientation stays unbroadcast up to the ring projection, which
+broadcasts it against the (8, 2) kernel bank.
 
 The module ends at the per-level winners (:func:`winning_bo`);
 ``pipeline`` sums them across features and pools them to native
@@ -44,7 +47,7 @@ from scipy import ndimage
 from .channels import N_ORIENTATIONS, ORIENTATIONS
 from .cues import SIDE_SIGNS
 from .filters import VonMisesParams, clamp_kernel_size, make_von_mises
-from .grid import NormalizationParams, build_pyramid, correlate_stack, pool_resampled
+from .grid import NormalizationParams, correlate_stack, pool_resampled
 
 N_SIDES = 2
 
@@ -123,40 +126,32 @@ class ContextParams:
     normalization: NormalizationParams = NormalizationParams()
 
 
-def cs_pyramids(features, kernel_params, make_kernel) -> list:
-    """Rectified center-surround evidence of aligned feature pyramids.
+def cs_pyramids(feature, kernel_params, make_kernel):
+    """Rectified center-surround evidence of one feature pyramid.
 
-    ``features`` holds one pyramid per kernel setting in
-    ``kernel_params``: a single isotropic feature with its difference of
-    Gaussians (``make_center_surround``), or the eight orientation
-    pyramids with an even Gabor at each one's own orientation
-    (``make_gabor``), since feature contrast along an edge is not
-    isotropic. Each level is one :func:`correlate_stack` call over the
-    stacked pyramids and their kernels ``make_kernel(setting)``, each
-    clamped to fit the level. Level k comes back as one
-    (n, 2, rows, cols) stack, n the number of pyramids: side index 0 is
-    the light evidence ``max(0, response)`` (bright structure on a dark
-    ground), index 1 the dark evidence ``max(0, -response)``. A single
-    shared (1, 2, rows, cols) stack broadcasts to every orientation.
+    ``feature`` is an isotropic feature's pyramid with its one
+    difference of Gaussians (``make_center_surround``), or the carrier
+    pyramid, whose levels are (8, 1, rows, cols) stacks, with an even
+    Gabor at each orientation's own angle (``make_gabor``), since
+    feature contrast along an edge is not isotropic. Each level is one
+    :func:`correlate_stack` call with the kernels
+    ``make_kernel(setting)``, one per map of the level, each clamped to
+    fit the level. This generator yields, level by level, the
+    two-polarity evidence stack that :func:`compute_bo` reads, so one
+    level is alive at a time: index 0 is the light evidence
+    ``max(0, response)`` (bright structure on a dark ground), index 1
+    the dark evidence ``max(0, -response)``. An isotropic feature gives
+    (2, rows, cols), shared by every orientation and side; the carriers
+    give (2, 8, 1, rows, cols).
     """
-    features = tuple(features)
-    kernel_params = tuple(kernel_params)
-    if len(kernel_params) != len(features):
-        raise ValueError(
-            f"got {len(kernel_params)} kernel settings for {len(features)} feature pyramids"
-        )
-    dims = features[0].dims
-    if any(f.dims != dims for f in features[1:]):
-        raise ValueError("feature pyramids must align level by level")
-    out = []
-    for k, shape in enumerate(dims):
+    for level in feature:
+        shape = level.shape[-2:]
         kernels = np.array([
             make_kernel(replace(s, size=clamp_kernel_size(s.resolved_size(), shape)))
             for s in kernel_params
         ])
-        response = correlate_stack(np.array([f[k] for f in features]), kernels)
-        out.append(np.stack([np.maximum(0.0, response), np.maximum(0.0, -response)], axis=1))
-    return out
+        response = correlate_stack(level, kernels.reshape(level.shape[:-2] + kernels.shape[-2:]))
+        yield np.stack([np.maximum(0.0, response), np.maximum(0.0, -response)])
 
 
 def _peak_competition(scaled: np.ndarray, params: NormalizationParams) -> np.ndarray:
@@ -210,29 +205,6 @@ def normalize_evidence_pair(
     )
 
 
-def as_directed_stack(values, name: str = "stack") -> np.ndarray:
-    """Coerce to a finite (8, 2, rows, cols) float64 array."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 4 or arr.shape[:2] != (N_ORIENTATIONS, N_SIDES):
-        raise ValueError(
-            f"{name} must have shape (8, 2, rows, cols), got {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
-    return arr
-
-
-def _carrier_levels(carriers) -> list:
-    """Check the eight carrier pyramids; per level, their (8, 1, r, c) stack."""
-    carriers = tuple(carriers)
-    if len(carriers) != N_ORIENTATIONS:
-        raise ValueError(f"need {N_ORIENTATIONS} carrier pyramids, got {len(carriers)}")
-    for c in carriers[1:]:
-        if c.dims != carriers[0].dims:
-            raise ValueError("carrier pyramids must align level by level")
-    return [np.stack(level)[:, None] for level in zip(*carriers)]
-
-
 def _ring_bank(shape, params: ContextParams) -> np.ndarray:
     """The 16 ring kernels fitted to ``shape``, a read-only (8, 2, s, s) array."""
     nominal = VonMisesParams(bo_direction=0.0, r0=params.ring_radius, form=params.ring_form)
@@ -251,166 +223,94 @@ def _ring_kernels(size: int, ring_radius: float, ring_form: str) -> np.ndarray:
     return bank
 
 
-def _ring_responses(evidence, params: ContextParams) -> np.ndarray:
-    """Project ``evidence[t, s]`` through the ring kernel toward (t, s).
-
-    ``evidence`` is a (1 or 8, 1 or 2, r, c) stack that broadcasts
-    against the (8, 2) ring bank, so a map shared by several kernels is
-    transformed once (:func:`correlate_stack`); the result is
-    (8, 2, r, c).
-    """
-    return correlate_stack(evidence, _ring_bank(evidence.shape[-2:], params))
-
-
-def scale_contexts(responses: Sequence[np.ndarray]) -> list:
-    """Pool projected evidence from every coarser level onto each level.
+def scale_contexts(responses: list) -> list:
+    """Pool projected evidence from every coarser level onto each level,
+    in place: each response is replaced by its context.
 
     ``ctx[k] = sum_{j >= k} 2^{-(j+1)} * resample(responses[j] -> dims_k)``
     with the level index weighted 1-based, so coarser levels contribute
     geometrically less; every term is brought to level k in one hop.
-    Each level is one :func:`pool_resampled` call over the whole stack,
-    which reassociates the sum (exact to about 1e-15 relative).
+    Level k reads only levels k and coarser, so the finest level is
+    replaced first. Each level is one :func:`pool_resampled` call over
+    the whole stack, which reassociates the sum (exact to about 1e-15
+    relative).
     """
     n = len(responses)
-    return [
-        pool_resampled(
+    for k in range(n):
+        responses[k] = pool_resampled(
             responses[k:],
             *responses[k].shape[-2:],
             [2.0 ** -(j + 1) for j in range(k, n)],
         )
-        for k in range(n)
-    ]
+    return responses
 
 
-def _normalized(level, params: NormalizationParams) -> np.ndarray:
-    """Normalize every ``[t, 0]``/``[t, 1]`` pair of a ``(..., 2, r, c)`` level.
+def _projected(level, context: ContextParams) -> np.ndarray:
+    """Normalize the competing pairs of one (P, ..., r, c) evidence level
+    and project it through the ring bank: a (P, 8, 2, r, c) stack.
 
-    The result is an (m, 2, r, c) stack, m the number of pairs: a level
-    shared by every orientation ((2, r, c) or (1, 2, r, c)) is
-    normalized once and stays (1, 2, r, c), not tiled to eight
-    orientations.
+    With two polarities the pairs are the polarities of each map; with
+    one, the two sides of each orientation. Moving the polarity axis
+    next to the map axes lines both up as adjacent pairs.
     """
-    shape = level.shape[-2:]
-    return np.array([
-        normalize_evidence_pair(a, b, params)
-        for a, b in level.reshape((-1, N_SIDES) + shape)
-    ])
+    moved = np.moveaxis(level, 0, -3)
+    pairs = moved.reshape((-1, N_SIDES) + level.shape[-2:])
+    normed = np.array([normalize_evidence_pair(a, b, context.normalization) for a, b in pairs])
+    normed = np.moveaxis(normed.reshape(moved.shape), -3, 0)
+    # (P, T, S, r, c), so that (T, S) broadcasts against the (8, 2) bank
+    normed = normed.reshape(normed.shape[:1] + (1,) * (5 - normed.ndim) + normed.shape[1:])
+    return correlate_stack(normed, _ring_bank(level.shape[-2:], context))
 
 
-def _pooled_contexts(evidence, params: ContextParams) -> list:
-    """Project each level's evidence through the ring kernels
-    (:func:`_ring_responses`), then pool the (8, 2, r, c) projections
-    across scales (:func:`scale_contexts`).
-
-    ``evidence`` may be a generator, so that only one level of it is
-    alive at a time."""
-    return scale_contexts([_ring_responses(level, params) for level in evidence])
-
-
-def _gate(carrier, excite, inhibit, w_opp: float) -> np.ndarray:
-    """``max(0, C_t * (1 + excite[t, s] - w_opp * inhibit[t, 1 - s]))``."""
-    return np.maximum(0.0, carrier * (1.0 + excite - w_opp * inhibit[:, ::-1]))
-
-
-def _unmodulated(carrier) -> np.ndarray:
-    return np.repeat(np.maximum(0.0, carrier), N_SIDES, axis=1)
-
-
-def compute_bo_contrast(
+def compute_bo(
     carriers,
-    cs_levels,
-    weights: ModelWeights = ModelWeights(),
+    evidence,
+    w_opp: float,
     context: ContextParams = ContextParams(),
+    modulated: int | None = None,
 ) -> list:
-    """Contrast-route ownership stacks, light and dark polarity summed.
+    """Ownership stacks of one route, level by level.
 
-    ``carriers`` are the eight oriented-energy pyramids. ``cs_levels`` is
-    the :func:`cs_pyramids` output: per level a (2, rows, cols) or
-    (1, 2, rows, cols) stack shared by every orientation (symmetric
-    features) or an (8, 2, rows, cols) stack (the oriented feature),
-    side index 0 light and 1 dark. A shared level is normalized once and
-    projected as one map per polarity, not tiled to eight orientations.
-    Both sides of an orientation project the same polarity map, so per
-    level k::
+    ``carriers`` is the oriented-energy pyramid, level k an
+    (8, 1, rows, cols) stack. ``evidence`` (a generator keeps one raw
+    level alive at a time) yields level k as one (P, ..., rows, cols)
+    stack of P polarities whose middle axes broadcast against the
+    (8, 2) ring bank: for the contrast route light and dark
+    (:func:`cs_pyramids`), each shared by both sides, (2, rows, cols)
+    for an isotropic feature and (2, 8, 1, rows, cols) for the
+    carriers; for a directed local cue one polarity with a map per
+    side, (1, 8, 2, rows, cols).
 
-        gate(e, i)[t, s] = max(0, C_t * (1 + e[t, s] - w_opp * i[t, 1 - s]))
-        contrast[k] = gate(ctx_light, ctx_dark) + gate(ctx_dark, ctx_light)
+    Each level's competing pairs are normalized together
+    (:func:`normalize_evidence_pair`) and projected in one
+    :func:`correlate_stack` call, ``evidence[p, t, s]`` through the
+    ring kernel toward (t, s). The projections are pooled across scales
+    in place (:func:`scale_contexts`), and gate the carrier one
+    polarity at a time::
 
-    Same-polarity evidence on the owned side excites, opposite polarity
-    on the opposite side inhibits.
+        B[k] = sum_p max(0, C * (1 + ctx[p] - w_opp * ctx[P-1-p, :, ::-1]))
+
+    Evidence on the owned side excites; evidence of the other polarity
+    (of the same cue, for one polarity) on the opposite side inhibits.
+    Only the ``modulated`` finest levels are gated (None gates all; a
+    local cue's ``top_layers_only``); the others pass the rectified
+    carrier to both sides, and ``modulated = 0`` reads no evidence.
     """
-    carrier_levels = _carrier_levels(carriers)
-    dims = [c.shape[-2:] for c in carrier_levels]
-    cs_levels = list(cs_levels)
-    leads = ((), (1,), (N_ORIENTATIONS,))
-    for k, (level, shape) in enumerate(zip(cs_levels, dims, strict=True)):
-        if level.shape not in [lead + (N_SIDES,) + shape for lead in leads]:
-            raise ValueError(
-                f"CS level {k} must be (2,), (1, 2) or (8, 2) + {shape}, got {level.shape}"
-            )
-
-    normed = [_normalized(level, context.normalization) for level in cs_levels]
-    ctx_light = _pooled_contexts((n[:, :1] for n in normed), context)
-    ctx_dark = _pooled_contexts((n[:, 1:] for n in normed), context)
-    return [
-        _gate(c, light, dark, weights.w_opp) + _gate(c, dark, light, weights.w_opp)
-        for c, light, dark in zip(carrier_levels, ctx_light, ctx_dark)
-    ]
-
-
-def compute_bo_local_cue(
-    carriers,
-    cue_maps,
-    weights: ModelWeights = ModelWeights(),
-    context: ContextParams = ContextParams(),
-) -> list:
-    """Ownership stacks modulated by one directed local-cue stack.
-
-    The native (8, 2, rows, cols) cue stack is pyramided by successive
-    downsampling, then takes the contrast route's path: normalized per
-    level and orientation, projected through the ring kernel of its own
-    direction, and pooled across scales; the cue on a cell's own side
-    excites it and the opposite side inhibits (``gate(ctx, ctx)``).
-    With ``weights.top_layers_only = m`` only the ``m`` finest levels
-    are modulated and the rest pass the carrier through unchanged.
-    """
-    carrier_levels = _carrier_levels(carriers)
-    n = len(carrier_levels)
-    cue_maps = as_directed_stack(cue_maps, "cue stack")
-    expected = (N_ORIENTATIONS, N_SIDES) + carrier_levels[0].shape[-2:]
-    if cue_maps.shape != expected:
-        raise ValueError(
-            f"cue stack must have shape {expected}, got {cue_maps.shape}"
-        )
-    limit = n if weights.top_layers_only is None else min(weights.top_layers_only, n)
-    if not cue_maps.any():
-        # an absent cue modulates nothing anywhere
-        return [_unmodulated(c) for c in carrier_levels]
-
-    ctx = _pooled_contexts(
-        (
-            _normalized(level, context.normalization)
-            for level in build_pyramid(cue_maps, n, carriers[0].factor)
-        ),
-        context,
-    )
-    return [
-        _gate(c, ctx[k], ctx[k], weights.w_opp) if k < limit else _unmodulated(c)
-        for k, c in enumerate(carrier_levels)
-    ]
-
-
-def _require_aligned(a, b, name_a: str, name_b: str):
-    if len(a) != len(b):
-        raise ValueError(
-            f"{name_a} has {len(a)} levels but {name_b} has {len(b)}"
-        )
-    for k, (sa, sb) in enumerate(zip(a, b)):
-        if sa.shape != sb.shape:
-            raise ValueError(
-                f"{name_a} and {name_b} disagree at level {k}: "
-                f"{sa.shape} vs {sb.shape}"
-            )
+    n = len(carriers)
+    modulated = n if modulated is None else min(modulated, n)
+    ctx = scale_contexts([_projected(level, context) for level in evidence]) if modulated else []
+    out = []
+    for k, carrier in enumerate(carriers):
+        if k >= modulated:
+            out.append(np.repeat(np.maximum(0.0, carrier), N_SIDES, axis=1))
+            continue
+        c, ctx[k] = ctx[k], None  # free each context once it has gated its level
+        level = None
+        for p in range(len(c)):
+            gated = np.maximum(0.0, carrier * (1.0 + c[p] - w_opp * c[-1 - p, :, ::-1]))
+            level = gated if level is None else np.add(level, gated, out=level)
+        out.append(level)
+    return out
 
 
 def combine_bo(
@@ -423,17 +323,13 @@ def combine_bo(
 
     ``combined[k] = alpha_ref * contrast[k] + alpha_sa * sa[k]
     + alpha_tj * tj[k]``, with ``contrast`` the light + dark sum of
-    :func:`compute_bo_contrast`. A route whose alpha is zero is never
-    touched, so its stacks (present or not) cannot influence the result.
+    :func:`compute_bo`. A route whose alpha is zero is never touched, so
+    its stacks (present or not) cannot influence the result.
     """
-    if weights.alpha_sa > 0:
-        if bo_sa is None:
-            raise ValueError("alpha_sa > 0 requires the spectral-anisotropy route")
-        _require_aligned(bo_contrast, bo_sa, "contrast", "sa")
-    if weights.alpha_tj > 0:
-        if bo_tj is None:
-            raise ValueError("alpha_tj > 0 requires the T-junction route")
-        _require_aligned(bo_contrast, bo_tj, "contrast", "tj")
+    if weights.alpha_sa > 0 and bo_sa is None:
+        raise ValueError("alpha_sa > 0 requires the spectral-anisotropy route")
+    if weights.alpha_tj > 0 and bo_tj is None:
+        raise ValueError("alpha_tj > 0 requires the T-junction route")
     out = []
     for k in range(len(bo_contrast)):
         level = weights.alpha_ref * bo_contrast[k]
@@ -455,7 +351,6 @@ def winning_bo(combined: Sequence[np.ndarray]) -> list:
     """
     out = []
     for stack in combined:
-        stack = as_directed_stack(stack, "combined")
         delta = stack[:, 0] - stack[:, 1]
         winner = np.abs(delta).argmax(axis=0)
         onehot = winner[None] == np.arange(N_ORIENTATIONS)[:, None, None]

@@ -1,9 +1,10 @@
 """End-to-end run: image -> channels -> pyramids -> ownership maps.
 
-The three feature channels share one set of oriented-energy carriers.
-Color and intensity contribute through the contrast route alone; the
-orientation channel additionally takes the two local cues, weighted by
-the model's alpha triple.
+The three feature channels share one set of oriented-energy carriers,
+built once as one (8, 1, rows, cols) pyramid. Every route is one
+``ownership.compute_bo`` call on them: color and intensity contribute
+through the contrast route alone; the orientation channel additionally
+takes the two local cues, weighted by the model's alpha triple.
 
 The run splits into a heavy, weight-independent preparation step and a
 cheap combination step, so weight sweeps (tuning, preset comparison)
@@ -32,15 +33,14 @@ from .channels import (
 )
 from .cues import SAParams, TJParams, build_tj_maps, compute_sa_maps, detect_t_junctions
 from .filters import DoGParams, GaborParams, make_center_surround, make_gabor
-from .grid import SQRT2, next_level_dims, pool_resampled
+from .grid import SQRT2, build_pyramid, next_level_dims, pool_resampled
 from .ownership import (
     N_SIDES,
     ContextParams,
     ModelWeights,
     OrientedCSParams,
     combine_bo,
-    compute_bo_contrast,
-    compute_bo_local_cue,
+    compute_bo,
     cs_pyramids,
     winning_bo,
 )
@@ -93,39 +93,27 @@ def effective_weights(weights: ModelWeights, have_labels: bool) -> ModelWeights:
     return weights
 
 
-def _contrast_winning(carriers, feature, params: PipelineParams, base) -> list:
-    """Winners of a symmetric feature, which takes the contrast route alone."""
-    cs = cs_pyramids([feature], [params.dog], make_center_surround)
-    return winning_bo(compute_bo_contrast(carriers, cs, base, params.context))
-
-
-def _summed_winners(carriers, features, params: PipelineParams, base) -> list:
-    """The winners of several symmetric features summed in order, in
-    place, so that one feature's winners are alive beside the sum; []
-    for no feature."""
-    total = []
-    for feature in features:
-        winners = _contrast_winning(carriers, feature, params, base)
-        if not total:
-            total = winners
-            continue
-        for level, more in zip(total, winners):
-            level += more
-    return total
-
-
 def _fixed_levels(channels, pyramids, params: PipelineParams, base) -> list:
     """``(0 + w_c * C) + w_i * I`` per level: ``C`` the winners of the
-    non-empty opponency sub-channels summed in channel order, ``I`` the
-    intensity winners. One feature is computed at a time."""
+    non-empty opponency sub-channels summed in channel order, in place,
+    ``I`` the intensity winners. Each takes the contrast route alone,
+    and one feature is computed at a time."""
     color_weight, intensity_weight, _ = base.feature_weights
     carriers = pyramids.orientation
     opponency = [p for p, native in zip(pyramids.opponency, channels.opponency) if native.any()]
-    fixed = [np.zeros((N_ORIENTATIONS, N_SIDES) + d) for d in carriers[0].dims]
+    fixed = [np.zeros((N_ORIENTATIONS, N_SIDES) + d) for d in carriers.dims]
     for weight, features in ((color_weight, opponency), (intensity_weight, [pyramids.intensity])):
-        if weight > 0:
-            for level, term in zip(fixed, _summed_winners(carriers, features, params, base)):
-                level += weight * term
+        if weight == 0 or not features:
+            continue
+        total = None
+        for feature in features:
+            cs = cs_pyramids(feature, [params.dog], make_center_surround)
+            winners = winning_bo(compute_bo(carriers, cs, base.w_opp, params.context))
+            if total is not None:  # summed in place, so one feature is alive beside it
+                winners = [np.add(t, w, out=t) for t, w in zip(total, winners)]
+            total = winners
+        for level, term in zip(fixed, total):
+            level += weight * term
     return fixed
 
 
@@ -205,7 +193,9 @@ def prepare_components(
     that needs it without them is warned about once here, and every
     finalize of it folds the T-junction weight into the contrast route.
     An image too small for the native filter banks or for ``n_scales``
-    pyramid levels is refused with a ValueError that names the limit.
+    pyramid levels is refused with a ValueError that names the limit,
+    and so is a contour or segment map whose shape is not the image's,
+    before any filtering or junction detection.
     """
     if not isinstance(image, RGBImage):
         image = RGBImage.from_gray(image)
@@ -216,6 +206,12 @@ def prepare_components(
         need_tj = base.alpha_tj > 0
     orientation_weight = base.feature_weights[2]
     _check_image_fits(image.shape, params, need_sa and orientation_weight > 0)
+    for name, labels in (("contour", contours), ("segment", segments)):
+        if labels is not None and np.shape(labels) != image.shape:
+            raise ValueError(
+                f"the {name} map is {'x'.join(map(str, np.shape(labels)))} but the "
+                f"image is {image.shape[0]}x{image.shape[1]}: label maps must match the image"
+            )
 
     if need_tj and not have_labels:
         log.warning(
@@ -241,15 +237,19 @@ def prepare_components(
             GaborParams(theta=theta, sigma=oc.sigma1, gamma=oc.gamma1, omega=oc.omega1)
             for theta in ORIENTATIONS
         ]
-        bo_contrast = compute_bo_contrast(
-            carriers, cs_pyramids(carriers, gabors, make_gabor), base, params.context
-        )
+        cs = cs_pyramids(carriers, gabors, make_gabor)
+        bo_contrast = compute_bo(carriers, cs, base.w_opp, params.context)
+
+        def local_cue(cue):
+            """One polarity with a map per side; an absent cue modulates nothing."""
+            levels = (level[None] for level in build_pyramid(cue, len(carriers), carriers.factor))
+            modulated = base.top_layers_only if cue.any() else 0
+            return compute_bo(carriers, levels, base.w_opp, params.context, modulated)
+
         if need_sa:
-            sa_maps = compute_sa_maps(channels.intensity, params.sa)
-            bo_sa = compute_bo_local_cue(carriers, sa_maps, base, params.context)
+            bo_sa = local_cue(compute_sa_maps(channels.intensity, params.sa))
         if need_tj and have_labels:
-            tj_maps = build_tj_maps(contours, segments, junctions, params.tj)
-            bo_tj = compute_bo_local_cue(carriers, tj_maps, base, params.context)
+            bo_tj = local_cue(build_tj_maps(contours, segments, junctions, params.tj))
 
     return PreparedImage(
         base=base,

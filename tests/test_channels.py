@@ -36,6 +36,17 @@ def test_rgb_image_validation():
         RGBImage(r=np.full((4, 4), 1.5), g=np.zeros((4, 4)), b=np.zeros((4, 4)))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_rgb_image_refuses_non_finite(value):
+    # the one finiteness check of an image: stages past it do not scan
+    bad = np.zeros((4, 4))
+    bad[1, 2] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        RGBImage(r=np.zeros((4, 4)), g=bad, b=np.zeros((4, 4)))
+    with pytest.raises(ValueError, match="non-finite"):
+        RGBImage.from_gray(bad)
+
+
 # -------------------------------------------------------------- opponency
 
 def test_opponency_gray_image_all_zero():
@@ -134,10 +145,14 @@ def test_compute_channels_shapes_and_nonnegative():
 def test_channel_pyramids_levels_and_dims():
     rng = np.random.default_rng(2)
     img = RGBImage(r=rng.random((32, 32)), g=rng.random((32, 32)), b=rng.random((32, 32)))
-    pyr = build_channel_pyramids(compute_channels(img), 4, math.sqrt(2))
-    for p in (pyr.intensity, *pyr.opponency, *pyr.orientation):
+    ch = compute_channels(img)
+    pyr = build_channel_pyramids(ch, 4, math.sqrt(2))
+    for p in (pyr.intensity, *pyr.opponency, pyr.orientation):
         assert len(p) == 4
-        assert p[0].shape == (32, 32)
+        assert p.dims[0] == (32, 32)
+    # the carriers: one pyramid of (8, 1, r, c) stacks
+    assert [level.shape[:2] for level in pyr.orientation] == [(8, 1)] * 4
+    assert np.array_equal(pyr.orientation[0][:, 0], ch.orientation)
 
 
 def test_channel_pyramid_single_scale_identity():

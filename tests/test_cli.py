@@ -1,5 +1,6 @@
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -329,6 +330,18 @@ class TestEval:
         assert code == 0
         captured = capsys.readouterr()
         assert "skipped ghost" in captured.err
+        assert "images=2" in (out / "report.kv").read_text()
+
+    def test_row_with_truth_outside_the_image_skipped(self, dataset, tmp_path, capsys):
+        # a 96-px scene's truth on a 48x48 image
+        wide = synth(tmp_path, "overlapping-squares", "wide")
+        rows = dataset.read_text().splitlines()
+        rows.append(f"wide a/image.ppm {wide / 'gt.lm1'} -")
+        manifest = write_manifest(tmp_path / "wide.txt", rows)
+        out = tmp_path / "eval"
+        code = main(["eval", "--manifest", str(manifest), "--out", str(out), *FAST])
+        assert code == 0
+        assert re.search(r"skipped wide: .*outside the 48x48 map", capsys.readouterr().err)
         assert "images=2" in (out / "report.kv").read_text()
 
     def test_all_failed_exits_nonzero(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from fgo.evaluation import (
     FGGroundTruth,
+    _simplex_points,
     build_report,
     FGCAResult,
     compute_fgca,
@@ -347,6 +348,24 @@ class TestBoundaryScorer:
                 prepare_scoring(prepared, gts)
             assert str(scored.value) == str(full.value)
 
+    def test_truth_outside_the_map_refused(self):
+        # a 96-px square's truth scored against a 48x48 run
+        stim = isolated_square(size=48, first=16, last=31)
+        prepared = prepare_components(stim.image, ModelWeights(), PYRAMIDS["two"])
+        final = finalize_components(prepared, ModelWeights()).final
+        wide = load_ground_truth(isolated_square(size=96, first=32, last=71).signed)
+        assert wide.x.max() >= 48 and wide.y.max() >= 48
+        for gts in (wide, (load_ground_truth(stim.signed), wide)):
+            with pytest.raises(ValueError, match=r"outside the 48x48 map"):
+                compute_fgca(final, gts)
+            with pytest.raises(ValueError, match=r"outside the 48x48 map"):
+                prepare_scoring(prepared, gts)
+        # a record on the last row and column is inside
+        corner = FGGroundTruth(x=[47], y=[47], nx=[1.0], ny=[0.0])
+        assert compute_fgca(final, corner) == score_weights(
+            prepare_scoring(prepared, corner), ModelWeights()
+        )
+
     def test_state_holds_a_fraction_of_the_prepared_bytes(self):
         stim = isolated_square(size=48, first=16, last=31)
         prepared = prepare_components(stim.image, ModelWeights(), PYRAMIDS["two"])
@@ -451,6 +470,26 @@ class TestGridSearch:
     def test_coarse_step_of_one_scans_the_corners(self):
         _, _, trace = grid_search_weights(lambda w: w.alpha_sa, coarse_step=1.0)
         assert [point for _, point, _ in trace[:2]] == [(0.0, 1.0), (1.0, 0.0)]
+
+    def test_coarse_grid_ends_at_the_corner(self):
+        # 1 / 0.3 is not an integer: the grid still reaches alpha_ref = 1
+        tuned, best, trace = grid_search_weights(lambda w: w.alpha_ref, coarse_step=0.3)
+        assert tuned.alpha_ref == 1.0 and best == 1.0
+        coarse = [point[0] for r, point, _ in trace if r == 0]
+        assert coarse == [0.0, 0.3, 0.6, 0.9, 1.0]
+
+    @pytest.mark.parametrize("anchor", [(0.9,), (0.85, 0.1), (0.1, 0.1)])
+    def test_refinement_clamps_to_the_simplex(self, anchor):
+        # every offset of the anchor gives a point on the simplex: one past
+        # a face lands on it instead of being dropped
+        points = _simplex_points(len(anchor), 0.15, anchor=anchor)
+        assert len(points) == 5 ** len(anchor)
+        for point in points:
+            assert min(point) >= 0.0
+            assert sum(point) == pytest.approx(1.0, abs=1e-9)
+        assert max(p[0] for p in points) == min(1.0, anchor[0] + 0.3)
+        if anchor == (0.9,):
+            assert [p[0] for p in points] == [0.6, 0.75, 0.9, 1.0, 1.0]
 
 
 def mpmath_right_tail_p(a, b) -> float:

@@ -115,13 +115,6 @@ def test_correlate_rejects_oversized_kernel():
         correlate_stack(np.zeros((5, 5)), np.zeros((5, 5)))
 
 
-def test_correlate_rejects_nonfinite():
-    arr = np.zeros((5, 5))
-    arr[2, 2] = np.nan
-    with pytest.raises(ValueError):
-        correlate_stack(arr, np.ones((3, 3)))
-
-
 def scipy_fft_correlate(arr, kernel):
     """One edge-padded pair through ``signal.convolve(method="fft")``."""
     padded = np.pad(arr, [(n // 2, n // 2) for n in kernel.shape], mode="edge")
@@ -170,10 +163,6 @@ def test_correlate_stack_refusals():
         correlate_stack(maps, np.zeros((8, 2, 2, 3)))
     with pytest.raises(ValueError, match="smaller than input"):
         correlate_stack(maps, np.zeros((8, 2, 9, 9)))
-    kernels = np.ones((8, 2, 3, 3))
-    kernels[3, 1, 1, 1] = np.inf
-    with pytest.raises(ValueError, match="non-finite"):
-        correlate_stack(maps, kernels)
     with pytest.raises(ValueError, match="do not broadcast"):
         correlate_stack(np.zeros((3, 9, 9)), np.ones((8, 2, 3, 3)))
     with pytest.raises(ValueError, match="non-empty"):
@@ -277,12 +266,8 @@ def test_pool_single_level_is_resample():
         assert_rel_close(got[i], oracle_resample(stack[i], 5, 12))
 
 
-def test_pool_rejects_nonfinite_and_mismatched_leading_shapes():
+def test_pool_rejects_mismatched_leading_shapes():
     good = np.ones((8, 2, 4, 4))
-    bad = good.copy()
-    bad[3, 1, 2, 2] = np.inf
-    with pytest.raises(ValueError, match="non-finite"):
-        pool_resampled([good, bad], 4, 4, (1.0, 1.0))
     with pytest.raises(ValueError, match="leading shape"):
         pool_resampled([good, np.ones((8, 4, 4))], 4, 4, (1.0, 1.0))
     with pytest.raises(ValueError, match="positive"):

@@ -3,7 +3,14 @@ import pytest
 from scipy import ndimage
 
 from fgo.channels import compute_orientation_channels
-from fgo.grid import SQRT2, NormalizationParams, build_pyramid, correlate_stack, pool_resampled
+from fgo.grid import (
+    SQRT2,
+    NormalizationParams,
+    Pyramid,
+    build_pyramid,
+    correlate_stack,
+    pool_resampled,
+)
 from fgo.filters import (
     DoGParams,
     GaborParams,
@@ -21,8 +28,7 @@ from fgo.ownership import (
     _ring_bank,
     bo_direction,
     combine_bo,
-    compute_bo_contrast,
-    compute_bo_local_cue,
+    compute_bo,
     cs_pyramids,
     normalize_evidence_pair,
     scale_contexts,
@@ -180,7 +186,19 @@ def square_image(size=64, lo=0.0, hi=1.0, first=20, last=43):
 
 
 def make_carriers(image, n_scales=4, factor=SQRT2):
-    return [build_pyramid(m, n_scales, factor) for m in compute_orientation_channels(image)]
+    """The carrier pyramid of (8, 1, r, c) levels, as the pipeline builds it."""
+    return build_pyramid(compute_orientation_channels(image)[:, None], n_scales, factor)
+
+
+def per_orientation(carriers):
+    """The carriers as eight pyramids of maps, ``[t][k]``, for the oracles."""
+    return [Pyramid(tuple(level[t, 0] for level in carriers), carriers.factor) for t in range(8)]
+
+
+def pair_layout(level):
+    """A (2, ..., r, c) contrast evidence level as (m, 2, r, c), polarity
+    second, the layout the oracles read."""
+    return np.moveaxis(level, 0, -3).reshape((-1, 2) + level.shape[-2:])
 
 
 def zero_cs(shape, n_scales=4, factor=SQRT2):
@@ -188,7 +206,14 @@ def zero_cs(shape, n_scales=4, factor=SQRT2):
 
 
 def symmetric_cs(pyr):
-    return cs_pyramids([pyr], [DoGParams()], make_center_surround)
+    return list(cs_pyramids(pyr, [DoGParams()], make_center_surround))
+
+
+def cue_bo(carriers, cue, weights=ModelWeights()):
+    """The local-cue route: the native (8, 2, r, c) cue pyramided like the
+    carriers, one polarity with a map per side."""
+    levels = (level[None] for level in build_pyramid(cue, len(carriers), carriers.factor))
+    return compute_bo(carriers, levels, weights.w_opp, ContextParams(), weights.top_layers_only)
 
 
 def oriented_gabor(theta, params=OrientedCSParams()):
@@ -196,7 +221,7 @@ def oriented_gabor(theta, params=OrientedCSParams()):
 
 
 def oriented_cs(pyr, theta):
-    return cs_pyramids([pyr], [oriented_gabor(theta)], make_gabor)
+    return list(cs_pyramids(pyr, [oriented_gabor(theta)], make_gabor))
 
 
 # --------------------------------------------------------- ModelWeights
@@ -222,8 +247,8 @@ def test_weights_other_fields_validated():
 
 def test_cs_symmetric_constant_silent():
     pyr = build_pyramid(np.full((40, 40), 0.7), 4)
-    for level in symmetric_cs(pyr):
-        assert level.shape[:2] == (1, 2)
+    for level, dims in zip(symmetric_cs(pyr), pyr.dims, strict=True):
+        assert level.shape == (2,) + dims
         assert np.abs(level).max() < 1e-12
 
 
@@ -232,7 +257,7 @@ def test_cs_symmetric_disk_geometry():
     rr, cc = np.mgrid[0:64, 0:64]
     radius = np.hypot(rr - 32.0, cc - 32.0)
     img[radius <= 15] = 1.0
-    light, dark = symmetric_cs(build_pyramid(img, 1))[0][0]
+    light, dark = symmetric_cs(build_pyramid(img, 1))[0]
     lr, lc = np.unravel_index(light.argmax(), light.shape)
     assert radius[lr, lc] < 15  # light peaks inside the disk
     dr, dc = np.unravel_index(dark.argmax(), dark.shape)
@@ -249,22 +274,22 @@ def test_cs_symmetric_inversion_swaps_polarities():
     a = symmetric_cs(build_pyramid(img, 3))
     b = symmetric_cs(build_pyramid(1.0 - img, 3))
     for k in range(3):
-        assert np.abs(a[k][0, 0] - b[k][0, 1]).max() < 1e-10
-        assert np.abs(a[k][0, 1] - b[k][0, 0]).max() < 1e-10
+        assert np.abs(a[k][0] - b[k][1]).max() < 1e-10
+        assert np.abs(a[k][1] - b[k][0]).max() < 1e-10
 
 
 def test_cs_oriented_constant_silent():
     pyr = build_pyramid(np.full((40, 40), 0.3), 3)
     for level in oriented_cs(pyr, 0.0):
-        assert np.abs(level[0, 0]).max() < 1e-12
+        assert np.abs(level[0]).max() < 1e-12
 
 
 def test_cs_oriented_prefers_its_own_orientation():
     img = np.zeros((64, 64))
     img[:, 30:35] = 1.0  # vertical bright bar
     pyr = build_pyramid(img, 1)
-    at_bar = oriented_cs(pyr, np.pi / 2)[0][0, 0, 32, 32]
-    across = oriented_cs(pyr, 0.0)[0][0, 0, 32, 32]
+    at_bar = oriented_cs(pyr, np.pi / 2)[0][0, 32, 32]
+    across = oriented_cs(pyr, 0.0)[0][0, 32, 32]
     assert at_bar > 0
     assert at_bar > across
 
@@ -275,20 +300,19 @@ def test_cs_oriented_inversion_swaps_polarities():
     a = oriented_cs(build_pyramid(img, 2), np.pi / 4)
     b = oriented_cs(build_pyramid(1.0 - img, 2), np.pi / 4)
     for k in range(2):
-        assert np.abs(a[k][0, 0] - b[k][0, 1]).max() < 1e-10
+        assert np.abs(a[k][0] - b[k][1]).max() < 1e-10
 
 
 def test_cs_pair_alignment_validated():
+    # one kernel setting per map of the level
     with pytest.raises(ValueError):
-        cs_pyramids(
-            [build_pyramid(np.zeros((16, 16)), 2), build_pyramid(np.zeros((16, 16)), 3)],
-            [DoGParams()] * 2,
-            make_center_surround,
-        )
+        list(cs_pyramids(
+            build_pyramid(np.zeros((16, 16)), 2), [DoGParams()] * 2, make_center_surround
+        ))
     with pytest.raises(ValueError):
-        cs_pyramids(
-            [build_pyramid(np.zeros((16, 16)), 2)], [DoGParams()] * 2, make_center_surround
-        )
+        list(cs_pyramids(
+            make_carriers(np.zeros((16, 16)), 2), [oriented_gabor(0.0)] * 7, make_gabor
+        ))
     with pytest.raises(ValueError):
         OrientedCSParams(sigma1=0.0)
 
@@ -296,10 +320,11 @@ def test_cs_pair_alignment_validated():
 def test_cs_stack_holds_each_pyramid_with_its_own_kernel():
     carriers = make_carriers(square_image(32, first=10, last=21), 3)
     thetas = [ti * np.pi / 8 for ti in range(8)]
-    stacked = cs_pyramids(carriers, [oriented_gabor(t) for t in thetas], make_gabor)
+    stacked = list(cs_pyramids(carriers, [oriented_gabor(t) for t in thetas], make_gabor))
     for ti, theta in enumerate(thetas):
-        for k, level in enumerate(oriented_cs(carriers[ti], theta)):
-            assert np.array_equal(stacked[k][ti], level[0])
+        for k, level in enumerate(oriented_cs(per_orientation(carriers)[ti], theta)):
+            assert stacked[k].shape == (2, 8, 1) + level.shape[-2:]
+            assert np.array_equal(stacked[k][:, ti, 0], level)
 
 
 # --------------------------------------------------------- normalization
@@ -340,12 +365,12 @@ def test_peak_competition_matches_label_maximum_oracle(name, params):
 def test_bo_zero_cs_passes_carrier_through():
     rng = np.random.default_rng(5)
     carriers = make_carriers(rng.random((32, 32)), n_scales=3)
-    contrast = compute_bo_contrast(carriers, zero_cs((32, 32), 3))
+    contrast = compute_bo(carriers, zero_cs((32, 32), 3), 1.0)
     for k in range(3):
         for ti in range(8):
             for si in range(2):
                 # light and dark each pass the carrier, and they are summed
-                assert np.array_equal(contrast[k][ti, si], 2.0 * carriers[ti][k])
+                assert np.array_equal(contrast[k][ti, si], 2.0 * carriers[k][ti, 0])
 
 
 def test_bo_inversion_swaps_light_and_dark():
@@ -353,9 +378,9 @@ def test_bo_inversion_swaps_light_and_dark():
     rng = np.random.default_rng(6)
     img = rng.random((32, 32))
     n = 3
-    a = compute_bo_contrast(make_carriers(img, n), symmetric_cs(build_pyramid(img, n)))
-    b = compute_bo_contrast(
-        make_carriers(1.0 - img, n), symmetric_cs(build_pyramid(1.0 - img, n))
+    a = compute_bo(make_carriers(img, n), symmetric_cs(build_pyramid(img, n)), 1.0)
+    b = compute_bo(
+        make_carriers(1.0 - img, n), symmetric_cs(build_pyramid(1.0 - img, n)), 1.0
     )
     for k in range(n):
         assert np.abs(a[k] - b[k]).max() < 1e-10
@@ -364,7 +389,7 @@ def test_bo_inversion_swaps_light_and_dark():
 def test_bo_square_owned_from_inside():
     img = square_image()
     n = 5
-    contrast = compute_bo_contrast(make_carriers(img, n), symmetric_cs(build_pyramid(img, n)))
+    contrast = compute_bo(make_carriers(img, n), symmetric_cs(build_pyramid(img, n)), 1.0)
     # top edge of the bright square: theta = 0, inside is downward (side 0)
     into = contrast[0][0, 0, 20, 24:40]
     away = contrast[0][0, 1, 20, 24:40]
@@ -373,27 +398,12 @@ def test_bo_square_owned_from_inside():
         assert level.min() >= 0.0
 
 
-def test_bo_cs_shape_and_count_validated():
-    carriers = make_carriers(np.random.default_rng(0).random((32, 32)), 3)
-    zero = zero_cs((32, 32), 3)
-    with pytest.raises(ValueError):
-        compute_bo_contrast(carriers, zero_cs((16, 16), 3))
-    with pytest.raises(ValueError):
-        compute_bo_contrast(carriers, [np.stack([z] * 5) for z in zero])
-    with pytest.raises(ValueError):
-        compute_bo_contrast(carriers, zero[:2])
-    with pytest.raises(ValueError):
-        compute_bo_contrast(carriers, [z[0] for z in zero])
-    with pytest.raises(ValueError):
-        compute_bo_contrast(carriers[:4], zero)
-
-
 def test_bo_per_orientation_cs_accepted():
     img = square_image(32, first=10, last=21)
     n = 2
     carriers = make_carriers(img, n)
     cs = cs_pyramids(carriers, [oriented_gabor(ti * np.pi / 8) for ti in range(8)], make_gabor)
-    contrast = compute_bo_contrast(carriers, cs)
+    contrast = compute_bo(carriers, cs, 1.0)
     assert len(contrast) == n
     assert contrast[0].shape == (8, 2, 32, 32)
     assert contrast[0].min() >= 0.0
@@ -404,23 +414,27 @@ def test_bo_contrast_matches_route_oracle(w_opp):
     img = square_image(32, first=9, last=20)
     n = 4
     carriers = make_carriers(img, n)
-    weights = ModelWeights(w_opp=w_opp)
-    shared = symmetric_cs(build_pyramid(img, n))
-    tiled = [np.repeat(level, 8, axis=0) for level in shared]
-    got_shared = compute_bo_contrast(carriers, shared, weights)
-    got_bare = compute_bo_contrast(carriers, [level[0] for level in shared], weights)
-    got_tiled = compute_bo_contrast(carriers, tiled, weights)
-    for got, want in zip(got_shared, oracle_contrast(carriers, shared, w_opp)):
-        assert want.any()
-        assert_rel_close(got, want)
+    # bare (2, r, c), as cs_pyramids gives it; shared (2, 1, 1, r, c);
+    # tiled to every orientation (2, 8, 1, r, c)
+    bare = symmetric_cs(build_pyramid(img, n))
+    shared = [level[:, None, None] for level in bare]
+    tiled = [np.repeat(level, 8, axis=1) for level in shared]
+    got_shared = compute_bo(carriers, shared, w_opp)
+    got_bare = compute_bo(carriers, bare, w_opp)
+    got_tiled = compute_bo(carriers, tiled, w_opp)
+    want = oracle_contrast(per_orientation(carriers), [pair_layout(b) for b in bare], w_opp)
+    for got, want_k in zip(got_shared, want, strict=True):
+        assert want_k.any()
+        assert_rel_close(got, want_k)
     for a, b, c in zip(got_shared, got_bare, got_tiled):
         assert np.array_equal(a, b) and np.array_equal(a, c)
 
-    oriented = cs_pyramids(
+    oriented = list(cs_pyramids(
         carriers, [oriented_gabor(ti * np.pi / 8) for ti in range(8)], make_gabor
-    )
-    got = compute_bo_contrast(carriers, oriented, weights)
-    for got_k, want_k in zip(got, oracle_contrast(carriers, oriented, w_opp)):
+    ))
+    got = compute_bo(carriers, oriented, w_opp)
+    want = oracle_contrast(per_orientation(carriers), [pair_layout(o) for o in oriented], w_opp)
+    for got_k, want_k in zip(got, want, strict=True):
         assert_rel_close(got_k, want_k)
 
 
@@ -428,11 +442,14 @@ def test_bo_contrast_matches_route_oracle(w_opp):
 
 def test_local_cue_zero_stack_passes_carrier():
     carriers = make_carriers(square_image(32, first=10, last=21), 3)
-    out = compute_bo_local_cue(carriers, np.zeros((8, 2, 32, 32)))
-    for k in range(3):
-        for ti in range(8):
-            for si in range(2):
-                assert np.array_equal(out[k][ti, si], carriers[ti][k])
+    gated = cue_bo(carriers, np.zeros((8, 2, 32, 32)))
+    # modulating no level reads no evidence at all
+    passed = compute_bo(carriers, iter(()), 1.0, modulated=0)
+    for out in (gated, passed):
+        for k in range(3):
+            for ti in range(8):
+                for si in range(2):
+                    assert np.array_equal(out[k][ti, si], carriers[k][ti, 0])
 
 
 def test_local_cue_one_sided_bias():
@@ -440,7 +457,7 @@ def test_local_cue_one_sided_bias():
     carriers = make_carriers(img, 4)
     cue = np.zeros((8, 2, 64, 64))
     cue[0, 0, 20, 22:42] = 1.0  # figure below the top edge
-    out = compute_bo_local_cue(carriers, cue)
+    out = cue_bo(carriers, cue)
     assert (out[0][0, 0] >= out[0][0, 1] - 1e-12).all()
     assert out[0][0, 0, 20, 32] > out[0][0, 1, 20, 32]
 
@@ -451,22 +468,12 @@ def test_local_cue_top_layers_only_passthrough():
     carriers = make_carriers(img, n)
     cue = np.zeros((8, 2, 64, 64))
     cue[0, 0, 20, 22:42] = 1.0
-    out = compute_bo_local_cue(
-        carriers, cue, ModelWeights(top_layers_only=2)
-    )
+    out = cue_bo(carriers, cue, ModelWeights(top_layers_only=2))
     for k in (2, 3):
         for ti in range(8):
             for si in range(2):
-                assert np.array_equal(out[k][ti, si], carriers[ti][k])
-    assert not np.array_equal(out[0][0, 0], carriers[0][0])
-
-
-def test_local_cue_shape_validated():
-    carriers = make_carriers(np.zeros((32, 32)) + 0.5, 2)
-    with pytest.raises(ValueError):
-        compute_bo_local_cue(carriers, np.zeros((8, 2, 16, 16)))
-    with pytest.raises(ValueError):
-        compute_bo_local_cue(carriers, np.zeros((4, 2, 32, 32)))
+                assert np.array_equal(out[k][ti, si], carriers[k][ti, 0])
+    assert not np.array_equal(out[0][0, 0], carriers[0][0, 0])
 
 
 @pytest.mark.parametrize(
@@ -481,8 +488,9 @@ def test_local_cue_matches_route_oracle(weights, factor):
     rng = np.random.default_rng(19)
     carriers = make_carriers(square_image(32, first=9, last=20), 4, factor)
     cue = rng.random((8, 2, 32, 32)) * (rng.random((8, 2, 32, 32)) < 0.1)
-    got = compute_bo_local_cue(carriers, cue, weights)
-    for got_k, want_k in zip(got, oracle_local_cue(carriers, cue, weights)):
+    got = cue_bo(carriers, cue, weights)
+    want = oracle_local_cue(per_orientation(carriers), cue, weights)
+    for got_k, want_k in zip(got, want, strict=True):
         assert_rel_close(got_k, want_k)
 
 
@@ -527,15 +535,6 @@ def test_combine_ignores_unweighted_routes_bit_identically():
     without = combine_bo(contrast, ModelWeights())
     for k in range(3):
         assert np.array_equal(with_sa[k], without[k])
-
-
-def test_combine_alignment_validated():
-    rng = np.random.default_rng(5)
-    contrast = random_stacks(rng)
-    with pytest.raises(ValueError):
-        combine_bo(contrast, ModelWeights(alpha_ref=0.5, alpha_sa=0.5), bo_sa=contrast[:2])
-    with pytest.raises(ValueError):
-        combine_bo(contrast, ModelWeights(alpha_ref=0.5, alpha_tj=0.5), bo_tj=contrast[:2])
 
 
 # -------------------------------------------------------------- winning
@@ -638,8 +637,14 @@ def test_scale_contexts_matches_docstring_formula(factor):
         r, c = dims[-1]
         dims.append((int(np.ceil(r / factor)), int(np.ceil(c / factor))))
     responses = [rng.standard_normal((8, 2) + d) for d in dims]
-    for got, want in zip(scale_contexts(responses), oracle_scale_contexts(responses)):
-        assert_rel_close(got, want)
+    want = oracle_scale_contexts(responses)
+    got = scale_contexts(list(responses))
+    for got_k, want_k in zip(got, want, strict=True):
+        assert_rel_close(got_k, want_k)
+    # in place: each response of the list passed is replaced by its context
+    pooled = list(responses)
+    assert scale_contexts(pooled) is pooled
+    assert all(np.array_equal(a, b) for a, b in zip(pooled, got))
 
 
 def test_ring_bank_is_cached_read_only_von_mises():

@@ -5,11 +5,10 @@ import pytest
 
 from fgo.channels import RGBImage, build_channel_pyramids, compute_channels
 from fgo.evaluation import compute_fgca, load_ground_truth
-from fgo.filters import GaborParams
-from fgo.ownership import ModelWeights
+from fgo.filters import GaborParams, make_center_surround
+from fgo.ownership import ModelWeights, compute_bo, cs_pyramids, winning_bo
 from fgo.pipeline import (
     PipelineParams,
-    _contrast_winning,
     effective_weights,
     finalize_components,
     prepare_components,
@@ -182,6 +181,16 @@ class TestPrepareFinalize:
         with pytest.raises(ValueError):
             PipelineParams(n_scales=0)
 
+    def test_routes_share_the_carrier_levels(self, prepared):
+        # every route is built on the one carrier pyramid, so the stacks
+        # that finalize blends align level by level without a check
+        _, prep = prepared
+        assert len(prep.level_dims) == FAST.n_scales
+        for route in (prep.fixed, prep.bo_contrast, prep.bo_sa, prep.bo_tj):
+            assert [level.shape for level in route] == [
+                (8, 2) + dims for dims in prep.level_dims
+            ]
+
 
 def colour_squares():
     stim = overlapping_squares()
@@ -220,7 +229,12 @@ class TestFixedFeatures:
         channels = compute_channels(image, FAST.gabor)
         pyramids = build_channel_pyramids(channels, FAST.n_scales, FAST.pyramid_factor)
         winners = [
-            _contrast_winning(pyramids.orientation, pyr, FAST, base)
+            winning_bo(compute_bo(
+                pyramids.orientation,
+                cs_pyramids(pyr, [FAST.dog], make_center_surround),
+                base.w_opp,
+                FAST.context,
+            ))
             for pyr, native in zip(pyramids.opponency, channels.opponency)
             if native.any()
         ]
@@ -248,6 +262,21 @@ class TestInputContract:
             prepare_components(np.full((8, 300), 0.5))
         prep = prepare_components(np.full((16, 16), 0.5))
         assert len(prep.level_dims) == 10
+
+    @pytest.mark.parametrize(
+        "weights", [ModelWeights(), ModelWeights(0.03, 0.0, 0.97)], ids=["reference", "with-tj"]
+    )
+    @pytest.mark.parametrize("which", ["contours", "segments"])
+    def test_label_maps_must_match_the_image(self, weights, which):
+        small = overlapping_squares(size=48, a_first=8, a_last=28, b_first=18, b_last=38)
+        large = overlapping_squares()
+        labels = {"contours": small.contours, "segments": small.segments}
+        labels[which] = getattr(large, which)
+        name = which[:-1]
+        with pytest.raises(ValueError, match=rf"the {name} map is 96x96 but the image is 48x48"):
+            prepare_components(small.image, weights, FAST, **labels)
+        prep = prepare_components(small.image, weights, FAST, small.contours, small.segments)
+        assert prep.junctions
 
     def test_pyramid_levels_need_2x2_cells(self):
         image = np.full((128, 128), 0.5)
