@@ -23,6 +23,7 @@ from .channels import RGBImage
 from .config import PRESETS, RunConfig, apply_assignment, apply_preset, load_config
 from .cues import format_junction
 from .evaluation import (
+    FGGroundTruth,
     build_report,
     compute_fgca,
     decisions_for,
@@ -65,6 +66,18 @@ def _load_labels(contours_path, segments_path):
     if (contours is None) != (segments is None):
         raise ValueError("contour and segment maps must be supplied together")
     return contours, segments
+
+
+def _read_truth(path, shape) -> FGGroundTruth:
+    """The boundary records of a signed ground-truth map, refused when
+    the map's shape is not the image's ``shape``."""
+    signed = io.read_signed_map(path)
+    if signed.shape != tuple(shape):
+        raise ValueError(
+            f"the ground-truth map is {'x'.join(map(str, signed.shape))} but the "
+            f"image is {shape[0]}x{shape[1]}: ground truth must match the image"
+        )
+    return load_ground_truth(signed)
 
 
 def _config_from_args(args) -> RunConfig:
@@ -112,11 +125,11 @@ def _correctness_image(final: np.ndarray, gt) -> np.ndarray:
 
 def cmd_run(args) -> int:
     config = _config_from_args(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     image = _read_image(Path(args.image))
     contours, segments = _load_labels(args.contours, args.segments)
+    gt = _read_truth(args.gt, image.shape) if args.gt else None
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     result = run_model(
         image,
         config.weights(),
@@ -139,8 +152,7 @@ def cmd_run(args) -> int:
         (out_dir / "junctions.txt").write_text("".join(f"{l}\n" for l in lines))
         written.append(out_dir / "junctions.txt")
 
-    if args.gt:
-        gt = load_ground_truth(io.read_signed_map(args.gt))
+    if gt is not None:
         io.write_pgm(out_dir / "correctness.pgm", _correctness_image(result.final, gt))
         written.append(out_dir / "correctness.pgm")
         fgca = compute_fgca(result.final, gt)
@@ -199,15 +211,16 @@ def parse_manifest(path) -> list:
 
 
 def _scoring_state(entry: ManifestEntry, config: RunConfig, need_sa: bool, need_tj: bool):
-    """Read one row's image, label maps and non-empty ground truths,
-    prepare the image and keep what scoring a weight point reads (a
-    :class:`ScoringState`), or None without truths."""
+    """Read one row's image, label maps and ground truths, prepare the
+    image and keep what scoring a weight point reads (a
+    :class:`ScoringState`). A truth whose map is not the image's shape
+    is refused, and so is a row without any boundary record."""
     image = _read_image(Path(entry.image))
     contours, segments = _load_labels(entry.contours, entry.segments)
-    gts = [load_ground_truth(io.read_signed_map(p)) for p in entry.gts]
+    gts = [_read_truth(p, image.shape) for p in entry.gts]
     gts = [gt for gt in gts if len(gt)]
     if not gts:
-        return None
+        raise ValueError("no usable ground truth records")
     prepared = prepare_components(
         image,
         config.weights(),
@@ -228,8 +241,6 @@ def _score_entry(entry: ManifestEntry, config: RunConfig, weight_sets) -> list:
         need_sa=any(w.alpha_sa > 0 for w in weight_sets),
         need_tj=any(w.alpha_tj > 0 for w in weight_sets),
     )
-    if state is None:
-        raise ValueError("no usable ground truth records")
     return [score_weights(state, w) for w in weight_sets]
 
 
@@ -342,13 +353,12 @@ def cmd_tune(args) -> int:
 
     loaded = {}
     for entry in train:
-        state = _scoring_state(
-            entry, config, need_sa="alpha_sa" in names, need_tj="alpha_tj" in names
-        )
-        if state is None:
-            print(f"skipped {entry.image_id}: no ground truth records", file=sys.stderr)
-        else:
-            loaded[entry.image_id] = state
+        try:
+            loaded[entry.image_id] = _scoring_state(
+                entry, config, need_sa="alpha_sa" in names, need_tj="alpha_tj" in names
+            )
+        except (OSError, ValueError) as exc:
+            print(f"skipped {entry.image_id}: {exc}", file=sys.stderr)
     if not loaded:
         print("no usable training images", file=sys.stderr)
         return 1

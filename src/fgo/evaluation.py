@@ -226,32 +226,37 @@ class ScoringState:
     """What scoring one image under any alpha triple needs, and no more.
 
     A decision reads the final maps only in the 3x3 windows of the
-    boundary records, and the final maps pool the level stacks
-    bilinearly, so a weight point needs the level cells that feed those
-    windows alone. Built by :func:`prepare_scoring`; it keeps no array
-    of the full :class:`PreparedImage`.
+    boundary records, and the final maps are ``fixed`` plus the
+    bilinear pool of the orientation levels, so a weight point needs
+    ``fixed`` at those window cells and the level cells that feed them
+    alone. Built by :func:`prepare_scoring`; it keeps no array of the
+    full :class:`PreparedImage`.
 
     ``windows`` holds, per truth, the ``(records, 9)`` indexes of each
     window's cells among the pooled target cells; ``r1`` and ``r2`` are
-    the restricted pool (:func:`grid.pool_operators_at`). ``prepared``
-    is the prepared image with every level list gathered at the level
-    cells, all levels side by side, as one (8, 2, 1, M) level, so
+    the restricted pool (:func:`grid.pool_operators_at`), None without
+    an orientation route. ``prepared`` is the prepared image restricted
+    to those cells: ``fixed`` at the target cells as an (8, 2, 1, T)
+    stack, and every route's side imbalances at the level cells, all
+    levels side by side, as one (8, 1, M) level, so
     :func:`pipeline.final_levels` runs on it unchanged.
     """
 
     gts: tuple
     windows: tuple
-    r1: sparse.csr_array
-    r2: sparse.csr_array
+    r1: sparse.csr_array | None
+    r2: sparse.csr_array | None
     prepared: PreparedImage
 
 
 def prepare_scoring(prepared: PreparedImage, gts) -> ScoringState:
     """Gather from a prepared image what :func:`score_weights` reads for
     the given ground truths (one or a sequence, none empty, every record
-    inside the image, as :func:`compute_fgca` requires)."""
+    inside the image, as :func:`compute_fgca` requires): ``fixed`` at
+    the window cells, and the orientation routes' side imbalances at the
+    level cells that the bilinear pool reads for them."""
     gts = _truths(gts)
-    rows, cols = prepared.level_dims[0]
+    rows, cols = prepared.fixed.shape[-2:]
     flat = np.concatenate(
         [np.ravel_multi_index(_window_cells(gt, rows, cols), (rows, cols)) for gt in gts]
     )
@@ -259,6 +264,10 @@ def prepare_scoring(prepared: PreparedImage, gts) -> ScoringState:
     windows = tuple(
         np.split(where.reshape(flat.shape), np.cumsum([len(gt) for gt in gts])[:-1])
     )
+    fixed = prepared.fixed.reshape(N_ORIENTATIONS, N_SIDES, -1)[:, :, None, targets]
+    if prepared.bo_contrast is None:
+        restricted = replace(prepared, fixed=fixed)
+        return ScoringState(gts=gts, windows=windows, r1=None, r2=None, prepared=restricted)
     level_cells, r1, r2 = pool_operators_at(
         prepared.level_dims,
         rows,
@@ -268,18 +277,18 @@ def prepare_scoring(prepared: PreparedImage, gts) -> ScoringState:
     )
 
     def gather(levels):
-        """The level stacks at the level cells, as a one-level list."""
+        """The side imbalances at the level cells, as a one-level list."""
         if levels is None:
             return None
         cells = [
-            level.reshape(N_ORIENTATIONS, N_SIDES, -1)[:, :, index]
+            level.reshape(N_ORIENTATIONS, -1)[:, index]
             for level, index in zip(levels, level_cells, strict=True)
         ]
-        return [np.concatenate(cells, axis=-1)[:, :, None, :]]
+        return [np.concatenate(cells, axis=-1)[:, None, :]]
 
     restricted = replace(
         prepared,
-        fixed=gather(prepared.fixed),
+        fixed=fixed,
         bo_contrast=gather(prepared.bo_contrast),
         bo_sa=gather(prepared.bo_sa),
         bo_tj=gather(prepared.bo_tj),
@@ -291,10 +300,13 @@ def score_weights(state: ScoringState, weights: ModelWeights) -> FGCAResult:
     """FGCA of one alpha triple, equal to ``compute_fgca(finalize_components(
     prepared, weights).final, gts)`` bit for bit, and refusing what they
     refuse: :func:`pipeline.final_levels` at the level cells, then the
-    restricted pool."""
-    (final,), _ = final_levels(state.prepared, weights)
-    pooled = state.r2 @ (state.r1 @ final.reshape(len(_DIRECTIONS), -1).T)
-    return _fgca(state.gts, [decide_windows(pooled[w]) for w in state.windows])
+    restricted pool added to ``fixed`` at the target cells."""
+    levels, _ = final_levels(state.prepared, weights)
+    final = state.prepared.fixed.reshape(len(_DIRECTIONS), -1).T
+    if levels is not None:
+        (level,) = levels
+        final = state.r2 @ (state.r1 @ level.reshape(len(_DIRECTIONS), -1).T) + final
+    return _fgca(state.gts, [decide_windows(final[w]) for w in state.windows])
 
 
 @dataclass(frozen=True)

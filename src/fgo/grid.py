@@ -60,12 +60,16 @@ def correlate_stack(maps, kernels) -> np.ndarray:
     padded[r + u, c + v]`` with the pad width equal to the kernel
     half-size on every border. The method is always the FFT, within
     about 1e-12 relative of that direct sum; a 1x1 kernel is an exact
-    scale. Each distinct map is padded and transformed once at scipy's
-    ``next_fast_len`` length, and each output takes one kernel transform
-    and one inverse, with one map and one kernel spectrum alive at a
-    time. The product is map spectrum times kernel spectrum, both named:
-    an unnamed kernel spectrum lets numpy reuse the temporary and
-    multiply in the other order, which moves the last bits.
+    scale. Each distinct map and each distinct kernel is padded and
+    transformed once at scipy's ``next_fast_len`` length, and each
+    output takes one inverse. The kernels are the outer loop, grouped
+    by the leading axes on which both maps and kernels vary: a group's
+    map spectra are alive while its kernels pass, one kernel spectrum
+    at a time. So the (2, 1, 1) light and dark maps of a level against
+    the (8, 2) ring bank take 2 map and 16 kernel transforms. The
+    product is map spectrum times kernel spectrum, both named: an
+    unnamed kernel spectrum lets numpy reuse the temporary and multiply
+    in the other order, which moves the last bits.
     """
     maps = _as_stack(maps, "input")
     kernels = _as_stack(kernels, "kernel")
@@ -88,19 +92,28 @@ def correlate_stack(maps, kernels) -> np.ndarray:
         return maps * kernels
     maps = maps.reshape((1,) * (len(lead) + 2 - maps.ndim) + maps.shape)
     # correlation == convolution with the kernel flipped in both axes
-    flipped = np.broadcast_to(kernels, lead + (kh, kw))[..., ::-1, ::-1]
+    kernels = kernels.reshape((1,) * (len(lead) + 2 - kernels.ndim) + kernels.shape)
+    flipped = kernels[..., ::-1, ::-1]
     pad = ((kh // 2, kh // 2), (kw // 2, kw // 2))
     fshape = [fft.next_fast_len(n + 2 * (k - 1), True) for n, k in ((rows, kh), (cols, kw))]
     out = np.empty(lead + (rows, cols))
-    for index in np.ndindex(maps.shape[:-2]):
-        spectrum = fft.rfftn(np.pad(maps[index], pad, mode="edge"), fshape, axes=(0, 1))
-        # the outputs (and kernels) that share this map
-        share = tuple(i if n > 1 else slice(None) for i, n in zip(index, maps.shape))
-        targets, bank = out[share], flipped[share]
-        for pair in np.ndindex(targets.shape[:-2]):
-            k_spectrum = fft.rfftn(bank[pair], fshape, axes=(0, 1))
-            full = fft.irfftn(spectrum * k_spectrum, fshape, axes=(0, 1))
-            targets[pair] = full[kh - 1 : kh - 1 + rows, kw - 1 : kw - 1 + cols]
+    # the axes on which both vary pair one map set with one kernel set
+    paired = [n > 1 and k > 1 for n, k in zip(maps.shape, flipped.shape[:-2])]
+    for group in np.ndindex(*(n for n, p in zip(lead, paired) if p)):
+        at = iter(group)
+        select = tuple(next(at) if p else slice(None) for p in paired)
+        group_maps, bank, targets = maps[select], flipped[select], out[select]
+        spectra = [
+            (index, fft.rfftn(np.pad(group_maps[index], pad, mode="edge"), fshape, axes=(0, 1)))
+            for index in np.ndindex(group_maps.shape[:-2])
+        ]
+        for k_index in np.ndindex(bank.shape[:-2]):
+            k_spectrum = fft.rfftn(bank[k_index], fshape, axes=(0, 1))
+            for index, spectrum in spectra:
+                full = fft.irfftn(spectrum * k_spectrum, fshape, axes=(0, 1))
+                # the output takes the map's index where the map varies
+                pair = tuple(i if n > 1 else k for i, k, n in zip(index, k_index, group_maps.shape))
+                targets[pair] = full[kh - 1 : kh - 1 + rows, kw - 1 : kw - 1 + cols]
     return out
 
 
@@ -139,7 +152,7 @@ def _row_operator(level_rows: tuple, rows: int, weights: tuple) -> sparse.csr_ar
     )
 
 
-def pool_resampled(levels, rows: int, cols: int, weights) -> np.ndarray:
+def pool_resampled(levels, rows: int, cols: int, weights, out=None) -> np.ndarray:
     """``sum_j weights[j] * resample(levels[j] -> rows x cols)``, the
     resample bilinear and corner-aligned.
 
@@ -150,6 +163,9 @@ def pool_resampled(levels, rows: int, cols: int, weights) -> np.ndarray:
     cached, weight-scaled row matrices of all levels writes the output.
     This reassociates the sum of separately resampled levels, which is
     exact to about 1e-15 relative.
+
+    ``out``, when given, receives the result and may be one of the
+    levels: each map's inputs are read before its output is written.
     """
     levels = [_as_stack(level, "input") for level in levels]
     weights = tuple(float(w) for w in weights)
@@ -167,7 +183,8 @@ def pool_resampled(levels, rows: int, cols: int, weights) -> np.ndarray:
         raise ValueError(f"target dimensions must be positive, got {rows}x{cols}")
     row_op = _row_operator(tuple(level.shape[-2] for level in levels), rows, weights)
     col_ops = [_axis_matrix(cols, level.shape[-1]) for level in levels]
-    out = np.empty(lead + (rows, cols))
+    if out is None:
+        out = np.empty(lead + (rows, cols))
     for idx in np.ndindex(lead):
         block = np.vstack([(op @ level[idx].T).T for op, level in zip(col_ops, levels)])
         out[idx] = row_op @ block
@@ -311,18 +328,32 @@ def next_level_dims(rows: int, cols: int, factor: float):
     return math.ceil(rows / factor), math.ceil(cols / factor)
 
 
-def build_pyramid(base, n_scales: int, factor: float = SQRT2) -> Pyramid:
-    """Decompose a map, or a ``(..., rows, cols)`` stack of maps, into
-    ``n_scales`` levels by repeated downsampling of the last two axes."""
-    arr = _as_stack(base, "base")
+def pyramid_levels(base, n_scales: int, factor: float = SQRT2):
+    """Yield the ``n_scales`` levels of a map, or of a ``(..., rows,
+    cols)`` stack of maps, finest first, each downsampled from the one
+    before along the last two axes.
+
+    The generator holds only the level it last yielded, so a consumer
+    that keeps a level's product and drops the level holds one raw
+    level at a time, and no caller need keep the base beside it.
+    """
+    level = _as_stack(base, "base")
+    del base
     if n_scales < 1:
         raise ValueError(f"n_scales must be >= 1, got {n_scales}")
-    levels = [arr]
+    yield level
     for _ in range(n_scales - 1):
-        rows, cols = next_level_dims(*levels[-1].shape[-2:], factor)
+        rows, cols = next_level_dims(*level.shape[-2:], factor)
         if rows < 1 or cols < 1:
             raise ValueError(
                 f"pyramid level would collapse below 1x1 (n_scales={n_scales})"
             )
-        levels.append(pool_resampled([levels[-1]], rows, cols, (1.0,)))
-    return Pyramid(levels=tuple(levels), factor=factor)
+        level = pool_resampled([level], rows, cols, (1.0,))
+        yield level
+
+
+def build_pyramid(base, n_scales: int, factor: float = SQRT2) -> Pyramid:
+    """Decompose a map, or a ``(..., rows, cols)`` stack of maps, into
+    ``n_scales`` levels by repeated downsampling of the last two axes
+    (:func:`pyramid_levels`)."""
+    return Pyramid(levels=tuple(pyramid_levels(base, n_scales, factor)), factor=factor)

@@ -16,10 +16,17 @@ shared by both sides, and one polarity with a map per side for a
 directed local cue (SA, TJ). Each level's competing pairs are
 normalized together, projected in one call against the (8, 2) ring
 bank, pooled across scales, and then gate the carrier:
-``sum_p max(0, C_t * (1 + ctx[p, t, s] - w_opp * ctx[P-1-p, t, 1 - s]))``.
+``B[t, s] = sum_p max(0, C_t * (1 + ctx[p, t, s] - w_opp * ctx[P-1-p, t, 1 - s]))``.
 The contrast route thus gates with light exciting and dark inhibiting
 and with the roles swapped, and keeps only the sum of the two: nothing
 downstream reads the polarities apart.
+
+Nothing downstream reads the two sides apart either: the winner of a
+cell (:func:`winning_bo`) depends only on the side imbalance
+``D[t] = B[t, 0] - B[t, 1]``, and the blend of routes
+(:func:`combine_bo`) is linear. So a route's output is the level list
+of (8, rows, cols) side imbalances, half the size of its (8, 2)
+ownership stacks.
 
 Directed data travels as "stacks": arrays of shape ``(8, 2, rows,
 cols)`` indexed ``[orientation, side, row, col]``. A multiscale result
@@ -225,22 +232,25 @@ def _ring_kernels(size: int, ring_radius: float, ring_form: str) -> np.ndarray:
 
 def scale_contexts(responses: list) -> list:
     """Pool projected evidence from every coarser level onto each level,
-    in place: each response is replaced by its context.
+    in place: each response array is overwritten by its context.
 
     ``ctx[k] = sum_{j >= k} 2^{-(j+1)} * resample(responses[j] -> dims_k)``
     with the level index weighted 1-based, so coarser levels contribute
     geometrically less; every term is brought to level k in one hop.
     Level k reads only levels k and coarser, so the finest level is
-    replaced first. Each level is one :func:`pool_resampled` call over
-    the whole stack, which reassociates the sum (exact to about 1e-15
+    pooled first. Each level is one :func:`pool_resampled` call over
+    the whole stack, written into the level's own array: that is safe
+    map by map, because every map's inputs are read before its output
+    is written. The pool reassociates the sum (exact to about 1e-15
     relative).
     """
     n = len(responses)
     for k in range(n):
-        responses[k] = pool_resampled(
+        pool_resampled(
             responses[k:],
             *responses[k].shape[-2:],
             [2.0 ** -(j + 1) for j in range(k, n)],
+            out=responses[k],
         )
     return responses
 
@@ -269,7 +279,8 @@ def compute_bo(
     context: ContextParams = ContextParams(),
     modulated: int | None = None,
 ) -> list:
-    """Ownership stacks of one route, level by level.
+    """Side imbalances of one route, level by level: an (8, rows, cols)
+    array per level.
 
     ``carriers`` is the oriented-energy pyramid, level k an
     (8, 1, rows, cols) stack. ``evidence`` (a generator keeps one raw
@@ -286,30 +297,40 @@ def compute_bo(
     :func:`correlate_stack` call, ``evidence[p, t, s]`` through the
     ring kernel toward (t, s). The projections are pooled across scales
     in place (:func:`scale_contexts`), and gate the carrier one
-    polarity at a time::
+    orientation, side and polarity at a time::
 
-        B[k] = sum_p max(0, C * (1 + ctx[p] - w_opp * ctx[P-1-p, :, ::-1]))
+        B[k][t, s] = sum_p max(0, C_t * (1 + ctx[p, t, s] - w_opp * ctx[P-1-p, t, 1-s]))
+        D[k][t] = B[k][t, 0] - B[k][t, 1]
 
     Evidence on the owned side excites; evidence of the other polarity
     (of the same cue, for one polarity) on the opposite side inhibits.
-    Only the ``modulated`` finest levels are gated (None gates all; a
-    local cue's ``top_layers_only``); the others pass the rectified
-    carrier to both sides, and ``modulated = 0`` reads no evidence.
+    Only ``D`` is returned, and neither an (8, 2) level nor a full-size
+    gate temporary is alive. Only the ``modulated`` finest levels are
+    gated (None gates all; a local cue's ``top_layers_only``); the
+    others pass the rectified carrier to both sides, so their imbalance
+    is zero, and ``modulated = 0`` reads no evidence.
     """
     n = len(carriers)
     modulated = n if modulated is None else min(modulated, n)
     ctx = scale_contexts([_projected(level, context) for level in evidence]) if modulated else []
     out = []
     for k, carrier in enumerate(carriers):
+        delta = np.zeros((N_ORIENTATIONS,) + carrier.shape[-2:])
+        out.append(delta)
         if k >= modulated:
-            out.append(np.repeat(np.maximum(0.0, carrier), N_SIDES, axis=1))
             continue
         c, ctx[k] = ctx[k], None  # free each context once it has gated its level
-        level = None
-        for p in range(len(c)):
-            gated = np.maximum(0.0, carrier * (1.0 + c[p] - w_opp * c[-1 - p, :, ::-1]))
-            level = gated if level is None else np.add(level, gated, out=level)
-        out.append(level)
+        for t in range(N_ORIENTATIONS):
+            sides = []
+            for s in range(N_SIDES):
+                side = None
+                for p in range(len(c)):
+                    gated = np.maximum(
+                        0.0, carrier[t, 0] * (1.0 + c[p, t, s] - w_opp * c[-1 - p, t, 1 - s])
+                    )
+                    side = gated if side is None else np.add(side, gated, out=side)
+                sides.append(side)
+            np.subtract(*sides, out=delta[t])
     return out
 
 
@@ -319,12 +340,15 @@ def combine_bo(
     bo_sa=None,
     bo_tj=None,
 ) -> list:
-    """Blend the contrast and local-cue routes level by level.
+    """Blend the side imbalances of the contrast and local-cue routes
+    level by level.
 
     ``combined[k] = alpha_ref * contrast[k] + alpha_sa * sa[k]
-    + alpha_tj * tj[k]``, with ``contrast`` the light + dark sum of
-    :func:`compute_bo`. A route whose alpha is zero is never touched, so
-    its stacks (present or not) cannot influence the result.
+    + alpha_tj * tj[k]``, with each route the (8, rows, cols) side
+    imbalances of :func:`compute_bo` (``contrast`` of light + dark). The
+    blend is linear, so it equals the imbalance of the blended (8, 2)
+    stacks up to rounding. A route whose alpha is zero is never
+    touched, so its stacks (present or not) cannot influence the result.
     """
     if weights.alpha_sa > 0 and bo_sa is None:
         raise ValueError("alpha_sa > 0 requires the spectral-anisotropy route")
@@ -334,27 +358,28 @@ def combine_bo(
     for k in range(len(bo_contrast)):
         level = weights.alpha_ref * bo_contrast[k]
         if weights.alpha_sa > 0:
-            level = level + weights.alpha_sa * bo_sa[k]
+            level += weights.alpha_sa * bo_sa[k]
         if weights.alpha_tj > 0:
-            level = level + weights.alpha_tj * bo_tj[k]
+            level += weights.alpha_tj * bo_tj[k]
         out.append(level)
     return out
 
 
-def winning_bo(combined: Sequence[np.ndarray]) -> list:
+def winning_bo(deltas: Sequence[np.ndarray]) -> list:
     """Keep only the orientation with the largest side imbalance.
 
-    Per level and pixel the winning orientation maximizes
-    ``|B[t, 0] - B[t, 1]|`` (ties go to the lowest index); the output
-    holds the rectified imbalance on the winning side and zero
-    everywhere else, so at most one of the 16 cells is nonzero.
+    ``deltas`` holds per level the (8, rows, cols) side imbalances
+    ``D[t] = B[t, 0] - B[t, 1]``. Per level and pixel the winning
+    orientation maximizes ``|D[t]|`` (ties go to the lowest index); the
+    output is the (8, 2, rows, cols) stack that holds the rectified
+    imbalance on the winning side and zero everywhere else, so at most
+    one of the 16 cells is nonzero.
     """
     out = []
-    for stack in combined:
-        delta = stack[:, 0] - stack[:, 1]
+    for delta in deltas:
         winner = np.abs(delta).argmax(axis=0)
         onehot = winner[None] == np.arange(N_ORIENTATIONS)[:, None, None]
-        level = np.zeros_like(stack)
+        level = np.empty((N_ORIENTATIONS, N_SIDES) + delta.shape[1:])
         level[:, 0] = np.where(onehot, np.maximum(delta, 0.0), 0.0)
         level[:, 1] = np.where(onehot, np.maximum(-delta, 0.0), 0.0)
         out.append(level)

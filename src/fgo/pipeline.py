@@ -2,19 +2,22 @@
 
 The three feature channels share one set of oriented-energy carriers,
 built once as one (8, 1, rows, cols) pyramid. Every route is one
-``ownership.compute_bo`` call on them: color and intensity contribute
-through the contrast route alone; the orientation channel additionally
-takes the two local cues, weighted by the model's alpha triple.
+``ownership.compute_bo`` call on them, which returns the route's
+(8, rows, cols) side imbalances per level: color and intensity
+contribute through the contrast route alone; the orientation channel
+additionally takes the two local cues, weighted by the model's alpha
+triple.
 
 The run splits into a heavy, weight-independent preparation step and a
 cheap combination step, so weight sweeps (tuning, preset comparison)
 pay the filter bank once per image. No alpha touches colour or
-intensity, so preparation sums their winners into one ``fixed`` level
-list; a weight point then only combines and selects the orientation
-routes (:func:`final_levels`). :func:`finalize_components` pools those
-levels to native resolution, and ``evaluation.score_weights`` runs the
-same core on a :class:`PreparedImage` restricted to the level cells
-that feed the boundary windows.
+intensity, so preparation sums their winners and pools them once into
+one native ``fixed`` stack; a weight point then only combines and
+selects the orientation routes (:func:`final_levels`).
+:func:`finalize_components` adds the pool of those levels to
+``fixed``, and ``evaluation.score_weights`` runs the same core on a
+:class:`PreparedImage` restricted to the cells that feed the boundary
+windows.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .channels import (
 )
 from .cues import SAParams, TJParams, build_tj_maps, compute_sa_maps, detect_t_junctions
 from .filters import DoGParams, GaborParams, make_center_surround, make_gabor
-from .grid import SQRT2, build_pyramid, next_level_dims, pool_resampled
+from .grid import SQRT2, next_level_dims, pool_resampled, pyramid_levels
 from .ownership import (
     N_SIDES,
     ContextParams,
@@ -93,15 +96,16 @@ def effective_weights(weights: ModelWeights, have_labels: bool) -> ModelWeights:
     return weights
 
 
-def _fixed_levels(channels, pyramids, params: PipelineParams, base) -> list:
-    """``(0 + w_c * C) + w_i * I`` per level: ``C`` the winners of the
-    non-empty opponency sub-channels summed in channel order, in place,
-    ``I`` the intensity winners. Each takes the contrast route alone,
-    and one feature is computed at a time."""
+def _fixed_term(channels, pyramids, params: PipelineParams, base) -> np.ndarray:
+    """The native (8, 2, rows, cols) pool of ``w_c * C + w_i * I`` per
+    level: ``C`` the winners of the non-empty opponency sub-channels
+    summed in channel order, in place, ``I`` the intensity winners.
+    Each takes the contrast route alone, and one feature is computed at
+    a time. Zero when neither feature is weighted."""
     color_weight, intensity_weight, _ = base.feature_weights
     carriers = pyramids.orientation
     opponency = [p for p, native in zip(pyramids.opponency, channels.opponency) if native.any()]
-    fixed = [np.zeros((N_ORIENTATIONS, N_SIDES) + d) for d in carriers.dims]
+    terms = None
     for weight, features in ((color_weight, opponency), (intensity_weight, [pyramids.intensity])):
         if weight == 0 or not features:
             continue
@@ -112,9 +116,13 @@ def _fixed_levels(channels, pyramids, params: PipelineParams, base) -> list:
             if total is not None:  # summed in place, so one feature is alive beside it
                 winners = [np.add(t, w, out=t) for t, w in zip(total, winners)]
             total = winners
-        for level, term in zip(fixed, total):
-            level += weight * term
-    return fixed
+        for level in total:
+            level *= weight
+        terms = total if terms is None else [np.add(a, b, out=a) for a, b in zip(terms, total)]
+    rows, cols = carriers.dims[0]
+    if terms is None:
+        return np.zeros((N_ORIENTATIONS, N_SIDES, rows, cols))
+    return pool_resampled(terms, rows, cols, (1.0,) * len(terms))
 
 
 def _check_image_fits(shape, params: PipelineParams, sa_route: bool) -> None:
@@ -155,16 +163,21 @@ class PreparedImage:
     outside the alpha triple (antagonism strength, feature mix, layer
     restriction); :func:`finalize_components` only accepts weights that
     agree with it there. ``fixed`` is the weighted colour plus intensity
-    term of every level, which no alpha changes. ``bo_contrast`` (light
-    and dark summed) and ``bo_sa``/``bo_tj`` are the orientation routes,
-    None when not prepared. ``have_labels`` records whether contour and
-    segment maps were given; without them :func:`finalize_components`
-    folds the T-junction weight into the contrast route.
+    term, which no alpha changes, pooled to one native (8, 2, rows,
+    cols) stack. ``bo_contrast`` (light and dark summed) and
+    ``bo_sa``/``bo_tj`` are the orientation routes, each a level list of
+    (8, r_j, c_j) side imbalances (``ownership.compute_bo``), None when
+    not prepared. ``have_labels`` records whether contour and segment
+    maps were given; without them :func:`finalize_components` folds the
+    T-junction weight into the contrast route.
+
+    At 321x481 with every route, ``fixed`` holds 18.8 MiB and each route
+    about 19 MiB over its ten levels: about 76 MiB in all.
     """
 
     base: ModelWeights
     have_labels: bool
-    fixed: list
+    fixed: np.ndarray
     bo_contrast: list | None
     bo_sa: list | None
     bo_tj: list | None
@@ -172,7 +185,9 @@ class PreparedImage:
 
     @property
     def level_dims(self) -> tuple:
-        return tuple(level.shape[-2:] for level in self.fixed)
+        """The ``(rows, cols)`` of every level of the orientation
+        routes; empty without them."""
+        return tuple(level.shape[-2:] for level in self.bo_contrast or ())
 
 
 def prepare_components(
@@ -224,7 +239,7 @@ def prepare_components(
     channels = compute_channels(image, params.gabor)
     pyramids = build_channel_pyramids(channels, params.n_scales, params.pyramid_factor)
     carriers = pyramids.orientation
-    fixed = _fixed_levels(channels, pyramids, params, base)
+    fixed = _fixed_term(channels, pyramids, params, base)
 
     junctions: tuple = ()
     if have_labels:
@@ -241,10 +256,15 @@ def prepare_components(
         bo_contrast = compute_bo(carriers, cs, base.w_opp, params.context)
 
         def local_cue(cue):
-            """One polarity with a map per side; an absent cue modulates nothing."""
-            levels = (level[None] for level in build_pyramid(cue, len(carriers), carriers.factor))
+            """One polarity with a map per side; an absent cue modulates
+            nothing. The pyramid is built level by level, and its
+            generator holds the only reference to the native cue."""
             modulated = base.top_layers_only if cue.any() else 0
-            return compute_bo(carriers, levels, base.w_opp, params.context, modulated)
+            levels = pyramid_levels(cue, len(carriers), carriers.factor)
+            del cue
+            return compute_bo(
+                carriers, (level[None] for level in levels), base.w_opp, params.context, modulated
+            )
 
         if need_sa:
             bo_sa = local_cue(compute_sa_maps(channels.intensity, params.sa))
@@ -288,39 +308,44 @@ def applied_weights(
 
 
 def final_levels(prepared: PreparedImage, weights: ModelWeights) -> tuple:
-    """``(levels, applied)``: the feature sum of every level under one
-    alpha triple, and the weights applied.
+    """``(levels, applied)``: the orientation term of every level under
+    one alpha triple, and the weights applied.
 
     The weights pass through :func:`applied_weights`; the orientation
-    routes are blended (:func:`ownership.combine_bo`), the winning
-    orientation kept (:func:`ownership.winning_bo`), and each level is
-    ``fixed + w_o * winners``. Without an orientation route the levels
-    are ``fixed`` itself.
+    routes' side imbalances are blended (:func:`ownership.combine_bo`),
+    the winning orientation kept (:func:`ownership.winning_bo`), and
+    each level is ``w_o * winners``, an (8, 2, r_j, c_j) stack. Without
+    an orientation route ``levels`` is None.
     """
     weights = applied_weights(
         weights, prepared.base, prepared.have_labels, prepared.bo_contrast is not None
     )
     if prepared.bo_contrast is None:
-        return prepared.fixed, weights
+        return None, weights
     winners = winning_bo(
         combine_bo(prepared.bo_contrast, weights, bo_sa=prepared.bo_sa, bo_tj=prepared.bo_tj)
     )
     w_orientation = weights.feature_weights[2]
-    return [f + w_orientation * o for f, o in zip(prepared.fixed, winners)], weights
+    return [np.multiply(level, w_orientation, out=level) for level in winners], weights
 
 
 def finalize_components(prepared: PreparedImage, weights: ModelWeights) -> RunResult:
     """Apply one alpha triple to prepared building blocks.
 
     :func:`final_levels`, then every level up-sampled to the native
-    (level 0) dimensions and added: one unit-weight
-    :func:`grid.pool_resampled` call over whole stacks, which
-    reassociates the sum of per-level resamples (exact to about 1e-15
-    relative). ``RunResult.weights`` holds the weights applied. This is
-    the full-map path of ``fgo run``.
+    dimensions and added, in one unit-weight :func:`grid.pool_resampled`
+    call over whole stacks, and the pool added to ``prepared.fixed``.
+    Both the pool and pooling ``fixed`` apart from it reassociate the
+    sum of per-level resamples (exact to about 1e-15 relative).
+    ``RunResult.weights`` holds the weights applied. This is the
+    full-map path of ``fgo run``.
     """
     levels, weights = final_levels(prepared, weights)
-    final = pool_resampled(levels, *levels[0].shape[-2:], (1.0,) * len(levels))
+    if levels is None:
+        final = prepared.fixed.copy()
+    else:
+        final = pool_resampled(levels, *prepared.fixed.shape[-2:], (1.0,) * len(levels))
+        final += prepared.fixed
     return RunResult(final=final, weights=weights, junctions=prepared.junctions)
 
 

@@ -147,7 +147,7 @@ def test_01_oracle_equivalence():
         stack = rng.normal(size=(8, 2, 6, 6))
         if i % 3 == 0:
             stack = np.round(stack, 1)  # provoke exact cross-orientation ties
-        delta = np.abs(winning_bo([stack])[0] - _oracle_winning(stack)).max()
+        delta = np.abs(winning_bo([stack[:, 0] - stack[:, 1]])[0] - _oracle_winning(stack)).max()
         worst = max(worst, delta)
 
     elapsed = time.perf_counter() - started

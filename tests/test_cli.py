@@ -114,6 +114,21 @@ class TestRun:
         assert vis.shape == (48, 48)
         assert set(np.unique(vis)) <= {0, 128, 192, 255}
 
+    def test_gt_of_another_shape_refused_before_any_output(self, square_dir, tmp_path, capsys):
+        # the 96-px square's records happen to lie inside the 48x48 map,
+        # so scoring them would print an FGCA of the wrong image
+        wide = synth(tmp_path, "isolated-square", "wide", ("--size", "96"))
+        out = tmp_path / "run"
+        code = main(
+            ["run", "--image", str(square_dir / "image.ppm"), "--gt", str(wide / "gt.lm1"),
+             "--out", str(out), *FAST]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "error: the ground-truth map is 96x96 but the image is 48x48" in captured.err
+        assert "fgca=" not in captured.out
+        assert not out.exists()
+
     def test_labels_add_junprecords(self, overlap_dir, tmp_path):
         out = tmp_path / "run"
         code = main(
@@ -341,7 +356,10 @@ class TestEval:
         out = tmp_path / "eval"
         code = main(["eval", "--manifest", str(manifest), "--out", str(out), *FAST])
         assert code == 0
-        assert re.search(r"skipped wide: .*outside the 48x48 map", capsys.readouterr().err)
+        assert re.search(
+            r"skipped wide: the ground-truth map is 96x96 but the image is 48x48",
+            capsys.readouterr().err,
+        )
         assert "images=2" in (out / "report.kv").read_text()
 
     def test_all_failed_exits_nonzero(self, tmp_path, capsys):
@@ -425,6 +443,39 @@ class TestTune:
         )
         assert code == 0
         assert "seed=5" in (out / "weights.kv").read_text()
+
+    @pytest.mark.parametrize("seed", ["2", "3"])
+    def test_broken_train_row_skipped(self, dataset, tmp_path, monkeypatch, capsys, seed):
+        # these seeds put the row pairing a 48-px image with a 96-px truth
+        # in the train half
+        wide = synth(tmp_path, "isolated-square", "wide", ("--size", "96"))
+        rows = dataset.read_text().splitlines()
+        rows += ["sq2 a/image.ppm b/gt.lm1 -", f"wide a/image.ppm {wide / 'gt.lm1'} -"]
+        manifest = write_manifest(tmp_path / "wide.txt", rows)
+        monkeypatch.setenv("FGO_SEED", seed)
+        out = tmp_path / "tune"
+        code = main(
+            ["tune", "--manifest", str(manifest), "--out", str(out),
+             "--coarse-step", "0.5", *FAST]
+        )
+        assert code == 0
+        assert re.search(
+            r"skipped wide: the ground-truth map is 96x96 but the image is 48x48",
+            capsys.readouterr().err,
+        )
+        assert "wide" in (out / "weights.kv").read_text()  # the split keeps its ids
+
+    def test_no_usable_train_row_exits_nonzero(self, tmp_path, capsys):
+        a = synth(tmp_path, "isolated-square", "a", ("--size", "48"))
+        wide = synth(tmp_path, "isolated-square", "wide", ("--size", "96"))
+        manifest = write_manifest(
+            tmp_path / "bad.txt",
+            [f"w{i} a/image.ppm {wide / 'gt.lm1'} -" for i in range(2)],
+        )
+        code = main(["tune", "--manifest", str(manifest), "--out", str(tmp_path / "tune"), *FAST])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "skipped w0" in err and "no usable training images" in err
 
     def test_tj_without_labels_warns_of_the_fold(self, dataset, tmp_path, caplog):
         # both rows lack label maps, so the training image does too

@@ -24,6 +24,7 @@ from fgo.channels import RGBImage
 from fgo.ownership import N_SIDES, ModelWeights, bo_direction
 from fgo.pipeline import PipelineParams, finalize_components, prepare_components, run_model
 from fgo.stimuli import annulus, isolated_square, overlapping_squares, shaded_edge
+from helpers import scoring_battery
 
 
 def single_peak_final(rows=9, cols=9, ti=0, si=0, y=4, x=4, value=2.0):
@@ -228,27 +229,6 @@ class TestScoring:
 
 # ------------------------------------------------- boundary-only scoring
 
-def scoring_battery():
-    """``(name, image, signed, contours, segments)`` of the fixtures."""
-    over = overlapping_squares()
-    square = isolated_square(size=48, first=16, last=31)
-    shaded = shaded_edge()
-    rng = np.random.default_rng(11)
-    wide = np.pad(square.signed, ((0, 0), (0, 8)))
-    return [
-        # colour, so every feature route carries signal, with labels
-        ("overlap", RGBImage(over.image, over.image**2, 1.0 - over.image),
-         over.signed, over.contours, over.segments),
-        ("annulus", annulus().image, annulus().signed, None, None),  # mirror ties
-        ("square", isolated_square().image, isolated_square().signed, None, None),
-        ("shaded", shaded.image, shaded.signed, shaded.contours, shaded.segments),
-        ("random", RGBImage(*rng.random((3, 48, 56))), wide, None, None),
-        # a flat image: its final responses are FFT round-off (about
-        # 1e-14), so the decisions hang on the last bits
-        ("flat", np.full((48, 48), 0.5), square.signed, None, None),
-    ]
-
-
 PYRAMIDS = {"sqrt2": PipelineParams(), "two": PipelineParams(n_scales=5, pyramid_factor=2.0)}
 
 
@@ -370,10 +350,13 @@ class TestBoundaryScorer:
         stim = isolated_square(size=48, first=16, last=31)
         prepared = prepare_components(stim.image, ModelWeights(), PYRAMIDS["two"])
         state = prepare_scoring(prepared, load_ground_truth(stim.signed))
-        prepared_bytes = sum(a.nbytes for a in (*prepared.fixed, *prepared.bo_contrast))
+        prepared_bytes = sum(a.nbytes for a in (prepared.fixed, *prepared.bo_contrast))
         kept = state.prepared
+        # fixed at the target cells, the side imbalances at the level cells
+        assert kept.fixed.shape[:3] == (8, 2, 1) and kept.fixed.ndim == 4
+        assert [level.shape[:2] for level in kept.bo_contrast] == [(8, 1)]
         state_bytes = sum(
-            a.nbytes for a in (*kept.fixed, *kept.bo_contrast, *state.windows)
+            a.nbytes for a in (kept.fixed, *kept.bo_contrast, *state.windows)
         )
         assert state_bytes < prepared_bytes / 4
 

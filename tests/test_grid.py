@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import signal
 
+from fgo import grid
 from fgo.grid import (
     NormalizationParams,
     Pyramid,
@@ -146,6 +147,30 @@ def test_correlate_stack_equals_each_pair(map_lead, kernel_lead, shape, ksize):
         alone = correlate_stack(wide_maps[idx], wide_kernels[idx])
         assert np.array_equal(got[idx], alone)
         assert_rel_close(got[idx], oracle_correlate(wide_maps[idx], wide_kernels[idx]))
+
+
+@pytest.mark.parametrize("map_lead, kernel_lead, transforms", [
+    ((2, 1, 1), (8, 2), 2 + 16),  # light and dark of a level against the ring bank
+    ((2, 8, 1), (8, 2), 16 + 16),  # the carriers' light and dark, one per orientation
+    ((1, 8, 2), (8, 2), 16 + 16),  # a local cue, one map per kernel
+])
+def test_correlate_stack_transforms_each_map_and_kernel_once(
+    monkeypatch, map_lead, kernel_lead, transforms
+):
+    rng = np.random.default_rng(13)
+    maps = rng.standard_normal(map_lead + (20, 24))
+    kernels = rng.standard_normal(kernel_lead + (5, 5))
+    lead = np.broadcast_shapes(map_lead, kernel_lead)
+    calls = []
+    rfftn = grid.fft.rfftn
+    monkeypatch.setattr(grid.fft, "rfftn", lambda *a, **k: calls.append(1) or rfftn(*a, **k))
+    got = correlate_stack(maps, kernels)
+    assert len(calls) == transforms
+    monkeypatch.undo()
+    wide_maps = np.broadcast_to(maps, lead + (20, 24))
+    wide_kernels = np.broadcast_to(kernels, lead + (5, 5))
+    for idx in np.ndindex(lead):
+        assert np.array_equal(got[idx], correlate_stack(wide_maps[idx], wide_kernels[idx]))
 
 
 def test_correlate_stack_equals_scipy_at_bsds_size():

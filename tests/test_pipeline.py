@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,15 +7,18 @@ import pytest
 from fgo.channels import RGBImage, build_channel_pyramids, compute_channels
 from fgo.evaluation import compute_fgca, load_ground_truth
 from fgo.filters import GaborParams, make_center_surround
+from fgo.grid import pool_resampled
 from fgo.ownership import ModelWeights, compute_bo, cs_pyramids, winning_bo
 from fgo.pipeline import (
     PipelineParams,
     effective_weights,
+    final_levels,
     finalize_components,
     prepare_components,
     run_model,
 )
 from fgo.stimuli import isolated_square, overlapping_squares
+from helpers import full_prepared, oracle_final, scoring_battery
 
 FAST = PipelineParams(n_scales=4)
 
@@ -182,14 +186,16 @@ class TestPrepareFinalize:
             PipelineParams(n_scales=0)
 
     def test_routes_share_the_carrier_levels(self, prepared):
-        # every route is built on the one carrier pyramid, so the stacks
-        # that finalize blends align level by level without a check
-        _, prep = prepared
+        # every route is built on the one carrier pyramid, so the side
+        # imbalances that finalize blends align level by level without
+        # a check; fixed is one native stack
+        stim, prep = prepared
         assert len(prep.level_dims) == FAST.n_scales
-        for route in (prep.fixed, prep.bo_contrast, prep.bo_sa, prep.bo_tj):
-            assert [level.shape for level in route] == [
-                (8, 2) + dims for dims in prep.level_dims
-            ]
+        assert prep.level_dims[0] == stim.image.shape
+        assert isinstance(prep.fixed, np.ndarray)
+        assert prep.fixed.shape == (8, 2) + stim.image.shape
+        for route in (prep.bo_contrast, prep.bo_sa, prep.bo_tj):
+            assert [level.shape for level in route] == [(8,) + dims for dims in prep.level_dims]
 
 
 def colour_squares():
@@ -199,7 +205,26 @@ def colour_squares():
 
 class TestFixedFeatures:
     """``PreparedImage.fixed`` is the colour plus intensity term of the
-    final feature sum, bit for bit, sign bits included."""
+    final feature sum, pooled to native size once, bit for bit, sign
+    bits included."""
+
+    @staticmethod
+    def winners(image):
+        """Per level: the summed opponency winners (None on a gray
+        image) and the intensity winners."""
+        if not isinstance(image, RGBImage):
+            image = RGBImage.from_gray(image)
+        channels = compute_channels(image, FAST.gabor)
+        pyramids = build_channel_pyramids(channels, FAST.n_scales, FAST.pyramid_factor)
+
+        def route(pyr):
+            cs = cs_pyramids(pyr, [FAST.dog], make_center_surround)
+            return winning_bo(compute_bo(pyramids.orientation, cs, 1.0, FAST.context))
+
+        colour = [route(p) for p, native in zip(pyramids.opponency, channels.opponency)
+                  if native.any()]
+        colour = [sum(levels[1:], levels[0]) for levels in zip(*colour)] if colour else None
+        return colour, route(pyramids.intensity)
 
     @pytest.mark.parametrize("kind", ["colour", "gray", "black"])
     def test_fixed_is_weighted_colour_plus_intensity(self, kind):
@@ -209,39 +234,32 @@ class TestFixedFeatures:
             "gray": overlapping_squares().image,
             "black": np.zeros((48, 48)),
         }[kind]
-
-        def fixed(feature_weights):
-            base = ModelWeights(feature_weights=feature_weights)
-            return prepare_components(image, base, FAST).fixed
-
         w_c, w_i = 0.3, 1.7
-        color, intensity = fixed((1.0, 0.0, 0.0)), fixed((0.0, 1.0, 0.0))
-        assert any(level.any() for level in color) == (kind == "colour")
-        got = fixed((w_c, w_i, 0.9))
-        assert len(got) == FAST.n_scales
-        for g, c, i in zip(got, color, intensity, strict=True):
-            assert g.tobytes() == ((0 + w_c * c) + w_i * i).tobytes()
-            assert not np.signbit(g).any()
+        colour, intensity = self.winners(image)
+        assert (colour is not None) == (kind == "colour")
+        if colour is None:
+            levels = [w_i * i for i in intensity]
+        else:
+            levels = [w_c * c + w_i * i for c, i in zip(colour, intensity)]
+        got = prepare_components(image, ModelWeights(feature_weights=(w_c, w_i, 0.9)), FAST).fixed
+        want = pool_resampled(levels, *levels[0].shape[-2:], (1.0,) * len(levels))
+        assert got.shape == (8, 2) + levels[0].shape[-2:]
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got).any()
 
     def test_colour_sums_the_opponency_winners_in_channel_order(self):
         image = colour_squares()
-        base = ModelWeights(feature_weights=(1.0, 0.0, 0.0))
-        channels = compute_channels(image, FAST.gabor)
-        pyramids = build_channel_pyramids(channels, FAST.n_scales, FAST.pyramid_factor)
-        winners = [
-            winning_bo(compute_bo(
-                pyramids.orientation,
-                cs_pyramids(pyr, [FAST.dog], make_center_surround),
-                base.w_opp,
-                FAST.context,
-            ))
-            for pyr, native in zip(pyramids.opponency, channels.opponency)
-            if native.any()
-        ]
-        assert len(winners) > 1
-        got = prepare_components(image, base, FAST).fixed
-        for k, level in enumerate(got):
-            assert level.tobytes() == sum(w[k] for w in winners).tobytes()
+        assert sum(native.any() for native in compute_channels(image).opponency) > 1
+        colour, _ = self.winners(image)
+        got = prepare_components(image, ModelWeights(feature_weights=(1.0, 0.0, 0.0)), FAST).fixed
+        want = pool_resampled(colour, *colour[0].shape[-2:], (1.0,) * len(colour))
+        assert got.tobytes() == want.tobytes()
+
+    def test_no_weighted_feature_is_zero(self):
+        image = colour_squares()
+        got = prepare_components(image, ModelWeights(feature_weights=(0.0, 0.0, 1.0)), FAST).fixed
+        assert got.shape == (8, 2) + image.shape
+        assert not got.any() and not np.signbit(got).any()
 
 
 class TestInputContract:
@@ -284,3 +302,52 @@ class TestInputContract:
             prepare_components(image, params=PipelineParams(pyramid_factor=2.0))
         prep = prepare_components(image, params=PipelineParams(n_scales=7, pyramid_factor=2.0))
         assert prep.level_dims[-1] == (2, 2)
+
+
+PRESET_TRIPLES = ((1.0, 0.0, 0.0), (0.35, 0.65, 0.0), (0.03, 0.0, 0.97), (0.05, 0.15, 0.8))
+
+
+class TestFullPathOracle:
+    """The side-imbalance path against the full path of (8, 2) stacks,
+    blended, reduced to winners and pooled with the ``fixed`` levels
+    (``helpers.oracle_final``)."""
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_finalize_equals_the_full_path(self, index):
+        name, image, signed, contours, segments = scoring_battery()[index]
+        params = PipelineParams()
+        prepared = prepare_components(
+            image, ModelWeights(), params, contours, segments, need_sa=True, need_tj=True
+        )
+        full = full_prepared(image, ModelWeights(), params, contours, segments)
+        gt = load_ground_truth(signed)
+        rng = np.random.default_rng(index)
+        randoms = [(a, b, 1.0 - a - b) for a, b in rng.dirichlet((1.0, 1.0, 1.0), 4)[:, :2]]
+        for triple in (*PRESET_TRIPLES, *randoms):
+            weights = ModelWeights(*triple)
+            result = finalize_components(prepared, weights)
+            levels, _ = final_levels(prepared, weights)
+            want = oracle_final(full, result.weights, chosen=levels)
+            scale = np.abs(want).reshape(16, -1).max(axis=1)
+            error = np.abs(result.final - want).reshape(16, -1).max(axis=1)
+            assert (error <= 1e-12 * scale).all(), (name, triple)
+            assert compute_fgca(result.final, gt) == compute_fgca(want, gt), (name, triple)
+
+    def test_run_model_peak_memory(self):
+        # every route on a seeded colour scene: the traced peak, in native
+        # (8, 2, rows, cols) stacks, was 12.8 with (8, 2) route stacks, a
+        # level-resolution fixed term and whole-stack gate temporaries
+        size = 128
+        rng = np.random.default_rng(4)
+        stim = overlapping_squares(size=size, a_first=32, a_last=80, b_first=48, b_last=112)
+        gains = rng.uniform(0.5, 1.0, size=(stim.segments.max() + 1, 3))
+        image = RGBImage(*np.clip(stim.image * gains[stim.segments].transpose(2, 0, 1), 0, 1))
+        weights = ModelWeights(0.05, 0.15, 0.8)
+        tracemalloc.start()
+        try:
+            result = run_model(image, weights, contours=stim.contours, segments=stim.segments)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.weights == weights
+        assert peak < 10 * result.final.nbytes
