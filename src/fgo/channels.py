@@ -22,6 +22,13 @@ N_ORIENTATIONS = 8
 ORIENTATIONS = tuple(i * math.pi / N_ORIENTATIONS for i in range(N_ORIENTATIONS))
 
 
+def bo_direction(orientation_index: int, side_index: int) -> float:
+    """Ownership direction angle of an (orientation, side) pair: side 0
+    is ``theta + pi/2`` and side 1 is ``theta - pi/2``, in the package
+    frame (angle a -> (dx, dy) = (cos a, sin a), y down the rows)."""
+    return ORIENTATIONS[orientation_index] + (1.0, -1.0)[side_index] * math.pi / 2
+
+
 @dataclass(frozen=True)
 class RGBImage:
     r: np.ndarray

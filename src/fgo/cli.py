@@ -14,19 +14,21 @@ import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import io, stimuli
 from .channels import RGBImage
-from .config import PRESETS, RunConfig, apply_assignment, apply_preset, load_config
+from .config import PRESETS, RunConfig, apply_lines, apply_preset, key_name, load_config
 from .cues import format_junction
 from .evaluation import (
+    ALPHA_NAMES,
     FGGroundTruth,
     build_report,
-    compute_fgca,
     decisions_for,
+    fgca_of,
     format_report_keyvalues,
     format_report_text,
     grid_search_weights,
@@ -60,12 +62,8 @@ def _read_image(path: Path) -> RGBImage:
     raise ValueError(f"unsupported image format {path.suffix!r} (want .ppm or .pgm)")
 
 
-def _load_labels(contours_path, segments_path):
-    contours = io.read_lm1(contours_path) if contours_path else None
-    segments = io.read_lm1(segments_path) if segments_path else None
-    if (contours is None) != (segments is None):
-        raise ValueError("contour and segment maps must be supplied together")
-    return contours, segments
+def _load_labels(*paths) -> list:
+    return [io.read_lm1(path) if path else None for path in paths]
 
 
 def _read_truth(path, shape) -> FGGroundTruth:
@@ -81,24 +79,23 @@ def _read_truth(path, shape) -> FGGroundTruth:
 
 
 def _config_from_args(args) -> RunConfig:
+    """The config file, then the preset, then each ``--set``, then
+    ``--weights``; the weights are checked once all are set, before
+    anything is read or written."""
     config = RunConfig()
-    if getattr(args, "config", None):
+    if args.config:
         config = load_config(args.config, config)
-    if getattr(args, "preset", None):
+    if args.preset:
         config = apply_preset(config, args.preset)
-    for assignment in getattr(args, "set", None) or []:
-        if "=" not in assignment:
-            raise ValueError(f"--set expects key=value, got {assignment!r}")
-        key, value = assignment.split("=", 1)
-        config = apply_assignment(config, key, value)
-    if getattr(args, "weights", None):
-        parts = [p.strip() for p in args.weights.split(",")]
+    config = apply_lines(config, args.set or [], "--set {line}")
+    triple = getattr(args, "weights", None)
+    if triple:
+        parts = triple.split(",")
         if len(parts) != 3:
-            raise ValueError(
-                f"--weights expects alphaRef,alphaSA,alphaTJ, got {args.weights!r}"
-            )
-        for key, value in zip(("alpha_ref", "alpha_sa", "alpha_tj"), parts):
-            config = apply_assignment(config, key, value)
+            raise ValueError(f"--weights expects alphaRef,alphaSA,alphaTJ, got {triple!r}")
+        lines = [f"{name}={value}" for name, value in zip(ALPHA_NAMES, parts)]
+        config = apply_lines(config, lines, "--weights {line}")
+    config.weights()  # refuses a bad weight set
     return config
 
 
@@ -111,10 +108,9 @@ def _direction_image(final: np.ndarray) -> np.ndarray:
     return np.where(flat.max(axis=0) > 0, gray, 0).astype(np.uint8)
 
 
-def _correctness_image(final: np.ndarray, gt) -> np.ndarray:
-    dirs, ties = decisions_for(final, gt)
+def _correctness_image(shape, gt, dirs, ties) -> np.ndarray:
     correct = score_directions(gt, dirs, ties) == 1.0
-    canvas = np.full(final.shape[2:], BACKGROUND_GRAY, dtype=np.uint8)
+    canvas = np.full(shape, BACKGROUND_GRAY, dtype=np.uint8)
     canvas[gt.y, gt.x] = np.where(ties, TIE_GRAY, np.where(correct, CORRECT_GRAY, WRONG_GRAY))
     return canvas
 
@@ -128,16 +124,10 @@ def cmd_run(args) -> int:
     image = _read_image(Path(args.image))
     contours, segments = _load_labels(args.contours, args.segments)
     gt = _read_truth(args.gt, image.shape) if args.gt else None
+    result = run_model(image, config.weights(), config.params, contours, segments)
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = run_model(
-        image,
-        config.weights(),
-        config.pipeline_params(),
-        contours=contours,
-        segments=segments,
-    )
-
     written = []
     for ti in range(result.final.shape[0]):
         for si in range(N_SIDES):
@@ -153,14 +143,15 @@ def cmd_run(args) -> int:
         written.append(out_dir / "junctions.txt")
 
     if gt is not None:
-        io.write_pgm(out_dir / "correctness.pgm", _correctness_image(result.final, gt))
+        dirs, ties = decisions_for(result.final, gt)
+        fgca = fgca_of(gt, [(dirs, ties)])
+        correctness = _correctness_image(result.final.shape[2:], gt, dirs, ties)
+        io.write_pgm(out_dir / "correctness.pgm", correctness)
         written.append(out_dir / "correctness.pgm")
-        fgca = compute_fgca(result.final, gt)
         print(f"fgca={fgca.accuracy:.6f} pixels={fgca.pixels} ties={fgca.ties}")
 
-    missing = [p for p in written if not p.exists()]
     print(f"wrote {len(written)} files to {out_dir}")
-    return 1 if missing else 0
+    return 0
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +215,7 @@ def _scoring_state(entry: ManifestEntry, config: RunConfig, need_sa: bool, need_
     prepared = prepare_components(
         image,
         config.weights(),
-        config.pipeline_params(),
+        config.params,
         contours=contours,
         segments=segments,
         need_sa=need_sa,
@@ -244,31 +235,44 @@ def _score_entry(entry: ManifestEntry, config: RunConfig, weight_sets) -> list:
     return [score_weights(state, w) for w in weight_sets]
 
 
-def _eval_task(task):
-    """``(image_id, per-preset scores)``, or ``(image_id, error message)``."""
-    entry, config, weight_sets = task
+def _load_row(task):
+    """``(image_id, load(entry), None)``, or ``(image_id, None, message)``
+    when the row is refused: a file that cannot be read (OSError) or a
+    value the library refuses (ValueError). Any other error is a fault
+    and propagates."""
+    load, entry = task
     try:
-        return entry.image_id, _score_entry(entry, config, weight_sets)
-    except Exception as exc:
-        return entry.image_id, str(exc)
+        return entry.image_id, load(entry), None
+    except (OSError, ValueError) as exc:
+        return entry.image_id, None, str(exc)
 
 
-def _score_dataset(entries, config: RunConfig, weight_sets, jobs: int):
-    """Per weight set ``{image_id: FGCAResult}``, skipping failed images
-    with a message; also returns the ``(image_id, message)`` failures."""
-    tasks = [(entry, config, weight_sets) for entry in entries]
+def _load_rows(load, entries, jobs: int = 1) -> dict:
+    """``{image_id: load(entry)}`` over the rows that are not refused, in
+    row order, on a pool of up to ``jobs`` processes; each refused row
+    is skipped with a message."""
+    tasks = [(load, entry) for entry in entries]
     workers = min(jobs, len(tasks))  # a fork pool starts every worker at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_eval_task, tasks))
+            results = list(pool.map(_load_row, tasks))
     else:
-        results = list(map(_eval_task, tasks))
-    failures = [(i, r) for i, r in results if isinstance(r, str)]
-    for image_id, message in failures:
-        print(f"skipped {image_id}: {message}", file=sys.stderr)
-    scored = [(i, r) for i, r in results if not isinstance(r, str)]
-    per_preset = [{i: r[w] for i, r in scored} for w in range(len(weight_sets))]
-    return per_preset, failures
+        results = list(map(_load_row, tasks))
+    loaded = {}
+    for image_id, result, message in results:
+        if message is None:
+            loaded[image_id] = result
+        else:
+            print(f"skipped {image_id}: {message}", file=sys.stderr)
+    return loaded
+
+
+def _score_dataset(entries, config: RunConfig, weight_sets, jobs: int) -> list:
+    """Per weight set ``{image_id: FGCAResult}`` over the rows that are
+    not refused (:func:`_load_rows`)."""
+    load = partial(_score_entry, config=config, weight_sets=weight_sets)
+    scores = _load_rows(load, entries, jobs)
+    return [{i: r[w] for i, r in scores.items()} for w in range(len(weight_sets))]
 
 
 def cmd_eval(args) -> int:
@@ -290,12 +294,11 @@ def cmd_eval(args) -> int:
         weight_sets = [config.weights()]
         labels = [args.preset or "model"]
 
-    per_preset, failures = _score_dataset(entries, config, weight_sets, args.jobs)
+    per_preset = _score_dataset(entries, config, weight_sets, args.jobs)
     if not per_preset[0]:
         print("all images failed", file=sys.stderr)
         return 1
 
-    written = []
     reports = []
     for label, scores in zip(labels, per_preset):
         report = build_report(scores)
@@ -303,7 +306,6 @@ def cmd_eval(args) -> int:
         stem = f"report_{label}" if len(labels) > 1 else "report"
         (out_dir / f"{stem}.txt").write_text(format_report_text(report))
         (out_dir / f"{stem}.kv").write_text(format_report_keyvalues(report))
-        written += [out_dir / f"{stem}.txt", out_dir / f"{stem}.kv"]
         print(
             f"{label}: aggregate={report.aggregate:.6f} "
             f"perImageMean={report.per_image_mean:.6f} images={len(scores)}"
@@ -321,44 +323,34 @@ def cmd_eval(args) -> int:
             f"pValue={p_value:.6g}\n"
         )
         (out_dir / "compare.kv").write_text(lines)
-        written.append(out_dir / "compare.kv")
         print(f"pValue={p_value:.6g}")
-
-    missing = [p for p in written if not p.exists()]
-    return 1 if missing else 0
+    return 0
 
 
 # ----------------------------------------------------------------------
 # tune
 # ----------------------------------------------------------------------
 
-WEIGHT_KEYS = {"alpharef": "alpha_ref", "alphasa": "alpha_sa", "alphatj": "alpha_tj"}
-
-
 def cmd_tune(args) -> int:
     config = _config_from_args(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     names = []
     for token in args.weight_names.split(","):
-        key = token.strip().lower().replace("_", "")
-        if key not in WEIGHT_KEYS:
+        name = key_name(token)
+        if name not in ALPHA_NAMES:
             raise ValueError(f"unknown weight name {token.strip()!r}")
-        names.append(WEIGHT_KEYS[key])
+        names.append(name)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     entries = parse_manifest(args.manifest)
     split = make_split([e.image_id for e in entries], config.resolved_seed())
     by_id = {e.image_id: e for e in entries}
     train = [by_id[i] for i in split.train_ids]
 
-    loaded = {}
-    for entry in train:
-        try:
-            loaded[entry.image_id] = _scoring_state(
-                entry, config, need_sa="alpha_sa" in names, need_tj="alpha_tj" in names
-            )
-        except (OSError, ValueError) as exc:
-            print(f"skipped {entry.image_id}: {exc}", file=sys.stderr)
+    load = partial(
+        _scoring_state, config=config, need_sa="alpha_sa" in names, need_tj="alpha_tj" in names
+    )
+    loaded = _load_rows(load, train)
     if not loaded:
         print("no usable training images", file=sys.stderr)
         return 1
@@ -394,8 +386,7 @@ def cmd_tune(args) -> int:
         f"alphaTJ={tuned.alpha_tj:.4f} objective={best:.6f} "
         f"({len(trace)} evaluations)"
     )
-    ok = (out_dir / "weights.kv").exists() and (out_dir / "trace.txt").exists()
-    return 0 if ok else 1
+    return 0
 
 
 # ----------------------------------------------------------------------
@@ -427,7 +418,7 @@ def cmd_synth(args) -> int:
         io.write_lm1(out_dir / "segments.lm1", stim.segments)
         written.append(out_dir / "segments.lm1")
     print(f"wrote {len(written)} files to {out_dir}")
-    return 0 if all(p.exists() for p in written) else 1
+    return 0
 
 
 # ----------------------------------------------------------------------

@@ -1,22 +1,22 @@
 """Flat key=value run configuration and the pinned weight presets.
 
 A config file is lines of ``key = value`` (``#`` comments allowed).
-Keys may be written in camelCase (``alphaRef``, ``topLayersOnly``) or
-snake_case; ``sa_``/``tj_`` prefixes address the nested cue parameter
-blocks. The ``FGO_SEED`` environment variable overrides the seed.
+Every key names one field of the library's own parameter objects:
+:class:`PipelineParams`, whose cue blocks take ``sa_``/``tj_``
+prefixes, or :class:`ModelWeights`. Keys match ignoring case and
+underscores, so ``alphaRef``, ``alpha_ref`` and ``ALPHAREF`` are one
+key. The ``FGO_SEED`` environment variable overrides the seed.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import math
 import os
-import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .cues import SAParams, TJParams
-from .filters import DoGParams, GaborParams
-from .grid import SQRT2
-from .ownership import ContextParams, ModelWeights, OrientedCSParams
+from .evaluation import ALPHA_NAMES
+from .ownership import ModelWeights
 from .pipeline import PipelineParams
 
 PRESETS = {
@@ -26,70 +26,67 @@ PRESETS = {
     "with-both": (0.05, 0.15, 0.80),
 }
 
+# file key -> path of its PipelineParams field
+_PARAM_KEYS = {
+    "n_scales": ("n_scales",),
+    "pyramid_factor": ("pyramid_factor",),
+    "sigma": ("gabor", "sigma"),
+    "gamma": ("gabor", "gamma"),
+    "omega": ("gabor", "omega"),
+    "sigma_in": ("dog", "sigma_in"),
+    "sigma_out": ("dog", "sigma_out"),
+    "sigma1": ("oriented_cs", "sigma1"),
+    "gamma1": ("oriented_cs", "gamma1"),
+    "omega1": ("oriented_cs", "omega1"),
+    "r0": ("context", "ring_radius"),
+    "ring_form": ("context", "ring_form"),
+    **{
+        f"{block}_{f.name}": (block, f.name)
+        for block, cls in (("sa", SAParams), ("tj", TJParams))
+        for f in fields(cls)
+    },
+}
+# the entries of ModelWeights.feature_weights, in order
+_FEATURE_KEYS = ("feature_color", "feature_intensity", "feature_orientation")
+# weight key -> its annotated type
+_WEIGHT_KEYS = {
+    **{f.name: f.type for f in fields(ModelWeights) if f.name != "feature_weights"},
+    **dict.fromkeys(_FEATURE_KEYS, "float"),
+}
+_KEYS = {
+    key.replace("_", ""): key for key in (*_PARAM_KEYS, *_WEIGHT_KEYS, "preset", "seed")
+}
+_TYPES = {"int": int, "float": float, "str": str}
+
+
+def key_name(key: str) -> str | None:
+    """The snake_case name of a config key in any spelling, None when
+    there is no such key."""
+    return _KEYS.get(key.strip().lower().replace("_", ""))
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One model configuration, flat where the file format is flat."""
+    """One model configuration: the library's pipeline parameters, the
+    weight keys set so far and the split seed.
 
-    # complex-cell (carrier) filter bank
-    gamma: float = 0.5
-    sigma: float = 2.24
-    omega: float = 1.57
-    # center-surround pair for symmetric features
-    sigma_in: float = 0.90
-    sigma_out: float = 2.70
-    # center-surround surrogate for the oriented feature
-    sigma1: float = 3.2
-    gamma1: float = 0.8
-    omega1: float = 0.7854
-    # context pooling ring
-    r0: float = 2.0
-    ring_form: str = "cosine"
-    # cue and feature mixing
-    alpha_ref: float = 1.0
-    alpha_sa: float = 0.0
-    alpha_tj: float = 0.0
-    w_opp: float = 1.0
-    feature_color: float = 1.0
-    feature_intensity: float = 1.0
-    feature_orientation: float = 1.0
-    # pyramid
-    n_scales: int = 10
-    pyramid_factor: float = SQRT2
-    top_layers_only: int | None = None
+    A pipeline parameter is checked by its own dataclass when it is set.
+    The weight keys are checked together when :meth:`weights` builds
+    them over ``ModelWeights()``, because the alpha triple sums to one
+    only once all three are set.
+    """
+
+    params: PipelineParams = PipelineParams()
+    weight_keys: dict = field(default_factory=dict)
     seed: int = 0
-    sa: SAParams = SAParams()
-    tj: TJParams = TJParams()
 
     def weights(self) -> ModelWeights:
-        return ModelWeights(
-            alpha_ref=self.alpha_ref,
-            alpha_sa=self.alpha_sa,
-            alpha_tj=self.alpha_tj,
-            w_opp=self.w_opp,
-            feature_weights=(
-                self.feature_color,
-                self.feature_intensity,
-                self.feature_orientation,
-            ),
-            top_layers_only=self.top_layers_only,
+        given = dict(self.weight_keys)
+        features = tuple(
+            given.pop(key, default)
+            for key, default in zip(_FEATURE_KEYS, ModelWeights().feature_weights)
         )
-
-    def pipeline_params(self) -> PipelineParams:
-        return PipelineParams(
-            n_scales=self.n_scales,
-            pyramid_factor=self.pyramid_factor,
-            gabor=GaborParams(
-                theta=0.0, sigma=self.sigma, gamma=self.gamma, omega=self.omega
-            ),
-            dog=DoGParams(sigma_in=self.sigma_in, sigma_out=self.sigma_out),
-            oriented_cs=OrientedCSParams(
-                sigma1=self.sigma1, gamma1=self.gamma1, omega1=self.omega1
-            ),
-            context=ContextParams(ring_radius=self.r0, ring_form=self.ring_form),
-            sa=self.sa,
-            tj=self.tj,
-        )
+        return ModelWeights(**given, feature_weights=features)
 
     def resolved_seed(self) -> int:
         env = os.environ.get("FGO_SEED")
@@ -98,71 +95,72 @@ class RunConfig:
 
 def apply_preset(config: RunConfig, name: str) -> RunConfig:
     try:
-        ref, sa, tj = PRESETS[name]
+        triple = PRESETS[name]
     except KeyError:
         raise ValueError(
             f"unknown preset {name!r}; choose from {sorted(PRESETS)}"
         ) from None
-    return replace(config, alpha_ref=ref, alpha_sa=sa, alpha_tj=tj)
+    return replace(config, weight_keys={**config.weight_keys, **dict(zip(ALPHA_NAMES, triple))})
 
 
-def _snake(key: str) -> str:
-    return re.sub(r"(?<=[a-z0-9])([A-Z])", r"_\1", key.strip()).lower()
+def _parse(kind: str, text: str):
+    """``text`` as a value of the annotated type ``kind``. A float must
+    be finite: no dataclass check refuses a NaN, which compares false
+    with every limit."""
+    if kind == "int | None":
+        return None if text.lower() in ("", "none") else int(text)
+    value = _TYPES[kind](text)
+    if kind == "float" and not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
 
 
-def _coerce(field: dataclasses.Field, raw: str):
-    raw = raw.strip()
-    if "None" in str(field.type):
-        return None if raw.lower() in ("", "none") else int(raw)
-    kind = type(field.default)
-    if kind is bool:
-        if raw.lower() in ("1", "true", "yes"):
-            return True
-        if raw.lower() in ("0", "false", "no"):
-            return False
-        raise ValueError(f"{field.name} expects a boolean, got {raw!r}")
-    return kind(raw)
-
-
-def _fields_of(cls):
-    return {f.name: f for f in fields(cls)}
+def _set_field(obj, path, text: str):
+    """``obj`` with the field at ``path`` set from its text, rebuilt at
+    every level, so each dataclass checks its own values."""
+    name, *rest = path
+    if rest:
+        return replace(obj, **{name: _set_field(getattr(obj, name), rest, text)})
+    kind = next(f.type for f in fields(obj) if f.name == name)
+    return replace(obj, **{name: _parse(kind, text)})
 
 
 def apply_assignment(config: RunConfig, key: str, value: str) -> RunConfig:
     """Set one configuration key from its text form."""
-    name = _snake(key)
+    name = key_name(key)
+    value = value.strip()
+    if name is None:
+        raise ValueError(f"unknown config key {key.strip()!r}")
     if name == "preset":
-        return apply_preset(config, value.strip())
-    for prefix, attr, cls in (("sa_", "sa", SAParams), ("tj_", "tj", TJParams)):
-        if name.startswith(prefix):
-            inner = name[len(prefix):]
-            block_fields = _fields_of(cls)
-            if inner not in block_fields:
-                raise ValueError(f"unknown {attr.upper()} key {key!r}")
-            nested = replace(
-                getattr(config, attr), **{inner: _coerce(block_fields[inner], value)}
-            )
-            return replace(config, **{attr: nested})
-    top = _fields_of(RunConfig)
-    if name not in top or name in ("sa", "tj"):
-        raise ValueError(f"unknown config key {key!r}")
-    return replace(config, **{name: _coerce(top[name], value)})
+        return apply_preset(config, value)
+    if name == "seed":
+        return replace(config, seed=int(value))
+    if name in _PARAM_KEYS:
+        return replace(config, params=_set_field(config.params, _PARAM_KEYS[name], value))
+    value = _parse(_WEIGHT_KEYS[name], value)
+    return replace(config, weight_keys={**config.weight_keys, name: value})
 
 
-def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
-    config = base if base is not None else RunConfig()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+def apply_lines(config: RunConfig, lines, where: str = "line {lineno}") -> RunConfig:
+    """Apply ``key = value`` lines in order; ``#`` starts a comment. A
+    refused line's error is prefixed with ``where``, formatted with the
+    line's ``lineno`` and stripped ``line``."""
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if "=" not in stripped:
-            raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
-        key, value = stripped.split("=", 1)
+        key, sep, value = stripped.partition("=")
         try:
+            if not sep:
+                raise ValueError(f"expected key=value, got {line!r}")
             config = apply_assignment(config, key, value)
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+            raise ValueError(f"{where.format(lineno=lineno, line=stripped)}: {exc}") from None
     return config
+
+
+def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
+    return apply_lines(base if base is not None else RunConfig(), text.splitlines())
 
 
 def load_config(path, base: RunConfig | None = None) -> RunConfig:

@@ -1,10 +1,8 @@
 """Local figure-ground cues: spectral anisotropy and T-junctions.
 
 Both cues produce directed maps indexed ``[orientation, side, row, col]``
-with eight orientations and two sides per orientation. Side index 0 is
-the ``theta + pi/2`` direction and side index 1 is ``theta - pi/2``,
-where directions follow the package frame (angle a -> (dx, dy) =
-(cos a, sin a), y down the rows).
+with eight orientations and two sides per orientation, each side
+pointing in its ``channels.bo_direction``.
 """
 
 from __future__ import annotations
@@ -16,20 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .channels import N_ORIENTATIONS, ORIENTATIONS
+from .channels import N_ORIENTATIONS, ORIENTATIONS, bo_direction
 from .filters import GaborParams, make_gabor
 from .grid import correlate_stack
 
 log = logging.getLogger(__name__)
-
-SIDE_SIGNS = (1.0, -1.0)  # side index 0 -> theta + pi/2, 1 -> theta - pi/2
-
-
-def side_direction(theta: float, side_index: int):
-    """Unit (dx, dy) for the ownership direction theta +/- pi/2."""
-    phi = theta + SIDE_SIGNS[side_index] * math.pi / 2
-    return math.cos(phi), math.sin(phi)
-
 
 # ======================================================================
 # spectral anisotropy
@@ -50,8 +39,10 @@ class SAParams:
     def __post_init__(self):
         if self.min_size % 2 == 0 or self.min_size < 3:
             raise ValueError(f"min_size must be odd and >= 3, got {self.min_size}")
-        if self.max_size < self.min_size or self.size_step % 2 != 0:
-            raise ValueError("max_size must be >= min_size and size_step even")
+        if self.max_size < self.min_size:
+            raise ValueError(f"max_size must be >= min_size, got {self.max_size}")
+        if self.size_step < 2 or self.size_step % 2 != 0:
+            raise ValueError(f"size_step must be even and >= 2, got {self.size_step}")
         if self.gamma <= 0 or self.sigma_factor <= 0:
             raise ValueError("gamma and sigma_factor must be positive")
 
@@ -124,10 +115,11 @@ def compute_sa_maps(intensity, params: SAParams = SAParams()) -> np.ndarray:
             for theta in ORIENTATIONS
         ])
         responses = correlate_stack(intensity, bank)
-        for ti, theta in enumerate(ORIENTATIONS):
+        for ti in range(N_ORIENTATIONS):
             magnitude = np.hypot(responses[ti, 0], responses[ti, 1])
             for si in range(2):
-                dx, dy = side_direction(theta, si)
+                phi = bo_direction(ti, si)
+                dx, dy = math.cos(phi), math.sin(phi)
                 out[ti, si] += sample_shifted(magnitude, radius * dy, radius * dx)
     return out
 
@@ -564,7 +556,8 @@ def build_tj_maps(contours, segments, junctions,
             ti = quantize_orientation(theta_local)
             hits = []
             for si in range(2):
-                dx, dy = side_direction(ORIENTATIONS[ti], si)
+                phi = bo_direction(ti, si)
+                dx, dy = math.cos(phi), math.sin(phi)
                 hit = False
                 for t in range(params.probe_min, params.probe_max + 1):
                     rr = int(round(row + t * dy))

@@ -24,9 +24,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import sparse, special
 
-from .channels import N_ORIENTATIONS
+from .channels import N_ORIENTATIONS, bo_direction
 from .grid import pool_operators_at
-from .ownership import N_SIDES, ModelWeights, bo_direction
+from .ownership import N_SIDES, ModelWeights
 from .pipeline import PreparedImage, final_levels
 
 _NEIGHBOR_OFFSETS = tuple(
@@ -190,8 +190,10 @@ def _truths(gts) -> tuple:
     return gts
 
 
-def _fgca(gts, decisions) -> FGCAResult:
-    """Pool ``(dirs, ties)`` decisions, one pair per truth, into FGCA."""
+def fgca_of(gts, decisions) -> FGCAResult:
+    """Pool ``(dirs, ties)`` decisions, one pair per truth, into FGCA.
+    ``gts`` is one ground truth or a sequence of them, none empty."""
+    gts = _truths(gts)
     accuracies, correct, pixels, ties = [], 0.0, 0, 0
     for gt, (dirs, tie_flags) in zip(gts, decisions, strict=True):
         scores = score_directions(gt, dirs, tie_flags)
@@ -214,7 +216,7 @@ def compute_fgca(final: np.ndarray, gts) -> FGCAResult:
     a ValueError that names the map's ``rows x cols``.
     """
     gts = _truths(gts)
-    return _fgca(gts, [decisions_for(final, gt) for gt in gts])
+    return fgca_of(gts, [decisions_for(final, gt) for gt in gts])
 
 
 # ----------------------------------------------------------------------
@@ -306,7 +308,7 @@ def score_weights(state: ScoringState, weights: ModelWeights) -> FGCAResult:
     if levels is not None:
         (level,) = levels
         final = state.r2 @ (state.r1 @ level.reshape(len(_DIRECTIONS), -1).T) + final
-    return _fgca(state.gts, [decide_windows(final[w]) for w in state.windows])
+    return fgca_of(state.gts, [decide_windows(final[w]) for w in state.windows])
 
 
 @dataclass(frozen=True)

@@ -292,6 +292,12 @@ class NormalizationParams:
             )
 
 
+def check_pyramid_factor(factor: float) -> None:
+    """Refuse a pyramid scale factor other than sqrt(2) or 2."""
+    if not any(math.isclose(factor, f, rel_tol=1e-9) for f in (SQRT2, 2.0)):
+        raise ValueError(f"pyramid_factor must be sqrt(2) or 2, got {factor}")
+
+
 @dataclass(frozen=True)
 class Pyramid:
     """A pyramid of maps or of ``(..., rows, cols)`` stacks, level index 0
@@ -303,11 +309,7 @@ class Pyramid:
     def __post_init__(self):
         if not self.levels:
             raise ValueError("pyramid needs at least one level")
-        if not (
-            math.isclose(self.factor, SQRT2, rel_tol=1e-9)
-            or math.isclose(self.factor, 2.0, rel_tol=1e-9)
-        ):
-            raise ValueError(f"pyramid factor must be sqrt(2) or 2, got {self.factor}")
+        check_pyramid_factor(self.factor)
 
     def __len__(self) -> int:
         return len(self.levels)

@@ -43,7 +43,6 @@ resolution.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -51,17 +50,11 @@ import numpy as np
 
 from scipy import ndimage
 
-from .channels import N_ORIENTATIONS, ORIENTATIONS
-from .cues import SIDE_SIGNS
+from .channels import N_ORIENTATIONS, bo_direction
 from .filters import VonMisesParams, clamp_kernel_size, make_von_mises
 from .grid import NormalizationParams, correlate_stack, pool_resampled
 
 N_SIDES = 2
-
-
-def bo_direction(orientation_index: int, side_index: int) -> float:
-    """Ownership direction angle for an (orientation, side) pair."""
-    return ORIENTATIONS[orientation_index] + SIDE_SIGNS[side_index] * math.pi / 2
 
 
 @dataclass(frozen=True)
@@ -131,6 +124,11 @@ class ContextParams:
     ring_radius: float = 2.0
     ring_form: str = "cosine"
     normalization: NormalizationParams = NormalizationParams()
+
+    def __post_init__(self):
+        # the ring kernels' own checks, so a bad radius or form is refused
+        # here and not in the first compute_bo
+        VonMisesParams(bo_direction=0.0, r0=self.ring_radius, form=self.ring_form)
 
 
 def cs_pyramids(feature, kernel_params, make_kernel):

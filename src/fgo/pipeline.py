@@ -36,7 +36,7 @@ from .channels import (
 )
 from .cues import SAParams, TJParams, build_tj_maps, compute_sa_maps, detect_t_junctions
 from .filters import DoGParams, GaborParams, make_center_surround, make_gabor
-from .grid import SQRT2, next_level_dims, pool_resampled, pyramid_levels
+from .grid import SQRT2, check_pyramid_factor, next_level_dims, pool_resampled, pyramid_levels
 from .ownership import (
     N_SIDES,
     ContextParams,
@@ -67,6 +67,7 @@ class PipelineParams:
     def __post_init__(self):
         if self.n_scales < 1:
             raise ValueError(f"n_scales must be >= 1, got {self.n_scales}")
+        check_pyramid_factor(self.pyramid_factor)
 
 
 @dataclass(frozen=True)
@@ -204,17 +205,19 @@ def prepare_components(
     ``need_sa``/``need_tj`` force the local-cue stacks to be built even
     if ``base`` currently gives them zero weight (a weight sweep may
     need them later); by default each follows its base alpha. The
-    T-junction stack additionally requires both label maps; an image
+    T-junction stack additionally requires the label maps; an image
     that needs it without them is warned about once here, and every
     finalize of it folds the T-junction weight into the contrast route.
     An image too small for the native filter banks or for ``n_scales``
     pyramid levels is refused with a ValueError that names the limit,
-    and so is a contour or segment map whose shape is not the image's,
-    before any filtering or junction detection.
+    and so is one label map without the other, or one whose shape is
+    not the image's, before any filtering or junction detection.
     """
     if not isinstance(image, RGBImage):
         image = RGBImage.from_gray(image)
-    have_labels = contours is not None and segments is not None
+    if (contours is None) != (segments is None):
+        raise ValueError("contour and segment maps must be given together")
+    have_labels = contours is not None
     if need_sa is None:
         need_sa = base.alpha_sa > 0
     if need_tj is None:
@@ -360,8 +363,8 @@ def run_model(
 
     ``image`` is an :class:`RGBImage` or a single [0, 1] grayscale map.
     ``contours``/``segments`` are integer label maps enabling the
-    T-junction cue; without both of them any T-junction weight falls
-    back to the contrast route with a warning.
+    T-junction cue, given both or neither; without them any T-junction
+    weight falls back to the contrast route with a warning.
     """
     prepared = prepare_components(
         image, weights, params, contours=contours, segments=segments

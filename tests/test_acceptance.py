@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fgo.config import PRESETS, RunConfig, apply_preset
+from fgo.config import PRESETS, RunConfig, apply_assignment, apply_preset
 from fgo.cues import SAParams, TJParams, compute_sa_maps, detect_t_junctions
 from fgo.evaluation import (
     FGGroundTruth,
@@ -456,8 +456,8 @@ def test_10_dataset_regression():
     entries = parse_manifest(manifest_path)
 
     def aggregate(config: RunConfig) -> float:
-        per_preset, _ = _score_dataset(entries, config, [config.weights()], jobs=1)
-        return build_report(per_preset[0]).aggregate
+        (scores,) = _score_dataset(entries, config, [config.weights()], jobs=1)
+        return build_report(scores).aggregate
 
     scores = {
         name: aggregate(apply_preset(RunConfig(), name))
@@ -465,7 +465,7 @@ def test_10_dataset_regression():
     }
     top2 = {
         name: aggregate(
-            apply_preset(RunConfig(top_layers_only=2), name)
+            apply_preset(apply_assignment(RunConfig(), "topLayersOnly", "2"), name)
         )
         for name in ("with-sa", "with-tj")
     }

@@ -6,6 +6,7 @@ import pytest
 from fgo.channels import (
     ORIENTATIONS,
     RGBImage,
+    bo_direction,
     build_channel_pyramids,
     compute_channels,
     compute_color_opponency,
@@ -20,6 +21,22 @@ def solid_image(r, g, b, size=8):
         g=np.full((size, size), float(g)),
         b=np.full((size, size), float(b)),
     )
+
+
+def test_bo_direction_pins_the_sixteen_directions():
+    # side 0 is theta + pi/2 and side 1 is theta - pi/2, theta = t * pi / 8
+    angles = [bo_direction(t, s) for t in range(8) for s in range(2)]
+    want = [(t + (4, -4)[s]) * math.pi / 8 for t in range(8) for s in range(2)]
+    assert angles == pytest.approx(want, rel=0, abs=1e-15)
+    # the vertical edge (t = 4) owns leftward on side 0, rightward on side 1
+    assert (math.cos(angles[8]), math.sin(angles[8])) == (-1.0, pytest.approx(0, abs=1e-15))
+    assert (math.cos(angles[9]), math.sin(angles[9])) == (1.0, 0.0)
+    # every module reads this one convention
+    from fgo import cues, evaluation, ownership
+
+    assert ownership.bo_direction is cues.bo_direction is bo_direction
+    units = [[math.cos(a), math.sin(a)] for a in angles]
+    assert np.array_equal(evaluation._DIRECTIONS, units)
 
 
 # -------------------------------------------------------------- intensity

@@ -182,7 +182,8 @@ class TestRun:
             ]
         )
         assert code == 1
-        assert "error:" in capsys.readouterr().err
+        assert "error: contour and segment maps" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_missing_image_fails(self, tmp_path, capsys):
         code = main(
@@ -201,6 +202,25 @@ class TestRun:
         )
         assert code == 1
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting, limit", [
+        ("pyramidFactor=0", "pyramid_factor must be sqrt(2) or 2, got 0.0"),
+        ("pyramidFactor=1.5", "pyramid_factor must be sqrt(2) or 2, got 1.5"),
+        ("sa_sizeStep=0", "size_step must be even and >= 2, got 0"),
+        ("ringForm=gaussian", "form must be 'cosine' or 'printed', got 'gaussian'"),
+        ("r0=-1", "r0 must be positive, got -1.0"),
+    ])
+    def test_bad_setting_refused_before_any_output(
+        self, square_dir, tmp_path, capsys, setting, limit
+    ):
+        out = tmp_path / "o"
+        code = main(
+            ["run", "--image", str(square_dir / "image.ppm"), "--out", str(out),
+             "--set", setting]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --set {setting}: {limit}\n"
+        assert not out.exists()
 
     def test_bad_weight_triple_fails(self, square_dir, tmp_path, capsys):
         code = main(
@@ -362,6 +382,20 @@ class TestEval:
         )
         assert "images=2" in (out / "report.kv").read_text()
 
+    @pytest.mark.parametrize("command", [
+        ["eval", "--jobs", "1"], ["eval", "--jobs", "2"], ["tune", "--coarse-step", "0.5"],
+    ], ids=["eval-serial", "eval-pool", "tune"])
+    def test_fault_in_a_row_is_not_skipped(self, dataset, tmp_path, monkeypatch, capsys, command):
+        # only refusals (OSError, ValueError) skip a row; a fault propagates
+        def fault(*args, **kwargs):
+            raise RuntimeError("a fault, not a refusal")
+
+        monkeypatch.setattr(cli, "prepare_components", fault)
+        with pytest.raises(RuntimeError, match="a fault, not a refusal"):
+            main([command[0], "--manifest", str(dataset), "--out", str(tmp_path / "o"),
+                  *command[1:], *FAST])
+        assert "skipped" not in capsys.readouterr().err
+
     def test_all_failed_exits_nonzero(self, tmp_path, capsys):
         manifest = write_manifest(
             tmp_path / "m.txt", ["ghost missing.ppm missing.lm1 -"]
@@ -394,7 +428,7 @@ class TestEval:
         assert "56x56 image" in folds[0]  # the unlabelled row's size
 
         # with-both (0.05, 0.15, 0.80) scores the unlabelled row as (0.85, 0.15, 0)
-        params = apply_assignment(RunConfig(), "nScales", "4").pipeline_params()
+        params = apply_assignment(RunConfig(), "nScales", "4").params
         prepared = prepare_components(
             RGBImage(*read_ppm(plain / "image.ppm")), ModelWeights(0.85, 0.15, 0), params
         )
@@ -486,7 +520,7 @@ class TestTune:
         with caplog.at_level(logging.WARNING, logger="fgo"):
             code = main(
                 ["tune", "--manifest", str(manifest), "--out", str(tmp_path / "t"),
-                 "--weights", "alphaRef,alphaTJ", "--coarse-step", "0.5", *FAST]
+                 "--weights", "alpha_ref,ALPHATJ", "--coarse-step", "0.5", *FAST]
             )
         assert code == 0
         warnings = [r.getMessage() for r in caplog.records if "alphaTJ" in r.getMessage()]
@@ -543,7 +577,7 @@ class TestScoresMatchFullPath:
                 labels = [read_lm1(p) for p in (entry.contours, entry.segments) if p]
                 prepared = prepare_components(
                     RGBImage(*read_ppm(entry.image)), config.weights(),
-                    config.pipeline_params(), *(labels or (None, None)),
+                    config.params, *(labels or (None, None)),
                     need_sa=True, need_tj=True,
                 )
                 gts = [load_ground_truth(read_signed_map(p)) for p in entry.gts]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fgo.channels import ORIENTATIONS
+from fgo.channels import ORIENTATIONS, bo_direction
 from fgo.cues import (
     Candidate,
     SAParams,
@@ -19,7 +19,6 @@ from fgo.cues import (
     local_orientation_of_contours,
     quantize_orientation,
     sample_shifted,
-    side_direction,
     trace_contour,
 )
 from fgo.filters import GaborParams, make_gabor
@@ -86,7 +85,8 @@ def oracle_sa_maps(intensity, params=SAParams()):
                             omega=omega_odd, size=size), "odd"))
             magnitude = np.hypot(even, odd)
             for si in range(2):
-                dx, dy = side_direction(theta, si)
+                phi = bo_direction(ti, si)
+                dx, dy = math.cos(phi), math.sin(phi)
                 out[ti, si] += sample_shifted(magnitude, radius * dy, radius * dx)
     return out
 
@@ -181,10 +181,10 @@ def test_sa_equals_the_per_orientation_loop(shape, params):
 
 
 def test_side_direction_frame():
-    dx, dy = side_direction(0.0, 0)  # theta + pi/2 points down the rows
-    assert (dx, dy) == (pytest.approx(0.0, abs=1e-12), pytest.approx(1.0))
-    dx, dy = side_direction(0.0, 1)
-    assert (dx, dy) == (pytest.approx(0.0, abs=1e-12), pytest.approx(-1.0))
+    phi = bo_direction(0, 0)  # theta + pi/2 points down the rows
+    assert (math.cos(phi), math.sin(phi)) == (pytest.approx(0.0, abs=1e-12), pytest.approx(1.0))
+    phi = bo_direction(0, 1)
+    assert (math.cos(phi), math.sin(phi)) == (pytest.approx(0.0, abs=1e-12), pytest.approx(-1.0))
 
 
 # ------------------------------------------------------------- candidates

@@ -8,7 +8,8 @@ from fgo.channels import RGBImage, build_channel_pyramids, compute_channels
 from fgo.evaluation import compute_fgca, load_ground_truth
 from fgo.filters import GaborParams, make_center_surround
 from fgo.grid import pool_resampled
-from fgo.ownership import ModelWeights, compute_bo, cs_pyramids, winning_bo
+from fgo.cues import SAParams
+from fgo.ownership import ContextParams, ModelWeights, compute_bo, cs_pyramids, winning_bo
 from fgo.pipeline import (
     PipelineParams,
     effective_weights,
@@ -185,6 +186,17 @@ class TestPrepareFinalize:
         with pytest.raises(ValueError):
             PipelineParams(n_scales=0)
 
+    @pytest.mark.parametrize("build, limit", [
+        (lambda: PipelineParams(pyramid_factor=0), r"pyramid_factor must be sqrt\(2\) or 2"),
+        (lambda: PipelineParams(pyramid_factor=1.5), r"pyramid_factor must be sqrt\(2\) or 2"),
+        (lambda: ContextParams(ring_radius=-1.0), "r0 must be positive"),
+        (lambda: ContextParams(ring_form="gaussian"), "'cosine' or 'printed'"),
+        (lambda: SAParams(size_step=0), "size_step must be even and >= 2"),
+    ], ids=["factor-0", "factor-1.5", "radius", "form", "sa-step"])
+    def test_bad_params_refused_at_construction(self, build, limit):
+        with pytest.raises(ValueError, match=limit):
+            build()
+
     def test_routes_share_the_carrier_levels(self, prepared):
         # every route is built on the one carrier pyramid, so the side
         # imbalances that finalize blends align level by level without
@@ -295,6 +307,14 @@ class TestInputContract:
             prepare_components(small.image, weights, FAST, **labels)
         prep = prepare_components(small.image, weights, FAST, small.contours, small.segments)
         assert prep.junctions
+
+    @pytest.mark.parametrize("which", ["contours", "segments"])
+    def test_one_label_map_without_the_other_refused(self, which):
+        stim = overlapping_squares()
+        with pytest.raises(ValueError, match="contour and segment maps must be given together"):
+            prepare_components(
+                stim.image, ModelWeights(0.2, 0.0, 0.8), FAST, **{which: getattr(stim, which)}
+            )
 
     def test_pyramid_levels_need_2x2_cells(self):
         image = np.full((128, 128), 0.5)

@@ -11,6 +11,9 @@ SRC = Path(fgo.__file__).parent
 # public names that only tests and outside programs call, and why
 ALLOWED = {
     "io.read_fm1",  # the reader of the format `fgo run` writes
+    # the FGCA of full final maps, for library callers; `fgo run` pools the
+    # decisions its correctness image is drawn from with `fgca_of`
+    "evaluation.compute_fgca",
 }
 
 
