@@ -54,12 +54,9 @@ BACKGROUND_GRAY = 128
 # ----------------------------------------------------------------------
 
 def _read_image(path: Path) -> RGBImage:
-    suffix = path.suffix.lower()
-    if suffix == ".ppm":
-        return RGBImage(*io.read_ppm(path))
-    if suffix == ".pgm":
-        return RGBImage.from_gray(io.read_pgm(path))
-    raise ValueError(f"unsupported image format {path.suffix!r} (want .ppm or .pgm)")
+    if path.suffix.lower() != ".ppm":
+        raise ValueError(f"unsupported image format {path.suffix!r} (want .ppm)")
+    return RGBImage(*io.read_ppm(path))
 
 
 def _load_labels(*paths) -> list:

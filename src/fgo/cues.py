@@ -43,7 +43,7 @@ class SAParams:
             raise ValueError(f"max_size must be >= min_size, got {self.max_size}")
         if self.size_step < 2 or self.size_step % 2 != 0:
             raise ValueError(f"size_step must be even and >= 2, got {self.size_step}")
-        if self.gamma <= 0 or self.sigma_factor <= 0:
+        if not (self.gamma > 0 and self.sigma_factor > 0):
             raise ValueError("gamma and sigma_factor must be positive")
 
     @property
@@ -127,12 +127,13 @@ def compute_sa_maps(intensity, params: SAParams = SAParams()) -> np.ndarray:
 # ======================================================================
 # T-junctions
 # ======================================================================
+# detect_t_junctions and build_tj_maps check the label maps once
+# (_label_maps); the functions below them take the checked int64 maps.
 
 @dataclass(frozen=True)
 class TJParams:
     area_mask_radius: int = 6
     angle_track_length: int = 7
-    candidate_merge_radius: int = 2
     trace_search_radius: int = 3
     influence_radius: int = 15
     probe_min: int = 1
@@ -150,14 +151,6 @@ class TJParams:
 
 
 @dataclass(frozen=True)
-class Candidate:
-    row: int
-    col: int
-    contour_ids: tuple
-    region_ids: tuple
-
-
-@dataclass(frozen=True)
 class TJunction:
     row: int
     col: int
@@ -170,24 +163,26 @@ class TJunction:
     matched: bool
     rejected: str  # none | yJunction | arrowJunction | tie
 
-    @property
-    def x(self) -> int:
-        return self.col
 
-    @property
-    def y(self) -> int:
-        return self.row
+def _label_maps(contours, segments):
+    """The contour and segment maps as int64 arrays, checked.
 
-
-def as_labels(values, name: str = "labels") -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError(f"{name} must be a non-empty 2D array")
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError(f"{name} must hold integers")
-    if arr.min() < 0:
-        raise ValueError(f"{name} must be non-negative (0 means unlabeled)")
-    return arr.astype(np.int64, copy=False)
+    Each must be a non-empty 2D array of non-negative integers (0 means
+    unlabeled), and the two must share their shape.
+    """
+    maps = []
+    for name, values in (("contours", contours), ("segments", segments)):
+        arr = np.asarray(values)
+        if arr.ndim != 2 or arr.size == 0:
+            raise ValueError(f"{name} must be a non-empty 2D array")
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise ValueError(f"{name} must hold integers")
+        if arr.min() < 0:
+            raise ValueError(f"{name} must be non-negative (0 means unlabeled)")
+        maps.append(arr.astype(np.int64, copy=False))
+    if maps[0].shape != maps[1].shape:
+        raise ValueError("contour and segmentation maps must share dimensions")
+    return maps
 
 
 def _distinct_nonzero_counts(labels: np.ndarray, radius: int) -> np.ndarray:
@@ -208,45 +203,46 @@ def _distinct_nonzero_counts(labels: np.ndarray, radius: int) -> np.ndarray:
     return ((stack != 0) & first_seen).sum(axis=0)
 
 
-def _disk_offsets(radius: int):
-    span = np.arange(-radius, radius + 1)
-    dr, dc = np.meshgrid(span, span, indexing="ij")
-    keep = dr**2 + dc**2 <= radius**2
-    return dr[keep], dc[keep]
+def _window_ids(labels, row, col, radius):
+    """Sorted distinct nonzero labels of the square window, clipped to the map."""
+    ids = np.unique(labels[max(0, row - radius) : row + radius + 1,
+                           max(0, col - radius) : col + radius + 1])
+    return tuple(int(v) for v in ids if v)
 
 
-def _window_ids(labels, row, col, radius, nonzero=True):
-    r0, r1 = max(0, row - radius), min(labels.shape[0], row + radius + 1)
-    c0, c1 = max(0, col - radius), min(labels.shape[1], col + radius + 1)
-    ids = np.unique(labels[r0:r1, c0:c1])
-    return tuple(int(v) for v in ids if v != 0 or not nonzero)
+def _disk_pixels(labels, row, col, radius, ids):
+    """(rows, cols) of the pixels labelled with one of ``ids`` in the disk
+    of ``radius`` around (row, col), clipped to the map, in row-major order.
 
-
-def _merge_within(pixels: np.ndarray, radius: int) -> list:
-    """Group (row, col) pixels whose Chebyshev distance is <= radius.
-
-    Transitive closure via union-find; groups come out in the row-major
-    order of their first member.
+    Only the disk's bounding window of ``labels`` is read.
     """
-    n = len(pixels)
-    parent = list(range(n))
+    r0, c0 = max(0, row - radius), max(0, col - radius)
+    window = labels[r0 : row + radius + 1, c0 : col + radius + 1]
+    dr = np.arange(r0, r0 + window.shape[0])[:, None] - row
+    dc = np.arange(c0, c0 + window.shape[1]) - col
+    in_disk = dr**2 + dc**2 <= radius**2
+    rows, cols = np.nonzero(in_disk & (window[..., None] == ids).any(axis=2))
+    return rows + r0, cols + c0
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.abs(pixels[i] - pixels[j]).max() <= radius:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(pixels[i])
-    return [np.array(groups[root]) for root in sorted(groups)]
+def _chained_groups(mask: np.ndarray):
+    """The pixels of ``mask`` in row-major order, and each one's group.
+
+    A group is a chain of pixels each within two pixels (Chebyshev
+    distance) of the next. Groups are numbered from 0 in the row-major
+    order of their first pixels.
+    """
+    # every pixel grown by a 2x2 box toward +row and +col: two boxes touch
+    # (8-connected) exactly when their pixels lie within distance 2, and
+    # labels follow the row-major order of each component's first cell
+    rows, cols = mask.shape
+    grown = np.zeros((rows + 1, cols + 1), dtype=bool)
+    for dr in (0, 1):
+        for dc in (0, 1):
+            grown[dr : dr + rows, dc : dc + cols] |= mask
+    pixels = np.argwhere(mask)
+    labels = ndimage.label(grown, np.ones((3, 3)))[0]
+    return pixels, labels[pixels[:, 0], pixels[:, 1]] - 1
 
 
 def find_junction_candidates(contours, segments) -> list:
@@ -254,101 +250,58 @@ def find_junction_candidates(contours, segments) -> list:
 
     A pixel qualifies when its 3x3 contour neighborhood holds exactly
     three distinct pieces and its 5x5 segmentation neighborhood exactly
-    three distinct regions; qualifying pixels within two pixels of each
-    other merge into one candidate at their rounded centroid.
+    three distinct regions. Qualifying pixels chained within two pixels
+    of each other merge into one candidate at their rounded centroid,
+    carrying the pieces and regions around its first pixel. Returns
+    ``(row, col, contour_ids, region_ids)`` per candidate, in the
+    row-major order of the first pixels.
     """
-    contours = as_labels(contours, "contours")
-    segments = as_labels(segments, "segments")
-    if contours.shape != segments.shape:
-        raise ValueError("contour and segmentation maps must share dimensions")
     mask = (_distinct_nonzero_counts(contours, 1) == 3) & (
         _distinct_nonzero_counts(segments, 2) == 3
     )
-    if not mask.any():
-        return []
-    pixels_all = np.argwhere(mask)  # row-major order
-    candidates = []
-    for pixels in _merge_within(pixels_all, radius=2):
-        row, col = (int(v) for v in np.rint(pixels.mean(axis=0)))
-        anchor_r, anchor_c = (int(v) for v in pixels[0])
-        cids = _window_ids(contours, anchor_r, anchor_c, 1)
-        rids = _window_ids(segments, anchor_r, anchor_c, 2)
-        if len(cids) != 3 or len(rids) != 3:
-            continue
-        candidates.append(
-            Candidate(row=row, col=col, contour_ids=cids, region_ids=rids)
-        )
-    return candidates
+    pixels, group = _chained_groups(mask)
+    sums = np.stack([np.bincount(group, pixels[:, k]) for k in (0, 1)], axis=1)
+    centres = np.rint(sums / np.bincount(group)[:, None]).astype(int)
+    anchors = pixels[np.unique(group, return_index=True)[1]]
+    return [
+        (int(row), int(col), _window_ids(contours, ar, ac, 1), _window_ids(segments, ar, ac, 2))
+        for (row, col), (ar, ac) in zip(centres, anchors)
+    ]
 
 
-@dataclass(frozen=True)
-class AreaResult:
-    figure_region: int | None
-    hat: tuple | None
-    tie: bool
-    counts: tuple
-
-
-def classify_junction_area(segments, contours, candidate: Candidate,
-                           params: TJParams = TJParams()) -> AreaResult:
+def classify_junction_area(segments, contours, candidate,
+                           params: TJParams = TJParams()):
     """Pick the figure region as the one covering most of a small disk.
 
-    The hat is the pair of contours leaning on the winning region inside
-    the disk (most contour pixels 8-adjacent to winner pixels); the stem
-    only touches the winner at the junction point, so it loses.
+    ``candidate`` is one ``(row, col, contour_ids, region_ids)`` of
+    :func:`find_junction_candidates`. Returns ``(figure_region, hat,
+    counts)``, ``counts`` being each region's pixels in the disk; on a
+    tie for the most, region and hat are None. The hat is the pair of
+    contours leaning on the winning region inside the disk (most contour
+    pixels 8-adjacent to winner pixels); the stem only touches the winner
+    at the junction point, so it loses.
     """
-    segments = as_labels(segments, "segments")
-    contours = as_labels(contours, "contours")
-    dr, dc = _disk_offsets(params.area_mask_radius)
-    rows = candidate.row + dr
-    cols = candidate.col + dc
-    keep = (
-        (rows >= 0) & (rows < segments.shape[0])
-        & (cols >= 0) & (cols < segments.shape[1])
+    row, col, contour_ids, region_ids = candidate
+    radius = params.area_mask_radius
+    counts = tuple(
+        len(_disk_pixels(segments, row, col, radius, [rid])[0]) for rid in region_ids
     )
-    rows, cols = rows[keep], cols[keep]
-    disk_ids = segments[rows, cols]
-    counts = tuple(int((disk_ids == rid).sum()) for rid in candidate.region_ids)
     if min(counts) == 0:
-        raise ValueError(
-            f"region absent from the area disk at ({candidate.row}, {candidate.col})"
-        )
-    ranked = sorted(zip(counts, candidate.region_ids), reverse=True)
+        raise ValueError(f"region absent from the area disk at ({row}, {col})")
+    ranked = sorted(zip(counts, region_ids), reverse=True)
     if ranked[0][0] == ranked[1][0]:
-        return AreaResult(figure_region=None, hat=None, tie=True, counts=counts)
+        return None, None, counts
     winner = ranked[0][1]
-    return AreaResult(
-        figure_region=winner,
-        hat=_abutting_pair(segments, contours, candidate, winner, rows, cols),
-        tie=False,
-        counts=counts,
-    )
-
-
-def _abutting_pair(segments, contours, candidate, winner, disk_rows, disk_cols):
-    disk = np.zeros(segments.shape, dtype=bool)
-    disk[disk_rows, disk_cols] = True
-    near_winner = ndimage.binary_dilation(
-        (segments == winner) & disk, structure=np.ones((3, 3), dtype=bool)
-    )
+    near = np.stack(_disk_pixels(segments, row, col, radius, [winner]), axis=1)
     scores = []
-    for cid in candidate.contour_ids:
-        on_contour = (contours == cid) & disk
-        scores.append((int((on_contour & near_winner).sum()), cid))
+    for cid in contour_ids:
+        on = np.stack(_disk_pixels(contours, row, col, radius, [cid]), axis=1)
+        abutting = (np.abs(on[:, None] - near[None]).max(axis=2) <= 1).any(axis=1)
+        scores.append((int(abutting.sum()), cid))
     scores.sort(key=lambda s: (-s[0], s[1]))
     if scores[1][0] == 0:
-        raise ValueError(
-            f"fewer than two contours abut region {winner} "
-            f"at ({candidate.row}, {candidate.col})"
-        )
-    return tuple(sorted((scores[0][1], scores[1][1])))
-
-
-@dataclass(frozen=True)
-class AngleResult:
-    hat: tuple | None
-    sectors: tuple
-    rejected: str | None  # yJunction | arrowJunction
+        raise ValueError(f"fewer than two contours abut region {winner} at ({row}, {col})")
+    return winner, tuple(sorted((scores[0][1], scores[1][1]))), counts
 
 
 def trace_contour(contours, cid: int, row: int, col: int,
@@ -359,66 +312,43 @@ def trace_contour(contours, cid: int, row: int, col: int,
     outward over 8-connected same-id pixels (breadth first, row-major tie
     breaks). Pieces shorter than three pixels are malformed.
     """
-    contours = as_labels(contours, "contours")
-    near = _disk_offsets(params.trace_search_radius)
-    starts = []
-    for dr, dc in zip(*near):
-        r, c = row + dr, col + dc
-        if 0 <= r < contours.shape[0] and 0 <= c < contours.shape[1]:
-            if contours[r, c] == cid:
-                starts.append((dr * dr + dc * dc, r, c))
-    if not starts:
+    rows, cols = _disk_pixels(contours, row, col, params.trace_search_radius, [cid])
+    if not rows.size:
         raise ValueError(f"contour {cid} not found near ({row}, {col})")
-    _, sr, sc = min(starts)
-    target = params.angle_track_length - 1
-    frontier = [(sr, sc)]
-    seen = {(sr, sc)}
-    endpoint = (sr, sc)
-    depth = 0
-    while frontier and depth < target:
-        nxt = []
-        for r, c in frontier:
-            for dr in (-1, 0, 1):
-                for dc in (-1, 0, 1):
-                    if dr == 0 and dc == 0:
-                        continue
-                    rr, cc = r + dr, c + dc
-                    if (
-                        0 <= rr < contours.shape[0]
-                        and 0 <= cc < contours.shape[1]
-                        and (rr, cc) not in seen
-                        and contours[rr, cc] == cid
-                    ):
-                        seen.add((rr, cc))
-                        nxt.append((rr, cc))
-        if not nxt:
+    distances = (rows - row) ** 2 + (cols - col) ** 2
+    start = min(zip(distances.tolist(), rows.tolist(), cols.tolist()))[1:]
+    frontier, seen, traced = [start], {start}, 1
+    while traced < params.angle_track_length:
+        step = sorted({
+            (rr, cc)
+            for r, c in frontier
+            for rr in range(max(0, r - 1), min(contours.shape[0], r + 2))
+            for cc in range(max(0, c - 1), min(contours.shape[1], c + 2))
+            if (rr, cc) not in seen and contours[rr, cc] == cid
+        })
+        if not step:
             break
-        depth += 1
-        frontier = sorted(nxt)
-        endpoint = frontier[0]
-    if depth + 1 < 3:
-        raise ValueError(
-            f"contour {cid} shorter than 3 px near ({row}, {col})"
-        )
-    return endpoint
+        seen.update(step)
+        frontier, traced = step, traced + 1
+    if traced < 3:
+        raise ValueError(f"contour {cid} shorter than 3 px near ({row}, {col})")
+    return frontier[0]
 
 
-def classify_junction_angle(contours, candidate: Candidate,
-                            params: TJParams = TJParams()) -> AngleResult:
+def classify_junction_angle(contours, candidate, params: TJParams = TJParams()):
     """Classify by the three sector angles between the traced contours.
 
-    A sector over 180 degrees marks an arrow junction and three sectors
-    near 120 degrees a Y junction; both are rejected. Otherwise the hat
-    is the pair bounding the largest sector.
+    Returns ``(hat, sectors, rejected)``. A sector over 180 degrees marks
+    an arrow junction and three sectors near 120 degrees a Y junction;
+    both are rejected (``rejected`` names which, and ``hat`` is None).
+    Otherwise the hat is the pair bounding the largest sector.
     """
+    row, col, contour_ids, _ = candidate
     eps = 1e-6
     rays = []
-    for cid in candidate.contour_ids:
-        er, ec = trace_contour(contours, cid, candidate.row, candidate.col, params)
-        angle = math.degrees(
-            math.atan2(er - candidate.row, ec - candidate.col)
-        ) % 360.0
-        rays.append((angle, cid))
+    for cid in contour_ids:
+        er, ec = trace_contour(contours, cid, row, col, params)
+        rays.append((math.degrees(math.atan2(er - row, ec - col)) % 360.0, cid))
     rays.sort()
     sectors = (
         rays[1][0] - rays[0][0],
@@ -427,14 +357,13 @@ def classify_junction_angle(contours, candidate: Candidate,
     )
     largest = max(range(3), key=lambda i: sectors[i])
     if sectors[largest] > params.arrow_sector_threshold + eps:
-        return AngleResult(hat=None, sectors=sectors, rejected="arrowJunction")
+        return None, sectors, "arrowJunction"
     if all(
         abs(s - params.y_sector_center) <= params.y_sector_halfwidth + eps
         for s in sectors
     ):
-        return AngleResult(hat=None, sectors=sectors, rejected="yJunction")
-    bounding = (rays[largest][1], rays[(largest + 1) % 3][1])
-    return AngleResult(hat=tuple(sorted(bounding)), sectors=sectors, rejected=None)
+        return None, sectors, "yJunction"
+    return tuple(sorted((rays[largest][1], rays[(largest + 1) % 3][1]))), sectors, None
 
 
 def detect_t_junctions(contours, segments,
@@ -446,74 +375,46 @@ def detect_t_junctions(contours, segments,
     and arrow junctions and area ties are kept as rejected records. A
     junction is matched only when both methods agree on the hat pair.
     """
-    contours = as_labels(contours, "contours")
-    segments = as_labels(segments, "segments")
+    contours, segments = _label_maps(contours, segments)
     junctions = []
     for cand in find_junction_candidates(contours, segments):
         try:
-            area = classify_junction_area(segments, contours, cand, params)
-            angle = classify_junction_angle(contours, cand, params)
+            figure, hat_by_area, _ = classify_junction_area(segments, contours, cand, params)
+            hat_by_angle, sectors, rejected = classify_junction_angle(contours, cand, params)
         except ValueError as err:
             log.info("dropping junction candidate: %s", err)
             continue
-        if angle.rejected:
-            rejected = angle.rejected
-        elif area.tie:
-            rejected = "tie"
-        else:
-            rejected = "none"
-        matched = (
-            rejected == "none"
-            and area.hat is not None
-            and area.hat == angle.hat
-        )
-        junctions.append(
-            TJunction(
-                row=cand.row,
-                col=cand.col,
-                contour_ids=cand.contour_ids,
-                region_ids=cand.region_ids,
-                figure_region=area.figure_region,
-                hat_by_area=area.hat,
-                hat_by_angle=angle.hat,
-                sectors=angle.sectors,
-                matched=matched,
-                rejected=rejected,
-            )
-        )
+        if rejected is None:
+            rejected = "tie" if figure is None else "none"
+        junctions.append(TJunction(
+            *cand,
+            figure_region=figure,
+            hat_by_area=hat_by_area,
+            hat_by_angle=hat_by_angle,
+            sectors=sectors,
+            matched=rejected == "none" and hat_by_area == hat_by_angle,
+            rejected=rejected,
+        ))
     return junctions
 
 
-def local_orientation_of_contours(contours,
-                                  fit_radius: int = 3) -> np.ndarray:
-    """Per-pixel contour orientation in [0, pi) by a local line fit.
+def contour_orientation(contours, row: int, col: int, fit_radius: int = 3) -> float:
+    """Orientation in [0, pi) of the contour through (row, col).
 
-    Total-least-squares over same-id pixels within the fit radius (the
-    principal axis of their scatter). Non-contour or isolated pixels get
-    NaN.
+    Total-least-squares line fit over the same-id pixels within the fit
+    radius (the principal axis of their scatter). NaN off every contour
+    and at an isolated pixel.
     """
-    contours = as_labels(contours, "contours")
-    out = np.full(contours.shape, np.nan)
-    dr, dc = _disk_offsets(fit_radius)
-    for row, col in np.argwhere(contours > 0):
-        cid = contours[row, col]
-        rows = row + dr
-        cols = col + dc
-        keep = (
-            (rows >= 0) & (rows < contours.shape[0])
-            & (cols >= 0) & (cols < contours.shape[1])
-        )
-        rows, cols = rows[keep], cols[keep]
-        same = contours[rows, cols] == cid
-        if same.sum() < 2:
-            continue
-        y = rows[same] - rows[same].mean()
-        x = cols[same] - cols[same].mean()
-        sxx = float((x * x).sum())
-        syy = float((y * y).sum())
-        sxy = float((x * y).sum())
-        out[row, col] = 0.5 * math.atan2(2 * sxy, sxx - syy) % math.pi
-    return out
+    cid = contours[row, col]
+    rows, cols = _disk_pixels(contours, row, col, fit_radius, [cid])
+    if cid == 0 or rows.size < 2:
+        return math.nan
+    y = rows - rows.mean()
+    x = cols - cols.mean()
+    sxx = float((x * x).sum())
+    syy = float((y * y).sum())
+    sxy = float((x * y).sum())
+    return 0.5 * math.atan2(2 * sxy, sxx - syy) % math.pi
 
 
 def quantize_orientation(theta: float) -> int:
@@ -531,43 +432,29 @@ def build_tj_maps(contours, segments, junctions,
     junction's figure region. Pixels whose probes hit both sides or
     neither are skipped.
     """
-    contours = as_labels(contours, "contours")
-    segments = as_labels(segments, "segments")
-    orientation_map = local_orientation_of_contours(
-        contours, params.orientation_fit_radius
-    )
+    contours, segments = _label_maps(contours, segments)
     out = np.zeros((N_ORIENTATIONS, 2) + contours.shape)
-    dr, dc = _disk_offsets(params.influence_radius)
+    steps = range(params.probe_min, params.probe_max + 1)
     for junction in junctions:
-        if not junction.matched or junction.figure_region is None:
+        if not junction.matched:
             continue
-        rows = junction.row + dr
-        cols = junction.col + dc
-        keep = (
-            (rows >= 0) & (rows < contours.shape[0])
-            & (cols >= 0) & (cols < contours.shape[1])
-        )
-        rows, cols = rows[keep], cols[keep]
-        on_hat = np.isin(contours[rows, cols], junction.hat_by_area)
-        for row, col in zip(rows[on_hat], cols[on_hat]):
-            theta_local = orientation_map[row, col]
-            if not np.isfinite(theta_local):
+        hat = _disk_pixels(contours, junction.row, junction.col, params.influence_radius,
+                           junction.hat_by_area)
+        for row, col in zip(*hat):
+            theta = contour_orientation(contours, row, col, params.orientation_fit_radius)
+            if math.isnan(theta):
                 continue
-            ti = quantize_orientation(theta_local)
+            ti = quantize_orientation(theta)
             hits = []
             for si in range(2):
                 phi = bo_direction(ti, si)
                 dx, dy = math.cos(phi), math.sin(phi)
-                hit = False
-                for t in range(params.probe_min, params.probe_max + 1):
-                    rr = int(round(row + t * dy))
-                    cc = int(round(col + t * dx))
-                    if not (0 <= rr < segments.shape[0] and 0 <= cc < segments.shape[1]):
-                        continue
-                    if segments[rr, cc] == junction.figure_region:
-                        hit = True
-                        break
-                hits.append(hit)
+                probes = [(int(round(row + t * dy)), int(round(col + t * dx))) for t in steps]
+                hits.append(any(
+                    0 <= rr < segments.shape[0] and 0 <= cc < segments.shape[1]
+                    and segments[rr, cc] == junction.figure_region
+                    for rr, cc in probes
+                ))
             if hits[0] != hits[1]:
                 out[ti, hits.index(True), row, col] = 1.0
     return out
@@ -577,7 +464,7 @@ def format_junction(j: TJunction) -> str:
     """One record per line: x y contours hat figureRegion matched reason."""
     hat = j.hat_by_area or (0, 0)
     return (
-        f"{j.x} {j.y} "
+        f"{j.col} {j.row} "
         f"{j.contour_ids[0]} {j.contour_ids[1]} {j.contour_ids[2]} "
         f"{hat[0]} {hat[1]} {j.figure_region or 0} "
         f"{int(j.matched)} {j.rejected}"

@@ -56,7 +56,7 @@ class GaborParams:
     size: int | None = None
 
     def __post_init__(self):
-        if self.sigma <= 0 or self.gamma <= 0 or self.omega <= 0:
+        if not (self.sigma > 0 and self.gamma > 0 and self.omega > 0):
             raise ValueError("sigma, gamma and omega must all be positive")
         if self.size is not None and (self.size < 1 or self.size % 2 == 0):
             raise ValueError(f"size must be a positive odd integer, got {self.size}")
@@ -133,7 +133,7 @@ class VonMisesParams:
     form: str = "cosine"
 
     def __post_init__(self):
-        if self.r0 <= 0:
+        if not self.r0 > 0:
             raise ValueError(f"r0 must be positive, got {self.r0}")
         if self.form not in ("cosine", "printed"):
             raise ValueError(f"form must be 'cosine' or 'printed', got {self.form!r}")

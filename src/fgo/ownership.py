@@ -79,16 +79,16 @@ class ModelWeights:
 
     def __post_init__(self):
         alphas = (self.alpha_ref, self.alpha_sa, self.alpha_tj)
-        if any(a < 0 for a in alphas):
+        if not all(a >= 0 for a in alphas):
             raise ValueError(f"cue weights must be non-negative, got {alphas}")
-        if abs(sum(alphas) - 1.0) > 1e-9:
+        if not abs(sum(alphas) - 1.0) <= 1e-9:
             raise ValueError(f"cue weights must sum to 1, got {alphas}")
-        if self.w_opp < 0:
+        if not self.w_opp >= 0:
             raise ValueError(f"w_opp must be non-negative, got {self.w_opp}")
         object.__setattr__(
             self, "feature_weights", tuple(float(w) for w in self.feature_weights)
         )
-        if len(self.feature_weights) != 3 or any(w < 0 for w in self.feature_weights):
+        if len(self.feature_weights) != 3 or not all(w >= 0 for w in self.feature_weights):
             raise ValueError(
                 f"feature_weights needs three non-negative entries, "
                 f"got {self.feature_weights}"
@@ -108,7 +108,7 @@ class OrientedCSParams:
     omega1: float = 0.7854
 
     def __post_init__(self):
-        if self.sigma1 <= 0 or self.gamma1 <= 0 or self.omega1 <= 0:
+        if not (self.sigma1 > 0 and self.gamma1 > 0 and self.omega1 > 0):
             raise ValueError("sigma1, gamma1 and omega1 must all be positive")
 
 

@@ -21,21 +21,31 @@ from fgo.evaluation import (
     grid_search_weights,
     load_ground_truth,
 )
-from fgo.io import read_lm1, read_pgm, read_ppm, read_signed_map
+from fgo.io import read_lm1, read_pgm, read_ppm, read_signed_map, write_pgm
 from fgo.ownership import ModelWeights
 from fgo.pipeline import finalize_components, prepare_components
 
 FAST = ["--set", "nScales=4"]
 
 
-def test_cli_import_leaves_scipy_signal_out():
-    # scipy.signal pulls in scipy.stats, about a second of every start
+def cli_import_loads(module: str) -> bool:
     env = dict(os.environ, PYTHONPATH=str(Path(fgo.__file__).parents[1]))
-    code = "import sys, fgo.cli; print('scipy.signal' in sys.modules)"
+    code = f"import sys, fgo.cli; print({module!r} in sys.modules)"
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    # scipy.signal pulls in scipy.stats, about a second of every start
+    assert not cli_import_loads("scipy.signal")
+
+
+@pytest.mark.parametrize("module", ["scipy.spatial", "scipy.sparse.csgraph"])
+def test_cli_import_leaves_slow_scipy_modules_out(module):
+    # about 0.17 s and 0.08 s more on every start, against a start of 0.4-0.8 s
+    assert not cli_import_loads(module)
 
 
 def synth(tmp_path, kind, name, extra=()):
@@ -220,6 +230,15 @@ class TestRun:
         )
         assert code == 1
         assert capsys.readouterr().err == f"error: --set {setting}: {limit}\n"
+        assert not out.exists()
+
+    def test_pgm_image_refused(self, tmp_path, capsys):
+        # PGM is an output format only: a gray image comes in as PPM
+        image = tmp_path / "gray.pgm"
+        write_pgm(image, np.full((48, 48), 128))
+        out = tmp_path / "o"
+        assert main(["run", "--image", str(image), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: unsupported image format '.pgm' (want .ppm)\n"
         assert not out.exists()
 
     def test_bad_weight_triple_fails(self, square_dir, tmp_path, capsys):

@@ -7,6 +7,7 @@ from fgo.config import (
     PRESETS,
     RunConfig,
     apply_assignment,
+    apply_lines,
     apply_preset,
     key_name,
     load_config,
@@ -28,8 +29,7 @@ PIPELINE_KEYS = {
     "n_scales": "6", "pyramid_factor": "2",
     "sa_min_size": "7", "sa_max_size": "21", "sa_size_step": "4", "sa_gamma": "0.9",
     "sa_sigma_factor": "0.5", "sa_n_lobes_even": "3", "sa_n_lobes_odd": "6",
-    "tj_area_mask_radius": "5", "tj_angle_track_length": "6",
-    "tj_candidate_merge_radius": "3", "tj_trace_search_radius": "4",
+    "tj_area_mask_radius": "5", "tj_angle_track_length": "6", "tj_trace_search_radius": "4",
     "tj_influence_radius": "12", "tj_probe_min": "2", "tj_probe_max": "4",
     "tj_orientation_fit_radius": "2", "tj_y_sector_center": "110",
     "tj_y_sector_halfwidth": "12", "tj_arrow_sector_threshold": "170",
@@ -47,7 +47,7 @@ PARAMS = PipelineParams(
     oriented_cs=OrientedCSParams(sigma1=3.0, gamma1=0.7, omega1=0.7),
     context=ContextParams(ring_radius=2.5, ring_form="printed"),
     sa=SAParams(7, 21, 4, 0.9, 0.5, 3, 6),
-    tj=TJParams(5, 6, 3, 4, 12, 2, 4, 2, 110.0, 12.0, 170.0),
+    tj=TJParams(5, 6, 4, 12, 2, 4, 2, 110.0, 12.0, 170.0),
 )
 WEIGHTS = ModelWeights(0.2, 0.3, 0.5, 0.8, (0.1, 0.2, 0.3), 3)
 
@@ -175,6 +175,9 @@ class TestAssignments:
             apply_assignment(RunConfig(), "sa_bogus", "1")
         with pytest.raises(ValueError):
             apply_assignment(RunConfig(), "sa", "1")
+        # candidates chain within 2 px; the merge radius key was never read
+        with pytest.raises(ValueError, match="^--set tjCandidateMergeRadius=3: unknown config key"):
+            apply_lines(RunConfig(), ["tjCandidateMergeRadius=3"], "--set {line}")
 
     def test_invalid_value_surfaces(self):
         with pytest.raises(ValueError):

@@ -5,24 +5,25 @@ import pytest
 
 from fgo.channels import ORIENTATIONS, bo_direction
 from fgo.cues import (
-    Candidate,
     SAParams,
     TJParams,
+    _chained_groups,
     build_tj_maps,
     classify_junction_angle,
     classify_junction_area,
     compute_sa_maps,
+    contour_orientation,
     detect_t_junctions,
     find_junction_candidates,
     format_junction,
     integer_shift,
-    local_orientation_of_contours,
     quantize_orientation,
     sample_shifted,
     trace_contour,
 )
 from fgo.filters import GaborParams, make_gabor
 from fgo.grid import correlate_stack
+from fgo.stimuli import overlapping_squares
 
 
 # ----------------------------------------------------------- fixtures
@@ -189,6 +190,56 @@ def test_side_direction_frame():
 
 # ------------------------------------------------------------- candidates
 
+def oracle_merge_within(pixels, radius):
+    """Pairwise union-find grouping of (row, col) pixels whose Chebyshev
+    distance is <= radius; groups in the row-major order of their first
+    member. The loop that ``_chained_groups`` replaced."""
+    n = len(pixels)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if np.abs(pixels[i] - pixels[j]).max() <= radius:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(pixels[i])
+    return [np.array(groups[root]) for root in sorted(groups)]
+
+
+def chains_mask():
+    """Pairs at distance 2 (chained, in every direction) and 3 (apart),
+    and pixels on every border."""
+    mask = np.zeros((24, 32), dtype=bool)
+    for r, c in [(0, 0), (0, 3), (5, 0), (7, 2), (10, 10), (12, 8), (12, 6), (3, 15),
+                 (5, 15), (15, 20), (18, 23), (23, 31), (23, 29), (0, 31), (23, 0), (11, 31)]:
+        mask[r, c] = True
+    return mask
+
+
+@pytest.mark.parametrize("mask", [pytest.param(chains_mask(), id="chains")] + [
+    pytest.param(np.random.default_rng(seed).random((23, 31)) < density,
+                 id=f"density{density}-seed{seed}")
+    for density in (0.01, 0.05, 0.15, 0.3, 0.6)
+    for seed in (1, 2)
+])
+def test_chained_groups_equal_the_union_find(mask):
+    pixels, group = _chained_groups(mask)
+    assert np.array_equal(pixels, np.argwhere(mask))
+    groups = [pixels[group == g] for g in range(group.max() + 1)]
+    expected = oracle_merge_within(np.argwhere(mask), 2)
+    assert len(groups) == len(expected)
+    assert all(np.array_equal(a, b) for a, b in zip(groups, expected))
+
+
 def test_candidates_blank_maps_empty():
     contours = np.zeros((20, 20), dtype=np.int64)
     segments = np.ones((20, 20), dtype=np.int64)
@@ -199,10 +250,10 @@ def test_candidates_perfect_t_single():
     contours, segments = t_junction_maps()
     cands = find_junction_candidates(contours, segments)
     assert len(cands) == 1
-    cand = cands[0]
-    assert cand.contour_ids == (1, 2, 3)
-    assert cand.region_ids == (1, 2, 3)
-    assert abs(cand.row - 20) <= 1 and abs(cand.col - 20) <= 1
+    row, col, contour_ids, region_ids = cands[0]
+    assert contour_ids == (1, 2, 3)
+    assert region_ids == (1, 2, 3)
+    assert abs(row - 20) <= 1 and abs(col - 20) <= 1
 
 
 def test_candidates_plus_junction_excluded():
@@ -211,11 +262,12 @@ def test_candidates_plus_junction_excluded():
 
 
 def test_candidates_reject_mismatched_shapes():
-    with pytest.raises(ValueError):
-        find_junction_candidates(np.zeros((4, 4), dtype=np.int64),
-                                 np.zeros((5, 4), dtype=np.int64))
-    with pytest.raises(ValueError):
-        find_junction_candidates(np.zeros((4, 4)), np.zeros((4, 4), dtype=np.int64))
+    # the entry points check the label maps once, before any candidate
+    for entry in (detect_t_junctions, lambda c, s: build_tj_maps(c, s, [])):
+        with pytest.raises(ValueError):
+            entry(np.zeros((4, 4), dtype=np.int64), np.zeros((5, 4), dtype=np.int64))
+        with pytest.raises(ValueError):
+            entry(np.zeros((4, 4)), np.zeros((4, 4), dtype=np.int64))
 
 
 # -------------------------------------------------------- area classifier
@@ -232,16 +284,16 @@ def test_area_painted_counts_pick_largest():
     contours[segments == 1] = 0
     # lay three contours through the disk so two abut region 1
     contours[15, 9:22] = 0
-    cand = Candidate(row=15, col=15, contour_ids=(1, 2, 3), region_ids=(1, 2, 3))
+    cand = (15, 15, (1, 2, 3), (1, 2, 3))
     # contours: ids 1 and 2 adjacent to region-1 pixels, id 3 far away
     ys, xs = np.where(segments == 1)
     contours[ys[0], xs[0] + 0] = 1
     contours[ys[1], xs[1]] = 2
     contours[28, 28] = 3
-    res = classify_junction_area(segments, contours, cand)
-    assert res.figure_region == 1
-    assert res.counts == (60, 30, 23)
-    assert res.hat == (1, 2)
+    figure, hat, counts = classify_junction_area(segments, contours, cand)
+    assert figure == 1
+    assert counts == (60, 30, 23)
+    assert hat == (1, 2)
 
 
 def test_area_exact_tie_flagged():
@@ -253,16 +305,17 @@ def test_area_exact_tie_flagged():
         rid = 1 if i < 38 else (2 if i < 76 else 3)
         segments[15 + a, 15 + b] = rid
     contours = np.zeros((30, 30), dtype=np.int64)
-    cand = Candidate(row=15, col=15, contour_ids=(1, 2, 3), region_ids=(1, 2, 3))
-    res = classify_junction_area(segments, contours, cand)
-    assert res.tie
-    assert res.figure_region is None
+    cand = (15, 15, (1, 2, 3), (1, 2, 3))
+    figure, hat, counts = classify_junction_area(segments, contours, cand)
+    assert counts[0] == counts[1]  # a tie for the most
+    assert figure is None
+    assert hat is None
 
 
 def test_area_missing_region_is_malformed():
     segments = np.ones((30, 30), dtype=np.int64)
     contours = np.zeros((30, 30), dtype=np.int64)
-    cand = Candidate(row=15, col=15, contour_ids=(1, 2, 3), region_ids=(1, 2, 3))
+    cand = (15, 15, (1, 2, 3), (1, 2, 3))
     with pytest.raises(ValueError):
         classify_junction_area(segments, contours, cand)
 
@@ -270,9 +323,9 @@ def test_area_missing_region_is_malformed():
 def test_area_perfect_t_hat_and_figure():
     contours, segments = t_junction_maps()
     cand = find_junction_candidates(contours, segments)[0]
-    res = classify_junction_area(segments, contours, cand)
-    assert res.figure_region == 1  # the region above covers most of the disk
-    assert res.hat == (1, 2)  # the two collinear arms
+    figure, hat, _ = classify_junction_area(segments, contours, cand)
+    assert figure == 1  # the region above covers most of the disk
+    assert hat == (1, 2)  # the two collinear arms
 
 
 # ------------------------------------------------------- angle classifier
@@ -298,26 +351,24 @@ def test_trace_contour_too_short_is_malformed():
 def test_angle_perfect_t_hat_is_collinear_pair():
     contours, segments = t_junction_maps()
     cand = find_junction_candidates(contours, segments)[0]
-    res = classify_junction_angle(contours, cand)
-    assert res.rejected is None
-    assert res.hat == (1, 2)
-    assert max(res.sectors) == pytest.approx(180.0, abs=2.0)
+    hat, sectors, rejected = classify_junction_angle(contours, cand)
+    assert rejected is None
+    assert hat == (1, 2)
+    assert max(sectors) == pytest.approx(180.0, abs=2.0)
 
 
 def test_angle_perfect_y_rejected():
     contours, segments = ray_maps([90, 210, 330])
-    cand = Candidate(row=20, col=20, contour_ids=(1, 2, 3), region_ids=(1, 2, 3))
-    res = classify_junction_angle(contours, cand)
-    assert res.rejected == "yJunction"
-    assert res.hat is None
+    hat, _, rejected = classify_junction_angle(contours, (20, 20, (1, 2, 3), (1, 2, 3)))
+    assert rejected == "yJunction"
+    assert hat is None
 
 
 def test_angle_arrow_rejected():
     contours, segments = ray_maps([0, 80, 160])
-    cand = Candidate(row=20, col=20, contour_ids=(1, 2, 3), region_ids=(1, 2, 3))
-    res = classify_junction_angle(contours, cand)
-    assert res.rejected == "arrowJunction"
-    assert res.hat is None
+    hat, _, rejected = classify_junction_angle(contours, (20, 20, (1, 2, 3), (1, 2, 3)))
+    assert rejected == "arrowJunction"
+    assert hat is None
 
 
 # --------------------------------------------------------------- pipeline
@@ -352,24 +403,70 @@ def test_format_junction_line():
 
 # ---------------------------------------------------- contour orientation
 
+def oracle_orientation_map(contours, fit_radius=3):
+    """The whole-image fit that ``contour_orientation`` replaced: the
+    orientation at every contour pixel, NaN elsewhere."""
+    out = np.full(contours.shape, np.nan)
+    span = np.arange(-fit_radius, fit_radius + 1)
+    dr, dc = np.meshgrid(span, span, indexing="ij")
+    keep = dr**2 + dc**2 <= fit_radius**2
+    dr, dc = dr[keep], dc[keep]
+    for row, col in np.argwhere(contours > 0):
+        cid = contours[row, col]
+        rows = row + dr
+        cols = col + dc
+        keep = (
+            (rows >= 0) & (rows < contours.shape[0])
+            & (cols >= 0) & (cols < contours.shape[1])
+        )
+        rows, cols = rows[keep], cols[keep]
+        same = contours[rows, cols] == cid
+        if same.sum() < 2:
+            continue
+        y = rows[same] - rows[same].mean()
+        x = cols[same] - cols[same].mean()
+        sxx = float((x * x).sum())
+        syy = float((y * y).sum())
+        sxy = float((x * y).sum())
+        out[row, col] = 0.5 * math.atan2(2 * sxy, sxx - syy) % math.pi
+    return out
+
+
 def test_orientation_horizontal_and_diagonal():
     contours = np.zeros((20, 20), dtype=np.int64)
     contours[10, 2:18] = 1
-    orient = local_orientation_of_contours(contours)
-    assert orient[10, 10] == pytest.approx(0.0, abs=1e-9)
+    assert contour_orientation(contours, 10, 10) == pytest.approx(0.0, abs=1e-9)
     contours = np.zeros((20, 20), dtype=np.int64)
     for i in range(2, 18):
         contours[i, i] = 1
-    orient = local_orientation_of_contours(contours)
-    assert orient[10, 10] == pytest.approx(math.pi / 4, abs=1e-9)
+    assert contour_orientation(contours, 10, 10) == pytest.approx(math.pi / 4, abs=1e-9)
 
 
 def test_orientation_vertical_and_nan_off_contour():
     contours = np.zeros((20, 20), dtype=np.int64)
     contours[2:18, 7] = 2
-    orient = local_orientation_of_contours(contours)
-    assert orient[10, 7] == pytest.approx(math.pi / 2, abs=1e-9)
-    assert np.isnan(orient[0, 0])
+    assert contour_orientation(contours, 10, 7) == pytest.approx(math.pi / 2, abs=1e-9)
+    assert np.isnan(contour_orientation(contours, 0, 0))
+
+
+@pytest.mark.parametrize("contours, fit_radius", [
+    (t_junction_maps()[0], 3),
+    (ray_maps([90, 210, 330])[0], 3),
+    (ray_maps([10, 100, 190])[0], 2),
+    (overlapping_squares().contours, 3),
+    (overlapping_squares(size=64, a_first=1, a_last=40, b_first=20, b_last=62).contours, 3),
+    # scattered ids: isolated pixels, clumps and pieces cut by the border
+    (np.random.default_rng(5).integers(1, 4, (24, 30))
+     * (np.random.default_rng(6).random((24, 30)) < 0.4), 3),
+    (np.random.default_rng(7).integers(1, 3, (17, 19))
+     * (np.random.default_rng(8).random((17, 19)) < 0.7), 2),
+])
+def test_contour_orientation_equals_the_whole_image_fit(contours, fit_radius):
+    got = np.array([
+        [contour_orientation(contours, row, col, fit_radius) for col in range(contours.shape[1])]
+        for row in range(contours.shape[0])
+    ])
+    assert np.array_equal(got, oracle_orientation_map(contours, fit_radius), equal_nan=True)
 
 
 def test_quantize_orientation_bins_and_wrap():

@@ -6,10 +6,17 @@ import pytest
 
 from fgo.channels import RGBImage, build_channel_pyramids, compute_channels
 from fgo.evaluation import compute_fgca, load_ground_truth
-from fgo.filters import GaborParams, make_center_surround
+from fgo.filters import DoGParams, GaborParams, VonMisesParams, make_center_surround
 from fgo.grid import pool_resampled
 from fgo.cues import SAParams
-from fgo.ownership import ContextParams, ModelWeights, compute_bo, cs_pyramids, winning_bo
+from fgo.ownership import (
+    ContextParams,
+    ModelWeights,
+    OrientedCSParams,
+    compute_bo,
+    cs_pyramids,
+    winning_bo,
+)
 from fgo.pipeline import (
     PipelineParams,
     effective_weights,
@@ -22,6 +29,7 @@ from fgo.stimuli import isolated_square, overlapping_squares
 from helpers import full_prepared, oracle_final, scoring_battery
 
 FAST = PipelineParams(n_scales=4)
+NAN = float("nan")
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +202,21 @@ class TestPrepareFinalize:
         (lambda: SAParams(size_step=0), "size_step must be even and >= 2"),
     ], ids=["factor-0", "factor-1.5", "radius", "form", "sa-step"])
     def test_bad_params_refused_at_construction(self, build, limit):
+        with pytest.raises(ValueError, match=limit):
+            build()
+
+    @pytest.mark.parametrize("build, limit", [
+        (lambda: ModelWeights(alpha_ref=NAN, alpha_sa=0.5), "cue weights must be non-negative"),
+        (lambda: ModelWeights(w_opp=NAN), "w_opp must be non-negative"),
+        (lambda: ModelWeights(feature_weights=(1.0, NAN, 1.0)), "feature_weights needs three"),
+        (lambda: GaborParams(theta=0.0, omega=NAN), "must all be positive"),
+        (lambda: DoGParams(sigma_in=NAN), "need 0 < sigma_in < sigma_out"),
+        (lambda: VonMisesParams(bo_direction=0.0, r0=NAN), "r0 must be positive"),
+        (lambda: OrientedCSParams(gamma1=NAN), "must all be positive"),
+        (lambda: SAParams(sigma_factor=NAN), "must be positive"),
+    ], ids=["alpha", "w_opp", "feature", "gabor", "dog", "von-mises", "oriented-cs", "sa"])
+    def test_nan_params_refused(self, build, limit):
+        # NaN compares false with every limit, so each check is written to fail on it
         with pytest.raises(ValueError, match=limit):
             build()
 

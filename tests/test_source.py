@@ -11,6 +11,8 @@ SRC = Path(fgo.__file__).parent
 # public names that only tests and outside programs call, and why
 ALLOWED = {
     "io.read_fm1",  # the reader of the format `fgo run` writes
+    # the reader of the PGMs `fgo run` writes; images come in as PPM only
+    "io.read_pgm",
     # the FGCA of full final maps, for library callers; `fgo run` pools the
     # decisions its correctness image is drawn from with `fgca_of`
     "evaluation.compute_fgca",
