@@ -1,10 +1,12 @@
 """Feature channels: intensity, color opponency and orientation energy.
 
 The thirteen sub-channel maps (intensity, four opponency pairs, eight
-orientation energies) are what the ownership stage consumes, each
-decomposed into a pyramid. The eight orientation energies are the
-carriers of every route and travel as one (8, 1, rows, cols) stack, so
-they are pyramided once and read level by level without restacking.
+orientation energies) are plain arrays that the ownership stage
+consumes, each decomposed into a pyramid by ``grid.pyramid_levels``.
+The eight orientation energies are the carriers of every route and are
+pyramided once, as one stack of (8, 1, rows, cols) levels; each
+isotropic feature's pyramid is built level by level as its route reads
+it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .filters import GaborParams, make_gabor
-from .grid import Pyramid, as_map, build_pyramid, correlate_stack
+from .grid import as_map, correlate_stack
 
 N_ORIENTATIONS = 8
 ORIENTATIONS = tuple(i * math.pi / N_ORIENTATIONS for i in range(N_ORIENTATIONS))
@@ -116,46 +118,14 @@ def compute_orientation_channels(intensity, base: GaborParams | None = None):
     return np.hypot(responses[:, 0], responses[:, 1])
 
 
-@dataclass(frozen=True)
-class ChannelSet:
-    intensity: np.ndarray
-    opponency: Opponency
-    orientation: np.ndarray  # (8, rows, cols)
-
-    def __post_init__(self):
-        maps = [self.intensity, *self.opponency, *self.orientation]
-        if len(self.orientation) != N_ORIENTATIONS:
-            raise ValueError(f"expected {N_ORIENTATIONS} orientation maps")
-        shape = maps[0].shape
-        for m in maps:
-            if m.shape != shape:
-                raise ValueError("channel maps must share dimensions")
-            if m.min() < 0:
-                raise ValueError("channel maps must be non-negative")
-
-
-def compute_channels(image: RGBImage, gabor: GaborParams | None = None) -> ChannelSet:
+def compute_channels(image: RGBImage, gabor: GaborParams | None = None) -> tuple:
+    """``(intensity, opponency, orientation)`` of an image: the intensity
+    map, the four :class:`Opponency` maps and the (8, rows, cols)
+    orientation energies, all non-negative and of the image's
+    dimensions."""
     intensity = compute_intensity(image)
-    return ChannelSet(
-        intensity=intensity,
-        opponency=compute_color_opponency(image),
-        orientation=compute_orientation_channels(intensity, gabor),
-    )
-
-
-@dataclass(frozen=True)
-class ChannelPyramids:
-    intensity: Pyramid
-    opponency: tuple  # four Pyramids, RG GR BY YB order
-    orientation: Pyramid  # the carriers: levels are (8, 1, rows, cols) stacks
-
-
-def build_channel_pyramids(
-    channels: ChannelSet, n_scales: int, factor: float
-) -> ChannelPyramids:
-    """Every channel's pyramid; the eight orientation energies as one."""
-    return ChannelPyramids(
-        intensity=build_pyramid(channels.intensity, n_scales, factor),
-        opponency=tuple(build_pyramid(m, n_scales, factor) for m in channels.opponency),
-        orientation=build_pyramid(channels.orientation[:, None], n_scales, factor),
+    return (
+        intensity,
+        compute_color_opponency(image),
+        compute_orientation_channels(intensity, gabor),
     )

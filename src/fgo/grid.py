@@ -15,13 +15,15 @@ and kernels by broadcasting their leading axes, so a map shared by a
 whole kernel bank (one evidence map per polarity against the 16 ring
 kernels, say) is passed once, not tiled to the bank's shape, and is
 transformed once.
+
+A pyramid is a plain list of levels, index 0 the finest (native), and
+:func:`pyramid_levels` is its one builder.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft, sparse
@@ -272,58 +274,10 @@ def pool_operators_at(level_dims, rows: int, cols: int, weights, cells):
     return level_cells, r1, r2
 
 
-@dataclass(frozen=True)
-class NormalizationParams:
-    """Controls the within-map competition normalization."""
-
-    upper: float = 1.0
-    local_max_window: int = 3
-    plateau_tolerance: float = 1e-9
-
-    def __post_init__(self):
-        if self.upper <= 0:
-            raise ValueError(f"upper must be positive, got {self.upper}")
-        w = self.local_max_window
-        if w < 3 or w % 2 == 0:
-            raise ValueError(f"local_max_window must be odd and >= 3, got {w}")
-        if not 0 <= self.plateau_tolerance < 1:
-            raise ValueError(
-                f"plateau_tolerance must be in [0, 1), got {self.plateau_tolerance}"
-            )
-
-
 def check_pyramid_factor(factor: float) -> None:
     """Refuse a pyramid scale factor other than sqrt(2) or 2."""
     if not any(math.isclose(factor, f, rel_tol=1e-9) for f in (SQRT2, 2.0)):
         raise ValueError(f"pyramid_factor must be sqrt(2) or 2, got {factor}")
-
-
-@dataclass(frozen=True)
-class Pyramid:
-    """A pyramid of maps or of ``(..., rows, cols)`` stacks, level index 0
-    finest (native)."""
-
-    levels: tuple
-    factor: float
-
-    def __post_init__(self):
-        if not self.levels:
-            raise ValueError("pyramid needs at least one level")
-        check_pyramid_factor(self.factor)
-
-    def __len__(self) -> int:
-        return len(self.levels)
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        return self.levels[k]
-
-    def __iter__(self):
-        return iter(self.levels)
-
-    @property
-    def dims(self):
-        """The ``(rows, cols)`` of every level."""
-        return [lvl.shape[-2:] for lvl in self.levels]
 
 
 def next_level_dims(rows: int, cols: int, factor: float):
@@ -332,30 +286,20 @@ def next_level_dims(rows: int, cols: int, factor: float):
 
 def pyramid_levels(base, n_scales: int, factor: float = SQRT2):
     """Yield the ``n_scales`` levels of a map, or of a ``(..., rows,
-    cols)`` stack of maps, finest first, each downsampled from the one
-    before along the last two axes.
+    cols)`` stack of maps, finest first, each downsampled by ``factor``
+    (sqrt(2) or 2) from the one before along the last two axes.
 
-    The generator holds only the level it last yielded, so a consumer
-    that keeps a level's product and drops the level holds one raw
-    level at a time, and no caller need keep the base beside it.
+    A pyramid is the plain list of these levels. The generator holds
+    only the level it last yielded, so a consumer that keeps a level's
+    product and drops the level holds one raw level at a time, and no
+    caller need keep the base beside it.
     """
     level = _as_stack(base, "base")
     del base
     if n_scales < 1:
         raise ValueError(f"n_scales must be >= 1, got {n_scales}")
+    check_pyramid_factor(factor)
     yield level
     for _ in range(n_scales - 1):
-        rows, cols = next_level_dims(*level.shape[-2:], factor)
-        if rows < 1 or cols < 1:
-            raise ValueError(
-                f"pyramid level would collapse below 1x1 (n_scales={n_scales})"
-            )
-        level = pool_resampled([level], rows, cols, (1.0,))
+        level = pool_resampled([level], *next_level_dims(*level.shape[-2:], factor), (1.0,))
         yield level
-
-
-def build_pyramid(base, n_scales: int, factor: float = SQRT2) -> Pyramid:
-    """Decompose a map, or a ``(..., rows, cols)`` stack of maps, into
-    ``n_scales`` levels by repeated downsampling of the last two axes
-    (:func:`pyramid_levels`)."""
-    return Pyramid(levels=tuple(pyramid_levels(base, n_scales, factor)), factor=factor)

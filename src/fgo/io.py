@@ -116,8 +116,8 @@ def read_ppm(path):
         if len(tokens) < n:
             raise ValueError(f"{path}: truncated PPM raster")
         raster = np.array([int(t) for t in tokens[:n]], dtype=np.int64)
-        if raster.min() < 0 or raster.max() > maxval:
-            raise ValueError(f"{path}: sample out of range")
+    if raster.min() < 0 or raster.max() > maxval:
+        raise ValueError(f"{path}: sample out of range")
     rgb = raster.reshape(height, width, 3).astype(np.float64) / maxval
     return rgb[:, :, 0], rgb[:, :, 1], rgb[:, :, 2]
 

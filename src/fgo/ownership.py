@@ -31,7 +31,7 @@ ownership stacks.
 Directed data travels as "stacks": arrays of shape ``(8, 2, rows,
 cols)`` indexed ``[orientation, side, row, col]``. A multiscale result
 is a list of stacks, index 0 the finest (native) level. The carriers
-are one pyramid of (8, 1, rows, cols) stacks. Evidence shared by every
+are one such list of (8, 1, rows, cols) stacks. Evidence shared by every
 orientation stays unbroadcast up to the ring projection, which
 broadcasts it against the (8, 2) kernel bank.
 
@@ -52,9 +52,12 @@ from scipy import ndimage
 
 from .channels import N_ORIENTATIONS, bo_direction
 from .filters import VonMisesParams, clamp_kernel_size, make_von_mises
-from .grid import NormalizationParams, correlate_stack, pool_resampled
+from .grid import correlate_stack, pool_resampled
 
 N_SIDES = 2
+# the peak competition's window and the relative tolerance of a plateau
+_PEAK_WINDOW = 3
+_PLATEAU_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -116,14 +119,11 @@ class OrientedCSParams:
 class ContextParams:
     """How region evidence is pooled onto border cells.
 
-    ``ring_radius``/``ring_form`` shape the annular projection kernel;
-    ``normalization`` is the per-level competition normalization applied
-    to every evidence map before projection.
+    ``ring_radius``/``ring_form`` shape the annular projection kernel.
     """
 
     ring_radius: float = 2.0
     ring_form: str = "cosine"
-    normalization: NormalizationParams = NormalizationParams()
 
     def __post_init__(self):
         # the ring kernels' own checks, so a bad radius or form is refused
@@ -134,9 +134,10 @@ class ContextParams:
 def cs_pyramids(feature, kernel_params, make_kernel):
     """Rectified center-surround evidence of one feature pyramid.
 
-    ``feature`` is an isotropic feature's pyramid with its one
-    difference of Gaussians (``make_center_surround``), or the carrier
-    pyramid, whose levels are (8, 1, rows, cols) stacks, with an even
+    ``feature`` holds the levels of an isotropic feature's pyramid
+    (``grid.pyramid_levels``, read one level at a time) with its one
+    difference of Gaussians (``make_center_surround``), or the carriers,
+    whose levels are (8, 1, rows, cols) stacks, with an even
     Gabor at each orientation's own angle (``make_gabor``), since
     feature contrast along an edge is not isotropic. Each level is one
     :func:`correlate_stack` call with the kernels
@@ -159,11 +160,11 @@ def cs_pyramids(feature, kernel_params, make_kernel):
         yield np.stack([np.maximum(0.0, response), np.maximum(0.0, -response)])
 
 
-def _peak_competition(scaled: np.ndarray, params: NormalizationParams) -> np.ndarray:
+def _peak_competition(scaled: np.ndarray) -> np.ndarray:
     """Multiply a map by ``(own_max - mean_of_its_other_peaks)^2``.
 
     A peak is a connected plateau of cells not exceeded anywhere in
-    their window, counted once however many cells it spans, so a lone
+    their 3x3 window, counted once however many cells it spans, so a lone
     ridge keeps its full weight while several equally tall ridges (a
     uniform band broken only by higher corners, say) crowd each other
     out. One peak — the global maximum — is dropped from the rival pool.
@@ -174,9 +175,8 @@ def _peak_competition(scaled: np.ndarray, params: NormalizationParams) -> np.nda
     top = scaled.max()
     if top <= 0:
         return np.zeros_like(scaled)
-    w = params.local_max_window
-    window_max = ndimage.maximum_filter(scaled, size=w, mode="constant", cval=-np.inf)
-    tol = params.plateau_tolerance * top
+    window_max = ndimage.maximum_filter(scaled, size=_PEAK_WINDOW, mode="constant", cval=-np.inf)
+    tol = _PLATEAU_TOLERANCE * top
     labels, count = ndimage.label(
         (scaled >= window_max - tol) & (scaled > tol), structure=np.ones((3, 3))
     )
@@ -189,12 +189,10 @@ def _peak_competition(scaled: np.ndarray, params: NormalizationParams) -> np.nda
     return scaled * (top - mean_rival) ** 2
 
 
-def normalize_evidence_pair(
-    a, b, params: NormalizationParams = NormalizationParams()
-) -> tuple:
+def normalize_evidence_pair(a, b) -> tuple:
     """Normalize two antagonistic evidence maps onto one shared scale.
 
-    The pair is rescaled jointly to ``[0, upper]`` — their relative
+    The pair is rescaled jointly to ``[0, 1]`` — their relative
     strength is part of the signal, so they must not be stretched
     independently — and each map then receives its own peak-competition
     factor. A pair that is flat overall comes back as two zero maps.
@@ -203,11 +201,8 @@ def normalize_evidence_pair(
     hi = max(a.max(), b.max())
     if hi == lo:
         return np.zeros_like(a), np.zeros_like(b)
-    gain = params.upper / (hi - lo)
-    return (
-        _peak_competition((a - lo) * gain, params),
-        _peak_competition((b - lo) * gain, params),
-    )
+    gain = 1.0 / (hi - lo)
+    return _peak_competition((a - lo) * gain), _peak_competition((b - lo) * gain)
 
 
 def _ring_bank(shape, params: ContextParams) -> np.ndarray:
@@ -263,7 +258,7 @@ def _projected(level, context: ContextParams) -> np.ndarray:
     """
     moved = np.moveaxis(level, 0, -3)
     pairs = moved.reshape((-1, N_SIDES) + level.shape[-2:])
-    normed = np.array([normalize_evidence_pair(a, b, context.normalization) for a, b in pairs])
+    normed = np.array([normalize_evidence_pair(a, b) for a, b in pairs])
     normed = np.moveaxis(normed.reshape(moved.shape), -3, 0)
     # (P, T, S, r, c), so that (T, S) broadcasts against the (8, 2) bank
     normed = normed.reshape(normed.shape[:1] + (1,) * (5 - normed.ndim) + normed.shape[1:])
@@ -280,8 +275,8 @@ def compute_bo(
     """Side imbalances of one route, level by level: an (8, rows, cols)
     array per level.
 
-    ``carriers`` is the oriented-energy pyramid, level k an
-    (8, 1, rows, cols) stack. ``evidence`` (a generator keeps one raw
+    ``carriers`` is the oriented-energy pyramid, a list whose level k
+    is an (8, 1, rows, cols) stack. ``evidence`` (a generator keeps one raw
     level alive at a time) yields level k as one (P, ..., rows, cols)
     stack of P polarities whose middle axes broadcast against the
     (8, 2) ring bank: for the contrast route light and dark

@@ -1,10 +1,13 @@
 """End-to-end run: image -> channels -> pyramids -> ownership maps.
 
-The three feature channels share one set of oriented-energy carriers,
-built once as one (8, 1, rows, cols) pyramid. Every route is one
+The channels are plain arrays (``channels.compute_channels``) and every
+pyramid is a plain level list from ``grid.pyramid_levels``. The three
+feature channels share one set of oriented-energy carriers, built once
+as a list of (8, 1, rows, cols) levels. Every route is one
 ``ownership.compute_bo`` call on them, which returns the route's
 (8, rows, cols) side imbalances per level: color and intensity
-contribute through the contrast route alone; the orientation channel
+contribute through the contrast route alone, each feature's pyramid
+built level by level as the route reads it; the orientation channel
 additionally takes the two local cues, weighted by the model's alpha
 triple.
 
@@ -27,13 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import (
-    N_ORIENTATIONS,
-    ORIENTATIONS,
-    RGBImage,
-    build_channel_pyramids,
-    compute_channels,
-)
+from .channels import N_ORIENTATIONS, ORIENTATIONS, RGBImage, compute_channels
 from .cues import SAParams, TJParams, build_tj_maps, compute_sa_maps, detect_t_junctions
 from .filters import DoGParams, GaborParams, make_center_surround, make_gabor
 from .grid import SQRT2, check_pyramid_factor, next_level_dims, pool_resampled, pyramid_levels
@@ -97,22 +94,23 @@ def effective_weights(weights: ModelWeights, have_labels: bool) -> ModelWeights:
     return weights
 
 
-def _fixed_term(channels, pyramids, params: PipelineParams, base) -> np.ndarray:
+def _fixed_term(intensity, opponency, carriers, params: PipelineParams, base) -> np.ndarray:
     """The native (8, 2, rows, cols) pool of ``w_c * C + w_i * I`` per
-    level: ``C`` the winners of the non-empty opponency sub-channels
-    summed in channel order, in place, ``I`` the intensity winners.
-    Each takes the contrast route alone, and one feature is computed at
-    a time. Zero when neither feature is weighted."""
+    level: ``C`` the winners of the non-empty opponency maps summed in
+    channel order, in place, ``I`` the intensity winners. Each takes
+    the contrast route alone, and one feature is computed at a time,
+    its pyramid built level by level as the route reads it. Zero when
+    neither feature is weighted."""
     color_weight, intensity_weight, _ = base.feature_weights
-    carriers = pyramids.orientation
-    opponency = [p for p, native in zip(pyramids.opponency, channels.opponency) if native.any()]
+    opponency = [native for native in opponency if native.any()]
     terms = None
-    for weight, features in ((color_weight, opponency), (intensity_weight, [pyramids.intensity])):
+    for weight, features in ((color_weight, opponency), (intensity_weight, [intensity])):
         if weight == 0 or not features:
             continue
         total = None
         for feature in features:
-            cs = cs_pyramids(feature, [params.dog], make_center_surround)
+            levels = pyramid_levels(feature, params.n_scales, params.pyramid_factor)
+            cs = cs_pyramids(levels, [params.dog], make_center_surround)
             winners = winning_bo(compute_bo(carriers, cs, base.w_opp, params.context))
             if total is not None:  # summed in place, so one feature is alive beside it
                 winners = [np.add(t, w, out=t) for t, w in zip(total, winners)]
@@ -120,7 +118,7 @@ def _fixed_term(channels, pyramids, params: PipelineParams, base) -> np.ndarray:
         for level in total:
             level *= weight
         terms = total if terms is None else [np.add(a, b, out=a) for a, b in zip(terms, total)]
-    rows, cols = carriers.dims[0]
+    rows, cols = carriers[0].shape[-2:]
     if terms is None:
         return np.zeros((N_ORIENTATIONS, N_SIDES, rows, cols))
     return pool_resampled(terms, rows, cols, (1.0,) * len(terms))
@@ -239,10 +237,9 @@ def prepare_components(
             *image.shape,
         )
 
-    channels = compute_channels(image, params.gabor)
-    pyramids = build_channel_pyramids(channels, params.n_scales, params.pyramid_factor)
-    carriers = pyramids.orientation
-    fixed = _fixed_term(channels, pyramids, params, base)
+    intensity, opponency, orientation = compute_channels(image, params.gabor)
+    carriers = list(pyramid_levels(orientation[:, None], params.n_scales, params.pyramid_factor))
+    fixed = _fixed_term(intensity, opponency, carriers, params, base)
 
     junctions: tuple = ()
     if have_labels:
@@ -263,14 +260,14 @@ def prepare_components(
             nothing. The pyramid is built level by level, and its
             generator holds the only reference to the native cue."""
             modulated = base.top_layers_only if cue.any() else 0
-            levels = pyramid_levels(cue, len(carriers), carriers.factor)
+            levels = pyramid_levels(cue, params.n_scales, params.pyramid_factor)
             del cue
             return compute_bo(
                 carriers, (level[None] for level in levels), base.w_opp, params.context, modulated
             )
 
         if need_sa:
-            bo_sa = local_cue(compute_sa_maps(channels.intensity, params.sa))
+            bo_sa = local_cue(compute_sa_maps(intensity, params.sa))
         if need_tj and have_labels:
             bo_tj = local_cue(build_tj_maps(contours, segments, junctions, params.tj))
 

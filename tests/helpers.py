@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 
-from fgo.channels import RGBImage, build_channel_pyramids, compute_channels
+from fgo.channels import RGBImage, compute_channels
 from fgo.cues import build_tj_maps, compute_sa_maps, detect_t_junctions
 from fgo.filters import GaborParams, make_center_surround, make_gabor
-from fgo.grid import build_pyramid, pool_resampled
+from fgo.grid import pool_resampled, pyramid_levels
 from fgo.ownership import ContextParams, _projected, cs_pyramids, scale_contexts
 from fgo.stimuli import annulus, isolated_square, overlapping_squares, shaded_edge
 
@@ -104,23 +104,26 @@ def full_prepared(image, base, params, contours=None, segments=None):
     (None without the orientation feature, TJ None without labels)."""
     if not isinstance(image, RGBImage):
         image = RGBImage.from_gray(image)
-    channels = compute_channels(image, params.gabor)
-    pyramids = build_channel_pyramids(channels, params.n_scales, params.pyramid_factor)
-    carriers = pyramids.orientation
+    intensity, opponency, orientation = compute_channels(image, params.gabor)
+
+    def pyramid(native):
+        return list(pyramid_levels(native, params.n_scales, params.pyramid_factor))
+
+    carriers = pyramid(orientation[:, None])
     w_c, w_i, w_o = base.feature_weights
 
     def winners(feature):
-        cs = cs_pyramids(feature, [params.dog], make_center_surround)
+        cs = cs_pyramids(pyramid(feature), [params.dog], make_center_surround)
         stacks = full_bo(carriers, cs, base.w_opp, params.context)
         return [full_winners(b[:, 0] - b[:, 1]) for b in stacks]
 
-    fixed = [np.zeros((8, 2) + d) for d in carriers.dims]
-    opponency = [p for p, native in zip(pyramids.opponency, channels.opponency) if native.any()]
+    fixed = [np.zeros((8, 2) + c.shape[-2:]) for c in carriers]
+    opponency = [native for native in opponency if native.any()]
     if w_c and opponency:
         colour = [sum(levels) for levels in zip(*map(winners, opponency))]
         fixed = [f + w_c * c for f, c in zip(fixed, colour)]
     if w_i:
-        fixed = [f + w_i * i for f, i in zip(fixed, winners(pyramids.intensity))]
+        fixed = [f + w_i * i for f, i in zip(fixed, winners(intensity))]
     full = {"fixed": fixed, "contrast": None, "sa": None, "tj": None}
     if not w_o:
         return full
@@ -132,11 +135,11 @@ def full_prepared(image, base, params, contours=None, segments=None):
     )
 
     def local_cue(cue):
-        levels = [level[None] for level in build_pyramid(cue, len(carriers), carriers.factor)]
+        levels = [level[None] for level in pyramid(cue)]
         modulated = base.top_layers_only if cue.any() else 0
         return full_bo(carriers, levels, base.w_opp, params.context, modulated)
 
-    full["sa"] = local_cue(compute_sa_maps(channels.intensity, params.sa))
+    full["sa"] = local_cue(compute_sa_maps(intensity, params.sa))
     if contours is not None and segments is not None:
         junctions = detect_t_junctions(contours, segments, params.tj)
         full["tj"] = local_cue(build_tj_maps(contours, segments, junctions, params.tj))

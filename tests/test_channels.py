@@ -5,14 +5,15 @@ import pytest
 
 from fgo.channels import (
     ORIENTATIONS,
+    Opponency,
     RGBImage,
     bo_direction,
-    build_channel_pyramids,
     compute_channels,
     compute_color_opponency,
     compute_intensity,
     compute_orientation_channels,
 )
+from fgo.grid import pyramid_levels
 
 
 def solid_image(r, g, b, size=8):
@@ -152,28 +153,32 @@ def test_orientation_quarter_turn_shifts_channels():
 def test_compute_channels_shapes_and_nonnegative():
     rng = np.random.default_rng(1)
     img = RGBImage(r=rng.random((24, 24)), g=rng.random((24, 24)), b=rng.random((24, 24)))
-    ch = compute_channels(img)
-    assert ch.intensity.shape == (24, 24)
-    assert len(ch.orientation) == 8
-    for m in (ch.intensity, *ch.opponency, *ch.orientation):
+    intensity, opponency, orientation = compute_channels(img)
+    assert isinstance(opponency, Opponency)
+    assert orientation.shape == (8, 24, 24)
+    # every map shares the image's dimensions and is non-negative
+    for m in (intensity, *opponency, *orientation):
+        assert m.shape == (24, 24)
         assert m.min() >= 0.0
 
 
 def test_channel_pyramids_levels_and_dims():
     rng = np.random.default_rng(2)
     img = RGBImage(r=rng.random((32, 32)), g=rng.random((32, 32)), b=rng.random((32, 32)))
-    ch = compute_channels(img)
-    pyr = build_channel_pyramids(ch, 4, math.sqrt(2))
-    for p in (pyr.intensity, *pyr.opponency, pyr.orientation):
-        assert len(p) == 4
-        assert p.dims[0] == (32, 32)
+    intensity, opponency, orientation = compute_channels(img)
+    for native in (intensity, *opponency):
+        pyr = list(pyramid_levels(native, 4, math.sqrt(2)))
+        assert len(pyr) == 4
+        assert pyr[0].shape == (32, 32)
     # the carriers: one pyramid of (8, 1, r, c) stacks
-    assert [level.shape[:2] for level in pyr.orientation] == [(8, 1)] * 4
-    assert np.array_equal(pyr.orientation[0][:, 0], ch.orientation)
+    carriers = list(pyramid_levels(orientation[:, None], 4, math.sqrt(2)))
+    assert len(carriers) == 4
+    assert [level.shape[:2] for level in carriers] == [(8, 1)] * 4
+    assert np.array_equal(carriers[0][:, 0], orientation)
 
 
 def test_channel_pyramid_single_scale_identity():
     img = RGBImage.from_gray(np.random.default_rng(5).random((16, 16)))
-    ch = compute_channels(img)
-    pyr = build_channel_pyramids(ch, 1, 2.0)
-    assert np.array_equal(pyr.intensity[0], ch.intensity)
+    intensity, _, _ = compute_channels(img)
+    (level,) = pyramid_levels(intensity, 1, 2.0)
+    assert np.array_equal(level, intensity)

@@ -1,5 +1,5 @@
 import re
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 
 import pytest
 
@@ -56,6 +56,17 @@ def camel(key: str) -> str:
     return re.sub(r"_([a-z])", lambda m: m.group(1).upper(), key)
 
 
+def leaves(obj, path=()):
+    """``(path, value)`` of every field below ``obj`` that is not itself
+    a dataclass."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from leaves(value, path + (f.name,))
+        else:
+            yield path + (f.name,), value
+
+
 class TestContract:
     def test_cue_blocks_are_covered(self):
         for prefix, cls in (("sa_", SAParams), ("tj_", TJParams)):
@@ -71,6 +82,17 @@ class TestContract:
         assert cfg.seed == 7
         cfg = parse_config_text("preset = with-both\n" + text.replace("alpha", "# alpha"))
         assert cfg.weights() == ModelWeights(0.05, 0.15, 0.80, 0.8, (0.1, 0.2, 0.3), 3)
+
+    def test_every_leaf_parameter_has_a_key(self):
+        # a field no key sets is a knob nobody can turn; only the fields
+        # each kernel fills in for itself have none
+        default = dict(leaves(PipelineParams()))
+        covered = set()
+        for key, value in PIPELINE_KEYS.items():
+            params = apply_assignment(RunConfig(), key, value).params
+            covered |= {path for path, v in leaves(params) if v != default[path]}
+        per_kernel = {("gabor", "theta"), ("gabor", "size"), ("dog", "size")}
+        assert set(default) - per_kernel == covered
 
     def test_defaults_are_the_library_defaults(self):
         assert RunConfig().params == PipelineParams()

@@ -6,13 +6,11 @@ from scipy import signal
 
 from fgo import grid
 from fgo.grid import (
-    NormalizationParams,
-    Pyramid,
-    build_pyramid,
     correlate_stack,
     next_level_dims,
     pool_operators_at,
     pool_resampled,
+    pyramid_levels,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -244,15 +242,6 @@ def test_resample_rejects_bad_dims():
         pool_resampled([np.ones((4, 4))], 0, 3, (1.0,))
 
 
-# ------------------------------------------------------ NormalizationParams
-
-def test_normalize_params_validation():
-    with pytest.raises(ValueError):
-        NormalizationParams(upper=0.0)
-    with pytest.raises(ValueError):
-        NormalizationParams(local_max_window=4)
-
-
 # --------------------------------------------------------- pool_resampled
 
 def pyramid_dims(rows, cols, n, factor):
@@ -374,7 +363,7 @@ def test_cross_scale_rejects_empty():
 # ---------------------------------------------------------------- pyramid
 
 def test_pyramid_dims_follow_ceil_rule():
-    pyr = build_pyramid(np.zeros((64, 64)), 10, SQRT2)
+    pyr = list(pyramid_levels(np.zeros((64, 64)), 10, SQRT2))
     rows, cols = 64, 64
     for level in pyr:
         assert level.shape == (rows, cols)
@@ -386,26 +375,26 @@ def test_pyramid_coarsest_dims_for_natural_size():
     rows, cols = 321, 481
     for _ in range(9):
         rows, cols = math.ceil(rows / SQRT2), math.ceil(cols / SQRT2)
-    pyr = build_pyramid(np.zeros((321, 481)), 10, SQRT2)
+    pyr = list(pyramid_levels(np.zeros((321, 481)), 10, SQRT2))
     assert pyr[-1].shape == (rows, cols)
     assert pyr[-1].shape == (16, 23)
 
 
 def test_pyramid_single_scale_is_input():
     arr = np.random.default_rng(4).random((5, 5))
-    pyr = build_pyramid(arr, 1)
+    pyr = list(pyramid_levels(arr, 1))
     assert len(pyr) == 1
     assert np.array_equal(pyr[0], arr)
 
 
 def test_pyramid_constant_preserved_all_levels():
-    pyr = build_pyramid(np.full((40, 30), 0.7), 6, 2.0)
+    pyr = list(pyramid_levels(np.full((40, 30), 0.7), 6, 2.0))
     for level in pyr:
         assert np.allclose(level, 0.7, atol=1e-12)
 
 
 def test_pyramid_factor_validation():
+    with pytest.raises(ValueError, match=r"pyramid_factor must be sqrt\(2\) or 2, got 3.0"):
+        list(pyramid_levels(np.zeros((4, 4)), 1, 3.0))
     with pytest.raises(ValueError):
-        Pyramid(levels=(np.zeros((4, 4)),), factor=3.0)
-    with pytest.raises(ValueError):
-        build_pyramid(np.zeros((8, 8)), 0)
+        list(pyramid_levels(np.zeros((8, 8)), 0))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,14 @@ class TestPPM:
         path = tmp_path / "bad.ppm"
         path.write_text("P3\n1 1\n255\n300 0 0\n")
         with pytest.raises(ValueError):
+            read_ppm(path)
+
+    def test_binary_sample_out_of_range(self, tmp_path):
+        # a byte above maxval is refused with the file's name, not passed on
+        # as a channel value above 1
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(b"P6\n1 1\n100\n" + bytes([200, 0, 0]))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: sample out of range$"):
             read_ppm(path)
 
 

@@ -3,14 +3,7 @@ import pytest
 from scipy import ndimage
 
 from fgo.channels import compute_orientation_channels
-from fgo.grid import (
-    SQRT2,
-    NormalizationParams,
-    Pyramid,
-    build_pyramid,
-    correlate_stack,
-    pool_resampled,
-)
+from fgo.grid import SQRT2, correlate_stack, pool_resampled, pyramid_levels
 from fgo.filters import (
     DoGParams,
     GaborParams,
@@ -105,15 +98,14 @@ def oracle_ring_responses(evidence, shape):
     return out
 
 
-def oracle_peak_competition(scaled, params):
-    """The peak factor with each plateau's maximum from ``ndimage.maximum``."""
+def oracle_peak_competition(scaled):
+    """The peak factor with each plateau's maximum from ``ndimage.maximum``:
+    3x3 windows, plateaus within 1e-9 of the map's maximum."""
     top = scaled.max()
     if top <= 0:
         return np.zeros_like(scaled)
-    window_max = ndimage.maximum_filter(
-        scaled, size=params.local_max_window, mode="constant", cval=-np.inf
-    )
-    tol = params.plateau_tolerance * top
+    window_max = ndimage.maximum_filter(scaled, size=3, mode="constant", cval=-np.inf)
+    tol = 1e-9 * top
     labels, count = ndimage.label(
         (scaled >= window_max - tol) & (scaled > tol), structure=np.ones((3, 3))
     )
@@ -151,11 +143,13 @@ def oracle_contrast(carriers, cs_levels, w_opp):
     return out
 
 
-def oracle_local_cue(carriers, cue, weights):
+def oracle_local_cue(carriers, cue, weights, factor):
     """Pyramid every cue map on its own, normalize each orientation's
     side pair, project toward its own side, pool and gate."""
-    n, factor = len(carriers[0]), carriers[0].factor
-    pyramids = [[build_pyramid(cue[t, s], n, factor) for s in range(2)] for t in range(8)]
+    n = len(carriers[0])
+    pyramids = [
+        [list(pyramid_levels(cue[t, s], n, factor)) for s in range(2)] for t in range(8)
+    ]
     responses = []
     for k in range(n):
         pairs = [normalize_evidence_pair(pyramids[t][0][k], pyramids[t][1][k]) for t in range(8)]
@@ -199,12 +193,12 @@ def square_image(size=64, lo=0.0, hi=1.0, first=20, last=43):
 
 def make_carriers(image, n_scales=4, factor=SQRT2):
     """The carrier pyramid of (8, 1, r, c) levels, as the pipeline builds it."""
-    return build_pyramid(compute_orientation_channels(image)[:, None], n_scales, factor)
+    return list(pyramid_levels(compute_orientation_channels(image)[:, None], n_scales, factor))
 
 
 def per_orientation(carriers):
     """The carriers as eight pyramids of maps, ``[t][k]``, for the oracles."""
-    return [Pyramid(tuple(level[t, 0] for level in carriers), carriers.factor) for t in range(8)]
+    return [[level[t, 0] for level in carriers] for t in range(8)]
 
 
 def pair_layout(level):
@@ -214,17 +208,18 @@ def pair_layout(level):
 
 
 def zero_cs(shape, n_scales=4, factor=SQRT2):
-    return [np.zeros((2,) + d) for d in build_pyramid(np.zeros(shape), n_scales, factor).dims]
+    levels = pyramid_levels(np.zeros(shape), n_scales, factor)
+    return [np.zeros((2,) + level.shape) for level in levels]
 
 
 def symmetric_cs(pyr):
     return list(cs_pyramids(pyr, [DoGParams()], make_center_surround))
 
 
-def cue_bo(carriers, cue, weights=ModelWeights()):
+def cue_bo(carriers, cue, weights=ModelWeights(), factor=SQRT2):
     """The local-cue route: the native (8, 2, r, c) cue pyramided like the
-    carriers, one polarity with a map per side."""
-    levels = (level[None] for level in build_pyramid(cue, len(carriers), carriers.factor))
+    carriers (built with ``factor``), one polarity with a map per side."""
+    levels = (level[None] for level in pyramid_levels(cue, len(carriers), factor))
     return compute_bo(carriers, levels, weights.w_opp, ContextParams(), weights.top_layers_only)
 
 
@@ -258,9 +253,9 @@ def test_weights_other_fields_validated():
 # ------------------------------------------------------- center-surround
 
 def test_cs_symmetric_constant_silent():
-    pyr = build_pyramid(np.full((40, 40), 0.7), 4)
-    for level, dims in zip(symmetric_cs(pyr), pyr.dims, strict=True):
-        assert level.shape == (2,) + dims
+    pyr = list(pyramid_levels(np.full((40, 40), 0.7), 4))
+    for level, raw in zip(symmetric_cs(pyr), pyr, strict=True):
+        assert level.shape == (2,) + raw.shape
         assert np.abs(level).max() < 1e-12
 
 
@@ -269,7 +264,7 @@ def test_cs_symmetric_disk_geometry():
     rr, cc = np.mgrid[0:64, 0:64]
     radius = np.hypot(rr - 32.0, cc - 32.0)
     img[radius <= 15] = 1.0
-    light, dark = symmetric_cs(build_pyramid(img, 1))[0]
+    light, dark = symmetric_cs(pyramid_levels(img, 1))[0]
     lr, lc = np.unravel_index(light.argmax(), light.shape)
     assert radius[lr, lc] < 15  # light peaks inside the disk
     dr, dc = np.unravel_index(dark.argmax(), dark.shape)
@@ -283,15 +278,15 @@ def test_cs_symmetric_disk_geometry():
 def test_cs_symmetric_inversion_swaps_polarities():
     rng = np.random.default_rng(7)
     img = rng.random((32, 32))
-    a = symmetric_cs(build_pyramid(img, 3))
-    b = symmetric_cs(build_pyramid(1.0 - img, 3))
+    a = symmetric_cs(pyramid_levels(img, 3))
+    b = symmetric_cs(pyramid_levels(1.0 - img, 3))
     for k in range(3):
         assert np.abs(a[k][0] - b[k][1]).max() < 1e-10
         assert np.abs(a[k][1] - b[k][0]).max() < 1e-10
 
 
 def test_cs_oriented_constant_silent():
-    pyr = build_pyramid(np.full((40, 40), 0.3), 3)
+    pyr = list(pyramid_levels(np.full((40, 40), 0.3), 3))
     for level in oriented_cs(pyr, 0.0):
         assert np.abs(level[0]).max() < 1e-12
 
@@ -299,7 +294,7 @@ def test_cs_oriented_constant_silent():
 def test_cs_oriented_prefers_its_own_orientation():
     img = np.zeros((64, 64))
     img[:, 30:35] = 1.0  # vertical bright bar
-    pyr = build_pyramid(img, 1)
+    pyr = list(pyramid_levels(img, 1))
     at_bar = oriented_cs(pyr, np.pi / 2)[0][0, 32, 32]
     across = oriented_cs(pyr, 0.0)[0][0, 32, 32]
     assert at_bar > 0
@@ -309,8 +304,8 @@ def test_cs_oriented_prefers_its_own_orientation():
 def test_cs_oriented_inversion_swaps_polarities():
     rng = np.random.default_rng(8)
     img = rng.random((32, 32))
-    a = oriented_cs(build_pyramid(img, 2), np.pi / 4)
-    b = oriented_cs(build_pyramid(1.0 - img, 2), np.pi / 4)
+    a = oriented_cs(pyramid_levels(img, 2), np.pi / 4)
+    b = oriented_cs(pyramid_levels(1.0 - img, 2), np.pi / 4)
     for k in range(2):
         assert np.abs(a[k][0] - b[k][1]).max() < 1e-10
 
@@ -319,7 +314,7 @@ def test_cs_pair_alignment_validated():
     # one kernel setting per map of the level
     with pytest.raises(ValueError):
         list(cs_pyramids(
-            build_pyramid(np.zeros((16, 16)), 2), [DoGParams()] * 2, make_center_surround
+            pyramid_levels(np.zeros((16, 16)), 2), [DoGParams()] * 2, make_center_surround
         ))
     with pytest.raises(ValueError):
         list(cs_pyramids(
@@ -359,17 +354,10 @@ def _competition_maps():
 COMPETITION_MAPS = _competition_maps()
 
 
-@pytest.mark.parametrize("name", sorted(COMPETITION_MAPS))
-@pytest.mark.parametrize(
-    "params",
-    [NormalizationParams(), NormalizationParams(local_max_window=5, plateau_tolerance=0.1)],
-    ids=["default", "wide"],
-)
-def test_peak_competition_matches_label_maximum_oracle(name, params):
+@pytest.mark.parametrize("name", sorted(COMPETITION_MAPS), ids=lambda name: f"default-{name}")
+def test_peak_competition_matches_label_maximum_oracle(name):
     scaled = COMPETITION_MAPS[name]
-    assert np.array_equal(
-        _peak_competition(scaled, params), oracle_peak_competition(scaled, params)
-    )
+    assert np.array_equal(_peak_competition(scaled), oracle_peak_competition(scaled))
 
 
 # ------------------------------------------------------- contrast route
@@ -381,7 +369,7 @@ def test_bo_zero_cs_passes_carrier_through():
     full = full_bo(carriers, zero_cs((32, 32), 3), 1.0)
     for k in range(3):
         # light and dark each pass the carrier to both sides: no imbalance
-        assert contrast[k].shape == (8,) + carriers.dims[k]
+        assert contrast[k].shape == (8,) + carriers[k].shape[-2:]
         assert np.array_equal(contrast[k], np.zeros_like(contrast[k]))
         for ti in range(8):
             for si in range(2):
@@ -397,12 +385,12 @@ def test_bo_is_the_side_imbalance_of_the_full_stacks(route):
     rng = np.random.default_rng(21)
     cue = rng.random((8, 2, 32, 32)) * (rng.random((8, 2, 32, 32)) < 0.1)
     evidence, modulated = {
-        "isotropic": (lambda: symmetric_cs(build_pyramid(img, 4)), None),
+        "isotropic": (lambda: symmetric_cs(pyramid_levels(img, 4)), None),
         "oriented": (lambda: list(cs_pyramids(
             carriers, [oriented_gabor(ti * np.pi / 8) for ti in range(8)], make_gabor
         )), None),
-        "cue": (lambda: [lvl[None] for lvl in build_pyramid(cue, 4)], None),
-        "cue top 2": (lambda: [lvl[None] for lvl in build_pyramid(cue, 4)], 2),
+        "cue": (lambda: [lvl[None] for lvl in pyramid_levels(cue, 4)], None),
+        "cue top 2": (lambda: [lvl[None] for lvl in pyramid_levels(cue, 4)], 2),
     }[route]
     got = compute_bo(carriers, evidence(), 0.7, ContextParams(), modulated)
     want = full_bo(carriers, evidence(), 0.7, ContextParams(), modulated)
@@ -415,9 +403,9 @@ def test_bo_inversion_swaps_light_and_dark():
     rng = np.random.default_rng(6)
     img = rng.random((32, 32))
     n = 3
-    a = compute_bo(make_carriers(img, n), symmetric_cs(build_pyramid(img, n)), 1.0)
+    a = compute_bo(make_carriers(img, n), symmetric_cs(pyramid_levels(img, n)), 1.0)
     b = compute_bo(
-        make_carriers(1.0 - img, n), symmetric_cs(build_pyramid(1.0 - img, n)), 1.0
+        make_carriers(1.0 - img, n), symmetric_cs(pyramid_levels(1.0 - img, n)), 1.0
     )
     for k in range(n):
         assert np.abs(a[k] - b[k]).max() < 1e-10
@@ -426,7 +414,7 @@ def test_bo_inversion_swaps_light_and_dark():
 def test_bo_square_owned_from_inside():
     img = square_image()
     n = 5
-    contrast = compute_bo(make_carriers(img, n), symmetric_cs(build_pyramid(img, n)), 1.0)
+    contrast = compute_bo(make_carriers(img, n), symmetric_cs(pyramid_levels(img, n)), 1.0)
     # top edge of the bright square: theta = 0, inside is downward (side 0)
     assert (contrast[0][0, 20, 24:40] > 0).mean() >= 0.9
 
@@ -449,7 +437,7 @@ def test_bo_contrast_matches_route_oracle(w_opp):
     carriers = make_carriers(img, n)
     # bare (2, r, c), as cs_pyramids gives it; shared (2, 1, 1, r, c);
     # tiled to every orientation (2, 8, 1, r, c)
-    bare = symmetric_cs(build_pyramid(img, n))
+    bare = symmetric_cs(pyramid_levels(img, n))
     shared = [level[:, None, None] for level in bare]
     tiled = [np.repeat(level, 8, axis=1) for level in shared]
     got_shared = compute_bo(carriers, shared, w_opp)
@@ -482,7 +470,7 @@ def test_local_cue_zero_stack_passes_carrier():
     for out in (gated, passed):
         for k in range(3):
             # both sides pass the carrier: no imbalance
-            assert np.array_equal(out[k], np.zeros((8,) + carriers.dims[k]))
+            assert np.array_equal(out[k], np.zeros((8,) + carriers[k].shape[-2:]))
             for ti in range(8):
                 for si in range(2):
                     assert np.array_equal(full[k][ti, si], carriers[k][ti, 0])
@@ -507,7 +495,7 @@ def test_local_cue_top_layers_only_passthrough():
     out = cue_bo(carriers, cue, ModelWeights(top_layers_only=2))
     for k in (2, 3):
         # passed through to both sides: no imbalance
-        assert np.array_equal(out[k], np.zeros((8,) + carriers.dims[k]))
+        assert np.array_equal(out[k], np.zeros((8,) + carriers[k].shape[-2:]))
     assert out[0][0].any()
 
 
@@ -523,8 +511,8 @@ def test_local_cue_matches_route_oracle(weights, factor):
     rng = np.random.default_rng(19)
     carriers = make_carriers(square_image(32, first=9, last=20), 4, factor)
     cue = rng.random((8, 2, 32, 32)) * (rng.random((8, 2, 32, 32)) < 0.1)
-    got = cue_bo(carriers, cue, weights)
-    want = oracle_local_cue(per_orientation(carriers), cue, weights)
+    got = cue_bo(carriers, cue, weights, factor)
+    want = oracle_local_cue(per_orientation(carriers), cue, weights, factor)
     for got_k, want_k in zip(got, want, strict=True):
         assert_rel_close(got_k, side_imbalance(want_k))
 

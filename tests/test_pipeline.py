@@ -4,10 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fgo.channels import RGBImage, build_channel_pyramids, compute_channels
+from fgo.channels import RGBImage, compute_channels
 from fgo.evaluation import compute_fgca, load_ground_truth
 from fgo.filters import DoGParams, GaborParams, VonMisesParams, make_center_surround
-from fgo.grid import pool_resampled
+from fgo.grid import pool_resampled, pyramid_levels
 from fgo.cues import SAParams
 from fgo.ownership import (
     ContextParams,
@@ -249,17 +249,20 @@ class TestFixedFeatures:
         image) and the intensity winners."""
         if not isinstance(image, RGBImage):
             image = RGBImage.from_gray(image)
-        channels = compute_channels(image, FAST.gabor)
-        pyramids = build_channel_pyramids(channels, FAST.n_scales, FAST.pyramid_factor)
+        intensity, opponency, orientation = compute_channels(image, FAST.gabor)
 
-        def route(pyr):
-            cs = cs_pyramids(pyr, [FAST.dog], make_center_surround)
-            return winning_bo(compute_bo(pyramids.orientation, cs, 1.0, FAST.context))
+        def pyramid(native):
+            return list(pyramid_levels(native, FAST.n_scales, FAST.pyramid_factor))
 
-        colour = [route(p) for p, native in zip(pyramids.opponency, channels.opponency)
-                  if native.any()]
+        carriers = pyramid(orientation[:, None])
+
+        def route(native):
+            cs = cs_pyramids(pyramid(native), [FAST.dog], make_center_surround)
+            return winning_bo(compute_bo(carriers, cs, 1.0, FAST.context))
+
+        colour = [route(native) for native in opponency if native.any()]
         colour = [sum(levels[1:], levels[0]) for levels in zip(*colour)] if colour else None
-        return colour, route(pyramids.intensity)
+        return colour, route(intensity)
 
     @pytest.mark.parametrize("kind", ["colour", "gray", "black"])
     def test_fixed_is_weighted_colour_plus_intensity(self, kind):
@@ -284,7 +287,8 @@ class TestFixedFeatures:
 
     def test_colour_sums_the_opponency_winners_in_channel_order(self):
         image = colour_squares()
-        assert sum(native.any() for native in compute_channels(image).opponency) > 1
+        _, opponency, _ = compute_channels(image)
+        assert sum(native.any() for native in opponency) > 1
         colour, _ = self.winners(image)
         got = prepare_components(image, ModelWeights(feature_weights=(1.0, 0.0, 0.0)), FAST).fixed
         want = pool_resampled(colour, *colour[0].shape[-2:], (1.0,) * len(colour))
