@@ -25,8 +25,8 @@ from .config import PRESETS, RunConfig, apply_lines, apply_preset, key_name, loa
 from .cues import format_junction
 from .evaluation import (
     ALPHA_NAMES,
-    FGGroundTruth,
     build_report,
+    check_search,
     decisions_for,
     fgca_of,
     format_report_keyvalues,
@@ -61,18 +61,6 @@ def _read_image(path: Path) -> RGBImage:
 
 def _load_labels(*paths) -> list:
     return [io.read_lm1(path) if path else None for path in paths]
-
-
-def _read_truth(path, shape) -> FGGroundTruth:
-    """The boundary records of a signed ground-truth map, refused when
-    the map's shape is not the image's ``shape``."""
-    signed = io.read_signed_map(path)
-    if signed.shape != tuple(shape):
-        raise ValueError(
-            f"the ground-truth map is {'x'.join(map(str, signed.shape))} but the "
-            f"image is {shape[0]}x{shape[1]}: ground truth must match the image"
-        )
-    return load_ground_truth(signed)
 
 
 def _config_from_args(args) -> RunConfig:
@@ -120,7 +108,9 @@ def cmd_run(args) -> int:
     config = _config_from_args(args)
     image = _read_image(Path(args.image))
     contours, segments = _load_labels(args.contours, args.segments)
-    gt = _read_truth(args.gt, image.shape) if args.gt else None
+    gt = load_ground_truth(io.read_signed_map(args.gt)) if args.gt else None
+    if gt is not None:
+        gt.check_shape(image.shape)
     result = run_model(image, config.weights(), config.params, contours, segments)
 
     out_dir = Path(args.out)
@@ -202,10 +192,13 @@ def _scoring_state(entry: ManifestEntry, config: RunConfig, need_sa: bool, need_
     """Read one row's image, label maps and ground truths, prepare the
     image and keep what scoring a weight point reads (a
     :class:`ScoringState`). A truth whose map is not the image's shape
-    is refused, and so is a row without any boundary record."""
+    is refused before the image is prepared, and so is a row without
+    any boundary record."""
     image = _read_image(Path(entry.image))
     contours, segments = _load_labels(entry.contours, entry.segments)
-    gts = [_read_truth(p, image.shape) for p in entry.gts]
+    gts = [load_ground_truth(io.read_signed_map(p)) for p in entry.gts]
+    for gt in gts:
+        gt.check_shape(image.shape)
     gts = [gt for gt in gts if len(gt)]
     if not gts:
         raise ValueError("no usable ground truth records")
@@ -276,10 +269,6 @@ def cmd_eval(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     config = _config_from_args(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    entries = parse_manifest(args.manifest)
-
     if args.compare:
         names = [n.strip() for n in args.compare.split(",")]
         if len(names) != 2:
@@ -290,6 +279,9 @@ def cmd_eval(args) -> int:
     else:
         weight_sets = [config.weights()]
         labels = [args.preset or "model"]
+    entries = parse_manifest(args.manifest)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     per_preset = _score_dataset(entries, config, weight_sets, args.jobs)
     if not per_preset[0]:
@@ -336,11 +328,12 @@ def cmd_tune(args) -> int:
         if name not in ALPHA_NAMES:
             raise ValueError(f"unknown weight name {token.strip()!r}")
         names.append(name)
+    check_search(names, args.coarse_step)
+    entries = parse_manifest(args.manifest)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    entries = parse_manifest(args.manifest)
-    split = make_split([e.image_id for e in entries], config.resolved_seed())
+    split = make_split([e.image_id for e in entries], config.seed)
     by_id = {e.image_id: e for e in entries}
     train = [by_id[i] for i in split.train_ids]
 
@@ -368,7 +361,7 @@ def cmd_tune(args) -> int:
         f"alphaSA={tuned.alpha_sa:.6f}\n"
         f"alphaTJ={tuned.alpha_tj:.6f}\n"
         f"objective={best:.6f}\n"
-        f"seed={config.resolved_seed()}\n"
+        f"seed={config.seed}\n"
         f"trainIds={','.join(split.train_ids)}\n"
         f"testIds={','.join(split.test_ids)}\n"
     )

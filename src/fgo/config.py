@@ -5,13 +5,12 @@ Every key names one field of the library's own parameter objects:
 :class:`PipelineParams`, whose cue blocks take ``sa_``/``tj_``
 prefixes, or :class:`ModelWeights`. Keys match ignoring case and
 underscores, so ``alphaRef``, ``alpha_ref`` and ``ALPHAREF`` are one
-key. The ``FGO_SEED`` environment variable overrides the seed.
+key. The ``seed`` key seeds the train/test split.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, fields, replace
 
 from .cues import SAParams, TJParams
@@ -35,28 +34,22 @@ _PARAM_KEYS = {
     "omega": ("gabor", "omega"),
     "sigma_in": ("dog", "sigma_in"),
     "sigma_out": ("dog", "sigma_out"),
-    "sigma1": ("oriented_cs", "sigma1"),
-    "gamma1": ("oriented_cs", "gamma1"),
-    "omega1": ("oriented_cs", "omega1"),
-    "r0": ("context", "ring_radius"),
-    "ring_form": ("context", "ring_form"),
+    "sigma1": ("oriented_cs", "sigma"),
+    "gamma1": ("oriented_cs", "gamma"),
+    "omega1": ("oriented_cs", "omega"),
+    "r0": ("ring_radius",),
     **{
         f"{block}_{f.name}": (block, f.name)
         for block, cls in (("sa", SAParams), ("tj", TJParams))
         for f in fields(cls)
     },
 }
-# the entries of ModelWeights.feature_weights, in order
-_FEATURE_KEYS = ("feature_color", "feature_intensity", "feature_orientation")
 # weight key -> its annotated type
-_WEIGHT_KEYS = {
-    **{f.name: f.type for f in fields(ModelWeights) if f.name != "feature_weights"},
-    **dict.fromkeys(_FEATURE_KEYS, "float"),
-}
+_WEIGHT_KEYS = {f.name: f.type for f in fields(ModelWeights)}
 _KEYS = {
     key.replace("_", ""): key for key in (*_PARAM_KEYS, *_WEIGHT_KEYS, "preset", "seed")
 }
-_TYPES = {"int": int, "float": float, "str": str}
+_TYPES = {"int": int, "float": float}
 
 
 def key_name(key: str) -> str | None:
@@ -81,16 +74,7 @@ class RunConfig:
     seed: int = 0
 
     def weights(self) -> ModelWeights:
-        given = dict(self.weight_keys)
-        features = tuple(
-            given.pop(key, default)
-            for key, default in zip(_FEATURE_KEYS, ModelWeights().feature_weights)
-        )
-        return ModelWeights(**given, feature_weights=features)
-
-    def resolved_seed(self) -> int:
-        env = os.environ.get("FGO_SEED")
-        return int(env) if env else self.seed
+        return ModelWeights(**self.weight_keys)
 
 
 def apply_preset(config: RunConfig, name: str) -> RunConfig:

@@ -1,8 +1,9 @@
 """Scoring machinery: ground truth, figure decisions, FGCA, tuning.
 
 Ground truth comes from signed maps: +1 cells mark the figure side of a
-boundary, -1 cells the boundary pixels to score. A decision at a scored
-pixel is the direction of the strongest final ownership response
+boundary, -1 cells the boundary pixels to score. A truth keeps the
+shape of its map and scores only maps of that shape. A decision at a
+scored pixel is the direction of the strongest final ownership response
 nearby; it counts as correct when it points into the annotated figure
 half-plane, and an undecidable pixel counts half.
 
@@ -47,12 +48,18 @@ _DIRECTIONS = np.array(
 
 @dataclass(frozen=True)
 class FGGroundTruth:
-    """Boundary pixels (x = col, y = row) with unit normals toward figure."""
+    """Boundary pixels (x = col, y = row) with unit normals toward figure,
+    from a signed map of ``shape`` ``(rows, cols)``.
+
+    A record outside ``shape`` is refused when the truth is built, and
+    the truth scores only maps of its own shape (:meth:`check_shape`).
+    """
 
     x: np.ndarray
     y: np.ndarray
     nx: np.ndarray
     ny: np.ndarray
+    shape: tuple
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.int64)
@@ -63,11 +70,26 @@ class FGGroundTruth:
             raise ValueError("ground truth fields must be equal-length 1D arrays")
         if x.size and np.abs(np.hypot(nx, ny) - 1.0).max() > 1e-6:
             raise ValueError("ground truth normals must have unit length")
-        for name, arr in (("x", x), ("y", y), ("nx", nx), ("ny", ny)):
-            object.__setattr__(self, name, arr)
+        rows, cols = shape = tuple(int(n) for n in self.shape)
+        if x.size and (min(x.min(), y.min()) < 0 or x.max() >= cols or y.max() >= rows):
+            raise ValueError(
+                f"ground truth records span x {x.min()}..{x.max()} and "
+                f"y {y.min()}..{y.max()}, outside the {rows}x{cols} map"
+            )
+        for name, value in (("x", x), ("y", y), ("nx", nx), ("ny", ny), ("shape", shape)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return self.x.size
+
+    def check_shape(self, shape) -> None:
+        """Refuse to score this truth against an image of another
+        ``shape``: its records would be read from another image."""
+        if tuple(shape) != self.shape:
+            raise ValueError(
+                f"the ground-truth map is {'x'.join(map(str, self.shape))} but the "
+                f"image is {'x'.join(map(str, shape))}: ground truth must match the image"
+            )
 
 
 def load_ground_truth(signed) -> FGGroundTruth:
@@ -101,31 +123,26 @@ def load_ground_truth(signed) -> FGGroundTruth:
     if not usable.any():
         warnings.warn("signed map has no figure-ground interface", stacklevel=2)
         empty = np.empty(0)
-        return FGGroundTruth(x=empty, y=empty, nx=empty, ny=empty)
+        return FGGroundTruth(x=empty, y=empty, nx=empty, ny=empty, shape=signed.shape)
     yy, xx = np.nonzero(usable)
     return FGGroundTruth(
         x=xx,
         y=yy,
         nx=mean_dc[usable] / norm[usable],
         ny=mean_dr[usable] / norm[usable],
+        shape=signed.shape,
     )
 
 
 def _window_cells(gt: FGGroundTruth, rows: int, cols: int):
     """``(rr, cc)``, each ``(records, 9)``: the 3x3 window of every record.
 
-    A record outside the ``rows x cols`` map is refused: its truth
-    belongs to another image. Clipping a window index to the border
-    repeats a cell of the clipped window, so window maxima over the
-    clipped window are exact.
+    A truth of another shape than the ``rows x cols`` map is refused
+    (:meth:`FGGroundTruth.check_shape`). Clipping a window index to the
+    border repeats a cell of the clipped window, so window maxima over
+    the clipped window are exact.
     """
-    if len(gt) and (
-        min(gt.x.min(), gt.y.min()) < 0 or gt.x.max() >= cols or gt.y.max() >= rows
-    ):
-        raise ValueError(
-            f"ground truth records span x {gt.x.min()}..{gt.x.max()} and "
-            f"y {gt.y.min()}..{gt.y.max()}, outside the {rows}x{cols} map"
-        )
+    gt.check_shape((rows, cols))
     rr = np.clip(gt.y[:, None] + _WINDOW[:, 0], 0, rows - 1)
     cc = np.clip(gt.x[:, None] + _WINDOW[:, 1], 0, cols - 1)
     return rr, cc
@@ -212,8 +229,8 @@ def compute_fgca(final: np.ndarray, gts) -> FGCAResult:
     ``gts`` is one ground truth or a sequence of them (two annotators);
     the reported accuracy is the mean of the per-truth accuracies while
     the correctness/pixel sums pool every record for pixel-weighted
-    aggregation. A truth with a record outside the map is refused with
-    a ValueError that names the map's ``rows x cols``.
+    aggregation. A truth of another shape than the map is refused with
+    a ValueError that names both shapes.
     """
     gts = _truths(gts)
     return fgca_of(gts, [decisions_for(final, gt) for gt in gts])
@@ -253,8 +270,8 @@ class ScoringState:
 
 def prepare_scoring(prepared: PreparedImage, gts) -> ScoringState:
     """Gather from a prepared image what :func:`score_weights` reads for
-    the given ground truths (one or a sequence, none empty, every record
-    inside the image, as :func:`compute_fgca` requires): ``fixed`` at
+    the given ground truths (one or a sequence, none empty, each of the
+    image's shape, as :func:`compute_fgca` requires): ``fixed`` at
     the window cells, and the orientation routes' side imbalances at the
     level cells that the bilinear pool reads for them."""
     gts = _truths(gts)
@@ -402,29 +419,37 @@ def _simplex_points(n_free: int, step: float, anchor=None):
     return points
 
 
-def grid_search_weights(
-    objective,
-    names=("alpha_ref", "alpha_sa"),
-    coarse_step: float = 0.1,
-    stop_threshold: float = 0.005,
-    max_rounds: int = 12,
-):
-    """Multi-resolution search over cue weights on the simplex.
+# a refinement round that gains less than this ends the search, and
+# the search ends after this many rounds in any case
+_MIN_GAIN = 0.005
+_ROUNDS = 12
 
-    ``objective`` maps a :class:`ModelWeights` to a score to maximize.
-    The named weights (any subset of alpha_ref/alpha_sa/alpha_tj, the
-    rest pinned to zero) are scanned on a coarse grid of step
-    ``coarse_step`` in (0, 1], then re-scanned
-    around the incumbent with the step halved each round until a round
-    improves the best score by less than ``stop_threshold``.
-    Returns ``(weights, best_objective, trace)`` where trace rows are
-    ``(round, weights_tuple_in_name_order, objective)``.
-    """
+
+def check_search(names, coarse_step: float) -> None:
+    """Refuse the arguments :func:`grid_search_weights` refuses, before
+    any objective is built."""
     names = tuple(names)
     if not names or any(n not in ALPHA_NAMES for n in names) or len(set(names)) != len(names):
         raise ValueError(f"names must be a distinct subset of {ALPHA_NAMES}, got {names}")
     if not 0 < coarse_step <= 1:
         raise ValueError(f"coarse_step must lie in (0, 1], got {coarse_step}")
+
+
+def grid_search_weights(objective, names=("alpha_ref", "alpha_sa"), coarse_step: float = 0.1):
+    """Multi-resolution search over cue weights on the simplex.
+
+    ``objective`` maps a :class:`ModelWeights` to a score to maximize.
+    The named weights (any subset of alpha_ref/alpha_sa/alpha_tj, the
+    rest pinned to zero) are scanned on a coarse grid of step
+    ``coarse_step`` in (0, 1], then re-scanned around the incumbent
+    with the step halved each round, for at most 12 rounds, until a
+    round improves the best score by less than 0.005. Bad arguments are
+    refused by :func:`check_search`. Returns ``(weights,
+    best_objective, trace)`` where trace rows are ``(round,
+    weights_tuple_in_name_order, objective)``.
+    """
+    names = tuple(names)
+    check_search(names, coarse_step)
 
     def as_weights(point) -> ModelWeights:
         values = dict.fromkeys(ALPHA_NAMES, 0.0)
@@ -454,7 +479,7 @@ def grid_search_weights(
             best_point, best = point, value
 
     step = coarse_step
-    for round_index in range(1, max_rounds + 1):
+    for round_index in range(1, _ROUNDS + 1):
         step /= 2.0
         round_best_point, round_best = best_point, best
         for point in _simplex_points(n_free, step, anchor=best_point[:n_free]):
@@ -463,7 +488,7 @@ def grid_search_weights(
                 round_best_point, round_best = point, value
         improvement = round_best - best
         best_point, best = round_best_point, round_best
-        if improvement < stop_threshold:
+        if improvement < _MIN_GAIN:
             break
     return as_weights(best_point), best, trace
 

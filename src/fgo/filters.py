@@ -49,6 +49,11 @@ def _lattice(size: int):
 
 @dataclass(frozen=True)
 class GaborParams:
+    """One Gabor's settings. A bank, such as the carriers or the
+    oriented center-surround, holds one setting and fills in each
+    kernel's ``theta``; a kernel fitted to a small map fills in its
+    ``size``."""
+
     theta: float
     sigma: float = 2.24
     gamma: float = 0.5
@@ -130,13 +135,10 @@ class VonMisesParams:
     bo_direction: float
     r0: float = 2.0
     size: int | None = None
-    form: str = "cosine"
 
     def __post_init__(self):
         if not self.r0 > 0:
             raise ValueError(f"r0 must be positive, got {self.r0}")
-        if self.form not in ("cosine", "printed"):
-            raise ValueError(f"form must be 'cosine' or 'printed', got {self.form!r}")
         if self.size is not None and (self.size < 1 or self.size % 2 == 0):
             raise ValueError(f"size must be a positive odd integer, got {self.size}")
 
@@ -150,16 +152,12 @@ def make_von_mises(params: VonMisesParams) -> np.ndarray:
     """Annular kernel concentrated on a radius-r0 ring toward bo_direction.
 
     ``exp((rho - r0) * cos(phi - bo_direction)) / I0(|rho - r0|)``,
-    normalized to a peak of one. ``phi`` is the full-quadrant cell angle.
-    The 'printed' form uses ``sin`` in place of ``cos``; it is kept as a
-    switch for sensitivity checks but is not mirror-symmetric about the
-    ownership direction, so the cosine form is the default.
+    normalized to a peak of one. ``phi`` is the full-quadrant cell angle,
+    so the kernel is mirror-symmetric about the ownership direction.
     """
     x, y = _lattice(params.resolved_size())
     rho = np.hypot(x, y)
     phi = np.arctan2(y, x)
     radial = rho - params.r0
-    rel = phi - params.bo_direction
-    angular = np.cos(rel) if params.form == "cosine" else np.sin(rel)
-    kernel = np.exp(radial * angular) / i0(np.abs(radial))
+    kernel = np.exp(radial * np.cos(phi - params.bo_direction)) / i0(np.abs(radial))
     return kernel / kernel.max()

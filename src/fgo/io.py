@@ -11,6 +11,15 @@ from __future__ import annotations
 import numpy as np
 
 
+def _parsed(path, parse, tokens) -> list:
+    """``parse`` of every token; a malformed token is refused naming the
+    file."""
+    try:
+        return [parse(t) for t in tokens]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def write_fm1(path, values) -> None:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
@@ -25,11 +34,11 @@ def read_fm1(path) -> np.ndarray:
         tokens = fh.read().split()
     if len(tokens) < 3 or tokens[0] != "FM1":
         raise ValueError(f"{path}: not an FM1 file")
-    rows, cols = int(tokens[1]), int(tokens[2])
+    rows, cols = _parsed(path, int, tokens[1:3])
     data = tokens[3:]
     if len(data) != rows * cols:
         raise ValueError(f"{path}: expected {rows * cols} values, found {len(data)}")
-    arr = np.array([float(t) for t in data]).reshape(rows, cols)
+    arr = np.array(_parsed(path, float, data)).reshape(rows, cols)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{path}: non-finite values")
     return arr
@@ -51,11 +60,11 @@ def read_lm1(path, allow_negative: bool = False) -> np.ndarray:
         tokens = fh.read().split()
     if len(tokens) < 3 or tokens[0] != "LM1":
         raise ValueError(f"{path}: not an LM1 file")
-    rows, cols = int(tokens[1]), int(tokens[2])
+    rows, cols = _parsed(path, int, tokens[1:3])
     data = tokens[3:]
     if len(data) != rows * cols:
         raise ValueError(f"{path}: expected {rows * cols} values, found {len(data)}")
-    arr = np.array([int(t) for t in data], dtype=np.int64).reshape(rows, cols)
+    arr = np.array(_parsed(path, int, data), dtype=np.int64).reshape(rows, cols)
     if not allow_negative and arr.min() < 0:
         raise ValueError(f"{path}: negative labels not allowed here")
     return arr
@@ -69,17 +78,19 @@ def read_signed_map(path) -> np.ndarray:
     return arr
 
 
-def _pnm_tokens(blob: bytes, count: int):
-    """First ``count`` header tokens of a PNM file, skipping # comments.
+def _pnm_tokens(path, blob: bytes, count: int):
+    """The numbers after the magic among the first ``count`` header
+    tokens of a PNM file, skipping # comments; a truncated header or a
+    malformed number is refused naming the file.
 
-    Returns the tokens and the offset one byte past the final token's
+    Returns the numbers and the offset one byte past the final token's
     trailing whitespace (where P6 raster data begins).
     """
     tokens = []
     i = 0
     while len(tokens) < count:
         if i >= len(blob):
-            raise ValueError("truncated PNM header")
+            raise ValueError(f"{path}: truncated PNM header")
         ch = blob[i : i + 1]
         if ch.isspace():
             i += 1
@@ -90,9 +101,9 @@ def _pnm_tokens(blob: bytes, count: int):
             j = i
             while j < len(blob) and not blob[j : j + 1].isspace():
                 j += 1
-            tokens.append(blob[i:j].decode("ascii"))
+            tokens.append(blob[i:j].decode("ascii", errors="replace"))
             i = j
-    return tokens, i + 1
+    return _parsed(path, int, tokens[1:]), i + 1
 
 
 def read_ppm(path):
@@ -102,8 +113,7 @@ def read_ppm(path):
     magic = blob[:2].decode("ascii", errors="replace")
     if magic not in ("P6", "P3"):
         raise ValueError(f"{path}: unsupported PPM magic {magic!r}")
-    (_, w, h, maxval), offset = _pnm_tokens(blob, 4)
-    width, height, maxval = int(w), int(h), int(maxval)
+    (width, height, maxval), offset = _pnm_tokens(path, blob, 4)
     if width < 1 or height < 1 or not 0 < maxval < 256:
         raise ValueError(f"{path}: bad PPM header ({width}x{height}, maxval {maxval})")
     n = width * height * 3
@@ -115,7 +125,7 @@ def read_ppm(path):
         tokens = blob[offset - 1 :].split()
         if len(tokens) < n:
             raise ValueError(f"{path}: truncated PPM raster")
-        raster = np.array([int(t) for t in tokens[:n]], dtype=np.int64)
+        raster = np.array(_parsed(path, int, tokens[:n]), dtype=np.int64)
     if raster.min() < 0 or raster.max() > maxval:
         raise ValueError(f"{path}: sample out of range")
     rgb = raster.reshape(height, width, 3).astype(np.float64) / maxval
@@ -151,8 +161,7 @@ def read_pgm(path) -> np.ndarray:
         blob = fh.read()
     if blob[:2] != b"P5":
         raise ValueError(f"{path}: unsupported PGM magic")
-    (_, w, h, maxval), offset = _pnm_tokens(blob, 4)
-    width, height = int(w), int(h)
+    (width, height, _), offset = _pnm_tokens(path, blob, 4)
     raster = np.frombuffer(blob, dtype=np.uint8, count=width * height, offset=offset)
     if raster.size < width * height:
         raise ValueError(f"{path}: truncated PGM raster")

@@ -5,9 +5,9 @@ ownership directions ``theta + pi/2`` (side index 0) or ``theta - pi/2``
 (side index 1). Region evidence — center-surround contrast for the
 global route, directed local-cue maps for the others — is normalized
 per pyramid level, projected onto borders through an annular ring
-kernel pointing in the ownership direction, pooled across scales with
-geometrically decaying weights, and finally gates the oriented carrier
-response multiplicatively.
+kernel of radius ``ring_radius`` pointing in the ownership direction,
+pooled across scales with geometrically decaying weights, and finally
+gates the oriented carrier response multiplicatively.
 
 Every route takes one path, :func:`compute_bo`. Its evidence is a
 level list of stacks with a leading polarity axis: light and dark
@@ -67,17 +67,20 @@ class ModelWeights:
     The three alpha weights blend the contrast route (light + dark) with
     the spectral-anisotropy and T-junction routes and must sum to one.
     ``w_opp`` scales the inhibition a border cell receives from evidence
-    for the opposite ownership direction. ``feature_weights`` order the
-    color, intensity and orientation channels in the final combination.
-    ``top_layers_only`` restricts local-cue modulation to that many of
-    the finest pyramid levels (None modulates every level).
+    for the opposite ownership direction. ``feature_color``,
+    ``feature_intensity`` and ``feature_orientation`` weight the three
+    feature channels in the final combination. ``top_layers_only``
+    restricts local-cue modulation to that many of the finest pyramid
+    levels (None modulates every level).
     """
 
     alpha_ref: float = 1.0
     alpha_sa: float = 0.0
     alpha_tj: float = 0.0
     w_opp: float = 1.0
-    feature_weights: tuple = (1.0, 1.0, 1.0)
+    feature_color: float = 1.0
+    feature_intensity: float = 1.0
+    feature_orientation: float = 1.0
     top_layers_only: int | None = None
 
     def __post_init__(self):
@@ -88,47 +91,13 @@ class ModelWeights:
             raise ValueError(f"cue weights must sum to 1, got {alphas}")
         if not self.w_opp >= 0:
             raise ValueError(f"w_opp must be non-negative, got {self.w_opp}")
-        object.__setattr__(
-            self, "feature_weights", tuple(float(w) for w in self.feature_weights)
-        )
-        if len(self.feature_weights) != 3 or not all(w >= 0 for w in self.feature_weights):
-            raise ValueError(
-                f"feature_weights needs three non-negative entries, "
-                f"got {self.feature_weights}"
-            )
+        features = (self.feature_color, self.feature_intensity, self.feature_orientation)
+        if not all(w >= 0 for w in features):
+            raise ValueError(f"feature weights must be non-negative, got {features}")
         if self.top_layers_only is not None and self.top_layers_only < 1:
             raise ValueError(
                 f"top_layers_only must be None or >= 1, got {self.top_layers_only}"
             )
-
-
-@dataclass(frozen=True)
-class OrientedCSParams:
-    """Even-Gabor surrogate for center-surround on oriented features."""
-
-    sigma1: float = 3.2
-    gamma1: float = 0.8
-    omega1: float = 0.7854
-
-    def __post_init__(self):
-        if not (self.sigma1 > 0 and self.gamma1 > 0 and self.omega1 > 0):
-            raise ValueError("sigma1, gamma1 and omega1 must all be positive")
-
-
-@dataclass(frozen=True)
-class ContextParams:
-    """How region evidence is pooled onto border cells.
-
-    ``ring_radius``/``ring_form`` shape the annular projection kernel.
-    """
-
-    ring_radius: float = 2.0
-    ring_form: str = "cosine"
-
-    def __post_init__(self):
-        # the ring kernels' own checks, so a bad radius or form is refused
-        # here and not in the first compute_bo
-        VonMisesParams(bo_direction=0.0, r0=self.ring_radius, form=self.ring_form)
 
 
 def cs_pyramids(feature, kernel_params, make_kernel):
@@ -205,17 +174,17 @@ def normalize_evidence_pair(a, b) -> tuple:
     return _peak_competition((a - lo) * gain), _peak_competition((b - lo) * gain)
 
 
-def _ring_bank(shape, params: ContextParams) -> np.ndarray:
-    """The 16 ring kernels fitted to ``shape``, a read-only (8, 2, s, s) array."""
-    nominal = VonMisesParams(bo_direction=0.0, r0=params.ring_radius, form=params.ring_form)
-    size = clamp_kernel_size(nominal.resolved_size(), shape)
-    return _ring_kernels(size, params.ring_radius, params.ring_form)
+def _ring_bank(shape, ring_radius: float) -> np.ndarray:
+    """The 16 ring kernels of radius ``ring_radius`` fitted to ``shape``,
+    a read-only (8, 2, s, s) array."""
+    nominal = VonMisesParams(bo_direction=0.0, r0=ring_radius)
+    return _ring_kernels(clamp_kernel_size(nominal.resolved_size(), shape), ring_radius)
 
 
 @functools.lru_cache(maxsize=64)
-def _ring_kernels(size: int, ring_radius: float, ring_form: str) -> np.ndarray:
+def _ring_kernels(size: int, ring_radius: float) -> np.ndarray:
     bank = np.array([
-        [make_von_mises(VonMisesParams(bo_direction(ti, si), ring_radius, size, ring_form))
+        [make_von_mises(VonMisesParams(bo_direction(ti, si), ring_radius, size))
          for si in range(N_SIDES)]
         for ti in range(N_ORIENTATIONS)
     ])
@@ -248,9 +217,10 @@ def scale_contexts(responses: list) -> list:
     return responses
 
 
-def _projected(level, context: ContextParams) -> np.ndarray:
+def _projected(level, ring_radius: float) -> np.ndarray:
     """Normalize the competing pairs of one (P, ..., r, c) evidence level
-    and project it through the ring bank: a (P, 8, 2, r, c) stack.
+    and project it through the ring bank of radius ``ring_radius``: a
+    (P, 8, 2, r, c) stack.
 
     With two polarities the pairs are the polarities of each map; with
     one, the two sides of each orientation. Moving the polarity axis
@@ -262,14 +232,14 @@ def _projected(level, context: ContextParams) -> np.ndarray:
     normed = np.moveaxis(normed.reshape(moved.shape), -3, 0)
     # (P, T, S, r, c), so that (T, S) broadcasts against the (8, 2) bank
     normed = normed.reshape(normed.shape[:1] + (1,) * (5 - normed.ndim) + normed.shape[1:])
-    return correlate_stack(normed, _ring_bank(level.shape[-2:], context))
+    return correlate_stack(normed, _ring_bank(level.shape[-2:], ring_radius))
 
 
 def compute_bo(
     carriers,
     evidence,
     w_opp: float,
-    context: ContextParams = ContextParams(),
+    ring_radius: float,
     modulated: int | None = None,
 ) -> list:
     """Side imbalances of one route, level by level: an (8, rows, cols)
@@ -288,7 +258,7 @@ def compute_bo(
     Each level's competing pairs are normalized together
     (:func:`normalize_evidence_pair`) and projected in one
     :func:`correlate_stack` call, ``evidence[p, t, s]`` through the
-    ring kernel toward (t, s). The projections are pooled across scales
+    ring kernel of radius ``ring_radius`` toward (t, s). The projections are pooled across scales
     in place (:func:`scale_contexts`), and gate the carrier one
     orientation, side and polarity at a time::
 
@@ -305,7 +275,7 @@ def compute_bo(
     """
     n = len(carriers)
     modulated = n if modulated is None else min(modulated, n)
-    ctx = scale_contexts([_projected(level, context) for level in evidence]) if modulated else []
+    ctx = scale_contexts([_projected(e, ring_radius) for e in evidence]) if modulated else []
     out = []
     for k, carrier in enumerate(carriers):
         delta = np.zeros((N_ORIENTATIONS,) + carrier.shape[-2:])

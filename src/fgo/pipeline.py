@@ -9,7 +9,9 @@ as a list of (8, 1, rows, cols) levels. Every route is one
 contribute through the contrast route alone, each feature's pyramid
 built level by level as the route reads it; the orientation channel
 additionally takes the two local cues, weighted by the model's alpha
-triple.
+triple. :class:`PipelineParams` holds each setting as a field of the
+kernel that uses it, and ``ModelWeights`` holds one plain weight per
+route and per feature channel.
 
 The run splits into a heavy, weight-independent preparation step and a
 cheap combination step, so weight sweeps (tuning, preset comparison)
@@ -32,32 +34,29 @@ import numpy as np
 
 from .channels import N_ORIENTATIONS, ORIENTATIONS, RGBImage, compute_channels
 from .cues import SAParams, TJParams, build_tj_maps, compute_sa_maps, detect_t_junctions
-from .filters import DoGParams, GaborParams, make_center_surround, make_gabor
+from .filters import DoGParams, GaborParams, VonMisesParams, make_center_surround, make_gabor
 from .grid import SQRT2, check_pyramid_factor, next_level_dims, pool_resampled, pyramid_levels
-from .ownership import (
-    N_SIDES,
-    ContextParams,
-    ModelWeights,
-    OrientedCSParams,
-    combine_bo,
-    compute_bo,
-    cs_pyramids,
-    winning_bo,
-)
+from .ownership import N_SIDES, ModelWeights, combine_bo, compute_bo, cs_pyramids, winning_bo
 
 log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class PipelineParams:
-    """Every filter and pooling parameter of one model configuration."""
+    """Every filter and pooling parameter of one model configuration,
+    each held by the kernel that uses it: ``gabor`` the carriers' Gabor,
+    ``dog`` the isotropic center-surround, ``oriented_cs`` the even
+    Gabor of the oriented center-surround (each bank fills in every
+    kernel's ``theta``), ``ring_radius`` the radius of the ring kernels
+    that project evidence onto borders, and ``sa``/``tj`` the local
+    cues."""
 
     n_scales: int = 10
     pyramid_factor: float = SQRT2
     gabor: GaborParams = GaborParams(theta=0.0)
     dog: DoGParams = DoGParams()
-    oriented_cs: OrientedCSParams = OrientedCSParams()
-    context: ContextParams = ContextParams()
+    oriented_cs: GaborParams = GaborParams(theta=0.0, sigma=3.2, gamma=0.8, omega=0.7854)
+    ring_radius: float = 2.0
     sa: SAParams = SAParams()
     tj: TJParams = TJParams()
 
@@ -65,6 +64,9 @@ class PipelineParams:
         if self.n_scales < 1:
             raise ValueError(f"n_scales must be >= 1, got {self.n_scales}")
         check_pyramid_factor(self.pyramid_factor)
+        # the ring kernels' own check, so a bad radius is refused here
+        # and not in the first compute_bo
+        VonMisesParams(bo_direction=0.0, r0=self.ring_radius)
 
 
 @dataclass(frozen=True)
@@ -95,23 +97,24 @@ def effective_weights(weights: ModelWeights, have_labels: bool) -> ModelWeights:
 
 
 def _fixed_term(intensity, opponency, carriers, params: PipelineParams, base) -> np.ndarray:
-    """The native (8, 2, rows, cols) pool of ``w_c * C + w_i * I`` per
-    level: ``C`` the winners of the non-empty opponency maps summed in
-    channel order, in place, ``I`` the intensity winners. Each takes
-    the contrast route alone, and one feature is computed at a time,
-    its pyramid built level by level as the route reads it. Zero when
-    neither feature is weighted."""
-    color_weight, intensity_weight, _ = base.feature_weights
+    """The native (8, 2, rows, cols) pool of ``feature_color * C +
+    feature_intensity * I`` per level: ``C`` the winners of the
+    non-empty opponency maps summed in channel order, in place, ``I``
+    the intensity winners. Each takes the contrast route alone, and one
+    feature is computed at a time, its pyramid built level by level as
+    the route reads it. Zero when neither feature is weighted."""
     opponency = [native for native in opponency if native.any()]
     terms = None
-    for weight, features in ((color_weight, opponency), (intensity_weight, [intensity])):
+    for weight, features in (
+        (base.feature_color, opponency), (base.feature_intensity, [intensity])
+    ):
         if weight == 0 or not features:
             continue
         total = None
         for feature in features:
             levels = pyramid_levels(feature, params.n_scales, params.pyramid_factor)
             cs = cs_pyramids(levels, [params.dog], make_center_surround)
-            winners = winning_bo(compute_bo(carriers, cs, base.w_opp, params.context))
+            winners = winning_bo(compute_bo(carriers, cs, base.w_opp, params.ring_radius))
             if total is not None:  # summed in place, so one feature is alive beside it
                 winners = [np.add(t, w, out=t) for t, w in zip(total, winners)]
             total = winners
@@ -220,8 +223,7 @@ def prepare_components(
         need_sa = base.alpha_sa > 0
     if need_tj is None:
         need_tj = base.alpha_tj > 0
-    orientation_weight = base.feature_weights[2]
-    _check_image_fits(image.shape, params, need_sa and orientation_weight > 0)
+    _check_image_fits(image.shape, params, need_sa and base.feature_orientation > 0)
     for name, labels in (("contour", contours), ("segment", segments)):
         if labels is not None and np.shape(labels) != image.shape:
             raise ValueError(
@@ -246,14 +248,10 @@ def prepare_components(
         junctions = tuple(detect_t_junctions(contours, segments, params.tj))
 
     bo_contrast = bo_sa = bo_tj = None
-    if orientation_weight > 0:
-        oc = params.oriented_cs
-        gabors = [
-            GaborParams(theta=theta, sigma=oc.sigma1, gamma=oc.gamma1, omega=oc.omega1)
-            for theta in ORIENTATIONS
-        ]
+    if base.feature_orientation > 0:
+        gabors = [replace(params.oriented_cs, theta=theta) for theta in ORIENTATIONS]
         cs = cs_pyramids(carriers, gabors, make_gabor)
-        bo_contrast = compute_bo(carriers, cs, base.w_opp, params.context)
+        bo_contrast = compute_bo(carriers, cs, base.w_opp, params.ring_radius)
 
         def local_cue(cue):
             """One polarity with a map per side; an absent cue modulates
@@ -263,7 +261,8 @@ def prepare_components(
             levels = pyramid_levels(cue, params.n_scales, params.pyramid_factor)
             del cue
             return compute_bo(
-                carriers, (level[None] for level in levels), base.w_opp, params.context, modulated
+                carriers, (level[None] for level in levels), base.w_opp, params.ring_radius,
+                modulated,
             )
 
         if need_sa:
@@ -294,11 +293,10 @@ def applied_weights(
     prepared; anything else is refused.
     """
     weights = effective_weights(weights, have_labels)
-    if (
-        weights.w_opp != base.w_opp
-        or weights.feature_weights != base.feature_weights
-        or weights.top_layers_only != base.top_layers_only
-    ):
+    alphas = dict(
+        alpha_ref=weights.alpha_ref, alpha_sa=weights.alpha_sa, alpha_tj=weights.alpha_tj
+    )
+    if replace(base, **alphas) != weights:
         raise ValueError(
             "only the alpha triple may differ from the prepared base weights"
         )
@@ -314,8 +312,8 @@ def final_levels(prepared: PreparedImage, weights: ModelWeights) -> tuple:
     The weights pass through :func:`applied_weights`; the orientation
     routes' side imbalances are blended (:func:`ownership.combine_bo`),
     the winning orientation kept (:func:`ownership.winning_bo`), and
-    each level is ``w_o * winners``, an (8, 2, r_j, c_j) stack. Without
-    an orientation route ``levels`` is None.
+    each level is ``feature_orientation * winners``, an (8, 2, r_j,
+    c_j) stack. Without an orientation route ``levels`` is None.
     """
     weights = applied_weights(
         weights, prepared.base, prepared.have_labels, prepared.bo_contrast is not None
@@ -325,7 +323,7 @@ def final_levels(prepared: PreparedImage, weights: ModelWeights) -> tuple:
     winners = winning_bo(
         combine_bo(prepared.bo_contrast, weights, bo_sa=prepared.bo_sa, bo_tj=prepared.bo_tj)
     )
-    w_orientation = weights.feature_weights[2]
+    w_orientation = weights.feature_orientation
     return [np.multiply(level, w_orientation, out=level) for level in winners], weights
 
 

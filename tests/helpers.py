@@ -1,14 +1,15 @@
 """Fixtures and oracles that only the tests need."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from fgo.channels import RGBImage, compute_channels
 from fgo.cues import build_tj_maps, compute_sa_maps, detect_t_junctions
-from fgo.filters import GaborParams, make_center_surround, make_gabor
+from fgo.filters import make_center_surround, make_gabor
 from fgo.grid import pool_resampled, pyramid_levels
-from fgo.ownership import ContextParams, _projected, cs_pyramids, scale_contexts
+from fgo.ownership import _projected, cs_pyramids, scale_contexts
 from fgo.stimuli import annulus, isolated_square, overlapping_squares, shaded_edge
 
 
@@ -63,13 +64,13 @@ def scoring_battery():
 # the full path: (8, 2) ownership stacks at every level
 # ------------------------------------------------------------------
 
-def full_bo(carriers, evidence, w_opp, context=ContextParams(), modulated=None):
+def full_bo(carriers, evidence, w_opp, ring_radius, modulated=None):
     """A route's (8, 2, r, c) ownership stacks ``B``, level by level:
     the stacks whose side imbalance ``B[:, 0] - B[:, 1]`` is what
     ``ownership.compute_bo`` returns. Same contexts, whole-stack gate."""
     n = len(carriers)
     modulated = n if modulated is None else min(modulated, n)
-    ctx = scale_contexts([_projected(level, context) for level in evidence]) if modulated else []
+    ctx = scale_contexts([_projected(e, ring_radius) for e in evidence]) if modulated else []
     out = []
     for k, carrier in enumerate(carriers):
         if k >= modulated:
@@ -110,11 +111,11 @@ def full_prepared(image, base, params, contours=None, segments=None):
         return list(pyramid_levels(native, params.n_scales, params.pyramid_factor))
 
     carriers = pyramid(orientation[:, None])
-    w_c, w_i, w_o = base.feature_weights
+    w_c, w_i, w_o = base.feature_color, base.feature_intensity, base.feature_orientation
 
     def winners(feature):
         cs = cs_pyramids(pyramid(feature), [params.dog], make_center_surround)
-        stacks = full_bo(carriers, cs, base.w_opp, params.context)
+        stacks = full_bo(carriers, cs, base.w_opp, params.ring_radius)
         return [full_winners(b[:, 0] - b[:, 1]) for b in stacks]
 
     fixed = [np.zeros((8, 2) + c.shape[-2:]) for c in carriers]
@@ -127,17 +128,15 @@ def full_prepared(image, base, params, contours=None, segments=None):
     full = {"fixed": fixed, "contrast": None, "sa": None, "tj": None}
     if not w_o:
         return full
-    oc = params.oriented_cs
-    gabors = [GaborParams(theta=t * np.pi / 8, sigma=oc.sigma1, gamma=oc.gamma1, omega=oc.omega1)
-              for t in range(8)]
+    gabors = [replace(params.oriented_cs, theta=t * np.pi / 8) for t in range(8)]
     full["contrast"] = full_bo(
-        carriers, cs_pyramids(carriers, gabors, make_gabor), base.w_opp, params.context
+        carriers, cs_pyramids(carriers, gabors, make_gabor), base.w_opp, params.ring_radius
     )
 
     def local_cue(cue):
         levels = [level[None] for level in pyramid(cue)]
         modulated = base.top_layers_only if cue.any() else 0
-        return full_bo(carriers, levels, base.w_opp, params.context, modulated)
+        return full_bo(carriers, levels, base.w_opp, params.ring_radius, modulated)
 
     full["sa"] = local_cue(compute_sa_maps(intensity, params.sa))
     if contours is not None and segments is not None:
@@ -175,7 +174,7 @@ def oracle_levels(full, weights, chosen=None, tie=1e-12):
             tied = np.take_along_axis(size, pick[None], 0)[0] >= (1 - tie) * size.max(axis=0)
             # a tied cell keeps only the chosen orientation in the running
             delta = np.where(tied & (np.arange(8)[:, None, None] != pick), 0.0, delta)
-        levels.append(fixed + weights.feature_weights[2] * full_winners(delta))
+        levels.append(fixed + weights.feature_orientation * full_winners(delta))
     return levels
 
 

@@ -164,7 +164,7 @@ def test_01_oracle_equivalence():
 # ----------------------------------------------------------------------
 
 def test_02_polarity_invariance():
-    weights = ModelWeights(feature_weights=(0.0, 1.0, 0.0))
+    weights = ModelWeights(feature_color=0.0, feature_orientation=0.0)
     stim = isolated_square()
     bright = run_model(stim.image, weights).final
     inverted = run_model(1.0 - stim.image, weights).final
@@ -336,6 +336,7 @@ def test_07_chance_calibration():
         y=np.zeros(n, dtype=np.int64),
         nx=np.cos(truth_angles),
         ny=np.sin(truth_angles),
+        shape=(1, 1),
     )
     decision_angles = rng.uniform(0.0, 2.0 * math.pi, size=n)
     directions = np.stack(
@@ -370,8 +371,6 @@ def test_08_grid_search_recovery():
         objective,
         names=("alpha_ref", "alpha_sa", "alpha_tj"),
         coarse_step=0.1,
-        stop_threshold=0.005,
-        max_rounds=12,
     )
     last_round = max(r for r, _, _ in trace)
     final_step = 0.1 / 2**last_round

@@ -217,7 +217,7 @@ class TestRun:
         ("pyramidFactor=0", "pyramid_factor must be sqrt(2) or 2, got 0.0"),
         ("pyramidFactor=1.5", "pyramid_factor must be sqrt(2) or 2, got 1.5"),
         ("sa_sizeStep=0", "size_step must be even and >= 2, got 0"),
-        ("ringForm=gaussian", "form must be 'cosine' or 'printed', got 'gaussian'"),
+        ("ringForm=printed", "unknown config key 'ringForm'"),
         ("r0=-1", "r0 must be positive, got -1.0"),
     ])
     def test_bad_setting_refused_before_any_output(
@@ -487,29 +487,27 @@ class TestTune:
         assert len(trace) > 1
         assert "tuned:" in capsys.readouterr().out
 
-    def test_seed_env_controls_split(self, dataset, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("FGO_SEED", "5")
+    def test_seed_env_controls_split(self, dataset, tmp_path, capsys):
         out = tmp_path / "tune"
         code = main(
             ["tune", "--manifest", str(dataset), "--out", str(out),
-             "--coarse-step", "0.5", *FAST]
+             "--coarse-step", "0.5", "--set", "seed=5", *FAST]
         )
         assert code == 0
         assert "seed=5" in (out / "weights.kv").read_text()
 
     @pytest.mark.parametrize("seed", ["2", "3"])
-    def test_broken_train_row_skipped(self, dataset, tmp_path, monkeypatch, capsys, seed):
+    def test_broken_train_row_skipped(self, dataset, tmp_path, capsys, seed):
         # these seeds put the row pairing a 48-px image with a 96-px truth
         # in the train half
         wide = synth(tmp_path, "isolated-square", "wide", ("--size", "96"))
         rows = dataset.read_text().splitlines()
         rows += ["sq2 a/image.ppm b/gt.lm1 -", f"wide a/image.ppm {wide / 'gt.lm1'} -"]
         manifest = write_manifest(tmp_path / "wide.txt", rows)
-        monkeypatch.setenv("FGO_SEED", seed)
         out = tmp_path / "tune"
         code = main(
             ["tune", "--manifest", str(manifest), "--out", str(out),
-             "--coarse-step", "0.5", *FAST]
+             "--coarse-step", "0.5", "--set", f"seed={seed}", *FAST]
         )
         assert code == 0
         assert re.search(
@@ -564,6 +562,30 @@ class TestTune:
         )
         assert code == 1
         assert "unknown weight name" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("tune", ["--coarse-step", "0"], "coarse_step must lie in (0, 1], got 0.0"),
+    ("tune", ["--weights", "alphaRef,alpha_ref"], "names must be a distinct subset of"),
+    ("eval", ["--compare", "reference"], "--compare expects two presets, got 'reference'"),
+    ("eval", ["--compare", "reference,nosuch"], "unknown preset 'nosuch'"),
+    ("tune", ["--manifest", "nosuch.txt"], "[Errno 2] No such file or directory"),
+    ("eval", ["--manifest", "nosuch.txt"], "[Errno 2] No such file or directory"),
+], ids=["tune-step", "tune-names", "eval-one-preset", "eval-unknown-preset",
+        "tune-manifest", "eval-manifest"])
+def test_bad_flag_refused_before_any_work(
+    dataset, tmp_path, capsys, monkeypatch, command, flags, message
+):
+    # as `run` refuses a bad setting: no image is read, nothing is written
+    def prepare(*args, **kwargs):
+        raise AssertionError("an image was prepared")
+
+    monkeypatch.setattr(cli, "prepare_components", prepare)
+    out = tmp_path / "out"
+    code = main([command, "--manifest", str(dataset), "--out", str(out), *flags, *FAST])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
 
 
 class TestScoresMatchFullPath:

@@ -16,7 +16,7 @@ from fgo.config import (
 from fgo.cues import SAParams, TJParams
 from fgo.filters import DoGParams, GaborParams
 from fgo.grid import SQRT2
-from fgo.ownership import ContextParams, ModelWeights, OrientedCSParams
+from fgo.ownership import ModelWeights
 from fgo.pipeline import PipelineParams
 
 # every key of the flat format but preset and seed, in snake_case, with
@@ -25,7 +25,7 @@ PIPELINE_KEYS = {
     "gamma": "0.6", "sigma": "2.5", "omega": "1.4",
     "sigma_in": "0.8", "sigma_out": "2.4",
     "sigma1": "3.0", "gamma1": "0.7", "omega1": "0.7",
-    "r0": "2.5", "ring_form": "printed",
+    "r0": "2.5",
     "n_scales": "6", "pyramid_factor": "2",
     "sa_min_size": "7", "sa_max_size": "21", "sa_size_step": "4", "sa_gamma": "0.9",
     "sa_sigma_factor": "0.5", "sa_n_lobes_even": "3", "sa_n_lobes_odd": "6",
@@ -44,12 +44,12 @@ PARAMS = PipelineParams(
     pyramid_factor=2.0,
     gabor=GaborParams(theta=0.0, sigma=2.5, gamma=0.6, omega=1.4),
     dog=DoGParams(sigma_in=0.8, sigma_out=2.4),
-    oriented_cs=OrientedCSParams(sigma1=3.0, gamma1=0.7, omega1=0.7),
-    context=ContextParams(ring_radius=2.5, ring_form="printed"),
+    oriented_cs=GaborParams(theta=0.0, sigma=3.0, gamma=0.7, omega=0.7),
+    ring_radius=2.5,
     sa=SAParams(7, 21, 4, 0.9, 0.5, 3, 6),
     tj=TJParams(5, 6, 4, 12, 2, 4, 2, 110.0, 12.0, 170.0),
 )
-WEIGHTS = ModelWeights(0.2, 0.3, 0.5, 0.8, (0.1, 0.2, 0.3), 3)
+WEIGHTS = ModelWeights(0.2, 0.3, 0.5, 0.8, 0.1, 0.2, 0.3, 3)
 
 
 def camel(key: str) -> str:
@@ -81,7 +81,7 @@ class TestContract:
         assert cfg.weights() == WEIGHTS
         assert cfg.seed == 7
         cfg = parse_config_text("preset = with-both\n" + text.replace("alpha", "# alpha"))
-        assert cfg.weights() == ModelWeights(0.05, 0.15, 0.80, 0.8, (0.1, 0.2, 0.3), 3)
+        assert cfg.weights() == ModelWeights(0.05, 0.15, 0.80, 0.8, 0.1, 0.2, 0.3, 3)
 
     def test_every_leaf_parameter_has_a_key(self):
         # a field no key sets is a knob nobody can turn; only the fields
@@ -91,7 +91,10 @@ class TestContract:
         for key, value in PIPELINE_KEYS.items():
             params = apply_assignment(RunConfig(), key, value).params
             covered |= {path for path, v in leaves(params) if v != default[path]}
-        per_kernel = {("gabor", "theta"), ("gabor", "size"), ("dog", "size")}
+        per_kernel = {
+            ("gabor", "theta"), ("gabor", "size"), ("dog", "size"),
+            ("oriented_cs", "theta"), ("oriented_cs", "size"),
+        }
         assert set(default) - per_kernel == covered
 
     def test_defaults_are_the_library_defaults(self):
@@ -133,7 +136,7 @@ class TestDefaults:
         w = RunConfig().weights()
         assert (w.alpha_ref, w.alpha_sa, w.alpha_tj) == (1.0, 0.0, 0.0)
         assert w.w_opp == 1.0
-        assert w.feature_weights == (1.0, 1.0, 1.0)
+        assert (w.feature_color, w.feature_intensity, w.feature_orientation) == (1.0, 1.0, 1.0)
         assert w.top_layers_only is None
 
     def test_default_pipeline_params(self):
@@ -142,7 +145,8 @@ class TestDefaults:
         assert p.pyramid_factor == SQRT2
         assert p.gabor.sigma == 2.24
         assert p.dog.sigma_in == 0.90
-        assert p.context.ring_form == "cosine"
+        assert p.ring_radius == 2.0
+        assert (p.oriented_cs.sigma, p.oriented_cs.gamma, p.oriented_cs.omega) == (3.2, 0.8, 0.7854)
 
     def test_preset_table(self):
         assert set(PRESETS) == {"reference", "with-sa", "with-tj", "with-both"}
@@ -172,10 +176,6 @@ class TestAssignments:
     def test_int_fields_coerced(self):
         cfg = apply_assignment(RunConfig(), "nScales", "6")
         assert cfg.params.n_scales == 6 and isinstance(cfg.params.n_scales, int)
-
-    def test_string_field(self):
-        cfg = apply_assignment(RunConfig(), "ringForm", "printed")
-        assert cfg.params.context.ring_form == "printed"
 
     def test_sa_prefix_routes_to_nested_block(self):
         cfg = apply_assignment(RunConfig(), "sa_min_size", "11")
@@ -245,12 +245,3 @@ class TestFiles:
         cfg = parse_config_text("nScales = 5\n", base)
         assert cfg.weights().alpha_sa == 0.65 and cfg.params.n_scales == 5
 
-
-class TestSeed:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("FGO_SEED", "99")
-        assert RunConfig(seed=3).resolved_seed() == 99
-
-    def test_without_env_uses_field(self, monkeypatch):
-        monkeypatch.delenv("FGO_SEED", raising=False)
-        assert RunConfig(seed=3).resolved_seed() == 3

@@ -35,7 +35,8 @@ def single_peak_final(rows=9, cols=9, ti=0, si=0, y=4, x=4, value=2.0):
 
 def decide(final, x, y):
     """``decisions_for`` on a one-record truth: (direction, tie flag)."""
-    dirs, ties = decisions_for(final, FGGroundTruth(x=[x], y=[y], nx=[1.0], ny=[0.0]))
+    gt = FGGroundTruth(x=[x], y=[y], nx=[1.0], ny=[0.0], shape=final.shape[-2:])
+    dirs, ties = decisions_for(final, gt)
     return dirs[0], ties[0]
 
 
@@ -107,9 +108,17 @@ class TestLoadGroundTruth:
 
     def test_groundtruth_validation(self):
         with pytest.raises(ValueError):
-            FGGroundTruth(x=[1], y=[1], nx=[1.0], ny=[1.0])  # not unit
+            FGGroundTruth(x=[1], y=[1], nx=[1.0], ny=[1.0], shape=(3, 3))  # not unit
         with pytest.raises(ValueError):
-            FGGroundTruth(x=[1, 2], y=[1], nx=[1.0], ny=[0.0])
+            FGGroundTruth(x=[1, 2], y=[1], nx=[1.0], ny=[0.0], shape=(3, 3))
+        with pytest.raises(ValueError, match=r"x 3\.\.3 and y 0\.\.0, outside the 3x3 map"):
+            FGGroundTruth(x=[3], y=[0], nx=[1.0], ny=[0.0], shape=(3, 3))
+
+    def test_truth_keeps_its_map_shape(self):
+        gt = load_ground_truth(isolated_square(size=48, first=16, last=31).signed)
+        assert gt.shape == (48, 48)
+        with pytest.warns(UserWarning):
+            assert load_ground_truth(np.zeros((4, 5), dtype=int)).shape == (4, 5)
 
 
 class TestDecideFigure:
@@ -167,13 +176,16 @@ class TestDecisionsMatchOracle:
             final[:, :, : rows // 2, : cols // 2] = 0.0  # all-zero windows
             yy, xx = np.mgrid[0:rows, 0:cols]  # every cell, the borders included
             gt = FGGroundTruth(
-                x=xx.ravel(), y=yy.ravel(), nx=np.ones(xx.size), ny=np.zeros(xx.size)
+                x=xx.ravel(), y=yy.ravel(), nx=np.ones(xx.size), ny=np.zeros(xx.size),
+                shape=(rows, cols),
             )
             assert_matches_oracle(final, gt)
         # a zero maximum is no positive response, whatever the other side holds
         final = np.zeros((8, 2, 3, 3))
         final[:, 1] = -1.0
-        assert_matches_oracle(final, FGGroundTruth(x=[1], y=[1], nx=[1.0], ny=[0.0]))
+        assert_matches_oracle(
+            final, FGGroundTruth(x=[1], y=[1], nx=[1.0], ny=[0.0], shape=(3, 3))
+        )
 
     def test_battery_finals(self):
         params = PipelineParams(n_scales=4)
@@ -184,32 +196,35 @@ class TestDecisionsMatchOracle:
     def test_empty_truth_gives_no_decisions(self):
         empty = np.empty(0)
         dirs, ties = decisions_for(
-            single_peak_final(), FGGroundTruth(x=empty, y=empty, nx=empty, ny=empty)
+            single_peak_final(),
+            FGGroundTruth(x=empty, y=empty, nx=empty, ny=empty, shape=(9, 9)),
         )
         assert dirs.shape == (0, 2) and ties.shape == (0,)
 
 
 class TestScoring:
     def test_score_directions_dot_rule(self):
-        gt = FGGroundTruth(x=[0, 1, 2], y=[0, 0, 0], nx=[1.0, -1.0, 0.0], ny=[0.0, 0.0, 1.0])
+        gt = FGGroundTruth(
+            x=[0, 1, 2], y=[0, 0, 0], nx=[1.0, -1.0, 0.0], ny=[0.0, 0.0, 1.0], shape=(1, 3)
+        )
         dirs = np.array([[0.6, 0.8], [0.6, 0.8], [0.6, -0.8]])
         ties = np.array([False, False, False])
         assert score_directions(gt, dirs, ties).tolist() == [1.0, 0.0, 0.0]
 
     def test_ties_score_half(self):
-        gt = FGGroundTruth(x=[0], y=[0], nx=[1.0], ny=[0.0])
+        gt = FGGroundTruth(x=[0], y=[0], nx=[1.0], ny=[0.0], shape=(1, 1))
         scores = score_directions(gt, np.zeros((1, 2)), np.array([True]))
         assert scores.tolist() == [0.5]
 
     def test_shape_mismatch_rejected(self):
-        gt = FGGroundTruth(x=[0], y=[0], nx=[1.0], ny=[0.0])
+        gt = FGGroundTruth(x=[0], y=[0], nx=[1.0], ny=[0.0], shape=(1, 1))
         with pytest.raises(ValueError):
             score_directions(gt, np.zeros((2, 2)), np.array([False, False]))
 
     def test_compute_fgca_averages_annotators(self):
         final = single_peak_final(ti=2, si=0, y=4, x=4)  # points straight down
-        right = FGGroundTruth(x=[4], y=[4], nx=[0.0], ny=[1.0])
-        wrong = FGGroundTruth(x=[4], y=[4], nx=[0.0], ny=[-1.0])
+        right = FGGroundTruth(x=[4], y=[4], nx=[0.0], ny=[1.0], shape=(9, 9))
+        wrong = FGGroundTruth(x=[4], y=[4], nx=[0.0], ny=[-1.0], shape=(9, 9))
         result = compute_fgca(final, (right, wrong))
         assert result.accuracy == pytest.approx(0.5)
         assert result.pixels == 2
@@ -221,7 +236,7 @@ class TestScoring:
 
     def test_decisions_for_vectorizes_records(self):
         final = single_peak_final(ti=0, si=0, y=4, x=4)
-        gt = FGGroundTruth(x=[4, 0], y=[4, 0], nx=[0.0, 1.0], ny=[-1.0, 0.0])
+        gt = FGGroundTruth(x=[4, 0], y=[4, 0], nx=[0.0, 1.0], ny=[-1.0, 0.0], shape=(9, 9))
         dirs, ties = decisions_for(final, gt)
         assert not ties[0] and ties[1]
 
@@ -229,6 +244,7 @@ class TestScoring:
 
 # ------------------------------------------------- boundary-only scoring
 
+WIDE_ON_48 = "^the ground-truth map is 96x96 but the image is 48x48"
 PYRAMIDS = {"sqrt2": PipelineParams(), "two": PipelineParams(n_scales=5, pyramid_factor=2.0)}
 
 
@@ -243,7 +259,9 @@ def weight_triples(count=20, seed=3):
 
 def two_annotators(signed):
     gt = load_ground_truth(signed)
-    other = FGGroundTruth(x=gt.x[::3], y=gt.y[::3], nx=gt.nx[::3], ny=gt.ny[::3])
+    other = FGGroundTruth(
+        x=gt.x[::3], y=gt.y[::3], nx=gt.nx[::3], ny=gt.ny[::3], shape=gt.shape
+    )
     return gt, other
 
 
@@ -277,7 +295,10 @@ class TestBoundaryScorer:
     def test_feature_weights_with_a_zero(self, feature_weights):
         stim = overlapping_squares()
         image = RGBImage(stim.image, stim.image**2, 1.0 - stim.image)
-        base = ModelWeights(feature_weights=feature_weights)
+        features = dict(
+            zip(("feature_color", "feature_intensity", "feature_orientation"), feature_weights)
+        )
+        base = ModelWeights(**features)
         prepared = prepare_components(
             image, base, PYRAMIDS["two"], contours=stim.contours,
             segments=stim.segments, need_sa=True, need_tj=True,
@@ -286,8 +307,7 @@ class TestBoundaryScorer:
         state = prepare_scoring(prepared, gts)
         triples = weight_triples() if feature_weights[2] else [ModelWeights()]
         for w in triples:
-            weights = ModelWeights(w.alpha_ref, w.alpha_sa, w.alpha_tj,
-                                   feature_weights=feature_weights)
+            weights = ModelWeights(w.alpha_ref, w.alpha_sa, w.alpha_tj, **features)
             result = score_weights(state, weights)
             assert result == full_path(prepared, weights, gts)
         if not any(feature_weights):
@@ -306,13 +326,13 @@ class TestBoundaryScorer:
         gt = load_ground_truth(stim.signed)
         prepared = prepare_components(stim.image, ModelWeights(), PYRAMIDS["two"])
         state = prepare_scoring(prepared, gt)
-        no_orientation = ModelWeights(feature_weights=(1.0, 1.0, 0.0))
+        no_orientation = ModelWeights(feature_orientation=0.0)
         blind = prepare_components(stim.image, no_orientation, PYRAMIDS["two"])
         blind_state = prepare_scoring(blind, gt)
         cases = [
             (prepared, state, ModelWeights(alpha_ref=0.5, alpha_sa=0.5)),
             (prepared, state, ModelWeights(w_opp=0.5)),
-            (blind, blind_state, ModelWeights(0.5, 0.5, 0.0, feature_weights=(1, 1, 0))),
+            (blind, blind_state, ModelWeights(0.5, 0.5, 0.0, feature_orientation=0)),
         ]
         for prep, st, weights in cases:
             with pytest.raises(ValueError) as full:
@@ -320,7 +340,7 @@ class TestBoundaryScorer:
             with pytest.raises(ValueError) as scored:
                 score_weights(st, weights)
             assert str(scored.value) == str(full.value)
-        empty = FGGroundTruth(x=[], y=[], nx=[], ny=[])
+        empty = FGGroundTruth(x=[], y=[], nx=[], ny=[], shape=(48, 48))
         for gts in ((), (gt, empty)):
             with pytest.raises(ValueError) as full:
                 compute_fgca(finalize_components(prepared, ModelWeights()).final, gts)
@@ -336,15 +356,29 @@ class TestBoundaryScorer:
         wide = load_ground_truth(isolated_square(size=96, first=32, last=71).signed)
         assert wide.x.max() >= 48 and wide.y.max() >= 48
         for gts in (wide, (load_ground_truth(stim.signed), wide)):
-            with pytest.raises(ValueError, match=r"outside the 48x48 map"):
+            with pytest.raises(ValueError, match=WIDE_ON_48):
                 compute_fgca(final, gts)
-            with pytest.raises(ValueError, match=r"outside the 48x48 map"):
+            with pytest.raises(ValueError, match=WIDE_ON_48):
                 prepare_scoring(prepared, gts)
         # a record on the last row and column is inside
-        corner = FGGroundTruth(x=[47], y=[47], nx=[1.0], ny=[0.0])
+        corner = FGGroundTruth(x=[47], y=[47], nx=[1.0], ny=[0.0], shape=(48, 48))
         assert compute_fgca(final, corner) == score_weights(
             prepare_scoring(prepared, corner), ModelWeights()
         )
+
+    def test_truth_of_another_shape_refused(self):
+        # a 96-px square's truth whose records all lie inside the 48x48
+        # run would score the wrong image silently
+        stim = isolated_square(size=48, first=16, last=31)
+        prepared = prepare_components(stim.image, ModelWeights(), PYRAMIDS["two"])
+        final = finalize_components(prepared, ModelWeights()).final
+        wide = load_ground_truth(isolated_square(size=96).signed)
+        assert wide.x.max() < 48 and wide.y.max() < 48
+        for gts in (wide, (load_ground_truth(stim.signed), wide)):
+            with pytest.raises(ValueError, match=WIDE_ON_48):
+                compute_fgca(final, gts)
+            with pytest.raises(ValueError, match=WIDE_ON_48):
+                prepare_scoring(prepared, gts)
 
     def test_state_holds_a_fraction_of_the_prepared_bytes(self):
         stim = isolated_square(size=48, first=16, last=31)

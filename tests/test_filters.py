@@ -138,10 +138,9 @@ def test_dog_default_size_and_validation():
 # ------------------------------------------------------------- von Mises
 
 def test_von_mises_peak_is_one():
-    for form in ("cosine", "printed"):
-        k = make_von_mises(VonMisesParams(bo_direction=0.9, form=form))
-        assert k.max() == pytest.approx(1.0)
-        assert k.min() > 0
+    k = make_von_mises(VonMisesParams(bo_direction=0.9))
+    assert k.max() == pytest.approx(1.0)
+    assert k.min() > 0
 
 
 def test_von_mises_mirror_symmetric_about_direction_axis():
@@ -168,18 +167,10 @@ def test_von_mises_mass_leans_toward_direction():
     assert k[h + 1 :, :].sum() > k[: h, :].sum()
 
 
-def test_von_mises_printed_form_differs():
-    a = make_von_mises(VonMisesParams(bo_direction=0.0, form="cosine"))
-    b = make_von_mises(VonMisesParams(bo_direction=0.0, form="printed"))
-    assert np.abs(a - b).max() > 1e-3
-
-
 def test_von_mises_default_size_and_validation():
     assert VonMisesParams(bo_direction=0.0).resolved_size() == 13
     with pytest.raises(ValueError):
         VonMisesParams(bo_direction=0.0, r0=-2.0)
-    with pytest.raises(ValueError):
-        VonMisesParams(bo_direction=0.0, form="sine")
 
 
 # -------------------------------------------------------------- bessel_i0

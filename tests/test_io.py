@@ -181,3 +181,24 @@ class TestPGM:
         path.write_bytes(b"P5\n3 3\n255\n\x00\x00")
         with pytest.raises(ValueError):
             read_pgm(path)
+
+
+@pytest.mark.parametrize("read, content", [
+    (read_lm1, b"LM1 2 2\n1 2\nx 4\n"),
+    (read_lm1, b"LM1 two 2\n1 2\n3 4\n"),
+    (read_signed_map, b"LM1 1 2\n-1 +x\n"),
+    (read_fm1, b"FM1 1 2\n0.5 y\n"),
+    (read_fm1, b"FM1 1 2.0\n0.5 1\n"),
+    (read_ppm, b"P6\n2 x\n255\n" + bytes(12)),
+    (read_ppm, b"P6\n2"),
+    (read_ppm, b"P3\n1 1\n255\n1 z 0\n"),
+    (read_pgm, b"P5\n1 1\nmax\n\x00"),
+], ids=["lm1-value", "lm1-header", "signed-value", "fm1-value", "fm1-header",
+        "ppm-header", "ppm-truncated", "ppm-plain-sample", "pgm-header"])
+def test_malformed_token_names_the_file(tmp_path, read, content):
+    # a row of a dataset is skipped with this message, so it must say
+    # which of the row's files is broken
+    path = tmp_path / "bad.map"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+        read(path)

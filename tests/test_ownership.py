@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -6,7 +8,6 @@ from fgo.channels import compute_orientation_channels
 from fgo.grid import SQRT2, correlate_stack, pool_resampled, pyramid_levels
 from fgo.filters import (
     DoGParams,
-    GaborParams,
     VonMisesParams,
     clamp_kernel_size,
     make_center_surround,
@@ -14,9 +15,7 @@ from fgo.filters import (
     make_von_mises,
 )
 from fgo.ownership import (
-    ContextParams,
     ModelWeights,
-    OrientedCSParams,
     _peak_competition,
     _ring_bank,
     bo_direction,
@@ -36,6 +35,8 @@ from fgo.pipeline import (
 )
 from fgo.stimuli import annulus, overlapping_squares
 from helpers import full_bo, full_prepared, oracle_levels
+
+RING = PipelineParams().ring_radius
 
 
 # ------------------------------------------------------------- oracles
@@ -220,11 +221,11 @@ def cue_bo(carriers, cue, weights=ModelWeights(), factor=SQRT2):
     """The local-cue route: the native (8, 2, r, c) cue pyramided like the
     carriers (built with ``factor``), one polarity with a map per side."""
     levels = (level[None] for level in pyramid_levels(cue, len(carriers), factor))
-    return compute_bo(carriers, levels, weights.w_opp, ContextParams(), weights.top_layers_only)
+    return compute_bo(carriers, levels, weights.w_opp, RING, weights.top_layers_only)
 
 
-def oriented_gabor(theta, params=OrientedCSParams()):
-    return GaborParams(theta=theta, sigma=params.sigma1, gamma=params.gamma1, omega=params.omega1)
+def oriented_gabor(theta):
+    return replace(PipelineParams().oriented_cs, theta=theta)
 
 
 def oriented_cs(pyr, theta):
@@ -245,7 +246,7 @@ def test_weights_other_fields_validated():
     with pytest.raises(ValueError):
         ModelWeights(w_opp=-0.1)
     with pytest.raises(ValueError):
-        ModelWeights(feature_weights=(1.0, 1.0))
+        ModelWeights(feature_intensity=-1.0)
     with pytest.raises(ValueError):
         ModelWeights(top_layers_only=0)
 
@@ -321,7 +322,7 @@ def test_cs_pair_alignment_validated():
             make_carriers(np.zeros((16, 16)), 2), [oriented_gabor(0.0)] * 7, make_gabor
         ))
     with pytest.raises(ValueError):
-        OrientedCSParams(sigma1=0.0)
+        replace(PipelineParams().oriented_cs, sigma=0.0)
 
 
 def test_cs_stack_holds_each_pyramid_with_its_own_kernel():
@@ -365,8 +366,8 @@ def test_peak_competition_matches_label_maximum_oracle(name):
 def test_bo_zero_cs_passes_carrier_through():
     rng = np.random.default_rng(5)
     carriers = make_carriers(rng.random((32, 32)), n_scales=3)
-    contrast = compute_bo(carriers, zero_cs((32, 32), 3), 1.0)
-    full = full_bo(carriers, zero_cs((32, 32), 3), 1.0)
+    contrast = compute_bo(carriers, zero_cs((32, 32), 3), 1.0, RING)
+    full = full_bo(carriers, zero_cs((32, 32), 3), 1.0, RING)
     for k in range(3):
         # light and dark each pass the carrier to both sides: no imbalance
         assert contrast[k].shape == (8,) + carriers[k].shape[-2:]
@@ -392,8 +393,8 @@ def test_bo_is_the_side_imbalance_of_the_full_stacks(route):
         "cue": (lambda: [lvl[None] for lvl in pyramid_levels(cue, 4)], None),
         "cue top 2": (lambda: [lvl[None] for lvl in pyramid_levels(cue, 4)], 2),
     }[route]
-    got = compute_bo(carriers, evidence(), 0.7, ContextParams(), modulated)
-    want = full_bo(carriers, evidence(), 0.7, ContextParams(), modulated)
+    got = compute_bo(carriers, evidence(), 0.7, RING, modulated)
+    want = full_bo(carriers, evidence(), 0.7, RING, modulated)
     for got_k, want_k in zip(got, want, strict=True):
         assert np.array_equal(got_k, side_imbalance(want_k))
 
@@ -403,9 +404,9 @@ def test_bo_inversion_swaps_light_and_dark():
     rng = np.random.default_rng(6)
     img = rng.random((32, 32))
     n = 3
-    a = compute_bo(make_carriers(img, n), symmetric_cs(pyramid_levels(img, n)), 1.0)
+    a = compute_bo(make_carriers(img, n), symmetric_cs(pyramid_levels(img, n)), 1.0, RING)
     b = compute_bo(
-        make_carriers(1.0 - img, n), symmetric_cs(pyramid_levels(1.0 - img, n)), 1.0
+        make_carriers(1.0 - img, n), symmetric_cs(pyramid_levels(1.0 - img, n)), 1.0, RING
     )
     for k in range(n):
         assert np.abs(a[k] - b[k]).max() < 1e-10
@@ -414,7 +415,8 @@ def test_bo_inversion_swaps_light_and_dark():
 def test_bo_square_owned_from_inside():
     img = square_image()
     n = 5
-    contrast = compute_bo(make_carriers(img, n), symmetric_cs(pyramid_levels(img, n)), 1.0)
+    carriers = make_carriers(img, n)
+    contrast = compute_bo(carriers, symmetric_cs(pyramid_levels(img, n)), 1.0, RING)
     # top edge of the bright square: theta = 0, inside is downward (side 0)
     assert (contrast[0][0, 20, 24:40] > 0).mean() >= 0.9
 
@@ -424,7 +426,7 @@ def test_bo_per_orientation_cs_accepted():
     n = 2
     carriers = make_carriers(img, n)
     cs = cs_pyramids(carriers, [oriented_gabor(ti * np.pi / 8) for ti in range(8)], make_gabor)
-    contrast = compute_bo(carriers, cs, 1.0)
+    contrast = compute_bo(carriers, cs, 1.0, RING)
     assert len(contrast) == n
     assert contrast[0].shape == (8, 32, 32)
     assert np.isfinite(contrast[0]).all() and contrast[0].any()
@@ -440,9 +442,9 @@ def test_bo_contrast_matches_route_oracle(w_opp):
     bare = symmetric_cs(pyramid_levels(img, n))
     shared = [level[:, None, None] for level in bare]
     tiled = [np.repeat(level, 8, axis=1) for level in shared]
-    got_shared = compute_bo(carriers, shared, w_opp)
-    got_bare = compute_bo(carriers, bare, w_opp)
-    got_tiled = compute_bo(carriers, tiled, w_opp)
+    got_shared = compute_bo(carriers, shared, w_opp, RING)
+    got_bare = compute_bo(carriers, bare, w_opp, RING)
+    got_tiled = compute_bo(carriers, tiled, w_opp, RING)
     want = oracle_contrast(per_orientation(carriers), [pair_layout(b) for b in bare], w_opp)
     for got, want_k in zip(got_shared, want, strict=True):
         assert want_k.any()
@@ -453,7 +455,7 @@ def test_bo_contrast_matches_route_oracle(w_opp):
     oriented = list(cs_pyramids(
         carriers, [oriented_gabor(ti * np.pi / 8) for ti in range(8)], make_gabor
     ))
-    got = compute_bo(carriers, oriented, w_opp)
+    got = compute_bo(carriers, oriented, w_opp, RING)
     want = oracle_contrast(per_orientation(carriers), [pair_layout(o) for o in oriented], w_opp)
     for got_k, want_k in zip(got, want, strict=True):
         assert_rel_close(got_k, side_imbalance(want_k))
@@ -465,8 +467,8 @@ def test_local_cue_zero_stack_passes_carrier():
     carriers = make_carriers(square_image(32, first=10, last=21), 3)
     gated = cue_bo(carriers, np.zeros((8, 2, 32, 32)))
     # modulating no level reads no evidence at all
-    passed = compute_bo(carriers, iter(()), 1.0, modulated=0)
-    full = full_bo(carriers, iter(()), 1.0, modulated=0)
+    passed = compute_bo(carriers, iter(()), 1.0, RING, modulated=0)
+    full = full_bo(carriers, iter(()), 1.0, RING, modulated=0)
     for out in (gated, passed):
         for k in range(3):
             # both sides pass the carrier: no imbalance
@@ -615,11 +617,11 @@ def test_winning_at_most_one_active_cell():
 
 # ---------------------------------------------------------- final maps
 
-def prepared_levels(fixed, bo_contrast=None, bo_sa=None, feature_weights=(1.0, 1.0, 1.0)):
+def prepared_levels(fixed, bo_contrast=None, bo_sa=None, base=ModelWeights()):
     """A :class:`PreparedImage` built from a native ``fixed`` stack and
     side-imbalance level lists."""
     return PreparedImage(
-        base=ModelWeights(feature_weights=feature_weights),
+        base=base,
         have_labels=False,
         fixed=fixed,
         bo_contrast=bo_contrast,
@@ -648,11 +650,13 @@ def test_final_matches_sequential_oracle():
         r, c = dims[-1]
         dims.append((int(np.ceil(r / SQRT2)), int(np.ceil(c / SQRT2))))
     fixed, contrast, sa = ([rng.random((8, 2) + d) for d in dims] for _ in range(3))
-    w = ModelWeights(alpha_ref=0.4, alpha_sa=0.6, feature_weights=(0.3, 1.0, 2.0))
+    w = ModelWeights(
+        alpha_ref=0.4, alpha_sa=0.6, feature_color=0.3, feature_intensity=1.0,
+        feature_orientation=2.0,
+    )
     native = pool_resampled(fixed, 16, 16, (1.0,) * len(fixed))
     prepared = prepared_levels(
-        native, [side_imbalance(c) for c in contrast], [side_imbalance(s) for s in sa],
-        w.feature_weights,
+        native, [side_imbalance(c) for c in contrast], [side_imbalance(s) for s in sa], w
     )
     got = finalize_components(prepared, w).final
     orientation = [oracle_winning(0.4 * c + 0.6 * s) for c, s in zip(contrast, sa)]
@@ -678,16 +682,15 @@ def test_scale_contexts_matches_docstring_formula(factor):
 
 
 def test_ring_bank_is_cached_read_only_von_mises():
-    context = ContextParams()
-    bank = _ring_bank((40, 40), context)
-    assert _ring_bank((60, 33), context) is bank
+    bank = _ring_bank((40, 40), RING)
+    assert _ring_bank((60, 33), RING) is bank
     assert not bank.flags.writeable
     for ti in range(8):
         for si in range(2):
             want = make_von_mises(VonMisesParams(bo_direction(ti, si)))
             assert np.array_equal(bank[ti, si], want)
     # clamped at a coarse level, still the von Mises kernel of that size
-    assert _ring_bank((6, 9), context).shape == (8, 2, 5, 5)
+    assert _ring_bank((6, 9), RING).shape == (8, 2, 5, 5)
 
 
 @pytest.mark.parametrize("stimulus", [overlapping_squares, annulus])

@@ -1,5 +1,6 @@
 import logging
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,14 +10,7 @@ from fgo.evaluation import compute_fgca, load_ground_truth
 from fgo.filters import DoGParams, GaborParams, VonMisesParams, make_center_surround
 from fgo.grid import pool_resampled, pyramid_levels
 from fgo.cues import SAParams
-from fgo.ownership import (
-    ContextParams,
-    ModelWeights,
-    OrientedCSParams,
-    compute_bo,
-    cs_pyramids,
-    winning_bo,
-)
+from fgo.ownership import ModelWeights, compute_bo, cs_pyramids, winning_bo
 from fgo.pipeline import (
     PipelineParams,
     effective_weights,
@@ -61,7 +55,7 @@ class TestRunModel:
         # intensity channel's final maps are identical (n_scales >= 6:
         # fewer levels leave exact orientation ties whose argmax can
         # flip on FFT-order noise)
-        weights = ModelWeights(feature_weights=(0.0, 1.0, 0.0))
+        weights = ModelWeights(feature_color=0.0, feature_orientation=0.0)
         params = PipelineParams(n_scales=6)
         stim = isolated_square(size=48, first=16, last=31)
         a = run_model(stim.image, weights, params).final
@@ -159,7 +153,7 @@ class TestPrepareFinalize:
         with pytest.raises(ValueError):
             finalize_components(prep, ModelWeights(w_opp=0.5))
         with pytest.raises(ValueError):
-            finalize_components(prep, ModelWeights(feature_weights=(0.0, 1.0, 0.0)))
+            finalize_components(prep, ModelWeights(feature_color=0.0, feature_orientation=0.0))
         with pytest.raises(ValueError):
             finalize_components(prep, ModelWeights(top_layers_only=2))
 
@@ -179,14 +173,14 @@ class TestPrepareFinalize:
 
     def test_orientation_feature_off_skips_cue_stacks(self):
         stim = isolated_square(size=48, first=16, last=31)
-        base = ModelWeights(feature_weights=(0.0, 1.0, 0.0))
+        base = ModelWeights(feature_color=0.0, feature_orientation=0.0)
         prep = prepare_components(stim.image, base, FAST, need_sa=True)
         assert prep.bo_contrast is None and prep.bo_sa is None
         with pytest.raises(ValueError):
             finalize_components(
                 prep,
                 ModelWeights(
-                    alpha_ref=0.5, alpha_sa=0.5, feature_weights=(0.0, 1.0, 0.0)
+                    alpha_ref=0.5, alpha_sa=0.5, feature_color=0.0, feature_orientation=0.0
                 ),
             )
 
@@ -197,10 +191,9 @@ class TestPrepareFinalize:
     @pytest.mark.parametrize("build, limit", [
         (lambda: PipelineParams(pyramid_factor=0), r"pyramid_factor must be sqrt\(2\) or 2"),
         (lambda: PipelineParams(pyramid_factor=1.5), r"pyramid_factor must be sqrt\(2\) or 2"),
-        (lambda: ContextParams(ring_radius=-1.0), "r0 must be positive"),
-        (lambda: ContextParams(ring_form="gaussian"), "'cosine' or 'printed'"),
+        (lambda: PipelineParams(ring_radius=-1.0), "r0 must be positive"),
         (lambda: SAParams(size_step=0), "size_step must be even and >= 2"),
-    ], ids=["factor-0", "factor-1.5", "radius", "form", "sa-step"])
+    ], ids=["factor-0", "factor-1.5", "radius", "sa-step"])
     def test_bad_params_refused_at_construction(self, build, limit):
         with pytest.raises(ValueError, match=limit):
             build()
@@ -208,11 +201,11 @@ class TestPrepareFinalize:
     @pytest.mark.parametrize("build, limit", [
         (lambda: ModelWeights(alpha_ref=NAN, alpha_sa=0.5), "cue weights must be non-negative"),
         (lambda: ModelWeights(w_opp=NAN), "w_opp must be non-negative"),
-        (lambda: ModelWeights(feature_weights=(1.0, NAN, 1.0)), "feature_weights needs three"),
+        (lambda: ModelWeights(feature_intensity=NAN), "feature weights must be non-negative"),
         (lambda: GaborParams(theta=0.0, omega=NAN), "must all be positive"),
         (lambda: DoGParams(sigma_in=NAN), "need 0 < sigma_in < sigma_out"),
         (lambda: VonMisesParams(bo_direction=0.0, r0=NAN), "r0 must be positive"),
-        (lambda: OrientedCSParams(gamma1=NAN), "must all be positive"),
+        (lambda: replace(PipelineParams().oriented_cs, gamma=NAN), "must all be positive"),
         (lambda: SAParams(sigma_factor=NAN), "must be positive"),
     ], ids=["alpha", "w_opp", "feature", "gabor", "dog", "von-mises", "oriented-cs", "sa"])
     def test_nan_params_refused(self, build, limit):
@@ -258,7 +251,7 @@ class TestFixedFeatures:
 
         def route(native):
             cs = cs_pyramids(pyramid(native), [FAST.dog], make_center_surround)
-            return winning_bo(compute_bo(carriers, cs, 1.0, FAST.context))
+            return winning_bo(compute_bo(carriers, cs, 1.0, FAST.ring_radius))
 
         colour = [route(native) for native in opponency if native.any()]
         colour = [sum(levels[1:], levels[0]) for levels in zip(*colour)] if colour else None
@@ -279,7 +272,8 @@ class TestFixedFeatures:
             levels = [w_i * i for i in intensity]
         else:
             levels = [w_c * c + w_i * i for c, i in zip(colour, intensity)]
-        got = prepare_components(image, ModelWeights(feature_weights=(w_c, w_i, 0.9)), FAST).fixed
+        weights = ModelWeights(feature_color=w_c, feature_intensity=w_i, feature_orientation=0.9)
+        got = prepare_components(image, weights, FAST).fixed
         want = pool_resampled(levels, *levels[0].shape[-2:], (1.0,) * len(levels))
         assert got.shape == (8, 2) + levels[0].shape[-2:]
         assert got.tobytes() == want.tobytes()
@@ -290,13 +284,15 @@ class TestFixedFeatures:
         _, opponency, _ = compute_channels(image)
         assert sum(native.any() for native in opponency) > 1
         colour, _ = self.winners(image)
-        got = prepare_components(image, ModelWeights(feature_weights=(1.0, 0.0, 0.0)), FAST).fixed
+        weights = ModelWeights(feature_intensity=0.0, feature_orientation=0.0)
+        got = prepare_components(image, weights, FAST).fixed
         want = pool_resampled(colour, *colour[0].shape[-2:], (1.0,) * len(colour))
         assert got.tobytes() == want.tobytes()
 
     def test_no_weighted_feature_is_zero(self):
         image = colour_squares()
-        got = prepare_components(image, ModelWeights(feature_weights=(0.0, 0.0, 1.0)), FAST).fixed
+        weights = ModelWeights(feature_color=0.0, feature_intensity=0.0)
+        got = prepare_components(image, weights, FAST).fixed
         assert got.shape == (8, 2) + image.shape
         assert not got.any() and not np.signbit(got).any()
 
