@@ -63,6 +63,19 @@ def _load_labels(*paths) -> list:
     return [io.read_lm1(path) if path else None for path in paths]
 
 
+def _load_truths(paths, shape) -> list:
+    """The ground truths at ``paths`` that have boundary records. A
+    truth whose map is not the image ``shape`` is refused, and so are
+    truths none of which has a record."""
+    gts = [load_ground_truth(io.read_signed_map(path)) for path in paths]
+    for gt in gts:
+        gt.check_shape(shape)
+    gts = [gt for gt in gts if len(gt)]
+    if not gts:
+        raise ValueError("no usable ground truth records")
+    return gts
+
+
 def _config_from_args(args) -> RunConfig:
     """The config file, then the preset, then each ``--set``, then
     ``--weights``; the weights are checked once all are set, before
@@ -108,9 +121,7 @@ def cmd_run(args) -> int:
     config = _config_from_args(args)
     image = _read_image(Path(args.image))
     contours, segments = _load_labels(args.contours, args.segments)
-    gt = load_ground_truth(io.read_signed_map(args.gt)) if args.gt else None
-    if gt is not None:
-        gt.check_shape(image.shape)
+    gt = _load_truths([args.gt], image.shape)[0] if args.gt else None
     result = run_model(image, config.weights(), config.params, contours, segments)
 
     out_dir = Path(args.out)
@@ -191,20 +202,13 @@ def parse_manifest(path) -> list:
 def _scoring_state(entry: ManifestEntry, config: RunConfig, need_sa: bool, need_tj: bool):
     """Read one row's image, label maps and ground truths, prepare the
     image and keep what scoring a weight point reads (a
-    :class:`ScoringState`). A truth whose map is not the image's shape
-    is refused before the image is prepared, and so is a row without
-    any boundary record."""
+    :class:`ScoringState`). The truths are checked
+    (:func:`_load_truths`) before the image is prepared."""
     image = _read_image(Path(entry.image))
     contours, segments = _load_labels(entry.contours, entry.segments)
-    gts = [load_ground_truth(io.read_signed_map(p)) for p in entry.gts]
-    for gt in gts:
-        gt.check_shape(image.shape)
-    gts = [gt for gt in gts if len(gt)]
-    if not gts:
-        raise ValueError("no usable ground truth records")
+    gts = _load_truths(entry.gts, image.shape)
     prepared = prepare_components(
         image,
-        config.weights(),
         config.params,
         contours=contours,
         segments=segments,
@@ -270,6 +274,11 @@ def cmd_eval(args) -> int:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     config = _config_from_args(args)
     if args.compare:
+        if config.weight_keys:
+            raise ValueError(
+                "--compare names both alpha triples; it takes no --preset, --weights "
+                "or alpha key"
+            )
         names = [n.strip() for n in args.compare.split(",")]
         if len(names) != 2:
             raise ValueError(f"--compare expects two presets, got {args.compare!r}")

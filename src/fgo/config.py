@@ -3,9 +3,9 @@
 A config file is lines of ``key = value`` (``#`` comments allowed).
 Every key names one field of the library's own parameter objects:
 :class:`PipelineParams`, whose cue blocks take ``sa_``/``tj_``
-prefixes, or :class:`ModelWeights`. Keys match ignoring case and
-underscores, so ``alphaRef``, ``alpha_ref`` and ``ALPHAREF`` are one
-key. The ``seed`` key seeds the train/test split.
+prefixes, or the alpha triple of :class:`ModelWeights`. Keys match
+ignoring case and underscores, so ``alphaRef``, ``alpha_ref`` and
+``ALPHAREF`` are one key. The ``seed`` key seeds the train/test split.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ PRESETS = {
 
 # file key -> path of its PipelineParams field
 _PARAM_KEYS = {
-    "n_scales": ("n_scales",),
-    "pyramid_factor": ("pyramid_factor",),
+    **{name: (name,) for name in ("n_scales", "pyramid_factor", "w_opp", "feature_color",
+                                  "feature_intensity", "feature_orientation", "top_layers_only")},
     "sigma": ("gabor", "sigma"),
     "gamma": ("gabor", "gamma"),
     "omega": ("gabor", "omega"),
@@ -44,10 +44,8 @@ _PARAM_KEYS = {
         for f in fields(cls)
     },
 }
-# weight key -> its annotated type
-_WEIGHT_KEYS = {f.name: f.type for f in fields(ModelWeights)}
 _KEYS = {
-    key.replace("_", ""): key for key in (*_PARAM_KEYS, *_WEIGHT_KEYS, "preset", "seed")
+    key.replace("_", ""): key for key in (*_PARAM_KEYS, *ALPHA_NAMES, "preset", "seed")
 }
 _TYPES = {"int": int, "float": float}
 
@@ -61,17 +59,21 @@ def key_name(key: str) -> str | None:
 @dataclass(frozen=True)
 class RunConfig:
     """One model configuration: the library's pipeline parameters, the
-    weight keys set so far and the split seed.
+    alpha keys set so far and the split seed.
 
-    A pipeline parameter is checked by its own dataclass when it is set.
-    The weight keys are checked together when :meth:`weights` builds
-    them over ``ModelWeights()``, because the alpha triple sums to one
-    only once all three are set.
+    A pipeline parameter is checked by its own dataclass when it is set,
+    and the seed here. The alpha keys are checked together when
+    :meth:`weights` builds them over ``ModelWeights()``, because the
+    triple sums to one only once all three are set.
     """
 
     params: PipelineParams = PipelineParams()
     weight_keys: dict = field(default_factory=dict)
     seed: int = 0
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def weights(self) -> ModelWeights:
         return ModelWeights(**self.weight_keys)
@@ -121,8 +123,7 @@ def apply_assignment(config: RunConfig, key: str, value: str) -> RunConfig:
         return replace(config, seed=int(value))
     if name in _PARAM_KEYS:
         return replace(config, params=_set_field(config.params, _PARAM_KEYS[name], value))
-    value = _parse(_WEIGHT_KEYS[name], value)
-    return replace(config, weight_keys={**config.weight_keys, name: value})
+    return replace(config, weight_keys={**config.weight_keys, name: _parse("float", value)})
 
 
 def apply_lines(config: RunConfig, lines, where: str = "line {lineno}") -> RunConfig:

@@ -62,26 +62,18 @@ _PLATEAU_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class ModelWeights:
-    """Cue-mixing weights for one model run.
+    """The alpha triple of one model run: the only weights a weight point
+    sets.
 
     The three alpha weights blend the contrast route (light + dark) with
-    the spectral-anisotropy and T-junction routes and must sum to one.
-    ``w_opp`` scales the inhibition a border cell receives from evidence
-    for the opposite ownership direction. ``feature_color``,
-    ``feature_intensity`` and ``feature_orientation`` weight the three
-    feature channels in the final combination. ``top_layers_only``
-    restricts local-cue modulation to that many of the finest pyramid
-    levels (None modulates every level).
+    the spectral-anisotropy and T-junction routes; each is non-negative
+    (NaN refused) and they sum to one. Every other setting is model
+    structure, a field of ``pipeline.PipelineParams``.
     """
 
     alpha_ref: float = 1.0
     alpha_sa: float = 0.0
     alpha_tj: float = 0.0
-    w_opp: float = 1.0
-    feature_color: float = 1.0
-    feature_intensity: float = 1.0
-    feature_orientation: float = 1.0
-    top_layers_only: int | None = None
 
     def __post_init__(self):
         alphas = (self.alpha_ref, self.alpha_sa, self.alpha_tj)
@@ -89,15 +81,6 @@ class ModelWeights:
             raise ValueError(f"cue weights must be non-negative, got {alphas}")
         if not abs(sum(alphas) - 1.0) <= 1e-9:
             raise ValueError(f"cue weights must sum to 1, got {alphas}")
-        if not self.w_opp >= 0:
-            raise ValueError(f"w_opp must be non-negative, got {self.w_opp}")
-        features = (self.feature_color, self.feature_intensity, self.feature_orientation)
-        if not all(w >= 0 for w in features):
-            raise ValueError(f"feature weights must be non-negative, got {features}")
-        if self.top_layers_only is not None and self.top_layers_only < 1:
-            raise ValueError(
-                f"top_layers_only must be None or >= 1, got {self.top_layers_only}"
-            )
 
 
 def cs_pyramids(feature, kernel_params, make_kernel):

@@ -9,9 +9,9 @@ as a list of (8, 1, rows, cols) levels. Every route is one
 contribute through the contrast route alone, each feature's pyramid
 built level by level as the route reads it; the orientation channel
 additionally takes the two local cues, weighted by the model's alpha
-triple. :class:`PipelineParams` holds each setting as a field of the
-kernel that uses it, and ``ModelWeights`` holds one plain weight per
-route and per feature channel.
+triple. :class:`PipelineParams` holds every other setting, each as a
+field of the kernel or weight that uses it, and ``ModelWeights`` holds
+the alpha triple, the only weights a weight point sets.
 
 The run splits into a heavy, weight-independent preparation step and a
 cheap combination step, so weight sweeps (tuning, preset comparison)
@@ -43,13 +43,15 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class PipelineParams:
-    """Every filter and pooling parameter of one model configuration,
-    each held by the kernel that uses it: ``gabor`` the carriers' Gabor,
-    ``dog`` the isotropic center-surround, ``oriented_cs`` the even
-    Gabor of the oriented center-surround (each bank fills in every
-    kernel's ``theta``), ``ring_radius`` the radius of the ring kernels
-    that project evidence onto borders, and ``sa``/``tj`` the local
-    cues."""
+    """Every setting of one model configuration but the alpha triple,
+    each held by the kernel or weight that uses it: ``gabor`` the
+    carriers' Gabor, ``dog`` the isotropic center-surround,
+    ``oriented_cs`` the oriented center-surround's even Gabor (each bank
+    fills in every kernel's ``theta``), ``ring_radius`` the ring
+    kernels' radius, ``sa``/``tj`` the local cues, ``w_opp`` the
+    opposite side's inhibition, ``feature_*`` the feature channels'
+    weights in the final sum, and ``top_layers_only`` the number of
+    finest levels a local cue modulates (None: every level)."""
 
     n_scales: int = 10
     pyramid_factor: float = SQRT2
@@ -59,6 +61,11 @@ class PipelineParams:
     ring_radius: float = 2.0
     sa: SAParams = SAParams()
     tj: TJParams = TJParams()
+    w_opp: float = 1.0
+    feature_color: float = 1.0
+    feature_intensity: float = 1.0
+    feature_orientation: float = 1.0
+    top_layers_only: int | None = None
 
     def __post_init__(self):
         if self.n_scales < 1:
@@ -67,6 +74,15 @@ class PipelineParams:
         # the ring kernels' own check, so a bad radius is refused here
         # and not in the first compute_bo
         VonMisesParams(bo_direction=0.0, r0=self.ring_radius)
+        if not self.w_opp >= 0:
+            raise ValueError(f"w_opp must be non-negative, got {self.w_opp}")
+        features = (self.feature_color, self.feature_intensity, self.feature_orientation)
+        if not all(w >= 0 for w in features):
+            raise ValueError(f"feature weights must be non-negative, got {features}")
+        if self.top_layers_only is not None and self.top_layers_only < 1:
+            raise ValueError(
+                f"top_layers_only must be None or >= 1, got {self.top_layers_only}"
+            )
 
 
 @dataclass(frozen=True)
@@ -85,18 +101,7 @@ class RunResult:
     junctions: tuple = ()
 
 
-def effective_weights(weights: ModelWeights, have_labels: bool) -> ModelWeights:
-    """The T-junction fold: without label maps alpha_tj moves to alpha_ref."""
-    if weights.alpha_tj > 0 and not have_labels:
-        return replace(
-            weights,
-            alpha_ref=weights.alpha_ref + weights.alpha_tj,
-            alpha_tj=0.0,
-        )
-    return weights
-
-
-def _fixed_term(intensity, opponency, carriers, params: PipelineParams, base) -> np.ndarray:
+def _fixed_term(intensity, opponency, carriers, params: PipelineParams) -> np.ndarray:
     """The native (8, 2, rows, cols) pool of ``feature_color * C +
     feature_intensity * I`` per level: ``C`` the winners of the
     non-empty opponency maps summed in channel order, in place, ``I``
@@ -106,7 +111,7 @@ def _fixed_term(intensity, opponency, carriers, params: PipelineParams, base) ->
     opponency = [native for native in opponency if native.any()]
     terms = None
     for weight, features in (
-        (base.feature_color, opponency), (base.feature_intensity, [intensity])
+        (params.feature_color, opponency), (params.feature_intensity, [intensity])
     ):
         if weight == 0 or not features:
             continue
@@ -114,7 +119,7 @@ def _fixed_term(intensity, opponency, carriers, params: PipelineParams, base) ->
         for feature in features:
             levels = pyramid_levels(feature, params.n_scales, params.pyramid_factor)
             cs = cs_pyramids(levels, [params.dog], make_center_surround)
-            winners = winning_bo(compute_bo(carriers, cs, base.w_opp, params.ring_radius))
+            winners = winning_bo(compute_bo(carriers, cs, params.w_opp, params.ring_radius))
             if total is not None:  # summed in place, so one feature is alive beside it
                 winners = [np.add(t, w, out=t) for t, w in zip(total, winners)]
             total = winners
@@ -161,23 +166,22 @@ def _check_image_fits(shape, params: PipelineParams, sa_route: bool) -> None:
 class PreparedImage:
     """Weight-independent building blocks of one image's run.
 
-    ``base`` records the weights the preparation assumed for everything
-    outside the alpha triple (antagonism strength, feature mix, layer
-    restriction); :func:`finalize_components` only accepts weights that
-    agree with it there. ``fixed`` is the weighted colour plus intensity
-    term, which no alpha changes, pooled to one native (8, 2, rows,
-    cols) stack. ``bo_contrast`` (light and dark summed) and
-    ``bo_sa``/``bo_tj`` are the orientation routes, each a level list of
-    (8, r_j, c_j) side imbalances (``ownership.compute_bo``), None when
-    not prepared. ``have_labels`` records whether contour and segment
-    maps were given; without them :func:`finalize_components` folds the
-    T-junction weight into the contrast route.
+    ``params`` are the settings the image was prepared with; a finalize
+    reads ``feature_orientation`` from them. ``fixed`` is the weighted
+    colour plus intensity term, which no alpha changes, pooled to one
+    native (8, 2, rows, cols) stack. ``bo_contrast`` (light and dark
+    summed) and ``bo_sa``/``bo_tj`` are the orientation routes, each a
+    level list of (8, r_j, c_j) side imbalances
+    (``ownership.compute_bo``), None when not prepared. ``have_labels``
+    records whether contour and segment maps were given; without them
+    :func:`finalize_components` folds the T-junction weight into the
+    contrast route.
 
     At 321x481 with every route, ``fixed`` holds 18.8 MiB and each route
     about 19 MiB over its ten levels: about 76 MiB in all.
     """
 
-    base: ModelWeights
+    params: PipelineParams
     have_labels: bool
     fixed: np.ndarray
     bo_contrast: list | None
@@ -194,36 +198,31 @@ class PreparedImage:
 
 def prepare_components(
     image,
-    base: ModelWeights = ModelWeights(),
     params: PipelineParams = PipelineParams(),
     contours=None,
     segments=None,
-    need_sa: bool | None = None,
-    need_tj: bool | None = None,
+    need_sa: bool = False,
+    need_tj: bool = False,
 ) -> PreparedImage:
     """Run every weight-independent stage of the model once.
 
-    ``need_sa``/``need_tj`` force the local-cue stacks to be built even
-    if ``base`` currently gives them zero weight (a weight sweep may
-    need them later); by default each follows its base alpha. The
-    T-junction stack additionally requires the label maps; an image
-    that needs it without them is warned about once here, and every
-    finalize of it folds the T-junction weight into the contrast route.
-    An image too small for the native filter banks or for ``n_scales``
-    pyramid levels is refused with a ValueError that names the limit,
-    and so is one label map without the other, or one whose shape is
-    not the image's, before any filtering or junction detection.
+    ``need_sa``/``need_tj`` build the local-cue routes, so that weight
+    points with a non-zero ``alpha_sa``/``alpha_tj`` can be finalized;
+    neither is built without the orientation feature. The T-junction
+    route additionally requires the label maps; an image that needs it
+    without them is warned about once here, and every finalize of it
+    folds the T-junction weight into the contrast route. An image too
+    small for the native filter banks or for ``n_scales`` pyramid levels
+    is refused with a ValueError that names the limit, and so is one
+    label map without the other, or one whose shape is not the image's,
+    before any filtering or junction detection.
     """
     if not isinstance(image, RGBImage):
         image = RGBImage.from_gray(image)
     if (contours is None) != (segments is None):
         raise ValueError("contour and segment maps must be given together")
     have_labels = contours is not None
-    if need_sa is None:
-        need_sa = base.alpha_sa > 0
-    if need_tj is None:
-        need_tj = base.alpha_tj > 0
-    _check_image_fits(image.shape, params, need_sa and base.feature_orientation > 0)
+    _check_image_fits(image.shape, params, need_sa and params.feature_orientation > 0)
     for name, labels in (("contour", contours), ("segment", segments)):
         if labels is not None and np.shape(labels) != image.shape:
             raise ValueError(
@@ -241,27 +240,27 @@ def prepare_components(
 
     intensity, opponency, orientation = compute_channels(image, params.gabor)
     carriers = list(pyramid_levels(orientation[:, None], params.n_scales, params.pyramid_factor))
-    fixed = _fixed_term(intensity, opponency, carriers, params, base)
+    fixed = _fixed_term(intensity, opponency, carriers, params)
 
     junctions: tuple = ()
     if have_labels:
         junctions = tuple(detect_t_junctions(contours, segments, params.tj))
 
     bo_contrast = bo_sa = bo_tj = None
-    if base.feature_orientation > 0:
+    if params.feature_orientation > 0:
         gabors = [replace(params.oriented_cs, theta=theta) for theta in ORIENTATIONS]
         cs = cs_pyramids(carriers, gabors, make_gabor)
-        bo_contrast = compute_bo(carriers, cs, base.w_opp, params.ring_radius)
+        bo_contrast = compute_bo(carriers, cs, params.w_opp, params.ring_radius)
 
         def local_cue(cue):
             """One polarity with a map per side; an absent cue modulates
             nothing. The pyramid is built level by level, and its
             generator holds the only reference to the native cue."""
-            modulated = base.top_layers_only if cue.any() else 0
+            modulated = params.top_layers_only if cue.any() else 0
             levels = pyramid_levels(cue, params.n_scales, params.pyramid_factor)
             del cue
             return compute_bo(
-                carriers, (level[None] for level in levels), base.w_opp, params.ring_radius,
+                carriers, (level[None] for level in levels), params.w_opp, params.ring_radius,
                 modulated,
             )
 
@@ -271,7 +270,7 @@ def prepare_components(
             bo_tj = local_cue(build_tj_maps(contours, segments, junctions, params.tj))
 
     return PreparedImage(
-        base=base,
+        params=params,
         have_labels=have_labels,
         fixed=fixed,
         bo_contrast=bo_contrast,
@@ -281,25 +280,16 @@ def prepare_components(
     )
 
 
-def applied_weights(
-    weights: ModelWeights, base: ModelWeights, have_labels: bool, orientation: bool
-) -> ModelWeights:
+def applied_weights(weights: ModelWeights, have_labels: bool, orientation: bool) -> ModelWeights:
     """The weights a finalize of a prepared image applies.
 
-    The T-junction weight is folded into the contrast route when the
-    image was prepared without label maps (:func:`effective_weights`).
-    Only the alpha triple may then differ from the prepared ``base``,
-    and local-cue weights need the ``orientation`` route to have been
-    prepared; anything else is refused.
+    Without label maps the T-junction weight is folded into the contrast
+    route (``alpha_tj`` moves to ``alpha_ref``). Local-cue weights need
+    the ``orientation`` route to have been prepared, and are refused
+    otherwise.
     """
-    weights = effective_weights(weights, have_labels)
-    alphas = dict(
-        alpha_ref=weights.alpha_ref, alpha_sa=weights.alpha_sa, alpha_tj=weights.alpha_tj
-    )
-    if replace(base, **alphas) != weights:
-        raise ValueError(
-            "only the alpha triple may differ from the prepared base weights"
-        )
+    if weights.alpha_tj > 0 and not have_labels:
+        weights = replace(weights, alpha_ref=weights.alpha_ref + weights.alpha_tj, alpha_tj=0.0)
     if not orientation and (weights.alpha_sa > 0 or weights.alpha_tj > 0):
         raise ValueError("local-cue weights need the orientation feature")
     return weights
@@ -313,17 +303,16 @@ def final_levels(prepared: PreparedImage, weights: ModelWeights) -> tuple:
     routes' side imbalances are blended (:func:`ownership.combine_bo`),
     the winning orientation kept (:func:`ownership.winning_bo`), and
     each level is ``feature_orientation * winners``, an (8, 2, r_j,
-    c_j) stack. Without an orientation route ``levels`` is None.
+    c_j) stack, with ``feature_orientation`` from ``prepared.params``.
+    Without an orientation route ``levels`` is None.
     """
-    weights = applied_weights(
-        weights, prepared.base, prepared.have_labels, prepared.bo_contrast is not None
-    )
+    weights = applied_weights(weights, prepared.have_labels, prepared.bo_contrast is not None)
     if prepared.bo_contrast is None:
         return None, weights
     winners = winning_bo(
         combine_bo(prepared.bo_contrast, weights, bo_sa=prepared.bo_sa, bo_tj=prepared.bo_tj)
     )
-    w_orientation = weights.feature_orientation
+    w_orientation = prepared.params.feature_orientation
     return [np.multiply(level, w_orientation, out=level) for level in winners], weights
 
 
@@ -362,6 +351,11 @@ def run_model(
     weight falls back to the contrast route with a warning.
     """
     prepared = prepare_components(
-        image, weights, params, contours=contours, segments=segments
+        image,
+        params,
+        contours=contours,
+        segments=segments,
+        need_sa=weights.alpha_sa > 0,
+        need_tj=weights.alpha_tj > 0,
     )
     return finalize_components(prepared, weights)

@@ -97,12 +97,13 @@ def full_winners(delta):
     )
 
 
-def full_prepared(image, base, params, contours=None, segments=None):
+def full_prepared(image, params, contours=None, segments=None):
     """The full path's building blocks of one image: ``fixed``, the
     level list ``(0 + w_c * C) + w_i * I`` of (8, 2) stacks (``C`` the
     opponency winners summed in channel order, ``I`` the intensity
-    winners), and the (8, 2) stacks of the contrast, SA and TJ routes
-    (None without the orientation feature, TJ None without labels)."""
+    winners), the (8, 2) stacks of the contrast, SA and TJ routes
+    (None without the orientation feature, TJ None without labels) and
+    the orientation feature's weight ``w_o``."""
     if not isinstance(image, RGBImage):
         image = RGBImage.from_gray(image)
     intensity, opponency, orientation = compute_channels(image, params.gabor)
@@ -111,11 +112,11 @@ def full_prepared(image, base, params, contours=None, segments=None):
         return list(pyramid_levels(native, params.n_scales, params.pyramid_factor))
 
     carriers = pyramid(orientation[:, None])
-    w_c, w_i, w_o = base.feature_color, base.feature_intensity, base.feature_orientation
+    w_c, w_i, w_o = params.feature_color, params.feature_intensity, params.feature_orientation
 
     def winners(feature):
         cs = cs_pyramids(pyramid(feature), [params.dog], make_center_surround)
-        stacks = full_bo(carriers, cs, base.w_opp, params.ring_radius)
+        stacks = full_bo(carriers, cs, params.w_opp, params.ring_radius)
         return [full_winners(b[:, 0] - b[:, 1]) for b in stacks]
 
     fixed = [np.zeros((8, 2) + c.shape[-2:]) for c in carriers]
@@ -125,18 +126,18 @@ def full_prepared(image, base, params, contours=None, segments=None):
         fixed = [f + w_c * c for f, c in zip(fixed, colour)]
     if w_i:
         fixed = [f + w_i * i for f, i in zip(fixed, winners(intensity))]
-    full = {"fixed": fixed, "contrast": None, "sa": None, "tj": None}
+    full = {"fixed": fixed, "contrast": None, "sa": None, "tj": None, "w_o": w_o}
     if not w_o:
         return full
     gabors = [replace(params.oriented_cs, theta=t * np.pi / 8) for t in range(8)]
     full["contrast"] = full_bo(
-        carriers, cs_pyramids(carriers, gabors, make_gabor), base.w_opp, params.ring_radius
+        carriers, cs_pyramids(carriers, gabors, make_gabor), params.w_opp, params.ring_radius
     )
 
     def local_cue(cue):
         levels = [level[None] for level in pyramid(cue)]
-        modulated = base.top_layers_only if cue.any() else 0
-        return full_bo(carriers, levels, base.w_opp, params.ring_radius, modulated)
+        modulated = params.top_layers_only if cue.any() else 0
+        return full_bo(carriers, levels, params.w_opp, params.ring_radius, modulated)
 
     full["sa"] = local_cue(compute_sa_maps(intensity, params.sa))
     if contours is not None and segments is not None:
@@ -147,9 +148,9 @@ def full_prepared(image, base, params, contours=None, segments=None):
 
 def oracle_levels(full, weights, chosen=None, tie=1e-12):
     """The full path's feature sum of every level under the applied
-    ``weights``: blend the (8, 2) route stacks, keep the orientation
-    with the largest ``|B[:, 0] - B[:, 1]|``, and add ``w_o * winners``
-    to the ``fixed`` level.
+    alpha ``weights``: blend the (8, 2) route stacks, keep the
+    orientation with the largest ``|B[:, 0] - B[:, 1]|``, and add
+    ``w_o * winners`` to the ``fixed`` level.
 
     The blend runs in extended precision: in float64 the difference of
     two blended sides loses the bits the sides' magnitude takes, which
@@ -174,7 +175,7 @@ def oracle_levels(full, weights, chosen=None, tie=1e-12):
             tied = np.take_along_axis(size, pick[None], 0)[0] >= (1 - tie) * size.max(axis=0)
             # a tied cell keeps only the chosen orientation in the running
             delta = np.where(tied & (np.arange(8)[:, None, None] != pick), 0.0, delta)
-        levels.append(fixed + weights.feature_orientation * full_winners(delta))
+        levels.append(fixed + full["w_o"] * full_winners(delta))
     return levels
 
 

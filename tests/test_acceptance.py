@@ -164,10 +164,10 @@ def test_01_oracle_equivalence():
 # ----------------------------------------------------------------------
 
 def test_02_polarity_invariance():
-    weights = ModelWeights(feature_color=0.0, feature_orientation=0.0)
+    params = PipelineParams(feature_color=0.0, feature_orientation=0.0)
     stim = isolated_square()
-    bright = run_model(stim.image, weights).final
-    inverted = run_model(1.0 - stim.image, weights).final
+    bright = run_model(stim.image, params=params).final
+    inverted = run_model(1.0 - stim.image, params=params).final
     rel = np.abs(bright - inverted).max() / np.abs(bright).max()
     _report(2, "polarity invariance", rel <= 1e-4, f"relative delta={rel:.3g}")
 
@@ -288,13 +288,11 @@ def _battery():
 
 
 def test_06_cue_benefit_ordering():
-    base = ModelWeights(alpha_ref=0.05, alpha_sa=0.15, alpha_tj=0.80)
     totals = {name: [0.0, 0] for name in PRESETS}
     for _, stim in _battery():
         have_labels = stim.contours is not None
         prepared = prepare_components(
             stim.image,
-            base,
             PipelineParams(),
             contours=stim.contours,
             segments=stim.segments,

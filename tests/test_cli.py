@@ -12,7 +12,7 @@ import fgo
 from fgo.channels import RGBImage
 from fgo import cli
 from fgo.cli import main, parse_manifest
-from fgo.config import RunConfig, apply_assignment, apply_preset
+from fgo.config import RunConfig, apply_assignment, apply_lines, apply_preset
 from fgo.evaluation import (
     build_report,
     compute_fgca,
@@ -20,8 +20,10 @@ from fgo.evaluation import (
     format_report_text,
     grid_search_weights,
     load_ground_truth,
+    prepare_scoring,
+    score_weights,
 )
-from fgo.io import read_lm1, read_pgm, read_ppm, read_signed_map, write_pgm
+from fgo.io import read_lm1, read_pgm, read_ppm, read_signed_map, write_lm1, write_pgm
 from fgo.ownership import ModelWeights
 from fgo.pipeline import finalize_components, prepare_components
 
@@ -137,6 +139,27 @@ class TestRun:
         captured = capsys.readouterr()
         assert "error: the ground-truth map is 96x96 but the image is 48x48" in captured.err
         assert "fgca=" not in captured.out
+        assert not out.exists()
+
+    def test_gt_without_records_refused_before_any_work(
+        self, square_dir, tmp_path, capsys, monkeypatch
+    ):
+        # an all-zero truth has no boundary record, so no FGCA can be printed
+        empty = tmp_path / "empty.lm1"
+        write_lm1(empty, np.zeros((48, 48), dtype=np.int64))
+
+        def run(*args, **kwargs):
+            raise AssertionError("the model was run")
+
+        monkeypatch.setattr(cli, "run_model", run)
+        out = tmp_path / "run"
+        with pytest.warns(UserWarning, match="signed map has no figure-ground interface"):
+            code = main(
+                ["run", "--image", str(square_dir / "image.ppm"), "--gt", str(empty),
+                 "--out", str(out), *FAST]
+            )
+        assert code == 1
+        assert capsys.readouterr().err == "error: no usable ground truth records\n"
         assert not out.exists()
 
     def test_labels_add_junprecords(self, overlap_dir, tmp_path):
@@ -449,7 +472,7 @@ class TestEval:
         # with-both (0.05, 0.15, 0.80) scores the unlabelled row as (0.85, 0.15, 0)
         params = apply_assignment(RunConfig(), "nScales", "4").params
         prepared = prepare_components(
-            RGBImage(*read_ppm(plain / "image.ppm")), ModelWeights(0.85, 0.15, 0), params
+            RGBImage(*read_ppm(plain / "image.ppm")), params, need_sa=True
         )
         gt = load_ground_truth(read_signed_map(plain / "gt.lm1"))
         fgca = compute_fgca(
@@ -564,15 +587,22 @@ class TestTune:
         assert "unknown weight name" in capsys.readouterr().err
 
 
+COMPARE_OWNS_ALPHAS = "--compare names both alpha triples; it takes no --preset, --weights"
+
+
 @pytest.mark.parametrize("command, flags, message", [
     ("tune", ["--coarse-step", "0"], "coarse_step must lie in (0, 1], got 0.0"),
     ("tune", ["--weights", "alphaRef,alpha_ref"], "names must be a distinct subset of"),
     ("eval", ["--compare", "reference"], "--compare expects two presets, got 'reference'"),
     ("eval", ["--compare", "reference,nosuch"], "unknown preset 'nosuch'"),
+    ("eval", ["--compare", "reference,with-sa", "--weights", "0,1,0"], COMPARE_OWNS_ALPHAS),
+    ("eval", ["--compare", "reference,with-sa", "--preset", "with-tj"], COMPARE_OWNS_ALPHAS),
     ("tune", ["--manifest", "nosuch.txt"], "[Errno 2] No such file or directory"),
     ("eval", ["--manifest", "nosuch.txt"], "[Errno 2] No such file or directory"),
+    ("tune", ["--set", "seed=-1"], "--set seed=-1: seed must be non-negative, got -1"),
 ], ids=["tune-step", "tune-names", "eval-one-preset", "eval-unknown-preset",
-        "tune-manifest", "eval-manifest"])
+        "eval-compare-weights", "eval-compare-preset", "tune-manifest", "eval-manifest",
+        "tune-seed"])
 def test_bad_flag_refused_before_any_work(
     dataset, tmp_path, capsys, monkeypatch, command, flags, message
 ):
@@ -609,17 +639,17 @@ class TestScoresMatchFullPath:
         )
 
     @staticmethod
-    def prepared_rows(manifest, ids):
-        """``(id, prepared image, truths)`` of the named manifest rows."""
-        config = apply_assignment(RunConfig(), "nScales", "4")
+    def prepared_rows(manifest, ids, settings=()):
+        """``(id, prepared image, truths)`` of the named manifest rows,
+        under ``nScales=4`` and the ``key=value`` ``settings``."""
+        config = apply_lines(RunConfig(), ["nScales=4", *settings])
         rows = []
         for entry in parse_manifest(manifest):
             if entry.image_id in ids:
                 labels = [read_lm1(p) for p in (entry.contours, entry.segments) if p]
                 prepared = prepare_components(
-                    RGBImage(*read_ppm(entry.image)), config.weights(),
-                    config.params, *(labels or (None, None)),
-                    need_sa=True, need_tj=True,
+                    RGBImage(*read_ppm(entry.image)), config.params,
+                    *(labels or (None, None)), need_sa=True, need_tj=True,
                 )
                 gts = [load_ground_truth(read_signed_map(p)) for p in entry.gts]
                 rows.append((entry.image_id, prepared, gts))
@@ -663,3 +693,43 @@ class TestScoresMatchFullPath:
             report = self.full_report(rows, apply_preset(RunConfig(), name).weights())
             assert (out / f"report_{name}.kv").read_text() == format_report_keyvalues(report)
             assert (out / f"report_{name}.txt").read_text() == format_report_text(report)
+
+    @pytest.mark.parametrize(
+        "setting", ["wOpp=0.7", "topLayersOnly=2", "featureColor=0", "featureOrientation=0.5"]
+    )
+    def test_every_setting_tunes_and_evaluates(self, labelled, tmp_path, setting):
+        # a setting outside the alpha triple is the model's structure:
+        # every weight point of a search and every preset runs under it
+        out = tmp_path / "tune"
+        assert main(
+            ["tune", "--manifest", str(labelled), "--out", str(out),
+             "--weights", "alphaRef,alphaSA,alphaTJ", "--coarse-step", "0.5",
+             "--set", setting, *FAST]
+        ) == 0
+        kv = dict(line.split("=", 1) for line in (out / "weights.kv").read_text().splitlines())
+        train = kv["trainIds"].split(",")
+        rows = self.prepared_rows(labelled, train, [setting])
+        states = {image_id: prepare_scoring(prepared, gts) for image_id, prepared, gts in rows}
+        states = {image_id: states[image_id] for image_id in train}  # the command's order
+        _, best, trace = grid_search_weights(
+            lambda weights: build_report(
+                {image_id: score_weights(state, weights) for image_id, state in states.items()}
+            ).aggregate,
+            names=("alpha_ref", "alpha_sa", "alpha_tj"),
+            coarse_step=0.5,
+        )
+        want = [f"{r} {' '.join(f'{v:.6f}' for v in point)} {value:.6f}"
+                for r, point, value in trace]
+        assert (out / "trace.txt").read_text().splitlines()[1:] == want
+        assert kv["objective"] == f"{best:.6f}"
+
+        out = tmp_path / "eval"
+        assert main(
+            ["eval", "--manifest", str(labelled), "--out", str(out), "--preset", "with-both",
+             "--set", setting, *FAST]
+        ) == 0
+        rows = self.prepared_rows(
+            labelled, [e.image_id for e in parse_manifest(labelled)], [setting]
+        )
+        report = self.full_report(rows, apply_preset(RunConfig(), "with-both").weights())
+        assert (out / "report.kv").read_text() == format_report_keyvalues(report)

@@ -26,6 +26,9 @@ PIPELINE_KEYS = {
     "sigma_in": "0.8", "sigma_out": "2.4",
     "sigma1": "3.0", "gamma1": "0.7", "omega1": "0.7",
     "r0": "2.5",
+    "w_opp": "0.8",
+    "feature_color": "0.1", "feature_intensity": "0.2", "feature_orientation": "0.3",
+    "top_layers_only": "3",
     "n_scales": "6", "pyramid_factor": "2",
     "sa_min_size": "7", "sa_max_size": "21", "sa_size_step": "4", "sa_gamma": "0.9",
     "sa_sigma_factor": "0.5", "sa_n_lobes_even": "3", "sa_n_lobes_odd": "6",
@@ -34,11 +37,7 @@ PIPELINE_KEYS = {
     "tj_orientation_fit_radius": "2", "tj_y_sector_center": "110",
     "tj_y_sector_halfwidth": "12", "tj_arrow_sector_threshold": "170",
 }
-WEIGHT_KEYS = {
-    "alpha_ref": "0.2", "alpha_sa": "0.3", "alpha_tj": "0.5", "w_opp": "0.8",
-    "feature_color": "0.1", "feature_intensity": "0.2", "feature_orientation": "0.3",
-    "top_layers_only": "3",
-}
+WEIGHT_KEYS = {"alpha_ref": "0.2", "alpha_sa": "0.3", "alpha_tj": "0.5"}
 PARAMS = PipelineParams(
     n_scales=6,
     pyramid_factor=2.0,
@@ -48,8 +47,13 @@ PARAMS = PipelineParams(
     ring_radius=2.5,
     sa=SAParams(7, 21, 4, 0.9, 0.5, 3, 6),
     tj=TJParams(5, 6, 4, 12, 2, 4, 2, 110.0, 12.0, 170.0),
+    w_opp=0.8,
+    feature_color=0.1,
+    feature_intensity=0.2,
+    feature_orientation=0.3,
+    top_layers_only=3,
 )
-WEIGHTS = ModelWeights(0.2, 0.3, 0.5, 0.8, 0.1, 0.2, 0.3, 3)
+WEIGHTS = ModelWeights(0.2, 0.3, 0.5)
 
 
 def camel(key: str) -> str:
@@ -81,7 +85,8 @@ class TestContract:
         assert cfg.weights() == WEIGHTS
         assert cfg.seed == 7
         cfg = parse_config_text("preset = with-both\n" + text.replace("alpha", "# alpha"))
-        assert cfg.weights() == ModelWeights(0.05, 0.15, 0.80, 0.8, 0.1, 0.2, 0.3, 3)
+        assert cfg.weights() == ModelWeights(0.05, 0.15, 0.80)
+        assert cfg.params == PARAMS
 
     def test_every_leaf_parameter_has_a_key(self):
         # a field no key sets is a knob nobody can turn; only the fields
@@ -125,6 +130,10 @@ class TestContract:
         ("sigma = nan", "line 1: expected a finite number, got 'nan'"),
         ("wOpp = inf", "line 1: expected a finite number, got 'inf'"),
         ("featureColor = -inf", "line 1: expected a finite number, got '-inf'"),
+        ("wOpp = -1", "line 1: w_opp must be non-negative, got -1.0"),
+        ("featureOrientation = -0.5", r"line 1: feature weights must be non-negative"),
+        ("topLayersOnly = 0", r"line 1: top_layers_only must be None or >= 1, got 0"),
+        ("seed = -1", "line 1: seed must be non-negative, got -1"),
     ])
     def test_values_checked_when_set(self, line, limit):
         with pytest.raises(ValueError, match=limit):
@@ -135,9 +144,6 @@ class TestDefaults:
     def test_default_weights_are_reference(self):
         w = RunConfig().weights()
         assert (w.alpha_ref, w.alpha_sa, w.alpha_tj) == (1.0, 0.0, 0.0)
-        assert w.w_opp == 1.0
-        assert (w.feature_color, w.feature_intensity, w.feature_orientation) == (1.0, 1.0, 1.0)
-        assert w.top_layers_only is None
 
     def test_default_pipeline_params(self):
         p = RunConfig().params
@@ -146,6 +152,9 @@ class TestDefaults:
         assert p.gabor.sigma == 2.24
         assert p.dog.sigma_in == 0.90
         assert p.ring_radius == 2.0
+        assert p.w_opp == 1.0
+        assert (p.feature_color, p.feature_intensity, p.feature_orientation) == (1.0, 1.0, 1.0)
+        assert p.top_layers_only is None
         assert (p.oriented_cs.sigma, p.oriented_cs.gamma, p.oriented_cs.omega) == (3.2, 0.8, 0.7854)
 
     def test_preset_table(self):
@@ -169,9 +178,9 @@ class TestAssignments:
 
     def test_top_layers_only_optional_int(self):
         cfg = apply_assignment(RunConfig(), "topLayersOnly", "2")
-        assert cfg.weights().top_layers_only == 2
+        assert cfg.params.top_layers_only == 2
         cfg = apply_assignment(cfg, "topLayersOnly", "none")
-        assert cfg.weights().top_layers_only is None
+        assert cfg.params.top_layers_only is None
 
     def test_int_fields_coerced(self):
         cfg = apply_assignment(RunConfig(), "nScales", "6")
@@ -219,7 +228,7 @@ class TestFiles:
             """
         )
         assert cfg.weights().alpha_tj == 0.80
-        assert cfg.weights().w_opp == 0.9
+        assert cfg.params.w_opp == 0.9
         assert cfg.params.n_scales == 8
         assert cfg.params.sa.gamma == 1.0
 

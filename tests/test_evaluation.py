@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -275,7 +276,7 @@ class TestBoundaryScorer:
     def test_equals_full_path(self, index, pyramid):
         name, image, signed, contours, segments = scoring_battery()[index]
         prepared = prepare_components(
-            image, ModelWeights(), PYRAMIDS[pyramid], contours=contours,
+            image, PYRAMIDS[pyramid], contours=contours,
             segments=segments, need_sa=True, need_tj=True,
         )
         gts = two_annotators(signed)
@@ -298,16 +299,14 @@ class TestBoundaryScorer:
         features = dict(
             zip(("feature_color", "feature_intensity", "feature_orientation"), feature_weights)
         )
-        base = ModelWeights(**features)
         prepared = prepare_components(
-            image, base, PYRAMIDS["two"], contours=stim.contours,
+            image, replace(PYRAMIDS["two"], **features), contours=stim.contours,
             segments=stim.segments, need_sa=True, need_tj=True,
         )
         gts = two_annotators(stim.signed)
         state = prepare_scoring(prepared, gts)
         triples = weight_triples() if feature_weights[2] else [ModelWeights()]
-        for w in triples:
-            weights = ModelWeights(w.alpha_ref, w.alpha_sa, w.alpha_tj, **features)
+        for weights in triples:
             result = score_weights(state, weights)
             assert result == full_path(prepared, weights, gts)
         if not any(feature_weights):
@@ -315,7 +314,7 @@ class TestBoundaryScorer:
 
     def test_single_truth_equals_full_path(self):
         stim = isolated_square(size=48, first=16, last=31)
-        prepared = prepare_components(stim.image, ModelWeights(), PYRAMIDS["two"])
+        prepared = prepare_components(stim.image, PYRAMIDS["two"])
         gt = load_ground_truth(stim.signed)
         assert score_weights(prepare_scoring(prepared, gt), ModelWeights()) == full_path(
             prepared, ModelWeights(), gt
@@ -324,15 +323,14 @@ class TestBoundaryScorer:
     def test_refuses_what_the_full_path_refuses(self):
         stim = isolated_square(size=48, first=16, last=31)
         gt = load_ground_truth(stim.signed)
-        prepared = prepare_components(stim.image, ModelWeights(), PYRAMIDS["two"])
+        prepared = prepare_components(stim.image, PYRAMIDS["two"])
         state = prepare_scoring(prepared, gt)
-        no_orientation = ModelWeights(feature_orientation=0.0)
-        blind = prepare_components(stim.image, no_orientation, PYRAMIDS["two"])
+        no_orientation = replace(PYRAMIDS["two"], feature_orientation=0.0)
+        blind = prepare_components(stim.image, no_orientation)
         blind_state = prepare_scoring(blind, gt)
         cases = [
             (prepared, state, ModelWeights(alpha_ref=0.5, alpha_sa=0.5)),
-            (prepared, state, ModelWeights(w_opp=0.5)),
-            (blind, blind_state, ModelWeights(0.5, 0.5, 0.0, feature_orientation=0)),
+            (blind, blind_state, ModelWeights(0.5, 0.5, 0.0)),
         ]
         for prep, st, weights in cases:
             with pytest.raises(ValueError) as full:
@@ -351,7 +349,7 @@ class TestBoundaryScorer:
     def test_truth_outside_the_map_refused(self):
         # a 96-px square's truth scored against a 48x48 run
         stim = isolated_square(size=48, first=16, last=31)
-        prepared = prepare_components(stim.image, ModelWeights(), PYRAMIDS["two"])
+        prepared = prepare_components(stim.image, PYRAMIDS["two"])
         final = finalize_components(prepared, ModelWeights()).final
         wide = load_ground_truth(isolated_square(size=96, first=32, last=71).signed)
         assert wide.x.max() >= 48 and wide.y.max() >= 48
@@ -370,7 +368,7 @@ class TestBoundaryScorer:
         # a 96-px square's truth whose records all lie inside the 48x48
         # run would score the wrong image silently
         stim = isolated_square(size=48, first=16, last=31)
-        prepared = prepare_components(stim.image, ModelWeights(), PYRAMIDS["two"])
+        prepared = prepare_components(stim.image, PYRAMIDS["two"])
         final = finalize_components(prepared, ModelWeights()).final
         wide = load_ground_truth(isolated_square(size=96).signed)
         assert wide.x.max() < 48 and wide.y.max() < 48
@@ -382,7 +380,7 @@ class TestBoundaryScorer:
 
     def test_state_holds_a_fraction_of_the_prepared_bytes(self):
         stim = isolated_square(size=48, first=16, last=31)
-        prepared = prepare_components(stim.image, ModelWeights(), PYRAMIDS["two"])
+        prepared = prepare_components(stim.image, PYRAMIDS["two"])
         state = prepare_scoring(prepared, load_ground_truth(stim.signed))
         prepared_bytes = sum(a.nbytes for a in (prepared.fixed, *prepared.bo_contrast))
         kept = state.prepared

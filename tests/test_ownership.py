@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -144,7 +144,7 @@ def oracle_contrast(carriers, cs_levels, w_opp):
     return out
 
 
-def oracle_local_cue(carriers, cue, weights, factor):
+def oracle_local_cue(carriers, cue, params, factor):
     """Pyramid every cue map on its own, normalize each orientation's
     side pair, project toward its own side, pool and gate."""
     n = len(carriers[0])
@@ -158,7 +158,7 @@ def oracle_local_cue(carriers, cue, weights, factor):
             oracle_ring_responses(lambda t, s: pairs[t][s], carriers[0][k].shape)
         )
     ctx = oracle_scale_contexts(responses)
-    limit = n if weights.top_layers_only is None else weights.top_layers_only
+    limit = n if params.top_layers_only is None else params.top_layers_only
     out = []
     for k in range(n):
         level = np.empty_like(ctx[k])
@@ -166,7 +166,7 @@ def oracle_local_cue(carriers, cue, weights, factor):
             c = carriers[t][k]
             for s in range(2):
                 level[t, s] = (
-                    oracle_gate(c, ctx[k][t], ctx[k][t], s, weights.w_opp)
+                    oracle_gate(c, ctx[k][t], ctx[k][t], s, params.w_opp)
                     if k < limit
                     else np.maximum(0.0, c)
                 )
@@ -217,11 +217,11 @@ def symmetric_cs(pyr):
     return list(cs_pyramids(pyr, [DoGParams()], make_center_surround))
 
 
-def cue_bo(carriers, cue, weights=ModelWeights(), factor=SQRT2):
+def cue_bo(carriers, cue, params=PipelineParams(), factor=SQRT2):
     """The local-cue route: the native (8, 2, r, c) cue pyramided like the
     carriers (built with ``factor``), one polarity with a map per side."""
     levels = (level[None] for level in pyramid_levels(cue, len(carriers), factor))
-    return compute_bo(carriers, levels, weights.w_opp, RING, weights.top_layers_only)
+    return compute_bo(carriers, levels, params.w_opp, RING, params.top_layers_only)
 
 
 def oriented_gabor(theta):
@@ -243,12 +243,14 @@ def test_weights_simplex_enforced():
 
 
 def test_weights_other_fields_validated():
-    with pytest.raises(ValueError):
-        ModelWeights(w_opp=-0.1)
-    with pytest.raises(ValueError):
-        ModelWeights(feature_intensity=-1.0)
-    with pytest.raises(ValueError):
-        ModelWeights(top_layers_only=0)
+    # the weights outside the alpha triple are pipeline settings
+    assert [f.name for f in fields(ModelWeights)] == ["alpha_ref", "alpha_sa", "alpha_tj"]
+    with pytest.raises(ValueError, match="w_opp must be non-negative"):
+        PipelineParams(w_opp=-0.1)
+    with pytest.raises(ValueError, match="feature weights must be non-negative"):
+        PipelineParams(feature_intensity=-1.0)
+    with pytest.raises(ValueError, match="top_layers_only must be None or >= 1"):
+        PipelineParams(top_layers_only=0)
 
 
 # ------------------------------------------------------- center-surround
@@ -494,7 +496,7 @@ def test_local_cue_top_layers_only_passthrough():
     carriers = make_carriers(img, n)
     cue = np.zeros((8, 2, 64, 64))
     cue[0, 0, 20, 22:42] = 1.0
-    out = cue_bo(carriers, cue, ModelWeights(top_layers_only=2))
+    out = cue_bo(carriers, cue, PipelineParams(top_layers_only=2))
     for k in (2, 3):
         # passed through to both sides: no imbalance
         assert np.array_equal(out[k], np.zeros((8,) + carriers[k].shape[-2:]))
@@ -504,17 +506,19 @@ def test_local_cue_top_layers_only_passthrough():
 @pytest.mark.parametrize(
     "weights, factor",
     [
-        (ModelWeights(), SQRT2),
-        (ModelWeights(w_opp=0.7, top_layers_only=2), SQRT2),
-        (ModelWeights(w_opp=0.7), 2.0),
+        ({}, SQRT2),
+        ({"w_opp": 0.7, "top_layers_only": 2}, SQRT2),
+        ({"w_opp": 0.7}, 2.0),
     ],
 )
 def test_local_cue_matches_route_oracle(weights, factor):
+    # ``weights``: the antagonism weight and layer restriction to set
+    params = PipelineParams(**weights)
     rng = np.random.default_rng(19)
     carriers = make_carriers(square_image(32, first=9, last=20), 4, factor)
     cue = rng.random((8, 2, 32, 32)) * (rng.random((8, 2, 32, 32)) < 0.1)
-    got = cue_bo(carriers, cue, weights, factor)
-    want = oracle_local_cue(per_orientation(carriers), cue, weights, factor)
+    got = cue_bo(carriers, cue, params, factor)
+    want = oracle_local_cue(per_orientation(carriers), cue, params, factor)
     for got_k, want_k in zip(got, want, strict=True):
         assert_rel_close(got_k, side_imbalance(want_k))
 
@@ -617,11 +621,11 @@ def test_winning_at_most_one_active_cell():
 
 # ---------------------------------------------------------- final maps
 
-def prepared_levels(fixed, bo_contrast=None, bo_sa=None, base=ModelWeights()):
+def prepared_levels(fixed, bo_contrast=None, bo_sa=None, params=PipelineParams()):
     """A :class:`PreparedImage` built from a native ``fixed`` stack and
     side-imbalance level lists."""
     return PreparedImage(
-        base=base,
+        params=params,
         have_labels=False,
         fixed=fixed,
         bo_contrast=bo_contrast,
@@ -650,13 +654,11 @@ def test_final_matches_sequential_oracle():
         r, c = dims[-1]
         dims.append((int(np.ceil(r / SQRT2)), int(np.ceil(c / SQRT2))))
     fixed, contrast, sa = ([rng.random((8, 2) + d) for d in dims] for _ in range(3))
-    w = ModelWeights(
-        alpha_ref=0.4, alpha_sa=0.6, feature_color=0.3, feature_intensity=1.0,
-        feature_orientation=2.0,
-    )
+    w = ModelWeights(alpha_ref=0.4, alpha_sa=0.6)
+    params = PipelineParams(feature_color=0.3, feature_intensity=1.0, feature_orientation=2.0)
     native = pool_resampled(fixed, 16, 16, (1.0,) * len(fixed))
     prepared = prepared_levels(
-        native, [side_imbalance(c) for c in contrast], [side_imbalance(s) for s in sa], w
+        native, [side_imbalance(c) for c in contrast], [side_imbalance(s) for s in sa], params
     )
     got = finalize_components(prepared, w).final
     orientation = [oracle_winning(0.4 * c + 0.6 * s) for c, s in zip(contrast, sa)]
@@ -697,7 +699,7 @@ def test_ring_bank_is_cached_read_only_von_mises():
 def test_final_battery_matches_sequential_oracle(stimulus):
     stim = stimulus()
     prepared = prepare_components(stim.image, need_sa=True)
-    full = full_prepared(stim.image, ModelWeights(), PipelineParams())
+    full = full_prepared(stim.image, PipelineParams())
     for weights in (ModelWeights(), ModelWeights(alpha_ref=0.5, alpha_sa=0.5)):
         # the annulus's mirror orientations tie to about 4e-16, and the
         # blend's rounding picks the winner: resolve ties as the code did

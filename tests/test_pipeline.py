@@ -13,7 +13,7 @@ from fgo.cues import SAParams
 from fgo.ownership import ModelWeights, compute_bo, cs_pyramids, winning_bo
 from fgo.pipeline import (
     PipelineParams,
-    effective_weights,
+    applied_weights,
     final_levels,
     finalize_components,
     prepare_components,
@@ -55,11 +55,10 @@ class TestRunModel:
         # intensity channel's final maps are identical (n_scales >= 6:
         # fewer levels leave exact orientation ties whose argmax can
         # flip on FFT-order noise)
-        weights = ModelWeights(feature_color=0.0, feature_orientation=0.0)
-        params = PipelineParams(n_scales=6)
+        params = PipelineParams(n_scales=6, feature_color=0.0, feature_orientation=0.0)
         stim = isolated_square(size=48, first=16, last=31)
-        a = run_model(stim.image, weights, params).final
-        b = run_model(1.0 - stim.image, weights, params).final
+        a = run_model(stim.image, params=params).final
+        b = run_model(1.0 - stim.image, params=params).final
         scale = np.abs(a).max()
         assert np.abs(a - b).max() <= 1e-6 * scale
 
@@ -103,15 +102,15 @@ class TestRunModel:
 class TestEffectiveWeights:
     def test_identity_with_labels(self):
         w = ModelWeights(alpha_ref=0.2, alpha_tj=0.8)
-        assert effective_weights(w, have_labels=True) is w
+        assert applied_weights(w, have_labels=True, orientation=True) is w
 
     def test_identity_when_unused(self):
         w = ModelWeights()
-        assert effective_weights(w, have_labels=False) is w
+        assert applied_weights(w, have_labels=False, orientation=True) is w
 
     def test_fold_preserves_simplex(self):
         w = ModelWeights(alpha_ref=0.1, alpha_sa=0.2, alpha_tj=0.7)
-        folded = effective_weights(w, have_labels=False)
+        folded = applied_weights(w, have_labels=False, orientation=True)
         assert folded.alpha_ref == pytest.approx(0.8)
         assert folded.alpha_sa == pytest.approx(0.2)
         assert folded.alpha_tj == 0.0
@@ -120,13 +119,13 @@ class TestEffectiveWeights:
 @pytest.fixture(scope="module")
 def prepared():
     stim = overlapping_squares()
-    base = ModelWeights(alpha_ref=0.05, alpha_sa=0.15, alpha_tj=0.80)
     return stim, prepare_components(
         stim.image,
-        base,
         FAST,
         contours=stim.contours,
         segments=stim.segments,
+        need_sa=True,
+        need_tj=True,
     )
 
 
@@ -148,41 +147,27 @@ class TestPrepareFinalize:
             ).final
             np.testing.assert_array_equal(via_prepared, direct)
 
-    def test_base_mismatch_rejected(self, prepared):
-        _, prep = prepared
-        with pytest.raises(ValueError):
-            finalize_components(prep, ModelWeights(w_opp=0.5))
-        with pytest.raises(ValueError):
-            finalize_components(prep, ModelWeights(feature_color=0.0, feature_orientation=0.0))
-        with pytest.raises(ValueError):
-            finalize_components(prep, ModelWeights(top_layers_only=2))
-
     def test_missing_cue_stack_rejected(self):
         stim = isolated_square(size=48, first=16, last=31)
-        prep = prepare_components(stim.image, ModelWeights(), FAST)
+        prep = prepare_components(stim.image, FAST)
         assert prep.bo_sa is None and prep.bo_tj is None
         with pytest.raises(ValueError):
             finalize_components(prep, ModelWeights(alpha_ref=0.5, alpha_sa=0.5))
 
     def test_need_flags_force_stacks(self):
         stim = isolated_square(size=48, first=16, last=31)
-        prep = prepare_components(stim.image, ModelWeights(), FAST, need_sa=True)
+        prep = prepare_components(stim.image, FAST, need_sa=True)
         assert prep.bo_sa is not None
         result = finalize_components(prep, ModelWeights(alpha_ref=0.4, alpha_sa=0.6))
         assert result.final.max() > 0
 
     def test_orientation_feature_off_skips_cue_stacks(self):
         stim = isolated_square(size=48, first=16, last=31)
-        base = ModelWeights(feature_color=0.0, feature_orientation=0.0)
-        prep = prepare_components(stim.image, base, FAST, need_sa=True)
+        params = replace(FAST, feature_color=0.0, feature_orientation=0.0)
+        prep = prepare_components(stim.image, params, need_sa=True)
         assert prep.bo_contrast is None and prep.bo_sa is None
-        with pytest.raises(ValueError):
-            finalize_components(
-                prep,
-                ModelWeights(
-                    alpha_ref=0.5, alpha_sa=0.5, feature_color=0.0, feature_orientation=0.0
-                ),
-            )
+        with pytest.raises(ValueError, match="local-cue weights need the orientation feature"):
+            finalize_components(prep, ModelWeights(alpha_ref=0.5, alpha_sa=0.5))
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -200,8 +185,8 @@ class TestPrepareFinalize:
 
     @pytest.mark.parametrize("build, limit", [
         (lambda: ModelWeights(alpha_ref=NAN, alpha_sa=0.5), "cue weights must be non-negative"),
-        (lambda: ModelWeights(w_opp=NAN), "w_opp must be non-negative"),
-        (lambda: ModelWeights(feature_intensity=NAN), "feature weights must be non-negative"),
+        (lambda: PipelineParams(w_opp=NAN), "w_opp must be non-negative"),
+        (lambda: PipelineParams(feature_intensity=NAN), "feature weights must be non-negative"),
         (lambda: GaborParams(theta=0.0, omega=NAN), "must all be positive"),
         (lambda: DoGParams(sigma_in=NAN), "need 0 < sigma_in < sigma_out"),
         (lambda: VonMisesParams(bo_direction=0.0, r0=NAN), "r0 must be positive"),
@@ -272,8 +257,8 @@ class TestFixedFeatures:
             levels = [w_i * i for i in intensity]
         else:
             levels = [w_c * c + w_i * i for c, i in zip(colour, intensity)]
-        weights = ModelWeights(feature_color=w_c, feature_intensity=w_i, feature_orientation=0.9)
-        got = prepare_components(image, weights, FAST).fixed
+        params = replace(FAST, feature_color=w_c, feature_intensity=w_i, feature_orientation=0.9)
+        got = prepare_components(image, params).fixed
         want = pool_resampled(levels, *levels[0].shape[-2:], (1.0,) * len(levels))
         assert got.shape == (8, 2) + levels[0].shape[-2:]
         assert got.tobytes() == want.tobytes()
@@ -284,15 +269,15 @@ class TestFixedFeatures:
         _, opponency, _ = compute_channels(image)
         assert sum(native.any() for native in opponency) > 1
         colour, _ = self.winners(image)
-        weights = ModelWeights(feature_intensity=0.0, feature_orientation=0.0)
-        got = prepare_components(image, weights, FAST).fixed
+        params = replace(FAST, feature_intensity=0.0, feature_orientation=0.0)
+        got = prepare_components(image, params).fixed
         want = pool_resampled(colour, *colour[0].shape[-2:], (1.0,) * len(colour))
         assert got.tobytes() == want.tobytes()
 
     def test_no_weighted_feature_is_zero(self):
         image = colour_squares()
-        weights = ModelWeights(feature_color=0.0, feature_intensity=0.0)
-        got = prepare_components(image, weights, FAST).fixed
+        params = replace(FAST, feature_color=0.0, feature_intensity=0.0)
+        got = prepare_components(image, params).fixed
         assert got.shape == (8, 2) + image.shape
         assert not got.any() and not np.signbit(got).any()
 
@@ -304,10 +289,10 @@ class TestInputContract:
     def test_sa_bank_needs_more_than_25_px(self):
         image = np.full((24, 24), 0.5)
         with pytest.raises(ValueError, match=r"24x24 .*largest filter \(25 px\).*26 px"):
-            prepare_components(image, ModelWeights(0.35, 0.65, 0.0))
+            prepare_components(image, need_sa=True)
         # the contrast route alone fits, and so does SA one pixel past the limit
-        assert prepare_components(image, ModelWeights()).bo_sa is None
-        prep = prepare_components(np.full((26, 26), 0.5), ModelWeights(0.35, 0.65, 0.0))
+        assert prepare_components(image).bo_sa is None
+        prep = prepare_components(np.full((26, 26), 0.5), need_sa=True)
         assert prep.bo_sa is not None
 
     def test_carrier_gabor_needs_more_than_15_px(self):
@@ -316,19 +301,19 @@ class TestInputContract:
         prep = prepare_components(np.full((16, 16), 0.5))
         assert len(prep.level_dims) == 10
 
-    @pytest.mark.parametrize(
-        "weights", [ModelWeights(), ModelWeights(0.03, 0.0, 0.97)], ids=["reference", "with-tj"]
-    )
+    @pytest.mark.parametrize("need_tj", [False, True], ids=["reference", "with-tj"])
     @pytest.mark.parametrize("which", ["contours", "segments"])
-    def test_label_maps_must_match_the_image(self, weights, which):
+    def test_label_maps_must_match_the_image(self, need_tj, which):
         small = overlapping_squares(size=48, a_first=8, a_last=28, b_first=18, b_last=38)
         large = overlapping_squares()
         labels = {"contours": small.contours, "segments": small.segments}
         labels[which] = getattr(large, which)
         name = which[:-1]
         with pytest.raises(ValueError, match=rf"the {name} map is 96x96 but the image is 48x48"):
-            prepare_components(small.image, weights, FAST, **labels)
-        prep = prepare_components(small.image, weights, FAST, small.contours, small.segments)
+            prepare_components(small.image, FAST, **labels, need_tj=need_tj)
+        prep = prepare_components(
+            small.image, FAST, small.contours, small.segments, need_tj=need_tj
+        )
         assert prep.junctions
 
     @pytest.mark.parametrize("which", ["contours", "segments"])
@@ -336,7 +321,7 @@ class TestInputContract:
         stim = overlapping_squares()
         with pytest.raises(ValueError, match="contour and segment maps must be given together"):
             prepare_components(
-                stim.image, ModelWeights(0.2, 0.0, 0.8), FAST, **{which: getattr(stim, which)}
+                stim.image, FAST, need_tj=True, **{which: getattr(stim, which)}
             )
 
     def test_pyramid_levels_need_2x2_cells(self):
@@ -360,9 +345,9 @@ class TestFullPathOracle:
         name, image, signed, contours, segments = scoring_battery()[index]
         params = PipelineParams()
         prepared = prepare_components(
-            image, ModelWeights(), params, contours, segments, need_sa=True, need_tj=True
+            image, params, contours, segments, need_sa=True, need_tj=True
         )
-        full = full_prepared(image, ModelWeights(), params, contours, segments)
+        full = full_prepared(image, params, contours, segments)
         gt = load_ground_truth(signed)
         rng = np.random.default_rng(index)
         randoms = [(a, b, 1.0 - a - b) for a, b in rng.dirichlet((1.0, 1.0, 1.0), 4)[:, :2]]
