@@ -19,7 +19,6 @@ bit.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -98,7 +97,8 @@ def load_ground_truth(signed) -> FGGroundTruth:
     Every -1 cell with at least one +1 among its 8 neighbors becomes a
     record; its normal is the normalized mean offset toward those +1
     neighbors. Cells whose +1 neighbors cancel out exactly are dropped,
-    and a map with no -1/+1 interface yields an empty (warned) truth.
+    and a map with no -1/+1 interface yields an empty truth, which every
+    scorer refuses.
     """
     signed = np.asarray(signed)
     if signed.ndim != 2:
@@ -121,7 +121,6 @@ def load_ground_truth(signed) -> FGGroundTruth:
     norm = np.hypot(mean_dr, mean_dc)
     usable = boundary & (norm > 0)
     if not usable.any():
-        warnings.warn("signed map has no figure-ground interface", stacklevel=2)
         empty = np.empty(0)
         return FGGroundTruth(x=empty, y=empty, nx=empty, ny=empty, shape=signed.shape)
     yy, xx = np.nonzero(usable)
@@ -287,13 +286,8 @@ def prepare_scoring(prepared: PreparedImage, gts) -> ScoringState:
     if prepared.bo_contrast is None:
         restricted = replace(prepared, fixed=fixed)
         return ScoringState(gts=gts, windows=windows, r1=None, r2=None, prepared=restricted)
-    level_cells, r1, r2 = pool_operators_at(
-        prepared.level_dims,
-        rows,
-        cols,
-        (1.0,) * len(prepared.level_dims),
-        np.stack(np.unravel_index(targets, (rows, cols)), axis=1),
-    )
+    cells = np.stack(np.unravel_index(targets, (rows, cols)), axis=1)
+    level_cells, r1, r2 = pool_operators_at(prepared.level_dims, rows, cols, cells)
 
     def gather(levels):
         """The side imbalances at the level cells, as a one-level list."""
@@ -501,9 +495,9 @@ def right_tailed_t_test(sample_a, sample_b) -> float:
     """P(mean A <= mean B) under the pooled-variance two-sample t model.
 
     Small values support "A scores higher than B". Both samples need at
-    least two observations; two internally constant samples with equal
-    means have no testable variation and raise, while constant samples
-    with different means give the degenerate 0 or 1.
+    least two observations. Two internally constant samples give the
+    degenerate 0 or 1 when their means differ, and 0.5, the value at
+    t = 0, when they are equal.
     """
     a = np.asarray(sample_a, dtype=np.float64).ravel()
     b = np.asarray(sample_b, dtype=np.float64).ravel()
@@ -512,10 +506,8 @@ def right_tailed_t_test(sample_a, sample_b) -> float:
     dof = a.size + b.size - 2
     pooled = ((a.size - 1) * a.var(ddof=1) + (b.size - 1) * b.var(ddof=1)) / dof
     diff = a.mean() - b.mean()
-    if pooled == 0:
-        if diff == 0:
-            raise ValueError("both samples are constant with equal means")
-        return 0.0 if diff > 0 else 1.0
+    if pooled == 0:  # t is 0 or infinite
+        return 0.5 if diff == 0 else float(diff < 0)
     t = diff / math.sqrt(pooled * (1 / a.size + 1 / b.size))
     half = 0.5 * special.betainc(dof / 2.0, 0.5, dof / (dof + t * t))
     return float(half if t > 0 else 1.0 - half)

@@ -147,34 +147,26 @@ def _axis_matrix(n_out: int, n_in: int) -> sparse.csr_array:
 
 
 @functools.lru_cache(maxsize=256)
-def _row_operator(level_rows: tuple, rows: int, weights: tuple) -> sparse.csr_array:
-    """The weighted row matrices of all levels, side by side."""
-    return sparse.hstack(
-        [w * _axis_matrix(rows, n) for n, w in zip(level_rows, weights)], format="csr"
-    )
+def _row_operator(level_rows: tuple, rows: int) -> sparse.csr_array:
+    """The row matrices of all levels, side by side."""
+    return sparse.hstack([_axis_matrix(rows, n) for n in level_rows], format="csr")
 
 
-def pool_resampled(levels, rows: int, cols: int, weights, out=None) -> np.ndarray:
-    """``sum_j weights[j] * resample(levels[j] -> rows x cols)``, the
-    resample bilinear and corner-aligned.
+def pool_resampled(levels, rows: int, cols: int) -> np.ndarray:
+    """``sum_j resample(levels[j] -> rows x cols)``, the resample
+    bilinear and corner-aligned.
 
     Every level is a ``(..., r_j, c_j)`` array with the same leading
     shape, and the sum is taken over the last two axes of each map. Per
     map, each level is interpolated along its columns by its own cached
     sparse matrix; the results are stacked and one product with the
-    cached, weight-scaled row matrices of all levels writes the output.
-    This reassociates the sum of separately resampled levels, which is
-    exact to about 1e-15 relative.
-
-    ``out``, when given, receives the result and may be one of the
-    levels: each map's inputs are read before its output is written.
+    cached row matrices of all levels writes the output. This
+    reassociates the sum of separately resampled levels, which is exact
+    to about 1e-15 relative.
     """
     levels = [_as_stack(level, "input") for level in levels]
-    weights = tuple(float(w) for w in weights)
     if not levels:
         raise ValueError("pooling needs at least one level")
-    if len(weights) != len(levels):
-        raise ValueError(f"got {len(weights)} weights for {len(levels)} levels")
     lead = levels[0].shape[:-2]
     for level in levels:
         if level.shape[:-2] != lead:
@@ -183,10 +175,9 @@ def pool_resampled(levels, rows: int, cols: int, weights, out=None) -> np.ndarra
             )
     if rows < 1 or cols < 1:
         raise ValueError(f"target dimensions must be positive, got {rows}x{cols}")
-    row_op = _row_operator(tuple(level.shape[-2] for level in levels), rows, weights)
+    row_op = _row_operator(tuple(level.shape[-2] for level in levels), rows)
     col_ops = [_axis_matrix(cols, level.shape[-1]) for level in levels]
-    if out is None:
-        out = np.empty(lead + (rows, cols))
+    out = np.empty(lead + (rows, cols))
     for idx in np.ndindex(lead):
         block = np.vstack([(op @ level[idx].T).T for op, level in zip(col_ops, levels)])
         out[idx] = row_op @ block
@@ -204,7 +195,7 @@ def _row_entries(matrix: sparse.csr_array, rows: np.ndarray):
     return owner, matrix.indices[pos], matrix.data[pos]
 
 
-def pool_operators_at(level_dims, rows: int, cols: int, weights, cells):
+def pool_operators_at(level_dims, rows: int, cols: int, cells):
     """:func:`pool_resampled` restricted to some target cells.
 
     ``level_dims`` are the ``(r_j, c_j)`` of the levels and ``cells`` a
@@ -216,17 +207,14 @@ def pool_operators_at(level_dims, rows: int, cols: int, weights, cells):
     equals ``pool_resampled`` at the target cells bit for bit.
 
     ``r1`` holds the column taps, one row per (level, level row, target
-    column), and ``r2`` the weighted row taps. Both products run on the
+    column), and ``r2`` the row taps. Both products run on the
     same csr kernel as :func:`pool_resampled`, with the coefficients of
     the same cached matrices in their stored order, so each output sums
     the same terms in the same order.
     """
     level_dims = [tuple(int(n) for n in d) for d in level_dims]
-    weights = tuple(float(w) for w in weights)
     if not level_dims:
         raise ValueError("pooling needs at least one level")
-    if len(weights) != len(level_dims):
-        raise ValueError(f"got {len(weights)} weights for {len(level_dims)} levels")
     if rows < 1 or cols < 1:
         raise ValueError(f"target dimensions must be positive, got {rows}x{cols}")
     cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
@@ -239,7 +227,7 @@ def pool_operators_at(level_dims, rows: int, cols: int, weights, cells):
 
     # r2: target t sums row_op[row_t, g] * block[g, col_t] over the row
     # taps g (level and level row, stacked) in row_op's stored order
-    row_op = _row_operator(level_rows, rows, weights)
+    row_op = _row_operator(level_rows, rows)
     owner, taps, coef = _row_entries(row_op, cells[:, 0])
     # intermediates sorted by (level, level row, target column)
     keys, inter = np.unique(taps * cols + cells[owner, 1], return_inverse=True)
@@ -301,5 +289,5 @@ def pyramid_levels(base, n_scales: int, factor: float = SQRT2):
     check_pyramid_factor(factor)
     yield level
     for _ in range(n_scales - 1):
-        level = pool_resampled([level], *next_level_dims(*level.shape[-2:], factor), (1.0,))
+        level = pool_resampled([level], *next_level_dims(*level.shape[-2:], factor))
         yield level

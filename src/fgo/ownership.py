@@ -7,7 +7,10 @@ global route, directed local-cue maps for the others — is normalized
 per pyramid level, projected onto borders through an annular ring
 kernel of radius ``ring_radius`` pointing in the ownership direction,
 pooled across scales with geometrically decaying weights, and finally
-gates the oriented carrier response multiplicatively.
+gates the oriented carrier response multiplicatively. The pool is
+chained, coarsest level first: ``ctx[k] = 2^{-(k+1)} * resp[k] +
+resample(ctx[k+1] -> level k)``, each level overwritten in place
+(:func:`scale_contexts`).
 
 Every route takes one path, :func:`compute_bo`. Its evidence is a
 level list of stacks with a leading polarity axis: light and dark
@@ -179,24 +182,26 @@ def scale_contexts(responses: list) -> list:
     """Pool projected evidence from every coarser level onto each level,
     in place: each response array is overwritten by its context.
 
-    ``ctx[k] = sum_{j >= k} 2^{-(j+1)} * resample(responses[j] -> dims_k)``
+    The pool is chained, coarsest level first, over ``n`` levels::
+
+        ctx[n-1] = 2^{-n} * responses[n-1]
+        ctx[k] = 2^{-(k+1)} * responses[k] + resample(ctx[k+1] -> dims_k)
+
     with the level index weighted 1-based, so coarser levels contribute
-    geometrically less; every term is brought to level k in one hop.
-    Level k reads only levels k and coarser, so the finest level is
-    pooled first. Each level is one :func:`pool_resampled` call over
-    the whole stack, written into the level's own array: that is safe
-    map by map, because every map's inputs are read before its output
-    is written. The pool reassociates the sum (exact to about 1e-15
-    relative).
+    geometrically less. Each level is scaled in place, then the finished
+    context of the next coarser level is resampled to it and added one
+    map at a time, so every level is resampled once and the only
+    temporary is one map. Level j thus reaches level k through the
+    j - k bilinear steps between them, not in one hop.
     """
-    n = len(responses)
-    for k in range(n):
-        pool_resampled(
-            responses[k:],
-            *responses[k].shape[-2:],
-            [2.0 ** -(j + 1) for j in range(k, n)],
-            out=responses[k],
-        )
+    coarser = None
+    for k in reversed(range(len(responses))):
+        level = responses[k]
+        level *= 2.0 ** -(k + 1)
+        if coarser is not None:
+            for idx in np.ndindex(level.shape[:-2]):
+                level[idx] += pool_resampled([coarser[idx]], *level.shape[-2:])
+        coarser = level
     return responses
 
 

@@ -129,7 +129,7 @@ def _fixed_term(intensity, opponency, carriers, params: PipelineParams) -> np.nd
     rows, cols = carriers[0].shape[-2:]
     if terms is None:
         return np.zeros((N_ORIENTATIONS, N_SIDES, rows, cols))
-    return pool_resampled(terms, rows, cols, (1.0,) * len(terms))
+    return pool_resampled(terms, rows, cols)
 
 
 def _check_image_fits(shape, params: PipelineParams, sa_route: bool) -> None:
@@ -320,7 +320,7 @@ def finalize_components(prepared: PreparedImage, weights: ModelWeights) -> RunRe
     """Apply one alpha triple to prepared building blocks.
 
     :func:`final_levels`, then every level up-sampled to the native
-    dimensions and added, in one unit-weight :func:`grid.pool_resampled`
+    dimensions and added, in one :func:`grid.pool_resampled`
     call over whole stacks, and the pool added to ``prepared.fixed``.
     Both the pool and pooling ``fixed`` apart from it reassociate the
     sum of per-level resamples (exact to about 1e-15 relative).
@@ -331,7 +331,7 @@ def finalize_components(prepared: PreparedImage, weights: ModelWeights) -> RunRe
     if levels is None:
         final = prepared.fixed.copy()
     else:
-        final = pool_resampled(levels, *prepared.fixed.shape[-2:], (1.0,) * len(levels))
+        final = pool_resampled(levels, *prepared.fixed.shape[-2:])
         final += prepared.fixed
     return RunResult(final=final, weights=weights, junctions=prepared.junctions)
 

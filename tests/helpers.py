@@ -180,7 +180,7 @@ def oracle_levels(full, weights, chosen=None, tie=1e-12):
 
 
 def oracle_final(full, weights, chosen=None):
-    """:func:`oracle_levels` pooled to native size in one unit-weight
-    pool: the final maps of the full path."""
+    """:func:`oracle_levels` pooled to native size in one pool: the
+    final maps of the full path."""
     levels = oracle_levels(full, weights, chosen)
-    return pool_resampled(levels, *levels[0].shape[-2:], (1.0,) * len(levels))
+    return pool_resampled(levels, *levels[0].shape[-2:])

@@ -138,7 +138,7 @@ def test_01_oracle_equivalence():
         rows = int(rng.integers(1, 13))
         cols = int(rng.integers(1, 13))
         delta = np.abs(
-            pool_resampled(levels, rows, cols, (1.0,) * len(levels))
+            pool_resampled(levels, rows, cols)
             - _oracle_bilinear_sum(levels, rows, cols)
         ).max()
         worst = max(worst, delta)

@@ -153,11 +153,10 @@ class TestRun:
 
         monkeypatch.setattr(cli, "run_model", run)
         out = tmp_path / "run"
-        with pytest.warns(UserWarning, match="signed map has no figure-ground interface"):
-            code = main(
-                ["run", "--image", str(square_dir / "image.ppm"), "--gt", str(empty),
-                 "--out", str(out), *FAST]
-            )
+        code = main(
+            ["run", "--image", str(square_dir / "image.ppm"), "--gt", str(empty),
+             "--out", str(out), *FAST]
+        )
         assert code == 1
         assert capsys.readouterr().err == "error: no usable ground truth records\n"
         assert not out.exists()
@@ -480,6 +479,27 @@ class TestEval:
         )
         rows = (out / "report_with-both.txt").read_text().splitlines()
         assert f"plain {fgca.accuracy:.6f} {fgca.pixels} {fgca.ties}" in rows
+
+    def test_compare_of_tied_constant_samples_writes_p_value(self, tmp_path, capsys):
+        # both presets score 1.000 on both unlabelled rows (with-tj folds
+        # into reference): no difference is a result, p = 0.5
+        synth(tmp_path, "isolated-square", "square", ("--size", "64"))
+        synth(tmp_path, "annulus", "annulus", ("--size", "64"))
+        manifest = write_manifest(
+            tmp_path / "m.txt",
+            ["square square/image.ppm square/gt.lm1 -",
+             "annulus annulus/image.ppm annulus/gt.lm1 -"],
+        )
+        out = tmp_path / "eval"
+        code = main(
+            ["eval", "--manifest", str(manifest), "--out", str(out),
+             "--compare", "reference,with-tj"]
+        )
+        assert code == 0
+        compare = (out / "compare.kv").read_text().splitlines()
+        assert "aggregateA=1.000000" in compare and "aggregateB=1.000000" in compare
+        assert "pValue=0.5" in compare
+        assert "pValue=0.5" in capsys.readouterr().out.splitlines()
 
     def test_bad_compare_spec_fails(self, dataset, tmp_path, capsys):
         code = main(

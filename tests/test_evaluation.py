@@ -92,14 +92,14 @@ class TestLoadGroundTruth:
             assert nx * (mid - x) + ny * (mid - y) > 0
 
     def test_cancelling_neighbors_dropped(self):
-        with pytest.warns(UserWarning):
-            gt = load_ground_truth([[1], [-1], [1]])
-        assert len(gt) == 0
+        assert len(load_ground_truth([[1], [-1], [1]])) == 0
 
-    def test_no_interface_warns_empty(self):
-        with pytest.warns(UserWarning):
-            gt = load_ground_truth(np.zeros((4, 4), dtype=int))
+    def test_no_interface_gives_empty(self):
+        # without a warning: the scorer's refusal is the one report
+        gt = load_ground_truth(np.zeros((4, 4), dtype=int))
         assert len(gt) == 0
+        with pytest.raises(ValueError, match="empty ground truth"):
+            compute_fgca(np.zeros((8, 2, 4, 4)), gt)
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
@@ -118,8 +118,7 @@ class TestLoadGroundTruth:
     def test_truth_keeps_its_map_shape(self):
         gt = load_ground_truth(isolated_square(size=48, first=16, last=31).signed)
         assert gt.shape == (48, 48)
-        with pytest.warns(UserWarning):
-            assert load_ground_truth(np.zeros((4, 5), dtype=int)).shape == (4, 5)
+        assert load_ground_truth(np.zeros((4, 5), dtype=int)).shape == (4, 5)
 
 
 class TestDecideFigure:
@@ -549,8 +548,11 @@ class TestTTest:
     def test_degenerate_constant_samples(self):
         assert right_tailed_t_test([2.0, 2.0], [1.0, 1.0]) == 0.0
         assert right_tailed_t_test([1.0, 1.0], [2.0, 2.0]) == 1.0
-        with pytest.raises(ValueError):
-            right_tailed_t_test([1.0, 1.0], [1.0, 1.0])
+        # equal constant samples: no difference, the value the formula gives at t = 0
+        assert right_tailed_t_test([1.0, 1.0], [1.0, 1.0]) == 0.5
+        assert right_tailed_t_test([1.0, 1.0], [1.0, 1.0]) == right_tailed_t_test(
+            [0.5, 1.5], [0.5, 1.5]
+        )
 
     def test_small_samples_rejected(self):
         with pytest.raises(ValueError):

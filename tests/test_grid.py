@@ -47,13 +47,13 @@ def oracle_resample(arr, rows, cols):
     return top * (1 - fy) + bot * fy
 
 
-def oracle_pool(levels, rows, cols, weights):
-    """Per-map loop: resample every level of every map, scale and add."""
+def oracle_pool(levels, rows, cols):
+    """Per-map loop: resample every level of every map and add."""
     lead = levels[0].shape[:-2]
     out = np.zeros(lead + (rows, cols))
     for idx in np.ndindex(lead):
-        for level, weight in zip(levels, weights):
-            out[idx] += weight * oracle_resample(level[idx], rows, cols)
+        for level in levels:
+            out[idx] += oracle_resample(level[idx], rows, cols)
     return out
 
 
@@ -197,11 +197,11 @@ def test_correlate_stack_refusals():
 def test_resample_identity_when_dims_match():
     rng = np.random.default_rng(1)
     arr = rng.random((9, 5))
-    assert np.array_equal(pool_resampled([arr], 9, 5, (1.0,)), arr)
+    assert np.array_equal(pool_resampled([arr], 9, 5), arr)
 
 
 def test_resample_preserves_constant():
-    out = pool_resampled([np.full((7, 11), 3.25)], 4, 6, (1.0,))
+    out = pool_resampled([np.full((7, 11), 3.25)], 4, 6)
     assert np.allclose(out, 3.25, atol=1e-12)
 
 
@@ -209,13 +209,13 @@ def test_resample_ramp_downsample_frozen():
     # v(r, c) = r + c on a 4x4 grid; corner-aligned 2x2 picks the corners.
     arr = np.add.outer(np.arange(4.0), np.arange(4.0))
     expected = np.array([[0.0, 3.0], [3.0, 6.0]])
-    assert np.allclose(pool_resampled([arr], 2, 2, (1.0,)), expected, atol=1e-12)
+    assert np.allclose(pool_resampled([arr], 2, 2), expected, atol=1e-12)
 
 
 def test_resample_upsample_frozen():
     arr = np.array([[0.0, 1.0], [10.0, 11.0]])
     expected = np.array([[0.0, 0.5, 1.0], [5.0, 5.5, 6.0], [10.0, 10.5, 11.0]])
-    assert np.allclose(pool_resampled([arr], 3, 3, (1.0,)), expected, atol=1e-12)
+    assert np.allclose(pool_resampled([arr], 3, 3), expected, atol=1e-12)
 
 
 def test_resample_exact_on_bilinear_functions():
@@ -226,7 +226,7 @@ def test_resample_exact_on_bilinear_functions():
     for _ in range(5):
         a, b, cc, d = rng.standard_normal(4)
         arr = a + b * r + cc * c + d * r * c
-        out = pool_resampled([arr], 11, 17, (1.0,))
+        out = pool_resampled([arr], 11, 17)
         rr = np.linspace(0, 5, 11)[:, None]
         ccs = np.linspace(0, 8, 17)[None, :]
         assert np.abs(out - (a + b * rr + cc * ccs + d * rr * ccs)).max() < 1e-9
@@ -234,12 +234,12 @@ def test_resample_exact_on_bilinear_functions():
 
 def test_resample_single_cell_takes_center():
     arr = np.add.outer(np.arange(5.0), np.arange(5.0))
-    assert pool_resampled([arr], 1, 1, (1.0,))[0, 0] == pytest.approx(4.0)
+    assert pool_resampled([arr], 1, 1)[0, 0] == pytest.approx(4.0)
 
 
 def test_resample_rejects_bad_dims():
     with pytest.raises(ValueError):
-        pool_resampled([np.ones((4, 4))], 0, 3, (1.0,))
+        pool_resampled([np.ones((4, 4))], 0, 3)
 
 
 # --------------------------------------------------------- pool_resampled
@@ -260,22 +260,14 @@ def test_pool_matches_per_map_oracle(lead, factor):
              [(1, 1), (4, 6)], [(1, 7), (3, 1), (5, 5)]]
     for dims in cases:
         levels = [rng.standard_normal(lead + d) for d in dims]
-        weights = rng.random(len(dims))
         for rows, cols in [dims[0], (1, 1), (1, 9), (13, 4)]:
-            assert_rel_close(
-                pool_resampled(levels, rows, cols, weights),
-                oracle_pool(levels, rows, cols, weights),
-            )
-            assert_rel_close(
-                pool_resampled(levels, rows, cols, np.ones(len(dims))),
-                oracle_pool(levels, rows, cols, np.ones(len(dims))),
-            )
+            assert_rel_close(pool_resampled(levels, rows, cols), oracle_pool(levels, rows, cols))
 
 
 def test_pool_single_level_is_resample():
     rng = np.random.default_rng(8)
     stack = rng.standard_normal((3, 7, 10))
-    got = pool_resampled([stack], 5, 12, (1.0,))
+    got = pool_resampled([stack], 5, 12)
     for i in range(3):
         assert_rel_close(got[i], oracle_resample(stack[i], 5, 12))
 
@@ -283,11 +275,9 @@ def test_pool_single_level_is_resample():
 def test_pool_rejects_mismatched_leading_shapes():
     good = np.ones((8, 2, 4, 4))
     with pytest.raises(ValueError, match="leading shape"):
-        pool_resampled([good, np.ones((8, 4, 4))], 4, 4, (1.0, 1.0))
+        pool_resampled([good, np.ones((8, 4, 4))], 4, 4)
     with pytest.raises(ValueError, match="positive"):
-        pool_resampled([good], 4, 0, (1.0,))
-    with pytest.raises(ValueError):
-        pool_resampled([good], 4, 4, (1.0, 1.0))
+        pool_resampled([good], 4, 0)
 
 
 def border_cells(rows, cols, rng):
@@ -304,21 +294,26 @@ def border_cells(rows, cols, rng):
 @pytest.mark.parametrize("factor", [SQRT2, 2.0])
 @pytest.mark.parametrize("halving", [False, True])
 def test_pool_operators_at_reproduce_pool_bit_for_bit(lead, n_levels, factor, halving):
-    """r2 @ (r1 @ gathered) is pool_resampled at the cells, to the bit."""
+    """r2 @ (r1 @ gathered) is pool_resampled at the cells, to the bit.
+
+    ``halving`` scales level j by 2^-(j+1) before pooling, as the chained
+    ``scale_contexts`` scales each level in place before it resamples.
+    """
     rng = np.random.default_rng(n_levels + len(lead) + 10 * halving)
     dims = pyramid_dims(37, 29, n_levels, factor)
     levels = [rng.standard_normal(lead + d) for d in dims]
-    weights = [2.0 ** -(j + 1) if halving else 1.0 for j in range(n_levels)]
+    if halving:
+        levels = [level * 2.0 ** -(j + 1) for j, level in enumerate(levels)]
     maps = int(np.prod(lead))
     for rows, cols in [dims[0], (1, 23), (17, 1)]:
         cells = border_cells(rows, cols, rng)
-        level_cells, r1, r2 = pool_operators_at(dims, rows, cols, weights, cells)
+        level_cells, r1, r2 = pool_operators_at(dims, rows, cols, cells)
         assert [c.tolist() for c in level_cells] == [sorted(set(c.tolist())) for c in level_cells]
         gathered = np.concatenate(
             [level.reshape(maps, -1)[:, c] for level, c in zip(levels, level_cells)], axis=1
         ).T
         got = r2 @ (r1 @ gathered)
-        want = pool_resampled(levels, rows, cols, weights).reshape(maps, rows, cols)
+        want = pool_resampled(levels, rows, cols).reshape(maps, rows, cols)
         want = want[:, cells[:, 0], cells[:, 1]].T
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -327,15 +322,13 @@ def test_pool_operators_at_reproduce_pool_bit_for_bit(lead, n_levels, factor, ha
 def test_pool_operators_at_refusals():
     dims = [(6, 6), (3, 3)]
     with pytest.raises(ValueError, match="inside"):
-        pool_operators_at(dims, 6, 6, (1.0, 1.0), [[6, 0]])
+        pool_operators_at(dims, 6, 6, [[6, 0]])
     with pytest.raises(ValueError, match="inside"):
-        pool_operators_at(dims, 6, 6, (1.0, 1.0), [[0, -1]])
-    with pytest.raises(ValueError, match="weights"):
-        pool_operators_at(dims, 6, 6, (1.0,), [[0, 0]])
+        pool_operators_at(dims, 6, 6, [[0, -1]])
     with pytest.raises(ValueError, match="positive"):
-        pool_operators_at(dims, 0, 6, (1.0, 1.0), [[0, 0]])
+        pool_operators_at(dims, 0, 6, [[0, 0]])
     with pytest.raises(ValueError, match="at least one level"):
-        pool_operators_at([], 6, 6, (), [[0, 0]])
+        pool_operators_at([], 6, 6, [[0, 0]])
 
 
 # ------------------------------------------ cross-scale sum, unit weights
@@ -343,7 +336,7 @@ def test_pool_operators_at_refusals():
 def test_cross_scale_single_level_identity():
     rng = np.random.default_rng(2)
     arr = rng.random((6, 6))
-    assert np.allclose(pool_resampled([arr], 6, 6, (1.0,)), arr, atol=1e-12)
+    assert np.allclose(pool_resampled([arr], 6, 6), arr, atol=1e-12)
 
 
 def test_cross_scale_matches_sequential_oracle():
@@ -351,13 +344,13 @@ def test_cross_scale_matches_sequential_oracle():
     levels = [rng.random((8, 8)), rng.random((6, 6)), rng.random((3, 4))]
     expected = np.zeros((8, 8))
     for lvl in levels:
-        expected = expected + pool_resampled([lvl], 8, 8, (1.0,))
-    assert np.abs(pool_resampled(levels, 8, 8, (1.0, 1.0, 1.0)) - expected).max() < 1e-12
+        expected = expected + pool_resampled([lvl], 8, 8)
+    assert np.abs(pool_resampled(levels, 8, 8) - expected).max() < 1e-12
 
 
 def test_cross_scale_rejects_empty():
     with pytest.raises(ValueError):
-        pool_resampled([], 4, 4, ())
+        pool_resampled([], 4, 4)
 
 
 # ---------------------------------------------------------------- pyramid

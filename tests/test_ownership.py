@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from fgo import ownership
 from fgo.channels import compute_orientation_channels
+from fgo.config import PRESETS
+from fgo.evaluation import compute_fgca, decisions_for, load_ground_truth
 from fgo.grid import SQRT2, correlate_stack, pool_resampled, pyramid_levels
 from fgo.filters import (
     DoGParams,
@@ -34,7 +37,7 @@ from fgo.pipeline import (
     prepare_components,
 )
 from fgo.stimuli import annulus, overlapping_squares
-from helpers import full_bo, full_prepared, oracle_levels
+from helpers import full_bo, full_prepared, oracle_levels, scoring_battery
 
 RING = PipelineParams().ring_radius
 
@@ -68,24 +71,34 @@ def oracle_final_sets(sets, feature_weights):
         for si in range(2):
             for k in range(len(sets[0])):
                 level = sum(w * s[k][ti, si] for w, s in zip(feature_weights, sets))
-                out[ti, si] += pool_resampled([level], rows, cols, (1.0,))
+                out[ti, si] += pool_resampled([level], rows, cols)
     return out
 
 
 def oracle_scale_contexts(responses):
-    """The scale_contexts docstring formula, evaluated map by map."""
-    out = []
-    for k, target in enumerate(responses):
-        rows, cols = target.shape[-2:]
-        ctx = np.zeros_like(target)
+    """The scale_contexts docstring formula, evaluated map by map and
+    coarsest level first: each level's weighted response plus the next
+    coarser context brought to it by one single-level resample."""
+    out = [None] * len(responses)
+    for k in range(len(responses) - 1, -1, -1):
+        rows, cols = responses[k].shape[-2:]
+        ctx = np.empty_like(responses[k])
         for ti in range(8):
             for si in range(2):
-                for j in range(k, len(responses)):
-                    ctx[ti, si] += 2.0 ** -(j + 1) * pool_resampled(
-                        [responses[j][ti, si]], rows, cols, (1.0,)
-                    )
-        out.append(ctx)
+                ctx[ti, si] = 2.0 ** -(k + 1) * responses[k][ti, si]
+                if k + 1 < len(responses):
+                    ctx[ti, si] += pool_resampled([out[k + 1][ti, si]], rows, cols)
+        out[k] = ctx
     return out
+
+
+def one_hop_contexts(responses):
+    """The one-hop pool the chained pool replaced, kept as the reference
+    of its tolerance: ``ctx[k] = sum_{j >= k} 2^{-(j+1)} *
+    resample(responses[j] -> dims_k)``, every term brought to level k in
+    one hop."""
+    scaled = [2.0 ** -(j + 1) * r for j, r in enumerate(responses)]
+    return [pool_resampled(scaled[k:], *r.shape[-2:]) for k, r in enumerate(responses)]
 
 
 def oracle_ring_responses(evidence, shape):
@@ -656,7 +669,7 @@ def test_final_matches_sequential_oracle():
     fixed, contrast, sa = ([rng.random((8, 2) + d) for d in dims] for _ in range(3))
     w = ModelWeights(alpha_ref=0.4, alpha_sa=0.6)
     params = PipelineParams(feature_color=0.3, feature_intensity=1.0, feature_orientation=2.0)
-    native = pool_resampled(fixed, 16, 16, (1.0,) * len(fixed))
+    native = pool_resampled(fixed, 16, 16)
     prepared = prepared_levels(
         native, [side_imbalance(c) for c in contrast], [side_imbalance(s) for s in sa], params
     )
@@ -681,6 +694,67 @@ def test_scale_contexts_matches_docstring_formula(factor):
     pooled = list(responses)
     assert scale_contexts(pooled) is pooled
     assert all(np.array_equal(a, b) for a, b in zip(pooled, got))
+
+
+@pytest.mark.parametrize("n_levels", [1, 2, 10])
+def test_scale_contexts_resamples_each_coarser_level_once(monkeypatch, n_levels):
+    """n levels take n - 1 single-level resamples of each map: every
+    level but the finest is resampled once, to the next finer level."""
+    rng = np.random.default_rng(19)
+    dims = [(37, 29)]
+    for _ in range(n_levels - 1):
+        r, c = dims[-1]
+        dims.append((int(np.ceil(r / SQRT2)), int(np.ceil(c / SQRT2))))
+    responses = [rng.standard_normal((2, 8, 2) + d) for d in dims]
+    calls = []
+
+    def counted(levels, rows, cols):
+        calls.append(([level.shape for level in levels], (rows, cols)))
+        return pool_resampled(levels, rows, cols)
+
+    monkeypatch.setattr(ownership, "pool_resampled", counted)
+    scale_contexts(responses)
+    maps = 2 * 8 * 2
+    want = [([coarse], fine) for fine, coarse in zip(dims, dims[1:]) for _ in range(maps)]
+    assert sorted(calls) == sorted(want)
+    assert len(calls) == (n_levels - 1) * maps
+
+
+@pytest.fixture(scope="module")
+def battery_under_both_pools():
+    """The scoring battery's truths, and its images prepared with every
+    route under the chained pool and under the one-hop pool."""
+    battery = scoring_battery()
+    prepared = []
+    for pool in (scale_contexts, one_hop_contexts):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ownership, "scale_contexts", pool)
+            prepared.append([
+                prepare_components(image, PipelineParams(), contours, segments, True, True)
+                for _, image, _, contours, segments in battery
+            ])
+    return [load_ground_truth(signed) for _, _, signed, _, _ in battery], *prepared
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_chained_pool_within_tolerance_of_one_hop(battery_under_both_pools, preset):
+    """The chained pool is not the one-hop sum it replaced, since chained
+    bilinear steps are not one bilinear step. On the scoring battery with
+    every route, at most 0.5 % of the boundary decisions move and the
+    pooled FGCA is at most 0.002 lower."""
+    gts, chained, one_hop = battery_under_both_pools
+    weights = ModelWeights(*PRESETS[preset])
+    records = sum(len(gt) for gt in gts)
+    moved, correct, changed = 0, np.zeros(2), False
+    for gt, new, old in zip(gts, chained, one_hop, strict=True):
+        finals = [finalize_components(p, weights).final for p in (new, old)]
+        changed |= not np.array_equal(*finals)
+        (dirs, ties), (old_dirs, old_ties) = (decisions_for(f, gt) for f in finals)
+        moved += int(((dirs != old_dirs).any(axis=1) | (ties != old_ties)).sum())
+        correct += [compute_fgca(f, gt).correct for f in finals]
+    assert changed
+    assert moved <= 0.005 * records, (moved, records)
+    assert correct[0] / records >= correct[1] / records - 0.002, correct / records
 
 
 def test_ring_bank_is_cached_read_only_von_mises():

@@ -259,7 +259,7 @@ class TestFixedFeatures:
             levels = [w_c * c + w_i * i for c, i in zip(colour, intensity)]
         params = replace(FAST, feature_color=w_c, feature_intensity=w_i, feature_orientation=0.9)
         got = prepare_components(image, params).fixed
-        want = pool_resampled(levels, *levels[0].shape[-2:], (1.0,) * len(levels))
+        want = pool_resampled(levels, *levels[0].shape[-2:])
         assert got.shape == (8, 2) + levels[0].shape[-2:]
         assert got.tobytes() == want.tobytes()
         assert not np.signbit(got).any()
@@ -271,7 +271,7 @@ class TestFixedFeatures:
         colour, _ = self.winners(image)
         params = replace(FAST, feature_intensity=0.0, feature_orientation=0.0)
         got = prepare_components(image, params).fixed
-        want = pool_resampled(colour, *colour[0].shape[-2:], (1.0,) * len(colour))
+        want = pool_resampled(colour, *colour[0].shape[-2:])
         assert got.tobytes() == want.tobytes()
 
     def test_no_weighted_feature_is_zero(self):
