@@ -342,9 +342,9 @@ def cmd_tune(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    split = make_split([e.image_id for e in entries], config.seed)
+    train_ids, test_ids = make_split([e.image_id for e in entries], config.seed)
     by_id = {e.image_id: e for e in entries}
-    train = [by_id[i] for i in split.train_ids]
+    train = [by_id[i] for i in train_ids]
 
     load = partial(
         _scoring_state, config=config, need_sa="alpha_sa" in names, need_tj="alpha_tj" in names
@@ -371,8 +371,8 @@ def cmd_tune(args) -> int:
         f"alphaTJ={tuned.alpha_tj:.6f}\n"
         f"objective={best:.6f}\n"
         f"seed={config.seed}\n"
-        f"trainIds={','.join(split.train_ids)}\n"
-        f"testIds={','.join(split.test_ids)}\n"
+        f"trainIds={','.join(train_ids)}\n"
+        f"testIds={','.join(test_ids)}\n"
     )
     (out_dir / "weights.kv").write_text(weights_text)
     trace_lines = ["round " + " ".join(names) + " objective"]

@@ -380,37 +380,19 @@ def format_report_keyvalues(report: EvalReport) -> str:
 ALPHA_NAMES = ("alpha_ref", "alpha_sa", "alpha_tj")
 
 
-def _simplex_points(n_free: int, step: float, anchor=None):
-    """Grid points with the given step on the (n_free)-simplex.
-
-    Without ``anchor`` the coordinates are the multiples of ``step`` in
-    [0, 1], and 1 itself when ``1 / step`` is not an integer, kept when
-    they sum to at most 1. With an anchor they are the anchor's
-    coordinates offset by -2 to 2 steps, each clamped to
-    [0, 1 - the sum of the coordinates before it], so a step past the
-    simplex lands on its face instead of being dropped. The last weight
-    is the implied remainder. Scan order is lexicographic, so
-    deterministic; a clamped point may repeat.
-    """
-    if anchor is None:
-        ticks = [round(k * step, 12) for k in range(int(1 / step + 1e-9) + 1)]
-        axes = [ticks + [1.0] if ticks[-1] < 1 else ticks] * n_free
-    else:
-        axes = [[round(a + k * step, 12) for k in range(-2, 3)] for a in anchor]
-    points = []
-    def rec(prefix):
-        i = len(prefix)
-        if i == n_free:
-            total = sum(prefix)
-            if total <= 1 + 1e-9:
-                points.append(tuple(prefix) + (max(0.0, 1.0 - total),))
-            return
-        for value in axes[i]:
-            if anchor is not None:
-                value = max(0.0, min(value, 1.0 - sum(prefix)))
-            rec(prefix + [value])
-    rec([])
-    return points
+def _lattice_points(n: int, size: int, anchor=None):
+    """The integer points of length ``size`` whose coordinates sum to
+    ``n``, in lexicographic order; with ``anchor``, only those within 2
+    of it in every coordinate."""
+    if size == 1:
+        return [(n,)] if anchor is None or abs(n - anchor[0]) <= 2 else []
+    lo, hi = 0, n
+    if anchor is not None:
+        lo, hi = max(lo, anchor[0] - 2), min(hi, anchor[0] + 2)
+    rest = None if anchor is None else anchor[1:]
+    return [
+        (i,) + tail for i in range(lo, hi + 1) for tail in _lattice_points(n - i, size - 1, rest)
+    ]
 
 
 # a refinement round that gains less than this ends the search, and
@@ -434,12 +416,18 @@ def grid_search_weights(objective, names=("alpha_ref", "alpha_sa"), coarse_step:
 
     ``objective`` maps a :class:`ModelWeights` to a score to maximize.
     The named weights (any subset of alpha_ref/alpha_sa/alpha_tj, the
-    rest pinned to zero) are scanned on a coarse grid of step
-    ``coarse_step`` in (0, 1], then re-scanned around the incumbent
-    with the step halved each round, for at most 12 rounds, until a
-    round improves the best score by less than 0.005. Bad arguments are
-    refused by :func:`check_search`. Returns ``(weights,
-    best_objective, trace)`` where trace rows are ``(round,
+    rest pinned to zero) take the values ``i / n`` of an integer
+    lattice: the tuples of ``len(names)`` non-negative integers that sum
+    to ``n``. The coarse round scans the whole lattice for ``n =
+    round(1 / coarse_step)`` (at least 1), so its spacing is ``1 /
+    round(1 / coarse_step)``. Each refinement round doubles ``n`` and
+    scans the points within 2 steps of the incumbent in every
+    coordinate, for at most 12 rounds, until a round improves the best
+    score by less than 0.005. Every weight is treated alike, so
+    reordering ``names`` only permutes the points, unless the objective
+    ties. Rounds scan in lexicographic order and score each point once.
+    Bad arguments are refused by :func:`check_search`. Returns
+    ``(weights, best_objective, trace)`` where trace rows are ``(round,
     weights_tuple_in_name_order, objective)``.
     """
     names = tuple(names)
@@ -453,38 +441,27 @@ def grid_search_weights(objective, names=("alpha_ref", "alpha_sa"), coarse_step:
     seen = {}
     trace = []
 
-    def evaluate(round_index, point) -> float:
-        key = tuple(round(v, 9) for v in point)
-        if key not in seen:
-            seen[key] = float(objective(as_weights(point)))
-            trace.append((round_index, point, seen[key]))
-        return seen[key]
+    def scan(round_index, n, best, anchor=None):
+        """The best ``(objective, lattice point)`` of ``best`` and the
+        points of the lattice ``n`` (near ``anchor``)."""
+        for point in _lattice_points(n, len(names), anchor):
+            weights = tuple(i / n for i in point)
+            if weights not in seen:
+                seen[weights] = float(objective(as_weights(weights)))
+                trace.append((round_index, weights, seen[weights]))
+            if seen[weights] > best[0]:
+                best = (seen[weights], point)
+        return best
 
-    n_free = len(names) - 1
-    if n_free == 0:
-        best_point = (1.0,)
-        best = evaluate(0, best_point)
-        return as_weights(best_point), best, trace
-
-    best_point, best = None, -np.inf
-    for point in _simplex_points(n_free, coarse_step):
-        value = evaluate(0, point)
-        if value > best:
-            best_point, best = point, value
-
-    step = coarse_step
+    n = max(1, round(1 / coarse_step))
+    best, point = scan(0, n, (-np.inf, None))
     for round_index in range(1, _ROUNDS + 1):
-        step /= 2.0
-        round_best_point, round_best = best_point, best
-        for point in _simplex_points(n_free, step, anchor=best_point[:n_free]):
-            value = evaluate(round_index, point)
-            if value > round_best:
-                round_best_point, round_best = point, value
-        improvement = round_best - best
-        best_point, best = round_best_point, round_best
+        n, point = 2 * n, tuple(2 * i for i in point)
+        round_best, point = scan(round_index, n, (best, point), point)
+        improvement, best = round_best - best, round_best
         if improvement < _MIN_GAIN:
             break
-    return as_weights(best_point), best, trace
+    return as_weights(tuple(i / n for i in point)), best, trace
 
 
 # ----------------------------------------------------------------------
@@ -513,26 +490,14 @@ def right_tailed_t_test(sample_a, sample_b) -> float:
     return float(half if t > 0 else 1.0 - half)
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    train_ids: tuple
-    test_ids: tuple
-    seed: int
-
-    def __post_init__(self):
-        if set(self.train_ids) & set(self.test_ids):
-            raise ValueError("train and test ids overlap")
-
-
-def make_split(image_ids, seed: int) -> SplitSpec:
-    """Seeded shuffle; the first half trains, the rest tests."""
+def make_split(image_ids, seed: int) -> tuple:
+    """Seeded shuffle of distinct ids: ``(train_ids, test_ids)``, the
+    first half training and the rest testing."""
     ids = list(image_ids)
     if len(ids) < 2:
         raise ValueError(f"need at least 2 ids to split, got {len(ids)}")
+    if len(set(ids)) != len(ids):
+        raise ValueError("duplicate image ids")
     order = np.random.default_rng(seed).permutation(len(ids))
     half = len(ids) // 2
-    return SplitSpec(
-        train_ids=tuple(ids[i] for i in order[:half]),
-        test_ids=tuple(ids[i] for i in order[half:]),
-        seed=seed,
-    )
+    return tuple(ids[i] for i in order[:half]), tuple(ids[i] for i in order[half:])

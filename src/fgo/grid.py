@@ -184,17 +184,6 @@ def pool_resampled(levels, rows: int, cols: int) -> np.ndarray:
     return out
 
 
-def _row_entries(matrix: sparse.csr_array, rows: np.ndarray):
-    """The stored entries of the given csr rows, in stored order:
-    ``(owner, column, value)``, ``owner`` the position in ``rows``."""
-    start = matrix.indptr[rows]
-    count = matrix.indptr[rows + 1] - start
-    owner = np.repeat(np.arange(len(rows)), count)
-    offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    pos = np.repeat(start, count) + offset
-    return owner, matrix.indices[pos], matrix.data[pos]
-
-
 def pool_operators_at(level_dims, rows: int, cols: int, cells):
     """:func:`pool_resampled` restricted to some target cells.
 
@@ -228,13 +217,12 @@ def pool_operators_at(level_dims, rows: int, cols: int, cells):
     # r2: target t sums row_op[row_t, g] * block[g, col_t] over the row
     # taps g (level and level row, stacked) in row_op's stored order
     row_op = _row_operator(level_rows, rows)
-    owner, taps, coef = _row_entries(row_op, cells[:, 0])
+    taps = row_op[cells[:, 0]]  # csr row indexing keeps the stored order
     # intermediates sorted by (level, level row, target column)
-    keys, inter = np.unique(taps * cols + cells[owner, 1], return_inverse=True)
-    r2 = sparse.csr_array(
-        (coef, inter, np.searchsorted(owner, np.arange(len(cells) + 1))),
-        shape=(len(cells), len(keys)),
+    keys, inter = np.unique(
+        taps.indices * cols + np.repeat(cells[:, 1], np.diff(taps.indptr)), return_inverse=True
     )
+    r2 = sparse.csr_array((taps.data, inter, taps.indptr), shape=(len(cells), len(keys)))
 
     # r1: intermediate (j, row, col) sums the column taps of level j
     inter_rows, inter_cols = keys // cols, keys % cols
@@ -243,13 +231,13 @@ def pool_operators_at(level_dims, rows: int, cols: int, cells):
     seen = 0
     for j, (_, level_cols) in enumerate(level_dims):
         part = slice(bounds[j], bounds[j + 1])
-        owner, col_taps, coef = _row_entries(_axis_matrix(cols, level_cols), inter_cols[part])
-        flat = (inter_rows[part][owner] - offsets[j]) * level_cols + col_taps
+        taps = _axis_matrix(cols, level_cols)[inter_cols[part]]
+        counts.append(np.diff(taps.indptr))
+        flat = np.repeat(inter_rows[part] - offsets[j], counts[-1]) * level_cols + taps.indices
         unique, where = np.unique(flat, return_inverse=True)
         level_cells.append(unique)
-        data.append(coef)
+        data.append(taps.data)
         indices.append(seen + where)
-        counts.append(np.bincount(owner, minlength=bounds[j + 1] - bounds[j]))
         seen += len(unique)
     r1 = sparse.csr_array(
         (

@@ -155,14 +155,3 @@ def write_pgm(path, gray) -> None:
         fh.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii"))
         fh.write(data.tobytes())
 
-
-def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:2] != b"P5":
-        raise ValueError(f"{path}: unsupported PGM magic")
-    (width, height, _), offset = _pnm_tokens(path, blob, 4)
-    raster = np.frombuffer(blob, dtype=np.uint8, count=width * height, offset=offset)
-    if raster.size < width * height:
-        raise ValueError(f"{path}: truncated PGM raster")
-    return raster.reshape(height, width).copy()

@@ -9,8 +9,22 @@ from fgo.channels import RGBImage, compute_channels
 from fgo.cues import build_tj_maps, compute_sa_maps, detect_t_junctions
 from fgo.filters import make_center_surround, make_gabor
 from fgo.grid import pool_resampled, pyramid_levels
+from fgo.io import _pnm_tokens
 from fgo.ownership import _projected, cs_pyramids, scale_contexts
 from fgo.stimuli import annulus, isolated_square, overlapping_squares, shaded_edge
+
+
+def read_pgm(path) -> np.ndarray:
+    """The raster of a binary P5 PGM, the format of the visualizations
+    ``fgo run`` writes."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob[:2] != b"P5":
+        raise ValueError(f"{path}: unsupported PGM magic")
+    (width, height, _), offset = _pnm_tokens(path, blob, 4)
+    # a short raster is refused by frombuffer
+    raster = np.frombuffer(blob, dtype=np.uint8, count=width * height, offset=offset)
+    return raster.reshape(height, width).copy()
 
 
 def junction_label_maps(angles_deg, size: int = 41, ray_len: int = 14):

@@ -23,9 +23,11 @@ from fgo.evaluation import (
     prepare_scoring,
     score_weights,
 )
-from fgo.io import read_lm1, read_pgm, read_ppm, read_signed_map, write_lm1, write_pgm
+from fgo.io import read_lm1, read_ppm, read_signed_map, write_lm1, write_pgm
 from fgo.ownership import ModelWeights
 from fgo.pipeline import finalize_components, prepare_components
+
+from helpers import read_pgm
 
 FAST = ["--set", "nScales=4"]
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 
 from fgo.evaluation import (
+    ALPHA_NAMES,
     FGGroundTruth,
-    _simplex_points,
+    _lattice_points,
     build_report,
     FGCAResult,
     compute_fgca,
@@ -486,24 +488,46 @@ class TestGridSearch:
         assert [point for _, point, _ in trace[:2]] == [(0.0, 1.0), (1.0, 0.0)]
 
     def test_coarse_grid_ends_at_the_corner(self):
-        # 1 / 0.3 is not an integer: the grid still reaches alpha_ref = 1
+        # 1 / 0.3 is not an integer: the grid is the lattice of thirds
         tuned, best, trace = grid_search_weights(lambda w: w.alpha_ref, coarse_step=0.3)
         assert tuned.alpha_ref == 1.0 and best == 1.0
         coarse = [point[0] for r, point, _ in trace if r == 0]
-        assert coarse == [0.0, 0.3, 0.6, 0.9, 1.0]
+        assert coarse == [0.0, 1 / 3, 2 / 3, 1.0]
 
-    @pytest.mark.parametrize("anchor", [(0.9,), (0.85, 0.1), (0.1, 0.1)])
-    def test_refinement_clamps_to_the_simplex(self, anchor):
-        # every offset of the anchor gives a point on the simplex: one past
-        # a face lands on it instead of being dropped
-        points = _simplex_points(len(anchor), 0.15, anchor=anchor)
-        assert len(points) == 5 ** len(anchor)
-        for point in points:
-            assert min(point) >= 0.0
-            assert sum(point) == pytest.approx(1.0, abs=1e-9)
-        assert max(p[0] for p in points) == min(1.0, anchor[0] + 0.3)
-        if anchor == (0.9,):
-            assert [p[0] for p in points] == [0.6, 0.75, 0.9, 1.0, 1.0]
+    def test_every_face_of_the_coarse_grid_holds_the_same_points(self):
+        # step 0.075 is the lattice of thirteenths; no weight is the odd one out
+        _, _, trace = grid_search_weights(lambda w: 0.0, names=ALPHA_NAMES, coarse_step=0.075)
+        coarse = [point for r, point, _ in trace if r == 0]
+        assert len(coarse) == 105
+        assert [sum(point[k] == 0 for point in coarse) for k in range(3)] == [14, 14, 14]
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3)))[1:])
+    def test_name_order_only_permutes_the_points(self, order):
+        target = (0.231, 0.327, 0.442)  # off every lattice, a unique optimum
+
+        def objective(w: ModelWeights) -> float:
+            return -(1.0 * (w.alpha_ref - target[0]) ** 2 + 1.7 * (w.alpha_sa - target[1]) ** 2
+                     + 2.3 * (w.alpha_tj - target[2]) ** 2)
+
+        def rounds(names):
+            tuned, best, trace = grid_search_weights(objective, names=names, coarse_step=0.075)
+            visited = {}
+            for r, point, value in trace:
+                by_name = dict(zip(names, point))
+                visited.setdefault(r, set()).add((tuple(by_name[n] for n in ALPHA_NAMES), value))
+            return tuned, best, visited
+
+        assert rounds(tuple(ALPHA_NAMES[k] for k in order)) == rounds(ALPHA_NAMES)
+
+    @pytest.mark.parametrize("anchor", [(24, 2), (1, 1, 24), (9, 9, 8)])
+    def test_refinement_scans_the_lattice_neighbourhood(self, anchor):
+        # every lattice point within 2 steps of the anchor in every
+        # coordinate, the last one included, once each and in order
+        n = sum(anchor)
+        points = _lattice_points(n, len(anchor), anchor)
+        near = itertools.product(*(range(max(0, a - 2), a + 3) for a in anchor))
+        assert points == [p for p in near if sum(p) == n]
+        assert anchor in points and len(set(points)) == len(points)
 
 
 def mpmath_right_tail_p(a, b) -> float:
@@ -562,16 +586,21 @@ class TestTTest:
 class TestMakeSplit:
     def test_halves_disjoint_and_complete(self):
         ids = [f"img{i}" for i in range(11)]
-        split = make_split(ids, seed=3)
-        assert len(split.train_ids) == 5
-        assert len(split.test_ids) == 6
-        assert set(split.train_ids) | set(split.test_ids) == set(ids)
-        assert not set(split.train_ids) & set(split.test_ids)
+        train, test = make_split(ids, seed=3)
+        assert len(train) == 5
+        assert len(test) == 6
+        assert set(train) | set(test) == set(ids)
+        assert not set(train) & set(test)
 
     def test_seed_controls_shuffle(self):
         ids = [f"img{i}" for i in range(8)]
         assert make_split(ids, seed=1) == make_split(ids, seed=1)
-        assert make_split(ids, seed=1).train_ids != make_split(ids, seed=2).train_ids
+        assert make_split(ids, seed=1)[0] != make_split(ids, seed=2)[0]
+
+    def test_duplicate_ids_refused_under_every_seed(self):
+        for seed in range(6):
+            with pytest.raises(ValueError, match="duplicate image ids"):
+                make_split(["a", "a", "b", "c"], seed)
 
     def test_too_few_ids(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ import pytest
 from fgo.io import (
     read_fm1,
     read_lm1,
-    read_pgm,
     read_ppm,
     read_signed_map,
     write_fm1,
@@ -14,6 +13,8 @@ from fgo.io import (
     write_pgm,
     write_ppm,
 )
+
+from helpers import read_pgm
 
 
 class TestFM1:

@@ -1,6 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -10,9 +13,9 @@ SRC = Path(fgo.__file__).parent
 
 # public names that only tests and outside programs call, and why
 ALLOWED = {
-    "io.read_fm1",  # the reader of the format `fgo run` writes
-    # the reader of the PGMs `fgo run` writes; images come in as PPM only
-    "io.read_pgm",
+    # the reader of the maps `fgo run` writes; the benchmark's run check
+    # reads them back with it, so it stays in the package
+    "io.read_fm1",
     # the FGCA of full final maps, for library callers; `fgo run` pools the
     # decisions its correctness image is drawn from with `fgca_of`
     "evaluation.compute_fgca",
@@ -41,3 +44,15 @@ def test_every_public_definition_has_a_caller_in_src():
         and everywhere[node.name] == referenced_names(node)[node.name]
     ]
     assert sorted(unused) == sorted(ALLOWED)
+
+
+def test_cli_import_loads_no_scipy_stats_or_signal():
+    # either adds about a second to every command's start, which is why
+    # `right_tailed_t_test` is written out rather than taken from scipy.stats
+    code = "import sys, fgo.cli; print(sorted({'scipy.stats', 'scipy.signal'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "[]"
