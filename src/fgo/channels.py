@@ -12,12 +12,12 @@ it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .filters import GaborParams, make_gabor
+from .filters import GaborParams, gabor_bank
 from .grid import as_map, correlate_stack
 
 N_ORIENTATIONS = 8
@@ -100,25 +100,21 @@ def compute_color_opponency(image: RGBImage) -> Opponency:
     )
 
 
-def compute_orientation_channels(intensity, base: GaborParams | None = None):
+def compute_orientation_channels(intensity, base: GaborParams = GaborParams()):
     """Complex-cell energy of the intensity map at the eight
     orientations, an (8, rows, cols) array.
 
     The energy is the magnitude of the quadrature pair: the map is
-    correlated with one (8, 2) bank of even and odd Gabors
-    (:func:`correlate_stack`), so it is transformed once.
+    correlated with one (8, 2) bank of even and odd Gabors of ``base``
+    at its nominal size (:func:`gabor_bank`, :func:`correlate_stack`),
+    so it is transformed once.
     """
-    if base is None:
-        base = GaborParams(theta=0.0)
-    bank = np.array([
-        [make_gabor(replace(base, theta=theta), parity) for parity in ("even", "odd")]
-        for theta in ORIENTATIONS
-    ])
+    bank = gabor_bank(base, ORIENTATIONS, base.size, ("even", "odd"))
     responses = correlate_stack(intensity, bank)
     return np.hypot(responses[:, 0], responses[:, 1])
 
 
-def compute_channels(image: RGBImage, gabor: GaborParams | None = None) -> tuple:
+def compute_channels(image: RGBImage, gabor: GaborParams = GaborParams()) -> tuple:
     """``(intensity, opponency, orientation)`` of an image: the intensity
     map, the four :class:`Opponency` maps and the (8, rows, cols)
     orientation energies, all non-negative and of the image's

@@ -10,6 +10,7 @@ point from its boundary windows (``evaluation.score_weights``).
 from __future__ import annotations
 
 import argparse
+import inspect
 import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -392,17 +393,25 @@ def cmd_tune(args) -> int:
 # synth
 # ----------------------------------------------------------------------
 
+# synth flag -> the generator parameter it sets
+_SYNTH_FLAGS = {"size": "size", "gradient": "gradient", "radius": "r_outer"}
+
+
 def cmd_synth(args) -> int:
+    """Write one fixture; a flag its kind's generator does not take is
+    refused, naming the flag."""
+    taken = inspect.signature(stimuli.GENERATORS[args.kind]).parameters
+    params = {}
+    for flag, name in _SYNTH_FLAGS.items():
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if name not in taken:
+            raise ValueError(f"--{flag} does not apply to {args.kind}")
+        params[name] = value
+    stim = stimuli.generate(args.kind, **params)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    params = {}
-    if args.size is not None:
-        params["size"] = args.size
-    if args.gradient is not None:
-        params["gradient"] = args.gradient
-    if args.radius is not None:
-        params["r_outer"] = args.radius
-    stim = stimuli.generate(args.kind, **params)
 
     written = []
     gray = stim.image
@@ -493,7 +502,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import ndimage
 
 from .channels import N_ORIENTATIONS, ORIENTATIONS, bo_direction
-from .filters import GaborParams, make_gabor
+from .filters import GaborParams, gabor_bank
 from .grid import correlate_stack
 
 log = logging.getLogger(__name__)
@@ -97,23 +97,22 @@ def compute_sa_maps(intensity, params: SAParams = SAParams()) -> np.ndarray:
     For every filter size the oriented complex magnitude of the intensity
     map is sampled half a filter size away on both sides of each
     orientation and accumulated. A shading gradient beside an edge makes
-    the two sides differ, which is the figure-direction signal.
+    the two sides differ, which is the figure-direction signal. Each
+    size's filters are one (8, 2) bank of even and odd Gabors of that
+    size, built by :func:`gabor_bank` one parity at a time, since each
+    parity has its own carrier frequency (:meth:`SAParams.frequencies`).
     """
     intensity = np.asarray(intensity, dtype=np.float64)
     out = np.zeros((N_ORIENTATIONS, 2) + intensity.shape)
     for size in params.sizes:
         radius = size / 2.0
         sigma = params.sigma_factor * radius
-        # one (8, 2) bank per size, [orientation, even/odd]: the
-        # intensity map is transformed once for all sixteen filters
-        bank = np.array([
-            [
-                make_gabor(GaborParams(theta=theta, sigma=sigma, gamma=params.gamma,
-                                       omega=omega, size=size), parity)
-                for omega, parity in zip(params.frequencies(size), ("even", "odd"))
-            ]
-            for theta in ORIENTATIONS
-        ])
+        # [orientation, even/odd]: the intensity map is transformed once
+        # for all sixteen filters
+        bank = np.concatenate([
+            gabor_bank(GaborParams(sigma, params.gamma, omega), ORIENTATIONS, size, (parity,))
+            for omega, parity in zip(params.frequencies(size), ("even", "odd"))
+        ], axis=1)
         responses = correlate_stack(intensity, bank)
         for ti in range(N_ORIENTATIONS):
             magnitude = np.hypot(responses[ti, 0], responses[ti, 1])

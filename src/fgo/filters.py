@@ -7,6 +7,12 @@ the package-wide frame (angle a -> direction (cos a, sin a) = (dx, dy)).
 An orientation ``theta`` always names the direction an edge runs, so a
 kernel tuned to ``theta = pi/2`` responds to vertical edges. The Gabor
 carrier therefore runs across the stated orientation.
+
+A settings class (:class:`GaborParams`, :class:`DoGParams`) holds only
+what every kernel of a bank shares, and names its nominal support as
+``size``. A factory takes each kernel's own values as arguments: its
+orientation or ownership direction, and its odd ``size``, which a
+pyramid level clamps to fit (:func:`clamp_kernel_size`).
 """
 
 from __future__ import annotations
@@ -18,9 +24,9 @@ import numpy as np
 from scipy.special import i0
 
 
-def odd_size_for(extent: float, minimum: int = 3) -> int:
-    """Next odd integer >= extent (and >= minimum)."""
-    size = max(minimum, math.ceil(extent))
+def odd_size_for(extent: float) -> int:
+    """Next odd integer >= extent, and at least 3."""
+    size = max(3, math.ceil(extent))
     return size if size % 2 == 1 else size + 1
 
 
@@ -49,31 +55,25 @@ def _lattice(size: int):
 
 @dataclass(frozen=True)
 class GaborParams:
-    """One Gabor's settings. A bank, such as the carriers or the
-    oriented center-surround, holds one setting and fills in each
-    kernel's ``theta``; a kernel fitted to a small map fills in its
-    ``size``."""
+    """One Gabor's settings, shared by every kernel of a bank."""
 
-    theta: float
     sigma: float = 2.24
     gamma: float = 0.5
     omega: float = 1.57
-    size: int | None = None
 
     def __post_init__(self):
         if not (self.sigma > 0 and self.gamma > 0 and self.omega > 0):
             raise ValueError("sigma, gamma and omega must all be positive")
-        if self.size is not None and (self.size < 1 or self.size % 2 == 0):
-            raise ValueError(f"size must be a positive odd integer, got {self.size}")
 
-    def resolved_size(self) -> int:
-        if self.size is not None:
-            return self.size
+    @property
+    def size(self) -> int:
+        """The nominal odd support, covering three sigmas each way."""
         return odd_size_for(6 * self.sigma + 1)
 
 
-def make_gabor(params: GaborParams, parity: str = "even") -> np.ndarray:
-    """Gabor kernel elongated along ``theta`` with the carrier across it.
+def make_gabor(params: GaborParams, theta: float, size: int, parity: str = "even") -> np.ndarray:
+    """Gabor kernel of odd ``size`` elongated along ``theta`` with the
+    carrier across it.
 
     ``exp(-(X^2 + gamma^2 Y^2) / (2 sigma^2)) * cos(omega X)`` (or ``sin``
     for the odd parity), with ``X`` the coordinate across the orientation
@@ -82,9 +82,9 @@ def make_gabor(params: GaborParams, parity: str = "even") -> np.ndarray:
     """
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    x, y = _lattice(params.resolved_size())
-    across = -x * math.sin(params.theta) + y * math.cos(params.theta)
-    along = x * math.cos(params.theta) + y * math.sin(params.theta)
+    x, y = _lattice(size)
+    across = -x * math.sin(theta) + y * math.cos(theta)
+    along = x * math.cos(theta) + y * math.sin(theta)
     envelope = np.exp(
         -(across**2 + (params.gamma**2) * along**2) / (2 * params.sigma**2)
     )
@@ -94,35 +94,40 @@ def make_gabor(params: GaborParams, parity: str = "even") -> np.ndarray:
     return envelope * np.sin(params.omega * across)
 
 
+def gabor_bank(params: GaborParams, thetas, size: int, parities) -> np.ndarray:
+    """The ``(len(thetas), len(parities), size, size)`` bank of
+    :func:`make_gabor` kernels, ``[orientation, parity]``."""
+    return np.array([
+        [make_gabor(params, theta, size, parity) for parity in parities] for theta in thetas
+    ])
+
+
 @dataclass(frozen=True)
 class DoGParams:
     sigma_in: float = 0.90
     sigma_out: float = 2.70
-    size: int | None = None
 
     def __post_init__(self):
         if not 0 < self.sigma_in < self.sigma_out:
             raise ValueError(
                 f"need 0 < sigma_in < sigma_out, got {self.sigma_in}, {self.sigma_out}"
             )
-        if self.size is not None and (self.size < 1 or self.size % 2 == 0):
-            raise ValueError(f"size must be a positive odd integer, got {self.size}")
 
-    def resolved_size(self) -> int:
-        if self.size is not None:
-            return self.size
+    @property
+    def size(self) -> int:
+        """The nominal odd support, covering three outer sigmas each way."""
         return odd_size_for(6 * self.sigma_out + 1)
 
 
-def make_center_surround(params: DoGParams) -> np.ndarray:
-    """Isotropic on-center difference-of-Gaussians kernel.
+def make_center_surround(params: DoGParams, size: int) -> np.ndarray:
+    """Isotropic on-center difference-of-Gaussians kernel of odd ``size``.
 
     The normalized inner Gaussian minus the normalized outer one,
     mean-subtracted so that truncation leaves the kernel exactly
     zero-sum (a flat region then drives neither polarity). Off-center
     evidence is the rectified negation of this kernel's response.
     """
-    x, y = _lattice(params.resolved_size())
+    x, y = _lattice(size)
     rho2 = x**2 + y**2
     inner = np.exp(-rho2 / (2 * params.sigma_in**2)) / (2 * math.pi * params.sigma_in**2)
     outer = np.exp(-rho2 / (2 * params.sigma_out**2)) / (2 * math.pi * params.sigma_out**2)
@@ -130,34 +135,22 @@ def make_center_surround(params: DoGParams) -> np.ndarray:
     return on - on.mean()
 
 
-@dataclass(frozen=True)
-class VonMisesParams:
-    bo_direction: float
-    r0: float = 2.0
-    size: int | None = None
-
-    def __post_init__(self):
-        if not self.r0 > 0:
-            raise ValueError(f"r0 must be positive, got {self.r0}")
-        if self.size is not None and (self.size < 1 or self.size % 2 == 0):
-            raise ValueError(f"size must be a positive odd integer, got {self.size}")
-
-    def resolved_size(self) -> int:
-        if self.size is not None:
-            return self.size
-        return odd_size_for(4 * self.r0 + 5)
+def ring_size(r0: float) -> int:
+    """The nominal odd support of a radius-``r0`` ring kernel."""
+    return odd_size_for(4 * r0 + 5)
 
 
-def make_von_mises(params: VonMisesParams) -> np.ndarray:
-    """Annular kernel concentrated on a radius-r0 ring toward bo_direction.
+def make_von_mises(direction: float, r0: float, size: int) -> np.ndarray:
+    """Annular kernel of odd ``size`` concentrated on a radius-r0 ring
+    toward ``direction``.
 
-    ``exp((rho - r0) * cos(phi - bo_direction)) / I0(|rho - r0|)``,
+    ``exp((rho - r0) * cos(phi - direction)) / I0(|rho - r0|)``,
     normalized to a peak of one. ``phi`` is the full-quadrant cell angle,
     so the kernel is mirror-symmetric about the ownership direction.
     """
-    x, y = _lattice(params.resolved_size())
+    x, y = _lattice(size)
     rho = np.hypot(x, y)
     phi = np.arctan2(y, x)
-    radial = rho - params.r0
-    kernel = np.exp(radial * np.cos(phi - params.bo_direction)) / i0(np.abs(radial))
+    radial = rho - r0
+    kernel = np.exp(radial * np.cos(phi - direction)) / i0(np.abs(radial))
     return kernel / kernel.max()

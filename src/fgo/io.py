@@ -118,9 +118,9 @@ def read_ppm(path):
         raise ValueError(f"{path}: bad PPM header ({width}x{height}, maxval {maxval})")
     n = width * height * 3
     if magic == "P6":
-        raster = np.frombuffer(blob, dtype=np.uint8, count=n, offset=offset)
-        if raster.size < n:
+        if len(blob) - offset < n:
             raise ValueError(f"{path}: truncated PPM raster")
+        raster = np.frombuffer(blob, dtype=np.uint8, count=n, offset=offset)
     else:
         tokens = blob[offset - 1 :].split()
         if len(tokens) < n:

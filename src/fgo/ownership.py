@@ -46,7 +46,7 @@ resolution.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -54,7 +54,7 @@ import numpy as np
 from scipy import ndimage
 
 from .channels import N_ORIENTATIONS, bo_direction
-from .filters import VonMisesParams, clamp_kernel_size, make_von_mises
+from .filters import clamp_kernel_size, make_von_mises, ring_size
 from .grid import correlate_stack, pool_resampled
 
 N_SIDES = 2
@@ -86,32 +86,30 @@ class ModelWeights:
             raise ValueError(f"cue weights must sum to 1, got {alphas}")
 
 
-def cs_pyramids(feature, kernel_params, make_kernel):
+def cs_pyramids(feature, size: int, bank):
     """Rectified center-surround evidence of one feature pyramid.
 
     ``feature`` holds the levels of an isotropic feature's pyramid
     (``grid.pyramid_levels``, read one level at a time) with its one
     difference of Gaussians (``make_center_surround``), or the carriers,
-    whose levels are (8, 1, rows, cols) stacks, with an even
-    Gabor at each orientation's own angle (``make_gabor``), since
-    feature contrast along an edge is not isotropic. Each level is one
-    :func:`correlate_stack` call with the kernels
-    ``make_kernel(setting)``, one per map of the level, each clamped to
-    fit the level. This generator yields, level by level, the
-    two-polarity evidence stack that :func:`compute_bo` reads, so one
-    level is alive at a time: index 0 is the light evidence
-    ``max(0, response)`` (bright structure on a dark ground), index 1
-    the dark evidence ``max(0, -response)``. An isotropic feature gives
-    (2, rows, cols), shared by every orientation and side; the carriers
-    give (2, 8, 1, rows, cols).
+    whose levels are (8, 1, rows, cols) stacks, with an (8, 1) bank of
+    even Gabors at each orientation's own angle (``gabor_bank``), since
+    feature contrast along an edge is not isotropic. ``size`` is the
+    kernels' nominal support; each level clamps it to fit once
+    (``clamp_kernel_size``) and is one :func:`correlate_stack` call with
+    ``bank(size)``, one kernel per map of the level.
+    This generator yields, level by level, the two-polarity evidence
+    stack that :func:`compute_bo` reads, so one level is alive at a
+    time: index 0 is the light evidence ``max(0, response)`` (bright
+    structure on a dark ground), index 1 the dark evidence ``max(0,
+    -response)``. An isotropic feature gives (2, rows, cols), shared by
+    every orientation and side; the carriers give (2, 8, 1, rows, cols).
     """
     for level in feature:
-        shape = level.shape[-2:]
-        kernels = np.array([
-            make_kernel(replace(s, size=clamp_kernel_size(s.resolved_size(), shape)))
-            for s in kernel_params
-        ])
-        response = correlate_stack(level, kernels.reshape(level.shape[:-2] + kernels.shape[-2:]))
+        kernels = bank(clamp_kernel_size(size, level.shape[-2:]))
+        if kernels.shape[:-2] != level.shape[:-2]:
+            raise ValueError(f"{kernels.shape[:-2]} kernels for {level.shape[:-2]} maps")
+        response = correlate_stack(level, kernels)
         yield np.stack([np.maximum(0.0, response), np.maximum(0.0, -response)])
 
 
@@ -160,18 +158,12 @@ def normalize_evidence_pair(a, b) -> tuple:
     return _peak_competition((a - lo) * gain), _peak_competition((b - lo) * gain)
 
 
-def _ring_bank(shape, ring_radius: float) -> np.ndarray:
-    """The 16 ring kernels of radius ``ring_radius`` fitted to ``shape``,
-    a read-only (8, 2, s, s) array."""
-    nominal = VonMisesParams(bo_direction=0.0, r0=ring_radius)
-    return _ring_kernels(clamp_kernel_size(nominal.resolved_size(), shape), ring_radius)
-
-
 @functools.lru_cache(maxsize=64)
-def _ring_kernels(size: int, ring_radius: float) -> np.ndarray:
+def _ring_bank(size: int, ring_radius: float) -> np.ndarray:
+    """The 16 ring kernels of radius ``ring_radius`` and odd ``size``, a
+    read-only (8, 2, size, size) array."""
     bank = np.array([
-        [make_von_mises(VonMisesParams(bo_direction(ti, si), ring_radius, size))
-         for si in range(N_SIDES)]
+        [make_von_mises(bo_direction(ti, si), ring_radius, size) for si in range(N_SIDES)]
         for ti in range(N_ORIENTATIONS)
     ])
     bank.flags.writeable = False
@@ -220,7 +212,8 @@ def _projected(level, ring_radius: float) -> np.ndarray:
     normed = np.moveaxis(normed.reshape(moved.shape), -3, 0)
     # (P, T, S, r, c), so that (T, S) broadcasts against the (8, 2) bank
     normed = normed.reshape(normed.shape[:1] + (1,) * (5 - normed.ndim) + normed.shape[1:])
-    return correlate_stack(normed, _ring_bank(level.shape[-2:], ring_radius))
+    size = clamp_kernel_size(ring_size(ring_radius), level.shape[-2:])
+    return correlate_stack(normed, _ring_bank(size, ring_radius))
 
 
 def compute_bo(

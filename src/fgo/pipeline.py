@@ -27,6 +27,7 @@ windows.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, replace
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from .channels import N_ORIENTATIONS, ORIENTATIONS, RGBImage, compute_channels
 from .cues import SAParams, TJParams, build_tj_maps, compute_sa_maps, detect_t_junctions
-from .filters import DoGParams, GaborParams, VonMisesParams, make_center_surround, make_gabor
+from .filters import DoGParams, GaborParams, gabor_bank, make_center_surround
 from .grid import SQRT2, check_pyramid_factor, next_level_dims, pool_resampled, pyramid_levels
 from .ownership import N_SIDES, ModelWeights, combine_bo, compute_bo, cs_pyramids, winning_bo
 
@@ -46,18 +47,19 @@ class PipelineParams:
     """Every setting of one model configuration but the alpha triple,
     each held by the kernel or weight that uses it: ``gabor`` the
     carriers' Gabor, ``dog`` the isotropic center-surround,
-    ``oriented_cs`` the oriented center-surround's even Gabor (each bank
-    fills in every kernel's ``theta``), ``ring_radius`` the ring
-    kernels' radius, ``sa``/``tj`` the local cues, ``w_opp`` the
-    opposite side's inhibition, ``feature_*`` the feature channels'
-    weights in the final sum, and ``top_layers_only`` the number of
-    finest levels a local cue modulates (None: every level)."""
+    ``oriented_cs`` the oriented center-surround's even Gabor,
+    ``ring_radius`` the ring kernels' radius, ``sa``/``tj`` the local
+    cues, ``w_opp`` the opposite side's inhibition, ``feature_*`` the
+    feature channels' weights in the final sum, and ``top_layers_only``
+    the number of finest levels a local cue modulates (None: every
+    level). A kernel's orientation and size are not settings: each bank
+    passes them to its factory."""
 
     n_scales: int = 10
     pyramid_factor: float = SQRT2
-    gabor: GaborParams = GaborParams(theta=0.0)
+    gabor: GaborParams = GaborParams()
     dog: DoGParams = DoGParams()
-    oriented_cs: GaborParams = GaborParams(theta=0.0, sigma=3.2, gamma=0.8, omega=0.7854)
+    oriented_cs: GaborParams = GaborParams(sigma=3.2, gamma=0.8, omega=0.7854)
     ring_radius: float = 2.0
     sa: SAParams = SAParams()
     tj: TJParams = TJParams()
@@ -71,9 +73,8 @@ class PipelineParams:
         if self.n_scales < 1:
             raise ValueError(f"n_scales must be >= 1, got {self.n_scales}")
         check_pyramid_factor(self.pyramid_factor)
-        # the ring kernels' own check, so a bad radius is refused here
-        # and not in the first compute_bo
-        VonMisesParams(bo_direction=0.0, r0=self.ring_radius)
+        if not self.ring_radius > 0:
+            raise ValueError(f"r0 must be positive, got {self.ring_radius}")
         if not self.w_opp >= 0:
             raise ValueError(f"w_opp must be non-negative, got {self.w_opp}")
         features = (self.feature_color, self.feature_intensity, self.feature_orientation)
@@ -109,6 +110,7 @@ def _fixed_term(intensity, opponency, carriers, params: PipelineParams) -> np.nd
     feature is computed at a time, its pyramid built level by level as
     the route reads it. Zero when neither feature is weighted."""
     opponency = [native for native in opponency if native.any()]
+    dog = functools.partial(make_center_surround, params.dog)
     terms = None
     for weight, features in (
         (params.feature_color, opponency), (params.feature_intensity, [intensity])
@@ -118,7 +120,7 @@ def _fixed_term(intensity, opponency, carriers, params: PipelineParams) -> np.nd
         total = None
         for feature in features:
             levels = pyramid_levels(feature, params.n_scales, params.pyramid_factor)
-            cs = cs_pyramids(levels, [params.dog], make_center_surround)
+            cs = cs_pyramids(levels, params.dog.size, dog)
             winners = winning_bo(compute_bo(carriers, cs, params.w_opp, params.ring_radius))
             if total is not None:  # summed in place, so one feature is alive beside it
                 winners = [np.add(t, w, out=t) for t, w in zip(total, winners)]
@@ -142,7 +144,7 @@ def _check_image_fits(shape, params: PipelineParams, sa_route: bool) -> None:
     clamped kernel fits.
     """
     rows, cols = shape
-    banks = [("the carrier Gabor", params.gabor.resolved_size())]
+    banks = [("the carrier Gabor", params.gabor.size)]
     if sa_route:
         banks.append(("the spectral-anisotropy bank's largest filter", params.sa.sizes[-1]))
     for name, size in banks:
@@ -248,8 +250,8 @@ def prepare_components(
 
     bo_contrast = bo_sa = bo_tj = None
     if params.feature_orientation > 0:
-        gabors = [replace(params.oriented_cs, theta=theta) for theta in ORIENTATIONS]
-        cs = cs_pyramids(carriers, gabors, make_gabor)
+        bank = functools.partial(gabor_bank, params.oriented_cs, ORIENTATIONS, parities=("even",))
+        cs = cs_pyramids(carriers, params.oriented_cs.size, bank)
         bo_contrast = compute_bo(carriers, cs, params.w_opp, params.ring_radius)
 
         def local_cue(cue):

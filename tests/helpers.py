@@ -1,7 +1,6 @@
 """Fixtures and oracles that only the tests need."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -129,7 +128,9 @@ def full_prepared(image, params, contours=None, segments=None):
     w_c, w_i, w_o = params.feature_color, params.feature_intensity, params.feature_orientation
 
     def winners(feature):
-        cs = cs_pyramids(pyramid(feature), [params.dog], make_center_surround)
+        cs = cs_pyramids(
+            pyramid(feature), params.dog.size, lambda size: make_center_surround(params.dog, size)
+        )
         stacks = full_bo(carriers, cs, params.w_opp, params.ring_radius)
         return [full_winners(b[:, 0] - b[:, 1]) for b in stacks]
 
@@ -143,10 +144,11 @@ def full_prepared(image, params, contours=None, segments=None):
     full = {"fixed": fixed, "contrast": None, "sa": None, "tj": None, "w_o": w_o}
     if not w_o:
         return full
-    gabors = [replace(params.oriented_cs, theta=t * np.pi / 8) for t in range(8)]
-    full["contrast"] = full_bo(
-        carriers, cs_pyramids(carriers, gabors, make_gabor), params.w_opp, params.ring_radius
-    )
+    def gabors(size):
+        return np.array([[make_gabor(params.oriented_cs, t * np.pi / 8, size)] for t in range(8)])
+
+    cs = cs_pyramids(carriers, params.oriented_cs.size, gabors)
+    full["contrast"] = full_bo(carriers, cs, params.w_opp, params.ring_radius)
 
     def local_cue(cue):
         levels = [level[None] for level in pyramid(cue)]

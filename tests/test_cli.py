@@ -97,6 +97,25 @@ class TestSynth:
         with pytest.raises(SystemExit):
             main(["synth", "blob", "--out", str(tmp_path / "x")])
 
+    @pytest.mark.parametrize("kind, flag", [
+        ("isolated-square", ("--radius", "5")),
+        ("annulus", ("--gradient", "0.3")),
+    ], ids=["radius", "gradient"])
+    def test_flag_its_kind_does_not_take_refused(self, tmp_path, capsys, kind, flag):
+        out = tmp_path / "x"
+        assert main(["synth", kind, "--out", str(out), *flag]) == 1
+        assert capsys.readouterr().err == f"error: {flag[0]} does not apply to {kind}\n"
+        assert not out.exists()
+
+    def test_type_error_in_a_command_propagates(self, tmp_path, monkeypatch):
+        # a TypeError is a fault of the program, not a user error
+        def broken(kind, **params):
+            raise TypeError("broken generator")
+
+        monkeypatch.setattr(cli.stimuli, "generate", broken)
+        with pytest.raises(TypeError, match="broken generator"):
+            main(["synth", "annulus", "--out", str(tmp_path / "x")])
+
 
 class TestRun:
     def test_plain_run_outputs(self, square_dir, tmp_path, capsys):

@@ -4,6 +4,7 @@ from dataclasses import fields, is_dataclass
 import pytest
 
 from fgo.config import (
+    _PARAM_KEYS,
     PRESETS,
     RunConfig,
     apply_assignment,
@@ -41,9 +42,9 @@ WEIGHT_KEYS = {"alpha_ref": "0.2", "alpha_sa": "0.3", "alpha_tj": "0.5"}
 PARAMS = PipelineParams(
     n_scales=6,
     pyramid_factor=2.0,
-    gabor=GaborParams(theta=0.0, sigma=2.5, gamma=0.6, omega=1.4),
+    gabor=GaborParams(sigma=2.5, gamma=0.6, omega=1.4),
     dog=DoGParams(sigma_in=0.8, sigma_out=2.4),
-    oriented_cs=GaborParams(theta=0.0, sigma=3.0, gamma=0.7, omega=0.7),
+    oriented_cs=GaborParams(sigma=3.0, gamma=0.7, omega=0.7),
     ring_radius=2.5,
     sa=SAParams(7, 21, 4, 0.9, 0.5, 3, 6),
     tj=TJParams(5, 6, 4, 12, 2, 4, 2, 110.0, 12.0, 170.0),
@@ -89,18 +90,17 @@ class TestContract:
         assert cfg.params == PARAMS
 
     def test_every_leaf_parameter_has_a_key(self):
-        # a field no key sets is a knob nobody can turn; only the fields
-        # each kernel fills in for itself have none
+        # a field no key sets is a knob nobody can turn
         default = dict(leaves(PipelineParams()))
         covered = set()
         for key, value in PIPELINE_KEYS.items():
             params = apply_assignment(RunConfig(), key, value).params
             covered |= {path for path, v in leaves(params) if v != default[path]}
-        per_kernel = {
-            ("gabor", "theta"), ("gabor", "size"), ("dog", "size"),
-            ("oriented_cs", "theta"), ("oriented_cs", "size"),
-        }
-        assert set(default) - per_kernel == covered
+        assert set(default) == covered
+
+    def test_every_leaf_field_has_exactly_one_key(self):
+        paths = [path for path, _ in leaves(PipelineParams())]
+        assert sorted(_PARAM_KEYS.values()) == sorted(paths)
 
     def test_defaults_are_the_library_defaults(self):
         assert RunConfig().params == PipelineParams()

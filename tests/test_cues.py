@@ -79,11 +79,9 @@ def oracle_sa_maps(intensity, params=SAParams()):
         omega_even, omega_odd = params.frequencies(size)
         for ti, theta in enumerate(ORIENTATIONS):
             even = correlate_stack(intensity, make_gabor(
-                GaborParams(theta=theta, sigma=sigma, gamma=params.gamma,
-                            omega=omega_even, size=size), "even"))
+                GaborParams(sigma, params.gamma, omega_even), theta, size, "even"))
             odd = correlate_stack(intensity, make_gabor(
-                GaborParams(theta=theta, sigma=sigma, gamma=params.gamma,
-                            omega=omega_odd, size=size), "odd"))
+                GaborParams(sigma, params.gamma, omega_odd), theta, size, "odd"))
             magnitude = np.hypot(even, odd)
             for si in range(2):
                 phi = bo_direction(ti, si)

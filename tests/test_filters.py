@@ -8,13 +8,15 @@ from fgo.channels import ORIENTATIONS, compute_orientation_channels
 from fgo.filters import (
     DoGParams,
     GaborParams,
-    VonMisesParams,
     clamp_kernel_size,
+    gabor_bank,
     make_center_surround,
     make_gabor,
     make_von_mises,
     odd_size_for,
+    ring_size,
 )
+from fgo.pipeline import PipelineParams
 
 
 def vertical_step(size=64, col=32, low=0.0, high=1.0):
@@ -26,12 +28,12 @@ def vertical_step(size=64, col=32, low=0.0, high=1.0):
 # ------------------------------------------------------------------ gabor
 
 def test_gabor_center_is_one_before_dc_correction():
-    p = GaborParams(theta=0.3)
-    k = make_gabor(p, "even")
+    p, theta = GaborParams(), 0.3
+    k = make_gabor(p, theta, p.size, "even")
     h = k.shape[0] // 2
     y, x = np.mgrid[-h : h + 1, -h : h + 1].astype(float)
-    across = -x * math.sin(p.theta) + y * math.cos(p.theta)
-    along = x * math.cos(p.theta) + y * math.sin(p.theta)
+    across = -x * math.sin(theta) + y * math.cos(theta)
+    along = x * math.cos(theta) + y * math.sin(theta)
     raw = np.exp(-(across**2 + p.gamma**2 * along**2) / (2 * p.sigma**2)) * np.cos(
         p.omega * across
     )
@@ -40,43 +42,55 @@ def test_gabor_center_is_one_before_dc_correction():
 
 
 def test_gabor_even_point_symmetric_odd_antisymmetric():
+    p = GaborParams()
     for theta in (0.0, math.pi / 8, 5 * math.pi / 8):
-        e = make_gabor(GaborParams(theta=theta), "even")
-        o = make_gabor(GaborParams(theta=theta), "odd")
+        e = make_gabor(p, theta, p.size, "even")
+        o = make_gabor(p, theta, p.size, "odd")
         assert np.abs(e - e[::-1, ::-1]).max() < 1e-12
         assert np.abs(o + o[::-1, ::-1]).max() < 1e-12
 
 
 def test_gabor_zero_dc():
+    p = GaborParams()
     for theta in (0.0, math.pi / 4):
-        e = make_gabor(GaborParams(theta=theta), "even")
-        o = make_gabor(GaborParams(theta=theta), "odd")
+        e = make_gabor(p, theta, p.size, "even")
+        o = make_gabor(p, theta, p.size, "odd")
         assert abs(e.sum()) < 1e-10
         assert abs(o.sum()) < 1e-10
 
 
 def test_gabor_quarter_turn_is_rotated_kernel():
+    p = GaborParams()
     for theta in (0.0, math.pi / 8, math.pi / 2):
-        a = make_gabor(GaborParams(theta=theta), "even")
-        b = make_gabor(GaborParams(theta=theta + math.pi / 2), "even")
+        a = make_gabor(p, theta, p.size, "even")
+        b = make_gabor(p, theta + math.pi / 2, p.size, "even")
         assert min(
             np.abs(b - np.rot90(a, 1)).max(), np.abs(b - np.rot90(a, -1)).max()
         ) < 1e-12
 
 
 def test_gabor_size_override_and_default():
-    p = GaborParams(theta=0.0)
-    assert p.resolved_size() == odd_size_for(6 * 2.24 + 1)
-    assert make_gabor(GaborParams(theta=0.0, size=9)).shape == (9, 9)
+    assert GaborParams().size == odd_size_for(6 * 2.24 + 1)
+    assert make_gabor(GaborParams(), 0.0, 9).shape == (9, 9)
 
 
 def test_gabor_param_validation():
     with pytest.raises(ValueError):
-        GaborParams(theta=0.0, sigma=-1.0)
+        GaborParams(sigma=-1.0)
     with pytest.raises(ValueError):
-        GaborParams(theta=0.0, size=8)
+        make_gabor(GaborParams(), 0.0, 8)
     with pytest.raises(ValueError):
-        make_gabor(GaborParams(theta=0.0), parity="diagonal")
+        make_gabor(GaborParams(), 0.0, 9, parity="diagonal")
+
+
+def test_gabor_bank_is_the_kernels_by_orientation_and_parity():
+    p = GaborParams(sigma=1.5, gamma=0.7, omega=0.9)
+    thetas = (0.0, 0.4, 2.0)
+    bank = gabor_bank(p, thetas, 11, ("odd", "even"))
+    assert bank.shape == (3, 2, 11, 11)
+    for ti, theta in enumerate(thetas):
+        for ki, parity in enumerate(("odd", "even")):
+            assert np.array_equal(bank[ti, ki], make_gabor(p, theta, 11, parity))
 
 
 # ------------------------------------------------------- complex response
@@ -114,7 +128,7 @@ def test_complex_response_nonnegative():
 
 def test_dog_center_value_matches_formula():
     p = DoGParams()
-    k = make_center_surround(p)
+    k = make_center_surround(p, p.size)
     h = k.shape[0] // 2
     formula = 1 / (2 * math.pi * p.sigma_in**2) - 1 / (2 * math.pi * p.sigma_out**2)
     # the zero-sum correction shifts every cell by the (tiny) kernel mean
@@ -123,14 +137,14 @@ def test_dog_center_value_matches_formula():
 
 
 def test_dog_zero_sum_and_radial_symmetry():
-    k = make_center_surround(DoGParams())
+    k = make_center_surround(DoGParams(), DoGParams().size)
     assert abs(k.sum()) < 1e-12
     assert np.abs(k - k.T).max() < 1e-12
     assert np.abs(k - k[::-1, ::-1]).max() < 1e-12
 
 
 def test_dog_default_size_and_validation():
-    assert DoGParams().resolved_size() == odd_size_for(6 * 2.70 + 1)
+    assert DoGParams().size == odd_size_for(6 * 2.70 + 1)
     with pytest.raises(ValueError):
         DoGParams(sigma_in=3.0, sigma_out=1.0)
 
@@ -138,39 +152,38 @@ def test_dog_default_size_and_validation():
 # ------------------------------------------------------------- von Mises
 
 def test_von_mises_peak_is_one():
-    k = make_von_mises(VonMisesParams(bo_direction=0.9))
+    k = make_von_mises(0.9, 2.0, ring_size(2.0))
     assert k.max() == pytest.approx(1.0)
     assert k.min() > 0
 
 
 def test_von_mises_mirror_symmetric_about_direction_axis():
     # axis pi/2: mirror is a column flip; axis pi/4: mirror is transpose
-    k = make_von_mises(VonMisesParams(bo_direction=math.pi / 2))
+    k = make_von_mises(math.pi / 2, 2.0, ring_size(2.0))
     assert np.abs(k - k[:, ::-1]).max() < 1e-10
-    k = make_von_mises(VonMisesParams(bo_direction=math.pi / 4))
+    k = make_von_mises(math.pi / 4, 2.0, ring_size(2.0))
     assert np.abs(k - k.T).max() < 1e-10
 
 
 def test_von_mises_ring_points_equal_along_and_against():
     # on the ring rho == r0 the radial factor vanishes for both points
-    params = VonMisesParams(bo_direction=0.0, r0=2.0, size=13)
     x, y = np.mgrid[-6:7, -6:7][1], np.mgrid[-6:7, -6:7][0]
-    k = make_von_mises(params)
+    k = make_von_mises(0.0, 2.0, 13)
     along = k[6, 6 + 2]
     against = k[6, 6 - 2]
     assert along == pytest.approx(against, abs=1e-12)
 
 
 def test_von_mises_mass_leans_toward_direction():
-    k = make_von_mises(VonMisesParams(bo_direction=math.pi / 2, size=13))
+    k = make_von_mises(math.pi / 2, 2.0, 13)
     h = k.shape[0] // 2
     assert k[h + 1 :, :].sum() > k[: h, :].sum()
 
 
 def test_von_mises_default_size_and_validation():
-    assert VonMisesParams(bo_direction=0.0).resolved_size() == 13
-    with pytest.raises(ValueError):
-        VonMisesParams(bo_direction=0.0, r0=-2.0)
+    assert ring_size(2.0) == 13
+    with pytest.raises(ValueError, match="r0 must be positive"):
+        PipelineParams(ring_radius=-2.0)
 
 
 # -------------------------------------------------------------- bessel_i0

@@ -193,9 +193,10 @@ class TestPGM:
     (read_ppm, b"P6\n2 x\n255\n" + bytes(12)),
     (read_ppm, b"P6\n2"),
     (read_ppm, b"P3\n1 1\n255\n1 z 0\n"),
+    (read_ppm, b"P6\n2 2\n255\n" + bytes(3)),
     (read_pgm, b"P5\n1 1\nmax\n\x00"),
 ], ids=["lm1-value", "lm1-header", "signed-value", "fm1-value", "fm1-header",
-        "ppm-header", "ppm-truncated", "ppm-plain-sample", "pgm-header"])
+        "ppm-header", "ppm-truncated", "ppm-plain-sample", "ppm-raster", "pgm-header"])
 def test_malformed_token_names_the_file(tmp_path, read, content):
     # a row of a dataset is skipped with this message, so it must say
     # which of the row's files is broken

@@ -11,11 +11,11 @@ from fgo.evaluation import compute_fgca, decisions_for, load_ground_truth
 from fgo.grid import SQRT2, correlate_stack, pool_resampled, pyramid_levels
 from fgo.filters import (
     DoGParams,
-    VonMisesParams,
     clamp_kernel_size,
     make_center_surround,
     make_gabor,
     make_von_mises,
+    ring_size,
 )
 from fgo.ownership import (
     ModelWeights,
@@ -103,11 +103,11 @@ def one_hop_contexts(responses):
 
 def oracle_ring_responses(evidence, shape):
     """``evidence(t, s)`` correlated with a freshly built ring kernel."""
-    size = clamp_kernel_size(VonMisesParams(0.0).resolved_size(), shape)
+    size = clamp_kernel_size(ring_size(RING), shape)
     out = np.empty((8, 2) + shape)
     for t in range(8):
         for s in range(2):
-            kernel = make_von_mises(VonMisesParams(bo_direction(t, s), size=size))
+            kernel = make_von_mises(bo_direction(t, s), RING, size)
             out[t, s] = correlate_stack(evidence(t, s), kernel)
     return out
 
@@ -226,8 +226,12 @@ def zero_cs(shape, n_scales=4, factor=SQRT2):
     return [np.zeros((2,) + level.shape) for level in levels]
 
 
+def dog_bank(size):
+    return make_center_surround(DoGParams(), size)
+
+
 def symmetric_cs(pyr):
-    return list(cs_pyramids(pyr, [DoGParams()], make_center_surround))
+    return list(cs_pyramids(pyr, DoGParams().size, dog_bank))
 
 
 def cue_bo(carriers, cue, params=PipelineParams(), factor=SQRT2):
@@ -237,12 +241,20 @@ def cue_bo(carriers, cue, params=PipelineParams(), factor=SQRT2):
     return compute_bo(carriers, levels, params.w_opp, RING, params.top_layers_only)
 
 
-def oriented_gabor(theta):
-    return replace(PipelineParams().oriented_cs, theta=theta)
+OCS = PipelineParams().oriented_cs
+
+
+def carrier_cs(carriers, thetas=tuple(ti * np.pi / 8 for ti in range(8))):
+    """The oriented center-surround evidence of the carriers: one even
+    Gabor at each of ``thetas`` per (1, r, c) stack of a level."""
+    def bank(size):
+        return np.array([[make_gabor(OCS, theta, size)] for theta in thetas])
+
+    return list(cs_pyramids(carriers, OCS.size, bank))
 
 
 def oriented_cs(pyr, theta):
-    return list(cs_pyramids(pyr, [oriented_gabor(theta)], make_gabor))
+    return list(cs_pyramids(pyr, OCS.size, lambda size: make_gabor(OCS, theta, size)))
 
 
 # --------------------------------------------------------- ModelWeights
@@ -327,15 +339,14 @@ def test_cs_oriented_inversion_swaps_polarities():
 
 
 def test_cs_pair_alignment_validated():
-    # one kernel setting per map of the level
+    # one kernel per map of the level
     with pytest.raises(ValueError):
         list(cs_pyramids(
-            pyramid_levels(np.zeros((16, 16)), 2), [DoGParams()] * 2, make_center_surround
+            pyramid_levels(np.zeros((16, 16)), 2), DoGParams().size,
+            lambda size: np.array([dog_bank(size)] * 2),
         ))
     with pytest.raises(ValueError):
-        list(cs_pyramids(
-            make_carriers(np.zeros((16, 16)), 2), [oriented_gabor(0.0)] * 7, make_gabor
-        ))
+        carrier_cs(make_carriers(np.zeros((16, 16)), 2), [0.0] * 7)
     with pytest.raises(ValueError):
         replace(PipelineParams().oriented_cs, sigma=0.0)
 
@@ -343,7 +354,7 @@ def test_cs_pair_alignment_validated():
 def test_cs_stack_holds_each_pyramid_with_its_own_kernel():
     carriers = make_carriers(square_image(32, first=10, last=21), 3)
     thetas = [ti * np.pi / 8 for ti in range(8)]
-    stacked = list(cs_pyramids(carriers, [oriented_gabor(t) for t in thetas], make_gabor))
+    stacked = carrier_cs(carriers, thetas)
     for ti, theta in enumerate(thetas):
         for k, level in enumerate(oriented_cs(per_orientation(carriers)[ti], theta)):
             assert stacked[k].shape == (2, 8, 1) + level.shape[-2:]
@@ -402,9 +413,7 @@ def test_bo_is_the_side_imbalance_of_the_full_stacks(route):
     cue = rng.random((8, 2, 32, 32)) * (rng.random((8, 2, 32, 32)) < 0.1)
     evidence, modulated = {
         "isotropic": (lambda: symmetric_cs(pyramid_levels(img, 4)), None),
-        "oriented": (lambda: list(cs_pyramids(
-            carriers, [oriented_gabor(ti * np.pi / 8) for ti in range(8)], make_gabor
-        )), None),
+        "oriented": (lambda: carrier_cs(carriers), None),
         "cue": (lambda: [lvl[None] for lvl in pyramid_levels(cue, 4)], None),
         "cue top 2": (lambda: [lvl[None] for lvl in pyramid_levels(cue, 4)], 2),
     }[route]
@@ -440,8 +449,7 @@ def test_bo_per_orientation_cs_accepted():
     img = square_image(32, first=10, last=21)
     n = 2
     carriers = make_carriers(img, n)
-    cs = cs_pyramids(carriers, [oriented_gabor(ti * np.pi / 8) for ti in range(8)], make_gabor)
-    contrast = compute_bo(carriers, cs, 1.0, RING)
+    contrast = compute_bo(carriers, carrier_cs(carriers), 1.0, RING)
     assert len(contrast) == n
     assert contrast[0].shape == (8, 32, 32)
     assert np.isfinite(contrast[0]).all() and contrast[0].any()
@@ -467,9 +475,7 @@ def test_bo_contrast_matches_route_oracle(w_opp):
     for a, b, c in zip(got_shared, got_bare, got_tiled):
         assert np.array_equal(a, b) and np.array_equal(a, c)
 
-    oriented = list(cs_pyramids(
-        carriers, [oriented_gabor(ti * np.pi / 8) for ti in range(8)], make_gabor
-    ))
+    oriented = carrier_cs(carriers)
     got = compute_bo(carriers, oriented, w_opp, RING)
     want = oracle_contrast(per_orientation(carriers), [pair_layout(o) for o in oriented], w_opp)
     for got_k, want_k in zip(got, want, strict=True):
@@ -758,15 +764,18 @@ def test_chained_pool_within_tolerance_of_one_hop(battery_under_both_pools, pres
 
 
 def test_ring_bank_is_cached_read_only_von_mises():
-    bank = _ring_bank((40, 40), RING)
-    assert _ring_bank((60, 33), RING) is bank
+    def fitted(shape):
+        return _ring_bank(clamp_kernel_size(ring_size(RING), shape), RING)
+
+    bank = fitted((40, 40))
+    assert fitted((60, 33)) is bank
     assert not bank.flags.writeable
     for ti in range(8):
         for si in range(2):
-            want = make_von_mises(VonMisesParams(bo_direction(ti, si)))
+            want = make_von_mises(bo_direction(ti, si), RING, ring_size(RING))
             assert np.array_equal(bank[ti, si], want)
     # clamped at a coarse level, still the von Mises kernel of that size
-    assert _ring_bank((6, 9), RING).shape == (8, 2, 5, 5)
+    assert fitted((6, 9)).shape == (8, 2, 5, 5)
 
 
 @pytest.mark.parametrize("stimulus", [overlapping_squares, annulus])

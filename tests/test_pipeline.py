@@ -1,13 +1,14 @@
 import logging
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from fgo.channels import RGBImage, compute_channels
 from fgo.evaluation import compute_fgca, load_ground_truth
-from fgo.filters import DoGParams, GaborParams, VonMisesParams, make_center_surround
+from fgo.filters import DoGParams, GaborParams, make_center_surround
 from fgo.grid import pool_resampled, pyramid_levels
 from fgo.cues import SAParams
 from fgo.ownership import ModelWeights, compute_bo, cs_pyramids, winning_bo
@@ -95,7 +96,7 @@ class TestRunModel:
         with pytest.raises(ValueError):
             run_model(
                 np.zeros((16, 16)),
-                params=PipelineParams(n_scales=2, gabor=GaborParams(theta=0.0, sigma=-1.0)),
+                params=PipelineParams(n_scales=2, gabor=GaborParams(sigma=-1.0)),
             )
 
 
@@ -187,9 +188,9 @@ class TestPrepareFinalize:
         (lambda: ModelWeights(alpha_ref=NAN, alpha_sa=0.5), "cue weights must be non-negative"),
         (lambda: PipelineParams(w_opp=NAN), "w_opp must be non-negative"),
         (lambda: PipelineParams(feature_intensity=NAN), "feature weights must be non-negative"),
-        (lambda: GaborParams(theta=0.0, omega=NAN), "must all be positive"),
+        (lambda: GaborParams(omega=NAN), "must all be positive"),
         (lambda: DoGParams(sigma_in=NAN), "need 0 < sigma_in < sigma_out"),
-        (lambda: VonMisesParams(bo_direction=0.0, r0=NAN), "r0 must be positive"),
+        (lambda: PipelineParams(ring_radius=NAN), "r0 must be positive"),
         (lambda: replace(PipelineParams().oriented_cs, gamma=NAN), "must all be positive"),
         (lambda: SAParams(sigma_factor=NAN), "must be positive"),
     ], ids=["alpha", "w_opp", "feature", "gabor", "dog", "von-mises", "oriented-cs", "sa"])
@@ -235,7 +236,8 @@ class TestFixedFeatures:
         carriers = pyramid(orientation[:, None])
 
         def route(native):
-            cs = cs_pyramids(pyramid(native), [FAST.dog], make_center_surround)
+            dog = partial(make_center_surround, FAST.dog)
+            cs = cs_pyramids(pyramid(native), FAST.dog.size, dog)
             return winning_bo(compute_bo(carriers, cs, 1.0, FAST.ring_radius))
 
         colour = [route(native) for native in opponency if native.any()]
