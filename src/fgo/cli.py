@@ -25,7 +25,6 @@ from .channels import RGBImage
 from .config import PRESETS, RunConfig, apply_lines, apply_preset, key_name, load_config
 from .cues import format_junction
 from .evaluation import (
-    ALPHA_NAMES,
     build_report,
     check_search,
     decisions_for,
@@ -40,7 +39,7 @@ from .evaluation import (
     score_directions,
     score_weights,
 )
-from .ownership import N_SIDES
+from .ownership import ALPHA_NAMES, N_SIDES
 from .pipeline import prepare_components, run_model
 
 DIRECTION_GRAY_STEP = 15  # winning map index i shown as (i + 1) * 15
@@ -290,11 +289,18 @@ def cmd_eval(args) -> int:
         weight_sets = [config.weights()]
         labels = [args.preset or "model"]
     entries = parse_manifest(args.manifest)
+    # the t-test needs two images under each preset
+    if args.compare and len(entries) < 2:
+        raise ValueError(f"--compare needs at least two manifest rows, got {len(entries)}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     per_preset = _score_dataset(entries, config, weight_sets, args.jobs)
-    if not per_preset[0]:
+    scored = len(per_preset[0])
+    if args.compare and scored < 2:
+        print(f"--compare needs at least two scored images, got {scored}", file=sys.stderr)
+        return 1
+    if not scored:
         print("all images failed", file=sys.stderr)
         return 1
 

@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 from .cues import SAParams, TJParams
-from .evaluation import ALPHA_NAMES
-from .ownership import ModelWeights
+from .ownership import ALPHA_NAMES, ModelWeights
 from .pipeline import PipelineParams
 
 PRESETS = {

@@ -45,6 +45,9 @@ class SAParams:
             raise ValueError(f"size_step must be even and >= 2, got {self.size_step}")
         if not (self.gamma > 0 and self.sigma_factor > 0):
             raise ValueError("gamma and sigma_factor must be positive")
+        for name in ("n_lobes_even", "n_lobes_odd"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @property
     def sizes(self):
@@ -143,10 +146,15 @@ class TJParams:
     arrow_sector_threshold: float = 180.0
 
     def __post_init__(self):
-        if self.angle_track_length < 3:
+        if not self.angle_track_length >= 3:
             raise ValueError("angle_track_length must be at least 3")
-        if self.probe_min < 1 or self.probe_max < self.probe_min:
+        if not 1 <= self.probe_min <= self.probe_max:
             raise ValueError("need 1 <= probe_min <= probe_max")
+        # a negative radius would select no pixel of its disk
+        for name in ("area_mask_radius", "trace_search_radius", "influence_radius",
+                     "orientation_fit_radius"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from scipy import sparse, special
 
 from .channels import N_ORIENTATIONS, bo_direction
 from .grid import pool_operators_at
-from .ownership import N_SIDES, ModelWeights
+from .ownership import ALPHA_NAMES, N_SIDES, ModelWeights
 from .pipeline import PreparedImage, final_levels
 
 _NEIGHBOR_OFFSETS = tuple(
@@ -255,9 +255,10 @@ class ScoringState:
     the restricted pool (:func:`grid.pool_operators_at`), None without
     an orientation route. ``prepared`` is the prepared image restricted
     to those cells: ``fixed`` at the target cells as an (8, 2, 1, T)
-    stack, and every route's side imbalances at the level cells, all
-    levels side by side, as one (8, 1, M) level, so
-    :func:`pipeline.final_levels` runs on it unchanged.
+    stack, and each prepared entry of ``routes`` as the side imbalances
+    at the level cells, all levels side by side, in one (8, 1, M) level
+    (a None entry stays None), so :func:`pipeline.final_levels` runs on
+    it unchanged.
     """
 
     gts: tuple
@@ -272,7 +273,9 @@ def prepare_scoring(prepared: PreparedImage, gts) -> ScoringState:
     the given ground truths (one or a sequence, none empty, each of the
     image's shape, as :func:`compute_fgca` requires): ``fixed`` at
     the window cells, and the orientation routes' side imbalances at the
-    level cells that the bilinear pool reads for them."""
+    level cells that the bilinear pool reads for them. The level dims
+    are those of the contrast route, ``routes[0]``, which every route
+    shares."""
     gts = _truths(gts)
     rows, cols = prepared.fixed.shape[-2:]
     flat = np.concatenate(
@@ -283,11 +286,12 @@ def prepare_scoring(prepared: PreparedImage, gts) -> ScoringState:
         np.split(where.reshape(flat.shape), np.cumsum([len(gt) for gt in gts])[:-1])
     )
     fixed = prepared.fixed.reshape(N_ORIENTATIONS, N_SIDES, -1)[:, :, None, targets]
-    if prepared.bo_contrast is None:
+    if prepared.routes is None:
         restricted = replace(prepared, fixed=fixed)
         return ScoringState(gts=gts, windows=windows, r1=None, r2=None, prepared=restricted)
     cells = np.stack(np.unravel_index(targets, (rows, cols)), axis=1)
-    level_cells, r1, r2 = pool_operators_at(prepared.level_dims, rows, cols, cells)
+    level_dims = [level.shape[-2:] for level in prepared.routes[0]]
+    level_cells, r1, r2 = pool_operators_at(level_dims, rows, cols, cells)
 
     def gather(levels):
         """The side imbalances at the level cells, as a one-level list."""
@@ -299,13 +303,7 @@ def prepare_scoring(prepared: PreparedImage, gts) -> ScoringState:
         ]
         return [np.concatenate(cells, axis=-1)[:, None, :]]
 
-    restricted = replace(
-        prepared,
-        fixed=fixed,
-        bo_contrast=gather(prepared.bo_contrast),
-        bo_sa=gather(prepared.bo_sa),
-        bo_tj=gather(prepared.bo_tj),
-    )
+    restricted = replace(prepared, fixed=fixed, routes=tuple(map(gather, prepared.routes)))
     return ScoringState(gts=gts, windows=windows, r1=r1, r2=r2, prepared=restricted)
 
 
@@ -376,9 +374,6 @@ def format_report_keyvalues(report: EvalReport) -> str:
 # ----------------------------------------------------------------------
 # weight tuning
 # ----------------------------------------------------------------------
-
-ALPHA_NAMES = ("alpha_ref", "alpha_sa", "alpha_tj")
-
 
 def _lattice_points(n: int, size: int, anchor=None):
     """The integer points of length ``size`` whose coordinates sum to

@@ -29,16 +29,22 @@ def write_fm1(path, values) -> None:
         np.savetxt(fh, arr, fmt="%.17g", delimiter=" ")
 
 
-def read_fm1(path) -> np.ndarray:
+def _read_text_map(path, magic: str, parse) -> np.ndarray:
+    """The (rows, cols) map of a ``<magic> <rows> <cols>`` text file,
+    each value read by ``parse`` (``float`` or ``int``, also the dtype)."""
     with open(path) as fh:
         tokens = fh.read().split()
-    if len(tokens) < 3 or tokens[0] != "FM1":
-        raise ValueError(f"{path}: not an FM1 file")
+    if len(tokens) < 3 or tokens[0] != magic:
+        raise ValueError(f"{path}: not an {magic} file")
     rows, cols = _parsed(path, int, tokens[1:3])
     data = tokens[3:]
     if len(data) != rows * cols:
         raise ValueError(f"{path}: expected {rows * cols} values, found {len(data)}")
-    arr = np.array(_parsed(path, float, data)).reshape(rows, cols)
+    return np.array(_parsed(path, parse, data), dtype=parse).reshape(rows, cols)
+
+
+def read_fm1(path) -> np.ndarray:
+    arr = _read_text_map(path, "FM1", float)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{path}: non-finite values")
     return arr
@@ -50,21 +56,11 @@ def write_lm1(path, values) -> None:
         raise ValueError("LM1 maps must be 2D integer arrays")
     with open(path, "w") as fh:
         fh.write(f"LM1 {arr.shape[0]} {arr.shape[1]}\n")
-        for row in arr:
-            fh.write(" ".join(str(int(v)) for v in row))
-            fh.write("\n")
+        np.savetxt(fh, arr, fmt="%d", delimiter=" ")
 
 
 def read_lm1(path, allow_negative: bool = False) -> np.ndarray:
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 3 or tokens[0] != "LM1":
-        raise ValueError(f"{path}: not an LM1 file")
-    rows, cols = _parsed(path, int, tokens[1:3])
-    data = tokens[3:]
-    if len(data) != rows * cols:
-        raise ValueError(f"{path}: expected {rows * cols} values, found {len(data)}")
-    arr = np.array(_parsed(path, int, data), dtype=np.int64).reshape(rows, cols)
+    arr = _read_text_map(path, "LM1", int)
     if not allow_negative and arr.min() < 0:
         raise ValueError(f"{path}: negative labels not allowed here")
     return arr

@@ -29,7 +29,9 @@ cell (:func:`winning_bo`) depends only on the side imbalance
 ``D[t] = B[t, 0] - B[t, 1]``, and the blend of routes
 (:func:`combine_bo`) is linear. So a route's output is the level list
 of (8, rows, cols) side imbalances, half the size of its (8, 2)
-ownership stacks.
+ownership stacks. The orientation routes travel as one tuple in the
+order of the alpha triple (:data:`ALPHA_NAMES`): contrast, spectral
+anisotropy, T-junctions.
 
 Directed data travels as "stacks": arrays of shape ``(8, 2, rows,
 cols)`` indexed ``[orientation, side, row, col]``. A multiscale result
@@ -46,7 +48,7 @@ resolution.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -84,6 +86,10 @@ class ModelWeights:
             raise ValueError(f"cue weights must be non-negative, got {alphas}")
         if not abs(sum(alphas) - 1.0) <= 1e-9:
             raise ValueError(f"cue weights must sum to 1, got {alphas}")
+
+
+# the alpha triple's names, in the order of the routes it blends
+ALPHA_NAMES = tuple(f.name for f in fields(ModelWeights))
 
 
 def cs_pyramids(feature, size: int, bank):
@@ -278,33 +284,31 @@ def compute_bo(
     return out
 
 
-def combine_bo(
-    bo_contrast,
-    weights: ModelWeights,
-    bo_sa=None,
-    bo_tj=None,
-) -> list:
-    """Blend the side imbalances of the contrast and local-cue routes
-    level by level.
+def combine_bo(routes, weights: ModelWeights) -> list:
+    """Blend the side imbalances of the orientation routes level by
+    level.
 
-    ``combined[k] = alpha_ref * contrast[k] + alpha_sa * sa[k]
-    + alpha_tj * tj[k]``, with each route the (8, rows, cols) side
-    imbalances of :func:`compute_bo` (``contrast`` of light + dark). The
-    blend is linear, so it equals the imbalance of the blended (8, 2)
-    stacks up to rounding. A route whose alpha is zero is never
-    touched, so its stacks (present or not) cannot influence the result.
+    ``routes`` holds one route per alpha, in :data:`ALPHA_NAMES` order:
+    contrast (light + dark), spectral anisotropy and T-junctions, each
+    the level list of (8, rows, cols) side imbalances of
+    :func:`compute_bo`, or None when it was not prepared. ``combined[k]
+    = alpha_ref * contrast[k] + alpha_sa * sa[k] + alpha_tj * tj[k]``,
+    added in that order. The blend is linear, so it equals the imbalance
+    of the blended (8, 2) stacks up to rounding. The contrast route is
+    always read; a local cue whose alpha is zero is never touched, so its
+    stacks (present or not) cannot influence the result. A positive
+    alpha whose route was not prepared is refused, naming the alpha.
     """
-    if weights.alpha_sa > 0 and bo_sa is None:
-        raise ValueError("alpha_sa > 0 requires the spectral-anisotropy route")
-    if weights.alpha_tj > 0 and bo_tj is None:
-        raise ValueError("alpha_tj > 0 requires the T-junction route")
+    alphas = [getattr(weights, name) for name in ALPHA_NAMES]
+    for name, alpha, route in zip(ALPHA_NAMES, alphas, routes, strict=True):
+        if alpha > 0 and route is None:
+            raise ValueError(f"{name} > 0 but its route was not prepared")
     out = []
-    for k in range(len(bo_contrast)):
-        level = weights.alpha_ref * bo_contrast[k]
-        if weights.alpha_sa > 0:
-            level += weights.alpha_sa * bo_sa[k]
-        if weights.alpha_tj > 0:
-            level += weights.alpha_tj * bo_tj[k]
+    for k, contrast in enumerate(routes[0]):
+        level = alphas[0] * contrast
+        for alpha, route in zip(alphas[1:], routes[1:]):
+            if alpha > 0:
+                level += alpha * route[k]
         out.append(level)
     return out
 

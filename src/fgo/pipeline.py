@@ -17,8 +17,9 @@ The run splits into a heavy, weight-independent preparation step and a
 cheap combination step, so weight sweeps (tuning, preset comparison)
 pay the filter bank once per image. No alpha touches colour or
 intensity, so preparation sums their winners and pools them once into
-one native ``fixed`` stack; a weight point then only combines and
-selects the orientation routes (:func:`final_levels`).
+one native ``fixed`` stack; a weight point then only folds its alpha
+triple, blends the orientation routes, one per alpha, and selects the
+winners (:func:`final_levels`).
 :func:`finalize_components` adds the pool of those levels to
 ``fixed``, and ``evaluation.score_weights`` runs the same core on a
 :class:`PreparedImage` restricted to the cells that feed the boundary
@@ -171,13 +172,15 @@ class PreparedImage:
     ``params`` are the settings the image was prepared with; a finalize
     reads ``feature_orientation`` from them. ``fixed`` is the weighted
     colour plus intensity term, which no alpha changes, pooled to one
-    native (8, 2, rows, cols) stack. ``bo_contrast`` (light and dark
-    summed) and ``bo_sa``/``bo_tj`` are the orientation routes, each a
-    level list of (8, r_j, c_j) side imbalances
-    (``ownership.compute_bo``), None when not prepared. ``have_labels``
+    native (8, 2, rows, cols) stack. ``routes`` holds the orientation
+    routes in alpha order (``ownership.ALPHA_NAMES``): contrast (light
+    and dark summed), spectral anisotropy and T-junctions, each a level
+    list of (8, r_j, c_j) side imbalances (``ownership.compute_bo``) on
+    the carrier levels. It is None without the orientation feature, and
+    a local cue that was not prepared is a None entry. ``have_labels``
     records whether contour and segment maps were given; without them
-    :func:`finalize_components` folds the T-junction weight into the
-    contrast route.
+    :func:`final_levels` folds the T-junction weight into the contrast
+    route.
 
     At 321x481 with every route, ``fixed`` holds 18.8 MiB and each route
     about 19 MiB over its ten levels: about 76 MiB in all.
@@ -186,16 +189,8 @@ class PreparedImage:
     params: PipelineParams
     have_labels: bool
     fixed: np.ndarray
-    bo_contrast: list | None
-    bo_sa: list | None
-    bo_tj: list | None
+    routes: tuple | None
     junctions: tuple = ()
-
-    @property
-    def level_dims(self) -> tuple:
-        """The ``(rows, cols)`` of every level of the orientation
-        routes; empty without them."""
-        return tuple(level.shape[-2:] for level in self.bo_contrast or ())
 
 
 def prepare_components(
@@ -248,11 +243,10 @@ def prepare_components(
     if have_labels:
         junctions = tuple(detect_t_junctions(contours, segments, params.tj))
 
-    bo_contrast = bo_sa = bo_tj = None
+    routes = None
     if params.feature_orientation > 0:
         bank = functools.partial(gabor_bank, params.oriented_cs, ORIENTATIONS, parities=("even",))
         cs = cs_pyramids(carriers, params.oriented_cs.size, bank)
-        bo_contrast = compute_bo(carriers, cs, params.w_opp, params.ring_radius)
 
         def local_cue(cue):
             """One polarity with a map per side; an absent cue modulates
@@ -266,54 +260,39 @@ def prepare_components(
                 modulated,
             )
 
-        if need_sa:
-            bo_sa = local_cue(compute_sa_maps(intensity, params.sa))
-        if need_tj and have_labels:
-            bo_tj = local_cue(build_tj_maps(contours, segments, junctions, params.tj))
+        routes = (
+            compute_bo(carriers, cs, params.w_opp, params.ring_radius),
+            local_cue(compute_sa_maps(intensity, params.sa)) if need_sa else None,
+            local_cue(build_tj_maps(contours, segments, junctions, params.tj))
+            if need_tj and have_labels else None,
+        )
 
     return PreparedImage(
-        params=params,
-        have_labels=have_labels,
-        fixed=fixed,
-        bo_contrast=bo_contrast,
-        bo_sa=bo_sa,
-        bo_tj=bo_tj,
-        junctions=junctions,
+        params=params, have_labels=have_labels, fixed=fixed, routes=routes, junctions=junctions
     )
-
-
-def applied_weights(weights: ModelWeights, have_labels: bool, orientation: bool) -> ModelWeights:
-    """The weights a finalize of a prepared image applies.
-
-    Without label maps the T-junction weight is folded into the contrast
-    route (``alpha_tj`` moves to ``alpha_ref``). Local-cue weights need
-    the ``orientation`` route to have been prepared, and are refused
-    otherwise.
-    """
-    if weights.alpha_tj > 0 and not have_labels:
-        weights = replace(weights, alpha_ref=weights.alpha_ref + weights.alpha_tj, alpha_tj=0.0)
-    if not orientation and (weights.alpha_sa > 0 or weights.alpha_tj > 0):
-        raise ValueError("local-cue weights need the orientation feature")
-    return weights
 
 
 def final_levels(prepared: PreparedImage, weights: ModelWeights) -> tuple:
     """``(levels, applied)``: the orientation term of every level under
     one alpha triple, and the weights applied.
 
-    The weights pass through :func:`applied_weights`; the orientation
-    routes' side imbalances are blended (:func:`ownership.combine_bo`),
-    the winning orientation kept (:func:`ownership.winning_bo`), and
-    each level is ``feature_orientation * winners``, an (8, 2, r_j,
-    c_j) stack, with ``feature_orientation`` from ``prepared.params``.
-    Without an orientation route ``levels`` is None.
+    Without label maps the T-junction weight is folded into the contrast
+    route (``alpha_tj`` moves to ``alpha_ref``). Without the orientation
+    feature ``levels`` is None, and a local-cue weight left after the
+    fold is refused. Otherwise ``prepared.routes`` are blended
+    (:func:`ownership.combine_bo`, which refuses a weighted route that
+    was not prepared), the winning orientation kept
+    (:func:`ownership.winning_bo`), and each level is
+    ``feature_orientation * winners``, an (8, 2, r_j, c_j) stack, with
+    ``feature_orientation`` from ``prepared.params``.
     """
-    weights = applied_weights(weights, prepared.have_labels, prepared.bo_contrast is not None)
-    if prepared.bo_contrast is None:
+    if weights.alpha_tj > 0 and not prepared.have_labels:
+        weights = replace(weights, alpha_ref=weights.alpha_ref + weights.alpha_tj, alpha_tj=0.0)
+    if prepared.routes is None:
+        if weights.alpha_sa > 0 or weights.alpha_tj > 0:
+            raise ValueError("local-cue weights need the orientation feature")
         return None, weights
-    winners = winning_bo(
-        combine_bo(prepared.bo_contrast, weights, bo_sa=prepared.bo_sa, bo_tj=prepared.bo_tj)
-    )
+    winners = winning_bo(combine_bo(prepared.routes, weights))
     w_orientation = prepared.params.feature_orientation
     return [np.multiply(level, w_orientation, out=level) for level in winners], weights
 

@@ -522,6 +522,42 @@ class TestEval:
         assert "pValue=0.5" in compare
         assert "pValue=0.5" in capsys.readouterr().out.splitlines()
 
+    def test_compare_of_one_row_refused_before_any_image_is_read(
+        self, dataset, tmp_path, monkeypatch, capsys
+    ):
+        def fault(*args, **kwargs):
+            raise RuntimeError("an image was read")
+
+        monkeypatch.setattr(cli, "_read_image", fault)
+        manifest = write_manifest(tmp_path / "one.txt", dataset.read_text().splitlines()[:2])
+        out = tmp_path / "eval"
+        code = main(
+            ["eval", "--manifest", str(manifest), "--out", str(out),
+             "--compare", "reference,with-sa", *FAST]
+        )
+        assert code == 1
+        assert "error: --compare needs at least two manifest rows, got 1" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_compare_with_one_scored_image_fails_before_any_report(
+        self, dataset, tmp_path, capsys
+    ):
+        rows = dataset.read_text().splitlines()[:2]
+        rows.append("ghost missing.ppm missing.lm1 -")
+        manifest = write_manifest(tmp_path / "broken.txt", rows)
+        out = tmp_path / "eval"
+        code = main(
+            ["eval", "--manifest", str(manifest), "--out", str(out),
+             "--compare", "reference,with-sa", *FAST]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "skipped ghost" in err
+        assert "--compare needs at least two scored images, got 1" in err
+        assert list(out.iterdir()) == []
+
     def test_bad_compare_spec_fails(self, dataset, tmp_path, capsys):
         code = main(
             ["eval", "--manifest", str(dataset), "--out", str(tmp_path / "e"),

@@ -134,6 +134,12 @@ class TestContract:
         ("featureOrientation = -0.5", r"line 1: feature weights must be non-negative"),
         ("topLayersOnly = 0", r"line 1: top_layers_only must be None or >= 1, got 0"),
         ("seed = -1", "line 1: seed must be non-negative, got -1"),
+        ("sa_nLobesEven = 0", "line 1: n_lobes_even must be >= 1, got 0"),
+        ("sa_nLobesOdd = 0", "line 1: n_lobes_odd must be >= 1, got 0"),
+        ("tj_areaMaskRadius = -1", "line 1: area_mask_radius must be >= 0, got -1"),
+        ("tj_traceSearchRadius = -1", "line 1: trace_search_radius must be >= 0, got -1"),
+        ("tjInfluenceRadius = -3", "line 1: influence_radius must be >= 0, got -3"),
+        ("tj_orientationFitRadius = -1", "line 1: orientation_fit_radius must be >= 0, got -1"),
     ])
     def test_values_checked_when_set(self, line, limit):
         with pytest.raises(ValueError, match=limit):

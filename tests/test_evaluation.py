@@ -383,13 +383,14 @@ class TestBoundaryScorer:
         stim = isolated_square(size=48, first=16, last=31)
         prepared = prepare_components(stim.image, PYRAMIDS["two"])
         state = prepare_scoring(prepared, load_ground_truth(stim.signed))
-        prepared_bytes = sum(a.nbytes for a in (prepared.fixed, *prepared.bo_contrast))
+        prepared_bytes = sum(a.nbytes for a in (prepared.fixed, *prepared.routes[0]))
         kept = state.prepared
         # fixed at the target cells, the side imbalances at the level cells
         assert kept.fixed.shape[:3] == (8, 2, 1) and kept.fixed.ndim == 4
-        assert [level.shape[:2] for level in kept.bo_contrast] == [(8, 1)]
+        assert kept.routes[1:] == (None, None)
+        assert [level.shape[:2] for level in kept.routes[0]] == [(8, 1)]
         state_bytes = sum(
-            a.nbytes for a in (kept.fixed, *kept.bo_contrast, *state.windows)
+            a.nbytes for a in (kept.fixed, *kept.routes[0], *state.windows)
         )
         assert state_bytes < prepared_bytes / 4
 

@@ -553,7 +553,7 @@ def test_combine_reference_is_light_plus_dark():
     rng = np.random.default_rng(1)
     light, dark = random_stacks(rng), random_stacks(rng)
     contrast = [l + d for l, d in zip(light, dark)]
-    combined = combine_bo(contrast, ModelWeights())
+    combined = combine_bo((contrast, None, None), ModelWeights())
     for k in range(3):
         assert np.array_equal(combined[k], light[k] + dark[k])
 
@@ -563,7 +563,7 @@ def test_combine_blend_matches_scalar_arithmetic():
     light, dark, sa, tj = (random_stacks(rng) for _ in range(4))
     w = ModelWeights(alpha_ref=0.05, alpha_sa=0.15, alpha_tj=0.80)
     contrast = [l + d for l, d in zip(light, dark)]
-    combined = combine_bo(contrast, w, bo_sa=sa, bo_tj=tj)
+    combined = combine_bo((contrast, sa, tj), w)
     for k in range(3):
         expect = 0.05 * (light[k] + dark[k]) + 0.15 * sa[k] + 0.80 * tj[k]
         assert np.abs(combined[k] - expect).max() < 1e-15
@@ -574,14 +574,14 @@ def test_combine_requires_routes_it_weights():
     contrast = random_stacks(rng)
     w = ModelWeights(alpha_ref=0.35, alpha_sa=0.65)
     with pytest.raises(ValueError):
-        combine_bo(contrast, w)
+        combine_bo((contrast, None, None), w)
 
 
 def test_combine_ignores_unweighted_routes_bit_identically():
     rng = np.random.default_rng(4)
     contrast, sa = random_stacks(rng), random_stacks(rng)
-    with_sa = combine_bo(contrast, ModelWeights(), bo_sa=sa)
-    without = combine_bo(contrast, ModelWeights())
+    with_sa = combine_bo((contrast, sa, None), ModelWeights())
+    without = combine_bo((contrast, None, None), ModelWeights())
     for k in range(3):
         assert np.array_equal(with_sa[k], without[k])
 
@@ -640,16 +640,15 @@ def test_winning_at_most_one_active_cell():
 
 # ---------------------------------------------------------- final maps
 
-def prepared_levels(fixed, bo_contrast=None, bo_sa=None, params=PipelineParams()):
+def prepared_levels(fixed, contrast=None, sa=None, params=PipelineParams()):
     """A :class:`PreparedImage` built from a native ``fixed`` stack and
-    side-imbalance level lists."""
+    side-imbalance level lists; no orientation route without
+    ``contrast``."""
     return PreparedImage(
         params=params,
         have_labels=False,
         fixed=fixed,
-        bo_contrast=bo_contrast,
-        bo_sa=bo_sa,
-        bo_tj=None,
+        routes=None if contrast is None else (contrast, sa, None),
     )
 
 

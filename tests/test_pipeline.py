@@ -1,6 +1,6 @@
 import logging
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -10,11 +10,11 @@ from fgo.channels import RGBImage, compute_channels
 from fgo.evaluation import compute_fgca, load_ground_truth
 from fgo.filters import DoGParams, GaborParams, make_center_surround
 from fgo.grid import pool_resampled, pyramid_levels
-from fgo.cues import SAParams
-from fgo.ownership import ModelWeights, compute_bo, cs_pyramids, winning_bo
+from fgo.cues import SAParams, TJParams
+from fgo.ownership import ALPHA_NAMES, ModelWeights, compute_bo, cs_pyramids, winning_bo
 from fgo.pipeline import (
     PipelineParams,
-    applied_weights,
+    PreparedImage,
     final_levels,
     finalize_components,
     prepare_components,
@@ -100,18 +100,32 @@ class TestRunModel:
             )
 
 
+def with_routes(have_labels):
+    """A small prepared image with the orientation routes: contrast and
+    SA, and TJ when label maps were given."""
+    level = [np.zeros((8, 4, 4))]
+    return PreparedImage(
+        params=FAST,
+        have_labels=have_labels,
+        fixed=np.zeros((8, 2, 4, 4)),
+        routes=(level, level, level if have_labels else None),
+    )
+
+
 class TestEffectiveWeights:
+    """The weights :func:`final_levels` applies."""
+
     def test_identity_with_labels(self):
         w = ModelWeights(alpha_ref=0.2, alpha_tj=0.8)
-        assert applied_weights(w, have_labels=True, orientation=True) is w
+        assert final_levels(with_routes(have_labels=True), w)[1] is w
 
     def test_identity_when_unused(self):
         w = ModelWeights()
-        assert applied_weights(w, have_labels=False, orientation=True) is w
+        assert final_levels(with_routes(have_labels=False), w)[1] is w
 
     def test_fold_preserves_simplex(self):
         w = ModelWeights(alpha_ref=0.1, alpha_sa=0.2, alpha_tj=0.7)
-        folded = applied_weights(w, have_labels=False, orientation=True)
+        _, folded = final_levels(with_routes(have_labels=False), w)
         assert folded.alpha_ref == pytest.approx(0.8)
         assert folded.alpha_sa == pytest.approx(0.2)
         assert folded.alpha_tj == 0.0
@@ -151,14 +165,14 @@ class TestPrepareFinalize:
     def test_missing_cue_stack_rejected(self):
         stim = isolated_square(size=48, first=16, last=31)
         prep = prepare_components(stim.image, FAST)
-        assert prep.bo_sa is None and prep.bo_tj is None
+        assert prep.routes[1:] == (None, None)
         with pytest.raises(ValueError):
             finalize_components(prep, ModelWeights(alpha_ref=0.5, alpha_sa=0.5))
 
     def test_need_flags_force_stacks(self):
         stim = isolated_square(size=48, first=16, last=31)
         prep = prepare_components(stim.image, FAST, need_sa=True)
-        assert prep.bo_sa is not None
+        assert prep.routes[1] is not None
         result = finalize_components(prep, ModelWeights(alpha_ref=0.4, alpha_sa=0.6))
         assert result.final.max() > 0
 
@@ -166,7 +180,7 @@ class TestPrepareFinalize:
         stim = isolated_square(size=48, first=16, last=31)
         params = replace(FAST, feature_color=0.0, feature_orientation=0.0)
         prep = prepare_components(stim.image, params, need_sa=True)
-        assert prep.bo_contrast is None and prep.bo_sa is None
+        assert prep.routes is None
         with pytest.raises(ValueError, match="local-cue weights need the orientation feature"):
             finalize_components(prep, ModelWeights(alpha_ref=0.5, alpha_sa=0.5))
 
@@ -193,7 +207,10 @@ class TestPrepareFinalize:
         (lambda: PipelineParams(ring_radius=NAN), "r0 must be positive"),
         (lambda: replace(PipelineParams().oriented_cs, gamma=NAN), "must all be positive"),
         (lambda: SAParams(sigma_factor=NAN), "must be positive"),
-    ], ids=["alpha", "w_opp", "feature", "gabor", "dog", "von-mises", "oriented-cs", "sa"])
+        (lambda: SAParams(n_lobes_even=NAN), "n_lobes_even must be >= 1, got nan"),
+        (lambda: TJParams(influence_radius=NAN), "influence_radius must be >= 0, got nan"),
+    ], ids=["alpha", "w_opp", "feature", "gabor", "dog", "von-mises", "oriented-cs", "sa",
+            "sa-lobes", "tj-radius"])
     def test_nan_params_refused(self, build, limit):
         # NaN compares false with every limit, so each check is written to fail on it
         with pytest.raises(ValueError, match=limit):
@@ -204,12 +221,44 @@ class TestPrepareFinalize:
         # imbalances that finalize blends align level by level without
         # a check; fixed is one native stack
         stim, prep = prepared
-        assert len(prep.level_dims) == FAST.n_scales
-        assert prep.level_dims[0] == stim.image.shape
+        level_dims = [level.shape[-2:] for level in prep.routes[0]]
+        assert len(level_dims) == FAST.n_scales
+        assert level_dims[0] == stim.image.shape
         assert isinstance(prep.fixed, np.ndarray)
         assert prep.fixed.shape == (8, 2) + stim.image.shape
-        for route in (prep.bo_contrast, prep.bo_sa, prep.bo_tj):
-            assert [level.shape for level in route] == [(8,) + dims for dims in prep.level_dims]
+        assert len(prep.routes) == 3
+        for route in prep.routes:
+            assert [level.shape for level in route] == [(8,) + dims for dims in level_dims]
+
+
+class TestRouteTuple:
+    """``PreparedImage.routes`` holds one orientation route per alpha, in
+    alpha order."""
+
+    def test_alpha_names_are_the_weight_fields(self):
+        assert ALPHA_NAMES == tuple(f.name for f in fields(ModelWeights))
+        assert ALPHA_NAMES == ("alpha_ref", "alpha_sa", "alpha_tj")
+
+    @pytest.mark.parametrize("which", range(3), ids=ALPHA_NAMES)
+    def test_one_hot_alpha_selects_its_route(self, prepared, which):
+        _, prep = prepared
+        # a feature weight other than 1, so that its product is seen
+        prep = replace(prep, params=replace(prep.params, feature_orientation=0.5))
+        weights = ModelWeights(**{name: float(i == which) for i, name in enumerate(ALPHA_NAMES)})
+        levels, applied = final_levels(prep, weights)
+        assert applied is weights
+        want = [0.5 * level for level in winning_bo(prep.routes[which])]
+        for got_k, want_k in zip(levels, want, strict=True):
+            np.testing.assert_array_equal(got_k, want_k)
+
+    @pytest.mark.parametrize("name", ["alpha_sa", "alpha_tj"])
+    def test_weighted_route_not_prepared_refused_by_name(self, name):
+        stim = overlapping_squares()
+        # label maps given, but neither local cue built
+        prep = prepare_components(stim.image, FAST, stim.contours, stim.segments)
+        assert prep.have_labels and prep.routes[1:] == (None, None)
+        with pytest.raises(ValueError, match=f"{name} > 0 but its route was not prepared"):
+            final_levels(prep, ModelWeights(**{"alpha_ref": 0.5, name: 0.5}))
 
 
 def colour_squares():
@@ -293,15 +342,15 @@ class TestInputContract:
         with pytest.raises(ValueError, match=r"24x24 .*largest filter \(25 px\).*26 px"):
             prepare_components(image, need_sa=True)
         # the contrast route alone fits, and so does SA one pixel past the limit
-        assert prepare_components(image).bo_sa is None
+        assert prepare_components(image).routes[1] is None
         prep = prepare_components(np.full((26, 26), 0.5), need_sa=True)
-        assert prep.bo_sa is not None
+        assert prep.routes[1] is not None
 
     def test_carrier_gabor_needs_more_than_15_px(self):
         with pytest.raises(ValueError, match=r"8x300 .*carrier Gabor \(15 px\).*16 px"):
             prepare_components(np.full((8, 300), 0.5))
         prep = prepare_components(np.full((16, 16), 0.5))
-        assert len(prep.level_dims) == 10
+        assert len(prep.routes[0]) == 10
 
     @pytest.mark.parametrize("need_tj", [False, True], ids=["reference", "with-tj"])
     @pytest.mark.parametrize("which", ["contours", "segments"])
@@ -331,7 +380,7 @@ class TestInputContract:
         with pytest.raises(ValueError, match=r"n_scales=10 .*1x1 at level 7; at most 7 levels"):
             prepare_components(image, params=PipelineParams(pyramid_factor=2.0))
         prep = prepare_components(image, params=PipelineParams(n_scales=7, pyramid_factor=2.0))
-        assert prep.level_dims[-1] == (2, 2)
+        assert prep.routes[0][-1].shape[-2:] == (2, 2)
 
 
 PRESET_TRIPLES = ((1.0, 0.0, 0.0), (0.35, 0.65, 0.0), (0.03, 0.0, 0.97), (0.05, 0.15, 0.8))
