@@ -155,6 +155,10 @@ class TJParams:
                      "orientation_fit_radius"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        # the junction's sectors are angles that sum to 360 degrees
+        for name in ("y_sector_center", "y_sector_halfwidth", "arrow_sector_threshold"):
+            if not 0 <= getattr(self, name) <= 360:
+                raise ValueError(f"{name} must lie in [0, 360] degrees, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -140,6 +140,8 @@ class TestContract:
         ("tj_traceSearchRadius = -1", "line 1: trace_search_radius must be >= 0, got -1"),
         ("tjInfluenceRadius = -3", "line 1: influence_radius must be >= 0, got -3"),
         ("tj_orientationFitRadius = -1", "line 1: orientation_fit_radius must be >= 0, got -1"),
+        ("tj_ySectorHalfwidth = -1", r"line 1: y_sector_halfwidth must lie in \[0, 360\] degrees"),
+        ("tj_arrowSectorThreshold = 400", r"arrow_sector_threshold must lie in \[0, 360\] degrees"),
     ])
     def test_values_checked_when_set(self, line, limit):
         with pytest.raises(ValueError, match=limit):

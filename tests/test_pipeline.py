@@ -209,8 +209,9 @@ class TestPrepareFinalize:
         (lambda: SAParams(sigma_factor=NAN), "must be positive"),
         (lambda: SAParams(n_lobes_even=NAN), "n_lobes_even must be >= 1, got nan"),
         (lambda: TJParams(influence_radius=NAN), "influence_radius must be >= 0, got nan"),
+        (lambda: TJParams(y_sector_halfwidth=NAN), "y_sector_halfwidth must lie in"),
     ], ids=["alpha", "w_opp", "feature", "gabor", "dog", "von-mises", "oriented-cs", "sa",
-            "sa-lobes", "tj-radius"])
+            "sa-lobes", "tj-radius", "tj-sector"])
     def test_nan_params_refused(self, build, limit):
         # NaN compares false with every limit, so each check is written to fail on it
         with pytest.raises(ValueError, match=limit):
