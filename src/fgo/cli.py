@@ -29,6 +29,7 @@ from .evaluation import (
     check_search,
     decisions_for,
     fgca_of,
+    format_keyvalues,
     format_report_keyvalues,
     format_report_text,
     grid_search_weights,
@@ -53,33 +54,44 @@ BACKGROUND_GRAY = 128
 # shared plumbing
 # ----------------------------------------------------------------------
 
-def _read_image(path: Path) -> RGBImage:
+@dataclass(frozen=True)
+class ManifestEntry:
+    """One dataset row: id, image and ground truths, optional labels."""
+
+    image_id: str
+    image: str
+    gts: list
+    contours: str | None
+    segments: str | None
+
+
+def _read_row(row: ManifestEntry):
+    """``(image, contours, segments, gts)`` of one row: the PPM image,
+    its two label maps (None where the row names none) and the ground
+    truths that have boundary records. A truth whose map is not the
+    image's shape is refused, and so is a row whose truths all lack
+    records; a row that names no truth (``fgo run`` without ``--gt``)
+    has none."""
+    path = Path(row.image)
     if path.suffix.lower() != ".ppm":
         raise ValueError(f"unsupported image format {path.suffix!r} (want .ppm)")
-    return RGBImage(*io.read_ppm(path))
-
-
-def _load_labels(*paths) -> list:
-    return [io.read_lm1(path) if path else None for path in paths]
-
-
-def _load_truths(paths, shape) -> list:
-    """The ground truths at ``paths`` that have boundary records. A
-    truth whose map is not the image ``shape`` is refused, and so are
-    truths none of which has a record."""
-    gts = [load_ground_truth(io.read_signed_map(path)) for path in paths]
+    image = RGBImage(*io.read_ppm(path))
+    contours, segments = [io.read_lm1(p) if p else None for p in (row.contours, row.segments)]
+    gts = [load_ground_truth(io.read_signed_map(path)) for path in row.gts]
     for gt in gts:
-        gt.check_shape(shape)
+        gt.check_shape(image.shape)
     gts = [gt for gt in gts if len(gt)]
-    if not gts:
+    if row.gts and not gts:
         raise ValueError("no usable ground truth records")
-    return gts
+    return image, contours, segments, gts
 
 
 def _config_from_args(args) -> RunConfig:
     """The config file, then the preset, then each ``--set``, then
     ``--weights``; the weights are checked once all are set, before
-    anything is read or written."""
+    anything is read or written. A command that sets the alpha triple
+    itself (``eval --compare``, ``tune``) refuses every alpha setting,
+    ``preset=`` included."""
     config = RunConfig()
     if args.config:
         config = load_config(args.config, config)
@@ -93,6 +105,12 @@ def _config_from_args(args) -> RunConfig:
             raise ValueError(f"--weights expects alphaRef,alphaSA,alphaTJ, got {triple!r}")
         lines = [f"{name}={value}" for name, value in zip(ALPHA_NAMES, parts)]
         config = apply_lines(config, lines, "--weights {line}")
+    if config.weight_keys and (args.command == "tune" or getattr(args, "compare", None)):
+        raise ValueError(
+            "tune searches the alpha triple; it takes no --preset or alpha key"
+            if args.command == "tune"
+            else "--compare names both alpha triples; it takes no --preset, --weights or alpha key"
+        )
     config.weights()  # refuses a bad weight set
     return config
 
@@ -119,53 +137,37 @@ def _correctness_image(shape, gt, dirs, ties) -> np.ndarray:
 
 def cmd_run(args) -> int:
     config = _config_from_args(args)
-    image = _read_image(Path(args.image))
-    contours, segments = _load_labels(args.contours, args.segments)
-    gt = _load_truths([args.gt], image.shape)[0] if args.gt else None
+    image, contours, segments, gts = _read_row(
+        ManifestEntry("run", args.image, [args.gt] if args.gt else [], args.contours, args.segments)
+    )
     result = run_model(image, config.weights(), config.params, contours, segments)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
     for ti in range(result.final.shape[0]):
         for si in range(N_SIDES):
-            path = out_dir / f"final_t{ti}_s{si}.fm1"
-            io.write_fm1(path, result.final[ti, si])
-            written.append(path)
+            io.write_fm1(out_dir / f"final_t{ti}_s{si}.fm1", result.final[ti, si])
     io.write_pgm(out_dir / "direction.pgm", _direction_image(result.final))
-    written.append(out_dir / "direction.pgm")
 
     if contours is not None:
         lines = [format_junction(j) for j in result.junctions]
         (out_dir / "junctions.txt").write_text("".join(f"{l}\n" for l in lines))
-        written.append(out_dir / "junctions.txt")
 
-    if gt is not None:
+    for gt in gts:  # at most one, from --gt
         dirs, ties = decisions_for(result.final, gt)
         fgca = fgca_of(gt, [(dirs, ties)])
         correctness = _correctness_image(result.final.shape[2:], gt, dirs, ties)
         io.write_pgm(out_dir / "correctness.pgm", correctness)
-        written.append(out_dir / "correctness.pgm")
         print(f"fgca={fgca.accuracy:.6f} pixels={fgca.pixels} ties={fgca.ties}")
 
-    print(f"wrote {len(written)} files to {out_dir}")
+    n_files = result.final.shape[0] * N_SIDES + 1 + (contours is not None) + len(gts)
+    print(f"wrote {n_files} files to {out_dir}")
     return 0
 
 
 # ----------------------------------------------------------------------
 # eval / tune dataset plumbing
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ManifestEntry:
-    """One dataset row: id, image and ground truths, optional labels."""
-
-    image_id: str
-    image: str
-    gts: list
-    contours: str | None
-    segments: str | None
-
 
 def parse_manifest(path) -> list:
     """Rows of ``id image gt1 gt2 [contours segments]``, '-' = absent."""
@@ -200,13 +202,10 @@ def parse_manifest(path) -> list:
 
 
 def _scoring_state(entry: ManifestEntry, config: RunConfig, need_sa: bool, need_tj: bool):
-    """Read one row's image, label maps and ground truths, prepare the
-    image and keep what scoring a weight point reads (a
-    :class:`ScoringState`). The truths are checked
-    (:func:`_load_truths`) before the image is prepared."""
-    image = _read_image(Path(entry.image))
-    contours, segments = _load_labels(entry.contours, entry.segments)
-    gts = _load_truths(entry.gts, image.shape)
+    """Read one row (:func:`_read_row`), prepare its image and keep what
+    scoring a weight point reads (a :class:`ScoringState`). The truths
+    are checked before the image is prepared."""
+    image, contours, segments, gts = _read_row(entry)
     prepared = prepare_components(
         image,
         config.params,
@@ -261,24 +260,11 @@ def _load_rows(load, entries, jobs: int = 1) -> dict:
     return loaded
 
 
-def _score_dataset(entries, config: RunConfig, weight_sets, jobs: int) -> list:
-    """Per weight set ``{image_id: FGCAResult}`` over the rows that are
-    not refused (:func:`_load_rows`)."""
-    load = partial(_score_entry, config=config, weight_sets=weight_sets)
-    scores = _load_rows(load, entries, jobs)
-    return [{i: r[w] for i, r in scores.items()} for w in range(len(weight_sets))]
-
-
 def cmd_eval(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     config = _config_from_args(args)
     if args.compare:
-        if config.weight_keys:
-            raise ValueError(
-                "--compare names both alpha triples; it takes no --preset, --weights "
-                "or alpha key"
-            )
         names = [n.strip() for n in args.compare.split(",")]
         if len(names) != 2:
             raise ValueError(f"--compare expects two presets, got {args.compare!r}")
@@ -295,8 +281,10 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    per_preset = _score_dataset(entries, config, weight_sets, args.jobs)
-    scored = len(per_preset[0])
+    load = partial(_score_entry, config=config, weight_sets=weight_sets)
+    per_row = _load_rows(load, entries, args.jobs)
+    per_preset = [{i: r[w] for i, r in per_row.items()} for w in range(len(weight_sets))]
+    scored = len(per_row)
     if args.compare and scored < 2:
         print(f"--compare needs at least two scored images, got {scored}", file=sys.stderr)
         return 1
@@ -320,14 +308,13 @@ def cmd_eval(args) -> int:
         sample_a = [s.accuracy for s in per_preset[0].values()]
         sample_b = [s.accuracy for s in per_preset[1].values()]
         p_value = right_tailed_t_test(sample_a, sample_b)
-        lines = (
-            f"presetA={labels[0]}\n"
-            f"presetB={labels[1]}\n"
-            f"aggregateA={reports[0].aggregate:.6f}\n"
-            f"aggregateB={reports[1].aggregate:.6f}\n"
-            f"pValue={p_value:.6g}\n"
-        )
-        (out_dir / "compare.kv").write_text(lines)
+        (out_dir / "compare.kv").write_text(format_keyvalues([
+            ("presetA", labels[0]),
+            ("presetB", labels[1]),
+            ("aggregateA", f"{reports[0].aggregate:.6f}"),
+            ("aggregateB", f"{reports[1].aggregate:.6f}"),
+            ("pValue", f"{p_value:.6g}"),
+        ]))
         print(f"pValue={p_value:.6g}")
     return 0
 
@@ -372,16 +359,15 @@ def cmd_tune(args) -> int:
         objective, names=tuple(names), coarse_step=args.coarse_step
     )
 
-    weights_text = (
-        f"alphaRef={tuned.alpha_ref:.6f}\n"
-        f"alphaSA={tuned.alpha_sa:.6f}\n"
-        f"alphaTJ={tuned.alpha_tj:.6f}\n"
-        f"objective={best:.6f}\n"
-        f"seed={config.seed}\n"
-        f"trainIds={','.join(train_ids)}\n"
-        f"testIds={','.join(test_ids)}\n"
-    )
-    (out_dir / "weights.kv").write_text(weights_text)
+    (out_dir / "weights.kv").write_text(format_keyvalues([
+        ("alphaRef", f"{tuned.alpha_ref:.6f}"),
+        ("alphaSA", f"{tuned.alpha_sa:.6f}"),
+        ("alphaTJ", f"{tuned.alpha_tj:.6f}"),
+        ("objective", f"{best:.6f}"),
+        ("seed", config.seed),
+        ("trainIds", ",".join(train_ids)),
+        ("testIds", ",".join(test_ids)),
+    ]))
     trace_lines = ["round " + " ".join(names) + " objective"]
     for round_index, point, value in trace:
         coords = " ".join(f"{v:.6f}" for v in point)
@@ -419,19 +405,15 @@ def cmd_synth(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    written = []
     gray = stim.image
     io.write_ppm(out_dir / "image.ppm", gray, gray, gray)
-    written.append(out_dir / "image.ppm")
     io.write_lm1(out_dir / "gt.lm1", stim.signed.astype(np.int64))
-    written.append(out_dir / "gt.lm1")
     if stim.contours is not None:
         io.write_lm1(out_dir / "contours.lm1", stim.contours)
-        written.append(out_dir / "contours.lm1")
     if stim.segments is not None:
         io.write_lm1(out_dir / "segments.lm1", stim.segments)
-        written.append(out_dir / "segments.lm1")
-    print(f"wrote {len(written)} files to {out_dir}")
+    n_files = 2 + (stim.contours is not None) + (stim.segments is not None)
+    print(f"wrote {n_files} files to {out_dir}")
     return 0
 
 

@@ -360,15 +360,20 @@ def format_report_text(report: EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def format_keyvalues(pairs) -> str:
+    """``key=value`` lines of ``(key, value)`` pairs, in order; each
+    value is written as ``str`` gives it, so callers format numbers."""
+    return "".join(f"{k}={v}\n" for k, v in pairs)
+
+
 def format_report_keyvalues(report: EvalReport) -> str:
-    pairs = [
+    return format_keyvalues([
         ("images", len(report.per_image)),
         ("pixels", sum(s.pixels for s in report.per_image.values())),
         ("aggregateFGCA", f"{report.aggregate:.6f}"),
         ("perImageMeanFGCA", f"{report.per_image_mean:.6f}"),
         ("stdDev", f"{report.std_dev:.6f}"),
-    ]
-    return "".join(f"{k}={v}\n" for k, v in pairs)
+    ])
 
 
 # ----------------------------------------------------------------------

@@ -31,12 +31,15 @@ def write_fm1(path, values) -> None:
 
 def _read_text_map(path, magic: str, parse) -> np.ndarray:
     """The (rows, cols) map of a ``<magic> <rows> <cols>`` text file,
-    each value read by ``parse`` (``float`` or ``int``, also the dtype)."""
+    each value read by ``parse`` (``float`` or ``int``, also the dtype).
+    A header with fewer than one row or column is refused."""
     with open(path) as fh:
         tokens = fh.read().split()
     if len(tokens) < 3 or tokens[0] != magic:
         raise ValueError(f"{path}: not an {magic} file")
     rows, cols = _parsed(path, int, tokens[1:3])
+    if rows < 1 or cols < 1:
+        raise ValueError(f"{path}: bad {magic} header ({rows} rows, {cols} cols)")
     data = tokens[3:]
     if len(data) != rows * cols:
         raise ValueError(f"{path}: expected {rows * cols} values, found {len(data)}")

@@ -53,17 +53,15 @@ def isolated_square(
     size: int = 64,
     first: int = 20,
     last: int = 43,
-    background: float = 0.25,
-    foreground: float = 0.75,
 ) -> Stimulus:
-    """A uniform square figure on a uniform ground."""
+    """A uniform square figure (0.75) on a uniform ground (0.25)."""
     _check_size(size)
     if not 0 < first < last < size - 1 or last - first < 4:
         raise ValueError(f"square [{first}, {last}] does not fit in {size} px")
-    image = np.full((size, size), float(background))
+    image = np.full((size, size), 0.25)
     mask = np.zeros((size, size), dtype=bool)
     mask[first : last + 1, first : last + 1] = True
-    image[mask] = foreground
+    image[mask] = 0.75
     signed = np.zeros((size, size), dtype=np.int64)
     inner = ndimage.binary_erosion(mask, structure=_BOX)
     _paint_boundary(signed, _rim(mask), _rim(inner))
@@ -80,12 +78,11 @@ def overlapping_squares(
     b_gray: float = 0.85,
     background: float = 0.10,
     gradient: float = 0.0,
-    gradient_extent: float | None = None,
 ) -> Stimulus:
     """Square B partially occluding square A, forming two T-junctions.
 
     The occluder may carry a vertical shading gradient (strongest at its
-    top edge, fading over ``gradient_extent`` rows). Contour labels: 1 =
+    top edge, fading over half its height). Contour labels: 1 =
     A's visible boundary, 2 = B's boundary against the background, 3 =
     B's boundary across A. Segment labels: 1 = visible part of A, 2 = B,
     3 = background.
@@ -107,8 +104,8 @@ def overlapping_squares(
     image = np.full((size, size), float(background))
     image[a_visible] = a_gray
     rows = np.arange(size, dtype=float)[:, None]
-    extent = (b_last - b_first) / 2.0 if gradient_extent is None else gradient_extent
-    shade = b_gray + gradient * np.maximum(0.0, 1.0 - (rows - b_first) / extent)
+    fade = (rows - b_first) / ((b_last - b_first) / 2.0)
+    shade = b_gray + gradient * np.maximum(0.0, 1.0 - fade)
     image = np.where(b_mask, shade, image)
     image = np.clip(image, 0.0, 1.0)
 
@@ -202,10 +199,9 @@ def annulus(
     size: int = 64,
     r_outer: float | None = None,
     r_inner: float | None = None,
-    ring: float = 0.75,
-    background: float = 0.25,
 ) -> Stimulus:
-    """A bright ring figure; ground truth covers its outer boundary."""
+    """A bright ring figure (0.75) on a dark ground (0.25); ground truth
+    covers its outer boundary."""
     _check_size(size)
     r_out = 0.32 * size if r_outer is None else float(r_outer)
     r_in = r_out - 8.0 if r_inner is None else float(r_inner)
@@ -218,7 +214,7 @@ def annulus(
     rr, cc = np.mgrid[0:size, 0:size]
     dist = np.hypot(rr - center, cc - center)
     mask = (dist <= r_out) & (dist >= r_in)
-    image = np.where(mask, float(ring), float(background))
+    image = np.where(mask, 0.75, 0.25)
 
     outside = dist > r_out
     minus = mask & ndimage.binary_dilation(outside, structure=_BOX)

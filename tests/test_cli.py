@@ -147,6 +147,31 @@ class TestRun:
         assert vis.shape == (48, 48)
         assert set(np.unique(vis)) <= {0, 128, 192, 255}
 
+    def test_fgca_equals_the_eval_report_of_the_row(self, overlap_dir, tmp_path, capsys):
+        # run scores the full final maps, eval the boundary windows of one
+        # prepared image: both read the row through one reader
+        files = {name: str(overlap_dir / f"{name}.lm1") for name in ("gt", "contours", "segments")}
+        code = main(
+            ["run", "--image", str(overlap_dir / "image.ppm"), "--gt", files["gt"],
+             "--contours", files["contours"], "--segments", files["segments"],
+             "--out", str(tmp_path / "run"), "--preset", "with-both", *FAST]
+        )
+        assert code == 0
+        (fgca_line,) = [l for l in capsys.readouterr().out.splitlines() if l.startswith("fgca=")]
+        manifest = write_manifest(
+            tmp_path / "m.txt",
+            [f"ov {overlap_dir / 'image.ppm'} {files['gt']} - {files['contours']} "
+             f"{files['segments']}"],
+        )
+        out = tmp_path / "eval"
+        code = main(
+            ["eval", "--manifest", str(manifest), "--out", str(out), "--preset", "with-both",
+             *FAST]
+        )
+        assert code == 0
+        accuracy, pixels, ties = (out / "report.txt").read_text().splitlines()[1].split()[1:]
+        assert fgca_line == f"fgca={accuracy} pixels={pixels} ties={ties}"
+
     def test_gt_of_another_shape_refused_before_any_output(self, square_dir, tmp_path, capsys):
         # the 96-px square's records happen to lie inside the 48x48 map,
         # so scoring them would print an FGCA of the wrong image
@@ -528,7 +553,7 @@ class TestEval:
         def fault(*args, **kwargs):
             raise RuntimeError("an image was read")
 
-        monkeypatch.setattr(cli, "_read_image", fault)
+        monkeypatch.setattr(cli.io, "read_ppm", fault)
         manifest = write_manifest(tmp_path / "one.txt", dataset.read_text().splitlines()[:2])
         out = tmp_path / "eval"
         code = main(
@@ -665,6 +690,8 @@ class TestTune:
 
 
 COMPARE_OWNS_ALPHAS = "--compare names both alpha triples; it takes no --preset, --weights"
+TUNE_OWNS_ALPHAS = "tune searches the alpha triple; it takes no --preset or alpha key"
+ALPHA_CONFIG = "alpha.cfg"  # written by the test: "alphaSA = 0.65"
 
 
 @pytest.mark.parametrize("command, flags, message", [
@@ -677,9 +704,15 @@ COMPARE_OWNS_ALPHAS = "--compare names both alpha triples; it takes no --preset,
     ("tune", ["--manifest", "nosuch.txt"], "[Errno 2] No such file or directory"),
     ("eval", ["--manifest", "nosuch.txt"], "[Errno 2] No such file or directory"),
     ("tune", ["--set", "seed=-1"], "--set seed=-1: seed must be non-negative, got -1"),
+    ("tune", ["--preset", "with-sa"], TUNE_OWNS_ALPHAS),
+    ("tune", ["--set", "alphaRef=0.5"], TUNE_OWNS_ALPHAS),
+    ("tune", ["--set", "preset=with-tj"], TUNE_OWNS_ALPHAS),
+    ("tune", ["--config", ALPHA_CONFIG], TUNE_OWNS_ALPHAS),
+    ("eval", ["--compare", "reference,with-sa", "--config", ALPHA_CONFIG], COMPARE_OWNS_ALPHAS),
 ], ids=["tune-step", "tune-names", "eval-one-preset", "eval-unknown-preset",
         "eval-compare-weights", "eval-compare-preset", "tune-manifest", "eval-manifest",
-        "tune-seed"])
+        "tune-seed", "tune-preset", "tune-alpha-key", "tune-preset-key", "tune-config-alpha",
+        "eval-compare-config-alpha"])
 def test_bad_flag_refused_before_any_work(
     dataset, tmp_path, capsys, monkeypatch, command, flags, message
 ):
@@ -688,6 +721,9 @@ def test_bad_flag_refused_before_any_work(
         raise AssertionError("an image was prepared")
 
     monkeypatch.setattr(cli, "prepare_components", prepare)
+    config = tmp_path / ALPHA_CONFIG
+    config.write_text("alphaSA = 0.65\n")
+    flags = [str(config) if flag == ALPHA_CONFIG else flag for flag in flags]
     out = tmp_path / "out"
     code = main([command, "--manifest", str(dataset), "--out", str(out), *flags, *FAST])
     assert code == 1

@@ -204,3 +204,21 @@ def test_malformed_token_names_the_file(tmp_path, read, content):
     path.write_bytes(content)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
         read(path)
+
+
+@pytest.mark.parametrize("read, content, header", [
+    (read_fm1, "FM1 0 0\n", "FM1 header (0 rows, 0 cols)"),
+    (read_fm1, "FM1 2 -1\n", "FM1 header (2 rows, -1 cols)"),
+    (read_lm1, "LM1 0 3\n", "LM1 header (0 rows, 3 cols)"),
+    (read_lm1, "LM1 -1 -1\n7\n", "LM1 header (-1 rows, -1 cols)"),
+    (read_signed_map, "LM1 0 3\n", "LM1 header (0 rows, 3 cols)"),
+    (read_signed_map, "LM1 3 0\n", "LM1 header (3 rows, 0 cols)"),
+], ids=["fm1-empty", "fm1-negative", "lm1-no-rows", "lm1-negative", "signed-no-rows",
+        "signed-no-cols"])
+def test_text_map_without_cells_refused_naming_the_file(tmp_path, read, content, header):
+    # a header whose product matches the values given is not enough:
+    # -1 x -1 = 1 and 0 x 3 = 0
+    path = tmp_path / "empty.map"
+    path.write_text(content)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: bad {re.escape(header)}$"):
+        read(path)

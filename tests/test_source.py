@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ from collections import Counter
 from pathlib import Path
 
 import fgo
+from fgo import stimuli
 
 SRC = Path(fgo.__file__).parent
 
@@ -29,6 +32,30 @@ def referenced_names(node) -> Counter:
         for n in ast.walk(node)
         if isinstance(n, (ast.Name, ast.Attribute))
     )
+
+
+# what the benchmark in perfbench/ calls of the package by name; a
+# simplification that drops one of these must fail here first
+BENCHMARK_NAMES = {
+    "io": ("read_fm1", "read_signed_map", "write_ppm", "write_lm1"),
+    "evaluation": ("compute_fgca", "load_ground_truth"),
+    "cli": ("main", "ProcessPoolExecutor"),
+}
+# the keywords perfbench/scenes.py passes to stimuli.overlapping_squares
+SCENE_KEYWORDS = (
+    "size", "background", "a_gray", "b_gray", "gradient", "a_first", "a_last", "b_first", "b_last",
+)
+
+
+def test_names_the_benchmark_calls_resolve():
+    for module, names in BENCHMARK_NAMES.items():
+        layer = importlib.import_module(f"fgo.{module}")
+        for name in names:
+            assert callable(getattr(layer, name, None)), f"fgo.{module}.{name}"
+
+
+def test_overlapping_squares_binds_the_scene_keywords():
+    inspect.signature(stimuli.overlapping_squares).bind(**dict.fromkeys(SCENE_KEYWORDS))
 
 
 def test_every_public_definition_has_a_caller_in_src():
