@@ -105,12 +105,15 @@ def _config_from_args(args) -> RunConfig:
             raise ValueError(f"--weights expects alphaRef,alphaSA,alphaTJ, got {triple!r}")
         lines = [f"{name}={value}" for name, value in zip(ALPHA_NAMES, parts)]
         config = apply_lines(config, lines, "--weights {line}")
-    if config.weight_keys and (args.command == "tune" or getattr(args, "compare", None)):
-        raise ValueError(
-            "tune searches the alpha triple; it takes no --preset or alpha key"
-            if args.command == "tune"
-            else "--compare names both alpha triples; it takes no --preset, --weights or alpha key"
-        )
+    owner = (
+        "tune searches the alpha triple; it takes no --preset or alpha key"
+        if args.command == "tune"
+        else "--compare names both alpha triples; it takes no --preset, --weights or alpha key"
+        if getattr(args, "compare", None)
+        else None
+    )
+    if owner and config.weight_keys:
+        raise ValueError(owner)
     config.weights()  # refuses a bad weight set
     return config
 

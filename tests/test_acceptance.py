@@ -9,6 +9,7 @@ dataset manifest and skips cleanly otherwise.
 import math
 import os
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -448,13 +449,14 @@ def test_10_dataset_regression():
         print("ACCEPTANCE 10 dataset regression: SKIP (set FGO_BSDS_MANIFEST)")
         pytest.skip("dataset manifest not available")
 
-    from fgo.cli import _score_dataset, parse_manifest
+    from fgo.cli import _load_rows, _score_entry, parse_manifest
 
     entries = parse_manifest(manifest_path)
 
     def aggregate(config: RunConfig) -> float:
-        (scores,) = _score_dataset(entries, config, [config.weights()], jobs=1)
-        return build_report(scores).aggregate
+        load = partial(_score_entry, config=config, weight_sets=[config.weights()])
+        per_row = _load_rows(load, entries)
+        return build_report({i: r[0] for i, r in per_row.items()}).aggregate
 
     scores = {
         name: aggregate(apply_preset(RunConfig(), name))
