@@ -21,6 +21,7 @@ from .filters import GaborParams, gabor_bank
 from .grid import as_map, correlate_stack
 
 N_ORIENTATIONS = 8
+N_SIDES = 2
 ORIENTATIONS = tuple(i * math.pi / N_ORIENTATIONS for i in range(N_ORIENTATIONS))
 
 
@@ -29,6 +30,15 @@ def bo_direction(orientation_index: int, side_index: int) -> float:
     is ``theta + pi/2`` and side 1 is ``theta - pi/2``, in the package
     frame (angle a -> (dx, dy) = (cos a, sin a), y down the rows)."""
     return ORIENTATIONS[orientation_index] + (1.0, -1.0)[side_index] * math.pi / 2
+
+
+# the unit ownership directions, (8, 2, 2): DIRECTIONS[t, s] is (dx, dy) =
+# (cos, sin) of bo_direction(t, s), the one table every module steps along
+DIRECTIONS = np.array([
+    [[math.cos(a), math.sin(a)] for a in (bo_direction(t, s) for s in range(N_SIDES))]
+    for t in range(N_ORIENTATIONS)
+])
+DIRECTIONS.flags.writeable = False
 
 
 @dataclass(frozen=True)

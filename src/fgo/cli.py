@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io, stimuli
-from .channels import RGBImage
+from .channels import N_SIDES, RGBImage
 from .config import PRESETS, RunConfig, apply_lines, apply_preset, key_name, load_config
 from .cues import format_junction
 from .evaluation import (
@@ -40,7 +40,7 @@ from .evaluation import (
     score_directions,
     score_weights,
 )
-from .ownership import ALPHA_NAMES, N_SIDES
+from .ownership import ALPHA_NAMES
 from .pipeline import prepare_components, run_model
 
 DIRECTION_GRAY_STEP = 15  # winning map index i shown as (i + 1) * 15
@@ -92,9 +92,7 @@ def _config_from_args(args) -> RunConfig:
     anything is read or written. A command that sets the alpha triple
     itself (``eval --compare``, ``tune``) refuses every alpha setting,
     ``preset=`` included."""
-    config = RunConfig()
-    if args.config:
-        config = load_config(args.config, config)
+    config = load_config(args.config) if args.config else RunConfig()
     if args.preset:
         config = apply_preset(config, args.preset)
     config = apply_lines(config, args.set or [], "--set {line}")
@@ -271,6 +269,8 @@ def cmd_eval(args) -> int:
         names = [n.strip() for n in args.compare.split(",")]
         if len(names) != 2:
             raise ValueError(f"--compare expects two presets, got {args.compare!r}")
+        if names[0] == names[1]:
+            raise ValueError(f"--compare names preset {names[0]!r} twice; name two distinct presets")
         configs = [apply_preset(config, name) for name in names]
         weight_sets = [c.weights() for c in configs]
         labels = names

@@ -147,6 +147,6 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
     return apply_lines(base if base is not None else RunConfig(), text.splitlines())
 
 
-def load_config(path, base: RunConfig | None = None) -> RunConfig:
+def load_config(path) -> RunConfig:
     with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), base)
+        return parse_config_text(fh.read())

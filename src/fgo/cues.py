@@ -2,7 +2,7 @@
 
 Both cues produce directed maps indexed ``[orientation, side, row, col]``
 with eight orientations and two sides per orientation, each side
-pointing in its ``channels.bo_direction``.
+pointing in its unit direction ``channels.DIRECTIONS[t, s]``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .channels import N_ORIENTATIONS, ORIENTATIONS, bo_direction
+from .channels import DIRECTIONS, N_ORIENTATIONS, N_SIDES, ORIENTATIONS
 from .filters import GaborParams, gabor_bank
 from .grid import correlate_stack
 
@@ -106,7 +106,7 @@ def compute_sa_maps(intensity, params: SAParams = SAParams()) -> np.ndarray:
     parity has its own carrier frequency (:meth:`SAParams.frequencies`).
     """
     intensity = np.asarray(intensity, dtype=np.float64)
-    out = np.zeros((N_ORIENTATIONS, 2) + intensity.shape)
+    out = np.zeros((N_ORIENTATIONS, N_SIDES) + intensity.shape)
     for size in params.sizes:
         radius = size / 2.0
         sigma = params.sigma_factor * radius
@@ -119,9 +119,7 @@ def compute_sa_maps(intensity, params: SAParams = SAParams()) -> np.ndarray:
         responses = correlate_stack(intensity, bank)
         for ti in range(N_ORIENTATIONS):
             magnitude = np.hypot(responses[ti, 0], responses[ti, 1])
-            for si in range(2):
-                phi = bo_direction(ti, si)
-                dx, dy = math.cos(phi), math.sin(phi)
+            for si, (dx, dy) in enumerate(DIRECTIONS[ti]):
                 out[ti, si] += sample_shifted(magnitude, radius * dy, radius * dx)
     return out
 
@@ -444,7 +442,7 @@ def build_tj_maps(contours, segments, junctions,
     neither are skipped.
     """
     contours, segments = _label_maps(contours, segments)
-    out = np.zeros((N_ORIENTATIONS, 2) + contours.shape)
+    out = np.zeros((N_ORIENTATIONS, N_SIDES) + contours.shape)
     steps = range(params.probe_min, params.probe_max + 1)
     for junction in junctions:
         if not junction.matched:
@@ -457,9 +455,7 @@ def build_tj_maps(contours, segments, junctions,
                 continue
             ti = quantize_orientation(theta)
             hits = []
-            for si in range(2):
-                phi = bo_direction(ti, si)
-                dx, dy = math.cos(phi), math.sin(phi)
+            for dx, dy in DIRECTIONS[ti]:
                 probes = [(int(round(row + t * dy)), int(round(col + t * dx))) for t in steps]
                 hits.append(any(
                     0 <= rr < segments.shape[0] and 0 <= cc < segments.shape[1]

@@ -24,9 +24,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import sparse, special
 
-from .channels import N_ORIENTATIONS, bo_direction
+from .channels import DIRECTIONS, N_ORIENTATIONS, N_SIDES
 from .grid import pool_operators_at
-from .ownership import ALPHA_NAMES, N_SIDES, ModelWeights
+from .ownership import ALPHA_NAMES, ModelWeights
 from .pipeline import PreparedImage, final_levels
 
 _NEIGHBOR_OFFSETS = tuple(
@@ -35,14 +35,7 @@ _NEIGHBOR_OFFSETS = tuple(
 # (row, col) offsets of the 3x3 window a decision reads
 _WINDOW = np.array([(0, 0), *_NEIGHBOR_OFFSETS])
 # unit ownership direction of every (orientation, side) map, in map order
-_DIRECTIONS = np.array(
-    [
-        [math.cos(angle), math.sin(angle)]
-        for angle in (
-            bo_direction(ti, si) for ti in range(N_ORIENTATIONS) for si in range(N_SIDES)
-        )
-    ]
-)
+_DIRECTIONS = DIRECTIONS.reshape(-1, 2)
 
 
 @dataclass(frozen=True)

@@ -11,22 +11,29 @@ from __future__ import annotations
 import numpy as np
 
 
-def _parsed(path, parse, tokens) -> list:
-    """``parse`` of every token; a malformed token is refused naming the
-    file."""
+def _parsed(path, parse, tokens) -> np.ndarray:
+    """The array of ``parse`` of every token, of dtype ``parse``
+    (``int`` is int64, ``float`` float64); a malformed token, or an
+    integer that does not fit int64, is refused naming the file."""
     try:
-        return [parse(t) for t in tokens]
-    except ValueError as exc:
+        return np.array([parse(t) for t in tokens], dtype=parse)
+    except (ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _write_text_map(path, magic: str, arr: np.ndarray, fmt: str) -> None:
+    """Write a 2D map as the text header ``<magic> <rows> <cols>`` and one
+    line per row of space-separated values, each formatted by ``fmt``."""
+    with open(path, "w") as fh:
+        fh.write(f"{magic} {arr.shape[0]} {arr.shape[1]}\n")
+        np.savetxt(fh, arr, fmt=fmt, delimiter=" ")
 
 
 def write_fm1(path, values) -> None:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"FM1 maps must be 2D, got shape {arr.shape}")
-    with open(path, "w") as fh:
-        fh.write(f"FM1 {arr.shape[0]} {arr.shape[1]}\n")
-        np.savetxt(fh, arr, fmt="%.17g", delimiter=" ")
+    _write_text_map(path, "FM1", arr, "%.17g")
 
 
 def _read_text_map(path, magic: str, parse) -> np.ndarray:
@@ -37,13 +44,13 @@ def _read_text_map(path, magic: str, parse) -> np.ndarray:
         tokens = fh.read().split()
     if len(tokens) < 3 or tokens[0] != magic:
         raise ValueError(f"{path}: not an {magic} file")
-    rows, cols = _parsed(path, int, tokens[1:3])
+    rows, cols = _parsed(path, int, tokens[1:3]).tolist()
     if rows < 1 or cols < 1:
         raise ValueError(f"{path}: bad {magic} header ({rows} rows, {cols} cols)")
     data = tokens[3:]
     if len(data) != rows * cols:
         raise ValueError(f"{path}: expected {rows * cols} values, found {len(data)}")
-    return np.array(_parsed(path, parse, data), dtype=parse).reshape(rows, cols)
+    return _parsed(path, parse, data).reshape(rows, cols)
 
 
 def read_fm1(path) -> np.ndarray:
@@ -57,21 +64,19 @@ def write_lm1(path, values) -> None:
     arr = np.asarray(values)
     if arr.ndim != 2 or not np.issubdtype(arr.dtype, np.integer):
         raise ValueError("LM1 maps must be 2D integer arrays")
-    with open(path, "w") as fh:
-        fh.write(f"LM1 {arr.shape[0]} {arr.shape[1]}\n")
-        np.savetxt(fh, arr, fmt="%d", delimiter=" ")
+    _write_text_map(path, "LM1", arr, "%d")
 
 
-def read_lm1(path, allow_negative: bool = False) -> np.ndarray:
+def read_lm1(path) -> np.ndarray:
     arr = _read_text_map(path, "LM1", int)
-    if not allow_negative and arr.min() < 0:
+    if arr.min() < 0:
         raise ValueError(f"{path}: negative labels not allowed here")
     return arr
 
 
 def read_signed_map(path) -> np.ndarray:
-    """LM1-style map restricted to values -1, 0 and +1."""
-    arr = read_lm1(path, allow_negative=True)
+    """An LM1 map restricted to values -1, 0 and +1."""
+    arr = _read_text_map(path, "LM1", int)
     if not np.isin(arr, (-1, 0, 1)).all():
         raise ValueError(f"{path}: signed maps may only hold -1, 0, +1")
     return arr
@@ -102,7 +107,7 @@ def _pnm_tokens(path, blob: bytes, count: int):
                 j += 1
             tokens.append(blob[i:j].decode("ascii", errors="replace"))
             i = j
-    return _parsed(path, int, tokens[1:]), i + 1
+    return _parsed(path, int, tokens[1:]).tolist(), i + 1
 
 
 def read_ppm(path):
@@ -124,11 +129,19 @@ def read_ppm(path):
         tokens = blob[offset - 1 :].split()
         if len(tokens) < n:
             raise ValueError(f"{path}: truncated PPM raster")
-        raster = np.array(_parsed(path, int, tokens[:n]), dtype=np.int64)
+        raster = _parsed(path, int, tokens[:n])
     if raster.min() < 0 or raster.max() > maxval:
         raise ValueError(f"{path}: sample out of range")
     rgb = raster.reshape(height, width, 3).astype(np.float64) / maxval
     return rgb[:, :, 0], rgb[:, :, 1], rgb[:, :, 2]
+
+
+def _write_pnm(path, magic: str, data: np.ndarray) -> None:
+    """Write a uint8 raster, (rows, cols) for P5 or (rows, cols, 3) for
+    P6, as a binary PNM of maxval 255."""
+    with open(path, "wb") as fh:
+        fh.write(f"{magic}\n{data.shape[1]} {data.shape[0]}\n255\n".encode("ascii"))
+        fh.write(data.tobytes())
 
 
 def write_ppm(path, r, g, b) -> None:
@@ -138,10 +151,7 @@ def write_ppm(path, r, g, b) -> None:
         raise ValueError("write_ppm expects three 2D maps")
     if stack.min() < 0 or stack.max() > 1:
         raise ValueError("PPM channel values must lie in [0, 1]")
-    data = np.rint(stack * 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{stack.shape[1]} {stack.shape[0]}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
+    _write_pnm(path, "P6", np.rint(stack * 255).astype(np.uint8))
 
 
 def write_pgm(path, gray) -> None:
@@ -149,8 +159,4 @@ def write_pgm(path, gray) -> None:
     arr = np.asarray(gray)
     if arr.ndim != 2:
         raise ValueError("write_pgm expects a 2D map")
-    data = arr.astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
-
+    _write_pnm(path, "P5", arr.astype(np.uint8))

@@ -55,11 +55,10 @@ import numpy as np
 
 from scipy import ndimage
 
-from .channels import N_ORIENTATIONS, bo_direction
+from .channels import N_ORIENTATIONS, N_SIDES, bo_direction
 from .filters import clamp_kernel_size, make_von_mises, ring_size
 from .grid import correlate_stack, pool_resampled
 
-N_SIDES = 2
 # the peak competition's window and the relative tolerance of a plateau
 _PEAK_WINDOW = 3
 _PLATEAU_TOLERANCE = 1e-9
@@ -139,11 +138,8 @@ def _peak_competition(scaled: np.ndarray) -> np.ndarray:
     labels, count = ndimage.label(
         (scaled >= window_max - tol) & (scaled > tol), structure=np.ones((3, 3))
     )
-    # per-peak maxima over the labelled cells alone
-    cells = labels > 0
-    peaks = np.full(count, -np.inf)
-    np.maximum.at(peaks, labels[cells] - 1, scaled[cells])
-    peaks = np.sort(peaks)[:-1]
+    cells = labels > 0  # ndimage.maximum sorts its input: pass the peaks alone
+    peaks = np.sort(ndimage.maximum(scaled[cells], labels[cells], np.arange(1, count + 1)))[:-1]
     mean_rival = peaks.mean() if peaks.size else 0.0
     return scaled * (top - mean_rival) ** 2
 
@@ -247,15 +243,16 @@ def compute_bo(
     :func:`correlate_stack` call, ``evidence[p, t, s]`` through the
     ring kernel of radius ``ring_radius`` toward (t, s). The projections are pooled across scales
     in place (:func:`scale_contexts`), and gate the carrier one
-    orientation, side and polarity at a time::
+    orientation at a time, every polarity and side at once (``ctx[:, t]``
+    against ``ctx[::-1, t, ::-1]``)::
 
-        B[k][t, s] = sum_p max(0, C_t * (1 + ctx[p, t, s] - w_opp * ctx[P-1-p, t, 1-s]))
-        D[k][t] = B[k][t, 0] - B[k][t, 1]
+        B[p, s] = max(0, C_t * (1 + ctx[p, t, s] - w_opp * ctx[P-1-p, t, 1-s]))
+        D[k][t] = sum_p B[p, 0] - sum_p B[p, 1]
 
     Evidence on the owned side excites; evidence of the other polarity
     (of the same cue, for one polarity) on the opposite side inhibits.
-    Only ``D`` is returned, and neither an (8, 2) level nor a full-size
-    gate temporary is alive. Only the ``modulated`` finest levels are
+    Only ``D`` is returned, and the gate is updated in place: one (P, 2,
+    rows, cols) buffer is alive per orientation. Only the ``modulated`` finest levels are
     gated (None gates all; a local cue's ``top_layers_only``); the
     others pass the rectified carrier to both sides, so their imbalance
     is zero, and ``modulated = 0`` reads no evidence.
@@ -271,16 +268,11 @@ def compute_bo(
             continue
         c, ctx[k] = ctx[k], None  # free each context once it has gated its level
         for t in range(N_ORIENTATIONS):
-            sides = []
-            for s in range(N_SIDES):
-                side = None
-                for p in range(len(c)):
-                    gated = np.maximum(
-                        0.0, carrier[t, 0] * (1.0 + c[p, t, s] - w_opp * c[-1 - p, t, 1 - s])
-                    )
-                    side = gated if side is None else np.add(side, gated, out=side)
-                sides.append(side)
-            np.subtract(*sides, out=delta[t])
+            gate = 1.0 + c[:, t]
+            gate -= w_opp * c[::-1, t, ::-1]
+            gate *= carrier[t, 0]
+            np.maximum(0.0, gate, out=gate)
+            np.subtract(*gate.sum(axis=0), out=delta[t])
     return out
 
 

@@ -34,11 +34,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import N_ORIENTATIONS, ORIENTATIONS, RGBImage, compute_channels
+from .channels import N_ORIENTATIONS, N_SIDES, ORIENTATIONS, RGBImage, compute_channels
 from .cues import SAParams, TJParams, build_tj_maps, compute_sa_maps, detect_t_junctions
 from .filters import DoGParams, GaborParams, gabor_bank, make_center_surround
 from .grid import SQRT2, check_pyramid_factor, next_level_dims, pool_resampled, pyramid_levels
-from .ownership import N_SIDES, ModelWeights, combine_bo, compute_bo, cs_pyramids, winning_bo
+from .ownership import ModelWeights, combine_bo, compute_bo, cs_pyramids, winning_bo
 
 log = logging.getLogger(__name__)
 

@@ -26,10 +26,6 @@ class Stimulus:
     segments: np.ndarray | None = None
     junctions: tuple = ()
 
-    @property
-    def shape(self):
-        return self.image.shape
-
 
 def _check_size(size: int) -> None:
     if size < MIN_SIZE:
@@ -49,6 +45,14 @@ def _paint_boundary(signed: np.ndarray, minus: np.ndarray, plus: np.ndarray) -> 
     signed[plus] = 1
 
 
+def _paint_figure(signed: np.ndarray, mask: np.ndarray, visible=True) -> None:
+    """Mark a figure's rim -1 and its inner rim (the rim of its 3x3
+    erosion) +1 where ``visible`` (a mask, or True): the truth of the
+    square, the occluder and the occluded square's visible part."""
+    inner = ndimage.binary_erosion(mask, structure=_BOX)
+    _paint_boundary(signed, _rim(mask) & visible, _rim(inner) & visible)
+
+
 def isolated_square(
     size: int = 64,
     first: int = 20,
@@ -63,8 +67,7 @@ def isolated_square(
     mask[first : last + 1, first : last + 1] = True
     image[mask] = 0.75
     signed = np.zeros((size, size), dtype=np.int64)
-    inner = ndimage.binary_erosion(mask, structure=_BOX)
-    _paint_boundary(signed, _rim(mask), _rim(inner))
+    _paint_figure(signed, mask)
     return Stimulus(image=image, signed=signed)
 
 
@@ -110,9 +113,8 @@ def overlapping_squares(
     image = np.clip(image, 0.0, 1.0)
 
     signed = np.zeros((size, size), dtype=np.int64)
-    _paint_boundary(signed, _rim(b_mask), _rim(ndimage.binary_erosion(b_mask, _BOX)))
-    a_inner = ndimage.binary_erosion(a_mask, structure=_BOX)
-    _paint_boundary(signed, _rim(a_mask) & ~b_mask, _rim(a_inner) & ~b_mask)
+    _paint_figure(signed, b_mask)
+    _paint_figure(signed, a_mask, visible=~b_mask)
 
     contours = np.zeros((size, size), dtype=np.int64)
     contours[_rim(a_mask) & ~b_mask] = 1

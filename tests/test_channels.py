@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fgo.channels import (
+    DIRECTIONS,
     ORIENTATIONS,
     Opponency,
     RGBImage,
@@ -32,12 +33,14 @@ def test_bo_direction_pins_the_sixteen_directions():
     # the vertical edge (t = 4) owns leftward on side 0, rightward on side 1
     assert (math.cos(angles[8]), math.sin(angles[8])) == (-1.0, pytest.approx(0, abs=1e-15))
     assert (math.cos(angles[9]), math.sin(angles[9])) == (1.0, 0.0)
-    # every module reads this one convention
+    # one table holds their unit vectors, and every module that steps or
+    # scores along a direction reads it
     from fgo import cues, evaluation, ownership
 
-    assert ownership.bo_direction is cues.bo_direction is bo_direction
     units = [[math.cos(a), math.sin(a)] for a in angles]
-    assert np.array_equal(evaluation._DIRECTIONS, units)
+    assert np.array_equal(DIRECTIONS.reshape(-1, 2), units)
+    assert cues.DIRECTIONS is DIRECTIONS and evaluation._DIRECTIONS.base is DIRECTIONS
+    assert ownership.bo_direction is bo_direction  # the ring kernels take the angle
 
 
 # -------------------------------------------------------------- intensity

@@ -207,6 +207,18 @@ class TestRun:
         assert capsys.readouterr().err == "error: no usable ground truth records\n"
         assert not out.exists()
 
+    def test_gt_sample_beyond_int64_refused_naming_the_file(self, square_dir, tmp_path, capsys):
+        huge = tmp_path / "huge.lm1"
+        huge.write_text("LM1 1 2\n0 99999999999999999999\n")
+        out = tmp_path / "run"
+        code = main(
+            ["run", "--image", str(square_dir / "image.ppm"), "--gt", str(huge),
+             "--out", str(out), *FAST]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {huge}: ")
+        assert not out.exists()
+
     def test_labels_add_junprecords(self, overlap_dir, tmp_path):
         out = tmp_path / "run"
         code = main(
@@ -469,6 +481,18 @@ class TestEval:
         )
         assert "images=2" in (out / "report.kv").read_text()
 
+    def test_row_with_sample_beyond_int64_skipped(self, dataset, tmp_path, capsys):
+        huge = tmp_path / "huge.lm1"
+        huge.write_text("LM1 1 2\n0 99999999999999999999\n")
+        rows = dataset.read_text().splitlines()
+        rows.append(f"huge a/image.ppm {huge} -")
+        manifest = write_manifest(tmp_path / "huge.txt", rows)
+        out = tmp_path / "eval"
+        code = main(["eval", "--manifest", str(manifest), "--out", str(out), *FAST])
+        assert code == 0
+        assert f"skipped huge: {huge}: " in capsys.readouterr().err
+        assert "images=2" in (out / "report.kv").read_text()
+
     @pytest.mark.parametrize("command", [
         ["eval", "--jobs", "1"], ["eval", "--jobs", "2"], ["tune", "--coarse-step", "0.5"],
     ], ids=["eval-serial", "eval-pool", "tune"])
@@ -699,6 +723,7 @@ ALPHA_CONFIG = "alpha.cfg"  # written by the test: "alphaSA = 0.65"
     ("tune", ["--weights", "alphaRef,alpha_ref"], "names must be a distinct subset of"),
     ("eval", ["--compare", "reference"], "--compare expects two presets, got 'reference'"),
     ("eval", ["--compare", "reference,nosuch"], "unknown preset 'nosuch'"),
+    ("eval", ["--compare", "reference, reference"], "--compare names preset 'reference' twice"),
     ("eval", ["--compare", "reference,with-sa", "--weights", "0,1,0"], COMPARE_OWNS_ALPHAS),
     ("eval", ["--compare", "reference,with-sa", "--preset", "with-tj"], COMPARE_OWNS_ALPHAS),
     ("tune", ["--manifest", "nosuch.txt"], "[Errno 2] No such file or directory"),
@@ -709,7 +734,7 @@ ALPHA_CONFIG = "alpha.cfg"  # written by the test: "alphaSA = 0.65"
     ("tune", ["--set", "preset=with-tj"], TUNE_OWNS_ALPHAS),
     ("tune", ["--config", ALPHA_CONFIG], TUNE_OWNS_ALPHAS),
     ("eval", ["--compare", "reference,with-sa", "--config", ALPHA_CONFIG], COMPARE_OWNS_ALPHAS),
-], ids=["tune-step", "tune-names", "eval-one-preset", "eval-unknown-preset",
+], ids=["tune-step", "tune-names", "eval-one-preset", "eval-unknown-preset", "eval-same-preset",
         "eval-compare-weights", "eval-compare-preset", "tune-manifest", "eval-manifest",
         "tune-seed", "tune-preset", "tune-alpha-key", "tune-preset-key", "tune-config-alpha",
         "eval-compare-config-alpha"])

@@ -23,8 +23,8 @@ from fgo.evaluation import (
     score_directions,
     score_weights,
 )
-from fgo.channels import RGBImage
-from fgo.ownership import N_SIDES, ModelWeights, bo_direction
+from fgo.channels import N_SIDES, RGBImage, bo_direction
+from fgo.ownership import ModelWeights
 from fgo.pipeline import PipelineParams, finalize_components, prepare_components, run_model
 from fgo.stimuli import annulus, isolated_square, overlapping_squares, shaded_edge
 from helpers import scoring_battery

@@ -75,7 +75,12 @@ class TestLM1:
         write_lm1(path, arr)
         with pytest.raises(ValueError):
             read_lm1(path)
-        np.testing.assert_array_equal(read_lm1(path, allow_negative=True), arr)
+        np.testing.assert_array_equal(read_signed_map(path), arr)
+
+    def test_exact_bytes(self, tmp_path):
+        path = tmp_path / "labels.lm1"
+        write_lm1(path, np.array([[-1, 0, 12], [3, -40, 5]]))
+        assert path.read_bytes() == b"LM1 2 3\n-1 0 12\n3 -40 5\n"
 
     def test_signed_map_value_range(self, tmp_path):
         path = tmp_path / "signed.lm1"
@@ -116,6 +121,13 @@ class TestPPM:
         assert r[0, 0] == pytest.approx(1.0)
         assert g[0, 1] == pytest.approx(128 / 255)
         assert b[0, 1] == pytest.approx(1.0)
+
+    def test_exact_bytes(self, tmp_path):
+        # width before height, rows top down, samples interleaved r g b,
+        # each rounded half to even
+        path = tmp_path / "img.ppm"
+        write_ppm(path, [[0.0, 1.0]], [[0.5, 0.2]], [[1 / 255, 0.0]])
+        assert path.read_bytes() == b"P6\n2 1\n255\n" + bytes([0, 128, 1, 255, 51, 0])
 
     def test_out_of_range_write_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -167,6 +179,11 @@ class TestPGM:
         write_pgm(path, arr)
         np.testing.assert_array_equal(read_pgm(path), arr)
 
+    def test_exact_bytes(self, tmp_path):
+        path = tmp_path / "vis.pgm"
+        write_pgm(path, np.array([[0, 7, 255], [128, 1, 2]]))
+        assert path.read_bytes() == b"P5\n3 2\n255\n" + bytes([0, 7, 255, 128, 1, 2])
+
     def test_rejects_non_2d(self, tmp_path):
         with pytest.raises(ValueError):
             write_pgm(tmp_path / "bad.pgm", np.zeros((2, 2, 2)))
@@ -195,8 +212,13 @@ class TestPGM:
     (read_ppm, b"P3\n1 1\n255\n1 z 0\n"),
     (read_ppm, b"P6\n2 2\n255\n" + bytes(3)),
     (read_pgm, b"P5\n1 1\nmax\n\x00"),
+    # beyond int64: a refusal, not an OverflowError
+    (read_lm1, b"LM1 1 2\n1 99999999999999999999\n"),
+    (read_signed_map, b"LM1 1 2\n0 -99999999999999999999\n"),
+    (read_ppm, b"P3\n1 1\n255\n0 99999999999999999999 0\n"),
 ], ids=["lm1-value", "lm1-header", "signed-value", "fm1-value", "fm1-header",
-        "ppm-header", "ppm-truncated", "ppm-plain-sample", "ppm-raster", "pgm-header"])
+        "ppm-header", "ppm-truncated", "ppm-plain-sample", "ppm-raster", "pgm-header",
+        "lm1-beyond-int64", "signed-beyond-int64", "ppm-plain-beyond-int64"])
 def test_malformed_token_names_the_file(tmp_path, read, content):
     # a row of a dataset is skipped with this message, so it must say
     # which of the row's files is broken
