@@ -6,7 +6,9 @@ consumes, each decomposed into a pyramid by ``grid.pyramid_levels``.
 The eight orientation energies are the carriers of every route and are
 pyramided once, as one stack of (8, 1, rows, cols) levels; each
 isotropic feature's pyramid is built level by level as its route reads
-it.
+it. :func:`compute_orientation_channels` is the one quadrature-energy
+builder: spectral anisotropy (``cues.compute_sa_maps``) samples the
+same energy, at its own filter sizes, beside each edge.
 """
 
 from __future__ import annotations
@@ -110,16 +112,19 @@ def compute_color_opponency(image: RGBImage) -> Opponency:
     )
 
 
-def compute_orientation_channels(intensity, base: GaborParams = GaborParams()):
+def compute_orientation_channels(intensity, even: GaborParams, odd: GaborParams, size: int):
     """Complex-cell energy of the intensity map at the eight
     orientations, an (8, rows, cols) array.
 
-    The energy is the magnitude of the quadrature pair: the map is
-    correlated with one (8, 2) bank of even and odd Gabors of ``base``
-    at its nominal size (:func:`gabor_bank`, :func:`correlate_stack`),
-    so it is transformed once.
+    The energy is the magnitude ``hypot(even, odd)`` of the quadrature
+    pair: the map is correlated with one (8, 2) bank of size ``size``,
+    the even Gabors of ``even`` beside the odd Gabors of ``odd``
+    (:func:`gabor_bank`, :func:`correlate_stack`), so it is transformed
+    once. The carriers use one ``GaborParams`` for both parities; SA
+    gives each parity its own carrier frequency.
     """
-    bank = gabor_bank(base, ORIENTATIONS, base.size, ("even", "odd"))
+    bank = np.stack([gabor_bank(even, ORIENTATIONS, size, "even"),
+                     gabor_bank(odd, ORIENTATIONS, size, "odd")], axis=1)
     responses = correlate_stack(intensity, bank)
     return np.hypot(responses[:, 0], responses[:, 1])
 
@@ -133,5 +138,5 @@ def compute_channels(image: RGBImage, gabor: GaborParams = GaborParams()) -> tup
     return (
         intensity,
         compute_color_opponency(image),
-        compute_orientation_channels(intensity, gabor),
+        compute_orientation_channels(intensity, gabor, gabor, gabor.size),
     )

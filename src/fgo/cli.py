@@ -87,26 +87,19 @@ def _read_row(row: ManifestEntry):
 
 
 def _config_from_args(args) -> RunConfig:
-    """The config file, then the preset, then each ``--set``, then
-    ``--weights``; the weights are checked once all are set, before
-    anything is read or written. A command that sets the alpha triple
-    itself (``eval --compare``, ``tune``) refuses every alpha setting,
-    ``preset=`` included."""
+    """The config file, then the preset, then each ``--set``; the alpha
+    triple is checked once all are set, before anything is read or
+    written. A command that sets the alpha triple itself (``eval
+    --compare``, ``tune``) refuses every alpha setting, ``preset=``
+    included."""
     config = load_config(args.config) if args.config else RunConfig()
     if args.preset:
         config = apply_preset(config, args.preset)
     config = apply_lines(config, args.set or [], "--set {line}")
-    triple = getattr(args, "weights", None)
-    if triple:
-        parts = triple.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"--weights expects alphaRef,alphaSA,alphaTJ, got {triple!r}")
-        lines = [f"{name}={value}" for name, value in zip(ALPHA_NAMES, parts)]
-        config = apply_lines(config, lines, "--weights {line}")
     owner = (
         "tune searches the alpha triple; it takes no --preset or alpha key"
         if args.command == "tune"
-        else "--compare names both alpha triples; it takes no --preset, --weights or alpha key"
+        else "--compare names both alpha triples; it takes no --preset or alpha key"
         if getattr(args, "compare", None)
         else None
     )
@@ -424,7 +417,7 @@ def cmd_synth(args) -> int:
 # argument wiring
 # ----------------------------------------------------------------------
 
-def _add_config_flags(parser, with_weights=True):
+def _add_config_flags(parser):
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument(
         "--preset", choices=sorted(PRESETS), help="named alpha triple"
@@ -435,10 +428,6 @@ def _add_config_flags(parser, with_weights=True):
         metavar="KEY=VALUE",
         help="override one config key (repeatable)",
     )
-    if with_weights:
-        parser.add_argument(
-            "--weights", metavar="REF,SA,TJ", help="explicit alpha triple"
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -475,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_tune.add_argument("--coarse-step", type=float, default=0.1)
     p_tune.add_argument("--out", required=True)
-    _add_config_flags(p_tune, with_weights=False)
+    _add_config_flags(p_tune)
     p_tune.set_defaults(func=cmd_tune)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic fixture")

@@ -143,8 +143,8 @@ def apply_lines(config: RunConfig, lines, where: str = "line {lineno}") -> RunCo
     return config
 
 
-def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
-    return apply_lines(base if base is not None else RunConfig(), text.splitlines())
+def parse_config_text(text: str) -> RunConfig:
+    return apply_lines(RunConfig(), text.splitlines())
 
 
 def load_config(path) -> RunConfig:

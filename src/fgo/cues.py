@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .channels import DIRECTIONS, N_ORIENTATIONS, N_SIDES, ORIENTATIONS
-from .filters import GaborParams, gabor_bank
-from .grid import correlate_stack
+from .channels import DIRECTIONS, N_ORIENTATIONS, N_SIDES, compute_orientation_channels
+from .filters import GaborParams
 
 log = logging.getLogger(__name__)
 
@@ -97,30 +96,25 @@ def sample_shifted(arr: np.ndarray, drow: float, dcol: float) -> np.ndarray:
 def compute_sa_maps(intensity, params: SAParams = SAParams()) -> np.ndarray:
     """Directed spectral anisotropy stack of shape (8, 2, rows, cols).
 
-    For every filter size the oriented complex magnitude of the intensity
-    map is sampled half a filter size away on both sides of each
-    orientation and accumulated. A shading gradient beside an edge makes
-    the two sides differ, which is the figure-direction signal. Each
-    size's filters are one (8, 2) bank of even and odd Gabors of that
-    size, built by :func:`gabor_bank` one parity at a time, since each
-    parity has its own carrier frequency (:meth:`SAParams.frequencies`).
+    For every filter size the oriented complex-cell energy of the
+    intensity map is sampled half a filter size away on both sides of
+    each orientation and accumulated. A shading gradient beside an edge
+    makes the two sides differ, which is the figure-direction signal.
+    The energy is the orientation channel's
+    (``channels.compute_orientation_channels``), at that size, with
+    sigma ``sigma_factor * size / 2`` and each parity's own carrier
+    frequency (:meth:`SAParams.frequencies`).
     """
     intensity = np.asarray(intensity, dtype=np.float64)
     out = np.zeros((N_ORIENTATIONS, N_SIDES) + intensity.shape)
     for size in params.sizes:
         radius = size / 2.0
         sigma = params.sigma_factor * radius
-        # [orientation, even/odd]: the intensity map is transformed once
-        # for all sixteen filters
-        bank = np.concatenate([
-            gabor_bank(GaborParams(sigma, params.gamma, omega), ORIENTATIONS, size, (parity,))
-            for omega, parity in zip(params.frequencies(size), ("even", "odd"))
-        ], axis=1)
-        responses = correlate_stack(intensity, bank)
+        even, odd = (GaborParams(sigma, params.gamma, omega) for omega in params.frequencies(size))
+        energy = compute_orientation_channels(intensity, even, odd, size)
         for ti in range(N_ORIENTATIONS):
-            magnitude = np.hypot(responses[ti, 0], responses[ti, 1])
             for si, (dx, dy) in enumerate(DIRECTIONS[ti]):
-                out[ti, si] += sample_shifted(magnitude, radius * dy, radius * dx)
+                out[ti, si] += sample_shifted(energy[ti], radius * dy, radius * dx)
     return out
 
 

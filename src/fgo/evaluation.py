@@ -40,8 +40,8 @@ _DIRECTIONS = DIRECTIONS.reshape(-1, 2)
 
 @dataclass(frozen=True)
 class FGGroundTruth:
-    """Boundary pixels (x = col, y = row) with unit normals toward figure,
-    from a signed map of ``shape`` ``(rows, cols)``.
+    """Boundary pixels (x = col, y = row) with unit normals toward figure
+    (NaN refused), from a signed map of ``shape`` ``(rows, cols)``.
 
     A record outside ``shape`` is refused when the truth is built, and
     the truth scores only maps of its own shape (:meth:`check_shape`).
@@ -60,7 +60,7 @@ class FGGroundTruth:
         ny = np.asarray(self.ny, dtype=np.float64)
         if not (x.shape == y.shape == nx.shape == ny.shape) or x.ndim != 1:
             raise ValueError("ground truth fields must be equal-length 1D arrays")
-        if x.size and np.abs(np.hypot(nx, ny) - 1.0).max() > 1e-6:
+        if not (np.abs(np.hypot(nx, ny) - 1.0) <= 1e-6).all():
             raise ValueError("ground truth normals must have unit length")
         rows, cols = shape = tuple(int(n) for n in self.shape)
         if x.size and (min(x.min(), y.min()) < 0 or x.max() >= cols or y.max() >= rows):
@@ -87,11 +87,12 @@ class FGGroundTruth:
 def load_ground_truth(signed) -> FGGroundTruth:
     """Boundary records from a signed {-1, 0, +1} map.
 
-    Every -1 cell with at least one +1 among its 8 neighbors becomes a
-    record; its normal is the normalized mean offset toward those +1
-    neighbors. Cells whose +1 neighbors cancel out exactly are dropped,
-    and a map with no -1/+1 interface yields an empty truth, which every
-    scorer refuses.
+    A -1 cell is a record exactly when its mean offset toward the +1
+    cells among its 8 neighbors is non-zero, which implies it has such
+    a neighbor; the record's normal is that offset, normalized. Cells
+    whose +1 neighbors cancel out exactly are dropped, and a map with
+    no -1/+1 interface yields an empty truth, which every scorer
+    refuses.
     """
     signed = np.asarray(signed)
     if signed.ndim != 2:
@@ -100,22 +101,16 @@ def load_ground_truth(signed) -> FGGroundTruth:
         raise ValueError("signed map may only hold -1, 0, +1")
 
     figure = np.pad(signed == 1, 1)
-    count = np.zeros(signed.shape)
     mean_dr = np.zeros(signed.shape)
     mean_dc = np.zeros(signed.shape)
     rows, cols = signed.shape
     for dr, dc in _NEIGHBOR_OFFSETS:
         hit = figure[1 + dr : 1 + dr + rows, 1 + dc : 1 + dc + cols]
-        count += hit
         mean_dr += dr * hit
         mean_dc += dc * hit
 
-    boundary = (signed == -1) & (count > 0)
     norm = np.hypot(mean_dr, mean_dc)
-    usable = boundary & (norm > 0)
-    if not usable.any():
-        empty = np.empty(0)
-        return FGGroundTruth(x=empty, y=empty, nx=empty, ny=empty, shape=signed.shape)
+    usable = (signed == -1) & (norm > 0)
     yy, xx = np.nonzero(usable)
     return FGGroundTruth(
         x=xx,

@@ -94,12 +94,12 @@ def make_gabor(params: GaborParams, theta: float, size: int, parity: str = "even
     return envelope * np.sin(params.omega * across)
 
 
-def gabor_bank(params: GaborParams, thetas, size: int, parities) -> np.ndarray:
-    """The ``(len(thetas), len(parities), size, size)`` bank of
-    :func:`make_gabor` kernels, ``[orientation, parity]``."""
-    return np.array([
-        [make_gabor(params, theta, size, parity) for parity in parities] for theta in thetas
-    ])
+def gabor_bank(params: GaborParams, thetas, size: int, parity: str) -> np.ndarray:
+    """The ``(len(thetas), size, size)`` bank of :func:`make_gabor`
+    kernels of one ``parity``, one per orientation. A quadrature bank
+    stacks an even and an odd bank
+    (``channels.compute_orientation_channels``)."""
+    return np.array([make_gabor(params, theta, size, parity) for theta in thetas])
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,10 @@ def _parsed(path, parse, tokens) -> np.ndarray:
 
 def _write_text_map(path, magic: str, arr: np.ndarray, fmt: str) -> None:
     """Write a 2D map as the text header ``<magic> <rows> <cols>`` and one
-    line per row of space-separated values, each formatted by ``fmt``."""
+    line per row of space-separated values, each formatted by ``fmt``.
+    A map without rows or columns is refused, as the reader refuses it."""
+    if 0 in arr.shape:
+        raise ValueError(f"{magic} maps need at least 1 row and 1 column, got shape {arr.shape}")
     with open(path, "w") as fh:
         fh.write(f"{magic} {arr.shape[0]} {arr.shape[1]}\n")
         np.savetxt(fh, arr, fmt=fmt, delimiter=" ")
@@ -33,6 +36,8 @@ def write_fm1(path, values) -> None:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"FM1 maps must be 2D, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("FM1 values must be finite")
     _write_text_map(path, "FM1", arr, "%.17g")
 
 
@@ -138,25 +143,31 @@ def read_ppm(path):
 
 def _write_pnm(path, magic: str, data: np.ndarray) -> None:
     """Write a uint8 raster, (rows, cols) for P5 or (rows, cols, 3) for
-    P6, as a binary PNM of maxval 255."""
+    P6, as a binary PNM of maxval 255. A raster without rows or columns
+    is refused, as ``read_ppm`` refuses it."""
+    if 0 in data.shape:
+        raise ValueError(f"{magic} images need at least 1 row and 1 column, got shape {data.shape}")
     with open(path, "wb") as fh:
         fh.write(f"{magic}\n{data.shape[1]} {data.shape[0]}\n255\n".encode("ascii"))
         fh.write(data.tobytes())
 
 
 def write_ppm(path, r, g, b) -> None:
-    """Write three [0, 1] maps as a binary P6 PPM."""
+    """Write three maps of values in [0, 1] (NaN refused) as a binary
+    P6 PPM."""
     stack = np.stack([np.asarray(c, dtype=np.float64) for c in (r, g, b)], axis=-1)
     if stack.ndim != 3 or stack.shape[2] != 3:
         raise ValueError("write_ppm expects three 2D maps")
-    if stack.min() < 0 or stack.max() > 1:
+    if not ((stack >= 0) & (stack <= 1)).all():
         raise ValueError("PPM channel values must lie in [0, 1]")
     _write_pnm(path, "P6", np.rint(stack * 255).astype(np.uint8))
 
 
 def write_pgm(path, gray) -> None:
-    """Write a uint8 map as a binary P5 PGM."""
+    """Write a 2D map of integers in 0..255 as a binary P5 PGM."""
     arr = np.asarray(gray)
     if arr.ndim != 2:
         raise ValueError("write_pgm expects a 2D map")
+    if not (np.issubdtype(arr.dtype, np.integer) and ((arr >= 0) & (arr <= 255)).all()):
+        raise ValueError("PGM values must be integers in 0..255")
     _write_pnm(path, "P5", arr.astype(np.uint8))

@@ -245,7 +245,7 @@ def prepare_components(
 
     routes = None
     if params.feature_orientation > 0:
-        bank = functools.partial(gabor_bank, params.oriented_cs, ORIENTATIONS, parities=("even",))
+        bank = lambda size: gabor_bank(params.oriented_cs, ORIENTATIONS, size, "even")[:, None]
         cs = cs_pyramids(carriers, params.oriented_cs.size, bank)
 
         def local_cue(cue):

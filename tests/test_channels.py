@@ -14,7 +14,11 @@ from fgo.channels import (
     compute_intensity,
     compute_orientation_channels,
 )
-from fgo.grid import pyramid_levels
+from fgo.filters import GaborParams, make_gabor
+from fgo.grid import correlate_stack, pyramid_levels
+
+# the carriers' arguments: one GaborParams for both parities, at its size
+CARRIER = (GaborParams(), GaborParams(), GaborParams().size)
 
 
 def solid_image(r, g, b, size=8):
@@ -117,7 +121,7 @@ def test_opponency_pairs_mutually_exclusive():
 # ------------------------------------------------------------ orientation
 
 def test_orientation_constant_image_silent():
-    chans = compute_orientation_channels(np.full((32, 32), 0.8))
+    chans = compute_orientation_channels(np.full((32, 32), 0.8), *CARRIER)
     for m in chans:
         assert np.abs(m).max() < 1e-10
 
@@ -125,7 +129,7 @@ def test_orientation_constant_image_silent():
 def test_orientation_vertical_edge_prefers_pi_half():
     img = np.zeros((48, 48))
     img[:, 24:] = 1.0
-    chans = compute_orientation_channels(img)
+    chans = compute_orientation_channels(img, *CARRIER)
     at_edge = [m[24, 24] for m in chans]
     assert int(np.argmax(at_edge)) == 4  # pi/2 is the fifth of eight
     assert ORIENTATIONS[4] == pytest.approx(math.pi / 2)
@@ -134,7 +138,7 @@ def test_orientation_vertical_edge_prefers_pi_half():
 def test_orientation_horizontal_edge_prefers_zero():
     img = np.zeros((48, 48))
     img[24:, :] = 1.0
-    chans = compute_orientation_channels(img)
+    chans = compute_orientation_channels(img, *CARRIER)
     at_edge = [m[24, 24] for m in chans]
     assert int(np.argmax(at_edge)) == 0
 
@@ -142,13 +146,26 @@ def test_orientation_horizontal_edge_prefers_zero():
 def test_orientation_quarter_turn_shifts_channels():
     rng = np.random.default_rng(3)
     img = rng.random((40, 40))
-    chans = compute_orientation_channels(img)
-    rotated = compute_orientation_channels(np.rot90(img))
+    chans = compute_orientation_channels(img, *CARRIER)
+    rotated = compute_orientation_channels(np.rot90(img), *CARRIER)
     m = 12  # stay clear of border effects
     for i in range(8):
         a = np.rot90(chans[i])[m:-m, m:-m]
         b = rotated[(i + 4) % 8][m:-m, m:-m]
         assert np.abs(a - b).max() < 1e-6
+
+
+def test_carrier_energy_matches_per_orientation_oracle():
+    # the carriers bit for bit against one even and one odd correlation per
+    # orientation, as the SA oracle pins the energy sampled beside an edge
+    gabor = GaborParams(sigma=1.8, gamma=0.6, omega=1.2)
+    img = RGBImage.from_gray(np.random.default_rng(8).random((30, 34)))
+    intensity, _, orientation = compute_channels(img, gabor)
+    assert orientation.shape == (8, 30, 34)
+    for ti, theta in enumerate(ORIENTATIONS):
+        even = correlate_stack(intensity, make_gabor(gabor, theta, gabor.size, "even"))
+        odd = correlate_stack(intensity, make_gabor(gabor, theta, gabor.size, "odd"))
+        assert np.array_equal(orientation[ti], np.hypot(even, odd))
 
 
 # ---------------------------------------------------------------- bundles

@@ -52,6 +52,18 @@ def test_cli_import_leaves_slow_scipy_modules_out(module):
     assert not cli_import_loads(module)
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--image", "a.ppm", "--out", "o"], ["eval", "--manifest", "m.txt", "--out", "o"],
+], ids=["run", "eval"])
+def test_weights_flag_only_on_tune(argv, capsys):
+    # the alpha triple is set through config keys; `tune --weights` names
+    # the weights it searches
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--weights", "1,0,0"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --weights 1,0,0" in capsys.readouterr().err
+
+
 def synth(tmp_path, kind, name, extra=()):
     out = tmp_path / name
     assert main(["synth", kind, "--out", str(out), *extra]) == 0
@@ -227,7 +239,7 @@ class TestRun:
                 "--image", str(overlap_dir / "image.ppm"),
                 "--contours", str(overlap_dir / "contours.lm1"),
                 "--segments", str(overlap_dir / "segments.lm1"),
-                "--weights", "0.2,0,0.8",
+                "--set", "alphaRef=0.2", "--set", "alphaSA=0", "--set", "alphaTJ=0.8",
                 "--out", str(out),
                 *FAST,
             ]
@@ -253,7 +265,7 @@ class TestRun:
             [
                 "run",
                 "--image", str(square_dir / "image.ppm"),
-                "--weights", "0.3,0,0.7",
+                "--set", "alphaRef=0.3", "--set", "alphaSA=0", "--set", "alphaTJ=0.7",
                 "--out", str(out),
                 *FAST,
             ]
@@ -320,17 +332,6 @@ class TestRun:
         assert main(["run", "--image", str(image), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: unsupported image format '.pgm' (want .ppm)\n"
         assert not out.exists()
-
-    def test_bad_weight_triple_fails(self, square_dir, tmp_path, capsys):
-        code = main(
-            [
-                "run",
-                "--image", str(square_dir / "image.ppm"),
-                "--out", str(tmp_path / "o"),
-                "--weights", "0.5,0.5",
-            ]
-        )
-        assert code == 1
 
 
 @pytest.fixture()
@@ -713,7 +714,7 @@ class TestTune:
         assert "unknown weight name" in capsys.readouterr().err
 
 
-COMPARE_OWNS_ALPHAS = "--compare names both alpha triples; it takes no --preset, --weights"
+COMPARE_OWNS_ALPHAS = "--compare names both alpha triples; it takes no --preset or alpha key"
 TUNE_OWNS_ALPHAS = "tune searches the alpha triple; it takes no --preset or alpha key"
 ALPHA_CONFIG = "alpha.cfg"  # written by the test: "alphaSA = 0.65"
 
@@ -724,7 +725,6 @@ ALPHA_CONFIG = "alpha.cfg"  # written by the test: "alphaSA = 0.65"
     ("eval", ["--compare", "reference"], "--compare expects two presets, got 'reference'"),
     ("eval", ["--compare", "reference,nosuch"], "unknown preset 'nosuch'"),
     ("eval", ["--compare", "reference, reference"], "--compare names preset 'reference' twice"),
-    ("eval", ["--compare", "reference,with-sa", "--weights", "0,1,0"], COMPARE_OWNS_ALPHAS),
     ("eval", ["--compare", "reference,with-sa", "--preset", "with-tj"], COMPARE_OWNS_ALPHAS),
     ("tune", ["--manifest", "nosuch.txt"], "[Errno 2] No such file or directory"),
     ("eval", ["--manifest", "nosuch.txt"], "[Errno 2] No such file or directory"),
@@ -735,7 +735,7 @@ ALPHA_CONFIG = "alpha.cfg"  # written by the test: "alphaSA = 0.65"
     ("tune", ["--config", ALPHA_CONFIG], TUNE_OWNS_ALPHAS),
     ("eval", ["--compare", "reference,with-sa", "--config", ALPHA_CONFIG], COMPARE_OWNS_ALPHAS),
 ], ids=["tune-step", "tune-names", "eval-one-preset", "eval-unknown-preset", "eval-same-preset",
-        "eval-compare-weights", "eval-compare-preset", "tune-manifest", "eval-manifest",
+        "eval-compare-preset", "tune-manifest", "eval-manifest",
         "tune-seed", "tune-preset", "tune-alpha-key", "tune-preset-key", "tune-config-alpha",
         "eval-compare-config-alpha"])
 def test_bad_flag_refused_before_any_work(

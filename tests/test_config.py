@@ -259,6 +259,6 @@ class TestFiles:
 
     def test_base_config_extended(self):
         base = apply_preset(RunConfig(), "with-sa")
-        cfg = parse_config_text("nScales = 5\n", base)
+        cfg = apply_lines(base, ["nScales = 5"])
         assert cfg.weights().alpha_sa == 0.65 and cfg.params.n_scales == 5
 

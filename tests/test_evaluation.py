@@ -116,6 +116,8 @@ class TestLoadGroundTruth:
             FGGroundTruth(x=[1, 2], y=[1], nx=[1.0], ny=[0.0], shape=(3, 3))
         with pytest.raises(ValueError, match=r"x 3\.\.3 and y 0\.\.0, outside the 3x3 map"):
             FGGroundTruth(x=[3], y=[0], nx=[1.0], ny=[0.0], shape=(3, 3))
+        with pytest.raises(ValueError, match="normals must have unit length"):
+            FGGroundTruth(x=[1], y=[1], nx=[math.nan], ny=[0.0], shape=(3, 3))
 
     def test_truth_keeps_its_map_shape(self):
         gt = load_ground_truth(isolated_square(size=48, first=16, last=31).signed)

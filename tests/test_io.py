@@ -37,6 +37,14 @@ class TestFM1:
         with pytest.raises(ValueError):
             write_fm1(tmp_path / "bad.fm1", np.zeros(4))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_write(self, tmp_path, value):
+        # read_fm1 refuses what it would write
+        path = tmp_path / "bad.fm1"
+        with pytest.raises(ValueError, match="^FM1 values must be finite$"):
+            write_fm1(path, [[1.0, value]])
+        assert not path.exists()
+
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.fm1"
         path.write_text("XX1 2 2\n0 0\n0 0\n")
@@ -133,6 +141,15 @@ class TestPPM:
         with pytest.raises(ValueError):
             write_ppm(tmp_path / "bad.ppm", *(np.full((2, 2), 1.5),) * 3)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_write_rejected(self, tmp_path, value):
+        # NaN compares false with both limits, and a cast would write it as 0
+        path = tmp_path / "bad.ppm"
+        r = np.array([[0.5, value]])
+        with pytest.raises(ValueError, match=re.escape("PPM channel values must lie in [0, 1]")):
+            write_ppm(path, r, r, r)
+        assert not path.exists()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ppm"
         path.write_bytes(b"P7\n1 1\n255\n\x00\x00\x00")
@@ -187,6 +204,16 @@ class TestPGM:
     def test_rejects_non_2d(self, tmp_path):
         with pytest.raises(ValueError):
             write_pgm(tmp_path / "bad.pgm", np.zeros((2, 2, 2)))
+
+    @pytest.mark.parametrize("gray", [
+        [[300, 0]], [[-1, 0]], [[0.9, 255]], [[0.0, 255.0]], [[np.nan, 0]],
+    ], ids=["above-255", "negative", "fraction", "float", "nan"])
+    def test_rejects_what_a_byte_cannot_hold(self, tmp_path, gray):
+        # a uint8 cast would wrap 300 to 44 and -1 to 255, and cut 0.9 to 0
+        path = tmp_path / "bad.pgm"
+        with pytest.raises(ValueError, match=r"^PGM values must be integers in 0\.\.255$"):
+            write_pgm(path, gray)
+        assert not path.exists()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.pgm"
@@ -244,3 +271,17 @@ def test_text_map_without_cells_refused_naming_the_file(tmp_path, read, content,
     path.write_text(content)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: bad {re.escape(header)}$"):
         read(path)
+
+
+@pytest.mark.parametrize("write, values, message", [
+    (write_fm1, np.zeros((0, 3)), "FM1 maps need at least 1 row and 1 column, got shape (0, 3)"),
+    (write_lm1, np.zeros((2, 0), dtype=int), "LM1 maps need at least 1 row and 1 column"),
+    (lambda path, m: write_ppm(path, m, m, m), np.zeros((0, 0)), "P6 images need at least 1 row"),
+    (write_pgm, np.zeros((3, 0), dtype=np.uint8), "P5 images need at least 1 row and 1 column"),
+], ids=["fm1", "lm1", "ppm", "pgm"])
+def test_map_without_cells_not_written(tmp_path, write, values, message):
+    # the readers refuse a header of fewer than one row or column
+    path = tmp_path / "empty.map"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        write(path, values)
+    assert not path.exists()

@@ -11,6 +11,7 @@ from fgo.evaluation import compute_fgca, decisions_for, load_ground_truth
 from fgo.grid import SQRT2, correlate_stack, pool_resampled, pyramid_levels
 from fgo.filters import (
     DoGParams,
+    GaborParams,
     clamp_kernel_size,
     make_center_surround,
     make_gabor,
@@ -207,7 +208,9 @@ def square_image(size=64, lo=0.0, hi=1.0, first=20, last=43):
 
 def make_carriers(image, n_scales=4, factor=SQRT2):
     """The carrier pyramid of (8, 1, r, c) levels, as the pipeline builds it."""
-    return list(pyramid_levels(compute_orientation_channels(image)[:, None], n_scales, factor))
+    gabor = GaborParams()
+    orientation = compute_orientation_channels(image, gabor, gabor, gabor.size)
+    return list(pyramid_levels(orientation[:, None], n_scales, factor))
 
 
 def per_orientation(carriers):

@@ -9,8 +9,10 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import fgo
-from fgo import stimuli
+from fgo import cli, stimuli
 
 SRC = Path(fgo.__file__).parent
 
@@ -41,6 +43,17 @@ BENCHMARK_NAMES = {
     "evaluation": ("compute_fgca", "load_ground_truth"),
     "cli": ("main", "ProcessPoolExecutor"),
 }
+# the command lines perfbench/run.py passes to cli.main, inputs renamed;
+# tune-small's `--weights` names the weights the search varies
+BENCHMARK_COMMANDS = {
+    "run-bsds": ["run", "--image", "scene.ppm", "--gt", "scene_gt.lm1",
+                 "--contours", "scene_contours.lm1", "--segments", "scene_segments.lm1",
+                 "--out", "fgo", "--preset", "with-both"],
+    "tune-small": ["tune", "--manifest", "manifest.txt", "--out", "fgo",
+                   "--weights", "alphaRef,alphaSA,alphaTJ", "--coarse-step", "0.075"],
+    "eval-mixed": ["eval", "--manifest", "manifest.txt", "--out", "fgo",
+                   "--compare", "reference,with-both", "--jobs", "2"],
+}
 # the keywords perfbench/scenes.py passes to stimuli.overlapping_squares
 SCENE_KEYWORDS = (
     "size", "background", "a_gray", "b_gray", "gradient", "a_first", "a_last", "b_first", "b_last",
@@ -52,6 +65,13 @@ def test_names_the_benchmark_calls_resolve():
         layer = importlib.import_module(f"fgo.{module}")
         for name in names:
             assert callable(getattr(layer, name, None)), f"fgo.{module}.{name}"
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_COMMANDS))
+def test_the_benchmark_command_lines_parse(workload):
+    # the parser takes every flag, and the settings pass the CLI's own checks
+    args = cli.build_parser().parse_args(BENCHMARK_COMMANDS[workload])
+    cli._config_from_args(args)
 
 
 def test_overlapping_squares_binds_the_scene_keywords():
