@@ -1,8 +1,9 @@
 """Feature channels: intensity, color opponency and orientation energy.
 
-The thirteen sub-channel maps (intensity, four opponency pairs, eight
-orientation energies) are plain arrays that the ownership stage
-consumes, each decomposed into a pyramid by ``grid.pyramid_levels``.
+The thirteen sub-channel maps are plain arrays that the ownership
+stage consumes: the intensity map, the (4, rows, cols) opponency stack
+(RG, GR, BY, YB) and the (8, rows, cols) orientation energies, each
+map decomposed into a pyramid by ``grid.pyramid_levels``.
 The eight orientation energies are the carriers of every route and are
 pyramided once, as one stack of (8, 1, rows, cols) levels; each
 isotropic feature's pyramid is built level by level as its route reads
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -72,44 +72,32 @@ class RGBImage:
         return cls(r=gray.copy(), g=gray.copy(), b=gray.copy())
 
 
-class Opponency(NamedTuple):
-    rg: np.ndarray
-    gr: np.ndarray
-    by: np.ndarray
-    yb: np.ndarray
-
-
 def compute_intensity(image: RGBImage) -> np.ndarray:
     return (image.r + image.g + image.b) / 3.0
 
 
-def compute_color_opponency(image: RGBImage) -> Opponency:
-    """Rectified double-opponency maps RG, GR, BY, YB.
+def compute_color_opponency(image: RGBImage, intensity) -> np.ndarray:
+    """Rectified double-opponency maps of an image, one (4, rows, cols)
+    array in the order RG, GR, BY, YB.
 
-    r, g, b are first normalized by intensity wherever intensity exceeds
-    a tenth of its image-wide maximum (zero elsewhere, which decouples
-    hue from brightness while muting the unstable dark pixels), then
-    combined into rectified broadly-tuned R, G, B, Y responses and
-    finally into the four opponency differences.
+    r, g, b are first normalized by ``intensity``, the image's
+    :func:`compute_intensity` map, wherever it exceeds a tenth of its
+    image-wide maximum (zero elsewhere, which decouples hue from
+    brightness while muting the unstable dark pixels), then combined
+    into rectified broadly-tuned R, G, B, Y responses and finally into
+    the four opponency differences.
     """
-    intensity = compute_intensity(image)
     cutoff = 0.1 * intensity.max()
     safe = intensity > cutoff
     denom = np.where(safe, intensity, 1.0)
     r = np.where(safe, image.r / denom, 0.0)
     g = np.where(safe, image.g / denom, 0.0)
     b = np.where(safe, image.b / denom, 0.0)
-    zero = np.zeros_like(r)
-    red = np.maximum(zero, r - (g + b) / 2)
-    green = np.maximum(zero, g - (r + b) / 2)
-    blue = np.maximum(zero, b - (r + g) / 2)
-    yellow = np.maximum(zero, (r + g) / 2 - np.abs(r - g) / 2 - b)
-    return Opponency(
-        rg=np.maximum(zero, red - green),
-        gr=np.maximum(zero, green - red),
-        by=np.maximum(zero, blue - yellow),
-        yb=np.maximum(zero, yellow - blue),
-    )
+    red = np.maximum(0.0, r - (g + b) / 2)
+    green = np.maximum(0.0, g - (r + b) / 2)
+    blue = np.maximum(0.0, b - (r + g) / 2)
+    yellow = np.maximum(0.0, (r + g) / 2 - np.abs(r - g) / 2 - b)
+    return np.maximum(0.0, np.stack([red - green, green - red, blue - yellow, yellow - blue]))
 
 
 def compute_orientation_channels(intensity, even: GaborParams, odd: GaborParams, size: int):
@@ -131,12 +119,12 @@ def compute_orientation_channels(intensity, even: GaborParams, odd: GaborParams,
 
 def compute_channels(image: RGBImage, gabor: GaborParams = GaborParams()) -> tuple:
     """``(intensity, opponency, orientation)`` of an image: the intensity
-    map, the four :class:`Opponency` maps and the (8, rows, cols)
-    orientation energies, all non-negative and of the image's
-    dimensions."""
+    map, computed once, the (4, rows, cols) opponency stack and the
+    (8, rows, cols) orientation energies, all non-negative and of the
+    image's dimensions."""
     intensity = compute_intensity(image)
     return (
         intensity,
-        compute_color_opponency(image),
+        compute_color_opponency(image, intensity),
         compute_orientation_channels(intensity, gabor, gabor, gabor.size),
     )

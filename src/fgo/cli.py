@@ -40,7 +40,6 @@ from .evaluation import (
     score_directions,
     score_weights,
 )
-from .ownership import ALPHA_NAMES
 from .pipeline import prepare_components, run_model
 
 DIRECTION_GRAY_STEP = 15  # winning map index i shown as (i + 1) * 15
@@ -321,12 +320,7 @@ def cmd_eval(args) -> int:
 
 def cmd_tune(args) -> int:
     config = _config_from_args(args)
-    names = []
-    for token in args.weight_names.split(","):
-        name = key_name(token)
-        if name not in ALPHA_NAMES:
-            raise ValueError(f"unknown weight name {token.strip()!r}")
-        names.append(name)
+    names = [key_name(token) or token.strip() for token in args.weight_names.split(",")]
     check_search(names, args.coarse_step)
     entries = parse_manifest(args.manifest)
     out_dir = Path(args.out)

@@ -60,32 +60,27 @@ class SAParams:
         )
 
 
-def integer_shift(arr: np.ndarray, drow: int, dcol: int) -> np.ndarray:
-    """``out[r, c] = arr[r + drow, c + dcol]`` with zeros off the map."""
-    out = np.zeros_like(arr)
-    rows, cols = arr.shape
-    r0, r1 = max(0, drow), min(rows, rows + drow)
-    c0, c1 = max(0, dcol), min(cols, cols + dcol)
-    if r0 < r1 and c0 < c1:
-        out[r0 - drow : r1 - drow, c0 - dcol : c1 - dcol] = arr[r0:r1, c0:c1]
-    return out
-
-
 def sample_shifted(arr: np.ndarray, drow: float, dcol: float) -> np.ndarray:
     """Bilinear sample of ``arr`` at every cell displaced by (drow, dcol).
 
-    Sample points outside the map contribute zero.
+    Sample points outside the map contribute zero. The map is padded
+    once with zeros, by ``|floor(d)| + 1`` cells per axis, and each of
+    the up to four taps ``arr[r + floor(drow) + a, c + floor(dcol) + b]``
+    (a, b in {0, 1}; a tap of zero weight is skipped) is a slice of it.
     """
     arr = np.asarray(arr, dtype=np.float64)
     ir, fr = math.floor(drow), drow - math.floor(drow)
     ic, fc = math.floor(dcol), dcol - math.floor(dcol)
-    out = (1 - fr) * (1 - fc) * integer_shift(arr, ir, ic)
+    pr, pc = abs(ir) + 1, abs(ic) + 1
+    padded = np.pad(arr, ((pr, pr), (pc, pc)))
+    tap = lambda a, b: padded[pr + ir + a :, pc + ic + b :][: arr.shape[0], : arr.shape[1]]
+    out = (1 - fr) * (1 - fc) * tap(0, 0)
     if fc:
-        out += (1 - fr) * fc * integer_shift(arr, ir, ic + 1)
+        out += (1 - fr) * fc * tap(0, 1)
     if fr:
-        out += fr * (1 - fc) * integer_shift(arr, ir + 1, ic)
+        out += fr * (1 - fc) * tap(1, 0)
     if fr and fc:
-        out += fr * fc * integer_shift(arr, ir + 1, ic + 1)
+        out += fr * fc * tap(1, 1)
     rows = np.arange(arr.shape[0]) + drow
     cols = np.arange(arr.shape[1]) + dcol
     out[(rows < 0) | (rows > arr.shape[0] - 1), :] = 0.0

@@ -43,8 +43,10 @@ class FGGroundTruth:
     """Boundary pixels (x = col, y = row) with unit normals toward figure
     (NaN refused), from a signed map of ``shape`` ``(rows, cols)``.
 
-    A record outside ``shape`` is refused when the truth is built, and
-    the truth scores only maps of its own shape (:meth:`check_shape`).
+    Coordinates must be integers and ``shape`` two positive integers:
+    a fraction is refused, naming its field, not truncated. A record
+    outside ``shape`` is refused when the truth is built, and the truth
+    scores only maps of its own shape (:meth:`check_shape`).
     """
 
     x: np.ndarray
@@ -54,15 +56,21 @@ class FGGroundTruth:
     shape: tuple
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.int64)
-        y = np.asarray(self.y, dtype=np.int64)
+        x, y, shape = (np.asarray(v) for v in (self.x, self.y, self.shape))
+        for name, values in (("x", x), ("y", y), ("shape", shape)):
+            fraction = values[~(np.isfinite(values) & (np.round(values) == values))]
+            if fraction.size:
+                raise ValueError(f"ground truth {name} must be integers, got {fraction.flat[0]}")
+        if shape.shape != (2,) or not (shape > 0).all():
+            raise ValueError(f"ground truth shape must be two positive integers, got {self.shape}")
+        x, y = x.astype(np.int64), y.astype(np.int64)
         nx = np.asarray(self.nx, dtype=np.float64)
         ny = np.asarray(self.ny, dtype=np.float64)
         if not (x.shape == y.shape == nx.shape == ny.shape) or x.ndim != 1:
             raise ValueError("ground truth fields must be equal-length 1D arrays")
         if not (np.abs(np.hypot(nx, ny) - 1.0) <= 1e-6).all():
             raise ValueError("ground truth normals must have unit length")
-        rows, cols = shape = tuple(int(n) for n in self.shape)
+        rows, cols = shape = tuple(int(n) for n in shape)
         if x.size and (min(x.min(), y.min()) < 0 or x.max() >= cols or y.max() >= rows):
             raise ValueError(
                 f"ground truth records span x {x.min()}..{x.max()} and "

@@ -1,9 +1,11 @@
 """End-to-end run: image -> channels -> pyramids -> ownership maps.
 
-The channels are plain arrays (``channels.compute_channels``) and every
-pyramid is a plain level list from ``grid.pyramid_levels``. The three
-feature channels share one set of oriented-energy carriers, built once
-as a list of (8, 1, rows, cols) levels. Every route is one
+The channels are plain arrays (``channels.compute_channels``: the
+intensity map, the (4, rows, cols) opponency stack and the (8, rows,
+cols) orientation energies) and every pyramid is a plain level list
+from ``grid.pyramid_levels``. The three feature channels share one set
+of oriented-energy carriers, built once as a list of (8, 1, rows, cols)
+levels. Every route is one
 ``ownership.compute_bo`` call on them, which returns the route's
 (8, rows, cols) side imbalances per level: color and intensity
 contribute through the contrast route alone, each feature's pyramid
@@ -16,8 +18,9 @@ the alpha triple, the only weights a weight point sets.
 The run splits into a heavy, weight-independent preparation step and a
 cheap combination step, so weight sweeps (tuning, preset comparison)
 pay the filter bank once per image. No alpha touches colour or
-intensity, so preparation sums their winners and pools them once into
-one native ``fixed`` stack; a weight point then only folds its alpha
+intensity, so preparation sums their weighted winners, one feature at a
+time in channel order, and pools them once into one native ``fixed``
+stack (:func:`_fixed_term`); a weight point then only folds its alpha
 triple, blends the orientation routes, one per alpha, and selects the
 winners (:func:`final_levels`).
 :func:`finalize_components` adds the pool of those levels to
@@ -104,35 +107,32 @@ class RunResult:
 
 
 def _fixed_term(intensity, opponency, carriers, params: PipelineParams) -> np.ndarray:
-    """The native (8, 2, rows, cols) pool of ``feature_color * C +
-    feature_intensity * I`` per level: ``C`` the winners of the
-    non-empty opponency maps summed in channel order, in place, ``I``
-    the intensity winners. Each takes the contrast route alone, and one
-    feature is computed at a time, its pyramid built level by level as
-    the route reads it. Zero when neither feature is weighted."""
-    opponency = [native for native in opponency if native.any()]
+    """The native (8, 2, rows, cols) pool of ``sum_f w_f * W_f`` per
+    level, over the features ``f`` in channel order: each non-empty
+    opponency map at weight ``feature_color``, then intensity at
+    ``feature_intensity``. ``W_f`` are a feature's winners on the
+    contrast route alone; one feature is computed at a time, its
+    pyramid built level by level as the route reads it, and its winners
+    are scaled and added in place into one running level list. Zero
+    when no feature is weighted."""
+    features = [(params.feature_color, native) for native in opponency if native.any()]
+    features.append((params.feature_intensity, intensity))
     dog = functools.partial(make_center_surround, params.dog)
-    terms = None
-    for weight, features in (
-        (params.feature_color, opponency), (params.feature_intensity, [intensity])
-    ):
-        if weight == 0 or not features:
+    total = None
+    for weight, feature in features:
+        if weight == 0:
             continue
-        total = None
-        for feature in features:
-            levels = pyramid_levels(feature, params.n_scales, params.pyramid_factor)
-            cs = cs_pyramids(levels, params.dog.size, dog)
-            winners = winning_bo(compute_bo(carriers, cs, params.w_opp, params.ring_radius))
-            if total is not None:  # summed in place, so one feature is alive beside it
-                winners = [np.add(t, w, out=t) for t, w in zip(total, winners)]
-            total = winners
-        for level in total:
-            level *= weight
-        terms = total if terms is None else [np.add(a, b, out=a) for a, b in zip(terms, total)]
+        levels = pyramid_levels(feature, params.n_scales, params.pyramid_factor)
+        cs = cs_pyramids(levels, params.dog.size, dog)
+        winners = winning_bo(compute_bo(carriers, cs, params.w_opp, params.ring_radius))
+        winners = [np.multiply(w, weight, out=w) for w in winners]
+        if total is not None:  # summed in place, so one feature is alive beside it
+            winners = [np.add(t, w, out=t) for t, w in zip(total, winners)]
+        total = winners
     rows, cols = carriers[0].shape[-2:]
-    if terms is None:
+    if total is None:
         return np.zeros((N_ORIENTATIONS, N_SIDES, rows, cols))
-    return pool_resampled(terms, rows, cols)
+    return pool_resampled(total, rows, cols)
 
 
 def _check_image_fits(shape, params: PipelineParams, sa_route: bool) -> None:

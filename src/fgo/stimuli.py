@@ -3,8 +3,8 @@
 Every generator returns a :class:`Stimulus`: a grayscale image in
 [0, 1], a signed ground-truth map (+1 marks the figure-side boundary
 chain, -1 the chain of scored boundary pixels beside it, 0 elsewhere)
-and, where the geometry defines them, contour/segmentation label maps
-and the true junction locations.
+and, where the geometry defines them, contour/segmentation label maps;
+``cues.detect_t_junctions`` finds the junctions those maps describe.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ class Stimulus:
     signed: np.ndarray
     contours: np.ndarray | None = None
     segments: np.ndarray | None = None
-    junctions: tuple = ()
 
 
 def _check_size(size: int) -> None:
@@ -124,13 +123,7 @@ def overlapping_squares(
     segments[a_visible] = 1
     segments[b_mask] = 2
 
-    return Stimulus(
-        image=image,
-        signed=signed,
-        contours=contours,
-        segments=segments,
-        junctions=((b_first, a_last), (a_last, b_first)),
-    )
+    return Stimulus(image=image, signed=signed, contours=contours, segments=segments)
 
 
 def shaded_edge(

@@ -6,7 +6,6 @@ import pytest
 from fgo.channels import (
     DIRECTIONS,
     ORIENTATIONS,
-    Opponency,
     RGBImage,
     bo_direction,
     compute_channels,
@@ -74,28 +73,33 @@ def test_rgb_image_refuses_non_finite(value):
 
 # -------------------------------------------------------------- opponency
 
+def opponency_of(img):
+    """The (4, rows, cols) opponency stack RG, GR, BY, YB of an image."""
+    return compute_color_opponency(img, compute_intensity(img))
+
+
 def test_opponency_gray_image_all_zero():
-    opp = compute_color_opponency(solid_image(0.5, 0.5, 0.5))
+    opp = opponency_of(solid_image(0.5, 0.5, 0.5))
     for m in opp:
         assert np.abs(m).max() < 1e-12
 
 
 def test_opponency_pure_red_frozen():
     # (1, 0, 0): intensity 1/3, normalized r = 3 -> R = 3, others zero
-    opp = compute_color_opponency(solid_image(1.0, 0.0, 0.0))
-    assert np.allclose(opp.rg, 3.0, atol=1e-12)
-    assert np.abs(opp.gr).max() < 1e-12
-    assert np.abs(opp.by).max() < 1e-12
-    assert np.abs(opp.yb).max() < 1e-12
+    opp = opponency_of(solid_image(1.0, 0.0, 0.0))
+    assert np.allclose(opp[0], 3.0, atol=1e-12)
+    assert np.abs(opp[1]).max() < 1e-12
+    assert np.abs(opp[2]).max() < 1e-12
+    assert np.abs(opp[3]).max() < 1e-12
 
 
 def test_opponency_yellow_frozen():
     # (1, 1, 0): intensity 2/3, normalized r = g = 1.5 -> Y = 1.5 -> YB = 1.5
-    opp = compute_color_opponency(solid_image(1.0, 1.0, 0.0))
-    assert np.allclose(opp.yb, 1.5, atol=1e-12)
-    assert np.abs(opp.rg).max() < 1e-12
-    assert np.abs(opp.gr).max() < 1e-12
-    assert np.abs(opp.by).max() < 1e-12
+    opp = opponency_of(solid_image(1.0, 1.0, 0.0))
+    assert np.allclose(opp[3], 1.5, atol=1e-12)
+    assert np.abs(opp[0]).max() < 1e-12
+    assert np.abs(opp[1]).max() < 1e-12
+    assert np.abs(opp[2]).max() < 1e-12
 
 
 def test_opponency_dark_pixels_muted():
@@ -103,17 +107,17 @@ def test_opponency_dark_pixels_muted():
     r[0, 0] = 1.0  # bright red pixel sets the intensity ceiling
     r[3, 3] = 0.02  # dim red pixel falls under the 10% cutoff
     img = RGBImage(r=r, g=np.zeros((6, 6)), b=np.zeros((6, 6)))
-    opp = compute_color_opponency(img)
-    assert opp.rg[0, 0] == pytest.approx(3.0)
-    assert opp.rg[3, 3] == 0.0
+    opp = opponency_of(img)
+    assert opp[0, 0, 0] == pytest.approx(3.0)
+    assert opp[0, 3, 3] == 0.0
 
 
 def test_opponency_pairs_mutually_exclusive():
     rng = np.random.default_rng(0)
     img = RGBImage(r=rng.random((12, 12)), g=rng.random((12, 12)), b=rng.random((12, 12)))
-    opp = compute_color_opponency(img)
-    assert np.abs(opp.rg * opp.gr).max() == 0.0
-    assert np.abs(opp.by * opp.yb).max() == 0.0
+    opp = opponency_of(img)
+    assert np.abs(opp[0] * opp[1]).max() == 0.0
+    assert np.abs(opp[2] * opp[3]).max() == 0.0
     for m in opp:
         assert m.min() >= 0.0
 
@@ -174,7 +178,7 @@ def test_compute_channels_shapes_and_nonnegative():
     rng = np.random.default_rng(1)
     img = RGBImage(r=rng.random((24, 24)), g=rng.random((24, 24)), b=rng.random((24, 24)))
     intensity, opponency, orientation = compute_channels(img)
-    assert isinstance(opponency, Opponency)
+    assert opponency.shape == (4, 24, 24)
     assert orientation.shape == (8, 24, 24)
     # every map shares the image's dimensions and is non-negative
     for m in (intensity, *opponency, *orientation):

@@ -711,7 +711,9 @@ class TestTune:
              "--weights", "alphaRef,wOpp"]
         )
         assert code == 1
-        assert "unknown weight name" in capsys.readouterr().err
+        # the library's search check refuses the config key that is no alpha
+        assert ("names must be a distinct subset of ('alpha_ref', 'alpha_sa', 'alpha_tj'), "
+                "got ('alpha_ref', 'w_opp')") in capsys.readouterr().err
 
 
 COMPARE_OWNS_ALPHAS = "--compare names both alpha triples; it takes no --preset or alpha key"

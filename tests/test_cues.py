@@ -1,9 +1,11 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
-from fgo.channels import ORIENTATIONS, bo_direction
+from fgo.channels import DIRECTIONS, ORIENTATIONS, bo_direction
 from fgo.cues import (
     SAParams,
     TJParams,
@@ -16,7 +18,6 @@ from fgo.cues import (
     detect_t_junctions,
     find_junction_candidates,
     format_junction,
-    integer_shift,
     quantize_orientation,
     sample_shifted,
     trace_contour,
@@ -94,7 +95,7 @@ def oracle_sa_maps(intensity, params=SAParams()):
 
 def test_integer_shift_moves_and_pads():
     arr = np.arange(9.0).reshape(3, 3)
-    out = integer_shift(arr, 1, 0)
+    out = sample_shifted(arr, 1, 0)
     assert np.array_equal(out[0], arr[1])
     assert np.array_equal(out[2], np.zeros(3))
 
@@ -115,6 +116,22 @@ def test_sample_shifted_fractional_frozen():
 def test_sample_shifted_out_of_bounds_zero():
     arr = np.ones((4, 4))
     assert np.allclose(sample_shifted(arr, 10.0, 0.0), 0.0)
+
+
+@pytest.mark.parametrize("shape", [(30, 41), (7, 5), (1, 6)])
+def test_sample_shifted_matches_map_coordinates(shape):
+    # an oracle independent of the sampler: scipy's bilinear interpolation,
+    # zero outside the map, at every SA offset and at random ones
+    rng = np.random.default_rng(12)
+    offsets = [(size / 2.0 * dy, size / 2.0 * dx)
+               for size in SAParams().sizes for dx, dy in DIRECTIONS.reshape(-1, 2)]
+    offsets += [tuple(offset) for offset in rng.uniform(-12, 12, (40, 2))]
+    rows, cols = np.indices(shape, dtype=np.float64)
+    for arr in rng.random((2,) + shape):
+        for drow, dcol in offsets:
+            want = ndimage.map_coordinates(
+                arr, [rows + drow, cols + dcol], order=1, mode="constant", cval=0.0)
+            assert np.abs(sample_shifted(arr, drow, dcol) - want).max() <= 1e-12
 
 
 # ---------------------------------------------------- spectral anisotropy
@@ -390,6 +407,24 @@ def test_detect_y_junction_record_rejected():
     assert junctions[0].rejected == "yJunction"
 
 
+def test_detect_drops_an_unclassifiable_candidate(caplog):
+    # two T-junctions on one horizontal boundary; the stem of the right one
+    # is 2 px long, too short to trace, so only that candidate is dropped
+    contours = np.zeros((40, 64), dtype=np.int64)
+    contours[20, :16], contours[20, 16:41], contours[20, 41:] = 1, 2, 4
+    contours[21:, 15] = 3
+    contours[21:23, 40] = 5
+    segments = np.ones((40, 64), dtype=np.int64)
+    segments[21:, :16], segments[21:, 16:41], segments[21:, 41:] = 2, 3, 4
+    assert len(find_junction_candidates(contours, segments)) == 2
+    with caplog.at_level(logging.INFO, logger="fgo.cues"):
+        junctions = detect_t_junctions(contours, segments)
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+        (logging.INFO, "dropping junction candidate: contour 5 shorter than 3 px near (20, 40)")
+    ]
+    assert [(j.row, j.col, j.matched) for j in junctions] == [(20, 16, True)]
+
+
 def test_format_junction_line():
     contours, segments = t_junction_maps()
     line = format_junction(detect_t_junctions(contours, segments)[0])
@@ -497,6 +532,18 @@ def test_tj_maps_perfect_t_paints_one_directed_bin():
     # painted pixels stay within the influence radius of the junction
     ys, xs = np.nonzero(maps[0, 1])
     assert ((ys - 20) ** 2 + (xs - 20) ** 2 <= 15**2).all()
+
+
+def test_tj_maps_skip_a_hat_pixel_without_orientation():
+    # a stray pixel of hat contour 1, isolated inside the influence radius:
+    # its orientation is NaN, so it paints nothing and the maps are unchanged
+    contours, segments = t_junction_maps()
+    want = build_tj_maps(contours, segments, detect_t_junctions(contours, segments))
+    contours[12, 20] = 1
+    junctions = detect_t_junctions(contours, segments)
+    assert junctions[0].matched and 1 in junctions[0].hat_by_area
+    assert math.isnan(contour_orientation(contours, 12, 20))
+    assert np.array_equal(build_tj_maps(contours, segments, junctions), want)
 
 
 def test_tj_params_validation():

@@ -118,6 +118,21 @@ class TestLoadGroundTruth:
             FGGroundTruth(x=[3], y=[0], nx=[1.0], ny=[0.0], shape=(3, 3))
         with pytest.raises(ValueError, match="normals must have unit length"):
             FGGroundTruth(x=[1], y=[1], nx=[math.nan], ny=[0.0], shape=(3, 3))
+        # a fractional coordinate or shape is refused, not truncated, and a
+        # shape must be two positive integers, empty truth or not
+        with pytest.raises(ValueError, match="ground truth x must be integers, got 1.7"):
+            FGGroundTruth(x=[1.7], y=[1], nx=[1.0], ny=[0.0], shape=(3, 3))
+        with pytest.raises(ValueError, match="ground truth y must be integers, got nan"):
+            FGGroundTruth(x=[1], y=[math.nan], nx=[1.0], ny=[0.0], shape=(3, 3))
+        with pytest.raises(ValueError, match="ground truth shape must be integers, got 2.9"):
+            FGGroundTruth(x=[1], y=[1], nx=[1.0], ny=[0.0], shape=(2.9, 3))
+        for shape in [(-1, 5), (3,), (0, 3)]:
+            with pytest.raises(ValueError, match="shape must be two positive integers"):
+                FGGroundTruth(x=[], y=[], nx=[], ny=[], shape=shape)
+        # integral values of any dtype are kept, as int64 and ints
+        gt = FGGroundTruth(x=np.array([1.0]), y=[2], nx=[1.0], ny=[0.0], shape=(np.int64(3), 3.0))
+        assert gt.x.dtype == np.int64 and gt.x.tolist() == [1]
+        assert gt.shape == (3, 3) and all(type(n) is int for n in gt.shape)
 
     def test_truth_keeps_its_map_shape(self):
         gt = load_ground_truth(isolated_square(size=48, first=16, last=31).signed)

@@ -6,6 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from fgo import channels
 from fgo.channels import RGBImage, compute_channels
 from fgo.evaluation import compute_fgca, load_ground_truth
 from fgo.filters import DoGParams, GaborParams, make_center_surround
@@ -269,13 +270,13 @@ def colour_squares():
 
 class TestFixedFeatures:
     """``PreparedImage.fixed`` is the colour plus intensity term of the
-    final feature sum, pooled to native size once, bit for bit, sign
-    bits included."""
+    final feature sum, ``sum_f w_f * W_f`` in channel order, pooled to
+    native size once, bit for bit, sign bits included."""
 
     @staticmethod
     def winners(image):
-        """Per level: the summed opponency winners (None on a gray
-        image) and the intensity winners."""
+        """Per feature in channel order (each non-empty opponency map,
+        then intensity), its winners level by level."""
         if not isinstance(image, RGBImage):
             image = RGBImage.from_gray(image)
         intensity, opponency, orientation = compute_channels(image, FAST.gabor)
@@ -290,9 +291,7 @@ class TestFixedFeatures:
             cs = cs_pyramids(pyramid(native), FAST.dog.size, dog)
             return winning_bo(compute_bo(carriers, cs, 1.0, FAST.ring_radius))
 
-        colour = [route(native) for native in opponency if native.any()]
-        colour = [sum(levels[1:], levels[0]) for levels in zip(*colour)] if colour else None
-        return colour, route(intensity)
+        return [route(native) for native in opponency if native.any()] + [route(intensity)]
 
     @pytest.mark.parametrize("kind", ["colour", "gray", "black"])
     def test_fixed_is_weighted_colour_plus_intensity(self, kind):
@@ -303,12 +302,12 @@ class TestFixedFeatures:
             "black": np.zeros((48, 48)),
         }[kind]
         w_c, w_i = 0.3, 1.7
-        colour, intensity = self.winners(image)
-        assert (colour is not None) == (kind == "colour")
-        if colour is None:
-            levels = [w_i * i for i in intensity]
-        else:
-            levels = [w_c * c + w_i * i for c, i in zip(colour, intensity)]
+        features = self.winners(image)
+        assert (len(features) > 1) == (kind == "colour")
+        levels = None
+        for weight, winners in zip([w_c] * (len(features) - 1) + [w_i], features):
+            scaled = [weight * w for w in winners]
+            levels = scaled if levels is None else [t + w for t, w in zip(levels, scaled)]
         params = replace(FAST, feature_color=w_c, feature_intensity=w_i, feature_orientation=0.9)
         got = prepare_components(image, params).fixed
         want = pool_resampled(levels, *levels[0].shape[-2:])
@@ -320,11 +319,24 @@ class TestFixedFeatures:
         image = colour_squares()
         _, opponency, _ = compute_channels(image)
         assert sum(native.any() for native in opponency) > 1
-        colour, _ = self.winners(image)
+        colour = [sum(levels[1:], levels[0]) for levels in zip(*self.winners(image)[:-1])]
         params = replace(FAST, feature_intensity=0.0, feature_orientation=0.0)
         got = prepare_components(image, params).fixed
         want = pool_resampled(colour, *colour[0].shape[-2:])
         assert got.tobytes() == want.tobytes()
+
+    def test_intensity_is_computed_once(self, monkeypatch):
+        # compute_channels hands its intensity map to the opponency stage
+        calls = []
+        original = channels.compute_intensity
+
+        def counted(image):
+            calls.append(image)
+            return original(image)
+
+        monkeypatch.setattr(channels, "compute_intensity", counted)
+        prepare_components(colour_squares(), FAST, need_sa=True)
+        assert len(calls) == 1
 
     def test_no_weighted_feature_is_zero(self):
         image = colour_squares()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fgo.cues import detect_t_junctions
 from fgo.stimuli import (
     annulus,
     generate,
@@ -58,7 +59,11 @@ class TestOverlappingSquares:
         stim = overlapping_squares(
             size=96, a_first=20, a_last=60, b_first=36, b_last=76
         )
-        assert stim.junctions == ((36, 60), (60, 36))
+        # the detector finds both occlusion corners on the label maps, and
+        # matches them
+        found = detect_t_junctions(stim.contours, stim.segments)
+        assert [(j.row, j.col) for j in found] == [(36, 60), (60, 36)]
+        assert all(j.matched for j in found)
 
     def test_occluder_over_occluded(self):
         stim = overlapping_squares(a_gray=0.35, b_gray=0.85)
