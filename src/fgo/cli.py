@@ -16,6 +16,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from multiprocessing import Value
 from pathlib import Path
 
 import numpy as np
@@ -221,31 +222,56 @@ def _score_entry(entry: ManifestEntry, config: RunConfig, weight_sets) -> list:
     return [score_weights(state, w) for w in weight_sets]
 
 
-def _load_row(task):
-    """``(image_id, load(entry), None)``, or ``(image_id, None, message)``
-    when the row is refused: a file that cannot be read (OSError) or a
-    value the library refuses (ValueError). Any other error is a fault
-    and propagates."""
-    load, entry = task
-    try:
-        return entry.image_id, load(entry), None
-    except (OSError, ValueError) as exc:
-        return entry.image_id, None, str(exc)
+def _take_rows(next_row, load, entries) -> list:
+    """``(index, image_id, load(entry), None)`` for each row this process
+    takes, one at a time, from the shared counter ``next_row`` until none
+    is left, or ``(index, image_id, None, message)`` when the row is
+    refused: a file that cannot be read (OSError) or a value the library
+    refuses (ValueError). Any other error is a fault and propagates."""
+    taken = []
+    while True:
+        with next_row.get_lock():
+            index = next_row.value
+            next_row.value += 1
+        if index >= len(entries):
+            return taken
+        entry = entries[index]
+        try:
+            taken.append((index, entry.image_id, load(entry), None))
+        except (OSError, ValueError) as exc:
+            taken.append((index, entry.image_id, None, str(exc)))
+
+
+_worker_queue = None  # a pool worker's (next_row, load, entries), from its initializer
+
+
+def _join_queue(*queue) -> None:
+    global _worker_queue
+    _worker_queue = queue
+
+
+def _take_queued_rows(_task) -> list:
+    """:func:`_take_rows` in a pool worker, on the queue it joined."""
+    return _take_rows(*_worker_queue)
 
 
 def _load_rows(load, entries, jobs: int = 1) -> dict:
     """``{image_id: load(entry)}`` over the rows that are not refused, in
-    row order, on a pool of up to ``jobs`` processes; each refused row
-    is skipped with a message."""
-    tasks = [(load, entry) for entry in entries]
-    workers = min(jobs, len(tasks))  # a fork pool starts every worker at once
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_load_row, tasks))
+    row order; each refused row is skipped with a message, in row order.
+
+    ``jobs`` processes load the rows, this one included: it and a pool of
+    ``min(jobs, rows) - 1`` workers each take the next row from one
+    shared counter until none is left."""
+    queue = (Value("i", 0), load, entries)
+    workers = min(jobs, len(entries)) - 1
+    if workers > 0:
+        with ProcessPoolExecutor(workers, initializer=_join_queue, initargs=queue) as pool:
+            parts = pool.map(_take_queued_rows, range(workers))
+            taken = _take_rows(*queue) + [row for part in parts for row in part]
     else:
-        results = list(map(_load_row, tasks))
+        taken = _take_rows(*queue)
     loaded = {}
-    for image_id, result, message in results:
+    for _, image_id, result, message in sorted(taken):  # unique indices: no result is compared
         if message is None:
             loaded[image_id] = result
         else:
@@ -444,7 +470,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--manifest", required=True)
     p_eval.add_argument("--out", required=True)
     p_eval.add_argument("--compare", metavar="PRESET_A,PRESET_B")
-    p_eval.add_argument("--jobs", type=int, default=1)
+    p_eval.add_argument(
+        "--jobs", type=int, default=1,
+        help="processes that score images, this one included (default 1)",
+    )
     _add_config_flags(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 

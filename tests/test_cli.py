@@ -1,8 +1,12 @@
 import logging
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -380,6 +384,36 @@ class TestManifest:
             parse_manifest(manifest)
 
 
+def _logged_load(log, entry):
+    """Logs which process loads the row; refuses the row named "broken"."""
+    with open(log, "a") as fh:
+        fh.write(f"{entry.image_id} {os.getpid()}\n")
+    time.sleep(0.001)  # long enough for the processes to interleave
+    if entry.image_id == "broken":
+        raise ValueError("a refused row")
+    return entry.image_id.upper()
+
+
+class TestRowQueue:
+    # the 400-row case runs more processes than a small host has cores, and
+    # a lost update to the shared counter would load a row twice
+    @pytest.mark.parametrize("jobs, rows", [(1, 4), (2, 4), (64, 4), (4, 400)])
+    def test_each_row_loaded_once_and_reported_in_row_order(self, tmp_path, capsys, jobs, rows):
+        ids = [f"r{i}" for i in range(rows)]
+        ids[1] = "broken"
+        entries = [cli.ManifestEntry(i, f"{i}.ppm", [], None, None) for i in ids]
+        log = tmp_path / "loads.txt"
+        loaded = cli._load_rows(partial(_logged_load, log), entries, jobs)
+        assert list(loaded.items()) == [(i, i.upper()) for i in ids if i != "broken"]
+        assert capsys.readouterr().err == "skipped broken: a refused row\n"
+        loads = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(i for i, _ in loads) == sorted(ids)
+        pids = {pid for _, pid in loads}
+        assert len(pids) <= min(jobs, rows)
+        if jobs == 1:
+            assert pids == {str(os.getpid())}
+
+
 class TestEval:
     def test_single_preset_report(self, dataset, tmp_path, capsys):
         out = tmp_path / "eval"
@@ -418,15 +452,17 @@ class TestEval:
             ) == 0
         assert (serial / "report.txt").read_text() == (parallel / "report.txt").read_text()
 
-    @pytest.mark.parametrize("jobs, workers", [("1", []), ("2", [2]), ("64", [2])])
+    @pytest.mark.parametrize("jobs, workers", [("1", []), ("2", [1]), ("64", [1])])
     def test_pool_never_outnumbers_the_rows(self, dataset, tmp_path, monkeypatch, jobs, workers):
+        # this process loads rows too, so --jobs N starts at most N - 1 workers
         started = []
 
         class RecordingPool:
             """Records its size and maps in this process: no worker starts."""
 
-            def __init__(self, max_workers=None):
+            def __init__(self, max_workers=None, initializer=None, initargs=()):
                 started.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -438,12 +474,26 @@ class TestEval:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_worker_queue", None)
         out = tmp_path / "eval"
         assert main(
             ["eval", "--manifest", str(dataset), "--out", str(out), "--jobs", jobs, *FAST]
         ) == 0
         assert started == workers  # the manifest has two rows
         assert "images=2" in (out / "report.kv").read_text()
+
+    def test_spawned_pool_matches_serial(self, dataset, tmp_path, monkeypatch):
+        # a spawned worker inherits nothing: the row queue reaches it through
+        # the pool's initializer alone. The counter's lock is made for the
+        # pool's start method, as both follow one default start method.
+        spawn = multiprocessing.get_context("spawn")
+        serial, pooled = tmp_path / "serial", tmp_path / "spawned"
+        argv = ["eval", "--manifest", str(dataset), "--preset", "with-both", *FAST]
+        assert main([*argv, "--out", str(serial), "--jobs", "1"]) == 0
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=spawn))
+        monkeypatch.setattr(cli, "Value", spawn.Value)
+        assert main([*argv, "--out", str(pooled), "--jobs", "2"]) == 0
+        assert (pooled / "report.kv").read_bytes() == (serial / "report.kv").read_bytes()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_refused(self, dataset, tmp_path, capsys, jobs):

@@ -152,6 +152,8 @@ def test_sa_sizes_and_validation():
         SAParams(min_size=8)
     with pytest.raises(ValueError):
         SAParams(size_step=3)
+    with pytest.raises(ValueError, match="^max_size must be >= min_size, got 7$"):
+        SAParams(min_size=9, max_size=7)
 
 
 def test_sa_symmetric_stimulus_no_side_preference():
@@ -285,6 +287,18 @@ def test_candidates_reject_mismatched_shapes():
             entry(np.zeros((4, 4)), np.zeros((4, 4), dtype=np.int64))
 
 
+
+@pytest.mark.parametrize("contours, message", [
+    (np.zeros(4, dtype=np.int64), "contours must be a non-empty 2D array"),
+    (np.full((4, 4), -1, dtype=np.int64), r"contours must be non-negative \(0 means unlabeled\)"),
+], ids=["not-2d", "negative"])
+def test_label_maps_refused_with_their_name(contours, message):
+    segments = np.zeros((4, 4), dtype=np.int64)
+    for entry in (detect_t_junctions, lambda c, s: build_tj_maps(c, s, [])):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            entry(contours, segments)
+
+
 # -------------------------------------------------------- area classifier
 
 def test_area_painted_counts_pick_largest():
@@ -341,6 +355,16 @@ def test_area_perfect_t_hat_and_figure():
     figure, hat, _ = classify_junction_area(segments, contours, cand)
     assert figure == 1  # the region above covers most of the disk
     assert hat == (1, 2)  # the two collinear arms
+
+
+
+def test_area_one_contour_abutting_the_winner_is_malformed():
+    # the perfect T with its right arm and stem erased: only the left arm
+    # leans on region 1, so no hat pair can be named
+    contours, segments = t_junction_maps()
+    contours[contours != 1] = 0
+    with pytest.raises(ValueError, match=r"^fewer than two contours abut region 1 at \(20, 20\)$"):
+        classify_junction_area(segments, contours, (20, 20, (1, 2, 3), (1, 2, 3)))
 
 
 # ------------------------------------------------------- angle classifier

@@ -168,6 +168,18 @@ class TestPPM:
         with pytest.raises(ValueError):
             read_ppm(path)
 
+    def test_truncated_plain_raster(self, tmp_path):
+        path = tmp_path / "bad.ppm"
+        path.write_text("P3\n2 1\n255\n255 0 0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: truncated PPM raster$"):
+            read_ppm(path)
+
+    def test_write_refuses_maps_that_are_not_2d(self, tmp_path):
+        path = tmp_path / "bad.ppm"
+        with pytest.raises(ValueError, match="^write_ppm expects three 2D maps$"):
+            write_ppm(path, *(np.zeros(3),) * 3)
+        assert not path.exists()
+
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "bad.ppm"
         path.write_bytes(b"P6\n2")

@@ -3,6 +3,7 @@ import pytest
 
 from fgo.cues import detect_t_junctions
 from fgo.stimuli import (
+    _paint_boundary,
     annulus,
     generate,
     GENERATORS,
@@ -44,6 +45,10 @@ class TestIsolatedSquare:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             isolated_square(size=16)
+
+    def test_square_that_does_not_fit_rejected(self):
+        with pytest.raises(ValueError, match=r"^square \[20, 22\] does not fit in 64 px$"):
+            isolated_square(size=64, first=20, last=22)
 
 
 class TestOverlappingSquares:
@@ -89,6 +94,10 @@ class TestOverlappingSquares:
             overlapping_squares(a_first=40, b_first=30)
         with pytest.raises(ValueError):
             overlapping_squares(size=96, b_last=95)
+
+    def test_negative_gradient_rejected(self):
+        with pytest.raises(ValueError, match="^gradient must be non-negative, got -0.1$"):
+            overlapping_squares(gradient=-0.1)
 
 
 class TestShadedEdge:
@@ -193,3 +202,18 @@ class TestGenerate:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             generate("moebius-strip")
+
+
+def test_overlapping_boundary_chains_refused():
+    # the generators paint disjoint chains; the painter refuses a chain or
+    # twin over painted cells, and a chain and twin that share cells
+    chain = np.zeros((5, 5), dtype=bool)
+    chain[2] = True
+    twin, above = np.roll(chain, 1, axis=0), np.roll(chain, -1, axis=0)
+    painted = np.zeros((5, 5), dtype=np.int64)
+    _paint_boundary(painted, chain, twin)
+    for signed, minus, plus in (
+        (painted, chain, above), (painted, above, twin), (np.zeros_like(painted), chain, chain),
+    ):
+        with pytest.raises(ValueError, match="^boundary chains overlap; geometry too tight$"):
+            _paint_boundary(signed, minus, plus)
