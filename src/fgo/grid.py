@@ -8,13 +8,15 @@ right and ``a = pi/2`` points down the rows.
 
 Correlation and pooling take ``(..., rows, cols)`` stacks of maps.
 Every filter bank of the model (the quadrature carriers, the
-center-surround kernels, the ring kernels and the spectral-anisotropy
-bank) goes through :func:`correlate_stack`, which always uses the FFT
-and stays within about 1e-12 relative of a direct sum. It pairs maps
-and kernels by broadcasting their leading axes, so a map shared by a
-whole kernel bank (one evidence map per polarity against the 16 ring
-kernels, say) is passed once, not tiled to the bank's shape, and is
-transformed once.
+center-surround kernels and the spectral-anisotropy bank) goes through
+:func:`correlate_stack`, which always uses the FFT and stays within
+about 1e-12 relative of a direct sum. It pairs maps and kernels by
+broadcasting their leading axes, so a map shared by a whole kernel
+bank is passed once, not tiled to the bank's shape, and is transformed
+once. The ring kernels go through its sibling :func:`correlate_pairs`,
+which adds or subtracts the two correlations of a map pair against a
+kernel pair before one inverse transform; both share the padding, the
+FFT length and the spectra.
 
 A pyramid is a plain list of levels, index 0 the finest (native), and
 :func:`pyramid_levels` is its one builder.
@@ -52,6 +54,44 @@ def _as_stack(values, name: str) -> np.ndarray:
     return arr
 
 
+def _fft_plan(maps_shape, kernels_shape):
+    """The edge-pad widths, the FFT shape and the crop of the full output
+    for correlating maps of ``maps_shape`` with odd kernels of
+    ``kernels_shape``, both ``(..., rows, cols)``, after checking that the
+    kernels are odd and smaller than the maps."""
+    rows, cols = maps_shape[-2:]
+    kh, kw = kernels_shape[-2:]
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ValueError(f"kernel dimensions must be odd, got {(kh, kw)}")
+    if kh >= rows or kw >= cols:
+        raise ValueError(
+            f"kernel {(kh, kw)} must be smaller than input {(rows, cols)} in both axes"
+        )
+    pad = ((kh // 2, kh // 2), (kw // 2, kw // 2))
+    fshape = [fft.next_fast_len(n + 2 * (k - 1), True) for n, k in ((rows, kh), (cols, kw))]
+    crop = (slice(kh - 1, kh - 1 + rows), slice(kw - 1, kw - 1 + cols))
+    return pad, fshape, crop
+
+
+def _map_spectrum(values, pad, fshape):
+    return fft.rfftn(np.pad(values, pad, mode="edge"), fshape, axes=(0, 1))
+
+
+def _kernel_spectrum(kernel, fshape):
+    # correlation == convolution with the kernel flipped in both axes
+    return fft.rfftn(kernel[::-1, ::-1], fshape, axes=(0, 1))
+
+
+def _broadcast_lead(maps, kernels):
+    try:
+        return np.broadcast_shapes(maps.shape[:-2], kernels.shape[:-2])
+    except ValueError:
+        raise ValueError(
+            f"leading axes of maps {maps.shape} and kernels {kernels.shape} "
+            f"do not broadcast"
+        ) from None
+
+
 def correlate_stack(maps, kernels) -> np.ndarray:
     """Correlate a ``(..., rows, cols)`` map stack with a ``(..., kh, kw)``
     stack of odd-sized kernels whose leading axes broadcast, replicating
@@ -67,55 +107,107 @@ def correlate_stack(maps, kernels) -> np.ndarray:
     output takes one inverse. The kernels are the outer loop, grouped
     by the leading axes on which both maps and kernels vary: a group's
     map spectra are alive while its kernels pass, one kernel spectrum
-    at a time. So the (2, 1, 1) light and dark maps of a level against
-    the (8, 2) ring bank take 2 map and 16 kernel transforms. The
-    product is map spectrum times kernel spectrum, both named: an
+    at a time. So (2, 1, 1) maps against an (8, 2) bank take 2 map and
+    16 kernel transforms, and 32 inverses (:func:`correlate_pairs`
+    takes 16 for the pair differences of that bank). The product is
+    map spectrum times kernel spectrum, both named: an
     unnamed kernel spectrum lets numpy reuse the temporary and multiply
     in the other order, which moves the last bits.
     """
     maps = _as_stack(maps, "input")
     kernels = _as_stack(kernels, "kernel")
-    rows, cols = maps.shape[-2:]
-    kh, kw = kernels.shape[-2:]
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ValueError(f"kernel dimensions must be odd, got {(kh, kw)}")
-    if kh >= rows or kw >= cols:
-        raise ValueError(
-            f"kernel {(kh, kw)} must be smaller than input {(rows, cols)} in both axes"
-        )
-    try:
-        lead = np.broadcast_shapes(maps.shape[:-2], kernels.shape[:-2])
-    except ValueError:
-        raise ValueError(
-            f"leading axes of maps {maps.shape} and kernels {kernels.shape} "
-            f"do not broadcast"
-        ) from None
-    if (kh, kw) == (1, 1):
+    pad, fshape, crop = _fft_plan(maps.shape, kernels.shape)
+    lead = _broadcast_lead(maps, kernels)
+    if kernels.shape[-2:] == (1, 1):
         return maps * kernels
     maps = maps.reshape((1,) * (len(lead) + 2 - maps.ndim) + maps.shape)
-    # correlation == convolution with the kernel flipped in both axes
     kernels = kernels.reshape((1,) * (len(lead) + 2 - kernels.ndim) + kernels.shape)
-    flipped = kernels[..., ::-1, ::-1]
-    pad = ((kh // 2, kh // 2), (kw // 2, kw // 2))
-    fshape = [fft.next_fast_len(n + 2 * (k - 1), True) for n, k in ((rows, kh), (cols, kw))]
-    out = np.empty(lead + (rows, cols))
+    out = np.empty(lead + maps.shape[-2:])
     # the axes on which both vary pair one map set with one kernel set
-    paired = [n > 1 and k > 1 for n, k in zip(maps.shape, flipped.shape[:-2])]
+    paired = [n > 1 and k > 1 for n, k in zip(maps.shape, kernels.shape[:-2])]
     for group in np.ndindex(*(n for n, p in zip(lead, paired) if p)):
         at = iter(group)
         select = tuple(next(at) if p else slice(None) for p in paired)
-        group_maps, bank, targets = maps[select], flipped[select], out[select]
+        group_maps, bank, targets = maps[select], kernels[select], out[select]
         spectra = [
-            (index, fft.rfftn(np.pad(group_maps[index], pad, mode="edge"), fshape, axes=(0, 1)))
+            (index, _map_spectrum(group_maps[index], pad, fshape))
             for index in np.ndindex(group_maps.shape[:-2])
         ]
         for k_index in np.ndindex(bank.shape[:-2]):
-            k_spectrum = fft.rfftn(bank[k_index], fshape, axes=(0, 1))
+            k_spectrum = _kernel_spectrum(bank[k_index], fshape)
             for index, spectrum in spectra:
                 full = fft.irfftn(spectrum * k_spectrum, fshape, axes=(0, 1))
                 # the output takes the map's index where the map varies
                 pair = tuple(i if n > 1 else k for i, k, n in zip(index, k_index, group_maps.shape))
-                targets[pair] = full[kh - 1 : kh - 1 + rows, kw - 1 : kw - 1 + cols]
+                targets[pair] = full[crop]
+    return out
+
+
+def correlate_pairs(maps, kernels, signs) -> np.ndarray:
+    """Correlate the map pairs of a ``(P, ..., S, rows, cols)`` stack with
+    a ``(..., 2, kh, kw)`` bank of odd-sized kernel pairs, and add or
+    subtract the two correlations of each pair before one inverse
+    transform.
+
+    Pair ``(p, i)`` reads its first member ``maps[p, i, 0]`` through
+    ``kernels[i, 0]`` and its second from the mirrored first index,
+    ``maps[P-1-p, i, -1]``, through ``kernels[i, 1]``. The map axes
+    between the first and the last three broadcast to the bank's, and
+    ``S`` is 1 where both kernels of a pair read one map. Each sign in
+    ``signs`` (+1 or -1) gives one output stack::
+
+        out[j, p, i] = maps[p, i, 0] (*) kernels[i, 0]
+                       + signs[j] * maps[P-1-p, i, -1] (*) kernels[i, 1]
+
+    with ``(*)`` the correlation of :func:`correlate_stack`, through the
+    same padding, FFT length and named spectra: the result is
+    ``(len(signs), P, *kernels.shape[:-3], rows, cols)``, each output
+    within about 1e-12 relative of the direct sums. The kernel pairs
+    are the outer loop, in C order, each kernel transformed once; the
+    spectra of the maps a pair index reads stay alive while the next
+    pairs read the same maps, so a map shared along the bank is
+    transformed once. Each output takes one inverse, ``P * len(signs)``
+    per kernel pair: one sign takes half the inverses that
+    :func:`correlate_stack` takes for the same maps and bank.
+    """
+    maps = _as_stack(maps, "input")
+    kernels = _as_stack(kernels, "kernel")
+    signs = tuple(signs)
+    if not signs or any(sign not in (1, -1) for sign in signs):
+        raise ValueError(f"signs must each be +1 or -1, got {signs}")
+    if kernels.ndim < 3 or kernels.shape[-3] != 2:
+        raise ValueError(f"kernel pairs must be (..., 2, kh, kw), got {kernels.shape}")
+    if maps.ndim != kernels.ndim + 1:
+        raise ValueError(f"map pairs {maps.shape} do not match kernel pairs {kernels.shape}")
+    pad, fshape, crop = _fft_plan(maps.shape, kernels.shape)
+    bank = kernels.shape[:-3]
+    if _broadcast_lead(maps[0], kernels) != kernels.shape[:-2]:
+        raise ValueError(f"map pairs {maps.shape} do not broadcast to kernel pairs {kernels.shape}")
+    n = len(maps)
+    out = np.empty((len(signs), n) + bank + maps.shape[-2:])
+    # the two products of a pair, and the difference beside a later sum
+    first, second = (np.empty((fshape[0], fshape[1] // 2 + 1), complex) for _ in range(2))
+    both = np.empty_like(first) if len(signs) > 1 else None
+    held = None
+    for index in np.ndindex(bank):
+        at = tuple(i if m > 1 else 0 for i, m in zip(index, maps.shape[1:-3]))
+        if at != held:
+            spectra = None  # free the last maps' spectra before the next
+            spectra = [
+                [_map_spectrum(member, pad, fshape) for member in pair]
+                for pair in maps[(slice(None),) + at]
+            ]
+            held = at
+        first_k = _kernel_spectrum(kernels[index + (0,)], fshape)
+        second_k = _kernel_spectrum(kernels[index + (1,)], fshape)
+        for p in range(n):
+            np.multiply(spectra[p][0], first_k, out=first)
+            np.multiply(spectra[n - 1 - p][-1], second_k, out=second)
+            for j, sign in enumerate(signs):
+                # the last sign may overwrite the first product
+                target = first if j == len(signs) - 1 else both
+                (np.add if sign > 0 else np.subtract)(first, second, out=target)
+                out[(j, p) + index] = fft.irfftn(target, fshape, axes=(0, 1))[crop]
     return out
 
 

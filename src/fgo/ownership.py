@@ -17,12 +17,16 @@ level list of stacks with a leading polarity axis: light and dark
 center-surround contrast for the contrast route (:func:`cs_pyramids`),
 shared by both sides, and one polarity with a map per side for a
 directed local cue (SA, TJ). Each level's competing pairs are
-normalized together, projected in one call against the (8, 2) ring
-bank, pooled across scales, and then gate the carrier:
+normalized together, projected against the (8, 2) ring bank, pooled
+across scales, and then gate the carrier:
 ``B[t, s] = sum_p max(0, C_t * (1 + ctx[p, t, s] - w_opp * ctx[P-1-p, t, 1 - s]))``.
 The contrast route thus gates with light exciting and dark inhibiting
 and with the roles swapped, and keeps only the sum of the two: nothing
-downstream reads the polarities apart.
+downstream reads the polarities apart. The gate reads the contexts of
+cells (p, t, 0) and (P-1-p, t, 1) only together, and pooling is linear,
+so each such pair is projected once, as the difference of its two
+cells' projections (and their sum when ``w_opp`` is not 1): half the
+inverse FFTs and half the contexts of projecting every cell.
 
 Nothing downstream reads the two sides apart either: the winner of a
 cell (:func:`winning_bo`) depends only on the side imbalance
@@ -57,11 +61,13 @@ from scipy import ndimage
 
 from .channels import N_ORIENTATIONS, N_SIDES, bo_direction
 from .filters import clamp_kernel_size, make_von_mises, ring_size
-from .grid import correlate_stack, pool_resampled
+from .grid import correlate_pairs, correlate_stack, pool_resampled
 
 # the peak competition's window and the relative tolerance of a plateau
 _PEAK_WINDOW = 3
 _PLATEAU_TOLERANCE = 1e-9
+# the relative tolerance within which orientations tie for the winner
+_TIE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -199,10 +205,12 @@ def scale_contexts(responses: list) -> list:
     return responses
 
 
-def _projected(level, ring_radius: float) -> np.ndarray:
+def _projected(level, ring_radius: float, signs) -> np.ndarray:
     """Normalize the competing pairs of one (P, ..., r, c) evidence level
-    and project it through the ring bank of radius ``ring_radius``: a
-    (P, 8, 2, r, c) stack.
+    and project each gated pair through the ring bank of radius
+    ``ring_radius``: a (len(signs), P, 8, r, c) stack of
+    ``proj(evidence[p, t, 0]) + sign * proj(evidence[P-1-p, t, 1])``
+    (:func:`correlate_pairs`).
 
     With two polarities the pairs are the polarities of each map; with
     one, the two sides of each orientation. Moving the polarity axis
@@ -215,7 +223,7 @@ def _projected(level, ring_radius: float) -> np.ndarray:
     # (P, T, S, r, c), so that (T, S) broadcasts against the (8, 2) bank
     normed = normed.reshape(normed.shape[:1] + (1,) * (5 - normed.ndim) + normed.shape[1:])
     size = clamp_kernel_size(ring_size(ring_radius), level.shape[-2:])
-    return correlate_stack(normed, _ring_bank(size, ring_radius))
+    return correlate_pairs(normed, _ring_bank(size, ring_radius), signs)
 
 
 def compute_bo(
@@ -229,8 +237,10 @@ def compute_bo(
     array per level.
 
     ``carriers`` is the oriented-energy pyramid, a list whose level k
-    is an (8, 1, rows, cols) stack. ``evidence`` (a generator keeps one raw
-    level alive at a time) yields level k as one (P, ..., rows, cols)
+    is an (8, 1, rows, cols) stack of non-negative energies, so
+    ``C_t`` factors out of the gate's rectification. ``evidence`` (a
+    generator keeps one raw level alive at a time) yields level k as
+    one (P, ..., rows, cols)
     stack of P polarities whose middle axes broadcast against the
     (8, 2) ring bank: for the contrast route light and dark
     (:func:`cs_pyramids`), each shared by both sides, (2, rows, cols)
@@ -239,27 +249,37 @@ def compute_bo(
     side, (1, 8, 2, rows, cols).
 
     Each level's competing pairs are normalized together
-    (:func:`normalize_evidence_pair`) and projected in one
-    :func:`correlate_stack` call, ``evidence[p, t, s]`` through the
-    ring kernel of radius ``ring_radius`` toward (t, s). The projections are pooled across scales
-    in place (:func:`scale_contexts`), and gate the carrier one
-    orientation at a time, every polarity and side at once (``ctx[:, t]``
-    against ``ctx[::-1, t, ::-1]``)::
+    (:func:`normalize_evidence_pair`). The gate pairs cell (p, t, 0)
+    with cell (P-1-p, t, 1): evidence on the owned side excites, and
+    evidence of the other polarity (of the same cue, for one polarity)
+    on the opposite side inhibits. With ``a`` and ``b`` the two cells'
+    contexts (their evidence through the ring kernel of radius
+    ``ring_radius`` toward (t, s), pooled across scales), the pair's
+    cells gate as ``max(0, C_t * (1 + a - w_opp * b))`` and ``max(0,
+    C_t * (1 + b - w_opp * a))``. Pooling is linear, so the pair is read
+    through ``g = (1 + w_opp)/2 * (a - b)`` and ``h = 1 + (1 - w_opp)/2 *
+    (a + b)``, and every pair adds its side-0 cell and subtracts its
+    side-1 cell::
 
-        B[p, s] = max(0, C_t * (1 + ctx[p, t, s] - w_opp * ctx[P-1-p, t, 1-s]))
-        D[k][t] = sum_p B[p, 0] - sum_p B[p, 1]
+        D[k][t] = C_t * sum_p (max(0, h + g) - max(0, h - g))
 
-    Evidence on the owned side excites; evidence of the other polarity
-    (of the same cue, for one polarity) on the opposite side inhibits.
-    Only ``D`` is returned, and the gate is updated in place: one (P, 2,
-    rows, cols) buffer is alive per orientation. Only the ``modulated`` finest levels are
+    which at ``w_opp = 1`` (``h = 1``) is ``C_t * sum_p (g + clip(g, -1,
+    1))``. The difference ``a - b`` is projected as one
+    :func:`correlate_pairs` output per pair, and the sum only when its
+    weight ``(1 - w_opp)/2`` is not zero. The projections are pooled
+    across scales in place (:func:`scale_contexts`) and gate one
+    orientation at a time. Only the ``modulated`` finest levels are
     gated (None gates all; a local cue's ``top_layers_only``); the
     others pass the rectified carrier to both sides, so their imbalance
     is zero, and ``modulated = 0`` reads no evidence.
     """
     n = len(carriers)
     modulated = n if modulated is None else min(modulated, n)
-    ctx = scale_contexts([_projected(e, ring_radius) for e in evidence]) if modulated else []
+    excite, inhibit = (1.0 + w_opp) / 2, (1.0 - w_opp) / 2
+    signs = (-1, 1) if inhibit else (-1,)
+    ctx = (
+        scale_contexts([_projected(e, ring_radius, signs) for e in evidence]) if modulated else []
+    )
     out = []
     for k, carrier in enumerate(carriers):
         delta = np.zeros((N_ORIENTATIONS,) + carrier.shape[-2:])
@@ -267,12 +287,22 @@ def compute_bo(
         if k >= modulated:
             continue
         c, ctx[k] = ctx[k], None  # free each context once it has gated its level
+        if inhibit:  # g and h in place of the pooled difference and sum
+            c[0] *= excite
+            c[1] *= inhibit
+            c[1] += 1.0
         for t in range(N_ORIENTATIONS):
-            gate = 1.0 + c[:, t]
-            gate -= w_opp * c[::-1, t, ::-1]
-            gate *= carrier[t, 0]
-            np.maximum(0.0, gate, out=gate)
-            np.subtract(*gate.sum(axis=0), out=delta[t])
+            g = c[0, :, t]
+            if inhibit:
+                h = c[1, :, t]
+                term = h + g
+                np.maximum(0.0, term, out=term)
+                h -= g
+                term -= np.maximum(0.0, h, out=h)
+            else:
+                term = np.clip(g, -1.0, 1.0)
+                term += g
+            np.multiply(term.sum(axis=0), carrier[t, 0], out=delta[t])
     return out
 
 
@@ -309,15 +339,18 @@ def winning_bo(deltas: Sequence[np.ndarray]) -> list:
     """Keep only the orientation with the largest side imbalance.
 
     ``deltas`` holds per level the (8, rows, cols) side imbalances
-    ``D[t] = B[t, 0] - B[t, 1]``. Per level and pixel the winning
-    orientation maximizes ``|D[t]|`` (ties go to the lowest index); the
+    ``D[t] = B[t, 0] - B[t, 1]``. Per level and pixel the winner is the
+    lowest orientation whose ``|D[t]|`` is within 1e-12 relative of the
+    pixel's largest ``|D|``, so ties that symmetry makes exact and
+    rounding breaks are decided by that rule, not by the rounding; the
     output is the (8, 2, rows, cols) stack that holds the rectified
     imbalance on the winning side and zero everywhere else, so at most
     one of the 16 cells is nonzero.
     """
     out = []
     for delta in deltas:
-        winner = np.abs(delta).argmax(axis=0)
+        size = np.abs(delta)
+        winner = (size >= (1 - _TIE_TOLERANCE) * size.max(axis=0)).argmax(axis=0)
         onehot = winner[None] == np.arange(N_ORIENTATIONS)[:, None, None]
         level = np.empty((N_ORIENTATIONS, N_SIDES) + delta.shape[1:])
         level[:, 0] = np.where(onehot, np.maximum(delta, 0.0), 0.0)

@@ -3,13 +3,21 @@
 import math
 
 import numpy as np
+from scipy import fft
 
-from fgo.channels import RGBImage, compute_channels
+from fgo import grid
+from fgo.channels import RGBImage, bo_direction, compute_channels
 from fgo.cues import build_tj_maps, compute_sa_maps, detect_t_junctions
-from fgo.filters import make_center_surround, make_gabor
+from fgo.filters import (
+    clamp_kernel_size,
+    make_center_surround,
+    make_gabor,
+    make_von_mises,
+    ring_size,
+)
 from fgo.grid import pool_resampled, pyramid_levels
 from fgo.io import _pnm_tokens
-from fgo.ownership import _projected, cs_pyramids, scale_contexts
+from fgo.ownership import cs_pyramids, normalize_evidence_pair
 from fgo.stimuli import annulus, isolated_square, overlapping_squares, shaded_edge
 
 
@@ -24,6 +32,21 @@ def read_pgm(path) -> np.ndarray:
     # a short raster is refused by frombuffer
     raster = np.frombuffer(blob, dtype=np.uint8, count=width * height, offset=offset)
     return raster.reshape(height, width).copy()
+
+
+def count_transforms(monkeypatch):
+    """Count the forward and inverse real FFTs that ``fgo.grid`` takes
+    from here on: a dict of ``rfftn`` and ``irfftn`` calls."""
+    calls = {"rfftn": 0, "irfftn": 0}
+    for name in calls:
+        transform = getattr(grid.fft, name)
+
+        def counted(*args, name=name, transform=transform, **kwargs):
+            calls[name] += 1
+            return transform(*args, **kwargs)
+
+        monkeypatch.setattr(grid.fft, name, counted)
+    return calls
 
 
 def junction_label_maps(angles_deg, size: int = 41, ray_len: int = 14):
@@ -77,31 +100,95 @@ def scoring_battery():
 # the full path: (8, 2) ownership stacks at every level
 # ------------------------------------------------------------------
 
-def full_bo(carriers, evidence, w_opp, ring_radius, modulated=None):
-    """A route's (8, 2, r, c) ownership stacks ``B``, level by level:
-    the stacks whose side imbalance ``B[:, 0] - B[:, 1]`` is what
-    ``ownership.compute_bo`` returns. Same contexts, whole-stack gate."""
-    n = len(carriers)
-    modulated = n if modulated is None else min(modulated, n)
-    ctx = scale_contexts([_projected(e, ring_radius) for e in evidence]) if modulated else []
-    out = []
-    for k, carrier in enumerate(carriers):
-        if k >= modulated:
-            out.append(np.repeat(np.maximum(0.0, carrier), 2, axis=1))
-            continue
-        c = ctx[k]
-        gated = [
-            np.maximum(0.0, carrier * (1.0 + c[p] - w_opp * c[-1 - p, :, ::-1]))
-            for p in range(len(c))
-        ]
-        out.append(gated[0] if len(gated) == 1 else gated[0] + gated[1])
+def _resampler(n_out, n_in):
+    """Bilinear, corner-aligned resampling along one axis, an (n_out,
+    n_in) extended-precision matrix."""
+    if n_out == 1:
+        coords = np.array([(n_in - 1) / 2.0])
+    else:
+        coords = np.arange(n_out) * ((n_in - 1) / (n_out - 1))
+    lo = np.minimum(np.floor(coords).astype(int), n_in - 1)
+    hi = np.minimum(lo + 1, n_in - 1)
+    frac = coords - lo
+    matrix = np.zeros((n_out, n_in), dtype=np.longdouble)
+    np.add.at(matrix, (np.arange(n_out), lo), 1.0 - frac)
+    np.add.at(matrix, (np.arange(n_out), hi), frac)
+    return matrix
+
+
+def _ring_projection(normed, ring_radius):
+    """Each normalized (P, 8, 2, r, c) map correlated in extended
+    precision with the ring kernel of its (t, s), edges replicated."""
+    rows, cols = normed.shape[-2:]
+    size = clamp_kernel_size(ring_size(ring_radius), (rows, cols))
+    half = size // 2
+    padded = np.pad(normed.astype(np.longdouble), [(0, 0)] * 3 + [(half, half)] * 2, mode="edge")
+    shape = (rows + 4 * half, cols + 4 * half)  # the full correlation, unwrapped
+    out = np.empty(normed.shape, dtype=np.longdouble)
+    for t in range(8):
+        for s in range(2):
+            kernel = make_von_mises(bo_direction(t, s), ring_radius, size)
+            flipped = fft.rfftn(kernel[::-1, ::-1].astype(np.longdouble), shape)
+            for p in range(len(normed)):
+                full = fft.irfftn(fft.rfftn(padded[p, t, s], shape) * flipped, shape)
+                out[p, t, s] = full[size - 1 : size - 1 + rows, size - 1 : size - 1 + cols]
     return out
 
 
+def full_bo(carriers, evidence, w_opp, ring_radius, modulated=None):
+    """A route's (8, 2, r, c) ownership stacks ``B``, level by level,
+    in extended precision (``np.longdouble``): the stacks whose side
+    imbalance ``B[:, 0] - B[:, 1]`` is what ``ownership.compute_bo``
+    returns. Each level's competing pairs are normalized, every map is
+    projected through its own ring kernel, the projections are pooled
+    by the chained formula of ``scale_contexts`` and every cell gates
+    on its own: ``B[t, s] = sum_p max(0, C_t * (1 + ctx[p, t, s] -
+    w_opp * ctx[P-1-p, t, 1-s]))``."""
+    n = len(carriers)
+    modulated = n if modulated is None else min(modulated, n)
+    responses = []
+    for level in evidence if modulated else ():
+        level = level.reshape(level.shape[:1] + (1,) * (5 - level.ndim) + level.shape[1:])
+        normed = np.empty(np.broadcast_shapes(level.shape, (1, 8, 2, 1, 1)))
+        if len(level) == 2:  # light and dark of each map
+            wide = np.broadcast_to(level, normed.shape)
+            for t, s in np.ndindex(8, 2):
+                normed[0, t, s], normed[1, t, s] = normalize_evidence_pair(*wide[:, t, s])
+        else:  # the two sides of each orientation
+            for t in range(8):
+                normed[0, t] = normalize_evidence_pair(*level[0, t])
+        responses.append(_ring_projection(normed, ring_radius))
+    ctx = [None] * len(responses)
+    for k in reversed(range(len(responses))):
+        ctx[k] = 2.0 ** -(k + 1) * responses[k]
+        if k + 1 < len(responses):
+            rows, cols = ctx[k].shape[-2:]
+            coarse_rows, coarse_cols = ctx[k + 1].shape[-2:]
+            ctx[k] += (
+                _resampler(rows, coarse_rows) @ ctx[k + 1] @ _resampler(cols, coarse_cols).T
+            )
+    out = []
+    for k, carrier in enumerate(carriers):
+        if k >= modulated:
+            out.append(np.repeat(np.maximum(0.0, carrier), 2, axis=1).astype(np.longdouble))
+            continue
+        c = ctx[k]
+        out.append(sum(
+            np.maximum(0.0, carrier * (1.0 + c[p] - w_opp * c[-1 - p, :, ::-1]))
+            for p in range(len(c))
+        ))
+    return out
+
+
+TIE = 1e-12  # the relative tie tolerance of ``ownership.winning_bo``
+
+
 def full_winners(delta):
-    """(8, 2) winners of one (8, r, c) imbalance level, first maximum
-    of ``|delta|`` winning."""
-    winner = np.abs(delta).argmax(axis=0)
+    """(8, 2) winners of one (8, r, c) imbalance level: the lowest
+    orientation whose ``|delta|`` is within :data:`TIE` relative of the
+    cell's largest wins."""
+    size = np.abs(delta)
+    winner = (size >= (1 - TIE) * size.max(axis=0)).argmax(axis=0)
     onehot = winner == np.arange(8)[:, None, None]
     return np.stack(
         [np.where(onehot, np.maximum(delta, 0.0), 0.0),
@@ -162,18 +249,16 @@ def full_prepared(image, params, contours=None, segments=None):
     return full
 
 
-def oracle_levels(full, weights, chosen=None, tie=1e-12):
+def oracle_levels(full, weights):
     """The full path's feature sum of every level under the applied
     alpha ``weights``: blend the (8, 2) route stacks, keep the
-    orientation with the largest ``|B[:, 0] - B[:, 1]|``, and add
-    ``w_o * winners`` to the ``fixed`` level.
+    orientation with the largest ``|B[:, 0] - B[:, 1]|`` (ties by
+    :func:`full_winners`' rule), and add ``w_o * winners`` to the
+    ``fixed`` level.
 
     The blend runs in extended precision: in float64 the difference of
     two blended sides loses the bits the sides' magnitude takes, which
-    the side imbalances do not. Where a cell's largest ``|imbalance|``
-    ties within ``tie`` relative with others, rounding decides the
-    winner, and the winner of ``chosen`` (per level an (8, 2) stack of
-    the path under test) is taken if it is one of the tied ones.
+    the side imbalances do not.
     """
     levels = []
     for k, fixed in enumerate(full["fixed"]):
@@ -185,18 +270,12 @@ def oracle_levels(full, weights, chosen=None, tie=1e-12):
             if alpha > 0:
                 blend += alpha * route[k]
         delta = (blend[:, 0] - blend[:, 1]).astype(np.float64)
-        if chosen is not None:
-            size = np.abs(delta)
-            pick = chosen[k].sum(axis=1).argmax(axis=0)
-            tied = np.take_along_axis(size, pick[None], 0)[0] >= (1 - tie) * size.max(axis=0)
-            # a tied cell keeps only the chosen orientation in the running
-            delta = np.where(tied & (np.arange(8)[:, None, None] != pick), 0.0, delta)
         levels.append(fixed + full["w_o"] * full_winners(delta))
     return levels
 
 
-def oracle_final(full, weights, chosen=None):
+def oracle_final(full, weights):
     """:func:`oracle_levels` pooled to native size in one pool: the
     final maps of the full path."""
-    levels = oracle_levels(full, weights, chosen)
+    levels = oracle_levels(full, weights)
     return pool_resampled(levels, *levels[0].shape[-2:])

@@ -102,11 +102,9 @@ def _oracle_winning(stack: np.ndarray) -> np.ndarray:
     out = np.zeros_like(stack)
     for r in range(rows):
         for c in range(cols):
-            best_t, best_mag = 0, -1.0
-            for t in range(n_theta):
-                mag = abs(stack[t, 0, r, c] - stack[t, 1, r, c])
-                if mag > best_mag:
-                    best_t, best_mag = t, mag
+            mags = [abs(stack[t, 0, r, c] - stack[t, 1, r, c]) for t in range(n_theta)]
+            # the first orientation within 1e-12 relative of the largest
+            best_t = next(t for t in range(n_theta) if mags[t] >= (1 - 1e-12) * max(mags))
             delta = stack[best_t, 0, r, c] - stack[best_t, 1, r, c]
             if delta > 0:
                 out[best_t, 0, r, c] = delta

@@ -6,12 +6,14 @@ from scipy import signal
 
 from fgo import grid
 from fgo.grid import (
+    correlate_pairs,
     correlate_stack,
     next_level_dims,
     pool_operators_at,
     pool_resampled,
     pyramid_levels,
 )
+from helpers import count_transforms
 
 SQRT2 = math.sqrt(2.0)
 
@@ -190,6 +192,61 @@ def test_correlate_stack_refusals():
         correlate_stack(np.zeros((3, 9, 9)), np.ones((8, 2, 3, 3)))
     with pytest.raises(ValueError, match="non-empty"):
         correlate_stack(np.zeros(9), np.ones((3, 3)))
+
+
+# (P, ..., S) map pairs against (8, 2) kernel pairs: light and dark
+# shared by both sides, one pair per orientation, a map per side
+PAIR_LEADS = [(2, 1, 1), (2, 8, 1), (1, 8, 2)]
+
+
+@pytest.mark.parametrize("map_lead", PAIR_LEADS)
+@pytest.mark.parametrize("ksize", [1, 5])
+def test_correlate_pairs_is_the_signed_sum_of_two_correlations(map_lead, ksize):
+    rng = np.random.default_rng(23)
+    maps = rng.standard_normal(map_lead + (20, 24))
+    kernels = rng.standard_normal((8, 2, ksize, ksize))
+    got = correlate_pairs(maps, kernels, (-1, 1))
+    n = map_lead[0]
+    assert got.shape == (2, n, 8, 20, 24)
+    wide = np.broadcast_to(maps, (n, 8, 2, 20, 24))
+    for p, t in np.ndindex(n, 8):
+        first = correlate_stack(wide[p, t, 0], kernels[t, 0])
+        second = correlate_stack(wide[n - 1 - p, t, 1], kernels[t, 1])
+        assert_rel_close(got[0, p, t], first - second)
+        assert_rel_close(got[1, p, t], first + second)
+    # one sign alone is that sign's stack of the two, bit for bit
+    assert np.array_equal(correlate_pairs(maps, kernels, (-1,))[0], got[0])
+
+
+@pytest.mark.parametrize("map_lead, forward", zip(PAIR_LEADS, [2 + 16, 16 + 16, 16 + 16]))
+@pytest.mark.parametrize("signs", [(-1,), (-1, 1)])
+def test_correlate_pairs_transforms_each_map_and_kernel_once(
+    monkeypatch, map_lead, forward, signs
+):
+    rng = np.random.default_rng(13)
+    maps = rng.standard_normal(map_lead + (20, 24))
+    kernels = rng.standard_normal((8, 2, 5, 5))
+    calls = count_transforms(monkeypatch)
+    correlate_pairs(maps, kernels, signs)
+    # one inverse per output: P pairs per kernel pair and sign
+    assert calls == {"rfftn": forward, "irfftn": map_lead[0] * 8 * len(signs)}
+
+
+def test_correlate_pairs_refusals():
+    maps = np.zeros((2, 8, 1, 9, 9))
+    kernels = np.ones((8, 2, 3, 3))
+    with pytest.raises(ValueError, match="signs"):
+        correlate_pairs(maps, kernels, (0.5,))
+    with pytest.raises(ValueError, match="signs"):
+        correlate_pairs(maps, kernels, ())
+    with pytest.raises(ValueError, match="kernel pairs must be"):
+        correlate_pairs(maps, np.ones((8, 3, 3, 3)), (-1,))
+    with pytest.raises(ValueError, match="do not match"):
+        correlate_pairs(maps[0], kernels, (-1,))
+    with pytest.raises(ValueError, match="do not broadcast"):
+        correlate_pairs(np.zeros((2, 3, 1, 9, 9)), kernels, (-1,))
+    with pytest.raises(ValueError, match="odd"):
+        correlate_pairs(maps, np.ones((8, 2, 2, 3)), (-1,))
 
 
 # ----------------------------------------- resample: one level, weight 1

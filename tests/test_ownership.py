@@ -33,12 +33,11 @@ from fgo.ownership import (
 from fgo.pipeline import (
     PipelineParams,
     PreparedImage,
-    final_levels,
     finalize_components,
     prepare_components,
 )
 from fgo.stimuli import annulus, overlapping_squares
-from helpers import full_bo, full_prepared, oracle_levels, scoring_battery
+from helpers import count_transforms, full_bo, full_prepared, oracle_levels, scoring_battery
 
 RING = PipelineParams().ring_radius
 
@@ -46,16 +45,14 @@ RING = PipelineParams().ring_radius
 # ------------------------------------------------------------- oracles
 
 def oracle_winning(stack):
-    """Per-pixel scan over all orientations, first maximum wins."""
+    """Per-pixel scan over all orientations: the first whose |imbalance|
+    is within 1e-12 relative of the largest wins."""
     out = np.zeros_like(stack)
     n_t, _, rows, cols = stack.shape
     for r in range(rows):
         for c in range(cols):
-            best_t, best_abs = 0, -1.0
-            for t in range(n_t):
-                d = stack[t, 0, r, c] - stack[t, 1, r, c]
-                if abs(d) > best_abs:
-                    best_abs, best_t = abs(d), t
+            sizes = [abs(stack[t, 0, r, c] - stack[t, 1, r, c]) for t in range(n_t)]
+            best_t = next(t for t in range(n_t) if sizes[t] >= (1 - 1e-12) * max(sizes))
             d = stack[best_t, 0, r, c] - stack[best_t, 1, r, c]
             if d > 0:
                 out[best_t, 0, r, c] = d
@@ -408,8 +405,8 @@ def test_bo_zero_cs_passes_carrier_through():
 
 @pytest.mark.parametrize("route", ["isotropic", "oriented", "cue", "cue top 2"])
 def test_bo_is_the_side_imbalance_of_the_full_stacks(route):
-    # the (8, 2) stacks of the full path, reduced to B[:, 0] - B[:, 1],
-    # bit for bit: the gate is the same arithmetic one orientation at a time
+    # the (8, 2) stacks of the full path in extended precision, every
+    # cell gated on its own, reduced to B[:, 0] - B[:, 1]
     img = square_image(32, first=9, last=20)
     carriers = make_carriers(img, 4)
     rng = np.random.default_rng(21)
@@ -423,7 +420,23 @@ def test_bo_is_the_side_imbalance_of_the_full_stacks(route):
     got = compute_bo(carriers, evidence(), 0.7, RING, modulated)
     want = full_bo(carriers, evidence(), 0.7, RING, modulated)
     for got_k, want_k in zip(got, want, strict=True):
-        assert np.array_equal(got_k, side_imbalance(want_k))
+        assert_rel_close(got_k, side_imbalance(want_k))
+
+
+@pytest.mark.parametrize("w_opp, inverses", [(1.0, (16, 16, 8)), (0.7, (32, 32, 16))])
+def test_bo_projects_each_gated_pair_once(monkeypatch, w_opp, inverses):
+    """The ring projection of one level: each distinct evidence map and
+    each of the 16 ring kernels is transformed once, and each gated
+    pair takes one inverse for its difference, plus one for its sum
+    when ``w_opp`` is not 1."""
+    carriers = make_carriers(square_image(32, first=9, last=20), 1)
+    rng = np.random.default_rng(22)
+    layouts = [(2, 1, 1), (2, 8, 1), (1, 8, 2)]
+    calls = count_transforms(monkeypatch)
+    for layout, forward, inverse in zip(layouts, (2 + 16, 16 + 16, 16 + 16), inverses):
+        calls.update(rfftn=0, irfftn=0)
+        compute_bo(carriers, [rng.random(layout + (32, 32))], w_opp, RING)
+        assert calls == {"rfftn": forward, "irfftn": inverse}, layout
 
 
 def test_bo_inversion_swaps_light_and_dark():
@@ -618,6 +631,17 @@ def test_winning_tie_breaks_to_lowest_orientation():
     assert out[5, 0, 0, 0] == 0.0
 
 
+@pytest.mark.parametrize("gap, winner", [(1e-14, 2), (-1e-14, 2), (1e-11, 5)])
+def test_winning_ties_within_tolerance_go_to_lowest_orientation(gap, winner):
+    # orientation 5 larger by ``gap`` relative: a tie within 1e-12
+    delta = np.zeros((8, 1, 1))
+    delta[2] = -2.0
+    delta[5] = 2.0 * (1 + gap)
+    (out,) = winning_bo([delta])
+    assert np.flatnonzero(out.sum(axis=(1, 2, 3))).tolist() == [winner]
+    assert out[winner].sum() == abs(delta[winner, 0, 0])
+
+
 def test_winning_matches_bruteforce_oracle():
     rng = np.random.default_rng(11)
     for _ in range(25):
@@ -786,10 +810,9 @@ def test_final_battery_matches_sequential_oracle(stimulus):
     prepared = prepare_components(stim.image, need_sa=True)
     full = full_prepared(stim.image, PipelineParams())
     for weights in (ModelWeights(), ModelWeights(alpha_ref=0.5, alpha_sa=0.5)):
-        # the annulus's mirror orientations tie to about 4e-16, and the
-        # blend's rounding picks the winner: resolve ties as the code did
-        levels, _ = final_levels(prepared, weights)
-        sets = [oracle_levels(full, weights, chosen=levels)]
+        # the annulus's mirror orientations tie to about 4e-16: both
+        # sides decide them by the tie rule, not by rounding
+        sets = [oracle_levels(full, weights)]
         got = finalize_components(prepared, weights).final
         assert got.any()
         assert_rel_close(got, oracle_final_sets(sets, (1.0,)))

@@ -418,8 +418,7 @@ class TestFullPathOracle:
         for triple in (*PRESET_TRIPLES, *randoms):
             weights = ModelWeights(*triple)
             result = finalize_components(prepared, weights)
-            levels, _ = final_levels(prepared, weights)
-            want = oracle_final(full, result.weights, chosen=levels)
+            want = oracle_final(full, result.weights)
             scale = np.abs(want).reshape(16, -1).max(axis=1)
             error = np.abs(result.final - want).reshape(16, -1).max(axis=1)
             assert (error <= 1e-12 * scale).all(), (name, triple)
