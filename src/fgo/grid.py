@@ -10,13 +10,13 @@ Correlation and pooling take ``(..., rows, cols)`` stacks of maps.
 Every filter bank of the model (the quadrature carriers, the
 center-surround kernels and the spectral-anisotropy bank) goes through
 :func:`correlate_stack`, which always uses the FFT and stays within
-about 1e-12 relative of a direct sum. It pairs maps and kernels by
-broadcasting their leading axes, so a map shared by a whole kernel
-bank is passed once, not tiled to the bank's shape, and is transformed
-once. The ring kernels go through its sibling :func:`correlate_pairs`,
-which adds or subtracts the two correlations of a map pair against a
-kernel pair before one inverse transform; both share the padding, the
-FFT length and the spectra.
+about 1e-12 relative of a direct sum. It takes one of two layouts:
+one map against a whole bank, passed once, not tiled to the bank's
+shape, and transformed once; or one map per kernel, a stack whose
+leading axes equal the bank's. The ring kernels go through its sibling
+:func:`correlate_pairs`, which adds or subtracts the two correlations
+of a map pair against a kernel pair before one inverse transform; both
+share the padding, the FFT length and the spectra.
 
 A pyramid is a plain list of levels, index 0 the finest (native), and
 :func:`pyramid_levels` is its one builder.
@@ -82,64 +82,44 @@ def _kernel_spectrum(kernel, fshape):
     return fft.rfftn(kernel[::-1, ::-1], fshape, axes=(0, 1))
 
 
-def _broadcast_lead(maps, kernels):
-    try:
-        return np.broadcast_shapes(maps.shape[:-2], kernels.shape[:-2])
-    except ValueError:
-        raise ValueError(
-            f"leading axes of maps {maps.shape} and kernels {kernels.shape} "
-            f"do not broadcast"
-        ) from None
-
-
 def correlate_stack(maps, kernels) -> np.ndarray:
-    """Correlate a ``(..., rows, cols)`` map stack with a ``(..., kh, kw)``
-    stack of odd-sized kernels whose leading axes broadcast, replicating
-    edge values.
+    """Correlate maps with a ``(..., kh, kw)`` bank of odd-sized kernels,
+    replicating edge values, in one of two layouts: one ``(rows, cols)``
+    map against every kernel, or a ``(..., rows, cols)`` stack with one
+    map per kernel, whose leading axes equal the bank's. Any other stack
+    is refused. The output is ``(..., rows, cols)`` with the bank's
+    leading axes.
 
     Output ``[i]`` matches its map's dimensions: the kernel is anchored
     at its center cell, so ``out[i][r, c] = sum_{u,v} kernel[u, v] *
     padded[r + u, c + v]`` with the pad width equal to the kernel
     half-size on every border. The method is always the FFT, within
     about 1e-12 relative of that direct sum; a 1x1 kernel is an exact
-    scale. Each distinct map and each distinct kernel is padded and
-    transformed once at scipy's ``next_fast_len`` length, and each
-    output takes one inverse. The kernels are the outer loop, grouped
-    by the leading axes on which both maps and kernels vary: a group's
-    map spectra are alive while its kernels pass, one kernel spectrum
-    at a time. So (2, 1, 1) maps against an (8, 2) bank take 2 map and
-    16 kernel transforms, and 32 inverses (:func:`correlate_pairs`
-    takes 16 for the pair differences of that bank). The product is
-    map spectrum times kernel spectrum, both named: an
+    scale. One pass over the bank, in C order, pads and transforms each
+    kernel once, and each map once: a single map before the pass, one
+    map per kernel beside its kernel. Each output takes one inverse, so
+    one map against an (8, 2) bank takes 1 + 16 forward transforms and
+    16 inverses, and (8, 1) maps against an (8, 1) bank 8 + 8 and 8.
+    The product is map spectrum times kernel spectrum, both named: an
     unnamed kernel spectrum lets numpy reuse the temporary and multiply
     in the other order, which moves the last bits.
     """
     maps = _as_stack(maps, "input")
     kernels = _as_stack(kernels, "kernel")
     pad, fshape, crop = _fft_plan(maps.shape, kernels.shape)
-    lead = _broadcast_lead(maps, kernels)
+    bank = kernels.shape[:-2]
+    shared = maps.ndim == 2
+    if not shared and maps.shape[:-2] != bank:
+        raise ValueError(f"maps {maps.shape} must be one map or one per kernel of {kernels.shape}")
     if kernels.shape[-2:] == (1, 1):
         return maps * kernels
-    maps = maps.reshape((1,) * (len(lead) + 2 - maps.ndim) + maps.shape)
-    kernels = kernels.reshape((1,) * (len(lead) + 2 - kernels.ndim) + kernels.shape)
-    out = np.empty(lead + maps.shape[-2:])
-    # the axes on which both vary pair one map set with one kernel set
-    paired = [n > 1 and k > 1 for n, k in zip(maps.shape, kernels.shape[:-2])]
-    for group in np.ndindex(*(n for n, p in zip(lead, paired) if p)):
-        at = iter(group)
-        select = tuple(next(at) if p else slice(None) for p in paired)
-        group_maps, bank, targets = maps[select], kernels[select], out[select]
-        spectra = [
-            (index, _map_spectrum(group_maps[index], pad, fshape))
-            for index in np.ndindex(group_maps.shape[:-2])
-        ]
-        for k_index in np.ndindex(bank.shape[:-2]):
-            k_spectrum = _kernel_spectrum(bank[k_index], fshape)
-            for index, spectrum in spectra:
-                full = fft.irfftn(spectrum * k_spectrum, fshape, axes=(0, 1))
-                # the output takes the map's index where the map varies
-                pair = tuple(i if n > 1 else k for i, k, n in zip(index, k_index, group_maps.shape))
-                targets[pair] = full[crop]
+    out = np.empty(bank + maps.shape[-2:])
+    spectrum = _map_spectrum(maps, pad, fshape) if shared else None
+    for index in np.ndindex(bank):
+        if not shared:  # each map beside its kernel
+            spectrum = _map_spectrum(maps[index], pad, fshape)
+        k_spectrum = _kernel_spectrum(kernels[index], fshape)
+        out[index] = fft.irfftn(spectrum * k_spectrum, fshape, axes=(0, 1))[crop]
     return out
 
 
@@ -167,8 +147,8 @@ def correlate_pairs(maps, kernels, signs) -> np.ndarray:
     spectra of the maps a pair index reads stay alive while the next
     pairs read the same maps, so a map shared along the bank is
     transformed once. Each output takes one inverse, ``P * len(signs)``
-    per kernel pair: one sign takes half the inverses that
-    :func:`correlate_stack` takes for the same maps and bank.
+    per kernel pair: one sign takes half the inverses of correlating
+    every member with its kernel.
     """
     maps = _as_stack(maps, "input")
     kernels = _as_stack(kernels, "kernel")
@@ -181,7 +161,7 @@ def correlate_pairs(maps, kernels, signs) -> np.ndarray:
         raise ValueError(f"map pairs {maps.shape} do not match kernel pairs {kernels.shape}")
     pad, fshape, crop = _fft_plan(maps.shape, kernels.shape)
     bank = kernels.shape[:-3]
-    if _broadcast_lead(maps[0], kernels) != kernels.shape[:-2]:
+    if any(m not in (1, k) for m, k in zip(maps.shape[1:-2], kernels.shape[:-2])):
         raise ValueError(f"map pairs {maps.shape} do not broadcast to kernel pairs {kernels.shape}")
     n = len(maps)
     out = np.empty((len(signs), n) + bank + maps.shape[-2:])

@@ -36,20 +36,18 @@ def _rim(mask: np.ndarray) -> np.ndarray:
     return mask & ~ndimage.binary_erosion(mask, structure=_BOX)
 
 
-def _paint_boundary(signed: np.ndarray, minus: np.ndarray, plus: np.ndarray) -> None:
-    """Mark a boundary chain (-1) and its figure-side twin (+1)."""
-    if (signed[minus] != 0).any() or (signed[plus] != 0).any() or (minus & plus).any():
-        raise ValueError("boundary chains overlap; geometry too tight")
-    signed[minus] = -1
-    signed[plus] = 1
-
-
 def _paint_figure(signed: np.ndarray, mask: np.ndarray, visible=True) -> None:
     """Mark a figure's rim -1 and its inner rim (the rim of its 3x3
     erosion) +1 where ``visible`` (a mask, or True): the truth of the
-    square, the occluder and the occluded square's visible part."""
+    square, the occluder and the occluded square's visible part.
+
+    The chains are disjoint by construction: the inner rim lies inside
+    the erosion, which the rim excludes, and the occluded square is
+    painted only outside the occluder, whose chains lie inside it.
+    """
     inner = ndimage.binary_erosion(mask, structure=_BOX)
-    _paint_boundary(signed, _rim(mask) & visible, _rim(inner) & visible)
+    signed[_rim(mask) & visible] = -1
+    signed[_rim(inner) & visible] = 1
 
 
 def isolated_square(
@@ -196,7 +194,9 @@ def annulus(
     r_inner: float | None = None,
 ) -> Stimulus:
     """A bright ring figure (0.75) on a dark ground (0.25); ground truth
-    covers its outer boundary."""
+    covers its outer boundary: the ring cells beside the outside (-1)
+    and, disjoint from them by construction, the other ring cells
+    beside those (+1)."""
     _check_size(size)
     r_out = 0.32 * size if r_outer is None else float(r_outer)
     r_in = r_out - 8.0 if r_inner is None else float(r_inner)
@@ -215,7 +215,8 @@ def annulus(
     minus = mask & ndimage.binary_dilation(outside, structure=_BOX)
     plus = mask & ~minus & ndimage.binary_dilation(minus, structure=_BOX)
     signed = np.zeros((size, size), dtype=np.int64)
-    _paint_boundary(signed, minus, plus)
+    signed[minus] = -1
+    signed[plus] = 1
     return Stimulus(image=image, signed=signed)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,14 +123,13 @@ def scipy_fft_correlate(arr, kernel):
     return signal.convolve(padded, kernel[::-1, ::-1], mode="valid", method="fft")
 
 
+# one map against a bank, one map per kernel, and one map and kernel
+STACK_LEADS = [((), (8, 2)), ((8, 1), (8, 1)), ((8, 2), (8, 2)), ((), ())]
+
+
 # (map shape, kernel size); each id names the method scipy's automatic
 # choice takes for the padded pair, direct summation for the small one
-@pytest.mark.parametrize("map_lead, kernel_lead", [
-    ((), (8, 2)),
-    ((8, 1), (8, 2)),
-    ((8, 2), (8, 2)),
-    ((1, 2), (8, 1)),
-])
+@pytest.mark.parametrize("map_lead, kernel_lead", STACK_LEADS)
 @pytest.mark.parametrize("shape, ksize", [
     pytest.param((5, 6), 3, id="shape0-3-direct"),
     pytest.param((40, 52), 9, id="shape1-9-fft"),
@@ -138,39 +138,35 @@ def test_correlate_stack_equals_each_pair(map_lead, kernel_lead, shape, ksize):
     rng = np.random.default_rng(11)
     maps = rng.standard_normal(map_lead + shape)
     kernels = rng.standard_normal(kernel_lead + (ksize, ksize))
-    lead = np.broadcast_shapes(map_lead, kernel_lead)
     got = correlate_stack(maps, kernels)
-    assert got.shape == lead + shape
-    wide_maps = np.broadcast_to(maps, lead + shape)
-    wide_kernels = np.broadcast_to(kernels, lead + (ksize, ksize))
-    for idx in np.ndindex(lead):
-        alone = correlate_stack(wide_maps[idx], wide_kernels[idx])
+    assert got.shape == kernel_lead + shape
+    wide_maps = np.broadcast_to(maps, kernel_lead + shape)
+    for idx in np.ndindex(kernel_lead):
+        alone = correlate_stack(wide_maps[idx], kernels[idx])
         assert np.array_equal(got[idx], alone)
-        assert_rel_close(got[idx], oracle_correlate(wide_maps[idx], wide_kernels[idx]))
+        assert_rel_close(got[idx], oracle_correlate(wide_maps[idx], kernels[idx]))
 
 
-@pytest.mark.parametrize("map_lead, kernel_lead, transforms", [
-    ((2, 1, 1), (8, 2), 2 + 16),  # light and dark of a level against the ring bank
-    ((2, 8, 1), (8, 2), 16 + 16),  # the carriers' light and dark, one per orientation
-    ((1, 8, 2), (8, 2), 16 + 16),  # a local cue, one map per kernel
+# (forward, inverse) transforms: each map and each kernel once, and one
+# inverse per output
+@pytest.mark.parametrize("map_lead, kernel_lead, forward, inverse", [
+    ((), (8, 2), 1 + 16, 16),  # the intensity map against a quadrature bank
+    ((8, 1), (8, 1), 8 + 8, 8),  # the carriers against the oriented center-surround
+    ((), (), 1 + 1, 1),  # a feature level against its one difference of Gaussians
 ])
 def test_correlate_stack_transforms_each_map_and_kernel_once(
-    monkeypatch, map_lead, kernel_lead, transforms
+    monkeypatch, map_lead, kernel_lead, forward, inverse
 ):
     rng = np.random.default_rng(13)
     maps = rng.standard_normal(map_lead + (20, 24))
     kernels = rng.standard_normal(kernel_lead + (5, 5))
-    lead = np.broadcast_shapes(map_lead, kernel_lead)
-    calls = []
-    rfftn = grid.fft.rfftn
-    monkeypatch.setattr(grid.fft, "rfftn", lambda *a, **k: calls.append(1) or rfftn(*a, **k))
+    calls = count_transforms(monkeypatch)
     got = correlate_stack(maps, kernels)
-    assert len(calls) == transforms
+    assert calls == {"rfftn": forward, "irfftn": inverse}
     monkeypatch.undo()
-    wide_maps = np.broadcast_to(maps, lead + (20, 24))
-    wide_kernels = np.broadcast_to(kernels, lead + (5, 5))
-    for idx in np.ndindex(lead):
-        assert np.array_equal(got[idx], correlate_stack(wide_maps[idx], wide_kernels[idx]))
+    wide_maps = np.broadcast_to(maps, kernel_lead + (20, 24))
+    for idx in np.ndindex(kernel_lead):
+        assert np.array_equal(got[idx], correlate_stack(wide_maps[idx], kernels[idx]))
 
 
 def test_correlate_stack_equals_scipy_at_bsds_size():
@@ -188,8 +184,12 @@ def test_correlate_stack_refusals():
         correlate_stack(maps, np.zeros((8, 2, 2, 3)))
     with pytest.raises(ValueError, match="smaller than input"):
         correlate_stack(maps, np.zeros((8, 2, 9, 9)))
-    with pytest.raises(ValueError, match="do not broadcast"):
-        correlate_stack(np.zeros((3, 9, 9)), np.ones((8, 2, 3, 3)))
+    # neither one map nor one per kernel: a map stack never broadcasts
+    for shape in ((1, 9, 9), (8, 9, 9), (1, 2, 9, 9), (8, 2, 1, 9, 9)):
+        with pytest.raises(ValueError, match=re.escape(
+            f"maps {shape} must be one map or one per kernel of (8, 2, 3, 3)"
+        )):
+            correlate_stack(np.zeros(shape), np.ones((8, 2, 3, 3)))
     with pytest.raises(ValueError, match="non-empty"):
         correlate_stack(np.zeros(9), np.ones((3, 3)))
 
@@ -243,7 +243,9 @@ def test_correlate_pairs_refusals():
         correlate_pairs(maps, np.ones((8, 3, 3, 3)), (-1,))
     with pytest.raises(ValueError, match="do not match"):
         correlate_pairs(maps[0], kernels, (-1,))
-    with pytest.raises(ValueError, match="do not broadcast"):
+    with pytest.raises(ValueError, match=re.escape(
+        "map pairs (2, 3, 1, 9, 9) do not broadcast to kernel pairs (8, 2, 3, 3)"
+    )):
         correlate_pairs(np.zeros((2, 3, 1, 9, 9)), kernels, (-1,))
     with pytest.raises(ValueError, match="odd"):
         correlate_pairs(maps, np.ones((8, 2, 2, 3)), (-1,))

@@ -471,7 +471,8 @@ def test_bo_per_orientation_cs_accepted():
     assert np.isfinite(contrast[0]).all() and contrast[0].any()
 
 
-@pytest.mark.parametrize("w_opp", [1.0, 0.7])
+# above 1 the gate's h goes negative, so max(0, h +- g) is not the clip form
+@pytest.mark.parametrize("w_opp", [1.0, 0.7, 3.0])
 def test_bo_contrast_matches_route_oracle(w_opp):
     img = square_image(32, first=9, last=20)
     n = 4
@@ -544,6 +545,7 @@ def test_local_cue_top_layers_only_passthrough():
         ({}, SQRT2),
         ({"w_opp": 0.7, "top_layers_only": 2}, SQRT2),
         ({"w_opp": 0.7}, 2.0),
+        ({"w_opp": 3.0}, SQRT2),
     ],
 )
 def test_local_cue_matches_route_oracle(weights, factor):

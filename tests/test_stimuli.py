@@ -3,7 +3,6 @@ import pytest
 
 from fgo.cues import detect_t_junctions
 from fgo.stimuli import (
-    _paint_boundary,
     annulus,
     generate,
     GENERATORS,
@@ -89,6 +88,13 @@ class TestOverlappingSquares:
         # boundary cells sit exactly on labeled contours
         assert (stim.contours[minus] > 0).all()
 
+    def test_signed_ring_counts(self):
+        # the chains are disjoint by construction: one painted over
+        # another would change these counts
+        stim = overlapping_squares()
+        assert int((stim.signed == -1).sum()) == 271
+        assert int((stim.signed == 1).sum()) == 257
+
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
             overlapping_squares(a_first=40, b_first=30)
@@ -160,6 +166,12 @@ class TestAnnulus:
         assert radii.min() > r_outer - 2.5
         assert radii.max() < r_outer + 1.5
 
+    def test_signed_ring_counts(self):
+        # the +1 cells are the ring cells beside the -1 chain, not on it
+        stim = annulus()
+        assert int((stim.signed == -1).sum()) == 156
+        assert int((stim.signed == 1).sum()) == 148
+
     def test_plus_cells_inside_ring(self):
         stim = annulus()
         ys, xs = np.nonzero(stim.signed == 1)
@@ -202,18 +214,3 @@ class TestGenerate:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             generate("moebius-strip")
-
-
-def test_overlapping_boundary_chains_refused():
-    # the generators paint disjoint chains; the painter refuses a chain or
-    # twin over painted cells, and a chain and twin that share cells
-    chain = np.zeros((5, 5), dtype=bool)
-    chain[2] = True
-    twin, above = np.roll(chain, 1, axis=0), np.roll(chain, -1, axis=0)
-    painted = np.zeros((5, 5), dtype=np.int64)
-    _paint_boundary(painted, chain, twin)
-    for signed, minus, plus in (
-        (painted, chain, above), (painted, above, twin), (np.zeros_like(painted), chain, chain),
-    ):
-        with pytest.raises(ValueError, match="^boundary chains overlap; geometry too tight$"):
-            _paint_boundary(signed, minus, plus)
