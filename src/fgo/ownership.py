@@ -3,8 +3,9 @@
 A border cell sits on an oriented edge and prefers one of the two
 ownership directions ``theta + pi/2`` (side index 0) or ``theta - pi/2``
 (side index 1). Region evidence — center-surround contrast for the
-global route, directed local-cue maps for the others — is normalized
-per pyramid level, projected onto borders through an annular ring
+global route, directed local-cue maps for the others — is rescaled
+per pyramid level, each competing pair jointly to ``[0, 1]`` with no
+further per-map gain, projected onto borders through an annular ring
 kernel of radius ``ring_radius`` pointing in the ownership direction,
 pooled across scales with geometrically decaying weights, and finally
 gates the oriented carrier response multiplicatively. The pool is
@@ -17,8 +18,8 @@ level list of stacks with a leading polarity axis: light and dark
 center-surround contrast for the contrast route (:func:`cs_pyramids`),
 shared by both sides, and one polarity with a map per side for a
 directed local cue (SA, TJ). Each level's competing pairs are
-normalized together, projected against the (8, 2) ring bank, pooled
-across scales, and then gate the carrier:
+rescaled together (:func:`normalize_evidence_pair`), projected against
+the (8, 2) ring bank, pooled across scales, and then gate the carrier:
 ``B[t, s] = sum_p max(0, C_t * (1 + ctx[p, t, s] - w_opp * ctx[P-1-p, t, 1 - s]))``.
 The contrast route thus gates with light exciting and dark inhibiting
 and with the roles swapped, and keeps only the sum of the two: nothing
@@ -57,15 +58,10 @@ from typing import Sequence
 
 import numpy as np
 
-from scipy import ndimage
-
 from .channels import N_ORIENTATIONS, N_SIDES, bo_direction
 from .filters import clamp_kernel_size, make_von_mises, ring_size
 from .grid import correlate_pairs, correlate_stack, pool_resampled
 
-# the peak competition's window and the relative tolerance of a plateau
-_PEAK_WINDOW = 3
-_PLATEAU_TOLERANCE = 1e-9
 # the relative tolerance within which orientations tie for the winner
 _TIE_TOLERANCE = 1e-12
 
@@ -124,46 +120,21 @@ def cs_pyramids(feature, size: int, bank):
         yield np.stack([np.maximum(0.0, response), np.maximum(0.0, -response)])
 
 
-def _peak_competition(scaled: np.ndarray) -> np.ndarray:
-    """Multiply a map by ``(own_max - mean_of_its_other_peaks)^2``.
-
-    A peak is a connected plateau of cells not exceeded anywhere in
-    their 3x3 window, counted once however many cells it spans, so a lone
-    ridge keeps its full weight while several equally tall ridges (a
-    uniform band broken only by higher corners, say) crowd each other
-    out. One peak — the global maximum — is dropped from the rival pool.
-    Plateau membership allows a small relative tolerance so that
-    float-level noise can neither fragment a flat ridge into many peaks
-    nor promote near-zero specks into rivals.
-    """
-    top = scaled.max()
-    if top <= 0:
-        return np.zeros_like(scaled)
-    window_max = ndimage.maximum_filter(scaled, size=_PEAK_WINDOW, mode="constant", cval=-np.inf)
-    tol = _PLATEAU_TOLERANCE * top
-    labels, count = ndimage.label(
-        (scaled >= window_max - tol) & (scaled > tol), structure=np.ones((3, 3))
-    )
-    cells = labels > 0  # ndimage.maximum sorts its input: pass the peaks alone
-    peaks = np.sort(ndimage.maximum(scaled[cells], labels[cells], np.arange(1, count + 1)))[:-1]
-    mean_rival = peaks.mean() if peaks.size else 0.0
-    return scaled * (top - mean_rival) ** 2
-
-
 def normalize_evidence_pair(a, b) -> tuple:
-    """Normalize two antagonistic evidence maps onto one shared scale.
+    """Rescale two antagonistic evidence maps jointly to ``[0, 1]``.
 
-    The pair is rescaled jointly to ``[0, 1]`` — their relative
-    strength is part of the signal, so they must not be stretched
-    independently — and each map then receives its own peak-competition
-    factor. A pair that is flat overall comes back as two zero maps.
+    Both maps share one offset and one gain, ``lo`` and ``1 / (hi -
+    lo)`` over the pair's joint range: their relative strength is part
+    of the signal, so they must not be stretched independently, and
+    neither map is reshaped on its own. A pair that is flat overall
+    comes back as two zero maps.
     """
     lo = min(a.min(), b.min())
     hi = max(a.max(), b.max())
     if hi == lo:
         return np.zeros_like(a), np.zeros_like(b)
     gain = 1.0 / (hi - lo)
-    return _peak_competition((a - lo) * gain), _peak_competition((b - lo) * gain)
+    return (a - lo) * gain, (b - lo) * gain
 
 
 @functools.lru_cache(maxsize=64)
@@ -206,7 +177,7 @@ def scale_contexts(responses: list) -> list:
 
 
 def _projected(level, ring_radius: float, signs) -> np.ndarray:
-    """Normalize the competing pairs of one (P, ..., r, c) evidence level
+    """Rescale the competing pairs of one (P, ..., r, c) evidence level
     and project each gated pair through the ring bank of radius
     ``ring_radius``: a (len(signs), P, 8, r, c) stack of
     ``proj(evidence[p, t, 0]) + sign * proj(evidence[P-1-p, t, 1])``
@@ -248,8 +219,10 @@ def compute_bo(
     carriers; for a directed local cue one polarity with a map per
     side, (1, 8, 2, rows, cols).
 
-    Each level's competing pairs are normalized together
-    (:func:`normalize_evidence_pair`). The gate pairs cell (p, t, 0)
+    Each level's competing pairs are rescaled together to ``[0, 1]``,
+    one offset and one gain per pair and nothing else
+    (:func:`normalize_evidence_pair`), so the pair's relative strength
+    reaches the ring kernels unchanged. The gate pairs cell (p, t, 0)
     with cell (P-1-p, t, 1): evidence on the owned side excites, and
     evidence of the other polarity (of the same cue, for one polarity)
     on the opposite side inhibits. With ``a`` and ``b`` the two cells'

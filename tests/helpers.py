@@ -17,7 +17,7 @@ from fgo.filters import (
 )
 from fgo.grid import pool_resampled, pyramid_levels
 from fgo.io import _pnm_tokens
-from fgo.ownership import cs_pyramids, normalize_evidence_pair
+from fgo.ownership import cs_pyramids
 from fgo.stimuli import annulus, isolated_square, overlapping_squares, shaded_edge
 
 
@@ -135,11 +135,23 @@ def _ring_projection(normed, ring_radius):
     return out
 
 
+def joint_rescale(a, b):
+    """Two evidence maps on one shared scale: ``(x - lo) / (hi - lo)``
+    over the pair's joint range ``[lo, hi]``, two zero maps for a flat
+    pair."""
+    lo = min(a.min(), b.min())
+    hi = max(a.max(), b.max())
+    if hi == lo:
+        return np.zeros_like(a), np.zeros_like(b)
+    return (a - lo) / (hi - lo), (b - lo) / (hi - lo)
+
+
 def full_bo(carriers, evidence, w_opp, ring_radius, modulated=None):
     """A route's (8, 2, r, c) ownership stacks ``B``, level by level,
     in extended precision (``np.longdouble``): the stacks whose side
     imbalance ``B[:, 0] - B[:, 1]`` is what ``ownership.compute_bo``
-    returns. Each level's competing pairs are normalized, every map is
+    returns. Each level's competing pairs are rescaled jointly to
+    ``[0, 1]`` (:func:`joint_rescale`), every map is
     projected through its own ring kernel, the projections are pooled
     by the chained formula of ``scale_contexts`` and every cell gates
     on its own: ``B[t, s] = sum_p max(0, C_t * (1 + ctx[p, t, s] -
@@ -153,10 +165,10 @@ def full_bo(carriers, evidence, w_opp, ring_radius, modulated=None):
         if len(level) == 2:  # light and dark of each map
             wide = np.broadcast_to(level, normed.shape)
             for t, s in np.ndindex(8, 2):
-                normed[0, t, s], normed[1, t, s] = normalize_evidence_pair(*wide[:, t, s])
+                normed[0, t, s], normed[1, t, s] = joint_rescale(*wide[:, t, s])
         else:  # the two sides of each orientation
             for t in range(8):
-                normed[0, t] = normalize_evidence_pair(*level[0, t])
+                normed[0, t] = joint_rescale(*level[0, t])
         responses.append(_ring_projection(normed, ring_radius))
     ctx = [None] * len(responses)
     for k in reversed(range(len(responses))):

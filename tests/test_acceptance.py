@@ -1,7 +1,7 @@
 """End-to-end acceptance checks, one per shipped guarantee.
 
 Each test prints a single ``ACCEPTANCE NN name: PASS/FAIL`` line (visible
-with ``pytest -s``) and then asserts. The final dataset regression is
+with ``pytest -s``) and then asserts. The dataset regression (10) is
 optional: it runs only when ``FGO_BSDS_MANIFEST`` points at a converted
 dataset manifest and skips cleanly otherwise.
 """
@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fgo.channels import RGBImage
 from fgo.config import PRESETS, RunConfig, apply_assignment, apply_preset
 from fgo.cues import SAParams, TJParams, compute_sa_maps, detect_t_junctions
 from fgo.evaluation import (
@@ -479,4 +480,54 @@ def test_10_dataset_regression():
         ok,
         " ".join(f"{k}={v:.4f}" for k, v in scores.items())
         + f" top2sa={top2['with-sa']:.4f} top2tj={top2['with-tj']:.4f}",
+    )
+
+
+# ----------------------------------------------------------------------
+# 11. decisions do not depend on noise below a grey level
+# ----------------------------------------------------------------------
+
+# RGB gains of the occluded square, the occluder and the background
+_SEGMENT_GAINS = np.array([[1.2, 0.8, 1.0], [0.8, 1.1, 1.1], [1.1, 1.1, 0.8]])
+
+
+def _noise_scene():
+    """A seeded 128 px colour scene of 2 x 2 occlusion pairs, quantized
+    to 8 bits: the (3, rows, cols) image and its signed truth."""
+    rng = np.random.default_rng(1)
+    images, truths = [], []
+    for _ in range(4):
+        stim = overlapping_squares(
+            size=64, a_first=10, a_last=36, b_first=24, b_last=52,
+            a_gray=0.30 + 0.15 * rng.random(), b_gray=0.55 + 0.10 * rng.random(),
+            background=0.2, gradient=0.15,
+        )
+        images.append(np.moveaxis(_SEGMENT_GAINS[stim.segments - 1], -1, 0) * stim.image)
+        truths.append(stim.signed)
+    rgb = np.block([images[:2], images[2:]])
+    return np.round(np.clip(rgb, 0.0, 1.0) * 255.0) / 255.0, np.block([truths[:2], truths[2:]])
+
+
+def test_11_noise_stability():
+    eight_bit, signed = _noise_scene()
+    gt = load_ground_truth(signed)
+
+    def fgca(rgb):
+        image = RGBImage(*np.clip(rgb, 0.0, 1.0))
+        return compute_fgca(run_model(image, ModelWeights(), PipelineParams()).final, gt).accuracy
+
+    base = fgca(eight_bit)
+    noisy = [
+        eight_bit + np.random.default_rng(seed).uniform(-0.5, 0.5, eight_bit.shape) / 255.0
+        for seed in (1, 2, 3)
+    ] + [
+        eight_bit + np.random.default_rng(seed).integers(-1, 2, eight_bit.shape) / 255.0
+        for seed in (11, 12, 13)
+    ]
+    moves = [abs(fgca(rgb) - base) for rgb in noisy]
+    _report(
+        11,
+        "noise stability",
+        max(moves) <= 0.01,
+        f"8-bit FGCA={base:.4f}, largest move {max(moves):.4f} over sub-grey and ±1 grey copies",
     )

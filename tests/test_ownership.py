@@ -2,7 +2,6 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from scipy import ndimage
 
 from fgo import ownership
 from fgo.channels import compute_orientation_channels
@@ -20,7 +19,6 @@ from fgo.filters import (
 )
 from fgo.ownership import (
     ModelWeights,
-    _peak_competition,
     _ring_bank,
     bo_direction,
     combine_bo,
@@ -37,7 +35,14 @@ from fgo.pipeline import (
     prepare_components,
 )
 from fgo.stimuli import annulus, overlapping_squares
-from helpers import count_transforms, full_bo, full_prepared, oracle_levels, scoring_battery
+from helpers import (
+    count_transforms,
+    full_bo,
+    full_prepared,
+    joint_rescale,
+    oracle_levels,
+    scoring_battery,
+)
 
 RING = PipelineParams().ring_radius
 
@@ -110,22 +115,6 @@ def oracle_ring_responses(evidence, shape):
     return out
 
 
-def oracle_peak_competition(scaled):
-    """The peak factor with each plateau's maximum from ``ndimage.maximum``:
-    3x3 windows, plateaus within 1e-9 of the map's maximum."""
-    top = scaled.max()
-    if top <= 0:
-        return np.zeros_like(scaled)
-    window_max = ndimage.maximum_filter(scaled, size=3, mode="constant", cval=-np.inf)
-    tol = 1e-9 * top
-    labels, count = ndimage.label(
-        (scaled >= window_max - tol) & (scaled > tol), structure=np.ones((3, 3))
-    )
-    peaks = np.sort(ndimage.maximum(scaled, labels, np.arange(1, count + 1)))[:-1]
-    mean_rival = peaks.mean() if peaks.size else 0.0
-    return scaled * (top - mean_rival) ** 2
-
-
 def oracle_gate(c, excite, inhibit, s, w_opp):
     return np.maximum(0.0, c * (1.0 + excite[s] - w_opp * inhibit[1 - s]))
 
@@ -137,7 +126,7 @@ def oracle_contrast(carriers, cs_levels, w_opp):
     for level in cs_levels:
         shape = level.shape[-2:]
         tiled = np.broadcast_to(level, (8, 2) + shape)
-        pairs = [normalize_evidence_pair(tiled[t, 0], tiled[t, 1]) for t in range(8)]
+        pairs = [joint_rescale(tiled[t, 0], tiled[t, 1]) for t in range(8)]
         resp_light.append(oracle_ring_responses(lambda t, s: pairs[t][0], shape))
         resp_dark.append(oracle_ring_responses(lambda t, s: pairs[t][1], shape))
     ctx_light = oracle_scale_contexts(resp_light)
@@ -164,7 +153,7 @@ def oracle_local_cue(carriers, cue, params, factor):
     ]
     responses = []
     for k in range(n):
-        pairs = [normalize_evidence_pair(pyramids[t][0][k], pyramids[t][1][k]) for t in range(8)]
+        pairs = [joint_rescale(pyramids[t][0][k], pyramids[t][1][k]) for t in range(8)]
         responses.append(
             oracle_ring_responses(lambda t, s: pairs[t][s], carriers[0][k].shape)
         )
@@ -363,28 +352,27 @@ def test_cs_stack_holds_each_pyramid_with_its_own_kernel():
 
 # --------------------------------------------------------- normalization
 
-def _competition_maps():
-    rng = np.random.default_rng(8)
-    maps = {}
-    for k in range(3):
-        # coarse random levels give plateaus of equal peaks
-        maps[f"plateaus{k}"] = np.round(rng.random((23, 31)) * 4) / 4
-        maps[f"smooth{k}"] = ndimage.uniform_filter(rng.random((23, 31)), 5)
-    single = np.zeros((17, 19))
-    single[8, 9] = 0.7
-    maps["single_peak"] = single
-    maps["no_peak"] = np.zeros((17, 19))
-    maps["negative"] = -rng.random((9, 9))
-    return maps
-
-
-COMPETITION_MAPS = _competition_maps()
-
-
-@pytest.mark.parametrize("name", sorted(COMPETITION_MAPS), ids=lambda name: f"default-{name}")
-def test_peak_competition_matches_label_maximum_oracle(name):
-    scaled = COMPETITION_MAPS[name]
-    assert np.array_equal(_peak_competition(scaled), oracle_peak_competition(scaled))
+@pytest.mark.parametrize("seed", range(4))
+def test_normalize_evidence_pair_is_the_joint_rescale(seed):
+    rng = np.random.default_rng(seed)
+    shape = (17, 23)
+    a = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3)
+    b = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3) + rng.normal()
+    na, nb = normalize_evidence_pair(a, b)
+    assert na.shape == a.shape and nb.shape == b.shape
+    # the pair spans [0, 1] jointly: the low end exactly, the top to one rounding
+    assert min(na.min(), nb.min()) == 0.0
+    assert abs(max(na.max(), nb.max()) - 1.0) <= 2.0**-52
+    # one gain for both maps keeps the ratio of their ranges
+    assert np.ptp(na) / np.ptp(nb) == pytest.approx(np.ptp(a) / np.ptp(b), rel=1e-12)
+    # a constant added to both maps moves nothing but rounding
+    shift = 10.0 * (np.abs(a).max() + np.abs(b).max())
+    sa, sb = normalize_evidence_pair(a + shift, b + shift)
+    assert max(np.abs(sa - na).max(), np.abs(sb - nb).max()) <= 1e-12
+    # a pair that is flat overall comes back as zeros
+    flat = np.full(shape, a[0, 0])
+    for m in normalize_evidence_pair(flat, flat.copy()):
+        assert np.array_equal(m, np.zeros(shape))
 
 
 # ------------------------------------------------------- contrast route
