@@ -422,7 +422,8 @@ def grid_search_weights(objective, names=("alpha_ref", "alpha_sa"), coarse_step:
     score by less than 0.005. Every weight is treated alike, so
     reordering ``names`` only permutes the points, unless the objective
     ties. Rounds scan in lexicographic order and score each point once.
-    Bad arguments are refused by :func:`check_search`. Returns
+    Bad arguments are refused by :func:`check_search`, and a non-finite
+    objective value by a ValueError naming its point. Returns
     ``(weights, best_objective, trace)`` where trace rows are ``(round,
     weights_tuple_in_name_order, objective)``.
     """
@@ -444,6 +445,8 @@ def grid_search_weights(objective, names=("alpha_ref", "alpha_sa"), coarse_step:
             weights = tuple(i / n for i in point)
             if weights not in seen:
                 seen[weights] = float(objective(as_weights(weights)))
+                if not math.isfinite(seen[weights]):
+                    raise ValueError(f"objective is {seen[weights]} at {dict(zip(names, weights))}")
                 trace.append((round_index, weights, seen[weights]))
             if seen[weights] > best[0]:
                 best = (seen[weights], point)
@@ -468,14 +471,16 @@ def right_tailed_t_test(sample_a, sample_b) -> float:
     """P(mean A <= mean B) under the pooled-variance two-sample t model.
 
     Small values support "A scores higher than B". Both samples need at
-    least two observations. Two internally constant samples give the
-    degenerate 0 or 1 when their means differ, and 0.5, the value at
-    t = 0, when they are equal.
+    least two observations, all finite. Two internally constant samples
+    give the degenerate 0 or 1 when their means differ, and 0.5, the
+    value at t = 0, when they are equal.
     """
     a = np.asarray(sample_a, dtype=np.float64).ravel()
     b = np.asarray(sample_b, dtype=np.float64).ravel()
     if a.size < 2 or b.size < 2:
         raise ValueError("both samples need at least two observations")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("both samples must be finite")
     dof = a.size + b.size - 2
     pooled = ((a.size - 1) * a.var(ddof=1) + (b.size - 1) * b.var(ddof=1)) / dof
     diff = a.mean() - b.mean()

@@ -14,9 +14,10 @@ about 1e-12 relative of a direct sum. It takes one of two layouts:
 one map against a whole bank, passed once, not tiled to the bank's
 shape, and transformed once; or one map per kernel, a stack whose
 leading axes equal the bank's. The ring kernels go through its sibling
-:func:`correlate_pairs`, which adds or subtracts the two correlations
-of a map pair against a kernel pair before one inverse transform; both
-share the padding, the FFT length and the spectra.
+:func:`correlate_pairs`, which subtracts the two correlations of a
+map pair against a kernel pair, and adds them only when asked, before
+one inverse transform each; both share the padding, the FFT length and
+the spectra.
 
 A pyramid is a plain list of levels, index 0 the finest (native), and
 :func:`pyramid_levels` is its one builder.
@@ -123,38 +124,35 @@ def correlate_stack(maps, kernels) -> np.ndarray:
     return out
 
 
-def correlate_pairs(maps, kernels, signs) -> np.ndarray:
+def correlate_pairs(maps, kernels, with_sum: bool) -> np.ndarray:
     """Correlate the map pairs of a ``(P, ..., S, rows, cols)`` stack with
-    a ``(..., 2, kh, kw)`` bank of odd-sized kernel pairs, and add or
-    subtract the two correlations of each pair before one inverse
-    transform.
+    a ``(..., 2, kh, kw)`` bank of odd-sized kernel pairs, and subtract
+    (and, ``with_sum``, also add) the two correlations of each pair
+    before one inverse transform.
 
     Pair ``(p, i)`` reads its first member ``maps[p, i, 0]`` through
     ``kernels[i, 0]`` and its second from the mirrored first index,
     ``maps[P-1-p, i, -1]``, through ``kernels[i, 1]``. The map axes
     between the first and the last three broadcast to the bank's, and
-    ``S`` is 1 where both kernels of a pair read one map. Each sign in
-    ``signs`` (+1 or -1) gives one output stack::
+    ``S`` is 1 where both kernels of a pair read one map. The output is
+    ``(1 + with_sum, P, *kernels.shape[:-3], rows, cols)``::
 
-        out[j, p, i] = maps[p, i, 0] (*) kernels[i, 0]
-                       + signs[j] * maps[P-1-p, i, -1] (*) kernels[i, 1]
+        out[0, p, i] = maps[p, i, 0] (*) kernels[i, 0]
+                       - maps[P-1-p, i, -1] (*) kernels[i, 1]
 
-    with ``(*)`` the correlation of :func:`correlate_stack`, through the
-    same padding, FFT length and named spectra: the result is
-    ``(len(signs), P, *kernels.shape[:-3], rows, cols)``, each output
-    within about 1e-12 relative of the direct sums. The kernel pairs
-    are the outer loop, in C order, each kernel transformed once; the
-    spectra of the maps a pair index reads stay alive while the next
-    pairs read the same maps, so a map shared along the bank is
-    transformed once. Each output takes one inverse, ``P * len(signs)``
-    per kernel pair: one sign takes half the inverses of correlating
-    every member with its kernel.
+    and ``out[1, p, i]`` the same with ``+``, with ``(*)`` the
+    correlation of :func:`correlate_stack`, through the same padding,
+    FFT length and named spectra, each output within about 1e-12
+    relative of the direct sums. The kernel pairs are the outer loop, in
+    C order, each kernel transformed once; the spectra of the maps a
+    pair index reads stay alive while the next pairs read the same maps,
+    so a map shared along the bank is transformed once. Each output
+    takes one inverse, ``P`` per kernel pair for the differences and as
+    many again for the sums: the differences alone take half the
+    inverses of correlating every member with its kernel.
     """
     maps = _as_stack(maps, "input")
     kernels = _as_stack(kernels, "kernel")
-    signs = tuple(signs)
-    if not signs or any(sign not in (1, -1) for sign in signs):
-        raise ValueError(f"signs must each be +1 or -1, got {signs}")
     if kernels.ndim < 3 or kernels.shape[-3] != 2:
         raise ValueError(f"kernel pairs must be (..., 2, kh, kw), got {kernels.shape}")
     if maps.ndim != kernels.ndim + 1:
@@ -164,10 +162,9 @@ def correlate_pairs(maps, kernels, signs) -> np.ndarray:
     if any(m not in (1, k) for m, k in zip(maps.shape[1:-2], kernels.shape[:-2])):
         raise ValueError(f"map pairs {maps.shape} do not broadcast to kernel pairs {kernels.shape}")
     n = len(maps)
-    out = np.empty((len(signs), n) + bank + maps.shape[-2:])
-    # the two products of a pair, and the difference beside a later sum
+    out = np.empty((1 + with_sum, n) + bank + maps.shape[-2:])
+    # the two products of a pair
     first, second = (np.empty((fshape[0], fshape[1] // 2 + 1), complex) for _ in range(2))
-    both = np.empty_like(first) if len(signs) > 1 else None
     held = None
     for index in np.ndindex(bank):
         at = tuple(i if m > 1 else 0 for i, m in zip(index, maps.shape[1:-3]))
@@ -183,11 +180,10 @@ def correlate_pairs(maps, kernels, signs) -> np.ndarray:
         for p in range(n):
             np.multiply(spectra[p][0], first_k, out=first)
             np.multiply(spectra[n - 1 - p][-1], second_k, out=second)
-            for j, sign in enumerate(signs):
-                # the last sign may overwrite the first product
-                target = first if j == len(signs) - 1 else both
-                (np.add if sign > 0 else np.subtract)(first, second, out=target)
-                out[(j, p) + index] = fft.irfftn(target, fshape, axes=(0, 1))[crop]
+            if with_sum:
+                out[(1, p) + index] = fft.irfftn(first + second, fshape, axes=(0, 1))[crop]
+            np.subtract(first, second, out=first)
+            out[(0, p) + index] = fft.irfftn(first, fshape, axes=(0, 1))[crop]
     return out
 
 

@@ -13,13 +13,16 @@ chained, coarsest level first: ``ctx[k] = 2^{-(k+1)} * resp[k] +
 resample(ctx[k+1] -> level k)``, each level overwritten in place
 (:func:`scale_contexts`).
 
-Every route takes one path, :func:`compute_bo`. Its evidence is a
-level list of stacks with a leading polarity axis: light and dark
-center-surround contrast for the contrast route (:func:`cs_pyramids`),
-shared by both sides, and one polarity with a map per side for a
-directed local cue (SA, TJ). Each level's competing pairs are
-rescaled together (:func:`normalize_evidence_pair`), projected against
-the (8, 2) ring bank, pooled across scales, and then gate the carrier:
+Every route takes one path, :func:`compute_bo`, and its evidence one
+layout: each level is a (P, T, S, rows, cols) stack of P polarities,
+T orientations and S sides, T and S broadcasting against the (8, 2)
+ring bank. Light and dark center-surround contrast (P = 2) is shared
+by both sides (S = 1), and by every orientation for an isotropic
+feature (T = 1, :func:`cs_pyramids`); a directed local cue (SA, TJ)
+is one polarity with a map per orientation and side, (1, 8, 2). Each
+gated pair, cells (p, t, 0) and (P-1-p, t, S-1), is rescaled jointly
+(:func:`normalize_pairs`), projected against the (8, 2) ring bank,
+pooled across scales, and then gates the carrier:
 ``B[t, s] = sum_p max(0, C_t * (1 + ctx[p, t, s] - w_opp * ctx[P-1-p, t, 1 - s]))``.
 The contrast route thus gates with light exciting and dark inhibiting
 and with the roles swapped, and keeps only the sum of the two: nothing
@@ -41,9 +44,9 @@ anisotropy, T-junctions.
 Directed data travels as "stacks": arrays of shape ``(8, 2, rows,
 cols)`` indexed ``[orientation, side, row, col]``. A multiscale result
 is a list of stacks, index 0 the finest (native) level. The carriers
-are one such list of (8, 1, rows, cols) stacks. Evidence shared by every
-orientation stays unbroadcast up to the ring projection, which
-broadcasts it against the (8, 2) kernel bank.
+are one such list of (8, 1, rows, cols) stacks. Evidence shared by
+every orientation or side stays unbroadcast up to the ring projection,
+which broadcasts it against the (8, 2) kernel bank.
 
 The module ends at the per-level winners (:func:`winning_bo`);
 ``pipeline`` sums them across features and pools them to native
@@ -105,36 +108,40 @@ def cs_pyramids(feature, size: int, bank):
     kernels' nominal support; each level clamps it to fit once
     (``clamp_kernel_size``) and is one :func:`correlate_stack` call with
     ``bank(size)``, one kernel per map of the level.
-    This generator yields, level by level, the two-polarity evidence
-    stack that :func:`compute_bo` reads, so one level is alive at a
-    time: index 0 is the light evidence ``max(0, response)`` (bright
-    structure on a dark ground), index 1 the dark evidence ``max(0,
-    -response)``. An isotropic feature gives (2, rows, cols), shared by
-    every orientation and side; the carriers give (2, 8, 1, rows, cols).
+    This generator yields, level by level, the (2, T, 1, rows, cols)
+    evidence stack that :func:`compute_bo` reads, so one level is alive
+    at a time: polarity 0 is the light evidence ``max(0, response)``
+    (bright structure on a dark ground), polarity 1 the dark evidence
+    ``max(0, -response)``, with T = 1 for an isotropic feature, shared
+    by every orientation, and T = 8 for the carriers; the one side
+    cell is shared by both sides.
     """
     for level in feature:
         kernels = bank(clamp_kernel_size(size, level.shape[-2:]))
         if kernels.shape[:-2] != level.shape[:-2]:
             raise ValueError(f"{kernels.shape[:-2]} kernels for {level.shape[:-2]} maps")
-        response = correlate_stack(level, kernels)
+        response = correlate_stack(level, kernels).reshape((-1, 1) + level.shape[-2:])
         yield np.stack([np.maximum(0.0, response), np.maximum(0.0, -response)])
 
 
-def normalize_evidence_pair(a, b) -> tuple:
-    """Rescale two antagonistic evidence maps jointly to ``[0, 1]``.
+def normalize_pairs(level) -> np.ndarray:
+    """Rescale each gated pair of a (P, T, S, rows, cols) evidence level
+    jointly to ``[0, 1]``.
 
-    Both maps share one offset and one gain, ``lo`` and ``1 / (hi -
-    lo)`` over the pair's joint range: their relative strength is part
-    of the signal, so they must not be stretched independently, and
-    neither map is reshaped on its own. A pair that is flat overall
-    comes back as two zero maps.
+    The gate pairs cell (p, t, 0) with cell (P-1-p, t, S-1): the light
+    and dark evidence of one map (P = 2, S = 1), or the two sides of one
+    orientation (P = 1, S = 2). Both cells of a pair share one offset and
+    one gain, ``lo`` and ``1 / (hi - lo)`` over the pair's joint range:
+    their relative strength is part of the signal, so they must not be
+    stretched independently, and neither map is reshaped on its own. A
+    pair that is flat overall comes back as zeros.
     """
-    lo = min(a.min(), b.min())
-    hi = max(a.max(), b.max())
-    if hi == lo:
-        return np.zeros_like(a), np.zeros_like(b)
-    gain = 1.0 / (hi - lo)
-    return (a - lo) * gain, (b - lo) * gain
+    lo = level.min(axis=(-2, -1), keepdims=True)
+    hi = level.max(axis=(-2, -1), keepdims=True)
+    # each cell's partner is the cell mirrored in P and in S
+    lo = np.minimum(lo, lo[::-1, :, ::-1])
+    hi = np.maximum(hi, hi[::-1, :, ::-1])
+    return (level - lo) * np.divide(1.0, hi - lo, out=np.zeros_like(lo), where=hi > lo)
 
 
 @functools.lru_cache(maxsize=64)
@@ -176,25 +183,15 @@ def scale_contexts(responses: list) -> list:
     return responses
 
 
-def _projected(level, ring_radius: float, signs) -> np.ndarray:
-    """Rescale the competing pairs of one (P, ..., r, c) evidence level
-    and project each gated pair through the ring bank of radius
-    ``ring_radius``: a (len(signs), P, 8, r, c) stack of
-    ``proj(evidence[p, t, 0]) + sign * proj(evidence[P-1-p, t, 1])``
-    (:func:`correlate_pairs`).
-
-    With two polarities the pairs are the polarities of each map; with
-    one, the two sides of each orientation. Moving the polarity axis
-    next to the map axes lines both up as adjacent pairs.
+def _projected(level, ring_radius: float, with_sum: bool) -> np.ndarray:
+    """Rescale the gated pairs of one (P, T, S, r, c) evidence level
+    (:func:`normalize_pairs`) and project each through the ring bank of
+    radius ``ring_radius``: the (1 + with_sum, P, 8, r, c) stack of
+    :func:`correlate_pairs`, the pairs' differences and, when asked,
+    their sums.
     """
-    moved = np.moveaxis(level, 0, -3)
-    pairs = moved.reshape((-1, N_SIDES) + level.shape[-2:])
-    normed = np.array([normalize_evidence_pair(a, b) for a, b in pairs])
-    normed = np.moveaxis(normed.reshape(moved.shape), -3, 0)
-    # (P, T, S, r, c), so that (T, S) broadcasts against the (8, 2) bank
-    normed = normed.reshape(normed.shape[:1] + (1,) * (5 - normed.ndim) + normed.shape[1:])
     size = clamp_kernel_size(ring_size(ring_radius), level.shape[-2:])
-    return correlate_pairs(normed, _ring_bank(size, ring_radius), signs)
+    return correlate_pairs(normalize_pairs(level), _ring_bank(size, ring_radius), with_sum)
 
 
 def compute_bo(
@@ -211,19 +208,18 @@ def compute_bo(
     is an (8, 1, rows, cols) stack of non-negative energies, so
     ``C_t`` factors out of the gate's rectification. ``evidence`` (a
     generator keeps one raw level alive at a time) yields level k as
-    one (P, ..., rows, cols)
-    stack of P polarities whose middle axes broadcast against the
-    (8, 2) ring bank: for the contrast route light and dark
-    (:func:`cs_pyramids`), each shared by both sides, (2, rows, cols)
-    for an isotropic feature and (2, 8, 1, rows, cols) for the
-    carriers; for a directed local cue one polarity with a map per
-    side, (1, 8, 2, rows, cols).
+    one (P, T, S, rows, cols) stack of P polarities whose (T, S) axes
+    broadcast against the (8, 2) ring bank: for the contrast route
+    light and dark (:func:`cs_pyramids`), each shared by both sides,
+    (2, 1, 1, rows, cols) for an isotropic feature and (2, 8, 1, rows,
+    cols) for the carriers; for a directed local cue one polarity with
+    a map per side, (1, 8, 2, rows, cols).
 
-    Each level's competing pairs are rescaled together to ``[0, 1]``,
-    one offset and one gain per pair and nothing else
-    (:func:`normalize_evidence_pair`), so the pair's relative strength
-    reaches the ring kernels unchanged. The gate pairs cell (p, t, 0)
-    with cell (P-1-p, t, 1): evidence on the owned side excites, and
+    Each gated pair is rescaled jointly to ``[0, 1]``, one offset and
+    one gain per pair and nothing else (:func:`normalize_pairs`), so
+    the pair's relative strength reaches the ring kernels unchanged.
+    The gate pairs cell (p, t, 0) with cell (P-1-p, t, S-1), projected
+    toward sides 0 and 1: evidence on the owned side excites, and
     evidence of the other polarity (of the same cue, for one polarity)
     on the opposite side inhibits. With ``a`` and ``b`` the two cells'
     contexts (their evidence through the ring kernel of radius
@@ -249,9 +245,8 @@ def compute_bo(
     n = len(carriers)
     modulated = n if modulated is None else min(modulated, n)
     excite, inhibit = (1.0 + w_opp) / 2, (1.0 - w_opp) / 2
-    signs = (-1, 1) if inhibit else (-1,)
-    ctx = (
-        scale_contexts([_projected(e, ring_radius, signs) for e in evidence]) if modulated else []
+    ctx = scale_contexts(
+        [_projected(e, ring_radius, bool(inhibit)) for e in evidence] if modulated else []
     )
     out = []
     for k, carrier in enumerate(carriers):

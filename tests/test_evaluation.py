@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -537,6 +538,29 @@ class TestGridSearch:
 
         assert rounds(tuple(ALPHA_NAMES[k] for k in order)) == rounds(ALPHA_NAMES)
 
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_non_finite_objective_everywhere_refused(self, value):
+        calls = []
+        with pytest.raises(ValueError, match=re.escape(
+            f"objective is {value} at {{'alpha_ref': 0.0, 'alpha_sa': 1.0}}"
+        )):
+            grid_search_weights(lambda w: calls.append(w) or value)
+        assert len(calls) == 1  # refused at the first point, scored once
+
+    def test_one_nan_among_finite_points_refused(self):
+        calls = []
+
+        def objective(w: ModelWeights) -> float:
+            calls.append(w)
+            return math.nan if w.alpha_ref == 0.5 else w.alpha_ref
+
+        with pytest.raises(ValueError, match=re.escape(
+            "objective is nan at {'alpha_ref': 0.5, 'alpha_sa': 0.5}"
+        )):
+            grid_search_weights(objective)
+        # the coarse round reached the point in order, each point scored once
+        assert [w.alpha_ref for w in calls] == [i / 10 for i in range(6)]
+
     @pytest.mark.parametrize("anchor", [(24, 2), (1, 1, 24), (9, 9, 8)])
     def test_refinement_scans_the_lattice_neighbourhood(self, anchor):
         # every lattice point within 2 steps of the anchor in every
@@ -595,6 +619,12 @@ class TestTTest:
         assert right_tailed_t_test([1.0, 1.0], [1.0, 1.0]) == right_tailed_t_test(
             [0.5, 1.5], [0.5, 1.5]
         )
+
+    @pytest.mark.parametrize("a, b", [([1.0, math.nan], [0.0, 1.0]),
+                                      ([0.0, 1.0], [math.inf, 1.0])])
+    def test_non_finite_samples_rejected(self, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            right_tailed_t_test(a, b)
 
     def test_small_samples_rejected(self):
         with pytest.raises(ValueError):

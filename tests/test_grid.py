@@ -205,7 +205,7 @@ def test_correlate_pairs_is_the_signed_sum_of_two_correlations(map_lead, ksize):
     rng = np.random.default_rng(23)
     maps = rng.standard_normal(map_lead + (20, 24))
     kernels = rng.standard_normal((8, 2, ksize, ksize))
-    got = correlate_pairs(maps, kernels, (-1, 1))
+    got = correlate_pairs(maps, kernels, True)
     n = map_lead[0]
     assert got.shape == (2, n, 8, 20, 24)
     wide = np.broadcast_to(maps, (n, 8, 2, 20, 24))
@@ -214,41 +214,38 @@ def test_correlate_pairs_is_the_signed_sum_of_two_correlations(map_lead, ksize):
         second = correlate_stack(wide[n - 1 - p, t, 1], kernels[t, 1])
         assert_rel_close(got[0, p, t], first - second)
         assert_rel_close(got[1, p, t], first + second)
-    # one sign alone is that sign's stack of the two, bit for bit
-    assert np.array_equal(correlate_pairs(maps, kernels, (-1,))[0], got[0])
+    # the difference alone is the first stack of the two, bit for bit
+    assert np.array_equal(correlate_pairs(maps, kernels, False)[0], got[0])
 
 
 @pytest.mark.parametrize("map_lead, forward", zip(PAIR_LEADS, [2 + 16, 16 + 16, 16 + 16]))
-@pytest.mark.parametrize("signs", [(-1,), (-1, 1)])
+@pytest.mark.parametrize("with_sum", [False, True])
 def test_correlate_pairs_transforms_each_map_and_kernel_once(
-    monkeypatch, map_lead, forward, signs
+    monkeypatch, map_lead, forward, with_sum
 ):
     rng = np.random.default_rng(13)
     maps = rng.standard_normal(map_lead + (20, 24))
     kernels = rng.standard_normal((8, 2, 5, 5))
     calls = count_transforms(monkeypatch)
-    correlate_pairs(maps, kernels, signs)
-    # one inverse per output: P pairs per kernel pair and sign
-    assert calls == {"rfftn": forward, "irfftn": map_lead[0] * 8 * len(signs)}
+    correlate_pairs(maps, kernels, with_sum)
+    # one inverse per output: P pairs per kernel pair, for the difference
+    # and for the sum
+    assert calls == {"rfftn": forward, "irfftn": map_lead[0] * 8 * (1 + with_sum)}
 
 
 def test_correlate_pairs_refusals():
     maps = np.zeros((2, 8, 1, 9, 9))
     kernels = np.ones((8, 2, 3, 3))
-    with pytest.raises(ValueError, match="signs"):
-        correlate_pairs(maps, kernels, (0.5,))
-    with pytest.raises(ValueError, match="signs"):
-        correlate_pairs(maps, kernels, ())
     with pytest.raises(ValueError, match="kernel pairs must be"):
-        correlate_pairs(maps, np.ones((8, 3, 3, 3)), (-1,))
+        correlate_pairs(maps, np.ones((8, 3, 3, 3)), False)
     with pytest.raises(ValueError, match="do not match"):
-        correlate_pairs(maps[0], kernels, (-1,))
+        correlate_pairs(maps[0], kernels, False)
     with pytest.raises(ValueError, match=re.escape(
         "map pairs (2, 3, 1, 9, 9) do not broadcast to kernel pairs (8, 2, 3, 3)"
     )):
-        correlate_pairs(np.zeros((2, 3, 1, 9, 9)), kernels, (-1,))
+        correlate_pairs(np.zeros((2, 3, 1, 9, 9)), kernels, False)
     with pytest.raises(ValueError, match="odd"):
-        correlate_pairs(maps, np.ones((8, 2, 2, 3)), (-1,))
+        correlate_pairs(maps, np.ones((8, 2, 2, 3)), False)
 
 
 # ----------------------------------------- resample: one level, weight 1

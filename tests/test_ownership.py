@@ -24,7 +24,7 @@ from fgo.ownership import (
     combine_bo,
     compute_bo,
     cs_pyramids,
-    normalize_evidence_pair,
+    normalize_pairs,
     scale_contexts,
     winning_bo,
 )
@@ -205,14 +205,14 @@ def per_orientation(carriers):
 
 
 def pair_layout(level):
-    """A (2, ..., r, c) contrast evidence level as (m, 2, r, c), polarity
+    """A (2, T, 1, r, c) contrast evidence level as (T, 2, r, c), polarity
     second, the layout the oracles read."""
     return np.moveaxis(level, 0, -3).reshape((-1, 2) + level.shape[-2:])
 
 
 def zero_cs(shape, n_scales=4, factor=SQRT2):
     levels = pyramid_levels(np.zeros(shape), n_scales, factor)
-    return [np.zeros((2,) + level.shape) for level in levels]
+    return [np.zeros((2, 1, 1) + level.shape) for level in levels]
 
 
 def dog_bank(size):
@@ -272,7 +272,7 @@ def test_weights_other_fields_validated():
 def test_cs_symmetric_constant_silent():
     pyr = list(pyramid_levels(np.full((40, 40), 0.7), 4))
     for level, raw in zip(symmetric_cs(pyr), pyr, strict=True):
-        assert level.shape == (2,) + raw.shape
+        assert level.shape == (2, 1, 1) + raw.shape
         assert np.abs(level).max() < 1e-12
 
 
@@ -281,7 +281,7 @@ def test_cs_symmetric_disk_geometry():
     rr, cc = np.mgrid[0:64, 0:64]
     radius = np.hypot(rr - 32.0, cc - 32.0)
     img[radius <= 15] = 1.0
-    light, dark = symmetric_cs(pyramid_levels(img, 1))[0]
+    light, dark = symmetric_cs(pyramid_levels(img, 1))[0][:, 0, 0]
     lr, lc = np.unravel_index(light.argmax(), light.shape)
     assert radius[lr, lc] < 15  # light peaks inside the disk
     dr, dc = np.unravel_index(dark.argmax(), dark.shape)
@@ -312,8 +312,8 @@ def test_cs_oriented_prefers_its_own_orientation():
     img = np.zeros((64, 64))
     img[:, 30:35] = 1.0  # vertical bright bar
     pyr = list(pyramid_levels(img, 1))
-    at_bar = oriented_cs(pyr, np.pi / 2)[0][0, 32, 32]
-    across = oriented_cs(pyr, 0.0)[0][0, 32, 32]
+    at_bar = oriented_cs(pyr, np.pi / 2)[0][0, 0, 0, 32, 32]
+    across = oriented_cs(pyr, 0.0)[0][0, 0, 0, 32, 32]
     assert at_bar > 0
     assert at_bar > across
 
@@ -347,32 +347,50 @@ def test_cs_stack_holds_each_pyramid_with_its_own_kernel():
     for ti, theta in enumerate(thetas):
         for k, level in enumerate(oriented_cs(per_orientation(carriers)[ti], theta)):
             assert stacked[k].shape == (2, 8, 1) + level.shape[-2:]
-            assert np.array_equal(stacked[k][:, ti, 0], level)
+            assert np.array_equal(stacked[k][:, ti], level[:, 0])
 
 
 # --------------------------------------------------------- normalization
 
+def gated_pairs(lead):
+    """The gated pairs of a (P, T, S, r, c) level with leading axes
+    ``lead``, in orientation order: the indices of cells (0, t, 0) and
+    (P-1, t, S-1). With P = 2 the pair of p = 1 is the same one."""
+    n_p, n_t, n_s = lead
+    return [((0, t, 0), (n_p - 1, t, n_s - 1)) for t in range(n_t)]
+
+
 @pytest.mark.parametrize("seed", range(4))
-def test_normalize_evidence_pair_is_the_joint_rescale(seed):
+def test_normalize_pairs_is_the_joint_rescale(seed):
     rng = np.random.default_rng(seed)
     shape = (17, 23)
     a = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3)
     b = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3) + rng.normal()
-    na, nb = normalize_evidence_pair(a, b)
-    assert na.shape == a.shape and nb.shape == b.shape
-    # the pair spans [0, 1] jointly: the low end exactly, the top to one rounding
-    assert min(na.min(), nb.min()) == 0.0
-    assert abs(max(na.max(), nb.max()) - 1.0) <= 2.0**-52
-    # one gain for both maps keeps the ratio of their ranges
-    assert np.ptp(na) / np.ptp(nb) == pytest.approx(np.ptp(a) / np.ptp(b), rel=1e-12)
-    # a constant added to both maps moves nothing but rounding
     shift = 10.0 * (np.abs(a).max() + np.abs(b).max())
-    sa, sb = normalize_evidence_pair(a + shift, b + shift)
-    assert max(np.abs(sa - na).max(), np.abs(sb - nb).max()) <= 1e-12
-    # a pair that is flat overall comes back as zeros
-    flat = np.full(shape, a[0, 0])
-    for m in normalize_evidence_pair(flat, flat.copy()):
-        assert np.array_equal(m, np.zeros(shape))
+    for lead in [(2, 1, 1), (2, 8, 1), (1, 8, 2)]:
+        # pair t is (a, b) scaled by 2^t, exactly: a rescale that mixes
+        # pairs misses [0, 1], one that mixes a pair's cells its ratio
+        level, shifted = np.empty(lead + shape), np.empty(lead + shape)
+        for t, cells in enumerate(gated_pairs(lead)):
+            for cell, m in zip(cells, (a, b)):
+                level[cell] = 2.0**t * m
+                shifted[cell] = 2.0**t * (m + shift)
+        normed = normalize_pairs(level)
+        assert normed.shape == level.shape
+        for i, j in gated_pairs(lead):
+            na, nb = normed[i], normed[j]
+            # the pair spans [0, 1] jointly: the low end exactly, the top to one rounding
+            assert min(na.min(), nb.min()) == 0.0
+            assert abs(max(na.max(), nb.max()) - 1.0) <= 2.0**-52
+            # one gain for both maps keeps the ratio of their ranges
+            assert np.ptp(na) / np.ptp(nb) == pytest.approx(np.ptp(a) / np.ptp(b), rel=1e-12)
+            for got, want in zip((na, nb), joint_rescale(level[i], level[j])):
+                assert np.abs(got - want).max() <= 1e-15
+        # a constant added to both maps of a pair moves nothing but rounding
+        assert np.abs(normalize_pairs(shifted) - normed).max() <= 1e-12
+        # a pair that is flat overall comes back as zeros
+        flat = np.full(level.shape, a[0, 0])
+        assert np.array_equal(normalize_pairs(flat), np.zeros(level.shape))
 
 
 # ------------------------------------------------------- contrast route
@@ -465,20 +483,18 @@ def test_bo_contrast_matches_route_oracle(w_opp):
     img = square_image(32, first=9, last=20)
     n = 4
     carriers = make_carriers(img, n)
-    # bare (2, r, c), as cs_pyramids gives it; shared (2, 1, 1, r, c);
-    # tiled to every orientation (2, 8, 1, r, c)
-    bare = symmetric_cs(pyramid_levels(img, n))
-    shared = [level[:, None, None] for level in bare]
+    # shared (2, 1, 1, r, c), as cs_pyramids gives it; tiled to every
+    # orientation (2, 8, 1, r, c)
+    shared = symmetric_cs(pyramid_levels(img, n))
     tiled = [np.repeat(level, 8, axis=1) for level in shared]
     got_shared = compute_bo(carriers, shared, w_opp, RING)
-    got_bare = compute_bo(carriers, bare, w_opp, RING)
     got_tiled = compute_bo(carriers, tiled, w_opp, RING)
-    want = oracle_contrast(per_orientation(carriers), [pair_layout(b) for b in bare], w_opp)
+    want = oracle_contrast(per_orientation(carriers), [pair_layout(b) for b in shared], w_opp)
     for got, want_k in zip(got_shared, want, strict=True):
         assert want_k.any()
         assert_rel_close(got, side_imbalance(want_k))
-    for a, b, c in zip(got_shared, got_bare, got_tiled):
-        assert np.array_equal(a, b) and np.array_equal(a, c)
+    for a, c in zip(got_shared, got_tiled):
+        assert np.array_equal(a, c)
 
     oriented = carrier_cs(carriers)
     got = compute_bo(carriers, oriented, w_opp, RING)
