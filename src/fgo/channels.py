@@ -5,7 +5,7 @@ stage consumes: the intensity map, the (4, rows, cols) opponency stack
 (RG, GR, BY, YB) and the (8, rows, cols) orientation energies, each
 map decomposed into a pyramid by ``grid.pyramid_levels``.
 The eight orientation energies are the carriers of every route and are
-pyramided once, as one stack of (8, 1, rows, cols) levels; each
+pyramided once, as one list of (8, rows, cols) levels; each
 isotropic feature's pyramid is built level by level as its route reads
 it. :func:`compute_orientation_channels` is the one quadrature-energy
 builder: spectral anisotropy (``cues.compute_sa_maps``) samples the

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import io, stimuli
+from . import evaluation, io, stimuli
 from .channels import N_SIDES, RGBImage
 from .config import PRESETS, RunConfig, apply_lines, apply_preset, key_name, load_config
 from .cues import format_junction
@@ -482,10 +482,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument(
         "--weights",
         dest="weight_names",
-        default="alphaRef,alphaSA",
+        default=",".join(evaluation.SEARCH_NAMES),
         help="comma list of weights to search (others pinned to 0)",
     )
-    p_tune.add_argument("--coarse-step", type=float, default=0.1)
+    p_tune.add_argument("--coarse-step", type=float, default=evaluation.COARSE_STEP)
     p_tune.add_argument("--out", required=True)
     _add_config_flags(p_tune)
     p_tune.set_defaults(func=cmd_tune)

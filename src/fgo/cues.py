@@ -396,7 +396,8 @@ def detect_t_junctions(contours, segments,
     return junctions
 
 
-def contour_orientation(contours, row: int, col: int, fit_radius: int = 3) -> float:
+def contour_orientation(contours, row: int, col: int,
+                        fit_radius: int = TJParams.orientation_fit_radius) -> float:
     """Orientation in [0, pi) of the contour through (row, col).
 
     Total-least-squares line fit over the same-id pixels within the fit

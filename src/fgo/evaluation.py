@@ -395,6 +395,10 @@ def _lattice_points(n: int, size: int, anchor=None):
 # the search ends after this many rounds in any case
 _MIN_GAIN = 0.005
 _ROUNDS = 12
+# the default search, which ``fgo tune``'s flags also read: alpha_ref
+# against alpha_sa from a coarse lattice of step 0.1
+SEARCH_NAMES = ("alpha_ref", "alpha_sa")
+COARSE_STEP = 0.1
 
 
 def check_search(names, coarse_step: float) -> None:
@@ -407,7 +411,7 @@ def check_search(names, coarse_step: float) -> None:
         raise ValueError(f"coarse_step must lie in (0, 1], got {coarse_step}")
 
 
-def grid_search_weights(objective, names=("alpha_ref", "alpha_sa"), coarse_step: float = 0.1):
+def grid_search_weights(objective, names=SEARCH_NAMES, coarse_step: float = COARSE_STEP):
     """Multi-resolution search over cue weights on the simplex.
 
     ``objective`` maps a :class:`ModelWeights` to a score to maximize.

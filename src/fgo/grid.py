@@ -14,10 +14,12 @@ about 1e-12 relative of a direct sum. It takes one of two layouts:
 one map against a whole bank, passed once, not tiled to the bank's
 shape, and transformed once; or one map per kernel, a stack whose
 leading axes equal the bank's. The ring kernels go through its sibling
-:func:`correlate_pairs`, which subtracts the two correlations of a
-map pair against a kernel pair, and adds them only when asked, before
-one inverse transform each; both share the padding, the FFT length and
-the spectra.
+:func:`correlate_pairs`, which takes one ``(N, 2, kh, kw)`` bank of
+kernel pairs and ``(P, T, S, rows, cols)`` map pairs, loops once over
+the kernel pairs, and subtracts the two correlations of each map pair
+against its kernel pair, adding them only when asked, before one
+inverse transform each; both share the padding, the FFT length and the
+spectra.
 
 A pyramid is a plain list of levels, index 0 the finest (native), and
 :func:`pyramid_levels` is its one builder.
@@ -100,7 +102,8 @@ def correlate_stack(maps, kernels) -> np.ndarray:
     kernel once, and each map once: a single map before the pass, one
     map per kernel beside its kernel. Each output takes one inverse, so
     one map against an (8, 2) bank takes 1 + 16 forward transforms and
-    16 inverses, and (8, 1) maps against an (8, 1) bank 8 + 8 and 8.
+    16 inverses, and (8, rows, cols) maps against an (8, kh, kw) bank
+    8 + 8 and 8.
     The product is map spectrum times kernel spectrum, both named: an
     unnamed kernel spectrum lets numpy reuse the temporary and multiply
     in the other order, which moves the last bits.
@@ -125,17 +128,17 @@ def correlate_stack(maps, kernels) -> np.ndarray:
 
 
 def correlate_pairs(maps, kernels, with_sum: bool) -> np.ndarray:
-    """Correlate the map pairs of a ``(P, ..., S, rows, cols)`` stack with
-    a ``(..., 2, kh, kw)`` bank of odd-sized kernel pairs, and subtract
-    (and, ``with_sum``, also add) the two correlations of each pair
-    before one inverse transform.
+    """Correlate the map pairs of a ``(P, T, S, rows, cols)`` stack with an
+    ``(N, 2, kh, kw)`` bank of odd-sized kernel pairs, and subtract (and,
+    ``with_sum``, also add) the two correlations of each pair before one
+    inverse transform.
 
     Pair ``(p, i)`` reads its first member ``maps[p, i, 0]`` through
     ``kernels[i, 0]`` and its second from the mirrored first index,
-    ``maps[P-1-p, i, -1]``, through ``kernels[i, 1]``. The map axes
-    between the first and the last three broadcast to the bank's, and
-    ``S`` is 1 where both kernels of a pair read one map. The output is
-    ``(1 + with_sum, P, *kernels.shape[:-3], rows, cols)``::
+    ``maps[P-1-p, i, -1]``, through ``kernels[i, 1]``. ``T`` is N, or 1
+    where every kernel pair reads the same maps, and ``S`` is 2, or 1
+    where both kernels of a pair read one map. Any other shape is
+    refused. The output is ``(1 + with_sum, P, N, rows, cols)``::
 
         out[0, p, i] = maps[p, i, 0] (*) kernels[i, 0]
                        - maps[P-1-p, i, -1] (*) kernels[i, 1]
@@ -143,47 +146,37 @@ def correlate_pairs(maps, kernels, with_sum: bool) -> np.ndarray:
     and ``out[1, p, i]`` the same with ``+``, with ``(*)`` the
     correlation of :func:`correlate_stack`, through the same padding,
     FFT length and named spectra, each output within about 1e-12
-    relative of the direct sums. The kernel pairs are the outer loop, in
-    C order, each kernel transformed once; the spectra of the maps a
-    pair index reads stay alive while the next pairs read the same maps,
-    so a map shared along the bank is transformed once. Each output
-    takes one inverse, ``P`` per kernel pair for the differences and as
-    many again for the sums: the differences alone take half the
-    inverses of correlating every member with its kernel.
+    relative of the direct sums. One loop over the kernel pairs
+    transforms each kernel once, and the maps once per pair when T = N,
+    once in all when T = 1. Each output takes one inverse, ``P`` per
+    kernel pair for the differences and as many again for the sums: the
+    differences alone take half the inverses of correlating every member
+    with its kernel.
     """
     maps = _as_stack(maps, "input")
     kernels = _as_stack(kernels, "kernel")
-    if kernels.ndim < 3 or kernels.shape[-3] != 2:
-        raise ValueError(f"kernel pairs must be (..., 2, kh, kw), got {kernels.shape}")
-    if maps.ndim != kernels.ndim + 1:
-        raise ValueError(f"map pairs {maps.shape} do not match kernel pairs {kernels.shape}")
+    if (kernels.shape[1:-2] != (2,) or maps.ndim != 5
+            or maps.shape[1] not in (1, len(kernels)) or maps.shape[2] > 2):
+        raise ValueError(f"map pairs {maps.shape} must be (P, 1 or N, 1 or 2, rows, cols) "
+                         f"against (N, 2, kh, kw) kernel pairs, got {kernels.shape}")
     pad, fshape, crop = _fft_plan(maps.shape, kernels.shape)
-    bank = kernels.shape[:-3]
-    if any(m not in (1, k) for m, k in zip(maps.shape[1:-2], kernels.shape[:-2])):
-        raise ValueError(f"map pairs {maps.shape} do not broadcast to kernel pairs {kernels.shape}")
-    n = len(maps)
-    out = np.empty((1 + with_sum, n) + bank + maps.shape[-2:])
+    out = np.empty((1 + with_sum, len(maps), len(kernels)) + maps.shape[-2:])
     # the two products of a pair
     first, second = (np.empty((fshape[0], fshape[1] // 2 + 1), complex) for _ in range(2))
-    held = None
-    for index in np.ndindex(bank):
-        at = tuple(i if m > 1 else 0 for i, m in zip(index, maps.shape[1:-3]))
-        if at != held:
+    for i, kernel_pair in enumerate(kernels):
+        if i < maps.shape[1]:  # T = 1: the first pair's spectra serve every pair
             spectra = None  # free the last maps' spectra before the next
-            spectra = [
-                [_map_spectrum(member, pad, fshape) for member in pair]
-                for pair in maps[(slice(None),) + at]
-            ]
-            held = at
-        first_k = _kernel_spectrum(kernels[index + (0,)], fshape)
-        second_k = _kernel_spectrum(kernels[index + (1,)], fshape)
-        for p in range(n):
+            spectra = [[_map_spectrum(m, pad, fshape) for m in pair] for pair in maps[:, i]]
+        # one at a time, so at most three kernel spectra are alive
+        first_k = _kernel_spectrum(kernel_pair[0], fshape)
+        second_k = _kernel_spectrum(kernel_pair[1], fshape)
+        for p in range(len(maps)):
             np.multiply(spectra[p][0], first_k, out=first)
-            np.multiply(spectra[n - 1 - p][-1], second_k, out=second)
+            np.multiply(spectra[-1 - p][-1], second_k, out=second)
             if with_sum:
-                out[(1, p) + index] = fft.irfftn(first + second, fshape, axes=(0, 1))[crop]
+                out[1, p, i] = fft.irfftn(first + second, fshape, axes=(0, 1))[crop]
             np.subtract(first, second, out=first)
-            out[(0, p) + index] = fft.irfftn(first, fshape, axes=(0, 1))[crop]
+            out[0, p, i] = fft.irfftn(first, fshape, axes=(0, 1))[crop]
     return out
 
 

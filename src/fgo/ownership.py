@@ -44,9 +44,10 @@ anisotropy, T-junctions.
 Directed data travels as "stacks": arrays of shape ``(8, 2, rows,
 cols)`` indexed ``[orientation, side, row, col]``. A multiscale result
 is a list of stacks, index 0 the finest (native) level. The carriers
-are one such list of (8, 1, rows, cols) stacks. Evidence shared by
-every orientation or side stays unbroadcast up to the ring projection,
-which broadcasts it against the (8, 2) kernel bank.
+are the orientation channel's own pyramid, a list of (8, rows, cols)
+levels. Evidence shared by every orientation or side stays unbroadcast
+up to the ring projection, which reads it against the (8, 2) kernel
+bank.
 
 The module ends at the per-level winners (:func:`winning_bo`);
 ``pipeline`` sums them across features and pools them to native
@@ -102,19 +103,20 @@ def cs_pyramids(feature, size: int, bank):
     ``feature`` holds the levels of an isotropic feature's pyramid
     (``grid.pyramid_levels``, read one level at a time) with its one
     difference of Gaussians (``make_center_surround``), or the carriers,
-    whose levels are (8, 1, rows, cols) stacks, with an (8, 1) bank of
+    whose levels are (8, rows, cols) stacks, with an (8, kh, kw) bank of
     even Gabors at each orientation's own angle (``gabor_bank``), since
     feature contrast along an edge is not isotropic. ``size`` is the
     kernels' nominal support; each level clamps it to fit once
     (``clamp_kernel_size``) and is one :func:`correlate_stack` call with
-    ``bank(size)``, one kernel per map of the level.
-    This generator yields, level by level, the (2, T, 1, rows, cols)
-    evidence stack that :func:`compute_bo` reads, so one level is alive
-    at a time: polarity 0 is the light evidence ``max(0, response)``
-    (bright structure on a dark ground), polarity 1 the dark evidence
-    ``max(0, -response)``, with T = 1 for an isotropic feature, shared
-    by every orientation, and T = 8 for the carriers; the one side
-    cell is shared by both sides.
+    ``bank(size)``, one kernel per map of the level, its (T, rows, cols)
+    response reshaped to (T, 1, rows, cols). This generator yields,
+    level by level, the (2, T, 1, rows, cols) evidence stack that
+    :func:`compute_bo` reads, so one level is alive at a time: polarity
+    0 is the light evidence ``max(0, response)`` (bright structure on a
+    dark ground), polarity 1 the dark evidence ``max(0, -response)``,
+    with T = 1 for an isotropic feature, shared by every orientation,
+    and T = 8 for the carriers; the one side cell is shared by both
+    sides.
     """
     for level in feature:
         kernels = bank(clamp_kernel_size(size, level.shape[-2:]))
@@ -183,17 +185,6 @@ def scale_contexts(responses: list) -> list:
     return responses
 
 
-def _projected(level, ring_radius: float, with_sum: bool) -> np.ndarray:
-    """Rescale the gated pairs of one (P, T, S, r, c) evidence level
-    (:func:`normalize_pairs`) and project each through the ring bank of
-    radius ``ring_radius``: the (1 + with_sum, P, 8, r, c) stack of
-    :func:`correlate_pairs`, the pairs' differences and, when asked,
-    their sums.
-    """
-    size = clamp_kernel_size(ring_size(ring_radius), level.shape[-2:])
-    return correlate_pairs(normalize_pairs(level), _ring_bank(size, ring_radius), with_sum)
-
-
 def compute_bo(
     carriers,
     evidence,
@@ -205,15 +196,15 @@ def compute_bo(
     array per level.
 
     ``carriers`` is the oriented-energy pyramid, a list whose level k
-    is an (8, 1, rows, cols) stack of non-negative energies, so
+    is an (8, rows, cols) stack of non-negative energies, so
     ``C_t`` factors out of the gate's rectification. ``evidence`` (a
     generator keeps one raw level alive at a time) yields level k as
     one (P, T, S, rows, cols) stack of P polarities whose (T, S) axes
-    broadcast against the (8, 2) ring bank: for the contrast route
-    light and dark (:func:`cs_pyramids`), each shared by both sides,
-    (2, 1, 1, rows, cols) for an isotropic feature and (2, 8, 1, rows,
-    cols) for the carriers; for a directed local cue one polarity with
-    a map per side, (1, 8, 2, rows, cols).
+    are (1 or 8, 1 or 2) against the (8, 2) ring bank: for the contrast
+    route light and dark (:func:`cs_pyramids`), each shared by both
+    sides, (2, 1, 1, rows, cols) for an isotropic feature and (2, 8, 1,
+    rows, cols) for the carriers; for a directed local cue one polarity
+    with a map per side, (1, 8, 2, rows, cols).
 
     Each gated pair is rescaled jointly to ``[0, 1]``, one offset and
     one gain per pair and nothing else (:func:`normalize_pairs`), so
@@ -245,9 +236,11 @@ def compute_bo(
     n = len(carriers)
     modulated = n if modulated is None else min(modulated, n)
     excite, inhibit = (1.0 + w_opp) / 2, (1.0 - w_opp) / 2
-    ctx = scale_contexts(
-        [_projected(e, ring_radius, bool(inhibit)) for e in evidence] if modulated else []
-    )
+    ctx = []
+    for e in evidence if modulated else ():
+        bank = _ring_bank(clamp_kernel_size(ring_size(ring_radius), e.shape[-2:]), ring_radius)
+        ctx.append(correlate_pairs(normalize_pairs(e), bank, bool(inhibit)))
+    ctx = scale_contexts(ctx)
     out = []
     for k, carrier in enumerate(carriers):
         delta = np.zeros((N_ORIENTATIONS,) + carrier.shape[-2:])
@@ -270,7 +263,7 @@ def compute_bo(
             else:
                 term = np.clip(g, -1.0, 1.0)
                 term += g
-            np.multiply(term.sum(axis=0), carrier[t, 0], out=delta[t])
+            np.multiply(term.sum(axis=0), carrier[t], out=delta[t])
     return out
 
 

@@ -4,10 +4,10 @@ The channels are plain arrays (``channels.compute_channels``: the
 intensity map, the (4, rows, cols) opponency stack and the (8, rows,
 cols) orientation energies) and every pyramid is a plain level list
 from ``grid.pyramid_levels``. The three feature channels share one set
-of oriented-energy carriers, built once as a list of (8, 1, rows, cols)
-levels. Every route is one
-``ownership.compute_bo`` call on them, which returns the route's
-(8, rows, cols) side imbalances per level: color and intensity
+of oriented-energy carriers, the pyramid of the orientation energies
+themselves, built once as a list of (8, rows, cols) levels. Every
+route is one ``ownership.compute_bo`` call on them, which returns the
+route's (8, rows, cols) side imbalances per level: color and intensity
 contribute through the contrast route alone, each feature's pyramid
 built level by level as the route reads it; the orientation channel
 additionally takes the two local cues, weighted by the model's alpha
@@ -236,7 +236,7 @@ def prepare_components(
         )
 
     intensity, opponency, orientation = compute_channels(image, params.gabor)
-    carriers = list(pyramid_levels(orientation[:, None], params.n_scales, params.pyramid_factor))
+    carriers = list(pyramid_levels(orientation, params.n_scales, params.pyramid_factor))
     fixed = _fixed_term(intensity, opponency, carriers, params)
 
     junctions: tuple = ()
@@ -245,7 +245,7 @@ def prepare_components(
 
     routes = None
     if params.feature_orientation > 0:
-        bank = lambda size: gabor_bank(params.oriented_cs, ORIENTATIONS, size, "even")[:, None]
+        bank = lambda size: gabor_bank(params.oriented_cs, ORIENTATIONS, size, "even")
         cs = cs_pyramids(carriers, params.oriented_cs.size, bank)
 
         def local_cue(cue):

@@ -160,7 +160,6 @@ def full_bo(carriers, evidence, w_opp, ring_radius, modulated=None):
     modulated = n if modulated is None else min(modulated, n)
     responses = []
     for level in evidence if modulated else ():
-        level = level.reshape(level.shape[:1] + (1,) * (5 - level.ndim) + level.shape[1:])
         normed = np.empty(np.broadcast_shapes(level.shape, (1, 8, 2, 1, 1)))
         if len(level) == 2:  # light and dark of each map
             wide = np.broadcast_to(level, normed.shape)
@@ -182,11 +181,12 @@ def full_bo(carriers, evidence, w_opp, ring_radius, modulated=None):
     out = []
     for k, carrier in enumerate(carriers):
         if k >= modulated:
-            out.append(np.repeat(np.maximum(0.0, carrier), 2, axis=1).astype(np.longdouble))
+            passed = np.repeat(np.maximum(0.0, carrier[:, None]), 2, axis=1)
+            out.append(passed.astype(np.longdouble))
             continue
         c = ctx[k]
         out.append(sum(
-            np.maximum(0.0, carrier * (1.0 + c[p] - w_opp * c[-1 - p, :, ::-1]))
+            np.maximum(0.0, carrier[:, None] * (1.0 + c[p] - w_opp * c[-1 - p, :, ::-1]))
             for p in range(len(c))
         ))
     return out
@@ -223,7 +223,7 @@ def full_prepared(image, params, contours=None, segments=None):
     def pyramid(native):
         return list(pyramid_levels(native, params.n_scales, params.pyramid_factor))
 
-    carriers = pyramid(orientation[:, None])
+    carriers = pyramid(orientation)
     w_c, w_i, w_o = params.feature_color, params.feature_intensity, params.feature_orientation
 
     def winners(feature):
@@ -244,7 +244,7 @@ def full_prepared(image, params, contours=None, segments=None):
     if not w_o:
         return full
     def gabors(size):
-        return np.array([[make_gabor(params.oriented_cs, t * np.pi / 8, size)] for t in range(8)])
+        return np.array([make_gabor(params.oriented_cs, t * np.pi / 8, size) for t in range(8)])
 
     cs = cs_pyramids(carriers, params.oriented_cs.size, gabors)
     full["contrast"] = full_bo(carriers, cs, params.w_opp, params.ring_radius)

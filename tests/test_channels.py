@@ -194,11 +194,11 @@ def test_channel_pyramids_levels_and_dims():
         pyr = list(pyramid_levels(native, 4, math.sqrt(2)))
         assert len(pyr) == 4
         assert pyr[0].shape == (32, 32)
-    # the carriers: one pyramid of (8, 1, r, c) stacks
-    carriers = list(pyramid_levels(orientation[:, None], 4, math.sqrt(2)))
+    # the carriers: one pyramid of (8, r, c) stacks
+    carriers = list(pyramid_levels(orientation, 4, math.sqrt(2)))
     assert len(carriers) == 4
-    assert [level.shape[:2] for level in carriers] == [(8, 1)] * 4
-    assert np.array_equal(carriers[0][:, 0], orientation)
+    assert [level.shape[:1] for level in carriers] == [(8,)] * 4
+    assert np.array_equal(carriers[0], orientation)
 
 
 def test_channel_pyramid_single_scale_identity():

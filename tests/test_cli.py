@@ -1,3 +1,4 @@
+import inspect
 import logging
 import multiprocessing
 import os
@@ -16,7 +17,7 @@ import fgo
 from fgo.channels import RGBImage
 from fgo import cli
 from fgo.cli import main, parse_manifest
-from fgo.config import RunConfig, apply_assignment, apply_lines, apply_preset
+from fgo.config import RunConfig, apply_assignment, apply_lines, apply_preset, key_name
 from fgo.evaluation import (
     build_report,
     compute_fgca,
@@ -687,7 +688,7 @@ class TestTune:
         assert len(trace) > 1
         assert "tuned:" in capsys.readouterr().out
 
-    def test_seed_env_controls_split(self, dataset, tmp_path, capsys):
+    def test_seed_key_controls_split(self, dataset, tmp_path, capsys):
         out = tmp_path / "tune"
         code = main(
             ["tune", "--manifest", str(dataset), "--out", str(out),
@@ -695,6 +696,15 @@ class TestTune:
         )
         assert code == 0
         assert "seed=5" in (out / "weights.kv").read_text()
+
+    def test_default_search_is_the_library_default(self):
+        # without --weights and --coarse-step, tune searches what
+        # grid_search_weights searches by default
+        args = cli.build_parser().parse_args(["tune", "--manifest", "m.txt", "--out", "out"])
+        defaults = inspect.signature(grid_search_weights).parameters
+        names = tuple(key_name(token) for token in args.weight_names.split(","))
+        assert names == defaults["names"].default
+        assert args.coarse_step == defaults["coarse_step"].default
 
     @pytest.mark.parametrize("seed", ["2", "3"])
     def test_broken_train_row_skipped(self, dataset, tmp_path, capsys, seed):
@@ -868,7 +878,10 @@ class TestScoresMatchFullPath:
         )
         want = [f"{r} {' '.join(f'{v:.6f}' for v in point)} {value:.6f}"
                 for r, point, value in trace]
-        assert (out / "trace.txt").read_text().splitlines()[1:] == want
+        lines = (out / "trace.txt").read_text().splitlines()
+        # the header the benchmark's tune check reads, field for field
+        assert lines[0].split() == ["round", "alpha_ref", "alpha_sa", "alpha_tj", "objective"]
+        assert lines[1:] == want
         assert kv["objective"] == f"{best:.6f}"
 
     def test_eval_compare_reports(self, labelled, tmp_path):

@@ -194,7 +194,7 @@ def test_correlate_stack_refusals():
         correlate_stack(np.zeros(9), np.ones((3, 3)))
 
 
-# (P, ..., S) map pairs against (8, 2) kernel pairs: light and dark
+# (P, T, S) map pairs against (8, 2) kernel pairs: light and dark
 # shared by both sides, one pair per orientation, a map per side
 PAIR_LEADS = [(2, 1, 1), (2, 8, 1), (1, 8, 2)]
 
@@ -234,18 +234,21 @@ def test_correlate_pairs_transforms_each_map_and_kernel_once(
 
 
 def test_correlate_pairs_refusals():
-    maps = np.zeros((2, 8, 1, 9, 9))
-    kernels = np.ones((8, 2, 3, 3))
-    with pytest.raises(ValueError, match="kernel pairs must be"):
-        correlate_pairs(maps, np.ones((8, 3, 3, 3)), False)
-    with pytest.raises(ValueError, match="do not match"):
-        correlate_pairs(maps[0], kernels, False)
-    with pytest.raises(ValueError, match=re.escape(
-        "map pairs (2, 3, 1, 9, 9) do not broadcast to kernel pairs (8, 2, 3, 3)"
-    )):
-        correlate_pairs(np.zeros((2, 3, 1, 9, 9)), kernels, False)
+    bad = [
+        ((2, 8, 1, 9, 9), (8, 3, 3, 3)),  # not kernel pairs
+        ((2, 8, 1, 9, 9), (2, 8, 2, 3, 3)),  # a bank of more than one axis
+        ((8, 1, 9, 9), (8, 2, 3, 3)),  # maps not 5-D
+        ((2, 3, 1, 9, 9), (8, 2, 3, 3)),  # T neither 1 nor N
+        ((1, 8, 3, 9, 9), (8, 2, 3, 3)),  # S neither 1 nor 2
+    ]
+    for map_shape, kernel_shape in bad:
+        with pytest.raises(ValueError, match=re.escape(
+            f"map pairs {map_shape} must be (P, 1 or N, 1 or 2, rows, cols) "
+            f"against (N, 2, kh, kw) kernel pairs, got {kernel_shape}"
+        )):
+            correlate_pairs(np.zeros(map_shape), np.ones(kernel_shape), False)
     with pytest.raises(ValueError, match="odd"):
-        correlate_pairs(maps, np.ones((8, 2, 2, 3)), False)
+        correlate_pairs(np.zeros((2, 8, 1, 9, 9)), np.ones((8, 2, 2, 3)), False)
 
 
 # ----------------------------------------- resample: one level, weight 1

@@ -193,15 +193,15 @@ def square_image(size=64, lo=0.0, hi=1.0, first=20, last=43):
 
 
 def make_carriers(image, n_scales=4, factor=SQRT2):
-    """The carrier pyramid of (8, 1, r, c) levels, as the pipeline builds it."""
+    """The carrier pyramid of (8, r, c) levels, as the pipeline builds it."""
     gabor = GaborParams()
     orientation = compute_orientation_channels(image, gabor, gabor, gabor.size)
-    return list(pyramid_levels(orientation[:, None], n_scales, factor))
+    return list(pyramid_levels(orientation, n_scales, factor))
 
 
 def per_orientation(carriers):
     """The carriers as eight pyramids of maps, ``[t][k]``, for the oracles."""
-    return [[level[t, 0] for level in carriers] for t in range(8)]
+    return [[level[t] for level in carriers] for t in range(8)]
 
 
 def pair_layout(level):
@@ -235,9 +235,9 @@ OCS = PipelineParams().oriented_cs
 
 def carrier_cs(carriers, thetas=tuple(ti * np.pi / 8 for ti in range(8))):
     """The oriented center-surround evidence of the carriers: one even
-    Gabor at each of ``thetas`` per (1, r, c) stack of a level."""
+    Gabor at each of ``thetas`` per map of a level."""
     def bank(size):
-        return np.array([[make_gabor(OCS, theta, size)] for theta in thetas])
+        return np.array([make_gabor(OCS, theta, size) for theta in thetas])
 
     return list(cs_pyramids(carriers, OCS.size, bank))
 
@@ -406,7 +406,7 @@ def test_bo_zero_cs_passes_carrier_through():
         assert np.array_equal(contrast[k], np.zeros_like(contrast[k]))
         for ti in range(8):
             for si in range(2):
-                assert np.array_equal(full[k][ti, si], 2.0 * carriers[k][ti, 0])
+                assert np.array_equal(full[k][ti, si], 2.0 * carriers[k][ti])
 
 
 @pytest.mark.parametrize("route", ["isotropic", "oriented", "cue", "cue top 2"])
@@ -517,7 +517,7 @@ def test_local_cue_zero_stack_passes_carrier():
             assert np.array_equal(out[k], np.zeros((8,) + carriers[k].shape[-2:]))
             for ti in range(8):
                 for si in range(2):
-                    assert np.array_equal(full[k][ti, si], carriers[k][ti, 0])
+                    assert np.array_equal(full[k][ti, si], carriers[k][ti])
 
 
 def test_local_cue_one_sided_bias():

@@ -284,7 +284,7 @@ class TestFixedFeatures:
         def pyramid(native):
             return list(pyramid_levels(native, FAST.n_scales, FAST.pyramid_factor))
 
-        carriers = pyramid(orientation[:, None])
+        carriers = pyramid(orientation)
 
         def route(native):
             dog = partial(make_center_surround, FAST.dog)
