@@ -7,7 +7,7 @@ a half-octave pyramid) plus optional local cues (spectral anisotropy
 and T-junctions), and scored against signed figure-ground annotations.
 """
 
-from .channels import N_ORIENTATIONS, ORIENTATIONS, RGBImage
+from .channels import N_ORIENTATIONS, ORIENTATIONS
 from .config import PRESETS, RunConfig
 from .evaluation import (
     FGCAResult,
@@ -33,7 +33,6 @@ from .stimuli import GENERATORS, generate
 __all__ = [
     "N_ORIENTATIONS",
     "ORIENTATIONS",
-    "RGBImage",
     "PRESETS",
     "RunConfig",
     "FGCAResult",

@@ -1,5 +1,8 @@
 """Feature channels: intensity, color opponency and orientation energy.
 
+The image is one plain (3, rows, cols) RGB array in [0, 1], or a
+(rows, cols) gray map standing for its three equal channels;
+:func:`as_image` is its one check, run where an image enters the model.
 The thirteen sub-channel maps are plain arrays that the ownership
 stage consumes: the intensity map, the (4, rows, cols) opponency stack
 (RG, GR, BY, YB) and the (8, rows, cols) orientation energies, each
@@ -15,12 +18,11 @@ same energy, at its own filter sizes, beside each edge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .filters import GaborParams, gabor_bank
-from .grid import as_map, correlate_stack
+from .grid import correlate_stack
 
 N_ORIENTATIONS = 8
 N_SIDES = 2
@@ -43,42 +45,33 @@ DIRECTIONS = np.array([
 DIRECTIONS.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class RGBImage:
-    r: np.ndarray
-    g: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        r = as_map(self.r, "r")
-        g = as_map(self.g, "g")
-        b = as_map(self.b, "b")
-        if not (r.shape == g.shape == b.shape):
-            raise ValueError("r, g, b must share dimensions")
-        for name, ch in (("r", r), ("g", g), ("b", b)):
-            if ch.min() < 0 or ch.max() > 1:
-                raise ValueError(f"channel {name} must lie in [0, 1]")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "b", b)
-
-    @property
-    def shape(self):
-        return self.r.shape
-
-    @classmethod
-    def from_gray(cls, gray) -> "RGBImage":
-        gray = as_map(gray, "gray")
-        return cls(r=gray.copy(), g=gray.copy(), b=gray.copy())
+def as_image(values) -> np.ndarray:
+    """The one image check: ``values`` as a (3, rows, cols) float64 RGB
+    array, returned as a read-only view (``np.broadcast_to``): a
+    (3, rows, cols) array passes through, and a (rows, cols) gray map
+    becomes its three equal channels without a copy. Any other shape, an
+    empty image, or a value outside [0, 1], which every non-finite value
+    is, is refused, naming the limit."""
+    image = np.asarray(values, dtype=np.float64)
+    if image.ndim < 2 or image.shape[:-2] not in ((), (3,)) or image.size == 0:
+        raise ValueError(
+            f"an image must be a non-empty (rows, cols) gray map or a (3, rows, cols) "
+            f"RGB array, got shape {image.shape}"
+        )
+    low, high = image.min(), image.max()
+    if not (low >= 0 and high <= 1):  # a NaN fails both comparisons
+        raise ValueError(f"image values must lie in [0, 1], got values in [{low:g}, {high:g}]")
+    return np.broadcast_to(image, (3,) + image.shape[-2:])
 
 
-def compute_intensity(image: RGBImage) -> np.ndarray:
-    return (image.r + image.g + image.b) / 3.0
+def compute_intensity(image) -> np.ndarray:
+    """The mean of a (3, rows, cols) image's channels."""
+    return (image[0] + image[1] + image[2]) / 3.0
 
 
-def compute_color_opponency(image: RGBImage, intensity) -> np.ndarray:
-    """Rectified double-opponency maps of an image, one (4, rows, cols)
-    array in the order RG, GR, BY, YB.
+def compute_color_opponency(image, intensity) -> np.ndarray:
+    """Rectified double-opponency maps of a (3, rows, cols) image, one
+    (4, rows, cols) array in the order RG, GR, BY, YB.
 
     r, g, b are first normalized by ``intensity``, the image's
     :func:`compute_intensity` map, wherever it exceeds a tenth of its
@@ -90,9 +83,9 @@ def compute_color_opponency(image: RGBImage, intensity) -> np.ndarray:
     cutoff = 0.1 * intensity.max()
     safe = intensity > cutoff
     denom = np.where(safe, intensity, 1.0)
-    r = np.where(safe, image.r / denom, 0.0)
-    g = np.where(safe, image.g / denom, 0.0)
-    b = np.where(safe, image.b / denom, 0.0)
+    r = np.where(safe, image[0] / denom, 0.0)
+    g = np.where(safe, image[1] / denom, 0.0)
+    b = np.where(safe, image[2] / denom, 0.0)
     red = np.maximum(0.0, r - (g + b) / 2)
     green = np.maximum(0.0, g - (r + b) / 2)
     blue = np.maximum(0.0, b - (r + g) / 2)
@@ -117,11 +110,11 @@ def compute_orientation_channels(intensity, even: GaborParams, odd: GaborParams,
     return np.hypot(responses[:, 0], responses[:, 1])
 
 
-def compute_channels(image: RGBImage, gabor: GaborParams = GaborParams()) -> tuple:
-    """``(intensity, opponency, orientation)`` of an image: the intensity
-    map, computed once, the (4, rows, cols) opponency stack and the
-    (8, rows, cols) orientation energies, all non-negative and of the
-    image's dimensions."""
+def compute_channels(image, gabor: GaborParams = GaborParams()) -> tuple:
+    """``(intensity, opponency, orientation)`` of a (3, rows, cols)
+    image (:func:`as_image`): the intensity map, computed once, the
+    (4, rows, cols) opponency stack and the (8, rows, cols) orientation
+    energies, all non-negative and of the image's dimensions."""
     intensity = compute_intensity(image)
     return (
         intensity,

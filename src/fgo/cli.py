@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, io, stimuli
-from .channels import N_SIDES, RGBImage
+from .channels import N_SIDES
 from .config import PRESETS, RunConfig, apply_lines, apply_preset, key_name, load_config
 from .cues import format_junction
 from .evaluation import (
@@ -66,20 +66,20 @@ class ManifestEntry:
 
 
 def _read_row(row: ManifestEntry):
-    """``(image, contours, segments, gts)`` of one row: the PPM image,
-    its two label maps (None where the row names none) and the ground
-    truths that have boundary records. A truth whose map is not the
-    image's shape is refused, and so is a row whose truths all lack
-    records; a row that names no truth (``fgo run`` without ``--gt``)
-    has none."""
+    """``(image, contours, segments, gts)`` of one row: the PPM image as
+    one (3, rows, cols) array (``io.read_ppm``), passed on as read, its
+    two label maps (None where the row names none) and the ground truths
+    that have boundary records. A truth whose map is not the image's
+    shape is refused, and so is a row whose truths all lack records; a
+    row that names no truth (``fgo run`` without ``--gt``) has none."""
     path = Path(row.image)
     if path.suffix.lower() != ".ppm":
         raise ValueError(f"unsupported image format {path.suffix!r} (want .ppm)")
-    image = RGBImage(*io.read_ppm(path))
+    image = io.read_ppm(path)
     contours, segments = [io.read_lm1(p) if p else None for p in (row.contours, row.segments)]
     gts = [load_ground_truth(io.read_signed_map(path)) for path in row.gts]
     for gt in gts:
-        gt.check_shape(image.shape)
+        gt.check_shape(image.shape[1:])
     gts = [gt for gt in gts if len(gt)]
     if row.gts and not gts:
         raise ValueError("no usable ground truth records")

@@ -116,8 +116,9 @@ def compute_sa_maps(intensity, params: SAParams = SAParams()) -> np.ndarray:
 # ======================================================================
 # T-junctions
 # ======================================================================
-# detect_t_junctions and build_tj_maps check the label maps once
-# (_label_maps); the functions below them take the checked int64 maps.
+# label_maps is the one label-map check: prepare_components runs it before
+# any filtering, and the public detect_t_junctions and build_tj_maps run it
+# on their own input; the functions below them take the checked int64 maps.
 
 @dataclass(frozen=True)
 class TJParams:
@@ -162,11 +163,12 @@ class TJunction:
     rejected: str  # none | yJunction | arrowJunction | tie
 
 
-def _label_maps(contours, segments):
+def label_maps(contours, segments, shape=None):
     """The contour and segment maps as int64 arrays, checked.
 
     Each must be a non-empty 2D array of non-negative integers (0 means
-    unlabeled), and the two must share their shape.
+    unlabeled), the two must share their shape, and each must match the
+    image's ``(rows, cols)`` ``shape`` when one is given.
     """
     maps = []
     for name, values in (("contours", contours), ("segments", segments)):
@@ -177,6 +179,11 @@ def _label_maps(contours, segments):
             raise ValueError(f"{name} must hold integers")
         if arr.min() < 0:
             raise ValueError(f"{name} must be non-negative (0 means unlabeled)")
+        if shape is not None and arr.shape != shape:
+            raise ValueError(
+                f"the {name[:-1]} map is {arr.shape[0]}x{arr.shape[1]} but the image is "
+                f"{shape[0]}x{shape[1]}: label maps must match the image"
+            )
         maps.append(arr.astype(np.int64, copy=False))
     if maps[0].shape != maps[1].shape:
         raise ValueError("contour and segmentation maps must share dimensions")
@@ -373,7 +380,7 @@ def detect_t_junctions(contours, segments,
     and arrow junctions and area ties are kept as rejected records. A
     junction is matched only when both methods agree on the hat pair.
     """
-    contours, segments = _label_maps(contours, segments)
+    contours, segments = label_maps(contours, segments)
     junctions = []
     for cand in find_junction_candidates(contours, segments):
         try:
@@ -431,7 +438,7 @@ def build_tj_maps(contours, segments, junctions,
     junction's figure region. Pixels whose probes hit both sides or
     neither are skipped.
     """
-    contours, segments = _label_maps(contours, segments)
+    contours, segments = label_maps(contours, segments)
     out = np.zeros((N_ORIENTATIONS, N_SIDES) + contours.shape)
     steps = range(params.probe_min, params.probe_max + 1)
     for junction in junctions:

@@ -152,7 +152,10 @@ def decide_windows(windows: np.ndarray):
     its ownership direction is the decision; equal maxima of two
     orientations go to the first map index. No positive response at
     all, or an exact tie between the two sides of one orientation, is a
-    tie with a zero direction.
+    tie with a zero direction. Like ``ownership.winning_bo``'s, the
+    first-index rule is not symmetric under a mirror flip, which maps
+    orientation t to (8 - t) % 8: a tie between nonzero orientations
+    t < u goes to t, but in the mirrored image to 8 - u, the mirror of u.
     """
     strongest = windows.max(axis=1)
     best = strongest.max(axis=1)

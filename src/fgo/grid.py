@@ -36,19 +36,10 @@ from scipy import fft, sparse
 SQRT2 = math.sqrt(2.0)
 
 
-def as_map(values, name: str = "map") -> np.ndarray:
-    """Coerce to a finite 2D float64 array, raising ValueError otherwise."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError(f"{name} must be a non-empty 2D array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
-    return arr
-
-
 def _as_stack(values, name: str) -> np.ndarray:
     """Coerce to a non-empty ``(..., rows, cols)`` float64 array. Finiteness
-    is checked where data enters: :func:`as_map` and the file readers."""
+    is checked where data enters: ``channels.as_image`` and the file
+    readers."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim < 2 or arr.size == 0:
         raise ValueError(

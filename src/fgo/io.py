@@ -116,7 +116,9 @@ def _pnm_tokens(path, blob: bytes, count: int):
 
 
 def read_ppm(path):
-    """Read a P6 or P3 PPM into (r, g, b) float64 maps scaled to [0, 1]."""
+    """Read a P6 or P3 PPM into one (3, rows, cols) float64 array of
+    r, g and b scaled to [0, 1], the image layout of
+    ``channels.as_image``; ``r, g, b = read_ppm(path)`` unpacks it."""
     with open(path, "rb") as fh:
         blob = fh.read()
     magic = blob[:2].decode("ascii", errors="replace")
@@ -137,8 +139,7 @@ def read_ppm(path):
         raster = _parsed(path, int, tokens[:n])
     if raster.min() < 0 or raster.max() > maxval:
         raise ValueError(f"{path}: sample out of range")
-    rgb = raster.reshape(height, width, 3).astype(np.float64) / maxval
-    return rgb[:, :, 0], rgb[:, :, 1], rgb[:, :, 2]
+    return np.moveaxis(raster.reshape(height, width, 3).astype(np.float64) / maxval, -1, 0)
 
 
 def _write_pnm(path, magic: str, data: np.ndarray) -> None:

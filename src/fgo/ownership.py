@@ -306,7 +306,11 @@ def winning_bo(deltas: Sequence[np.ndarray]) -> list:
     rounding breaks are decided by that rule, not by the rounding; the
     output is the (8, 2, rows, cols) stack that holds the rectified
     imbalance on the winning side and zero everywhere else, so at most
-    one of the 16 cells is nonzero.
+    one of the 16 cells is nonzero. The lowest-index rule is not
+    symmetric under a mirror flip, which maps orientation t to
+    (8 - t) % 8: a tie between nonzero orientations t < u goes to t,
+    but in the mirrored image to 8 - u, the mirror of u. Exact ties are
+    rare on real inputs.
     """
     out = []
     for delta in deltas:

@@ -37,8 +37,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import N_ORIENTATIONS, N_SIDES, ORIENTATIONS, RGBImage, compute_channels
+from .channels import N_ORIENTATIONS, N_SIDES, ORIENTATIONS, as_image, compute_channels
 from .cues import SAParams, TJParams, build_tj_maps, compute_sa_maps, detect_t_junctions
+from .cues import label_maps
 from .filters import DoGParams, GaborParams, gabor_bank, make_center_surround
 from .grid import SQRT2, check_pyramid_factor, next_level_dims, pool_resampled, pyramid_levels
 from .ownership import ModelWeights, combine_bo, compute_bo, cs_pyramids, winning_bo
@@ -210,29 +211,27 @@ def prepare_components(
     without them is warned about once here, and every finalize of it
     folds the T-junction weight into the contrast route. An image too
     small for the native filter banks or for ``n_scales`` pyramid levels
-    is refused with a ValueError that names the limit, and so is one
-    label map without the other, or one whose shape is not the image's,
-    before any filtering or junction detection.
+    is refused with a ValueError that names the limit, and so is an
+    image that ``channels.as_image`` refuses, one label map without the
+    other, or a label map that ``cues.label_maps`` refuses (not 2D, not
+    non-negative integers, or not of the image's shape), all before any
+    filtering or junction detection.
     """
-    if not isinstance(image, RGBImage):
-        image = RGBImage.from_gray(image)
+    image = as_image(image)
+    shape = image.shape[1:]
     if (contours is None) != (segments is None):
         raise ValueError("contour and segment maps must be given together")
     have_labels = contours is not None
-    _check_image_fits(image.shape, params, need_sa and params.feature_orientation > 0)
-    for name, labels in (("contour", contours), ("segment", segments)):
-        if labels is not None and np.shape(labels) != image.shape:
-            raise ValueError(
-                f"the {name} map is {'x'.join(map(str, np.shape(labels)))} but the "
-                f"image is {image.shape[0]}x{image.shape[1]}: label maps must match the image"
-            )
+    if have_labels:
+        contours, segments = label_maps(contours, segments, shape)
+    _check_image_fits(shape, params, need_sa and params.feature_orientation > 0)
 
     if need_tj and not have_labels:
         log.warning(
             "T-junction weight alphaTJ given without contour/segment maps for a "
             "%dx%d image; reassigning it to alphaRef, so its mass moves to the "
             "contrast route",
-            *image.shape,
+            *shape,
         )
 
     intensity, opponency, orientation = compute_channels(image, params.gabor)
@@ -326,7 +325,8 @@ def run_model(
 ) -> RunResult:
     """Compute the final border-ownership maps for one image.
 
-    ``image`` is an :class:`RGBImage` or a single [0, 1] grayscale map.
+    ``image`` is a (3, rows, cols) RGB array or a (rows, cols) gray map,
+    with values in [0, 1] (``channels.as_image``).
     ``contours``/``segments`` are integer label maps enabling the
     T-junction cue, given both or neither; without them any T-junction
     weight falls back to the contrast route with a warning.

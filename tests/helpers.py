@@ -6,7 +6,7 @@ import numpy as np
 from scipy import fft
 
 from fgo import grid
-from fgo.channels import RGBImage, bo_direction, compute_channels
+from fgo.channels import as_image, bo_direction, compute_channels
 from fgo.cues import build_tj_maps, compute_sa_maps, detect_t_junctions
 from fgo.filters import (
     clamp_kernel_size,
@@ -84,12 +84,12 @@ def scoring_battery():
     wide = np.pad(square.signed, ((0, 0), (0, 8)))
     return [
         # colour, so every feature route carries signal, with labels
-        ("overlap", RGBImage(over.image, over.image**2, 1.0 - over.image),
+        ("overlap", np.stack([over.image, over.image**2, 1.0 - over.image]),
          over.signed, over.contours, over.segments),
         ("annulus", annulus().image, annulus().signed, None, None),  # mirror ties
         ("square", isolated_square().image, isolated_square().signed, None, None),
         ("shaded", shaded.image, shaded.signed, shaded.contours, shaded.segments),
-        ("random", RGBImage(*rng.random((3, 48, 56))), wide, None, None),
+        ("random", rng.random((3, 48, 56)), wide, None, None),
         # a flat image: its final responses are FFT round-off (about
         # 1e-14), so the decisions hang on the last bits
         ("flat", np.full((48, 48), 0.5), square.signed, None, None),
@@ -216,9 +216,7 @@ def full_prepared(image, params, contours=None, segments=None):
     winners), the (8, 2) stacks of the contrast, SA and TJ routes
     (None without the orientation feature, TJ None without labels) and
     the orientation feature's weight ``w_o``."""
-    if not isinstance(image, RGBImage):
-        image = RGBImage.from_gray(image)
-    intensity, opponency, orientation = compute_channels(image, params.gabor)
+    intensity, opponency, orientation = compute_channels(as_image(image), params.gabor)
 
     def pyramid(native):
         return list(pyramid_levels(native, params.n_scales, params.pyramid_factor))

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fgo.channels import RGBImage
 from fgo.config import PRESETS, RunConfig, apply_assignment, apply_preset
 from fgo.cues import SAParams, TJParams, compute_sa_maps, detect_t_junctions
 from fgo.evaluation import (
@@ -513,7 +512,7 @@ def test_11_noise_stability():
     gt = load_ground_truth(signed)
 
     def fgca(rgb):
-        image = RGBImage(*np.clip(rgb, 0.0, 1.0))
+        image = np.clip(rgb, 0.0, 1.0)
         return compute_fgca(run_model(image, ModelWeights(), PipelineParams()).final, gt).accuracy
 
     base = fgca(eight_bit)

@@ -6,7 +6,7 @@ import pytest
 from fgo.channels import (
     DIRECTIONS,
     ORIENTATIONS,
-    RGBImage,
+    as_image,
     bo_direction,
     compute_channels,
     compute_color_opponency,
@@ -21,11 +21,7 @@ CARRIER = (GaborParams(), GaborParams(), GaborParams().size)
 
 
 def solid_image(r, g, b, size=8):
-    return RGBImage(
-        r=np.full((size, size), float(r)),
-        g=np.full((size, size), float(g)),
-        b=np.full((size, size), float(b)),
-    )
+    return np.stack([np.full((size, size), float(value)) for value in (r, g, b)])
 
 
 def test_bo_direction_pins_the_sixteen_directions():
@@ -53,22 +49,49 @@ def test_intensity_is_channel_mean():
     assert np.allclose(compute_intensity(img), 0.6, atol=1e-12)
 
 
+SHAPE_RULE = (
+    r"an image must be a non-empty \(rows, cols\) gray map or a \(3, rows, cols\) RGB array"
+)
+RANGE_RULE = r"image values must lie in \[0, 1\], got values in"
+
+
 def test_rgb_image_validation():
-    with pytest.raises(ValueError):
-        RGBImage(r=np.zeros((4, 4)), g=np.zeros((4, 4)), b=np.zeros((5, 4)))
-    with pytest.raises(ValueError):
-        RGBImage(r=np.full((4, 4), 1.5), g=np.zeros((4, 4)), b=np.zeros((4, 4)))
+    # channel-first only: a channel-last array is refused, not transposed
+    with pytest.raises(ValueError, match=rf"^{SHAPE_RULE}, got shape \(4, 5, 3\)$"):
+        as_image(np.zeros((4, 5, 3)))
+    with pytest.raises(ValueError, match=rf"^{RANGE_RULE} \[0, 1.5\]$"):
+        as_image(np.stack([np.full((4, 4), 1.5), np.zeros((4, 4)), np.zeros((4, 4))]))
+    with pytest.raises(ValueError, match=rf"^{RANGE_RULE} \[-0.25, -0.25\]$"):
+        as_image(np.full((4, 4), -0.25))
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf])
-def test_rgb_image_refuses_non_finite(value):
+def test_as_image_refuses_a_1d_array():
+    with pytest.raises(ValueError, match=rf"^{SHAPE_RULE}, got shape \(3,\)$"):
+        as_image(np.ones(3))
+
+
+@pytest.mark.parametrize(
+    "value, got", [(np.nan, r"\[nan, nan\]"), (np.inf, r"\[0, inf\]")], ids=["nan", "inf"]
+)
+def test_rgb_image_refuses_non_finite(value, got):
     # the one finiteness check of an image: stages past it do not scan
     bad = np.zeros((4, 4))
     bad[1, 2] = value
-    with pytest.raises(ValueError, match="non-finite"):
-        RGBImage(r=np.zeros((4, 4)), g=bad, b=np.zeros((4, 4)))
-    with pytest.raises(ValueError, match="non-finite"):
-        RGBImage.from_gray(bad)
+    with pytest.raises(ValueError, match=rf"^{RANGE_RULE} {got}$"):
+        as_image(np.stack([np.zeros((4, 4)), bad, np.zeros((4, 4))]))
+    with pytest.raises(ValueError, match=rf"^{RANGE_RULE} {got}$"):
+        as_image(bad)
+
+
+def test_as_image_takes_a_gray_map_as_a_view():
+    gray = np.random.default_rng(3).random((5, 7))
+    image = as_image(gray)
+    assert image.shape == (3, 5, 7) and image.dtype == np.float64
+    assert np.shares_memory(image, gray) and image.strides[0] == 0  # nothing copied
+    assert all(np.array_equal(channel, gray) for channel in image)
+    # a (3, rows, cols) float64 array passes through, its values unchanged
+    rgb = np.random.default_rng(4).random((3, 5, 7))
+    assert np.shares_memory(as_image(rgb), rgb) and np.array_equal(as_image(rgb), rgb)
 
 
 # -------------------------------------------------------------- opponency
@@ -106,7 +129,7 @@ def test_opponency_dark_pixels_muted():
     r = np.zeros((6, 6))
     r[0, 0] = 1.0  # bright red pixel sets the intensity ceiling
     r[3, 3] = 0.02  # dim red pixel falls under the 10% cutoff
-    img = RGBImage(r=r, g=np.zeros((6, 6)), b=np.zeros((6, 6)))
+    img = np.stack([r, np.zeros((6, 6)), np.zeros((6, 6))])
     opp = opponency_of(img)
     assert opp[0, 0, 0] == pytest.approx(3.0)
     assert opp[0, 3, 3] == 0.0
@@ -114,7 +137,7 @@ def test_opponency_dark_pixels_muted():
 
 def test_opponency_pairs_mutually_exclusive():
     rng = np.random.default_rng(0)
-    img = RGBImage(r=rng.random((12, 12)), g=rng.random((12, 12)), b=rng.random((12, 12)))
+    img = rng.random((3, 12, 12))
     opp = opponency_of(img)
     assert np.abs(opp[0] * opp[1]).max() == 0.0
     assert np.abs(opp[2] * opp[3]).max() == 0.0
@@ -163,7 +186,7 @@ def test_carrier_energy_matches_per_orientation_oracle():
     # the carriers bit for bit against one even and one odd correlation per
     # orientation, as the SA oracle pins the energy sampled beside an edge
     gabor = GaborParams(sigma=1.8, gamma=0.6, omega=1.2)
-    img = RGBImage.from_gray(np.random.default_rng(8).random((30, 34)))
+    img = as_image(np.random.default_rng(8).random((30, 34)))
     intensity, _, orientation = compute_channels(img, gabor)
     assert orientation.shape == (8, 30, 34)
     for ti, theta in enumerate(ORIENTATIONS):
@@ -176,7 +199,7 @@ def test_carrier_energy_matches_per_orientation_oracle():
 
 def test_compute_channels_shapes_and_nonnegative():
     rng = np.random.default_rng(1)
-    img = RGBImage(r=rng.random((24, 24)), g=rng.random((24, 24)), b=rng.random((24, 24)))
+    img = rng.random((3, 24, 24))
     intensity, opponency, orientation = compute_channels(img)
     assert opponency.shape == (4, 24, 24)
     assert orientation.shape == (8, 24, 24)
@@ -188,7 +211,7 @@ def test_compute_channels_shapes_and_nonnegative():
 
 def test_channel_pyramids_levels_and_dims():
     rng = np.random.default_rng(2)
-    img = RGBImage(r=rng.random((32, 32)), g=rng.random((32, 32)), b=rng.random((32, 32)))
+    img = rng.random((3, 32, 32))
     intensity, opponency, orientation = compute_channels(img)
     for native in (intensity, *opponency):
         pyr = list(pyramid_levels(native, 4, math.sqrt(2)))
@@ -202,7 +225,7 @@ def test_channel_pyramids_levels_and_dims():
 
 
 def test_channel_pyramid_single_scale_identity():
-    img = RGBImage.from_gray(np.random.default_rng(5).random((16, 16)))
+    img = as_image(np.random.default_rng(5).random((16, 16)))
     intensity, _, _ = compute_channels(img)
     (level,) = pyramid_levels(intensity, 1, 2.0)
     assert np.array_equal(level, intensity)

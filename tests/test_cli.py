@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import fgo
-from fgo.channels import RGBImage
 from fgo import cli
 from fgo.cli import main, parse_manifest
 from fgo.config import RunConfig, apply_assignment, apply_lines, apply_preset, key_name
@@ -593,7 +592,7 @@ class TestEval:
         # with-both (0.05, 0.15, 0.80) scores the unlabelled row as (0.85, 0.15, 0)
         params = apply_assignment(RunConfig(), "nScales", "4").params
         prepared = prepare_components(
-            RGBImage(*read_ppm(plain / "image.ppm")), params, need_sa=True
+            read_ppm(plain / "image.ppm"), params, need_sa=True
         )
         gt = load_ground_truth(read_signed_map(plain / "gt.lm1"))
         fgca = compute_fgca(
@@ -848,7 +847,7 @@ class TestScoresMatchFullPath:
             if entry.image_id in ids:
                 labels = [read_lm1(p) for p in (entry.contours, entry.segments) if p]
                 prepared = prepare_components(
-                    RGBImage(*read_ppm(entry.image)), config.params,
+                    read_ppm(entry.image), config.params,
                     *(labels or (None, None)), need_sa=True, need_tj=True,
                 )
                 gts = [load_ground_truth(read_signed_map(p)) for p in entry.gts]

@@ -24,7 +24,7 @@ from fgo.evaluation import (
     score_directions,
     score_weights,
 )
-from fgo.channels import N_SIDES, RGBImage, bo_direction
+from fgo.channels import N_SIDES, bo_direction
 from fgo.ownership import ModelWeights
 from fgo.pipeline import PipelineParams, finalize_components, prepare_components, run_model
 from fgo.stimuli import annulus, isolated_square, overlapping_squares, shaded_edge
@@ -314,7 +314,7 @@ class TestBoundaryScorer:
     )
     def test_feature_weights_with_a_zero(self, feature_weights):
         stim = overlapping_squares()
-        image = RGBImage(stim.image, stim.image**2, 1.0 - stim.image)
+        image = np.stack([stim.image, stim.image**2, 1.0 - stim.image])
         features = dict(
             zip(("feature_color", "feature_intensity", "feature_orientation"), feature_weights)
         )

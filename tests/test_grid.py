@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from scipy import signal
 
-from fgo import grid
 from fgo.grid import (
     correlate_pairs,
     correlate_stack,
@@ -450,8 +449,3 @@ def test_pyramid_factor_validation():
         list(pyramid_levels(np.zeros((4, 4)), 1, 3.0))
     with pytest.raises(ValueError):
         list(pyramid_levels(np.zeros((8, 8)), 0))
-
-
-def test_as_map_refuses_a_1d_array():
-    with pytest.raises(ValueError, match=r"^kernel must be a non-empty 2D array, got shape \(3,\)$"):
-        grid.as_map(np.ones(3), "kernel")

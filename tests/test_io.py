@@ -113,10 +113,9 @@ class TestPPM:
         r, g, b = (rng.integers(0, 256, size=(4, 6)) / 255.0 for _ in range(3))
         path = tmp_path / "img.ppm"
         write_ppm(path, r, g, b)
-        r2, g2, b2 = read_ppm(path)
-        np.testing.assert_allclose(r2, r, atol=0.5 / 255)
-        np.testing.assert_allclose(g2, g, atol=0.5 / 255)
-        np.testing.assert_allclose(b2, b, atol=0.5 / 255)
+        image = read_ppm(path)  # one (3, rows, cols) array, channel first
+        assert image.shape == (3, 4, 6) and image.dtype == np.float64
+        np.testing.assert_allclose(image, np.stack([r, g, b]), atol=0.5 / 255)
 
     def test_plain_text_variant_with_comments(self, tmp_path):
         path = tmp_path / "img.ppm"

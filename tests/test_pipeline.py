@@ -6,8 +6,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from fgo import channels
-from fgo.channels import RGBImage, compute_channels
+from fgo import channels, pipeline
+from fgo.channels import as_image, compute_channels
 from fgo.evaluation import compute_fgca, load_ground_truth
 from fgo.filters import DoGParams, GaborParams, make_center_surround
 from fgo.grid import pool_resampled, pyramid_levels
@@ -68,7 +68,7 @@ class TestRunModel:
         rows, cols = 48, 48
         red = np.zeros((rows, cols))
         red[16:32, 16:32] = 0.8
-        image = RGBImage(r=red, g=np.zeros_like(red), b=np.zeros_like(red))
+        image = np.stack([red, np.zeros_like(red), np.zeros_like(red)])
         result = run_model(image, params=FAST)
         assert result.final.shape == (8, 2, rows, cols)
         assert result.final.max() > 0
@@ -265,7 +265,7 @@ class TestRouteTuple:
 
 def colour_squares():
     stim = overlapping_squares()
-    return RGBImage(stim.image, stim.image**2, 1.0 - stim.image)
+    return np.stack([stim.image, stim.image**2, 1.0 - stim.image])
 
 
 class TestFixedFeatures:
@@ -277,9 +277,7 @@ class TestFixedFeatures:
     def winners(image):
         """Per feature in channel order (each non-empty opponency map,
         then intensity), its winners level by level."""
-        if not isinstance(image, RGBImage):
-            image = RGBImage.from_gray(image)
-        intensity, opponency, orientation = compute_channels(image, FAST.gabor)
+        intensity, opponency, orientation = compute_channels(as_image(image), FAST.gabor)
 
         def pyramid(native):
             return list(pyramid_levels(native, FAST.n_scales, FAST.pyramid_factor))
@@ -342,13 +340,14 @@ class TestFixedFeatures:
         image = colour_squares()
         params = replace(FAST, feature_color=0.0, feature_intensity=0.0)
         got = prepare_components(image, params).fixed
-        assert got.shape == (8, 2) + image.shape
+        assert got.shape == (8, 2) + image.shape[1:]
         assert not got.any() and not np.signbit(got).any()
 
 
 class TestInputContract:
-    """Images the native filter banks or the pyramid do not fit are
-    refused up front, with the limit in the message."""
+    """Images the native filter banks or the pyramid do not fit, and
+    label maps that break their rule, are refused up front, with the
+    limit in the message."""
 
     def test_sa_bank_needs_more_than_25_px(self):
         image = np.full((24, 24), 0.5)
@@ -379,6 +378,36 @@ class TestInputContract:
             small.image, FAST, small.contours, small.segments, need_tj=need_tj
         )
         assert prep.junctions
+
+    @pytest.mark.parametrize("which, spoil, message", [
+        ("contours", lambda labels: labels.astype(np.float64), "contours must hold integers"),
+        ("segments", np.negative, r"segments must be non-negative \(0 means unlabeled\)"),
+        ("contours", lambda labels: labels[None], "contours must be a non-empty 2D array"),
+    ], ids=["float-contours", "negative-segments", "3d-contours"])
+    def test_bad_label_maps_refused_before_any_filtering(self, monkeypatch, which, spoil, message):
+        stim = overlapping_squares()
+        labels = {"contours": stim.contours, "segments": stim.segments}
+        labels[which] = spoil(labels[which])
+
+        def filtered(*args, **kwargs):
+            pytest.fail("the image was filtered before its label maps were checked")
+
+        monkeypatch.setattr(pipeline, "compute_channels", filtered)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            prepare_components(stim.image, FAST, **labels, need_tj=True)
+
+    def test_gray_map_is_its_three_equal_channels(self):
+        stim = overlapping_squares()
+        gray, rgb = (
+            prepare_components(
+                image, FAST, stim.contours, stim.segments, need_sa=True, need_tj=True
+            )
+            for image in (stim.image, np.stack([stim.image] * 3))
+        )
+        assert gray.fixed.tobytes() == rgb.fixed.tobytes()
+        assert all(route is not None for route in gray.routes)
+        for got, want in zip(gray.routes, rgb.routes, strict=True):
+            assert [level.tobytes() for level in got] == [level.tobytes() for level in want]
 
     @pytest.mark.parametrize("which", ["contours", "segments"])
     def test_one_label_map_without_the_other_refused(self, which):
@@ -432,7 +461,7 @@ class TestFullPathOracle:
         rng = np.random.default_rng(4)
         stim = overlapping_squares(size=size, a_first=32, a_last=80, b_first=48, b_last=112)
         gains = rng.uniform(0.5, 1.0, size=(stim.segments.max() + 1, 3))
-        image = RGBImage(*np.clip(stim.image * gains[stim.segments].transpose(2, 0, 1), 0, 1))
+        image = np.clip(stim.image * gains[stim.segments].transpose(2, 0, 1), 0, 1)
         weights = ModelWeights(0.05, 0.15, 0.8)
         tracemalloc.start()
         try:

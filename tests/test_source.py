@@ -54,6 +54,15 @@ BENCHMARK_COMMANDS = {
     "eval-mixed": ["eval", "--manifest", "manifest.txt", "--out", "fgo",
                    "--compare", "reference,with-both", "--jobs", "2"],
 }
+# the arguments perfbench/ passes, by position, to each package call
+BENCHMARK_CALLS = {
+    ("io", "write_ppm"): ("path", "r", "g", "b"),
+    ("io", "write_lm1"): ("path", "arr"),
+    ("io", "read_fm1"): ("path",),
+    ("io", "read_signed_map"): ("path",),
+    ("evaluation", "load_ground_truth"): ("signed",),
+    ("evaluation", "compute_fgca"): ("final", "gt"),
+}
 # the keywords perfbench/scenes.py passes to stimuli.overlapping_squares
 SCENE_KEYWORDS = (
     "size", "background", "a_gray", "b_gray", "gradient", "a_first", "a_last", "b_first", "b_last",
@@ -79,6 +88,15 @@ def test_the_benchmark_command_lines_parse(workload):
     # the parser takes every flag, and the settings pass the CLI's own checks
     args = cli.build_parser().parse_args(BENCHMARK_COMMANDS[workload])
     cli._config_from_args(args)
+
+
+@pytest.mark.parametrize("call", sorted(BENCHMARK_CALLS), ids=".".join)
+def test_the_benchmark_calls_bind(call):
+    # a signature change the benchmark's argument lists no longer fit
+    # (say, write_ppm taking one stack) must fail here first
+    module, name = call
+    layer = importlib.import_module(f"fgo.{module}")
+    inspect.signature(getattr(layer, name)).bind(*BENCHMARK_CALLS[call])
 
 
 def test_overlapping_squares_binds_the_scene_keywords():
